@@ -5,6 +5,11 @@ DESIGN.md's experiment index), asserts the *shape* the paper reports
 (who wins, by roughly what factor), and prints the rendered table so
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` leaves a
 complete experiment report.
+
+This directory is the paper-table asserting harness (E1-E10, A1-A7,
+S1-S2): pytest-benchmark is only the runner, and what a file checks is
+simulated cycles, not host time.  It is not a host benchmark — that is
+``bench/e2e`` (``BENCHMARK.json``), the only one.
 """
 
 from __future__ import annotations

@@ -8,10 +8,6 @@ Subcommands::
     validate       structurally check a trace_event JSON file (CI gate)
     diff           compare two archtrace JSONL streams and report the
                    first divergent architectural event
-    bench          run the pinned host-performance suite and emit a
-                   BENCH_<timestamp>.json record (optionally gate on it)
-    bench-check    compare an existing BENCH record against the trajectory
-    bench-validate structurally check BENCH record files (CI gate)
     ledger         query the content-addressed run ledger
                    (list | show | stats | trajectory)
 
@@ -21,8 +17,6 @@ Examples::
     python -m repro.obs convert run.jsonl run.trace.json
     python -m repro.obs validate run.trace.json
     python -m repro.obs diff a.archtrace.jsonl b.archtrace.jsonl
-    python -m repro.obs bench --quick
-    python -m repro.obs bench-check bench/BENCH_20260805T120000Z.json
     python -m repro.obs ledger stats
     python -m repro.obs ledger trajectory --kind fuzz
 """
@@ -130,124 +124,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                      as_json=args.json)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import perf
-
-    suite = perf.default_suite(quick=args.quick)
-    if args.cases:
-        known = {case.name for case in suite}
-        unknown = sorted(set(args.cases) - known)
-        if unknown:
-            print(f"unknown case(s) {unknown}; choose from {sorted(known)}",
-                  file=sys.stderr)
-            return 2
-        suite = [case for case in suite if case.name in args.cases]
-    repeats = args.repeats if args.repeats else (3 if args.quick else 5)
-
-    def progress(name: str) -> None:
-        if not args.quiet:
-            print(f"  running {name} (x{repeats}) ...", file=sys.stderr)
-
-    record = perf.run_suite(suite, repeats=repeats, quick=args.quick,
-                            progress=progress)
-    print(perf.render_record(record))
-    path: Optional[str] = None
-    if not args.no_write:
-        path = perf.write_record(record, args.out)
-        print(f"bench record written to {path}")
-
-    if not args.no_ledger:
-        from . import ledger as ledger_mod
-
-        cases: dict = record["cases"]  # type: ignore[assignment]
-        ledger_mod.append_record(ledger_mod.make_record(
-            kind="bench",
-            request={
-                "suite": sorted(cases),
-                "quick": args.quick,
-                "repeats": repeats,
-            },
-            outcome={
-                name: {"wall_seconds": c["wall_seconds"],
-                       "kips": c["kips"],
-                       "items_per_second": c["items_per_second"]}
-                for name, c in sorted(cases.items())
-            },
-            wall_seconds=sum(float(c["wall_seconds"]) * len(c["wall_all"])
-                             for c in cases.values()),
-            items=sum(int(c["items"]) for c in cases.values()),
-            artifacts={"record": path} if path else None,
-        ), args.ledger)
-
-    if not args.check:
-        return 0
-    trajectory_dir = args.trajectory or args.out
-    trajectory = perf.load_trajectory(trajectory_dir, exclude=path)
-    if not trajectory:
-        print(f"regression check: no trajectory in {trajectory_dir!r} "
-              "(this record becomes the baseline)")
-        return 0
-    verdicts = perf.detect_regressions(
-        [rec for _, rec in trajectory], record,
-        mad_factor=args.mad_factor, rel_floor=args.rel_floor)
-    print(perf.render_verdicts(verdicts))
-    if perf.has_regression(verdicts) and not args.report_only:
-        return 1
-    return 0
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    from . import perf
-
-    try:
-        with open(args.record) as fh:
-            record = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"{args.record}: unreadable ({exc})", file=sys.stderr)
-        return 2
-    errors = perf.validate_bench_record(record)
-    if errors:
-        print(f"{args.record}: INVALID")
-        for err in errors:
-            print(f"  {err}")
-        return 2
-    trajectory = perf.load_trajectory(args.trajectory, exclude=args.record)
-    if not trajectory:
-        print(f"regression check: no trajectory in {args.trajectory!r} "
-              "(nothing to compare against)")
-        return 0
-    verdicts = perf.detect_regressions(
-        [rec for _, rec in trajectory], record,
-        mad_factor=args.mad_factor, rel_floor=args.rel_floor)
-    print(perf.render_verdicts(verdicts))
-    if perf.has_regression(verdicts) and not args.report_only:
-        return 1
-    return 0
-
-
-def _cmd_bench_validate(args: argparse.Namespace) -> int:
-    from . import perf
-
-    status = 0
-    for path in args.files:
-        try:
-            with open(path) as fh:
-                record = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"{path}: unreadable ({exc})")
-            status = 1
-            continue
-        errors = perf.validate_bench_record(record)
-        if errors:
-            status = 1
-            print(f"{path}: INVALID")
-            for err in errors:
-                print(f"  {err}")
-        else:
-            print(f"{path}: ok")
-    return status
-
-
 def _cmd_ledger(args: argparse.Namespace) -> int:
     from . import ledger as ledger_mod
 
@@ -278,7 +154,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
             print(ledger_mod.render_stats(stats))
         return 0
     if args.ledger_command == "trajectory":
-        kind = args.kind or "bench"
+        kind = args.kind or "fuzz"
         points = ledger_mod.ledger_trajectory(records, kind=kind)
         if args.json:
             print(json.dumps(points, indent=2, sort_keys=True))
@@ -293,19 +169,6 @@ def _add_ledger_path_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ledger", metavar="FILE", default=None,
                    help="run-ledger JSONL path (default: "
                         "$REPRO_LEDGER or .repro/ledger.jsonl)")
-
-
-def _add_threshold_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trajectory", default="bench", metavar="DIR",
-                   help="directory holding the committed BENCH_*.json "
-                        "trajectory (default: bench)")
-    p.add_argument("--mad-factor", type=float, default=5.0,
-                   help="regression margin in MAD-derived sigmas (default 5)")
-    p.add_argument("--rel-floor", type=float, default=0.25,
-                   help="minimum relative margin when the history is flat "
-                        "(default 0.25 = 25%%)")
-    p.add_argument("--report-only", action="store_true",
-                   help="print verdicts but always exit 0 (CI advisory mode)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,45 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the DivergenceReport as JSON instead of text")
     p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser("bench",
-                       help="run the pinned host-performance suite and "
-                            "emit a BENCH record")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced budgets + 3 repetitions (CI smoke)")
-    p.add_argument("--repeats", type=int, default=0, metavar="N",
-                   help="repetitions per case, median reported "
-                        "(default: 3 quick, 5 full)")
-    p.add_argument("--cases", nargs="*", metavar="NAME",
-                   help="run only these cases (default: whole suite)")
-    p.add_argument("--out", default="bench", metavar="DIR",
-                   help="directory for the BENCH_<timestamp>.json record "
-                        "(default: bench)")
-    p.add_argument("--no-write", action="store_true",
-                   help="measure and print, but write no record file")
-    p.add_argument("--check", action="store_true",
-                   help="after measuring, run the regression detector "
-                        "against the trajectory and exit non-zero on "
-                        "regression")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-case progress on stderr")
-    _add_ledger_path_argument(p)
-    p.add_argument("--no-ledger", action="store_true",
-                   help="do not append this run to the run ledger")
-    _add_threshold_arguments(p)
-    p.set_defaults(func=_cmd_bench, trajectory=None)
-
-    p = sub.add_parser("bench-check",
-                       help="compare an existing BENCH record against "
-                            "the committed trajectory")
-    p.add_argument("record", help="BENCH_*.json record to judge")
-    _add_threshold_arguments(p)
-    p.set_defaults(func=_cmd_bench_check)
-
-    p = sub.add_parser("bench-validate",
-                       help="structurally check BENCH record files")
-    p.add_argument("files", nargs="+", help="BENCH_*.json files")
-    p.set_defaults(func=_cmd_bench_validate)
-
     p = sub.add_parser("ledger",
                        help="query the content-addressed run ledger")
     lsub = p.add_subparsers(dest="ledger_command", required=True)
@@ -426,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lp = lsub.add_parser("trajectory",
                          help="throughput trend of one record kind, "
-                              "oldest first (default: bench)")
+                              "oldest first (default: fuzz)")
     _add_ledger_path_argument(lp)
-    lp.add_argument("--kind", choices=KNOWN_KINDS, default="bench")
+    lp.add_argument("--kind", choices=KNOWN_KINDS, default="fuzz")
     lp.add_argument("--json", action="store_true",
                     help="emit the trajectory points as JSON")
     lp.set_defaults(func=_cmd_ledger)

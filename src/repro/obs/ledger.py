@@ -1,6 +1,6 @@
 """Append-only, content-addressed run ledger.
 
-Every sweep/fuzz/bench/run invocation appends one JSONL record to the
+Every sweep/fuzz/run invocation appends one JSONL record to the
 ledger, keyed by the **canonical SHA-256 of its request** — the same
 canonicalize-then-hash discipline as :func:`repro.sim.sweep.derive_seed`
 (there over a seed path string, here over a canonical-JSON request
@@ -31,13 +31,16 @@ import hashlib
 import json
 import math
 import os
+import platform
+import subprocess
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: bump when the record layout changes incompatibly
 LEDGER_SCHEMA = "repro-ledger/1"
 
-#: record kinds the CLI knows how to summarize
-KNOWN_KINDS = ("fuzz", "sweep", "bench", "run", "breakdown", "serve")
+#: record kinds the CLI offers as ``--kind`` filters; records of any
+#: other kind (an old ledger's ``"bench"``) still read and summarize
+KNOWN_KINDS = ("fuzz", "sweep", "run", "breakdown", "serve")
 
 #: default ledger location, relative to the working directory;
 #: overridable with the REPRO_LEDGER environment variable
@@ -103,14 +106,24 @@ _GIT_SHA_CACHE: Optional[Tuple[Optional[str]]] = None
 def _git_sha() -> Optional[str]:
     global _GIT_SHA_CACHE
     if _GIT_SHA_CACHE is None:
-        from .perf import _git_sha as impl
-        _GIT_SHA_CACHE = (impl(),)
+        try:
+            out = subprocess.run(["git", "rev-parse", "HEAD"],
+                                 capture_output=True, text=True, timeout=10)
+            sha = out.stdout.strip() if out.returncode == 0 else ""
+        except (OSError, subprocess.SubprocessError):  # pragma: no cover
+            sha = ""
+        _GIT_SHA_CACHE = (sha or None,)
     return _GIT_SHA_CACHE[0]
 
 
 def _host_info() -> Dict[str, object]:
-    from .perf import _host_info as impl
-    return impl()
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "cpu_count": os.cpu_count() or 0,
+    }
 
 
 def _utc_timestamp() -> str:
@@ -300,9 +313,9 @@ def ledger_stats(records: Sequence[Mapping[str, object]]
 
 
 def ledger_trajectory(records: Sequence[Mapping[str, object]],
-                      kind: str = "bench") -> List[Dict[str, object]]:
+                      kind: str = "fuzz") -> List[Dict[str, object]]:
     """Throughput trajectory of one record kind, oldest first — the
-    bench trend (or fuzz legs/s trend) straight from the ledger."""
+    fuzz legs/s trend straight from the ledger."""
     out: List[Dict[str, object]] = []
     for record in records:
         if record.get("kind") != kind:

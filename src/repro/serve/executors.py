@@ -48,50 +48,36 @@ def _tm():
     return telemetry
 
 
-def _job_setup(spec: Mapping[str, object]):
-    """Shared leg construction, mirroring
-    :func:`repro.verify.harness.observed_outcome` exactly — the
-    determinism tests require a served result to be bit-identical to a
-    direct ``run_workload`` call with these same arguments."""
-    test = resolve_test(spec["test"])  # type: ignore[arg-type]
-    run_config = run_config_from_spec(spec["run_config"])  # type: ignore[arg-type]
-    addresses = test.addresses()
-    skew = tuple(run_config.skew[t % len(run_config.skew)]
-                 for t in range(len(test.threads)))
-    programs, audit_map = test.to_programs(delays=skew)
-    warm = []
-    if run_config.warm_shared:
-        warm = [(cpu, addr, False)
-                for cpu in range(len(test.threads))
-                for addr in addresses.values()]
-    initial_memory = {addr: 0 for addr in addresses.values()}
-    return test, run_config, programs, audit_map, warm, initial_memory
+def _spec_job(spec: Mapping[str, object]):
+    """The :class:`~repro.sim.batch.jobs.BatchJob` and audit map of one
+    canonical job spec, from the verifier's own
+    :func:`~repro.verify.harness.leg_jobs` — which is why a served
+    result equals a local one."""
+    from ..verify.harness import leg_jobs
+
+    jobs, audit_maps = leg_jobs(
+        resolve_test(spec["test"]),  # type: ignore[arg-type]
+        [(str(spec["model"]), bool(spec["prefetch"]),
+          bool(spec["speculation"]),
+          run_config_from_spec(spec["run_config"]))])  # type: ignore[arg-type]
+    return jobs[0], audit_maps[0]
+
+
+def _reply(res, audit_map: Dict[str, int]) -> Dict[str, object]:
+    """One finished job as the wire result (raising what the run did)."""
+    from ..verify.harness import _job_outcome
+
+    return {"outcome": [[reg, val]
+                        for reg, val in _job_outcome(res, audit_map)],
+            "cycles": int(res.cycles)}
 
 
 def execute_job(spec: Mapping[str, object]) -> Dict[str, object]:
     """Run one canonical job on the scalar kernel (picklable worker)."""
-    from ..consistency.models import get_model
-    from ..memory.types import CacheConfig
-    from ..system.machine import run_workload
+    from ..sim.batch import BatchRunner
 
-    spec = normalize_job(spec)
-    _test, run_config, programs, audit_map, warm, initial_memory = (
-        _job_setup(spec))
-    result = run_workload(
-        programs,
-        model=get_model(str(spec["model"])),
-        prefetch=bool(spec["prefetch"]),
-        speculation=bool(spec["speculation"]),
-        miss_latency=run_config.miss_latency,
-        initial_memory=initial_memory,
-        warm_lines=warm,
-        cache=CacheConfig(line_size=run_config.line_size),
-        max_cycles=run_config.max_cycles,
-    )
-    outcome = sorted((reg, result.machine.read_word(slot))
-                     for reg, slot in audit_map.items())
-    return {"outcome": [[reg, val] for reg, val in outcome],
-            "cycles": result.cycles}
+    job, audit_map = _spec_job(normalize_job(spec))
+    return _reply(BatchRunner._run_scalar(job, backend="scalar"), audit_map)
 
 
 def execute_chunk(specs: Sequence[Mapping[str, object]]) -> List[object]:
@@ -104,29 +90,16 @@ def execute_chunk(specs: Sequence[Mapping[str, object]]) -> List[object]:
     :class:`~repro.sim.sweep.SweepError` slots, which is the sweep
     engine's chunk-worker error contract.
     """
-    from ..memory.types import CacheConfig
-    from ..sim.batch import BatchJob, BatchRunner
+    from ..sim.batch import BatchRunner
 
     jobs: List[object] = []
-    audit_maps: List[Optional[Dict[str, int]]] = []
+    audit_maps: List[Dict[str, int]] = []
     slots: List[object] = [None] * len(specs)
     for i, raw in enumerate(specs):
         try:
-            spec = normalize_job(raw)
-            _test, run_config, programs, audit_map, warm, initial_memory = (
-                _job_setup(spec))
-            jobs.append(BatchJob(
-                programs=programs,
-                model_name=str(spec["model"]),
-                prefetch=bool(spec["prefetch"]),
-                speculation=bool(spec["speculation"]),
-                miss_latency=run_config.miss_latency,
-                initial_memory=initial_memory,
-                warm_lines=tuple(warm),
-                cache=CacheConfig(line_size=run_config.line_size),
-                max_cycles=run_config.max_cycles,
-                key=i,
-            ))
+            job, audit_map = _spec_job(normalize_job(raw))
+            job.key = i
+            jobs.append(job)
             audit_maps.append(audit_map)
         except Exception as exc:  # noqa: BLE001 - per-item containment
             slots[i] = SweepError(item_index=i,
@@ -136,11 +109,7 @@ def execute_chunk(specs: Sequence[Mapping[str, object]]) -> List[object]:
     for res, audit_map in zip(results, audit_maps):
         i = res.job.key
         try:
-            res.raise_if_error()
-            outcome = sorted((reg, res.read_word(slot))
-                             for reg, slot in audit_map.items())  # type: ignore[union-attr]
-            slots[i] = {"outcome": [[reg, val] for reg, val in outcome],
-                        "cycles": int(res.cycles)}  # type: ignore[arg-type]
+            slots[i] = _reply(res, audit_map)
         except Exception as exc:  # noqa: BLE001 - per-item containment
             slots[i] = SweepError(item_index=i,
                                   error_type=type(exc).__name__,

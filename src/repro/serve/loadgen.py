@@ -4,9 +4,9 @@ Two standard load shapes, both driving the real wire protocol:
 
 * **closed-loop** — ``clients`` threads, each with its own connection,
   each submitting its next job only after the previous one completes.
-  Throughput is latency-bound; this is the shape the
-  :mod:`repro.obs.perf` bench cases use because it is deterministic
-  and noise-tolerant.
+  Throughput is latency-bound; this is the shape the ``serve_cold``
+  and ``serve_warm`` workloads of ``bench/e2e`` use because it is
+  deterministic and noise-tolerant.
 * **open-loop** — jobs *arrive* on a fixed schedule (``rate`` jobs/s)
   regardless of completions, the shape real traffic has.  Latency is
   measured from the **scheduled arrival**, not the actual send, so

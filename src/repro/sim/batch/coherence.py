@@ -10,8 +10,7 @@ every ``sim.schedule`` call the scalar classes would make is made here
 in the same order with the same delay, so event sequence numbers, FIFO
 channel floors, transaction interleavings, final memory, and every
 statistic come out identical.  The differential suite pins this against
-the scalar kernel; ``BatchEngine(reference_fabric=True)`` swaps the
-real component classes back in for triaging any divergence.
+the scalar kernel.
 
 What makes it fast rather than faithful-but-slow:
 

@@ -8,12 +8,10 @@ issue/complete, cycle accounting — is vectorized across every context
 at once, which kills the O(cycles x cpus) interpreted-python term that
 dominates the scalar kernel.  Per-*operation* work (cache accesses,
 store forwards, completion callbacks) stays plain python against a
-per-lane coherence fabric — by default the transliterated
-:class:`~repro.sim.batch.coherence.FastFabric`, or the real
-:class:`~repro.system.fabric.MemoryFabric` component graph when
-constructed with ``reference_fabric=True`` (slow; for triage).  Either
-way that work is O(memory ops), not O(cycles), and the protocol
-behaviour is scalar-identical.
+per-lane coherence fabric, the transliterated
+:class:`~repro.sim.batch.coherence.FastFabric`.  That work is
+O(memory ops), not O(cycles), and the protocol behaviour is
+scalar-identical.
 
 Bit-exactness contract
 ----------------------
@@ -70,7 +68,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +91,6 @@ from .compile import (
 )
 from ...sim.stats import StatsRegistry
 from .coherence import FastFabric
-from .fabric import build_lane_fabric
 from .jobs import BatchJob
 from .stats import materialize_lane_stats
 
@@ -128,7 +125,6 @@ class BatchEngine:
 
     def __init__(self, jobs: Sequence[BatchJob],
                  compiled: Sequence[Tuple[CompiledProgram, ...]],
-                 reference_fabric: bool = False,
                  arch: Optional[Sequence] = None) -> None:
         if not jobs:
             raise ValueError("empty batch")
@@ -140,18 +136,8 @@ class BatchEngine:
         self.L = len(jobs)
         self.C = self.L * ncpu
         self.cycle = 0
-        #: run each lane against the real component-graph MemoryFabric
-        #: instead of the transliterated FastFabric (slow; for triaging
-        #: any fast-path divergence back to the scalar classes)
-        self.reference_fabric = reference_fabric
-        #: per-lane archtrace collectors (or None); the reference fabric
-        #: routes through the real component graph, which has its own
-        #: trace plumbing — combining it with the engine's emission
-        #: would double-count, so refuse
+        #: per-lane archtrace collectors (or None)
         if arch is not None and any(a is not None for a in arch):
-            if reference_fabric:
-                raise ValueError(
-                    "archtrace is not supported with reference_fabric")
             if len(arch) != self.L:
                 raise ValueError("need one archtrace sink per lane")
         self.arch: List = (list(arch) if arch is not None
@@ -296,7 +282,6 @@ class BatchEngine:
         self._n_active = self.L
 
     def _build_lanes(self) -> None:
-        self.shims: List = []
         self.fabrics: List = []
         self.caches = [None] * self.C
         self.req_ids = [itertools.count(1) for _ in range(self.C)]
@@ -310,11 +295,7 @@ class BatchEngine:
         self.store_lat: List[List[int]] = [[] for _ in range(self.C)]
         self._materialized: dict = {}
         for lane, job in enumerate(self.jobs):
-            if self.reference_fabric:
-                shim, fabric = build_lane_fabric(self, lane, job)
-                self.shims.append(shim)
-            else:
-                fabric = FastFabric(self, lane, job, arch=self.arch[lane])
+            fabric = FastFabric(self, lane, job, arch=self.arch[lane])
             self.fabrics.append(fabric)
             for cpu in range(self.ncpu):
                 self.caches[lane * self.ncpu + cpu] = fabric.caches[cpu]
@@ -328,17 +309,15 @@ class BatchEngine:
         reg = self._materialized.get(lane)
         if reg is not None:
             return reg
-        # reference fabric keeps its counters live on the shim registry;
         # the fast fabric flushes its plain-int counters on demand
-        reg = self.shims[lane].stats if self.reference_fabric else StatsRegistry()
+        reg = StatsRegistry()
         materialize_lane_stats(reg, self, lane)
-        if not self.reference_fabric:
-            self.fabrics[lane].flush_stats(reg)
+        self.fabrics[lane].flush_stats(reg)
         self._materialized[lane] = reg
         return reg
 
     # ------------------------------------------------------------------
-    # Event plumbing (FastFabric / LaneShim entry point)
+    # Event plumbing (FastFabric entry point)
     # ------------------------------------------------------------------
     def post(self, lane: int, when: int, fab, fn, args: tuple) -> None:
         """Schedule ``fn(*args)``; ``fab`` non-None marks an in-flight
@@ -360,9 +339,6 @@ class BatchEngine:
             self._stage.append(
                 (lane, cpu, rank, self._stage_n, when, fab, fn, args))
             self._stage_n += 1
-
-    def lane_schedule(self, lane: int, when: int, callback: Callable) -> None:
-        self.post(lane, when, None, callback, ())
 
     def _flush_staged(self) -> None:
         if not self._stage:

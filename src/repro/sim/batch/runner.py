@@ -174,10 +174,8 @@ class BatchRunner:
     chunk_size: int = 512
 
     def __init__(self, force_scalar: bool = False,
-                 reference_fabric: bool = False,
                  chunk_size: Optional[int] = None) -> None:
         self.force_scalar = force_scalar
-        self.reference_fabric = reference_fabric
         if chunk_size is not None:
             self.chunk_size = chunk_size
 
@@ -243,9 +241,7 @@ class BatchRunner:
 
         try:
             with tm.span("batch/step", {"lanes": len(batch)}):
-                engine = BatchEngine(batch, compiled,
-                                     reference_fabric=self.reference_fabric,
-                                     arch=arch)
+                engine = BatchEngine(batch, compiled, arch=arch)
                 engine.run()
         except Exception:
             # engine bug or unanticipated envelope escape: never lose a

@@ -2,12 +2,12 @@
 
 A scalar ``run_workload`` eagerly creates every CPU-side counter at
 construction time (so zero-valued counters still appear in snapshots),
-while fabric-side counters come from the coherence layer — the real
-classes in reference mode, or ``FastFabric.flush_stats`` for the fast
-path.  This module reproduces the eager CPU-side creation and folds the
-engine's vector accumulators and latency sample lists into a registry
-*lazily*: fuzz/sweep consumers compare outcomes only and never pay for
-registry construction.  Deferring histogram fills is exact because
+while fabric-side counters come from the coherence layer
+(``FastFabric.flush_stats``).  This module reproduces the eager
+CPU-side creation and folds the engine's vector accumulators and
+latency sample lists into a registry *lazily*: fuzz/sweep consumers
+compare outcomes only and never pay for registry construction.
+Deferring histogram fills is exact because
 :class:`~repro.sim.stats.Histogram` is a multiset of bucketed samples —
 insertion order never affects any snapshot field.  ``squash_reason/*``
 and ``slb/*`` counters are lazily created in the scalar kernel and can

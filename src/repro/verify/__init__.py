@@ -37,6 +37,7 @@ from .harness import (
     check_seed,
     check_test,
     divergence_reproduces,
+    leg_jobs,
     observed_outcome,
 )
 from .minimize import MinimizationResult, minimize
@@ -65,6 +66,7 @@ __all__ = [
     "divergence_reproduces",
     "divergence_to_dict",
     "generate_litmus",
+    "leg_jobs",
     "litmus_from_dict",
     "litmus_to_dict",
     "minimize",

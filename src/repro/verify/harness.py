@@ -30,14 +30,14 @@ proves the harness has teeth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..consistency.litmus import LitmusTest, Outcome
 from ..consistency.models import get_model
 from ..memory.types import CacheConfig
 from ..sim.errors import ConfigurationError
-from ..system.machine import run_workload
 
 #: the four models the paper discusses, by name (names pickle smaller
 #: and more robustly than model instances)
@@ -116,6 +116,10 @@ class HarnessConfig:
     #: set, the simulator legs are submitted there (and answered from
     #: its content-addressed cache) instead of running in-process
     server: Optional[str] = None
+
+
+#: one simulator leg: (model name, prefetch, speculation, run config)
+Leg = Tuple[str, bool, bool, RunConfig]
 
 
 @dataclass(frozen=True)
@@ -263,31 +267,8 @@ def clear_faults() -> List[str]:
 def observed_outcome(test: LitmusTest, model_name: str, prefetch: bool,
                      speculation: bool, run_config: RunConfig) -> Outcome:
     """Run the detailed machine once and read back the final registers."""
-    model = get_model(model_name)
-    addresses = test.addresses()
-    skew = tuple(run_config.skew[t % len(run_config.skew)]
-                 for t in range(len(test.threads)))
-    programs, audit_map = test.to_programs(delays=skew)
-    warm = []
-    if run_config.warm_shared:
-        warm = [(cpu, addr, False)
-                for cpu in range(len(test.threads))
-                for addr in addresses.values()]
-    result = run_workload(
-        programs,
-        model=model,
-        prefetch=prefetch,
-        speculation=speculation,
-        miss_latency=run_config.miss_latency,
-        initial_memory={addr: 0 for addr in addresses.values()},
-        warm_lines=warm,
-        cache=CacheConfig(line_size=run_config.line_size),
-        max_cycles=run_config.max_cycles,
-    )
-    return tuple(sorted(
-        (reg, result.machine.read_word(slot))
-        for reg, slot in audit_map.items()
-    ))
+    return _observed_outcomes(
+        test, [(model_name, prefetch, speculation, run_config)], "scalar")[0]
 
 
 def check_test(test: LitmusTest, config: HarnessConfig = HarnessConfig(),
@@ -300,20 +281,32 @@ def check_test(test: LitmusTest, config: HarnessConfig = HarnessConfig(),
     never touches the simulator, so it fuzzes orders of magnitude more
     tests per second.
     """
-    _validate(config)
-    if config.fault is not None:
-        apply_fault(config.fault)
-    _tm().inc("verify/tests")
-    out = CheckResult(index=index, seed=seed, test_name=test.name)
-    reference, axiomatic = _static_oracles(test, config, out)
-    if config.oracle in ("sim", "all"):
-        legs = _sim_legs(config)
+    out, legs, reference, axiomatic = _static_check(test, config, index, seed)
+    if legs:
         if config.server is not None:
             outcomes = _server_outcomes(test, legs, config.server)
         else:
             outcomes = _observed_outcomes(test, legs, config.backend)
         _classify_outcomes(test, out, legs, outcomes, reference, axiomatic)
     return out
+
+
+def _static_check(
+        test: LitmusTest, config: HarnessConfig, index: int, seed: int,
+) -> Tuple[CheckResult, List[Leg], Dict[str, FrozenSet[Outcome]],
+           Dict[str, FrozenSet[Outcome]]]:
+    """Everything :func:`check_test` does before a simulator runs:
+    validate, apply the fault, run the static oracles.  Returns the
+    result so far, the simulator legs still owed (none in pure
+    axiomatic mode) and the permitted sets to judge them against."""
+    _validate(config)
+    if config.fault is not None:
+        apply_fault(config.fault)
+    _tm().inc("verify/tests")
+    out = CheckResult(index=index, seed=seed, test_name=test.name)
+    reference, axiomatic = _static_oracles(test, config, out)
+    legs = _sim_legs(config) if config.oracle in ("sim", "all") else []
+    return out, legs, reference, axiomatic
 
 
 def _validate(config: HarnessConfig) -> None:
@@ -363,7 +356,7 @@ def _static_oracles(
     return reference, axiomatic
 
 
-def _sim_legs(config: HarnessConfig) -> List[Tuple[str, bool, bool, RunConfig]]:
+def _sim_legs(config: HarnessConfig) -> List[Leg]:
     """The simulator sweep's (model, prefetch, speculation, config) axis."""
     return [(model_name, prefetch, speculation, run_config)
             for model_name in config.models
@@ -372,7 +365,7 @@ def _sim_legs(config: HarnessConfig) -> List[Tuple[str, bool, bool, RunConfig]]:
 
 
 def _classify_outcomes(test: LitmusTest, out: CheckResult,
-                       legs: Sequence[Tuple[str, bool, bool, RunConfig]],
+                       legs: Sequence[Leg],
                        outcomes: Sequence[Outcome],
                        reference: Dict[str, FrozenSet[Outcome]],
                        axiomatic: Dict[str, FrozenSet[Outcome]]) -> None:
@@ -412,40 +405,45 @@ def _classify_outcomes(test: LitmusTest, out: CheckResult,
             ))
 
 
-def _observed_outcomes(
-        test: LitmusTest,
-        legs: Sequence[Tuple[str, bool, bool, RunConfig]],
-        backend: str) -> List[Outcome]:
+def _observed_outcomes(test: LitmusTest, legs: Sequence[Leg],
+                       backend: str) -> List[Outcome]:
     """Observed outcome per leg, in leg order, on the chosen backend.
 
-    The batched path turns every leg into a :class:`BatchJob` and lets
-    the :class:`~repro.sim.batch.runner.BatchRunner` step them in
-    lockstep; legs outside the batch envelope (techniques on) fall back
-    to the scalar kernel inside the runner, so the returned outcomes
-    are identical to the scalar path's — only faster.  A lane that
-    deadlocks raises the same :class:`~repro.sim.errors.DeadlockError`
-    a scalar run would.
+    Both backends run the same :func:`leg_jobs`.  ``scalar`` hands them
+    one by one to the scalar kernel; ``batched`` lets the
+    :class:`~repro.sim.batch.runner.BatchRunner` step them in lockstep,
+    and legs outside the batch envelope (techniques on) take that same
+    scalar path inside the runner, so the outcomes are identical —
+    only faster.  A leg that deadlocks raises the
+    :class:`~repro.sim.errors.DeadlockError` of its scalar run.
     """
-    if backend == "scalar":
-        return [observed_outcome(test, model_name, prefetch, speculation,
-                                 run_config)
-                for model_name, prefetch, speculation, run_config in legs]
-    if backend != "batched":
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; available: {BACKENDS}")
     from ..sim.batch import BatchRunner
 
-    jobs, audit_maps = _legs_to_jobs(test, legs)
+    jobs, audit_maps = leg_jobs(test, legs)
+    results: Iterable[object]
+    if backend == "scalar":
+        # lazy, so a failing leg raises before the ones after it run
+        results = (BatchRunner._run_scalar(job, backend="scalar")
+                   for job in jobs)
+    elif backend == "batched":
+        results = BatchRunner().run(jobs)
+    else:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; available: {BACKENDS}")
     return [_job_outcome(res, audit_map)
-            for res, audit_map in zip(BatchRunner().run(jobs), audit_maps)]
+            for res, audit_map in zip(results, audit_maps)]
 
 
-def _legs_to_jobs(
-        test: LitmusTest,
-        legs: Sequence[Tuple[str, bool, bool, RunConfig]],
-) -> Tuple[List[object], List[Dict[str, int]]]:
-    """One :class:`~repro.sim.batch.jobs.BatchJob` (plus its audit map)
-    per leg, mirroring :func:`observed_outcome`'s setup exactly."""
+def leg_jobs(test: LitmusTest, legs: Sequence[Leg],
+             ) -> Tuple[List[object], List[Dict[str, int]]]:
+    """One :class:`~repro.sim.batch.jobs.BatchJob` — the arguments of
+    ``run_workload`` — plus its audit map per leg.
+
+    This is the only place programs, start skew, warm lines, initial
+    memory and cache geometry are derived from a :class:`RunConfig`;
+    the fuzzer (either backend), the localizer and the job server's
+    executors all run what it returns.
+    """
     from ..sim.batch import BatchJob
 
     addresses = test.addresses()
@@ -483,17 +481,15 @@ def _legs_to_jobs(
     return jobs, audit_maps
 
 
-def _server_outcomes(
-        test: LitmusTest,
-        legs: Sequence[Tuple[str, bool, bool, RunConfig]],
-        server: str) -> List[Outcome]:
+def _server_outcomes(test: LitmusTest, legs: Sequence[Leg],
+                     server: str) -> List[Outcome]:
     """Observed outcome per leg, submitted to a ``repro.serve`` server.
 
     Each leg becomes one protocol job carrying the test inline (the
     corpus serialization), so the server needs no shared filesystem.
-    The server's executors mirror :func:`observed_outcome`'s setup
-    exactly and determinism is pinned, so these outcomes are
-    bit-identical to in-process runs — repeated legs (the fuzzer
+    The server's executors run the same :func:`leg_jobs` and
+    determinism is pinned, so these outcomes are bit-identical to
+    in-process runs — repeated legs (the fuzzer
     resubmitting a seed, overlapping sweeps) come back from the
     content-addressed cache without touching a simulator.  The client
     connection is cached per (process, endpoint): sweep worker
@@ -543,6 +539,23 @@ def divergence_reproduces(test: LitmusTest,
 # Sweep-engine worker
 # ----------------------------------------------------------------------
 
+def _harness_config(options: Mapping[str, object]) -> HarnessConfig:
+    """The :class:`HarnessConfig` a sweep item's options dict asks for."""
+    return HarnessConfig(
+        fault=options.get("fault"),  # type: ignore[arg-type]
+        oracle=str(options.get("oracle", "all")),
+        backend=str(options.get("backend", "scalar")),
+        server=options.get("server"),  # type: ignore[arg-type]
+    )
+
+
+def _generated_test(seed: int, options: Mapping[str, object]) -> LitmusTest:
+    from .generator import GeneratorConfig, generate_litmus
+
+    return generate_litmus(seed, GeneratorConfig.from_dict(
+        dict(options.get("generator", {}))))  # type: ignore[arg-type]
+
+
 def check_seed(item: Tuple[int, int, Dict[str, object]]) -> CheckResult:
     """Fuzz one derived seed: generate, then differentially check.
 
@@ -551,19 +564,9 @@ def check_seed(item: Tuple[int, int, Dict[str, object]]) -> CheckResult:
     ``"fault"`` (a registered fault name).  Everything is plain data so
     the sweep engine can ship items to worker processes.
     """
-    from .generator import GeneratorConfig, generate_litmus
-
     index, seed, options = item
-    gen_config = GeneratorConfig.from_dict(
-        dict(options.get("generator", {})))  # type: ignore[arg-type]
-    harness = HarnessConfig(
-        fault=options.get("fault"),  # type: ignore[arg-type]
-        oracle=str(options.get("oracle", "all")),
-        backend=str(options.get("backend", "scalar")),
-        server=options.get("server"),  # type: ignore[arg-type]
-    )
-    test = generate_litmus(seed, gen_config)
-    return check_test(test, harness, index=index, seed=seed)
+    return check_test(_generated_test(seed, options),
+                      _harness_config(options), index=index, seed=seed)
 
 
 def check_seed_chunk(
@@ -584,7 +587,6 @@ def check_seed_chunk(
     """
     from ..sim.batch import BatchRunner
     from ..sim.sweep import SweepError
-    from .generator import GeneratorConfig, generate_litmus
 
     tm = _tm()
     results: List[object] = []
@@ -592,27 +594,16 @@ def check_seed_chunk(
     # (slot, test, out, legs, audit_maps, reference, axiomatic, job_lo)
     pending: List[tuple] = []
     with tm.span("verify/seed_chunk", {"items": len(items)}) as chunk_args:
-        for item in items:
-            index, seed, options = item
+        for index, seed, options in items:
             try:
-                gen_config = GeneratorConfig.from_dict(
-                    dict(options.get("generator", {})))  # type: ignore[arg-type]
-                harness = HarnessConfig(
-                    fault=options.get("fault"),  # type: ignore[arg-type]
-                    oracle=str(options.get("oracle", "all")),
-                    backend="batched",
-                )
-                _validate(harness)
-                if harness.fault is not None:
-                    apply_fault(harness.fault)
-                test = generate_litmus(seed, gen_config)
-                tm.inc("verify/tests")
-                out = CheckResult(index=index, seed=seed, test_name=test.name)
-                reference, axiomatic = _static_oracles(test, harness, out)
+                harness = replace(_harness_config(options),
+                                  backend="batched", server=None)
+                test = _generated_test(seed, options)
+                out, legs, reference, axiomatic = _static_check(
+                    test, harness, index, seed)
                 results.append(out)
-                if harness.oracle in ("sim", "all"):
-                    legs = _sim_legs(harness)
-                    jobs, audit_maps = _legs_to_jobs(test, legs)
+                if legs:
+                    jobs, audit_maps = leg_jobs(test, legs)
                     pending.append((len(results) - 1, test, out, legs,
                                     audit_maps, reference, axiomatic,
                                     len(all_jobs)))
@@ -654,10 +645,5 @@ def check_named(item: Tuple[int, str, Dict[str, object]]) -> CheckResult:
         raise ConfigurationError(
             f"unknown litmus test {name!r}; available: "
             f"{sorted(STANDARD_TESTS)}")
-    harness = HarnessConfig(
-        fault=options.get("fault"),  # type: ignore[arg-type]
-        oracle=str(options.get("oracle", "all")),
-        backend=str(options.get("backend", "scalar")),
-        server=options.get("server"),  # type: ignore[arg-type]
-    )
-    return check_test(STANDARD_TESTS[name](), harness, index=index, seed=0)
+    return check_test(STANDARD_TESTS[name](), _harness_config(options),
+                      index=index, seed=0)

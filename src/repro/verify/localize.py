@@ -41,9 +41,9 @@ from .harness import (
     Divergence,
     HarnessConfig,
     RunConfig,
-    _legs_to_jobs,
     apply_fault,
     clear_faults,
+    leg_jobs,
 )
 
 
@@ -114,7 +114,7 @@ def _run_leg(test: LitmusTest, model: str, prefetch: bool,
     """One archtrace-enabled run of the leg; returns the BatchResult."""
     from ..sim.batch import BatchRunner
 
-    jobs, _audit = _legs_to_jobs(
+    jobs, _audit = leg_jobs(
         test, [(model, prefetch, speculation, run_config)])
     jobs[0].archtrace = True
     result = BatchRunner(force_scalar=force_scalar).run(jobs)[0]

@@ -40,7 +40,7 @@ from repro.verify.harness import (
     DEFAULT_RUN_CONFIGS,
     MODEL_NAMES,
     TECHNIQUE_COMBOS,
-    _legs_to_jobs,
+    leg_jobs,
 )
 
 
@@ -52,7 +52,7 @@ def leg_trace(test, model_name, prefetch, speculation, run_config,
               force_scalar):
     """One archtrace-enabled run of a litmus leg; returns the
     byte-comparable body (event lines + footer) and the BatchResult."""
-    jobs, _audit = _legs_to_jobs(
+    jobs, _audit = leg_jobs(
         test, [(model_name, prefetch, speculation, run_config)])
     jobs[0].archtrace = True
     (res,) = BatchRunner(force_scalar=force_scalar).run(jobs)

@@ -25,7 +25,6 @@ Families:
 import pytest
 
 from repro.consistency.litmus import STANDARD_TESTS
-from repro.memory.types import CacheConfig
 from repro.sim.batch import BatchJob, BatchRunner, job_unsupported_reason
 from repro.sim.sweep import derive_seed, run_sweep
 from repro.system.machine import run_workload
@@ -36,6 +35,7 @@ from repro.verify.harness import (
     TECHNIQUE_COMBOS,
     check_seed,
     check_seed_chunk,
+    leg_jobs,
 )
 from repro.workloads import example1_program, example2_program, figure5_program
 from repro.workloads.paper_examples import A, B, C, D, E_BASE, LOCK
@@ -83,25 +83,9 @@ def assert_jobs_bit_identical(jobs, audit_addrs_per_job):
 
 def litmus_jobs(test, model_name, prefetch, speculation, run_configs):
     """The harness's simulator legs for one test, as batch jobs."""
-    addresses = test.addresses()
-    nthreads = len(test.threads)
-    jobs, audits = [], []
-    for rc in run_configs:
-        skew = tuple(rc.skew[t % len(rc.skew)] for t in range(nthreads))
-        programs, audit_map = test.to_programs(delays=skew)
-        warm = ()
-        if rc.warm_shared:
-            warm = tuple((cpu, addr, False) for cpu in range(nthreads)
-                         for addr in addresses.values())
-        jobs.append(BatchJob(
-            programs=programs, model_name=model_name,
-            prefetch=prefetch, speculation=speculation,
-            miss_latency=rc.miss_latency,
-            initial_memory={addr: 0 for addr in addresses.values()},
-            warm_lines=warm, cache=CacheConfig(line_size=rc.line_size),
-            max_cycles=rc.max_cycles))
-        audits.append(sorted(audit_map.values()))
-    return jobs, audits
+    jobs, audit_maps = leg_jobs(
+        test, [(model_name, prefetch, speculation, rc) for rc in run_configs])
+    return jobs, [sorted(audit_map.values()) for audit_map in audit_maps]
 
 
 # ----------------------------------------------------------------------

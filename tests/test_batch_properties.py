@@ -24,33 +24,20 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.memory.types import CacheConfig
 from repro.sim.batch import BatchJob, BatchRunner
 from repro.system.machine import run_workload
 from repro.verify.generator import GeneratorConfig, generate_litmus
-from repro.verify.harness import DEFAULT_RUN_CONFIGS, MODEL_NAMES
+from repro.verify.harness import DEFAULT_RUN_CONFIGS, MODEL_NAMES, leg_jobs
 
 from repro.consistency.models import get_model
 
 
 def make_job(seed: int, model_name: str, rc) -> BatchJob:
     """One conventional harness leg for generated test ``seed``."""
-    test = generate_litmus(seed)
-    addresses = test.addresses()
-    nthreads = len(test.threads)
-    skew = tuple(rc.skew[t % len(rc.skew)] for t in range(nthreads))
-    programs, audit_map = test.to_programs(delays=skew)
-    warm = ()
-    if rc.warm_shared:
-        warm = tuple((cpu, addr, False) for cpu in range(nthreads)
-                     for addr in addresses.values())
-    return BatchJob(
-        programs=programs, model_name=model_name,
-        miss_latency=rc.miss_latency,
-        initial_memory={addr: 0 for addr in addresses.values()},
-        warm_lines=warm, cache=CacheConfig(line_size=rc.line_size),
-        max_cycles=rc.max_cycles,
-        key=(seed, model_name, rc.name, sorted(audit_map.values())))
+    (job,), (audit_map,) = leg_jobs(generate_litmus(seed),
+                                    [(model_name, False, False, rc)])
+    job.key = (seed, model_name, rc.name, sorted(audit_map.values()))
+    return job
 
 
 def fingerprint(res):

@@ -7,12 +7,25 @@ These tests pin that assumption directly, including across the sweep
 engine's serial and parallel execution paths.
 """
 
+from dataclasses import asdict
+
+import pytest
+
 from repro.consistency import RC, SC
+from repro.consistency.litmus import STANDARD_TESTS, LitmusTest
+from repro.serve.executors import execute_job
+from repro.sim.batch import BatchRunner
 from repro.sim.sweep import derive_seed, run_sweep
 from repro.sim.trace import TraceRecorder
 from repro.system import run_workload
 from repro.verify import check_seed, generate_litmus
-from repro.verify.harness import DEFAULT_RUN_CONFIGS, observed_outcome
+from repro.verify.harness import (
+    DEFAULT_RUN_CONFIGS,
+    MODEL_NAMES,
+    TECHNIQUE_COMBOS,
+    leg_jobs,
+    observed_outcome,
+)
 from repro.workloads import critical_section_workload
 
 
@@ -45,6 +58,50 @@ class TestSimulatorDeterminism:
         first = observed_outcome(test, "SC", True, True, config)
         assert all(observed_outcome(test, "SC", True, True, config) == first
                    for _ in range(2))
+
+
+class TestOneLegBuilder:
+    """The job server, the scalar harness path and the batch runner all
+    run what ``leg_jobs`` builds, so they agree on every leg."""
+
+    FUZZ_SEED = derive_seed(7, 0, "fuzz")
+
+    @pytest.mark.parametrize("test_spec", [{"name": "MP"},
+                                           {"seed": FUZZ_SEED}],
+                             ids=["standard", "generated"])
+    def test_served_local_and_batch_runner_agree(self, test_spec):
+        test = (STANDARD_TESTS[test_spec["name"]]() if "name" in test_spec
+                else generate_litmus(test_spec["seed"]))
+        for config in DEFAULT_RUN_CONFIGS:
+            served = execute_job({
+                "test": test_spec, "model": "WC",
+                "prefetch": True, "speculation": True,
+                "run_config": asdict(config)})
+            local = observed_outcome(test, "WC", True, True, config)
+            (job,), (audit_map,) = leg_jobs(
+                test, [("WC", True, True, config)])
+            (res,) = BatchRunner(force_scalar=True).run([job])
+            forced = tuple(sorted((reg, res.read_word(slot))
+                                  for reg, slot in audit_map.items()))
+            assert tuple(map(tuple, served["outcome"])) == local == forced
+            assert served["cycles"] == res.cycles
+
+    def test_programs_built_once_per_skew(self, monkeypatch):
+        calls = []
+        original = LitmusTest.to_programs
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("delays"))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LitmusTest, "to_programs", counting)
+        legs = [(model, prefetch, speculation, config)
+                for model in MODEL_NAMES
+                for prefetch, speculation in TECHNIQUE_COMBOS
+                for config in DEFAULT_RUN_CONFIGS]
+        jobs, _audit_maps = leg_jobs(generate_litmus(self.FUZZ_SEED), legs)
+        assert len(jobs) == 64
+        assert len(calls) == len(set(calls)) == len(DEFAULT_RUN_CONFIGS)
 
 
 class TestSweepDeterminism:

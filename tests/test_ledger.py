@@ -115,7 +115,7 @@ class TestRoundTrip:
         # stored record re-reads, re-validates, and re-hashes cleanly
         path = str(tmp_path / "ledger.jsonl")
         rec = ledger.make_record(
-            kind="bench",
+            kind="fuzz",
             request={"geomean": float("nan"), "bound": float("inf")},
             outcome={"speedup": float("-inf"), "ok": True},
             wall_seconds=0.5,
@@ -192,10 +192,10 @@ class TestStats:
             [records[0]["request_sha256"]]
 
     def test_trajectory_filters_kind(self):
-        records = [_record(kind="bench", wall=2.0),
-                   _record(kind="fuzz", wall=1.0),
-                   _record(kind="bench", wall=1.5)]
-        points = ledger.ledger_trajectory(records, kind="bench")
+        records = [_record(kind="fuzz", wall=2.0),
+                   _record(kind="sweep", wall=1.0),
+                   _record(kind="fuzz", wall=1.5)]
+        points = ledger.ledger_trajectory(records, kind="fuzz")
         assert [p["wall_seconds"] for p in points] == [2.0, 1.5]
         assert all(p["items_per_second"] > 0 for p in points)
 
@@ -213,13 +213,13 @@ class TestLedgerCLI:
         path = str(tmp_path / "ledger.jsonl")
         ledger.append_record(_record(budget=5), path)
         ledger.append_record(_record(budget=5), path)
-        ledger.append_record(_record(kind="bench", budget=9), path)
+        ledger.append_record(_record(kind="sweep", budget=9), path)
         return path
 
     def test_list(self, seeded):
         proc = self._run("ledger", "list", ledger_path=seeded)
         assert proc.returncode == 0, proc.stderr
-        assert "fuzz" in proc.stdout and "bench" in proc.stdout
+        assert "fuzz" in proc.stdout and "sweep" in proc.stdout
 
     def test_show_by_prefix(self, seeded):
         records, _ = ledger.read_ledger(seeded)
@@ -240,9 +240,21 @@ class TestLedgerCLI:
         assert stats["dedupe_hits"] == 1
 
     def test_trajectory(self, seeded):
-        proc = self._run("ledger", "trajectory", "--kind", "bench",
+        proc = self._run("ledger", "trajectory", "--kind", "sweep",
                          "--json", ledger_path=seeded)
         assert proc.returncode == 0, proc.stderr
         points = json.loads(proc.stdout)
         assert len(points) == 1
         assert points[0]["wall_seconds"] == pytest.approx(1.0)
+
+    def test_retired_bench_kind_still_reads(self, seeded):
+        # ledgers written before the `bench` subcommand was removed
+        # carry kind="bench" records; they must keep listing and
+        # summarizing, only the --kind filter no longer offers them
+        ledger.append_record(_record(kind="bench", budget=3), seeded)
+        proc = self._run("ledger", "stats", ledger_path=seeded)
+        assert proc.returncode == 0, proc.stderr
+        assert "bench" in proc.stdout
+        proc = self._run("ledger", "trajectory", ledger_path=seeded)
+        assert proc.returncode == 0, proc.stderr
+        assert "2 record(s)" in proc.stdout  # default kind is fuzz
