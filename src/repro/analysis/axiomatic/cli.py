@@ -9,8 +9,8 @@ Typical runs::
     # admitted outcome
     python -m repro.analysis.axiomatic SB --model RC --verbose
 
-    # add a seeded fuzz slice on top of the named suite
-    python -m repro.analysis.axiomatic --fuzz 100 --seed 1
+Seeded random tests are crosschecked by the fuzzer instead:
+``python -m repro.verify --oracle axiomatic --budget N --seed S``.
 
 Exit status is 0 when every axiomatic outcome set exactly equals the
 interleaving enumerator's, 1 on any disagreement.
@@ -74,10 +74,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "paper's SC PC WC RC)")
     parser.add_argument("--all-models", action="store_true",
                         help="check under SC, PC, WC, and RC")
-    parser.add_argument("--fuzz", type=int, default=0, metavar="N",
-                        help="also crosscheck N seeded random litmus tests")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master seed for --fuzz (default 0)")
     parser.add_argument("--axioms", action="store_true",
                         help="print each model's axiom set and exit")
     parser.add_argument("--verbose", action="store_true",
@@ -92,11 +88,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     tests = _resolve_tests(args.tests)
-    if args.fuzz:
-        from ...sim.sweep import derive_seed
-        from ...verify.generator import generate_litmus
-        tests += [generate_litmus(derive_seed(args.seed, i, "fuzz"))
-                  for i in range(args.fuzz)]
 
     print(render_axiom_table(models))
     print()

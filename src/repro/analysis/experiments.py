@@ -2,8 +2,8 @@
 
 Each function builds the workload, runs the right simulator(s), and
 returns a :class:`~repro.analysis.tables.Table` whose rows mirror what
-the paper reports (or argues qualitatively).  Benchmarks, examples, and
-EXPERIMENTS.md all render these same tables.
+the paper reports (or argues qualitatively).  ``repro.report``, the
+examples, and EXPERIMENTS.md all render these same tables.
 """
 
 from __future__ import annotations
@@ -18,10 +18,14 @@ from ..consistency.litmus import (
     message_passing_sync,
     store_buffering,
 )
-from ..consistency.models import ALL_MODELS, PC, RC, SC, WC, ConsistencyModel, get_model
-from ..core.timing import AccessSpec, AnalyticalTimingModel, TimingConfig
+from ..consistency.models import ALL_MODELS, PC, RC, SC, WC, ConsistencyModel
+from ..core.timing import (
+    TECHNIQUES,
+    AccessSpec,
+    AnalyticalTimingModel,
+    TimingConfig,
+)
 from ..memory.types import CacheConfig
-from ..sim.sweep import sweep_map
 from ..system.machine import run_workload
 from ..workloads.figure5 import Figure5Result, run_figure5
 from ..workloads.paper_examples import (
@@ -40,13 +44,6 @@ from ..workloads.synthetic import (
     random_segment,
 )
 from .tables import Table
-
-TECHNIQUES: Dict[str, Tuple[bool, bool]] = {
-    "baseline": (False, False),
-    "prefetch": (True, False),
-    "speculation": (False, True),
-    "prefetch+speculation": (True, True),
-}
 
 
 # ----------------------------------------------------------------------
@@ -108,31 +105,17 @@ def litmus_outcome_table() -> Table:
 # E2/E3: the example cycle counts (analytical + detailed)
 # ----------------------------------------------------------------------
 
-def _example_cell(item: Tuple[str, str, bool, bool, int]) -> int:
-    """Sweep worker: one detailed-simulator cell of the example table."""
-    example, model_name, pf, spec, miss_latency = item
-    program_fn = example1_program if example == "example1" else example2_program
-    wl = program_fn()
-    result = run_workload(
-        [wl.program], model=get_model(model_name), prefetch=pf,
-        speculation=spec, miss_latency=miss_latency,
-        initial_memory=wl.initial_memory, warm_lines=wl.warm_lines,
-    )
-    return result.cycles
-
-
 def example_cycle_table(
     example: str,
     detailed: bool = False,
     miss_latency: int = 100,
     models: Sequence[ConsistencyModel] = (SC, PC, WC, RC),
-    jobs: int = 1,
 ) -> Table:
     """Cycle counts for Example 1 or 2 under every model x technique."""
     if example == "example1":
-        segment = example1_segment()
+        segment, program_fn = example1_segment(), example1_program
     elif example == "example2":
-        segment = example2_segment()
+        segment, program_fn = example2_segment(), example2_program
     else:
         raise ValueError(f"unknown example {example!r}")
 
@@ -142,19 +125,16 @@ def example_cycle_table(
         ["model"] + list(TECHNIQUES) + ["paper (base/pf/pf+spec)"],
     )
     engine = AnalyticalTimingModel(TimingConfig(miss_latency=miss_latency))
-    cells: Dict[Tuple[str, str], int] = {}
-    if detailed:
-        items = [(example, model.name, pf, spec, miss_latency)
-                 for model in models
-                 for tech, (pf, spec) in TECHNIQUES.items()]
-        keys = [(model.name, tech)
-                for model in models for tech in TECHNIQUES]
-        cells = dict(zip(keys, sweep_map(_example_cell, items, jobs=jobs)))
     for model in models:
         row: List[object] = [model.name]
-        for tech, (pf, spec) in TECHNIQUES.items():
+        for pf, spec in TECHNIQUES.values():
             if detailed:
-                row.append(cells[(model.name, tech)])
+                wl = program_fn()
+                row.append(run_workload(
+                    [wl.program], model=model, prefetch=pf, speculation=spec,
+                    miss_latency=miss_latency,
+                    initial_memory=wl.initial_memory,
+                    warm_lines=wl.warm_lines).cycles)
             else:
                 row.append(engine.schedule(segment, model,
                                            prefetch=pf, speculation=spec).total_cycles)
@@ -225,31 +205,8 @@ def equalization_table(
     return table
 
 
-def _equalization_cell(item: Tuple[str, bool, bool, int, bool]) -> int:
-    """Sweep worker: one detailed critical-section run, correctness-checked."""
-    model_name, pf, spec, iterations, private = item
-    # several independent counters inside the section give the relaxed
-    # models something to pipeline (like the paper's Example 1, which
-    # writes two independent locations)
-    wl = critical_section_workload(num_cpus=2, iterations=iterations,
-                                   shared_counters=3, private=private)
-    result = run_workload(wl.programs, model=get_model(model_name),
-                          prefetch=pf, speculation=spec,
-                          initial_memory=wl.initial_memory,
-                          max_cycles=2_000_000)
-    for addr, expected in wl.expectations:
-        actual = result.machine.read_word(addr)
-        if actual != expected:
-            raise AssertionError(
-                f"{model_name}/pf={pf}/spec={spec}: counter {addr:#x} = "
-                f"{actual}, expected {expected} (mutual exclusion violated?)"
-            )
-    return result.cycles
-
-
 def detailed_equalization_table(iterations: int = 2,
-                                private: bool = True,
-                                jobs: int = 1) -> Table:
+                                private: bool = True) -> Table:
     """E5 on the detailed simulator.
 
     Defaults to per-CPU (uncontended) locks — the regime Section 5
@@ -265,13 +222,29 @@ def detailed_equalization_table(iterations: int = 2,
         f"E5 (detailed simulator): critical sections, 2 CPUs, {kind}",
         ["model", "baseline", "prefetch+speculation", "speedup"],
     )
-    models = (SC, PC, WC, RC)
-    combos = ((False, False), (True, True))
-    items = [(model.name, pf, spec, iterations, private)
-             for model in models for pf, spec in combos]
-    cycles = sweep_map(_equalization_cell, items, jobs=jobs)
-    for i, model in enumerate(models):
-        base, both = cycles[2 * i], cycles[2 * i + 1]
+
+    def run(model: ConsistencyModel, techniques: bool) -> int:
+        # several independent counters inside the section give the relaxed
+        # models something to pipeline (like the paper's Example 1, which
+        # writes two independent locations)
+        wl = critical_section_workload(num_cpus=2, iterations=iterations,
+                                       shared_counters=3, private=private)
+        result = run_workload(wl.programs, model=model,
+                              prefetch=techniques, speculation=techniques,
+                              initial_memory=wl.initial_memory,
+                              max_cycles=2_000_000)
+        for addr, expected in wl.expectations:
+            actual = result.machine.read_word(addr)
+            if actual != expected:
+                raise AssertionError(
+                    f"{model.name}/techniques={techniques}: counter "
+                    f"{addr:#x} = {actual}, expected {expected} "
+                    f"(mutual exclusion violated?)"
+                )
+        return result.cycles
+
+    for model in (SC, PC, WC, RC):
+        base, both = run(model, False), run(model, True)
         table.add_row(model.name, base, both, round(base / both, 2))
     return table
 
@@ -280,25 +253,10 @@ def detailed_equalization_table(iterations: int = 2,
 # E6: miss-latency sensitivity
 # ----------------------------------------------------------------------
 
-def _latency_point(item: Tuple[int, List[AccessSpec]]) -> Tuple[int, int, int, int]:
-    """Sweep worker: (SC base, RC base, SC both, RC both) at one latency."""
-    lat, segment = item
-    engine = AnalyticalTimingModel(TimingConfig(miss_latency=lat))
-    return (
-        engine.schedule(segment, SC).total_cycles,
-        engine.schedule(segment, RC).total_cycles,
-        engine.schedule(segment, SC, prefetch=True,
-                        speculation=True).total_cycles,
-        engine.schedule(segment, RC, prefetch=True,
-                        speculation=True).total_cycles,
-    )
-
-
 def latency_sweep_table(
     latencies: Sequence[int] = (20, 50, 100, 200, 400),
     segment: Optional[List[AccessSpec]] = None,
     segment_name: str = "example2",
-    jobs: int = 1,
 ) -> Table:
     if segment is None:
         segment = example2_segment()
@@ -307,9 +265,14 @@ def latency_sweep_table(
         ["miss latency", "SC base", "RC base", "SC both", "RC both",
          "SC speedup"],
     )
-    points = sweep_map(_latency_point, [(lat, segment) for lat in latencies],
-                       jobs=jobs)
-    for lat, (sc_base, rc_base, sc_both, rc_both) in zip(latencies, points):
+    for lat in latencies:
+        engine = AnalyticalTimingModel(TimingConfig(miss_latency=lat))
+        sc_base = engine.schedule(segment, SC).total_cycles
+        rc_base = engine.schedule(segment, RC).total_cycles
+        sc_both = engine.schedule(segment, SC, prefetch=True,
+                                  speculation=True).total_cycles
+        rc_both = engine.schedule(segment, RC, prefetch=True,
+                                  speculation=True).total_cycles
         table.add_row(lat, sc_base, rc_base, sc_both, rc_both,
                       round(sc_base / sc_both, 2))
     table.add_note("the techniques' benefit grows with miss latency: they "
@@ -393,34 +356,31 @@ def related_work_table(miss_latency: int = 100) -> Table:
 # E9: RMW handling (Appendix A)
 # ----------------------------------------------------------------------
 
-def _rmw_cell(item: Tuple[str, bool, bool, int]) -> Tuple[int, bool]:
-    """Sweep worker: one contended-lock run; returns (cycles, counters ok)."""
-    model_name, pf, spec, iterations = item
-    wl = critical_section_workload(num_cpus=2, iterations=iterations)
-    result = run_workload(wl.programs, model=get_model(model_name),
-                          prefetch=pf, speculation=spec,
+def _run_checked(wl: MultiprocessorWorkload, model: ConsistencyModel,
+                 techniques: bool, max_cycles: int) -> Tuple[int, bool]:
+    """(cycles, every expected memory word correct) for one run with
+    both techniques off or on."""
+    result = run_workload(wl.programs, model=model, prefetch=techniques,
+                          speculation=techniques,
                           initial_memory=wl.initial_memory,
-                          max_cycles=2_000_000)
+                          max_cycles=max_cycles)
     ok = all(result.machine.read_word(a) == e for a, e in wl.expectations)
     return result.cycles, ok
 
 
-def rmw_handoff_table(iterations: int = 2, jobs: int = 1) -> Table:
+def rmw_handoff_table(iterations: int = 2) -> Table:
     """Contended lock hand-off: conventional vs speculative RMW."""
     table = Table(
         "E9 (Appendix A): contended test&set lock, 2 CPUs",
         ["model", "technique", "cycles", "counter ok"],
     )
-    combos = [(model, tech, pf, spec)
-              for model in (SC, RC)
-              for tech, (pf, spec) in (("baseline", (False, False)),
-                                       ("prefetch+speculation", (True, True)))]
-    results = sweep_map(_rmw_cell,
-                        [(model.name, pf, spec, iterations)
-                         for model, _, pf, spec in combos],
-                        jobs=jobs)
-    for (model, tech, _, _), (cycles, ok) in zip(combos, results):
-        table.add_row(model.name, tech, cycles, "yes" if ok else "NO")
+    for model in (SC, RC):
+        for tech, techniques in (("baseline", False),
+                                 ("prefetch+speculation", True)):
+            cycles, ok = _run_checked(
+                critical_section_workload(num_cpus=2, iterations=iterations),
+                model, techniques, 2_000_000)
+            table.add_row(model.name, tech, cycles, "yes" if ok else "NO")
     return table
 
 
@@ -428,23 +388,7 @@ def rmw_handoff_table(iterations: int = 2, jobs: int = 1) -> Table:
 # E10: prefetch cache-traffic cost (Section 3.2)
 # ----------------------------------------------------------------------
 
-def _traffic_cell(item: Tuple[bool, bool, int]) -> Tuple[int, int, int, int]:
-    """Sweep worker: (cycles, port accesses, prefetches, net messages)."""
-    pf, spec, miss_latency = item
-    wl = example1_program()
-    result = run_workload([wl.program], model=SC, prefetch=pf,
-                          speculation=spec, miss_latency=miss_latency,
-                          initial_memory=wl.initial_memory,
-                          warm_lines=wl.warm_lines)
-    return (
-        result.cycles,
-        result.counter("cache0/port_accesses"),
-        result.counter("cache0/prefetches_issued"),
-        result.counter("net/messages"),
-    )
-
-
-def traffic_table(miss_latency: int = 100, jobs: int = 1) -> Table:
+def traffic_table(miss_latency: int = 100) -> Table:
     """The prefetch double-access and its traffic consequences."""
     table = Table(
         "E10 (Section 3.2): cache/port traffic with and without prefetch "
@@ -452,12 +396,16 @@ def traffic_table(miss_latency: int = 100, jobs: int = 1) -> Table:
         ["configuration", "cycles", "cache port accesses",
          "prefetches issued", "net messages"],
     )
-    cells = sweep_map(_traffic_cell,
-                      [(pf, spec, miss_latency)
-                       for pf, spec in TECHNIQUES.values()],
-                      jobs=jobs)
-    for tech, cell in zip(TECHNIQUES, cells):
-        table.add_row(tech, *cell)
+    for tech, (pf, spec) in TECHNIQUES.items():
+        wl = example1_program()
+        result = run_workload([wl.program], model=SC, prefetch=pf,
+                              speculation=spec, miss_latency=miss_latency,
+                              initial_memory=wl.initial_memory,
+                              warm_lines=wl.warm_lines)
+        table.add_row(tech, result.cycles,
+                      result.counter("cache0/port_accesses"),
+                      result.counter("cache0/prefetches_issued"),
+                      result.counter("net/messages"))
     table.add_note("prefetched references access the cache twice, but only "
                    "in cycles where demand accesses were stalled anyway")
     return table
@@ -471,7 +419,6 @@ def stall_breakdown_table(
     example: str = "example2",
     models: Sequence[ConsistencyModel] = (SC, PC, WC, RC),
     miss_latency: int = 100,
-    jobs: int = 1,
     normalize: bool = True,
 ) -> Table:
     """Normalized execution-time breakdown per model x technique.
@@ -484,5 +431,5 @@ def stall_breakdown_table(
     from ..obs.report import example_breakdown_matrix
 
     return example_breakdown_matrix(
-        example, models=models, miss_latency=miss_latency, jobs=jobs,
+        example, models=models, miss_latency=miss_latency,
         normalize=normalize)

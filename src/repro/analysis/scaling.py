@@ -3,48 +3,32 @@
 The paper targets "large scale shared-memory multiprocessors"; these
 experiments check that the techniques' benefit survives (and the
 models stay equalized) as processor count grows, on workloads with and
-without sharing.  Both tables fan out their configuration cells
-through :func:`repro.sim.sweep.sweep_map`, so a multicore host can run
-them with ``jobs > 1``.
+without sharing.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
-from ..consistency.models import RC, SC, get_model
-from ..sim.sweep import sweep_map
-from ..system.machine import run_workload
+from ..consistency.models import RC, SC
 from ..workloads.synthetic import barrier_workload, critical_section_workload
+from .experiments import _run_checked
 from .tables import Table
 
 
-def _scaling_cell(item: Tuple[int, bool, bool, int]) -> Tuple[int, bool]:
-    """Sweep worker: one private-critical-section run at ``n`` CPUs."""
-    n, pf, spec, iterations = item
-    wl = critical_section_workload(num_cpus=n, iterations=iterations,
-                                   shared_counters=3, private=True)
-    result = run_workload(wl.programs, model=SC, prefetch=pf,
-                          speculation=spec,
-                          initial_memory=wl.initial_memory,
-                          max_cycles=5_000_000)
-    ok = all(result.machine.read_word(a) == e for a, e in wl.expectations)
-    return result.cycles, ok
-
-
 def cpu_scaling_table(cpu_counts: Sequence[int] = (1, 2, 4),
-                      iterations: int = 2, jobs: int = 1) -> Table:
+                      iterations: int = 2) -> Table:
     """Uncontended critical sections per CPU, growing the machine."""
     table = Table(
         "Scaling: private critical sections, SC, growing CPU count",
         ["CPUs", "baseline", "both techniques", "speedup", "correct"],
     )
-    items = [(n, pf, spec, iterations)
-             for n in cpu_counts
-             for pf, spec in ((False, False), (True, True))]
-    cells = sweep_map(_scaling_cell, items, jobs=jobs)
-    for i, n in enumerate(cpu_counts):
-        (base, base_ok), (both, both_ok) = cells[2 * i], cells[2 * i + 1]
+    for n in cpu_counts:
+        (base, base_ok), (both, both_ok) = (
+            _run_checked(critical_section_workload(
+                num_cpus=n, iterations=iterations, shared_counters=3,
+                private=True), SC, techniques, 5_000_000)
+            for techniques in (False, True))
         table.add_row(n, base, both, round(base / both, 2),
                       "yes" if base_ok and both_ok else "NO")
     table.add_note("per-CPU work is constant; cycles should stay roughly "
@@ -52,36 +36,19 @@ def cpu_scaling_table(cpu_counts: Sequence[int] = (1, 2, 4),
     return table
 
 
-def _barrier_cell(item: Tuple[int, str, bool, bool, int]) -> Tuple[int, bool]:
-    """Sweep worker: one barrier-phased SPMD run."""
-    n, model_name, pf, spec, phases = item
-    wl = barrier_workload(num_cpus=n, phases=phases)
-    result = run_workload(wl.programs, model=get_model(model_name),
-                          prefetch=pf, speculation=spec,
-                          initial_memory=wl.initial_memory,
-                          max_cycles=10_000_000)
-    ok = all(result.machine.read_word(a) == e for a, e in wl.expectations)
-    return result.cycles, ok
-
-
 def barrier_scaling_table(cpu_counts: Sequence[int] = (2, 3, 4),
-                          phases: int = 2, jobs: int = 1) -> Table:
+                          phases: int = 2) -> Table:
     """Barrier-phased SPMD kernel: real global synchronization."""
     table = Table(
         "Scaling: barrier-phased kernel (SC vs RC, both techniques)",
         ["CPUs", "SC base", "SC both", "RC both", "correct"],
     )
-    combos = (("SC", False, False), ("SC", True, True), ("RC", True, True))
-    items = [(n, model_name, pf, spec, phases)
-             for n in cpu_counts
-             for model_name, pf, spec in combos]
-    cells = sweep_map(_barrier_cell, items, jobs=jobs)
-    width = len(combos)
-    for i, n in enumerate(cpu_counts):
-        row_cells = cells[width * i:width * (i + 1)]
-        ok = all(cell_ok for _, cell_ok in row_cells)
-        table.add_row(n, *(cycles for cycles, _ in row_cells),
-                      "yes" if ok else "NO")
+    for n in cpu_counts:
+        cells = [_run_checked(barrier_workload(num_cpus=n, phases=phases),
+                              model, techniques, 10_000_000)
+                 for model, techniques in ((SC, False), (SC, True), (RC, True))]
+        table.add_row(n, *(cycles for cycles, _ in cells),
+                      "yes" if all(ok for _, ok in cells) else "NO")
     table.add_note("barriers serialize globally, so cycles grow with CPU "
                    "count; the techniques keep SC within reach of RC")
     return table

@@ -2,7 +2,7 @@
 
 No plotting dependencies: every figure the paper implies is rendered as
 an aligned text table or an ASCII bar chart, which also makes the
-benchmark output diffable.
+report output diffable.
 """
 
 from __future__ import annotations

@@ -42,6 +42,15 @@ from ..consistency.access_class import AccessClass
 from ..consistency.models import ConsistencyModel
 from ..sim.errors import ConfigurationError, SimulationError
 
+#: technique name -> (prefetch, speculation): the paper's four
+#: configurations, in the column order every table uses
+TECHNIQUES: Dict[str, Tuple[bool, bool]] = {
+    "baseline": (False, False),
+    "prefetch": (True, False),
+    "speculation": (False, True),
+    "prefetch+speculation": (True, True),
+}
+
 
 @dataclass(frozen=True)
 class AccessSpec:
@@ -267,19 +276,13 @@ def compare_configurations(
 ) -> Dict[Tuple[str, str], int]:
     """Total cycles for every (model, technique) combination.
 
-    Keys are ``(model_name, technique)`` with technique one of
-    ``"baseline"``, ``"prefetch"``, ``"speculation"``,
-    ``"prefetch+speculation"``.
+    Keys are ``(model_name, technique)`` with technique a key of
+    :data:`TECHNIQUES`.
     """
     engine = AnalyticalTimingModel(config)
     out: Dict[Tuple[str, str], int] = {}
     for model in models:
-        for tech, (pf, sp) in {
-            "baseline": (False, False),
-            "prefetch": (True, False),
-            "speculation": (False, True),
-            "prefetch+speculation": (True, True),
-        }.items():
+        for tech, (pf, sp) in TECHNIQUES.items():
             res = engine.schedule(segment, model, prefetch=pf, speculation=sp)
             out[(model.name, tech)] = res.total_cycles
     return out

@@ -13,7 +13,7 @@ Subcommands::
 
 Examples::
 
-    python -m repro.obs breakdown example2 --normalize --jobs 4
+    python -m repro.obs breakdown example2 --stats-json stats.json
     python -m repro.obs convert run.jsonl run.trace.json
     python -m repro.obs validate run.trace.json
     python -m repro.obs diff a.archtrace.jsonl b.archtrace.jsonl
@@ -52,7 +52,6 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
         args.example,
         models=models,
         miss_latency=args.miss_latency,
-        jobs=args.jobs,
         normalize=args.normalize,
         merged=merged,
     )
@@ -185,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="*", metavar="MODEL",
                    help="models to include (default: SC PC WC RC)")
     p.add_argument("--miss-latency", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sweep workers")
     p.add_argument("--raw", dest="normalize", action="store_false",
                    help="print raw cycle counts instead of normalized %")
     p.add_argument("--stats-json", metavar="FILE",

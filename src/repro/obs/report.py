@@ -1,19 +1,18 @@
 """Paper-style breakdown reports over the cycle-accounting counters.
 
 This is the heavyweight end of :mod:`repro.obs`: it pulls in the
-workloads, the detailed simulator, the sweep engine and the table
-renderer, so it must only be imported from entry points (the CLI,
-``run.py``, benchmarks) — never from the core simulator, which
+workloads, the detailed simulator and the table renderer, so it must
+only be imported from entry points (the CLI, ``run.py``,
+``repro.report``) — never from the core simulator, which
 :mod:`repro.obs.accounting` serves without import cycles.
 
 The centrepiece is :func:`example_breakdown_matrix`: the paper's
 Figures 3-7 presentation — for one example kernel, every model x
 technique cell broken into busy / read / write / acquire time,
-normalized so each model's baseline is 100.  Cells run in parallel via
-:func:`~repro.sim.sweep.sweep_map`; each worker ships its whole
-:class:`~repro.sim.stats.StatsRegistry` back and the parent aggregates
-them with :meth:`StatsRegistry.merge_from` under a per-cell prefix, so
-the merged registry holds the entire matrix's counters at once.
+normalized so each model's baseline is 100.  Each cell's whole
+:class:`~repro.sim.stats.StatsRegistry` can be aggregated with
+:meth:`StatsRegistry.merge_from` under a per-cell prefix, so the merged
+registry holds the entire matrix's counters at once.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..analysis.tables import Table
-from ..consistency import get_model
 from ..consistency.models import PC, RC, SC, WC, ConsistencyModel
+from ..core.timing import TECHNIQUES
 from ..sim.stats import StatsRegistry
-from ..sim.sweep import sweep_map
 from ..system import RunResult, run_workload
 from ..workloads.paper_examples import (
     PaperWorkload,
@@ -43,16 +41,6 @@ from .accounting import (
 from .effectiveness import prefetch_effectiveness, speculation_effectiveness
 
 DEFAULT_MODELS: Tuple[ConsistencyModel, ...] = (SC, PC, WC, RC)
-
-#: technique name -> (prefetch, speculation); mirrors
-#: ``repro.analysis.experiments.TECHNIQUES`` (kept literal here so this
-#: module does not import the experiment suite).
-TECHNIQUES: Dict[str, Tuple[bool, bool]] = {
-    "baseline": (False, False),
-    "prefetch": (True, False),
-    "speculation": (False, True),
-    "prefetch+speculation": (True, True),
-}
 
 EXAMPLES = {
     "example1": example1_program,
@@ -111,30 +99,10 @@ def effectiveness_table(result: RunResult) -> Table:
 # The model x technique breakdown matrix (Figures 3-7 presentation)
 # ----------------------------------------------------------------------
 
-def _breakdown_cell(
-    item: Tuple[str, str, bool, bool, int],
-) -> Tuple[int, StatsRegistry]:
-    """Sweep worker: run one example cell, return (cycles, full stats).
-
-    Module-level and returning picklable values, so it runs under
-    ``ProcessPoolExecutor`` and the parent can ``merge_from`` the
-    registry.
-    """
-    example, model_name, pf, spec, miss_latency = item
-    wl = example_workload(example)
-    result = run_workload(
-        [wl.program], model=get_model(model_name), prefetch=pf,
-        speculation=spec, miss_latency=miss_latency,
-        initial_memory=wl.initial_memory, warm_lines=wl.warm_lines,
-    )
-    return result.cycles, result.stats
-
-
 def example_breakdown_matrix(
     example: str = "example2",
     models: Sequence[ConsistencyModel] = DEFAULT_MODELS,
     miss_latency: int = 100,
-    jobs: int = 1,
     normalize: bool = True,
     merged: Optional[StatsRegistry] = None,
 ) -> Table:
@@ -146,26 +114,26 @@ def example_breakdown_matrix(
     Pass a registry as ``merged`` to receive every cell's counters,
     aggregated under ``<model>/<technique>/`` prefixes.
     """
-    items = [(example, model.name, pf, spec, miss_latency)
-             for model in models
-             for pf, spec in TECHNIQUES.values()]
-    cells = sweep_map(_breakdown_cell, items, jobs=jobs)
-
     unit = "% of model baseline" if normalize else "cycles"
     table = Table(
         f"{example}: stall breakdown per model x technique ({unit})",
         ["model", "technique"] + [c.value for c in PAPER_CAUSES]
         + ["other", "total"],
     )
-    keys = [(model.name, tech) for model in models for tech in TECHNIQUES]
-    by_key = dict(zip(keys, cells))
     for model in models:
-        baseline_cycles = by_key[(model.name, "baseline")][0]
-        for tech in TECHNIQUES:
-            cycles, stats = by_key[(model.name, tech)]
+        for tech, (pf, spec) in TECHNIQUES.items():
+            wl = example_workload(example)
+            result = run_workload(
+                [wl.program], model=model, prefetch=pf, speculation=spec,
+                miss_latency=miss_latency,
+                initial_memory=wl.initial_memory, warm_lines=wl.warm_lines,
+            )
+            cycles = result.cycles
+            if tech == "baseline":      # TECHNIQUES' first key
+                baseline_cycles = cycles
             if merged is not None:
-                merged.merge_from(stats, prefix=f"{model.name}/{tech}/")
-            bd = breakdown_from_stats(stats, cpu=0)
+                merged.merge_from(result.stats, prefix=f"{model.name}/{tech}/")
+            bd = breakdown_from_stats(result.stats, cpu=0)
             paper = sum(bd.get(c) for c in PAPER_CAUSES)
             other = bd.total - paper
             if normalize:

@@ -21,7 +21,6 @@ from .sweep import (
     derive_seed,
     format_duration,
     run_sweep,
-    sweep_map,
 )
 from .trace import NullTraceRecorder, TraceEvent, TraceRecorder
 
@@ -54,5 +53,4 @@ __all__ = [
     "format_duration",
     "format_stats_table",
     "run_sweep",
-    "sweep_map",
 ]

@@ -1,9 +1,11 @@
 """A generic parallel sweep engine (``ProcessPoolExecutor``).
 
-Every heavy workload in this repo has the same shape: a pure worker
-function mapped over a list of independent work items (configuration
-cells, fuzzing seeds, latency points).  :func:`run_sweep` is the one
-shared runner for all of them:
+The two workloads that need processes — fuzzing campaigns
+(``repro.verify``) and the job server's executors (``repro.serve``) —
+have the same shape: a pure worker function mapped over a list of
+independent work items.  :func:`run_sweep` is the one shared runner for
+both (the analysis tables are a few hundred milliseconds and run
+serially):
 
 * **chunked dispatch** — items are grouped into chunks so the
   per-task pickling/IPC overhead is amortized over many items;
@@ -504,9 +506,3 @@ def run_sweep(
     return SweepResult(results=slots,
                        elapsed_seconds=time.perf_counter() - t0,
                        jobs=jobs, chunk_size=size, workers=workers)
-
-
-def sweep_map(worker: SweepWorker, items: Sequence[Any], jobs: int = 1,
-              chunk_size: Optional[int] = None) -> List[Any]:
-    """:func:`run_sweep` returning just the ordered result list."""
-    return run_sweep(worker, items, jobs=jobs, chunk_size=chunk_size).results

@@ -371,14 +371,19 @@ def run_fuzz(budget: int, jobs: int, seed: int,
 
 
 def run_replay(path: str, quiet: bool = False) -> int:
-    still_failing = replay_corpus(path)
+    try:
+        corpus = Corpus.load(path)
+    except (OSError, ValueError) as exc:    # missing file / not JSON
+        print(f"error: cannot read corpus: {exc}", file=sys.stderr)
+        return 2
+    still_failing = replay_corpus(corpus)
     if still_failing:
         for entry in still_failing:
             print(f"STILL FAILING: seed={entry.derived_seed} "
                   f"(master {entry.master_seed}, item {entry.index})")
         return 1
     if not quiet:
-        print(f"replay: OK — no corpus entry reproduces")
+        print("replay: OK — no corpus entry reproduces")
     return 0
 
 

@@ -110,7 +110,7 @@ class Corpus:
         return cls(entries=entries, version=payload.get("version", 0))
 
 
-def replay_corpus(path: Union[str, Path],
+def replay_corpus(corpus: Corpus,
                   minimized: bool = True) -> Sequence["CorpusEntry"]:
     """Re-check every corpus entry; returns the entries that still fail.
 
@@ -120,7 +120,6 @@ def replay_corpus(path: Union[str, Path],
     """
     from .harness import HarnessConfig, divergence_reproduces
 
-    corpus = Corpus.load(path)
     still_failing: List[CorpusEntry] = []
     for entry in corpus.entries:
         test = entry.minimized_litmus() if minimized else entry.litmus()

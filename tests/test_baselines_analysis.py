@@ -86,6 +86,12 @@ class TestBaselineSchemes:
         assert names == {"conventional", "binding-prefetch", "adve-hill-sc",
                          "stenstrom-nst", "prefetch+speculation"}
 
+    def test_compare_schemes_is_deterministic(self):
+        seg = example2_segment()
+        runs = [[(r.scheme, r.total_cycles) for r in compare_schemes(seg)]
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+
     def test_custom_timing_config_respected(self):
         cfg = TimingConfig(miss_latency=10)
         assert conventional(example1_segment(), SC, cfg).total_cycles == 31
@@ -159,6 +165,15 @@ class TestExperimentTables:
         t = latency_sweep_table(latencies=(20, 100))
         sc = t.column_values("SC base")
         assert sc[0] < sc[1]
+
+    def test_latency_sweep_example1_tracks_exposed_misses(self):
+        t = latency_sweep_table(segment=example1_segment(),
+                                segment_name="example1")
+        for lat, sc_base, _, sc_both, _, _ in t.rows:
+            # baseline SC serializes 3 misses; with both techniques only
+            # the lock's miss remains exposed
+            assert sc_base >= 3 * lat
+            assert sc_both <= lat + 10
 
     def test_related_work_table_schemes_present(self):
         t = related_work_table()

@@ -123,8 +123,8 @@ def test_breakdown_merge_and_normalize():
 
 
 def test_breakdown_survives_registry_merge():
-    """Cross-worker aggregation: merge_from with a prefix, then read
-    the breakdown back out — the sweep/benchmark aggregation path."""
+    """Cross-cell aggregation: merge_from with a prefix, then read the
+    breakdown back out — the breakdown-matrix aggregation path."""
     result = run_example("example2", get_model("WC"), True, True)
     master = StatsRegistry()
     master.merge_from(result.stats, prefix="cell0/")

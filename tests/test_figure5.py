@@ -61,12 +61,18 @@ class TestFigure5:
         assert result.has_event(
             "invalidation for D arrives; load D and following discarded")
         assert result.has_event("read of D is reissued")
+        stats = result.machine.sim.stats
+        assert stats.counter("cpu0/slb/squashes").value == 1
+        # ld D and ld E[D] both go
+        assert stats.counter("cpu0/instructions_squashed").value >= 2
 
     def test_clean_run_has_no_squash(self):
         result = run_figure5(inval_cycle=90_000, max_cycles=200_000)
         assert result.machine.reg(0, "r2") == 0
         assert result.machine.reg(0, "r3") == 500
         assert result.machine.sim.stats.counter("cpu0/slb/squashes").value == 0
+        # one exposed miss plus pipeline: far under two misses
+        assert result.cycles < 160
 
     def test_mis_speculation_costs_but_stays_correct(self):
         clean = run_figure5(inval_cycle=90_000, max_cycles=200_000)

@@ -16,7 +16,7 @@ and re-verified against the analytical shape.
 
 import pytest
 
-from repro.analysis.experiments import TECHNIQUES, _example_cell
+from repro.analysis.experiments import TECHNIQUES, example_cycle_table
 from repro.consistency.models import PC, RC, SC, WC
 from repro.core.timing import AnalyticalTimingModel, TimingConfig
 from repro.workloads.paper_examples import (
@@ -74,9 +74,9 @@ def test_analytical_golden(example, model):
                          ids=[f"{e}-{m.name}" for e in SEGMENTS
                               for m in MODELS])
 def test_detailed_golden(example, model):
-    observed = tuple(
-        _example_cell((example, model.name, pf, spec, MISS_LATENCY))
-        for pf, spec in TECHNIQUES.values())
+    table = example_cycle_table(example, detailed=True,
+                                miss_latency=MISS_LATENCY, models=(model,))
+    observed = tuple(table.cell(0, tech) for tech in TECHNIQUES)
     assert observed == DETAILED_GOLDEN[(example, model.name)]
 
 

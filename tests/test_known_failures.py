@@ -2,7 +2,8 @@
 
 Each case below is a reproducer of an open correctness bug in the
 modelled machine, found while sizing the repo benchmark (see "Inputs
-kept out" in ``bench/e2e/README.md``).  Nothing here is fixed; the
+kept out" in ``bench/e2e/README.md``) — or, for the last one, of a gap
+in what the fuzzer detects.  Nothing here is fixed; the
 point is that the reproducers run in tier-1.  ``strict=True`` turns the
 fix into a loud event: the day a case passes, the run fails until its
 marker is removed, and ``raises=`` fails the run if the case starts
@@ -10,6 +11,10 @@ failing some *other* way.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +70,20 @@ def test_grid_relaxation_with_prefetch_completes():
 def test_random_sharing_with_both_techniques_completes():
     run(random_sharing_workload(4, 200, rng=1), "SC",
         prefetch=True, speculation=True)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="fuzzer must catch slb-forgets-acquires: with "
+                          "the fault injected the campaign still exits 0 "
+                          "(so does --budget 100), while the same budget "
+                          "catches slb-deaf in tests/test_verify.py")
+def test_fuzzer_catches_slb_forgets_acquires():
+    repo = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.verify", "--budget", "25", "--jobs", "2",
+         "--seed", "0", "--fault", "slb-forgets-acquires", "--no-minimize",
+         "--quiet", "--no-ledger"],
+        capture_output=True, text=True, cwd=repo,
+        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=540)
+    assert proc.returncode == 1, proc.stdout + proc.stderr

@@ -129,6 +129,7 @@ class TestOutcomeSetRelations:
         sc_outcomes = t.outcomes(SC)
         for model in (PC, WC, RC):
             assert sc_outcomes <= t.outcomes(model), model.name
+        assert t.outcomes(PC) <= t.outcomes(WC) <= t.outcomes(RC)
 
     def test_rc_superset_of_wc_on_sync_tests(self):
         t = message_passing_sync()

@@ -15,7 +15,6 @@ from repro.sim.sweep import (
     derive_seed,
     format_duration,
     run_sweep,
-    sweep_map,
 )
 
 
@@ -63,7 +62,7 @@ class TestSerialSweep:
         assert res.results == []
 
     def test_chunk_larger_than_items(self):
-        assert sweep_map(square, [1, 2], chunk_size=100) == [1, 4]
+        assert run_sweep(square, [1, 2], chunk_size=100).results == [1, 4]
 
     def test_progress_callback_monotone_and_complete(self):
         seen = []
@@ -106,9 +105,9 @@ class TestSerialSweep:
 class TestParallelSweep:
     def test_parallel_matches_serial(self):
         items = list(range(23))
-        serial = sweep_map(square, items, jobs=1)
-        parallel = sweep_map(square, items, jobs=2, chunk_size=4)
-        assert parallel == serial
+        serial = run_sweep(square, items, jobs=1)
+        parallel = run_sweep(square, items, jobs=2, chunk_size=4)
+        assert parallel.results == serial.results
 
     def test_parallel_records_errors(self):
         res = run_sweep(boom_on_three, [3, 5], jobs=2, chunk_size=1,

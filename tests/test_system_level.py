@@ -16,6 +16,7 @@ from repro.analysis import (
 )
 from repro.consistency import RC, SC
 from repro.isa import ProgramBuilder, interpret
+from repro.report import EXPERIMENTS
 from repro.system import run_workload
 
 
@@ -110,9 +111,10 @@ class TestExperimentRunners:
 class TestReportCli:
     def test_generate_with_filter(self, capsys):
         from repro.report import generate
-        text = generate(["E1"], verbose=False)
+        text, failed = generate(["E1"], verbose=False)
         assert "Figure 1" in text
         assert "Example 1" not in text  # filtered out
+        assert failed == []
 
     def test_main_writes_output_file(self, tmp_path, capsys):
         from repro.report import main
@@ -121,10 +123,32 @@ class TestReportCli:
         assert "Figure 1" in out.read_text()
         captured = capsys.readouterr()
         assert "Figure 1" in captured.out
+        assert "claim PASS E1-litmus:" in captured.out
 
     def test_sections_cover_all_experiment_ids(self):
-        from repro.report import SECTIONS
-        names = " ".join(name for name, _ in SECTIONS)
+        from repro.report import EXPERIMENTS
+        ids = [exp.id for exp in EXPERIMENTS]
+        assert len(ids) == len(set(ids))
+        names = " ".join(ids)
         for eid in ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8",
-                    "E9", "E10", "A1", "A6", "S1"):
+                    "E9", "E10", "E11", "A1", "A7", "S1", "S2"):
             assert eid in names
+
+    @pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda exp: exp.id)
+    def test_experiment_builds_and_its_claim_holds(self, exp):
+        """The paper-table gate: every registry entry, one test each."""
+        table = exp.build()
+        assert table.render()
+        assert exp.claim.__doc__, "a claim states its expectation"
+        assert exp.claim(table), exp.claim.__doc__
+
+    def test_failed_claim_exits_1_and_names_the_id(self, monkeypatch, capsys):
+        from repro import report
+        monkeypatch.setattr(report, "EXPERIMENTS", [
+            exp._replace(claim=lambda table: False) if exp.id == "E6" else exp
+            for exp in report.EXPERIMENTS if exp.id in ("E6", "E8")])
+        assert report.main(["--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "claim FAIL E6:" in captured.out
+        assert "claim PASS E8:" in captured.out
+        assert "1 claim(s) failed: E6" in captured.err

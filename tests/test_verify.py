@@ -233,12 +233,18 @@ class TestCli:
                            "--no-minimize")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    @pytest.mark.slow
-    def test_fault_injection_is_caught_and_localized(self, tmp_path):
-        corpus_path = tmp_path / "corpus.json"
+    @pytest.fixture(scope="class")
+    def fault_campaign(self, tmp_path_factory):
+        """One slb-deaf self-test campaign, shared by the tests below."""
+        corpus_path = tmp_path_factory.mktemp("selftest") / "corpus.json"
         proc = _run_verify("--budget", "25", "--seed", "0",
                            "--fault", "slb-deaf", "--no-minimize",
                            "--localize", "--corpus", str(corpus_path))
+        return proc, corpus_path
+
+    @pytest.mark.slow
+    def test_fault_injection_is_caught_and_localized(self, fault_campaign):
+        proc, corpus_path = fault_campaign
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "FAIL" in proc.stdout
         corpus = Corpus.load(corpus_path)
@@ -258,6 +264,33 @@ class TestCli:
         for path_a, path_b in loc["artifacts"].values():
             assert Path(path_a).exists() and Path(path_b).exists()
             assert str(corpus_path) in path_a  # lands next to the corpus
+
+    @pytest.mark.slow
+    def test_replay_reapplies_the_recorded_fault(self, fault_campaign,
+                                                 tmp_path):
+        _, corpus_path = fault_campaign
+        proc = _run_verify("--replay", str(corpus_path))
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "STILL FAILING" in proc.stdout
+
+        # the same tests without the fault are what a fixed bug looks like
+        payload = json.loads(corpus_path.read_text())
+        for entry in payload["entries"]:
+            entry["fault"] = None
+        fixed = tmp_path / "fixed.json"
+        fixed.write_text(json.dumps(payload))
+        proc = _run_verify("--replay", str(fixed))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "replay: OK" in proc.stdout
+
+    def test_replay_of_unreadable_corpus_exits_2(self, tmp_path):
+        not_json = tmp_path / "corpus.json"
+        not_json.write_text("not json")
+        for path in (tmp_path / "missing.json", not_json):
+            proc = _run_verify("--replay", str(path))
+            assert proc.returncode == 2, proc.stdout + proc.stderr
+            assert proc.stderr.startswith("error: cannot read corpus")
+            assert "Traceback" not in proc.stderr
 
 
 class TestCampaignTelemetryEndToEnd:
