@@ -139,12 +139,6 @@ class SpeculativeLoadBuffer:
         for entry in self._entries.values():
             entry.store_tags.discard(store_seq)
 
-    def head_retirable(self) -> bool:
-        """True when :meth:`retire_ready` would retire at least one entry."""
-        if not self._entries:
-            return False
-        return next(iter(self._entries.values())).retirable()
-
     def retire_ready(self) -> List[int]:
         """Retire eligible entries from the head; return their seqs."""
         retired: List[int] = []

@@ -45,7 +45,8 @@ from ..consistency.access_class import PLAIN_LOAD, PLAIN_STORE
 from ..isa.instructions import Load, SoftwarePrefetch, Store
 from ..memory.cache import LockupFreeCache
 from ..memory.types import AccessKind, AccessRequest, SnoopKind
-from ..sim.kernel import WAKE_NEVER, Simulator
+from ..sim.kernel import Simulator
+from ..sim.stats import Counter
 from ..sim.trace import NullTraceRecorder, TraceRecorder
 from .config import ProcessorConfig
 from .rob import Operand, ReorderBuffer, RobEntry
@@ -123,6 +124,8 @@ class LoadStoreUnit:
         #: every decoded memory op, program order, until performed
         self.pending: "OrderedDict[int, MemOp]" = OrderedDict()
         self._req_ids = itertools.count(1)
+        #: stall counters the current tick bumped (see :meth:`tick`)
+        self.stalled: List[Counter] = []
 
         self.slb: Optional[SpeculativeLoadBuffer] = None
         if config.enable_speculation:
@@ -209,101 +212,40 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     # Per-cycle behaviour
     # ------------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        """Advance every stage; True when anything moved.
+
+        A tick that returns False left all state as it found it apart
+        from the stall counters it lists in :attr:`stalled`, and would
+        do the same again next cycle — which is what lets the processor
+        sleep.  So "moved" also covers whatever makes the next cycle
+        differ without a state change here: an occupied address unit
+        (it recomputes its address and feeds the SC-violation detector
+        every cycle) and an access the cache port turned away (the port
+        budget resets each cycle).
+        """
+        self.stalled = []
+        moved = self.addr_unit is not None
         self._drain_addr_unit(cycle)
-        self._advance_rs(cycle)
-        self._issue_stores(cycle)
-        self._issue_loads(cycle)
+        moved |= self._advance_rs(cycle)
+        moved |= self._issue_stores(cycle)
+        moved |= self._issue_loads(cycle)
         if self.slb is not None:
-            for seq in self.slb.retire_ready():
+            retired = self.slb.retire_ready()
+            moved |= bool(retired)
+            for seq in retired:
                 self.trace.record(cycle, self.name, "slb_retire", seq=seq)
         if self.prefetcher is not None:
             ops, candidates = self._prefetch_candidates()
+            moved |= bool(candidates)
             issued = self.prefetcher.tick(candidates)
             for op in ops[:issued]:
                 op.prefetch_issued = True
+        return moved
 
-    # ------------------------------------------------------------------
-    # Sleep support (kernel fast-forward)
-    # ------------------------------------------------------------------
-    def sleep_profile(self) -> Optional[Tuple[int, Tuple]]:
-        """Mirror of :meth:`tick` over frozen state, without side effects.
-
-        Returns ``None`` if the next tick would change state (must keep
-        ticking), else ``(wake, counters)`` where ``counters`` are the
-        stat counters an elided tick would increment once each.  Every
-        stall modelled here is broken only by an event (cache response)
-        or by another component's state change — both of which end the
-        fast-forward span — so the wake is :data:`~repro.sim.kernel.WAKE_NEVER`.
-
-        The cache port budget resets every cycle, so "no port free right
-        now" does not carry over: a would-issue access with any ports
-        configured forces a tick.
-        """
-        counters = []
-        # address unit: recomputes the effective address (and feeds the
-        # SC-violation detector) every cycle while occupied — never elide
-        if self.addr_unit is not None:
-            return None
-        # reservation station head (see _advance_rs)
-        if self.rs:
-            head = self.rs[0]
-            base = head.base.resolve(self.rob)
-            if base is not None:
-                uncached_load = (head.is_load
-                                 and self.cache.config.is_uncached(base + head.offset))
-                if (head.is_load and not head.is_sw_prefetch
-                        and (self.slb is None or uncached_load)
-                        and not self._may_perform_now(head)):
-                    counters.append(self.stat_rs_stalls)
-                else:
-                    return None  # head would advance into the address unit
-        ports_free = self.cache.config.ports > 0
-        # store buffer (see _issue_stores)
-        for idx, op in enumerate(self.store_buffer):
-            if op.state is not MemState.IN_SB:
-                continue
-            if not op.signalled:
-                break
-            value = op.data.resolve(self.rob) if op.data is not None else 0
-            if value is None:
-                break
-            blocked = any(
-                e.state is not MemState.PERFORMED
-                and self.model.delay_arc(e.klass, op.klass)
-                for e in self.store_buffer[:idx]
-            )
-            if blocked:
-                counters.append(self.stat_sb_stalls)
-                break
-            if ports_free:
-                return None  # store would issue
-            break
-        # ready loads (see _issue_loads / _try_forward)
-        for op in self.ready_loads:
-            match: Optional[MemOp] = None
-            for sb in self.store_buffer:
-                if sb.seq < op.seq and sb.addr == op.addr:
-                    match = sb
-            if match is not None:
-                if match.is_rmw:
-                    continue  # waits for the RMW's result
-                value = match.data.resolve(self.rob) if match.data is not None else 0
-                if value is None:
-                    continue  # store value unknown yet
-                return None  # load would forward
-            if ports_free:
-                return None  # load would issue to the cache
-            break
-        # speculative-load buffer retirement
-        if self.slb is not None and self.slb.head_retirable():
-            return None
-        # hardware prefetcher: any candidate means work next tick
-        if self.prefetcher is not None:
-            _, candidates = self._prefetch_candidates()
-            if candidates:
-                return None
-        return WAKE_NEVER, tuple(counters)
+    def _stall(self, counter: Counter) -> None:
+        counter.inc()
+        self.stalled.append(counter)
 
     # -- address unit ---------------------------------------------------
     def _drain_addr_unit(self, cycle: int) -> None:
@@ -360,24 +302,25 @@ class LoadStoreUnit:
                 self._issue_speculative_rmw_read(op)
 
     # -- reservation station ---------------------------------------------
-    def _advance_rs(self, cycle: int) -> None:
+    def _advance_rs(self, cycle: int) -> bool:
         if self.addr_unit is not None or not self.rs:
-            return
+            return False
         head = self.rs[0]
         base = head.base.resolve(self.rob)
         if base is None:
-            return  # effective address not computable yet (paper: stall)
+            return False  # effective address not computable yet (paper: stall)
         uncached_load = (head.is_load
                          and self.cache.config.is_uncached(base + head.offset))
         if (head.is_load and not head.is_sw_prefetch
                 and (self.slb is None or uncached_load)
                 and not self._may_perform_now(head)):
             # conventional implementation: stall the reservation station
-            self.stat_rs_stalls.inc()
-            return
+            self._stall(self.stat_rs_stalls)
+            return False
         self.rs.popleft()
         head.state = MemState.IN_ADDR
         self.addr_unit = (head, cycle + 1)
+        return True
 
     # -- store buffer -----------------------------------------------------
     def signal_store(self, seq: int) -> None:
@@ -386,7 +329,7 @@ class LoadStoreUnit:
         if op is not None:
             op.signalled = True
 
-    def _issue_stores(self, cycle: int) -> None:
+    def _issue_stores(self, cycle: int) -> bool:
         for idx, op in enumerate(self.store_buffer):
             if op.state is not MemState.IN_SB:
                 continue
@@ -401,12 +344,12 @@ class LoadStoreUnit:
                 for e in self.store_buffer[:idx]
             )
             if blocked:
-                self.stat_sb_stalls.inc()
+                self._stall(self.stat_sb_stalls)
                 break
-            if not self.cache.can_accept():
-                return
-            self._send_store(op, value, cycle)
-            return  # one cache issue per tick from the store buffer
+            if self.cache.can_accept():
+                self._send_store(op, value, cycle)
+            return True  # one cache issue (or refusal) per tick
+        return False
 
     def _send_store(self, op: MemOp, value: int, cycle: int) -> None:
         kind = AccessKind.RMW if op.is_rmw else AccessKind.STORE
@@ -458,23 +401,18 @@ class LoadStoreUnit:
                           value=value, rmw=op.is_rmw)
 
     # -- loads -------------------------------------------------------------
-    def _issue_loads(self, cycle: int) -> None:
-        issued_one = False
-        for op in list(self.ready_loads):
-            if issued_one:
-                break
+    def _issue_loads(self, cycle: int) -> bool:
+        for op in self.ready_loads:
             forwarded = self._try_forward(op, cycle)
             if forwarded is None:
                 continue  # matching store value unknown yet; retry
-            if forwarded:
-                self.ready_loads.remove(op)
-                issued_one = True
-                continue
-            if not self.cache.can_accept():
-                break
-            self._send_load(op, cycle)
+            if not forwarded:
+                if not self.cache.can_accept():
+                    return True  # refused: the port budget resets next cycle
+                self._send_load(op, cycle)
             self.ready_loads.remove(op)
-            issued_one = True
+            return True  # one issue per tick
+        return False
 
     def _try_forward(self, op: MemOp, cycle: int) -> Optional[bool]:
         """Store-buffer dependence check.  Returns True if forwarded,

@@ -31,7 +31,7 @@ from ..isa.program import Program
 from ..isa.registers import RegisterFile
 from ..memory.cache import LockupFreeCache
 from ..obs.accounting import CycleAccountant
-from ..sim.kernel import Component, Simulator, WAKE_NEVER
+from ..sim.kernel import Component, Simulator
 from ..sim.trace import NullTraceRecorder, TraceRecorder
 from .branch import BranchPredictor
 from .config import ProcessorConfig
@@ -79,7 +79,8 @@ class Processor(Component):
         self._next_seq = 0
         self.fetch_halted = False   # a Halt has been fetched (maybe speculatively)
         self.finished = False       # the Halt has retired: program truly done
-        self._skip_counters: tuple = ()  # stashed by next_wake for skip_cycles
+        #: what the last tick bumped if it moved nothing, else None
+        self._idle_counters: Optional[tuple] = None
 
         s = sim.stats
         self.stat_retired = s.counter(f"{self.name}/instructions_retired")
@@ -97,20 +98,21 @@ class Processor(Component):
         if self.finished:
             # the program has retired, but stores already signalled may
             # still be draining from the store buffer (RC/WC/PC)
-            self.lsu.tick(cycle)
-            self.accountant.account_drained(self.lsu.is_empty())
-            return
-        retired_before = self.stat_retired.value
-        self._retire(cycle)
-        self.lsu.tick(cycle)
-        self.branch_unit.tick(cycle)
-        self.alu_unit.tick(cycle)
-        self._decode(cycle)
-        self.accountant.account(
-            retired=self.stat_retired.value - retired_before,
-            head=self.rob.head(),
-            rob_full=self.rob.full,
-        )
+            moved = self.lsu.tick(cycle)
+            blame = self.accountant.account_drained(self.lsu.is_empty())
+        else:
+            retired_before = self.stat_retired.value
+            moved = self._retire(cycle)
+            moved |= self.lsu.tick(cycle)
+            moved |= self.branch_unit.tick(cycle)
+            moved |= self.alu_unit.tick(cycle)
+            moved |= self._decode(cycle)
+            blame = self.accountant.account(
+                retired=self.stat_retired.value - retired_before,
+                head=self.rob.head(),
+                rob_full=self.rob.full,
+            )
+        self._idle_counters = None if moved else (blame, *self.lsu.stalled)
 
     def is_quiescent(self) -> bool:
         return self.finished and self.lsu.is_empty()
@@ -121,93 +123,45 @@ class Processor(Component):
     def next_wake(self, cycle: int) -> int:
         """Earliest future cycle this core's tick would change state.
 
-        A returned wake beyond ``cycle + 1`` promises every elided tick
-        is a pure stall whose only effects are the per-cycle counters
-        stashed here and replayed by :meth:`skip_cycles`.  Any doubt
-        resolves to ``cycle + 1`` (keep ticking) — under-sleeping is
-        always safe.
+        Observed, not predicted: every stage of :meth:`tick` reports
+        whether it moved anything, and a tick in which none did found
+        the core stalled on state only an event can change — so the
+        next one would repeat it, bumping the same counters
+        (:meth:`skip_cycles` replays them), until the one clock-driven
+        change left, an in-flight ALU completion.  After a tick that
+        moved, keep ticking.
         """
-        if self.finished:
-            profile = self.lsu.sleep_profile()
-            if profile is None:
-                return cycle + 1
-            wake, lsu_counters = profile
-            self._skip_counters = (
-                self.accountant.drained_counter(self.lsu.is_empty()),
-            ) + lsu_counters
-            return wake
-        # cheapest checks first: the LSU mirror is the expensive one and
-        # only worth computing once everything else is provably idle
-        if not self._retire_would_idle():
+        if self._idle_counters is None:
             return cycle + 1
-        if not self._decode_would_idle():
-            return cycle + 1
-        if not self.branch_unit.would_idle():
-            return cycle + 1
-        alu_wake = self.alu_unit.next_wake(cycle)
-        if alu_wake <= cycle + 1:
-            return cycle + 1
-        profile = self.lsu.sleep_profile()
-        if profile is None:
-            return cycle + 1
-        lsu_wake, lsu_counters = profile
-        self._skip_counters = (
-            self.accountant.stall_counter(self.rob.head(), self.rob.full),
-        ) + lsu_counters
-        return min(lsu_wake, alu_wake)
+        return self.alu_unit.next_completion()
 
     def skip_cycles(self, skipped: int) -> None:
-        for counter in self._skip_counters:
+        for counter in self._idle_counters:
             counter.inc(skipped)
-
-    def _retire_would_idle(self) -> bool:
-        """Mirror of :meth:`_retire`: True when the next tick would
-        neither retire nor mutate anything (signalling a store head
-        counts as a mutation — it happens exactly once)."""
-        head = self.rob.head()
-        if head is None:
-            return True
-        instr = head.instr
-        if isinstance(instr, (Store, Rmw)) and not head.signalled:
-            return False
-        if instr.is_memory:
-            return not self.lsu.may_retire(head)
-        return not head.done
-
-    def _decode_would_idle(self) -> bool:
-        """Mirror of :meth:`_decode`: True when the next tick cannot
-        dispatch (and would not latch ``fetch_halted``)."""
-        if self.fetch_halted or self.rob.full:
-            return True
-        instr = self.program.at(self.pc)
-        if instr is None:
-            return False  # tick would set fetch_halted
-        if isinstance(instr, Alu):
-            return self.alu_unit.rs_full
-        if isinstance(instr, Branch):
-            return self.branch_unit.rs_full
-        if isinstance(instr, (Load, Store, Rmw, SoftwarePrefetch)):
-            return self.lsu.rs_full
-        return False  # Nop/Jump/Halt always dispatch
 
     # ------------------------------------------------------------------
     # Retirement
     # ------------------------------------------------------------------
-    def _retire(self, cycle: int) -> None:
+    def _retire(self, cycle: int) -> bool:
+        """Retire up to ``width`` instructions; True when one retired or
+        a store head was signalled (which happens exactly once)."""
+        moved = False
         for _ in range(self.config.width):
             head = self.rob.head()
             if head is None:
-                return
+                break
             instr = head.instr
             if isinstance(instr, (Store, Rmw)) and not head.signalled:
                 head.signalled = True
                 self.lsu.signal_store(head.seq)
+                moved = True
             if instr.is_memory:
                 if not self.lsu.may_retire(head):
-                    return
+                    break
             elif not head.done:
-                return
+                break
             self.rob.retire_head()
+            moved = True
             self.stat_retired.inc()
             if self.trace.enabled:
                 acq = getattr(instr, "is_acquire", False)
@@ -225,7 +179,8 @@ class Processor(Component):
             if isinstance(instr, Halt):
                 self.finished = True
                 self.trace.record(cycle, self.name, "finished")
-                return
+                break
+        return moved
 
     # ------------------------------------------------------------------
     # Decode / rename / dispatch
@@ -241,16 +196,21 @@ class Processor(Component):
             return Operand(value=value)
         return Operand(producer=producer)
 
-    def _decode(self, cycle: int) -> None:
+    def _decode(self, cycle: int) -> bool:
+        """Dispatch up to ``width`` instructions; True when one was
+        decoded (a Halt too, though :meth:`_dispatch` returns False for
+        it) or ``fetch_halted`` was latched."""
+        first_seq = self._next_seq
         for _ in range(self.config.width):
             if self.fetch_halted or self.rob.full:
-                return
+                break
             instr = self.program.at(self.pc)
             if instr is None:
                 self.fetch_halted = True
-                return
+                return True
             if not self._dispatch(instr, cycle):
-                return
+                break
+        return self._next_seq != first_seq
 
     def _dispatch(self, instr: Instruction, cycle: int) -> bool:
         """Decode one instruction; False when a structural stall occurs."""

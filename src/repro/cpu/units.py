@@ -50,8 +50,10 @@ class AluUnit:
     def dispatch(self, entry: RobEntry, operands: List[Operand]) -> None:
         self.rs.append(RsEntry(entry.seq, entry, operands))
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        """Complete and issue; True when either happened."""
         # complete
+        in_flight = len(self._executing)
         still_running: List[_Executing] = []
         for ex in self._executing:
             if cycle >= ex.finish_cycle:
@@ -59,10 +61,11 @@ class AluUnit:
             else:
                 still_running.append(ex)
         self._executing = still_running
+        moved = len(still_running) != in_flight
         # issue (oldest-first) up to the number of free units
         free = self.alu_count - len(self._executing)
         if free <= 0:
-            return
+            return moved
         issued: List[RsEntry] = []
         for rs_entry in sorted(self.rs, key=lambda r: r.seq):
             if free == 0:
@@ -79,6 +82,7 @@ class AluUnit:
             free -= 1
         for rs_entry in issued:
             self.rs.remove(rs_entry)
+        return moved or bool(issued)
 
     def _finish(self, ex: _Executing) -> None:
         instr = ex.entry.instr
@@ -97,19 +101,9 @@ class AluUnit:
     def is_empty(self) -> bool:
         return not self.rs and not self._executing
 
-    def next_wake(self, cycle: int) -> int:
-        """Earliest cycle a tick would change state (sleep support).
-
-        A free unit with a fully resolvable reservation-station entry
-        would issue next tick; otherwise the next change is the earliest
-        in-flight completion, and with nothing executing the unit is
-        purely waiting on operands (an external state change).
-        """
-        if self.alu_count > len(self._executing):
-            for rs_entry in self.rs:
-                if all(op.resolve(self.rob) is not None
-                       for op in rs_entry.operands):
-                    return cycle + 1
+    def next_completion(self) -> int:
+        """Cycle of the earliest in-flight completion: the one change
+        to a stalled core that comes from the clock, not from an event."""
         if self._executing:
             return min(ex.finish_cycle for ex in self._executing)
         return WAKE_NEVER
@@ -132,7 +126,8 @@ class BranchUnit:
     def dispatch(self, entry: RobEntry, operands: List[Operand]) -> None:
         self.rs.append(RsEntry(entry.seq, entry, operands))
 
-    def tick(self, cycle: int) -> None:
+    def tick(self, cycle: int) -> bool:
+        """Resolve the oldest ready branch; True when one resolved."""
         for rs_entry in sorted(self.rs, key=lambda r: r.seq):
             value = rs_entry.operands[0].resolve(self.rob)
             if value is None:
@@ -141,14 +136,11 @@ class BranchUnit:
             instr = rs_entry.entry.instr
             assert isinstance(instr, Branch)
             self.on_resolve(rs_entry.entry, instr.outcome(value))
-            return  # one resolution per cycle
+            return True  # one resolution per cycle
+        return False
 
     def squash(self, seqs: set) -> None:
         self.rs = [r for r in self.rs if r.seq not in seqs]
 
     def is_empty(self) -> bool:
         return not self.rs
-
-    def would_idle(self) -> bool:
-        """True when no buffered branch has a resolvable condition yet."""
-        return all(r.operands[0].resolve(self.rob) is None for r in self.rs)

@@ -44,7 +44,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from ..sim.stats import StatsRegistry
+from ..sim.stats import Counter, StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..cpu.rob import RobEntry
@@ -88,31 +88,21 @@ class CycleAccountant:
         self._refilling = True
 
     def account(self, retired: int, head: Optional["RobEntry"],
-                rob_full: bool) -> None:
-        """Attribute the cycle that just executed (active program)."""
-        self._counters[self._classify(retired, head, rob_full)].inc()
+                rob_full: bool) -> Counter:
+        """Attribute the cycle that just executed (active program);
+        returns the counter it charged."""
+        counter = self._counters[self._classify(retired, head, rob_full)]
+        counter.inc()
+        return counter
 
-    def account_drained(self, lsu_empty: bool) -> None:
+    def account_drained(self, lsu_empty: bool) -> Counter:
         """Attribute a cycle after the program retired its Halt: the
         store buffer may still be draining (write stall), after which
-        the CPU is idle."""
-        cause = StallCause.IDLE if lsu_empty else StallCause.WRITE
-        self._counters[cause].inc()
-
-    # ------------------------------------------------------------------
-    # Sleep support: the counters a frozen (zero-retirement) cycle would
-    # increment, without incrementing them.  Used by the processor's
-    # ``next_wake`` to pre-compute the effects replayed by
-    # ``skip_cycles``; classification with ``retired=0`` never touches
-    # ``_refilling``, so these lookups are side-effect free.
-    def stall_counter(self, head: Optional["RobEntry"], rob_full: bool):
-        """Counter :meth:`account` would bump for a no-retirement cycle."""
-        return self._counters[self._classify(0, head, rob_full)]
-
-    def drained_counter(self, lsu_empty: bool):
-        """Counter :meth:`account_drained` would bump."""
-        cause = StallCause.IDLE if lsu_empty else StallCause.WRITE
-        return self._counters[cause]
+        the CPU is idle.  Returns the counter it charged."""
+        counter = self._counters[
+            StallCause.IDLE if lsu_empty else StallCause.WRITE]
+        counter.inc()
+        return counter
 
     # ------------------------------------------------------------------
     def _classify(self, retired: int, head: Optional["RobEntry"],

@@ -89,16 +89,13 @@ class JsonlTraceRecorder(TraceRecorder):
         self._fh: Optional[IO[str]] = open(path, "w")
         self.streamed = 0
 
-    def record(self, cycle: int, source: str, kind: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
-        if self._kinds is not None and kind not in self._kinds:
-            return
-        super().record(cycle, source, kind, **detail)
-        if self._fh is not None:
-            self._fh.write(event_to_json(
-                TraceEvent(cycle, source, kind, dict(detail))) + "\n")
+    def record(self, cycle: int, source: str, kind: str,
+               **detail: Any) -> Optional[TraceEvent]:
+        event = super().record(cycle, source, kind, **detail)
+        if event is not None and self._fh is not None:
+            self._fh.write(event_to_json(event) + "\n")
             self.streamed += 1
+        return event
 
     def close(self) -> None:
         if self._fh is not None:

@@ -196,14 +196,9 @@ def run_config_from_spec(spec: Mapping[str, object]):
     """The canonical run_config dict as a harness :class:`RunConfig`."""
     from ..verify.harness import RunConfig
 
-    return RunConfig(
-        name="serve",
-        miss_latency=int(spec["miss_latency"]),  # type: ignore[call-overload]
-        skew=tuple(int(s) for s in spec["skew"]),  # type: ignore[union-attr]
-        warm_shared=bool(spec["warm_shared"]),
-        line_size=int(spec["line_size"]),  # type: ignore[call-overload]
-        max_cycles=int(spec["max_cycles"]),  # type: ignore[call-overload]
-    )
+    # the canonical dict holds every field but the display-only name
+    return RunConfig(**{**spec, "name": "serve",
+                        "skew": tuple(spec["skew"])})  # type: ignore[arg-type]
 
 
 def make_job(test: Mapping[str, object],

@@ -85,6 +85,7 @@ class HostProfiler:
         self.heartbeat_cycles = heartbeat_cycles
         self._start_ns = time.perf_counter_ns()
         self._hb_last_ns = self._start_ns
+        self._hb_due = heartbeat_cycles  # simulated cycle of the next beat
         self._hb_last_cycle = 0
         self._hb_last_retired = 0
 
@@ -131,9 +132,14 @@ class HostProfiler:
     # ------------------------------------------------------------------
     def maybe_heartbeat(self, cycle: int, stats: StatsRegistry,
                         queue_depth: int) -> None:
-        """Emit a heartbeat if one is due; called by the profiled step."""
-        if self.heartbeat is None or self.ticks % self.heartbeat_cycles:
+        """Emit a heartbeat if one is due; called by the profiled step.
+
+        Due means the simulated cycle reached the next multiple of
+        ``heartbeat_cycles`` — one beat per step, also when that step
+        followed a fast-forward jump over several multiples."""
+        if self.heartbeat is None or cycle < self._hb_due:
             return
+        self._hb_due = (cycle // self.heartbeat_cycles + 1) * self.heartbeat_cycles
         now = time.perf_counter_ns()
         dt = (now - self._hb_last_ns) / 1e9
         retired = _retired_instructions(stats)

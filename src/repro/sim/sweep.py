@@ -467,19 +467,15 @@ def run_sweep(
     if jobs == 1 or total <= 1:
         with tm.span("sweep/run", {"items": total, "jobs": 1}):
             for start, stop in ranges:
-                if instrumented:
-                    with tm.span("sweep/chunk",
-                                 {"start": start, "items": stop - start}):
-                        worker_id, busy, chunk_results, _ = _run_chunk(
-                            worker, start, items[start:stop], record,
-                            chunk_worker)
-                    tm.inc("sweep/chunks")
-                    tm.inc("sweep/items", stop - start)
-                    tm.observe("sweep/chunk_busy_seconds", busy)
-                else:
-                    worker_id, busy, chunk_results, _ = _run_chunk(
+                # span/inc/observe are no-ops while telemetry is off
+                with tm.span("sweep/chunk",
+                             {"start": start, "items": stop - start}):
+                    _, busy, chunk_results, _ = _run_chunk(
                         worker, start, items[start:stop], record,
                         chunk_worker)
+                tm.inc("sweep/chunks")
+                tm.inc("sweep/items", stop - start)
+                tm.observe("sweep/chunk_busy_seconds", busy)
                 account("serial", busy, start, stop, chunk_results, None)
         return SweepResult(results=slots,
                            elapsed_seconds=time.perf_counter() - t0,

@@ -72,15 +72,20 @@ class TraceRecorder:
         """The retained events, oldest first (a fresh list)."""
         return list(self._events)
 
-    def record(self, cycle: int, source: str, kind: str, **detail: Any) -> None:
+    def record(self, cycle: int, source: str, kind: str,
+               **detail: Any) -> Optional[TraceEvent]:
+        """Keep the event unless filtered out; returns the event kept
+        (``None`` when dropped by ``enabled``/``kinds``)."""
         if not self.enabled:
-            return
+            return None
         if self._kinds is not None and kind not in self._kinds:
-            return
+            return None
         if self.max_events is not None and len(self._events) >= self.max_events:
             self._events.popleft()
             self.dropped += 1
-        self._events.append(TraceEvent(cycle, source, kind, dict(detail)))
+        event = TraceEvent(cycle, source, kind, dict(detail))
+        self._events.append(event)
+        return event
 
     def of_kind(self, *kinds: str) -> List[TraceEvent]:
         wanted = frozenset(kinds)

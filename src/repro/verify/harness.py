@@ -30,7 +30,7 @@ proves the harness has teeth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
 
@@ -506,13 +506,10 @@ def _server_outcomes(test: LitmusTest, legs: Sequence[Leg],
         "model": model_name,
         "prefetch": prefetch,
         "speculation": speculation,
-        "run_config": {
-            "miss_latency": run_config.miss_latency,
-            "skew": list(run_config.skew),
-            "warm_shared": run_config.warm_shared,
-            "line_size": run_config.line_size,
-            "max_cycles": run_config.max_cycles,
-        },
+        # every field but the display-only name
+        "run_config": {key: value
+                       for key, value in asdict(run_config).items()
+                       if key != "name"},
     } for model_name, prefetch, speculation, run_config in legs]
     outcomes: List[Outcome] = []
     for result in client.submit_many(jobs):

@@ -125,6 +125,32 @@ class TestHeartbeat:
             assert hb.event_queue_depth == 0
             assert "cycle" in hb.describe()
 
+    def test_heartbeat_counts_simulated_cycles_not_stepped_ticks(self):
+        # example2/SC is 309 cycles of which fast-forward steps ~25: the
+        # interval is in simulated cycles, so six 50-cycle marks are
+        # crossed, each beat landing on the first stepped cycle past one
+        beats = []
+        wl = example_workload("example2")
+        result = run_workload(
+            [wl.program], model=SC, initial_memory=wl.initial_memory,
+            warm_lines=wl.warm_lines,
+            profile=HostProfiler(heartbeat=beats.append, heartbeat_cycles=50))
+        snap = result.stats.snapshot()
+        assert snap[HOST_PREFIX + "ticks"] < 50 < result.cycles
+        marks = [hb.cycle // 50 for hb in beats]
+        assert marks == sorted(set(marks)), "at most one beat per mark"
+        assert marks[0] == 1 and marks[-1] == result.cycles // 50
+        assert len(beats) >= 3
+
+    def test_fast_forward_jump_over_several_marks_beats_once(self):
+        beats = []
+        sim = Simulator(profile=HostProfiler(heartbeat=beats.append,
+                                             heartbeat_cycles=10))
+        fired = []
+        sim.schedule(35, lambda: fired.append(sim.cycle))
+        sim.run(until=lambda: bool(fired), deadlock_check=False)
+        assert [hb.cycle for hb in beats] == [35]
+
     def test_bad_heartbeat_interval_rejected(self):
         with pytest.raises(ValueError):
             HostProfiler(heartbeat_cycles=0)
