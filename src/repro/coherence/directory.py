@@ -29,7 +29,7 @@ from typing import Deque, Dict, List, Optional, Set
 from ..memory.interconnect import Interconnect
 from ..memory.types import LatencyConfig
 from ..sim.errors import ProtocolError
-from ..sim.kernel import WAKE_NEVER, Component, Simulator
+from ..sim.kernel import Component, Simulator
 from ..sim.trace import NullTraceRecorder, TraceRecorder
 from .messages import DIRECTORY_NODE, Message, MessageKind, NodeId
 
@@ -415,10 +415,6 @@ class DirectoryController(Component):
     # ------------------------------------------------------------------
     def is_quiescent(self) -> bool:
         return not self._busy and not self._queues
-
-    def next_wake(self, cycle: int) -> int:
-        # purely event-driven: all latencies go through sim.schedule
-        return WAKE_NEVER
 
     def sharers_of(self, line_addr: int) -> Set[NodeId]:
         return set(self.entry(line_addr).sharers)

@@ -45,7 +45,7 @@ from ..consistency.access_class import PLAIN_LOAD, PLAIN_STORE
 from ..isa.instructions import Load, SoftwarePrefetch, Store
 from ..memory.cache import LockupFreeCache
 from ..memory.types import AccessKind, AccessRequest, SnoopKind
-from ..sim.kernel import Simulator
+from ..sim.kernel import Component, Simulator
 from ..sim.stats import Counter
 from ..sim.trace import NullTraceRecorder, TraceRecorder
 from .config import ProcessorConfig
@@ -142,10 +142,12 @@ class LoadStoreUnit:
                 sim.stats, name=f"cpu{cpu_id}/sc_detector")
             self.sc_detector.set_clock(lambda: self.sim.cycle)
 
-        cache.register_snoop_listener(self._on_snoop)
-
+        #: set by the processor: the component whose tick runs this unit
+        self.owner: Optional[Component] = None
         #: set by the processor: (seq, refetch_pc) -> None
         self.request_squash: Callable[[int, int, str], None] = lambda s, pc, why: None
+
+        cache.register_snoop_listener(self._waking(self._on_snoop))
 
         s = sim.stats
         self.stat_loads = s.counter(f"{self.name}/loads")
@@ -156,6 +158,31 @@ class LoadStoreUnit:
         self.stat_sb_stalls = s.counter(f"{self.name}/sb_consistency_stalls")
         self.stat_load_latency = s.histogram(f"{self.name}/load_latency")
         self.stat_store_latency = s.histogram(f"{self.name}/store_latency")
+
+    # ------------------------------------------------------------------
+    # Wake (kernel sleep protocol)
+    # ------------------------------------------------------------------
+    def _wake(self) -> None:
+        """Mark the owning core due: its state is about to change from
+        outside its own tick."""
+        self.sim.wake(self.owner)
+
+    def _waking(self, entry: Callable[..., None]) -> Callable[..., None]:
+        """``entry`` as it is handed to the cache, the snoop list or the
+        event queue: it wakes the core before it runs.
+
+        A sleeping core's state changes only through a call that comes
+        back into this unit from outside the core's own tick, and every
+        such call is one this unit gave away itself — so each of them
+        goes out through here, and none can land on a core the kernel
+        goes on not ticking.  (The one that stays out, the blocked poll
+        of :meth:`_try_send_rmw_read`, wakes the core itself the moment
+        it has anything to change.)
+        """
+        def woken(*args) -> None:
+            self._wake()
+            entry(*args)
+        return woken
 
     # ------------------------------------------------------------------
     # Dispatch (from decode)
@@ -367,8 +394,9 @@ class LoadStoreUnit:
             rmw_op=rmw_op,
             generation=gen,
             tag=op.tag,
-            callback=lambda r, v, op=op, gen=gen, start=cycle:
-                self._store_completed(op, gen, v, start),
+            callback=self._waking(
+                lambda r, v, op=op, gen=gen, start=cycle:
+                    self._store_completed(op, gen, v, start)),
         )
         accepted = self.cache.access(req)
         if not accepted:  # port raced away; retry next tick
@@ -438,7 +466,7 @@ class LoadStoreUnit:
         self.stat_forwards.inc()
         self.sim.schedule(
             self.cache.config.hit_latency,
-            lambda: self._load_completed(op, gen, value, cycle),
+            self._waking(lambda: self._load_completed(op, gen, value, cycle)),
             label=f"forward {op.tag}",
         )
         return True
@@ -479,8 +507,9 @@ class LoadStoreUnit:
             generation=gen,
             tag=op.tag,
             exclusive_hint=exclusive_hint,
-            callback=lambda r, v, op=op, gen=gen, start=cycle:
-                self._load_completed(op, gen, v, start),
+            callback=self._waking(
+                lambda r, v, op=op, gen=gen, start=cycle:
+                    self._load_completed(op, gen, v, start)),
         )
         if not self.cache.access(req):
             op.state = MemState.READY
@@ -514,7 +543,8 @@ class LoadStoreUnit:
     def _issue_speculative_rmw_read(self, op: MemOp) -> None:
         assert self.slb is not None
         if not self._enter_slb(op):
-            self.sim.schedule(1, lambda: self._retry_spec_rmw(op), label="slb retry")
+            self.sim.schedule(1, self._waking(lambda: self._retry_spec_rmw(op)),
+                              label="slb retry")
             return
         entry = self.slb.get(op.seq)
         entry.store_tags.add(op.seq)  # its own store-buffer tag (Appendix A)
@@ -544,9 +574,12 @@ class LoadStoreUnit:
         blocked = any(sb.seq < op.seq and sb.addr == op.addr and not sb.performed
                       for sb in self.store_buffer)
         if blocked:
+            # a poll that finds the store still there has touched
+            # nothing: it goes round again without waking the core
             self.sim.schedule(1, lambda: self._try_send_rmw_read(op),
                               label="rmw read dep wait")
             return
+        self._wake()
         self._send_rmw_read(op)
 
     def _send_rmw_read(self, op: MemOp) -> None:
@@ -558,10 +591,13 @@ class LoadStoreUnit:
             generation=gen,
             exclusive_hint=True,
             tag=op.tag + " (spec read)",
-            callback=lambda r, v, op=op, gen=gen: self._spec_rmw_read_done(op, gen, v),
+            callback=self._waking(
+                lambda r, v, op=op, gen=gen:
+                    self._spec_rmw_read_done(op, gen, v)),
         )
         if not self.cache.access(req):
-            self.sim.schedule(1, lambda: self._retry_rmw_read(op, gen), label="rmw read retry")
+            self.sim.schedule(1, self._waking(lambda: self._retry_rmw_read(op, gen)),
+                              label="rmw read retry")
 
     def _retry_rmw_read(self, op: MemOp, gen: int) -> None:
         if op.generation != gen or op.seq not in self.pending:

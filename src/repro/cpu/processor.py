@@ -73,6 +73,7 @@ class Processor(Component):
                                       self._on_branch_resolve)
         self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, self.config,
                                  trace=self.trace)
+        self.lsu.owner = self
         self.lsu.request_squash = self.squash_from
 
         self.pc = 0
@@ -118,18 +119,19 @@ class Processor(Component):
         return self.finished and self.lsu.is_empty()
 
     # ------------------------------------------------------------------
-    # Sleep protocol (kernel fast-forward)
+    # Sleep protocol (the kernel ticks only the cores that are due)
     # ------------------------------------------------------------------
     def next_wake(self, cycle: int) -> int:
         """Earliest future cycle this core's tick would change state.
 
         Observed, not predicted: every stage of :meth:`tick` reports
         whether it moved anything, and a tick in which none did found
-        the core stalled on state only an event can change — so the
-        next one would repeat it, bumping the same counters
-        (:meth:`skip_cycles` replays them), until the one clock-driven
-        change left, an in-flight ALU completion.  After a tick that
-        moved, keep ticking.
+        the core stalled on state only a delivery to this core can
+        change — each of which wakes it, see
+        :meth:`LoadStoreUnit._waking` — so the next one would repeat
+        it, bumping the same counters (:meth:`skip_cycles` replays
+        them), until the one clock-driven change left, an in-flight ALU
+        completion.  After a tick that moved, keep ticking.
         """
         if self._idle_counters is None:
             return cycle + 1

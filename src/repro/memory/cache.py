@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..coherence.messages import DIRECTORY_NODE, Message, MessageKind, NodeId
 from ..sim.errors import ProtocolError
-from ..sim.kernel import WAKE_NEVER, Component, Simulator
+from ..sim.kernel import Component, Simulator
 from ..sim.trace import NullTraceRecorder, TraceRecorder
 from .interconnect import Interconnect
 from .types import (
@@ -591,11 +591,6 @@ class LockupFreeCache(Component):
     def is_quiescent(self) -> bool:
         return (not self.mshrs and not self._writebacks
                 and not self._update_txns and not self._uncached_txns)
-
-    def next_wake(self, cycle: int) -> int:
-        # purely event-driven: fills, acks, and retries arrive as
-        # interconnect deliveries; nothing here needs a clock tick
-        return WAKE_NEVER
 
     def warm_install(self, line_addr: int, state: LineState, data: Optional[List[int]] = None) -> None:
         """Pre-install a line for warm-start experiments (not a timed path).

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..coherence.messages import Message, NodeId
 from ..sim.errors import ConfigurationError
-from ..sim.kernel import WAKE_NEVER, Component, Simulator
+from ..sim.kernel import Component, Simulator
 
 #: maps a message to its transit latency in cycles
 LatencyFn = Callable[[Message], int]
@@ -71,10 +71,6 @@ class Interconnect(Component):
 
     def is_quiescent(self) -> bool:
         return self._in_flight == 0
-
-    def next_wake(self, cycle: int) -> int:
-        # purely event-driven: deliveries go through the event queue
-        return WAKE_NEVER
 
 
 def constant_latency(cycles: int) -> LatencyFn:

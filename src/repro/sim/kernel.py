@@ -6,22 +6,21 @@ The kernel advances a global clock one cycle at a time.  Each cycle:
    response arrivals), then
 2. every registered :class:`Component` is ticked in registration order.
 
-Components that model pipeline stages are registered in *reverse
-dataflow order* (retire before fetch) by the processor, which gives the
-usual one-cycle-per-stage timing without double-counting.
-
-Idle-cycle fast-forward: components may additionally implement a
+Per-component sleep: components may additionally implement a
 wake/sleep protocol (:meth:`Component.next_wake` /
-:meth:`Component.skip_cycles`).  When every component promises that its
-next ``tick`` would be a no-op until some future cycle, and the event
-queue's next event is also in the future, ``run()`` jumps the clock
-directly to the earliest of those instead of single-stepping through
-the idle span.  Because nothing fires and nothing ticks in the skipped
-span, simulation state is literally frozen across it — a component
-whose idle ticks have deterministic side effects (per-cycle stall
-counters) declares them via ``skip_cycles`` so results stay
-bit-identical to the naive path.  The per-cycle deadlock scan collapses
-into the same check: a frozen span cannot un-deadlock itself.
+:meth:`Component.skip_cycles`).  Inside ``run()`` the kernel asks each
+component after its tick when it next needs one, and until that cycle —
+or until :meth:`Simulator.wake` says something was delivered to it —
+leaves it out of the tick loop, whatever the other components do: a
+component in which nothing moved stays frozen until its own clock or a
+delivery *to it* can move it.  The ticks it slept through are owed, not
+lost: a component whose idle ticks have deterministic side effects
+(per-cycle stall counters) replays them via ``skip_cycles`` when it next
+ticks, or when ``run()`` returns or raises, so results stay
+bit-identical to the naive path.  When every component sleeps and the
+next event is also in the future, the clock jumps straight to the
+earliest of those.  The per-cycle deadlock scan collapses into the same
+check: a frozen span cannot un-deadlock itself.
 
 Determinism: no wall-clock time, no unordered dict/set iteration in any
 decision path, and the event queue breaks ties by scheduling order.
@@ -30,16 +29,15 @@ decision path, and the event queue breaks ties by scheduling order.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from .errors import DeadlockError
 from .events import Event, EventCallback, EventQueue
 from .profiler import HostProfiler
 from .stats import StatsRegistry
 
-#: Sentinel wake cycle meaning "no tick needed until an event arrives".
-#: Purely event-driven components (caches, directory, interconnect)
-#: return this from :meth:`Component.next_wake`.
+#: Sentinel wake cycle meaning "no tick needed until something is
+#: delivered to me" (see :meth:`Simulator.wake`).
 WAKE_NEVER = 1 << 62
 
 
@@ -69,23 +67,28 @@ class Component:
 
         Called at cycle ``cycle`` *after* the component has ticked.  A
         return value of ``cycle + 1`` (the default) means "tick me every
-        cycle" and disables fast-forward; :data:`WAKE_NEVER` means "only
-        an event can change my state".  The contract: for every cycle
-        ``c`` with ``cycle < c < next_wake``, ``tick(c)`` would leave
-        all simulation state unchanged *except* for the deterministic
-        per-cycle effects the component replays in :meth:`skip_cycles`.
-        Returning too-early wakes is always safe; too-late wakes break
-        bit-identity.
+        cycle"; :data:`WAKE_NEVER` means "only something delivered to
+        me can change my state".  The contract: for every cycle ``c``
+        with ``cycle < c < next_wake``, and for as long as nobody calls
+        :meth:`Simulator.wake` on this component, ``tick(c)`` would
+        leave all simulation state unchanged *except* for the
+        deterministic per-cycle effects the component replays in
+        :meth:`skip_cycles` — whatever other components and events not
+        addressed to it do meanwhile.  Returning too-early wakes is
+        always safe; too-late wakes break bit-identity.
         """
         return cycle + 1
 
     def skip_cycles(self, skipped: int) -> None:
         """Bulk-apply the per-cycle effects of ``skipped`` elided ticks.
 
-        Invoked by the kernel immediately after a fast-forward jump, in
-        registration order, once per component.  The default is a no-op;
-        components whose idle ticks increment stall/idle counters apply
-        ``skipped`` increments here.
+        Invoked by the kernel just before the component's first tick
+        after a sleep, and at the end of ``run()`` for one still asleep
+        — possibly after the delivery that woke it, so what to replay
+        is what the last tick kept, not something to derive from the
+        current state.  The default is a no-op; components whose idle
+        ticks increment stall/idle counters apply ``skipped``
+        increments here.
         """
 
 
@@ -100,6 +103,11 @@ class Simulator:
         self.stats = stats if stats is not None else StatsRegistry()
         self.fast_forward = fast_forward
         self._components: List[Component] = []
+        #: inside a sleeping ``run()``: the cycle each component's next
+        #: tick is due, and the last cycle whose tick (real or replayed)
+        #: is in its books; ``None`` otherwise — everybody ticks
+        self._wakes: Optional[Dict[Component, int]] = None
+        self._synced: Dict[Component, int] = {}
         self._trace_hooks: List[Callable[[int], None]] = []
         self.profiler: Optional[HostProfiler] = None
         if profile:
@@ -117,7 +125,7 @@ class Simulator:
         """Call ``hook(cycle)`` at the end of every cycle (for tracing).
 
         Trace hooks observe *every* cycle, so adding one disables
-        idle-cycle fast-forward for the run.
+        all sleeping for the run.
         """
         self._trace_hooks.append(hook)
 
@@ -158,33 +166,87 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def wake(self, component: Optional[Component]) -> None:
+        """Mark ``component`` due: something was just delivered to it.
+
+        Whoever changes a component's state from outside its own tick
+        calls this.  Woken in the event phase, or by the tick of a
+        component registered before it, the component ticks this very
+        cycle; woken by a later one it ticks next cycle and replays this
+        one — in both cases exactly when the naive path, which runs
+        events before ticks and ticks in registration order, would first
+        show it the change.  A no-op when it is awake anyway, or not
+        one of the registered components.
+        """
+        wakes = self._wakes
+        if wakes is not None and wakes.get(component, 0) > self.cycle:
+            wakes[component] = self.cycle
+
     def step(self) -> None:
         """Advance the simulation by exactly one cycle."""
-        self.cycle += 1
-        self.events.run_due(self.cycle)
-        for component in self._components:
-            component.tick(self.cycle)
+        self.cycle = cycle = self.cycle + 1
+        wakes = self._wakes
+        if wakes is None:
+            self.events.run_due(cycle)
+            for component in self._components:
+                component.tick(cycle)
+        else:
+            synced = self._synced
+            passed = 0
+            try:
+                self.events.run_due(cycle)
+                for passed, component in enumerate(self._components, 1):
+                    if wakes[component] <= cycle:
+                        if synced[component] < cycle - 1:
+                            component.skip_cycles(cycle - 1 - synced[component])
+                        synced[component] = cycle
+                        component.tick(cycle)
+                        wakes[component] = component.next_wake(cycle)
+            except BaseException:
+                self._forgive(passed)
+                raise
         for hook in self._trace_hooks:
-            hook(self.cycle)
+            hook(cycle)
 
     def _step_profiled(self) -> None:
         """``step`` with per-phase / per-component wall-time attribution."""
         prof = self.profiler
         assert prof is not None
         t0 = time.perf_counter_ns()
-        self.cycle += 1
-        self.events.run_due(self.cycle)
-        prev = time.perf_counter_ns()
-        prof.events_ns += prev - t0
+        self.cycle = cycle = self.cycle + 1
+        wakes = self._wakes
+        synced = self._synced
         component_ns = prof.component_ns
-        for component in self._components:
-            component.tick(self.cycle)
-            now = time.perf_counter_ns()
-            key = type(component).__name__
-            component_ns[key] = component_ns.get(key, 0) + (now - prev)
-            prev = now
+        component_ticks = prof.component_ticks
+        passed = 0
+        try:
+            self.events.run_due(cycle)
+            prev = time.perf_counter_ns()
+            prof.events_ns += prev - t0
+            for passed, component in enumerate(self._components, 1):
+                if wakes is not None:
+                    if wakes[component] > cycle:
+                        continue
+                    if synced[component] < cycle - 1:
+                        component.skip_cycles(cycle - 1 - synced[component])
+                    synced[component] = cycle
+                component.tick(cycle)
+                if wakes is not None:
+                    wakes[component] = component.next_wake(cycle)
+                now = time.perf_counter_ns()
+                key = type(component).__name__
+                component_ns[key] = component_ns.get(key, 0) + (now - prev)
+                component_ticks[key] = component_ticks.get(key, 0) + 1
+                prev = now
+        except BaseException:
+            if wakes is not None:
+                self._forgive(passed)
+            raise
+        # a fresh reading: ``prev`` is the last component that ticked,
+        # and passing over the sleepers after it is not hook time
+        prev = time.perf_counter_ns()
         for hook in self._trace_hooks:
-            hook(self.cycle)
+            hook(cycle)
         end = time.perf_counter_ns()
         prof.hooks_ns += end - prev
         prof.wall_ns += end - t0
@@ -193,25 +255,40 @@ class Simulator:
         prof.queue_depth_sum += depth
         if depth > prof.queue_depth_max:
             prof.queue_depth_max = depth
-        prof.maybe_heartbeat(self.cycle, self.stats, depth)
+        prof.maybe_heartbeat(cycle, self.stats, depth)
+
+    def _forgive(self, passed: int) -> None:
+        """A step raised after ``passed`` components had their turn.
+
+        The naive path never ticked the rest at this cycle, so the
+        replay does not owe it to them either.
+        """
+        for later in self._components[passed:]:
+            self._synced[later] += 1
+
+    def _replay_sleepers(self) -> None:
+        """Bring every sleeper's books up to the clock (lazy replay's
+        flush), and stop sleeping."""
+        for component, synced in self._synced.items():
+            if synced < self.cycle:
+                component.skip_cycles(self.cycle - synced)
+        self._wakes = None
 
     def _maybe_fast_forward(self, next_event: Optional[int], max_cycles: int) -> int:
-        """Jump the clock past an idle span; return the cycles elided.
+        """Everyone asleep: jump the clock; return the cycles elided.
 
-        Only jumps when the next event *and* every component wake lie
+        Only jumps when the next event *and* every recorded wake lie
         beyond the next cycle.  The jump lands one cycle short of the
         earliest wake/event so the following ``step()`` processes that
         cycle normally; the target is clamped to ``max_cycles`` so a
         runaway-cycle :class:`DeadlockError` raises at the identical
-        cycle it would on the naive path.
+        cycle it would on the naive path.  Nobody is replayed here: the
+        span is owed like any other slept cycle.
         """
-        cycle = self.cycle
-        floor = cycle + 1
+        assert self._wakes is not None
+        floor = self.cycle + 1
         target = next_event if next_event is not None else WAKE_NEVER
-        if target <= floor:
-            return 0
-        for component in self._components:
-            wake = component.next_wake(cycle)
+        for wake in self._wakes.values():
             if wake <= floor:
                 return 0
             if wake < target:
@@ -221,8 +298,6 @@ class Simulator:
         skipped = target - floor
         if skipped <= 0:
             return 0
-        for component in self._components:
-            component.skip_cycles(skipped)
         self.cycle = target - 1
         return skipped
 
@@ -239,11 +314,19 @@ class Simulator:
         while ``until()`` remains false.
 
         ``until`` must be a function of simulation *state* (finished
-        flags, queue emptiness), not of ``self.cycle``: with fast-forward
-        enabled intermediate idle cycles are never observed.
+        flags, queue emptiness), not of ``self.cycle`` or of per-cycle
+        stall counters: with fast-forward enabled intermediate idle
+        cycles are never observed, and a sleeper's counters lag the
+        clock until it next ticks or ``run()`` ends.
         """
         fast = self.fast_forward and not self._trace_hooks
         prof = self.profiler
+        if prof is not None:
+            prof.note_registered(self._components)
+        if fast:
+            cycle = self.cycle
+            self._wakes = {c: c.next_wake(cycle) for c in self._components}
+            self._synced = dict.fromkeys(self._components, cycle)
         try:
             while not until():
                 if self.cycle >= max_cycles:
@@ -268,6 +351,8 @@ class Simulator:
                         self._maybe_fast_forward(next_event, max_cycles)
                 self.step()
         finally:
+            if fast:
+                self._replay_sleepers()
             # export even on DeadlockError — the profile is most useful
             # exactly when a run wedges
             if prof is not None:

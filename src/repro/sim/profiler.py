@@ -23,8 +23,9 @@ Design constraints:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from .stats import StatsRegistry
 
@@ -72,6 +73,11 @@ class HostProfiler:
                 f"heartbeat_cycles must be >= 1, got {heartbeat_cycles}")
         #: wall nanoseconds per Component subclass name, tick phase only
         self.component_ns: Dict[str, int] = {}
+        #: ticks actually made per Component subclass name — with
+        #: per-component sleep, fewer than instances x ``ticks``
+        self.component_ticks: Dict[str, int] = {}
+        #: registered instances per Component subclass name
+        self.registered: Dict[str, int] = {}
         self.events_ns = 0      # event-queue run_due phase
         self.hooks_ns = 0       # trace-hook phase
         self.wall_ns = 0        # total time inside profiled steps
@@ -180,6 +186,8 @@ class HostProfiler:
         put("fastforward/ns", self.ff_ns)
         for name, ns in sorted(self.component_ns.items()):
             put(f"tick_ns/{name}", ns)
+        for name, count in sorted(self.component_ticks.items()):
+            put(f"tick_count/{name}", count)
         put("queue_depth/max", self.queue_depth_max)
         put("queue_depth/milli_mean", round(self.mean_queue_depth() * 1000))
         put("cycles_per_sec", round(self.cycles_per_second()))
@@ -189,7 +197,7 @@ class HostProfiler:
         put("instructions_per_sec", round(ips))
 
     def summary(self, stats: Optional[StatsRegistry] = None) -> Dict[str, object]:
-        """A JSON-friendly digest (rates, phases, per-class shares)."""
+        """A JSON-friendly digest (rates, phases, per-class tick counts)."""
         out: Dict[str, object] = {
             "cycles": self.sim_cycles,
             "ticks": self.ticks,
@@ -207,20 +215,43 @@ class HostProfiler:
             wall_s = self.wall_seconds
             out["instructions_retired"] = retired
             out["kips"] = round(retired / wall_s / 1e3, 3) if wall_s > 1e-9 else 0.0
-        out["component_share"] = {
-            name: round(share, 4) for name, share in self.shares().items()
+        out["component_ticks"] = {
+            name: self.tick_profile(name)
+            for name in sorted(self.component_ticks)
         }
         return out
+
+    def note_registered(self, components: Iterable[object]) -> None:
+        """The kernel's registry, as ``run()`` finds it."""
+        self.registered = dict(Counter(type(c).__name__ for c in components))
+
+    def tick_profile(self, name: str) -> Dict[str, float]:
+        """One component class: ticks made, mean wall microseconds per
+        tick, and the share of the kernel's steps its instances slept
+        through (``1 - ticks / (instances x kernel steps)``)."""
+        ticks = self.component_ticks.get(name, 0)
+        every = self.registered.get(name, 0) * self.ticks
+        ns = self.component_ns.get(name, 0)
+        return {
+            "ticks": ticks,
+            "mean_us": round(ns / ticks / 1e3, 3) if ticks else 0.0,
+            "slept_share": round(1 - ticks / every, 4) if every else 0.0,
+        }
 
     def render(self, stats: Optional[StatsRegistry] = None) -> str:
         """Human-readable profile report."""
         lines = ["host profile", "------------"]
         summary = self.summary(stats)
-        shares: Mapping[str, float] = summary.pop("component_share")  # type: ignore[assignment]
+        per_class: Mapping[str, Mapping[str, float]] = summary.pop("component_ticks")  # type: ignore[assignment]
         for key, value in summary.items():
             lines.append(f"{key:<28} {value}")
-        ranked = sorted(shares.items(), key=lambda kv: kv[1], reverse=True)
-        for name, share in ranked:
+        ranked = sorted(per_class, key=lambda name: self.component_ns.get(name, 0),
+                        reverse=True)
+        for name in ranked:
+            row = per_class[name]
             ns = self.component_ns.get(name, 0)
-            lines.append(f"  tick {name:<22} {share * 100:5.1f}%  ({ns / 1e6:.1f} ms)")
+            lines.append(
+                f"  tick {name:<22} {row['ticks']} ticks, "
+                f"{row['mean_us']:.1f} us/tick, "
+                f"slept {row['slept_share'] * 100:.1f}%  ({ns / 1e6:.1f} ms)")
         return "\n".join(lines)

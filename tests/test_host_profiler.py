@@ -74,6 +74,33 @@ class TestProfilingOn:
         assert snapshot[HOST_PREFIX + "cycles_per_sec"] > 0
         assert snapshot[HOST_PREFIX + "tick_ns/Processor"] > 0
 
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_tick_count_per_component_class(self, fast_forward):
+        # a kernel step is one tick of every core on the naive path and
+        # of the cores that are due with per-core sleep
+        from repro.workloads import critical_section_workload
+        wl = critical_section_workload(num_cpus=2, iterations=2,
+                                       shared_counters=3, private=True)
+        result = run_workload(wl.programs, model=SC,
+                              initial_memory=wl.initial_memory,
+                              profile=True, fast_forward=fast_forward)
+        snapshot = result.stats.snapshot()
+        made = snapshot[HOST_PREFIX + "tick_count/Processor"]
+        every = 2 * snapshot[HOST_PREFIX + "ticks"]
+        row = result.machine.sim.profiler.summary()[
+            "component_ticks"]["Processor"]
+        assert row["ticks"] == made
+        assert row["mean_us"] > 0
+        text = result.machine.sim.profiler.render()
+        assert f"{made} ticks" in text and "us/tick" in text
+        if fast_forward:
+            assert 0 < made < every
+            assert row["slept_share"] == pytest.approx(1 - made / every,
+                                                       abs=1e-4)
+        else:
+            assert made == every
+            assert row["slept_share"] == 0.0
+
     def test_export_is_idempotent_across_runs(self):
         # a Simulator can be run() repeatedly; gauges must be set, not
         # accumulated, so the last export wins instead of double-counting

@@ -11,16 +11,25 @@ workload.  They also pin the kernel-level mechanics: the jump lands
 exactly on the next event/wake, ``skip_cycles`` sees the exact elided
 count, ``max_cycles`` deadlocks fire at the identical cycle, and a
 deadlocked profiled run still exports its ``host/profile/*`` gauges.
+
+Sleep is per component: the mechanics tests also pin who ticks when
+(woken in the event phase or by an earlier component: this cycle; by a
+later one: the next, this one replayed), and ``TestRaisingRunParity``
+that a run that raises leaves the books the naive path leaves.
 """
 
 import pytest
 
 from repro.consistency import PC, RC, SC, WC
 from repro.sim import Component, DeadlockError, Simulator, WAKE_NEVER
+from repro.sim.errors import ProtocolError, SimulationError
 from repro.sim.profiler import HOST_PREFIX
 from repro.sim.trace import TraceRecorder
 from repro.system import run_workload
-from repro.workloads import critical_section_workload
+from repro.workloads import (
+    critical_section_workload,
+    grid_relaxation_workload,
+)
 from repro.workloads.paper_examples import example1_program, example2_program
 
 MODELS = (SC, PC, WC, RC)
@@ -107,10 +116,14 @@ def _check_sleep_promises(programs, initial_memory, warm_lines,
     """Step the naive path; hold every ``next_wake`` to its contract.
 
     Whenever a processor, after its tick at cycle ``c``, names a wake
-    beyond ``c + 1``, each following tick before that wake — for as long
-    as no event fires — must change nothing under ``cpu<k>/`` except the
-    counters ``skip_cycles`` replays, each by exactly 1.  Returns the
-    number of ticks held to a promise.
+    beyond ``c + 1``, each following tick before that wake — until that
+    very core is woken through ``Simulator.wake``, whatever events reach
+    the others meanwhile — must change nothing under ``cpu<k>/`` except
+    the counters ``skip_cycles`` replays, each by exactly 1, and must
+    leave the core naming the same wake (it moved nothing).  This is
+    the guard on the list of wake sites: a callback into a core that
+    does not pass through the wake breaks a promise nobody lapsed.
+    Returns the number of ticks held to a promise.
     """
     from repro.system.machine import MachineConfig, Multiprocessor
 
@@ -123,24 +136,29 @@ def _check_sleep_promises(programs, initial_memory, warm_lines,
     for cpu, addr, exclusive in warm_lines:
         machine.warm(cpu, addr, exclusive=exclusive)
     sim = machine.sim
+    woken = set()
+    sim.wake = woken.add    # outside run() the kernel's own is a no-op
     cpus = range(len(machine.processors))
     promises = {cpu: None for cpu in cpus}   # cpu -> (wake, replay)
     checked = 0
     while not machine.done():
         assert sim.cycle < 100_000
-        next_event = sim.events.next_cycle()
         before = {cpu: _cpu_stats(machine, cpu) for cpu in cpus}
+        woken.clear()
         sim.step()
         cycle = sim.cycle
-        event_fired = next_event is not None and next_event <= cycle
         for cpu in cpus:
             if promises[cpu] is not None:
                 wake, replay = promises[cpu]
-                if cycle < wake and not event_fired:
+                if cycle < wake and machine.processors[cpu] not in woken:
                     changed = _changes(before[cpu], _cpu_stats(machine, cpu))
                     assert changed == replay, (
                         f"cpu{cpu} promised at most {replay} per idle tick "
                         f"until cycle {wake} but tick {cycle} did {changed}")
+                    # nor anything the books do not show yet
+                    assert machine.processors[cpu].next_wake(cycle) == wake, (
+                        f"cpu{cpu} promised to sleep until cycle {wake} "
+                        f"but tick {cycle} moved")
                     checked += 1
                     continue
                 promises[cpu] = None
@@ -174,10 +192,37 @@ class TestSleepPromise:
                                        shared_counters=3, private=True)
         checked = _check_sleep_promises(
             wl.programs, wl.initial_memory, (), model, pf, spec)
-        # with speculation on, a lock RMW's speculative read polls the
-        # store buffer through a one-cycle event, so no cycle of this
-        # workload is event-free and no promise outlives its own cycle
-        assert checked > 0 or spec, "no promise was ever held to account"
+        assert checked > 0, "no promise was ever held to account"
+
+    def test_grid_relaxation_spec_rmw_value_reaches_sleeping_core(self):
+        # the one input here on which a speculative RMW read's value
+        # (``_spec_rmw_read_done``) comes back to a core that is asleep;
+        # the tick after it issues a dependent branch, which no counter
+        # shows for another two cycles
+        wl = grid_relaxation_workload(4, 4, 2)
+        checked = _check_sleep_promises(
+            wl.programs, wl.initial_memory, (), SC, True, True)
+        assert checked > 0, "no promise was ever held to account"
+
+    @pytest.mark.parametrize("seed", [0, 2, 3, 9])
+    @pytest.mark.parametrize("model,pf,spec",
+                             [(WC, True, True), (SC, False, True),
+                              (RC, True, True)],
+                             ids=["wc-both", "sc-spec", "rc-both"])
+    def test_fuzz_legs_snoops_reach_sleeping_cores(self, seed, model, pf,
+                                                   spec):
+        # the critical section never snoops a core that is asleep; these
+        # generated tests do (an invalidation corrects a speculative
+        # load of a core that is stalled on something else), which is
+        # what holds ``_on_snoop`` to the wake
+        from repro.verify.generator import generate_litmus
+        from repro.verify.harness import DEFAULT_RUN_CONFIGS, leg_jobs
+
+        (job,), _ = leg_jobs(generate_litmus(seed),
+                             [(model.name, pf, spec, DEFAULT_RUN_CONFIGS[0])])
+        checked = _check_sleep_promises(
+            job.programs, job.initial_memory, job.warm_lines, model, pf, spec)
+        assert checked > 0, "no promise was ever held to account"
 
 
 class TestFastForwardEngages:
@@ -213,6 +258,22 @@ class TestFastForwardEngages:
         assert (snap[HOST_PREFIX + "ticks"]
                 + snap[HOST_PREFIX + "fastforward/cycles"]) == result.cycles
 
+    def test_cores_sleep_while_their_neighbour_works(self):
+        # an always-awake core is as bit-identical as a sleeping one and
+        # loses the whole speed-up.  With both techniques on, the lock
+        # RMW's one-cycle poll events leave the global jump nothing —
+        # every cycle is stepped — so what is saved here is saved per
+        # core: 114 ticks of 2 x 229 when this was written
+        wl = critical_section_workload(num_cpus=2, iterations=2,
+                                       shared_counters=3, private=True)
+        result = run_workload(wl.programs, model=SC, prefetch=True,
+                              speculation=True,
+                              initial_memory=wl.initial_memory, profile=True)
+        snap = result.stats.snapshot()
+        assert snap[HOST_PREFIX + "ticks"] == result.cycles
+        assert (snap[HOST_PREFIX + "tick_count/Processor"]
+                <= 0.75 * 2 * snap[HOST_PREFIX + "ticks"])
+
     def test_trace_hooks_disable_fast_forward(self):
         sim = Simulator()
         sim.register(_Sleeper())
@@ -231,10 +292,16 @@ class _Sleeper(Component):
 
     def __init__(self) -> None:
         self.skipped = 0
-        self.ticks = 0
+        self.ticked_at = []
+        self.skipped_before_tick = []
+
+    @property
+    def ticks(self) -> int:
+        return len(self.ticked_at)
 
     def tick(self, cycle: int) -> None:
-        self.ticks += 1
+        self.ticked_at.append(cycle)
+        self.skipped_before_tick.append(self.skipped)
 
     def is_quiescent(self) -> bool:
         return False
@@ -252,9 +319,11 @@ class _TimedWaker(Component):
     def __init__(self, wake_at: int) -> None:
         self.wake_at = wake_at
         self.ticked_at = []
+        self.on_tick = lambda cycle: None
 
     def tick(self, cycle: int) -> None:
         self.ticked_at.append(cycle)
+        self.on_tick(cycle)
 
     def is_quiescent(self) -> bool:
         return False
@@ -274,9 +343,10 @@ class TestKernelJumpMechanics:
                 deadlock_check=False)
         assert fired == [100]
         assert sim.cycle == 100
-        # cycles 1..99 were elided; cycle 100 was stepped normally
-        assert sleeper.skipped == 99
-        assert sleeper.ticks == 1
+        # cycles 1..99 were elided and cycle 100 was stepped, but the
+        # event woke nobody: the sleeper slept through that one too
+        assert sleeper.skipped == 100
+        assert sleeper.ticks == 0
 
     def test_jump_lands_on_component_wake(self):
         sim = Simulator()
@@ -285,6 +355,57 @@ class TestKernelJumpMechanics:
         sim.run(until=lambda: len(waker.ticked_at) >= 2, max_cycles=1000,
                 deadlock_check=False)
         assert waker.ticked_at == [50, 51]
+
+    def test_wake_in_event_phase_ticks_same_cycle(self):
+        sim = Simulator()
+        sleeper = _Sleeper()
+        sim.register(sleeper)
+        sim.schedule(30, lambda: sim.wake(sleeper))
+        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000,
+                deadlock_check=False)
+        assert sim.cycle == 30
+        assert sleeper.ticked_at == [30]
+        assert sleeper.skipped == 29    # replayed before that tick
+
+    def test_wake_from_later_component_ticks_next_cycle_and_replays_this_one(
+            self):
+        sim = Simulator()
+        sleeper = _Sleeper()
+        waker = _TimedWaker(wake_at=20)
+        waker.on_tick = lambda cycle: cycle == 20 and sim.wake(sleeper)
+        sim.register(sleeper)   # ticks before the one that wakes it
+        sim.register(waker)
+        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000,
+                deadlock_check=False)
+        # cycle 20 had passed the sleeper by when the wake came
+        assert sleeper.ticked_at == [21]
+        assert sleeper.skipped == 20
+        assert sleeper.skipped_before_tick == [20]
+
+    def test_wake_from_earlier_component_ticks_same_cycle(self):
+        sim = Simulator()
+        sleeper = _Sleeper()
+        waker = _TimedWaker(wake_at=20)
+        waker.on_tick = lambda cycle: cycle == 20 and sim.wake(sleeper)
+        sim.register(waker)
+        sim.register(sleeper)
+        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000,
+                deadlock_check=False)
+        assert sleeper.ticked_at == [20]
+        assert sleeper.skipped == 19
+
+    def test_step_outside_run_ticks_every_component(self):
+        sim = Simulator()
+        sleeper = _Sleeper()
+        sim.register(sleeper)
+        sim.schedule(5, lambda: None)
+        sim.run(until=lambda: sim.events.next_cycle() is None,
+                max_cycles=100, deadlock_check=False)
+        assert (sleeper.ticks, sleeper.skipped) == (0, 5)
+        sim.step()
+        sim.step()
+        assert sleeper.ticked_at == [6, 7]
+        assert sleeper.skipped == 5
 
     def test_fast_forward_off_steps_every_cycle(self):
         sim = Simulator(fast_forward=False)
@@ -306,6 +427,73 @@ class TestKernelJumpMechanics:
                         deadlock_check=False)
             cycles.append(exc.value.cycle)
         assert cycles[0] == cycles[1] == 500
+
+
+def _left_behind(workload, model, pf, spec, max_cycles, fast_forward):
+    """Run to the exception; return it and the state it leaves."""
+    from repro.system.machine import MachineConfig, Multiprocessor
+
+    machine = Multiprocessor(
+        workload.programs,
+        MachineConfig(model=model, enable_prefetch=pf,
+                      enable_speculation=spec),
+        fast_forward=fast_forward)
+    machine.init_memory(workload.initial_memory)
+    with pytest.raises(SimulationError) as exc:
+        machine.run(max_cycles=max_cycles)
+    return (type(exc.value), str(exc.value), machine.sim.cycle,
+            machine.sim.stats.snapshot())
+
+
+class TestRaisingRunParity:
+    """A sleeper's counters lag the clock, so a run that raises must
+    still settle them — through the cycle the naive path last ticked
+    each core at, which for an exception in mid-cycle is not the same
+    cycle for every core."""
+
+    def _check(self, error, workload, model, pf, spec, max_cycles):
+        fast = _left_behind(workload, model, pf, spec, max_cycles, True)
+        naive = _left_behind(workload, model, pf, spec, max_cycles, False)
+        assert fast[0] is error
+        assert fast == naive
+
+    def test_max_cycles_clamp_between_steps(self):
+        self._check(DeadlockError,
+                    critical_section_workload(num_cpus=2, iterations=2,
+                                              shared_counters=3, private=True),
+                    SC, False, False, max_cycles=150)
+
+    def test_wedged_guest_runs_out_of_cycles(self):
+        # tests/test_known_failures.py: never finishes; 4 cores asleep
+        # for most of the 20 000 cycles
+        self._check(DeadlockError, grid_relaxation_workload(4, 8, 2),
+                    RC, True, False, max_cycles=20_000)
+
+    def test_protocol_error_in_the_event_phase(self):
+        # tests/test_known_failures.py: the directory raises while
+        # delivering a message at cycle 2234 — no core ticked that cycle
+        self._check(ProtocolError,
+                    critical_section_workload(num_cpus=4, iterations=4,
+                                              shared_counters=3,
+                                              private=False),
+                    SC, True, False, max_cycles=1_000_000)
+
+    def test_raise_inside_a_tick_spares_the_components_after_it(self):
+        # registration order: a sleeper, the one that raises, a sleeper
+        books = []
+        for ff in (True, False):
+            sim = Simulator(fast_forward=ff)
+            first, bomb, last = _Sleeper(), _TimedWaker(wake_at=10), _Sleeper()
+            bomb.on_tick = lambda cycle: cycle == 10 and 1 // 0
+            for component in (first, bomb, last):
+                sim.register(component)
+            with pytest.raises(ZeroDivisionError):
+                sim.run(until=lambda: False, max_cycles=100,
+                        deadlock_check=False)
+            books.append((sim.cycle, first.ticks + first.skipped,
+                          last.ticks + last.skipped))
+        # the naive path ticked `first` at cycle 10 and never got to `last`
+        assert books[0] == books[1] == (10, 10, 9)
 
 
 class _Spinner(Component):
