@@ -29,7 +29,6 @@ from .relations import (
     Relation,
     acyclic,
     build_events,
-    po_edges,
     ppo_masks,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "candidate_executions",
     "clear_caches",
     "compare_with_enumerator",
-    "po_edges",
     "ppo_masks",
     "render_axiom_table",
 ]

@@ -31,7 +31,7 @@ an RMW reads and the value it writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...consistency.litmus import LitmusOp, LitmusTest, Outcome
 from ...consistency.models import ConsistencyModel
@@ -41,7 +41,6 @@ __all__ = [
     "CandidateExecution",
     "acyclic",
     "build_events",
-    "po_edges",
     "ppo_masks",
 ]
 
@@ -66,10 +65,6 @@ class Event:
     @property
     def is_write(self) -> bool:
         return self.op.op in ("W", "U")
-
-    @property
-    def is_fence(self) -> bool:
-        return self.op.op == "F"
 
     def describe(self) -> str:
         return f"e{self.eid}=T{self.tid}.{self.idx}:{self.op.describe()}"
@@ -109,13 +104,6 @@ def build_events(test: LitmusTest) -> List[Event]:
         for idx, op in enumerate(thread):
             events.append(Event(eid=len(events), tid=tid, idx=idx, op=op))
     return events
-
-
-def po_edges(events: Sequence[Event]) -> List[Tuple[int, int]]:
-    """Full program order as an edge list (same thread, index order)."""
-    return [(a.eid, b.eid)
-            for a in events for b in events
-            if a.tid == b.tid and a.idx < b.idx]
 
 
 def ppo_masks(events: Sequence[Event], model: ConsistencyModel) -> List[int]:
@@ -199,16 +187,6 @@ class Relation:
         self.name = name
         self.edges = sorted(set(edges))
 
-    @classmethod
-    def from_masks(cls, name: str, masks: Sequence[int]) -> "Relation":
-        edges = []
-        for src, mask in enumerate(masks):
-            while mask:
-                dst = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                edges.append((src, dst))
-        return cls(name, edges)
-
     def describe(self) -> str:
         pairs = ", ".join(f"e{a}->e{b}" for a, b in self.edges) or "(empty)"
         return f"{self.name}: {pairs}"
@@ -216,12 +194,3 @@ class Relation:
 
 def event_table(events: Sequence[Event]) -> str:
     return "\n".join("  " + e.describe() for e in events)
-
-
-def location_writes(events: Sequence[Event]) -> Dict[str, List[Event]]:
-    """Writes grouped by location, in event order."""
-    out: Dict[str, List[Event]] = {}
-    for e in events:
-        if e.is_write and e.location is not None:
-            out.setdefault(e.location, []).append(e)
-    return out

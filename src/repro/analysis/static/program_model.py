@@ -98,9 +98,6 @@ class ThreadModel:
         return cls(cpu=cpu, accesses=extractor.run())
 
     # ------------------------------------------------------------------
-    def stores_to(self, addr: int) -> List[StaticAccess]:
-        return [a for a in self.accesses if a.is_store and a.addr == addr]
-
     def describe(self) -> str:
         lines = [f"cpu{self.cpu}:"]
         for a in self.accesses:

@@ -56,10 +56,6 @@ class Instruction:
         return isinstance(self, Rmw)
 
     @property
-    def is_branch(self) -> bool:
-        return isinstance(self, (Branch, Jump))
-
-    @property
     def is_acquire(self) -> bool:
         return bool(getattr(self, "acquire", False))
 

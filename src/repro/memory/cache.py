@@ -133,9 +133,6 @@ class LockupFreeCache(Component):
         line = self._find_line(self.config.line_addr(addr))
         return line.state if line else LineState.INVALID
 
-    def has_mshr(self, addr: int) -> bool:
-        return self.config.line_addr(addr) in self.mshrs
-
     def peek_word(self, addr: int) -> Optional[int]:
         """Debug/test helper: current cached value of ``addr``, if present."""
         line = self._find_line(self.config.line_addr(addr))

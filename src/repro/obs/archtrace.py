@@ -95,10 +95,6 @@ class ArchEvent:
     #: kind-specific payload, canonically sorted key/value pairs
     detail: Tuple[Tuple[str, Any], ...] = ()
 
-    @property
-    def detail_dict(self) -> Dict[str, Any]:
-        return dict(self.detail)
-
     def sort_key(self) -> Tuple[int, int, int, int, int]:
         aux = dict(self.detail).get("line", 0)
         return (self.cycle, self.cpu, self.seq,

@@ -17,7 +17,7 @@ registry holds the entire matrix's counters at once.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..analysis.tables import Table
 from ..consistency.models import PC, RC, SC, WC, ConsistencyModel
@@ -33,7 +33,6 @@ from ..workloads.paper_examples import (
 from .accounting import (
     CAUSES,
     PAPER_CAUSES,
-    CycleBreakdown,
     breakdown_from_stats,
     machine_breakdown,
     per_cpu_breakdowns,
@@ -149,16 +148,3 @@ def example_breakdown_matrix(
     if normalize:
         table.add_note("each model's baseline total is scaled to 100")
     return table
-
-
-def breakdowns_by_cell(
-    merged: StatsRegistry,
-    models: Sequence[ConsistencyModel] = DEFAULT_MODELS,
-    cpu: int = 0,
-) -> Dict[Tuple[str, str], CycleBreakdown]:
-    """Read per-cell breakdowns back out of a matrix-merged registry."""
-    return {
-        (model.name, tech): breakdown_from_stats(
-            merged, cpu, prefix=f"{model.name}/{tech}/")
-        for model in models for tech in TECHNIQUES
-    }

@@ -201,11 +201,6 @@ class MetricsRegistry:
                     ) -> Optional[float]:
         return self._gauges.get(name, {}).get(_label_key(labels))
 
-    def counter_family(self, name: str) -> Dict[str, float]:
-        """All samples of one counter, keyed by rendered labels."""
-        return {render_key(name, key): value
-                for key, value in sorted(self._counters.get(name, {}).items())}
-
     def __len__(self) -> int:
         return (sum(len(f) for f in self._counters.values())
                 + sum(len(f) for f in self._gauges.values())

@@ -32,7 +32,6 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .client import ServeClient, connect_with_retry
-from .executors import EXECUTOR_KINDS
 from .loadgen import build_job_mix, run_closed_loop, run_open_loop
 from .protocol import ProtocolError, make_job
 from .server import ServeServer
@@ -63,7 +62,7 @@ def _add_endpoint(parser: argparse.ArgumentParser) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     server = ServeServer(
         store=ResultStore(args.store),
-        executor_kind=args.executor,
+        executor_kind="pool" if args.jobs > 1 else "serial",
         executor_jobs=args.jobs,
         host=args.host,
         port=args.port,
@@ -233,11 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_endpoint(p_serve)
     p_serve.add_argument("--store", default=".repro/serve",
                          help="result-store root (default: %(default)s)")
-    p_serve.add_argument("--executor", choices=EXECUTOR_KINDS,
-                         default="serial",
-                         help="cache-miss executor (default: %(default)s)")
     p_serve.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for --executor pool")
+                         help="cache-miss workers: 1 runs misses in the "
+                              "server process, N > 1 in a pool of N "
+                              "processes (default: %(default)s)")
     p_serve.add_argument("--ledger-path", default=None,
                          help="ledger file (default: the repo ledger)")
     p_serve.add_argument("--no-ledger", action="store_true",

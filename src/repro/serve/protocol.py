@@ -18,8 +18,8 @@ a socket, land in a ledger, and key a content-addressed cache:
 :func:`repro.obs.ledger.request_hash` is the cache key.  Everything
 result-determining is in the canonical form; nothing about execution
 shape (executor choice, batching, worker count) is, so a job served by
-the batched lockstep engine hashes — and must answer — identically to
-one served by a scalar in-process run.  Determinism is pinned by the
+a pool worker hashes — and must answer — identically to one served by
+an in-process run.  Determinism is pinned by the
 differential suites, which is what makes results cacheable forever.
 
 Wire format: one JSON object per line (``\\n``-delimited, UTF-8), in

@@ -15,8 +15,8 @@ request path for a ``submit``:
    :class:`~repro.serve.store.ResultStore` — a hit answers without
    touching the simulator, forever, because determinism is pinned;
 4. on a miss, **enqueue** to the dispatcher, which drains whatever is
-   queued into one executor batch (serial / process-pool / batched
-   lockstep — :mod:`repro.serve.executors`), streams the sweep
+   queued into one executor batch (serial / process-pool —
+   :mod:`repro.serve.executors`), streams the sweep
    engine's :class:`~repro.sim.sweep.SweepProgress` samples to
    subscribed clients, stores the result, and resolves every waiter;
 5. **append** one ledger record per completed submission, so

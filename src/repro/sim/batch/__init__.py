@@ -2,11 +2,13 @@
 
 Public surface:
 
-- :class:`~repro.sim.batch.jobs.BatchJob` — one ``run_workload``-shaped
-  simulation description.
-- :class:`~repro.sim.batch.runner.BatchRunner` /
-  :class:`~repro.sim.batch.runner.BatchResult` — run job lists on the
+- :class:`~repro.sim.batch.runner.BatchRunner` — run job lists on the
   struct-of-arrays engine with transparent scalar fallback.
+- :class:`~repro.system.jobs.BatchJob` /
+  :class:`~repro.system.jobs.BatchResult` — what goes in and what comes
+  out, re-exported from the numpy-free module that defines them (and
+  the scalar way to run a job), so nothing has to import this package
+  to build or run a leg.
 - :func:`~repro.sim.batch.compile.job_unsupported_reason` — why a job
   would fall back (None when it batches).
 
@@ -15,8 +17,8 @@ to it lane-for-lane by ``tests/test_batch_differential.py`` and the
 ``--backend batched`` conformance mode of ``repro.verify``.
 """
 
+from ...system.jobs import BatchJob, BatchResult
 from .compile import job_unsupported_reason
-from .jobs import BatchJob
-from .runner import BatchResult, BatchRunner
+from .runner import BatchRunner
 
 __all__ = ["BatchJob", "BatchResult", "BatchRunner", "job_unsupported_reason"]

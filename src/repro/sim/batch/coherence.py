@@ -42,7 +42,7 @@ from ...sim.stats import StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import BatchEngine
-    from .jobs import BatchJob
+    from ...system.jobs import BatchJob
 
 # line states (mirror LineState; ints for speed)
 _INV, _SHARED, _MODIFIED = 0, 1, 2
@@ -486,9 +486,6 @@ class FastFabric:
     # -- directory: backing store --------------------------------------
     def init_memory(self, values: Dict[int, int]) -> None:
         self._mem.update(values)
-
-    def dir_read_word(self, addr: int) -> int:
-        return self._mem.get(addr, 0)
 
     def _read_line(self, line_addr: int) -> List[int]:
         base = line_addr * self.line_size

@@ -91,7 +91,7 @@ from .compile import (
 )
 from ...sim.stats import StatsRegistry
 from .coherence import FastFabric
-from .jobs import BatchJob
+from ...system.jobs import BatchJob
 from .stats import materialize_lane_stats
 
 #: default ProcessorConfig geometry the engine assumes (checked against

@@ -1,11 +1,11 @@
 """BatchRunner: route job lists onto the lockstep engine.
 
 The runner is the public face of ``repro.sim.batch``: it takes a list
-of :class:`~repro.sim.batch.jobs.BatchJob`, runs everything it can on
+of :class:`~repro.system.jobs.BatchJob`, runs everything it can on
 the vectorized :class:`~repro.sim.batch.engine.BatchEngine`, and falls
-back to the scalar ``run_workload`` for anything outside the engine's
-envelope (techniques on, branches, dynamic addressing, ...) or any lane
-that deadlocks — the scalar rerun reproduces the genuine
+back to :func:`~repro.system.jobs.run_scalar` for anything outside the
+engine's envelope (techniques on, branches, dynamic addressing, ...) or
+any lane that deadlocks — the scalar rerun reproduces the genuine
 :class:`~repro.sim.errors.DeadlockError` with the identical cycle.
 Results always come back in input order, one per job, regardless of
 how jobs were grouped or which backend ran them.
@@ -14,17 +14,14 @@ how jobs were grouped or which backend ran them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...consistency.models import get_model
-from ...sim.stats import StatsRegistry
-from ...system.machine import run_workload
+from ...system.jobs import BatchJob, BatchResult, run_scalar
 from .compile import (CompiledProgram, compile_core, job_unsupported_reason,
                       specialize_model)
 from .engine import BatchEngine
-from .jobs import BatchJob
 
 
 def _tm():
@@ -41,73 +38,6 @@ def _reason_label(reason: str) -> str:
     metric label: per-thread prefixes (``T3: branch``) collapse onto
     the underlying reason so the counter groups by *cause*."""
     return _THREAD_PREFIX.sub("", reason)
-
-
-@dataclass
-class BatchResult:
-    """Outcome of one job: mirrors what ``run_workload`` exposes.
-
-    ``error`` carries the exception a scalar run would have raised
-    (``DeadlockError`` for a hung lane); callers decide when to raise
-    so batched sweeps can keep ordering semantics identical to serial
-    scalar loops.
-    """
-
-    job: BatchJob
-    backend: str  # "batched" | "scalar" | "scalar-fallback"
-    cycles: Optional[int] = None
-    error: Optional[BaseException] = None
-    unsupported_reason: Optional[str] = None
-    #: finalized ArchTraceCollector when the job asked for one; the
-    #: header of any serialization must carry ``backend`` and
-    #: ``unsupported_reason`` so a scalar fallback is never silent
-    archtrace: Optional[object] = field(
-        default=None, repr=False, compare=False)
-    _stats: Optional[StatsRegistry] = field(
-        default=None, repr=False, compare=False)
-    _stats_thunk: Optional[Callable[[], StatsRegistry]] = field(
-        default=None, repr=False, compare=False)
-    _read_word: Optional[Callable[[int], int]] = field(
-        default=None, repr=False, compare=False)
-
-    @property
-    def stats(self) -> Optional[StatsRegistry]:
-        """Lane statistics, materialized on first access.
-
-        Batched lanes keep their stats in the engine's packed
-        accumulators; building the scalar-shaped ``StatsRegistry`` is
-        deferred so outcome-only consumers (the fuzz harness) never pay
-        for it.
-        """
-        if self._stats is None and self._stats_thunk is not None:
-            self._stats = self._stats_thunk()
-        return self._stats
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def read_word(self, addr: int) -> int:
-        if self._read_word is None:
-            raise RuntimeError("no final memory available (job errored)")
-        return self._read_word(addr)
-
-    def raise_if_error(self) -> "BatchResult":
-        if self.error is not None:
-            raise self.error
-        return self
-
-    def write_archtrace(self, path: str, label: str = "",
-                        lane: Optional[int] = None) -> int:
-        """Serialize the job's archtrace, tagging the header with the
-        backend that actually ran and (for scalar routing of a job that
-        asked for the batched engine) the specific unsupported reason —
-        a fallback is visible in the stream, never silent."""
-        if self.archtrace is None:
-            raise RuntimeError("job did not request an archtrace")
-        return self.archtrace.write_jsonl(
-            path, backend=self.backend, label=label, lane=lane,
-            fallback_reason=self.unsupported_reason)
 
 
 class _CompileCache:
@@ -208,8 +138,7 @@ class BatchRunner:
                 for i, job, reason in scalar_routed:
                     tm.inc("batch/fallback",
                            labels={"reason": _reason_label(reason)})
-                    results[i] = self._run_scalar(job, backend="scalar",
-                                                  reason=reason)
+                    results[i] = run_scalar(job, reason=reason)
 
         step = max(1, self.chunk_size)
         for _ncpu, members in sorted(groups.items()):
@@ -249,8 +178,8 @@ class BatchRunner:
             tm.inc("batch/fallback", len(batch),
                    labels={"reason": "engine error"})
             with tm.span("batch/fallback", {"jobs": len(batch)}):
-                return [self._run_scalar(job, backend="scalar-fallback",
-                                         reason="engine error")
+                return [run_scalar(job, backend="scalar-fallback",
+                                   reason="engine error")
                         for job in batch]
 
         out = []
@@ -259,8 +188,8 @@ class BatchRunner:
                 # reproduce the genuine DeadlockError (identical cycle,
                 # identical message) on the reference kernel
                 tm.inc("batch/fallback", labels={"reason": "deadlock"})
-                out.append(self._run_scalar(job, backend="scalar-fallback",
-                                            reason="deadlock"))
+                out.append(run_scalar(job, backend="scalar-fallback",
+                                      reason="deadlock"))
                 continue
             fabric = engine.fabrics[lane]
             collector = arch[lane]
@@ -282,44 +211,3 @@ class BatchRunner:
                 _read_word=fabric.read_word,
             ))
         return out
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _run_scalar(job: BatchJob, backend: str,
-                    reason: Optional[str] = None) -> BatchResult:
-        collector = None
-        if job.archtrace:
-            from ...obs.archtrace import ArchTraceCollector
-            collector = ArchTraceCollector()
-        try:
-            rr = run_workload(
-                programs=job.programs,
-                model=get_model(job.model_name),
-                prefetch=job.prefetch,
-                speculation=job.speculation,
-                miss_latency=job.miss_latency,
-                initial_memory=job.initial_memory,
-                warm_lines=job.warm_lines,
-                cache=job.cache,
-                max_cycles=job.max_cycles,
-                trace=collector,
-            )
-        except Exception as exc:
-            return BatchResult(job=job, backend=backend, error=exc,
-                               unsupported_reason=reason,
-                               archtrace=collector)
-        if collector is not None:
-            collector.finalize(
-                cycles=rr.cycles,
-                final_memory={addr: rr.machine.read_word(addr)
-                              for addr in sorted(job.initial_memory or {})},
-                breakdowns=rr.breakdowns())
-        return BatchResult(
-            job=job,
-            backend=backend,
-            cycles=rr.cycles,
-            _stats=rr.stats,
-            unsupported_reason=reason,
-            archtrace=collector,
-            _read_word=rr.machine.read_word,
-        )

@@ -17,7 +17,7 @@ they are correctly absent.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 from ...obs.accounting import CAUSES
 from ...sim.stats import StatsRegistry
@@ -89,8 +89,3 @@ def materialize_lane_stats(stats: StatsRegistry, engine: "BatchEngine",
         store_hist = stats.histogram(f"cpu{k}/lsu/store_latency")
         for sample in engine.store_lat[ctx]:
             store_hist.add(sample)
-
-
-def snapshot_names(stats: StatsRegistry) -> List[str]:
-    """Sorted stat names (debug helper for differential diffs)."""
-    return sorted(stats.snapshot())

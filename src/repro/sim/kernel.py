@@ -132,7 +132,7 @@ class Simulator:
     def enable_profiling(
         self, profiler: Optional[HostProfiler] = None,
     ) -> HostProfiler:
-        """Switch this simulator to the host-profiled step path.
+        """Attach a host profiler: ``step`` then also times each phase.
 
         The profiler only reads the monotonic clock — simulated results
         (cycles, stats, traces) are identical with profiling on or off;
@@ -141,9 +141,6 @@ class Simulator:
         """
         if self.profiler is None:
             self.profiler = profiler if profiler is not None else HostProfiler()
-        # shadow the class method on the instance so the un-profiled
-        # step stays branch-free
-        self.step = self._step_profiled  # type: ignore[method-assign]
         return self.profiler
 
     # ------------------------------------------------------------------
@@ -183,79 +180,61 @@ class Simulator:
             wakes[component] = self.cycle
 
     def step(self) -> None:
-        """Advance the simulation by exactly one cycle."""
-        self.cycle = cycle = self.cycle + 1
-        wakes = self._wakes
-        if wakes is None:
-            self.events.run_due(cycle)
-            for component in self._components:
-                component.tick(cycle)
-        else:
-            synced = self._synced
-            passed = 0
-            try:
-                self.events.run_due(cycle)
-                for passed, component in enumerate(self._components, 1):
-                    if wakes[component] <= cycle:
-                        if synced[component] < cycle - 1:
-                            component.skip_cycles(cycle - 1 - synced[component])
-                        synced[component] = cycle
-                        component.tick(cycle)
-                        wakes[component] = component.next_wake(cycle)
-            except BaseException:
-                self._forgive(passed)
-                raise
-        for hook in self._trace_hooks:
-            hook(cycle)
+        """Advance the simulation by exactly one cycle.
 
-    def _step_profiled(self) -> None:
-        """``step`` with per-phase / per-component wall-time attribution."""
+        With a profiler attached the same loop also attributes wall
+        time per phase and per component class.
+        """
         prof = self.profiler
-        assert prof is not None
-        t0 = time.perf_counter_ns()
+        t0 = prev = time.perf_counter_ns() if prof is not None else 0
         self.cycle = cycle = self.cycle + 1
         wakes = self._wakes
         synced = self._synced
-        component_ns = prof.component_ns
-        component_ticks = prof.component_ticks
         passed = 0
         try:
             self.events.run_due(cycle)
-            prev = time.perf_counter_ns()
-            prof.events_ns += prev - t0
+            if prof is not None:
+                prev = time.perf_counter_ns()
+                prof.events_ns += prev - t0
             for passed, component in enumerate(self._components, 1):
-                if wakes is not None:
-                    if wakes[component] > cycle:
-                        continue
+                if wakes is None:
+                    component.tick(cycle)
+                elif wakes[component] > cycle:
+                    continue
+                else:
                     if synced[component] < cycle - 1:
                         component.skip_cycles(cycle - 1 - synced[component])
                     synced[component] = cycle
-                component.tick(cycle)
-                if wakes is not None:
+                    component.tick(cycle)
                     wakes[component] = component.next_wake(cycle)
-                now = time.perf_counter_ns()
-                key = type(component).__name__
-                component_ns[key] = component_ns.get(key, 0) + (now - prev)
-                component_ticks[key] = component_ticks.get(key, 0) + 1
-                prev = now
+                if prof is not None:
+                    now = time.perf_counter_ns()
+                    key = type(component).__name__
+                    prof.component_ns[key] = (
+                        prof.component_ns.get(key, 0) + now - prev)
+                    prof.component_ticks[key] = (
+                        prof.component_ticks.get(key, 0) + 1)
+                    prev = now
         except BaseException:
             if wakes is not None:
                 self._forgive(passed)
             raise
-        # a fresh reading: ``prev`` is the last component that ticked,
-        # and passing over the sleepers after it is not hook time
-        prev = time.perf_counter_ns()
+        if prof is not None:
+            # a fresh reading: ``prev`` is the last component that ticked,
+            # and passing over the sleepers after it is not hook time
+            prev = time.perf_counter_ns()
         for hook in self._trace_hooks:
             hook(cycle)
-        end = time.perf_counter_ns()
-        prof.hooks_ns += end - prev
-        prof.wall_ns += end - t0
-        prof.ticks += 1
-        depth = len(self.events)
-        prof.queue_depth_sum += depth
-        if depth > prof.queue_depth_max:
-            prof.queue_depth_max = depth
-        prof.maybe_heartbeat(cycle, self.stats, depth)
+        if prof is not None:
+            end = time.perf_counter_ns()
+            prof.hooks_ns += end - prev
+            prof.wall_ns += end - t0
+            prof.ticks += 1
+            depth = len(self.events)
+            prof.queue_depth_sum += depth
+            if depth > prof.queue_depth_max:
+                prof.queue_depth_max = depth
+            prof.maybe_heartbeat(cycle, self.stats, depth)
 
     def _forgive(self, passed: int) -> None:
         """A step raised after ``passed`` components had their turn.

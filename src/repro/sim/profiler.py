@@ -8,9 +8,9 @@ cycles / retired instructions per wall-second the stack sustains.
 
 Design constraints:
 
-* **near-zero overhead when off** — the kernel's normal ``step`` path is
-  untouched; enabling profiling swaps in a separate timed step, so a
-  non-profiled run executes exactly the instructions it always did;
+* **near-zero overhead when off** — the kernel's ``step`` is one loop
+  for both; without a profiler it pays a few ``is not None`` tests per
+  cycle and never reads the clock;
 * **no effect on simulation results** — the profiler only *reads* the
   monotonic clock; it never feeds wall time back into any simulated
   decision, so cycle counts, statistics, and traces are bit-identical
@@ -60,7 +60,7 @@ class HostHeartbeat:
 class HostProfiler:
     """Accumulates per-component wall time while the kernel steps.
 
-    The kernel's profiled step writes the raw nanosecond buckets
+    The kernel's step writes the raw nanosecond buckets
     directly (they are plain attributes — no per-tick method calls);
     this class owns aggregation, heartbeats, and export.
     """

@@ -50,13 +50,6 @@ from .errors import ConfigurationError
 #: worker signature: one picklable item in, one picklable result out
 SweepWorker = Callable[[Any], Any]
 
-#: chunk-worker signature: a whole chunk of items in, one result per
-#: item out (same order).  Lets a worker amortize shared setup — or
-#: batch the chunk's work onto a vectorized engine — while keeping the
-#: sweep's chunking/ordering/error contract.  A slot may be a
-#: :class:`SweepError` the worker built itself for a failed item.
-ChunkWorker = Callable[[Sequence[Any]], List[Any]]
-
 #: progress callback: (items_done, items_total) -> None, called in the
 #: parent process each time a chunk completes
 ProgressCallback = Callable[[int, int], None]
@@ -286,26 +279,9 @@ def _chunk_indices(total: int, chunk_size: int) -> List[Tuple[int, int]]:
             for start in range(0, total, chunk_size)]
 
 
-def _chunk_body(worker: Optional[SweepWorker], start: int,
-                items: Sequence[Any], record_errors: bool,
-                chunk_worker: Optional[ChunkWorker]) -> List[Any]:
+def _chunk_body(worker: SweepWorker, start: int, items: Sequence[Any],
+                record_errors: bool) -> List[Any]:
     """The chunk's actual work, shared by both telemetry modes."""
-    if chunk_worker is not None:
-        try:
-            out = list(chunk_worker(items))
-        except Exception as exc:  # noqa: BLE001 - reported to the caller
-            if not record_errors:
-                raise
-            out = [SweepError(item_index=start + offset,
-                              error_type=type(exc).__name__,
-                              message=str(exc))
-                   for offset in range(len(items))]
-        if len(out) != len(items):
-            raise ConfigurationError(
-                f"chunk worker returned {len(out)} result(s) for "
-                f"{len(items)} item(s)")
-        return out
-    assert worker is not None
     out = []
     for offset, item in enumerate(items):
         if record_errors:
@@ -320,13 +296,11 @@ def _chunk_body(worker: Optional[SweepWorker], start: int,
     return out
 
 
-def _run_chunk(worker: Optional[SweepWorker], start: int,
+def _run_chunk(worker: SweepWorker, start: int,
                items: Sequence[Any], record_errors: bool,
-               chunk_worker: Optional[ChunkWorker] = None,
                ctx: Optional[Dict[str, Any]] = None,
                ) -> Tuple[str, float, List[Any], Optional[Dict[str, Any]]]:
-    """Executed inside a worker process: map ``worker`` over one chunk,
-    or hand the whole chunk to ``chunk_worker`` at once.
+    """Executed inside a worker process: map ``worker`` over one chunk.
 
     ``ctx`` is the parent's telemetry context (present only when the
     parent had campaign telemetry enabled at submit time).  The chunk
@@ -340,7 +314,7 @@ def _run_chunk(worker: Optional[SweepWorker], start: int,
     worker_id = f"pid{os.getpid()}"
     if ctx is None:
         t0 = time.perf_counter()
-        out = _chunk_body(worker, start, items, record_errors, chunk_worker)
+        out = _chunk_body(worker, start, items, record_errors)
         return worker_id, time.perf_counter() - t0, out, None
 
     tm = _tm()
@@ -350,8 +324,7 @@ def _run_chunk(worker: Optional[SweepWorker], start: int,
         t0 = time.perf_counter()
         with tm.span("sweep/chunk", {"start": start, "items": len(items),
                                      "queue_wait_seconds": round(queue_wait, 6)}):
-            out = _chunk_body(worker, start, items, record_errors,
-                              chunk_worker)
+            out = _chunk_body(worker, start, items, record_errors)
         busy = time.perf_counter() - t0
         tm.inc("sweep/chunks")
         tm.inc("sweep/items", len(items))
@@ -370,14 +343,13 @@ def default_chunk_size(total: int, jobs: int) -> int:
 
 
 def run_sweep(
-    worker: Optional[SweepWorker],
+    worker: SweepWorker,
     items: Sequence[Any],
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     telemetry: Optional[TelemetryCallback] = None,
     on_error: str = "raise",
-    chunk_worker: Optional[ChunkWorker] = None,
 ) -> SweepResult:
     """Map ``worker`` over ``items``, optionally across processes.
 
@@ -388,22 +360,16 @@ def run_sweep(
     a chunk completes.  ``on_error`` is ``"raise"`` (default) or
     ``"record"`` (failing items yield :class:`SweepError` result slots
     instead of aborting the sweep).
-
-    ``chunk_worker``, when given, replaces the per-item ``worker``: each
-    chunk is handed to it whole and it returns one result per item in
-    order (the batched fuzz harness uses this to run a chunk's
-    simulations in one lockstep engine).  With ``on_error="record"`` a
-    raise from the chunk worker marks every item of that chunk as a
-    :class:`SweepError`; for per-item granularity the chunk worker can
-    place :class:`SweepError` values in individual result slots itself.
     """
     if on_error not in ("raise", "record"):
         raise ConfigurationError(
             f"on_error must be 'raise' or 'record', got {on_error!r}")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if worker is None and chunk_worker is None:
-        raise ConfigurationError("either worker or chunk_worker is required")
+    if not callable(worker):
+        # with on_error="record" every item would otherwise "fail" with
+        # the same TypeError and the sweep would look like it ran
+        raise ConfigurationError(f"worker must be callable, got {worker!r}")
     items = list(items)
     total = len(items)
     record = on_error == "record"
@@ -471,8 +437,7 @@ def run_sweep(
                 with tm.span("sweep/chunk",
                              {"start": start, "items": stop - start}):
                     _, busy, chunk_results, _ = _run_chunk(
-                        worker, start, items[start:stop], record,
-                        chunk_worker)
+                        worker, start, items[start:stop], record)
                 tm.inc("sweep/chunks")
                 tm.inc("sweep/items", stop - start)
                 tm.observe("sweep/chunk_busy_seconds", busy)
@@ -486,9 +451,8 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             pending = {
                 pool.submit(_run_chunk, worker, start, items[start:stop],
-                            record, chunk_worker,
-                            ({"submit_us": tm.spans.now_us()}
-                             if instrumented else None)):
+                            record, ({"submit_us": tm.spans.now_us()}
+                                     if instrumented else None)):
                 (start, stop)
                 for start, stop in ranges
             }

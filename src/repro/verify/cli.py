@@ -4,7 +4,7 @@ Typical runs::
 
     python -m repro.verify --budget 200 --jobs 4 --seed 0
     python -m repro.verify --budget 2000 --oracle axiomatic   # static only
-    python -m repro.verify --budget 500 --backend batched     # lockstep sim
+    python -m repro.verify --budget 150 --backend batched     # pin the engine
     python -m repro.verify --suite --oracle all               # named suite
     python -m repro.verify --budget 50 --fault slb-deaf --corpus out.json
     python -m repro.verify --replay out.json
@@ -46,7 +46,6 @@ from .harness import (
     HarnessConfig,
     check_named,
     check_seed,
-    check_seed_chunk,
 )
 from .minimize import minimize
 
@@ -78,9 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default)")
     parser.add_argument("--backend", choices=BACKENDS, default="scalar",
                         help="simulator-leg backend: scalar (one machine "
-                             "per run) or batched (lockstep SoA engine; "
-                             "bit-identical outcomes, much higher "
-                             "throughput)")
+                             "per run) or batched (each test's legs on the "
+                             "lockstep SoA engine: the conformance mode "
+                             "that pins it; bit-identical outcomes, no "
+                             "faster)")
     parser.add_argument("--server", metavar="HOST:PORT", default=None,
                         help="submit simulator legs to a running "
                              "repro.serve job server instead of running "
@@ -188,7 +188,6 @@ def run_fuzz(budget: int, jobs: int, seed: int,
         options["fault"] = fault
     if server is not None:
         options["server"] = server
-    chunk_worker = None
     if suite:
         names = sorted(STANDARD_TESTS)
         items = [(i, name, options) for i, name in enumerate(names)]
@@ -199,13 +198,6 @@ def run_fuzz(budget: int, jobs: int, seed: int,
                  for i in range(budget)]
         worker = check_seed  # type: ignore[assignment]
         total = budget
-        if backend == "batched" and server is None:
-            # batch a whole chunk's simulator legs into one lockstep
-            # engine — per-test batches are too small to amortize.
-            # With --server the batching decision is the server's
-            # (its dispatcher drains queued misses into one executor
-            # call), so legs go through the per-item worker.
-            chunk_worker = check_seed_chunk
 
     meter = ProgressMeter(label="verify") if telemetry and not quiet else None
     t0 = time.perf_counter()
@@ -216,8 +208,7 @@ def run_fuzz(budget: int, jobs: int, seed: int,
             sweep = run_sweep(worker, items, jobs=jobs, chunk_size=chunk_size,
                               progress=None if meter else
                               _progress_printer(quiet),
-                              telemetry=meter, on_error="record",
-                              chunk_worker=chunk_worker)
+                              telemetry=meter, on_error="record")
     wall = time.perf_counter() - t0
     if meter is not None:
         meter.finish()

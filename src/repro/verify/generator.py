@@ -16,7 +16,7 @@ makes corpus replay and cross-process fuzzing deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..consistency.litmus import LitmusOp, LitmusTest
@@ -78,11 +78,6 @@ class GeneratorConfig:
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
-
-
-@dataclass
-class _ThreadDraft:
-    ops: List[LitmusOp] = field(default_factory=list)
 
 
 def _draw_op(rng: random.Random, config: GeneratorConfig,

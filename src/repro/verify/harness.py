@@ -30,7 +30,7 @@ proves the harness has teeth.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
 
@@ -38,6 +38,7 @@ from ..consistency.litmus import LitmusTest, Outcome
 from ..consistency.models import get_model
 from ..memory.types import CacheConfig
 from ..sim.errors import ConfigurationError
+from ..system.jobs import BatchJob, BatchResult, run_scalar
 
 #: the four models the paper discusses, by name (names pickle smaller
 #: and more robustly than model instances)
@@ -52,12 +53,13 @@ def _tm():
 #: which oracle legs the harness runs — see the module docstring
 ORACLE_MODES: Tuple[str, ...] = ("sim", "axiomatic", "all")
 
-#: how the simulator leg executes: one scalar machine per run, or the
-#: lockstep batched engine stepping every (model, technique, config)
-#: leg of a test at once (``repro.sim.batch``).  The batched engine is
-#: bit-exact within its envelope and falls back to the scalar kernel
-#: per job outside it, so the observed outcomes are identical either
-#: way — the differential suite pins that down.
+#: how the simulator leg executes: one scalar machine per run, or —
+#: the conformance mode that pins ``repro.sim.batch`` — the lockstep
+#: engine stepping every (model, technique, config) leg of a test at
+#: once.  The engine is bit-exact within its envelope and falls back to
+#: the scalar kernel per job outside it, so the observed outcomes are
+#: identical either way, and no faster on a campaign
+#: (``docs/performance.md``, "The batch decision").
 BACKENDS: Tuple[str, ...] = ("scalar", "batched")
 
 #: (prefetch, speculation) combinations the harness drives
@@ -281,24 +283,6 @@ def check_test(test: LitmusTest, config: HarnessConfig = HarnessConfig(),
     never touches the simulator, so it fuzzes orders of magnitude more
     tests per second.
     """
-    out, legs, reference, axiomatic = _static_check(test, config, index, seed)
-    if legs:
-        if config.server is not None:
-            outcomes = _server_outcomes(test, legs, config.server)
-        else:
-            outcomes = _observed_outcomes(test, legs, config.backend)
-        _classify_outcomes(test, out, legs, outcomes, reference, axiomatic)
-    return out
-
-
-def _static_check(
-        test: LitmusTest, config: HarnessConfig, index: int, seed: int,
-) -> Tuple[CheckResult, List[Leg], Dict[str, FrozenSet[Outcome]],
-           Dict[str, FrozenSet[Outcome]]]:
-    """Everything :func:`check_test` does before a simulator runs:
-    validate, apply the fault, run the static oracles.  Returns the
-    result so far, the simulator legs still owed (none in pure
-    axiomatic mode) and the permitted sets to judge them against."""
     _validate(config)
     if config.fault is not None:
         apply_fault(config.fault)
@@ -306,7 +290,13 @@ def _static_check(
     out = CheckResult(index=index, seed=seed, test_name=test.name)
     reference, axiomatic = _static_oracles(test, config, out)
     legs = _sim_legs(config) if config.oracle in ("sim", "all") else []
-    return out, legs, reference, axiomatic
+    if legs:
+        if config.server is not None:
+            outcomes = _server_outcomes(test, legs, config.server)
+        else:
+            outcomes = _observed_outcomes(test, legs, config.backend)
+        _classify_outcomes(test, out, legs, outcomes, reference, axiomatic)
+    return out
 
 
 def _validate(config: HarnessConfig) -> None:
@@ -413,30 +403,26 @@ def _observed_outcomes(test: LitmusTest, legs: Sequence[Leg],
     one by one to the scalar kernel; ``batched`` lets the
     :class:`~repro.sim.batch.runner.BatchRunner` step them in lockstep,
     and legs outside the batch envelope (techniques on) take that same
-    scalar path inside the runner, so the outcomes are identical —
-    only faster.  A leg that deadlocks raises the
+    scalar path inside the runner, so the outcomes are identical.  A
+    leg that deadlocks raises the
     :class:`~repro.sim.errors.DeadlockError` of its scalar run.
     """
-    from ..sim.batch import BatchRunner
-
     jobs, audit_maps = leg_jobs(test, legs)
-    results: Iterable[object]
-    if backend == "scalar":
-        # lazy, so a failing leg raises before the ones after it run
-        results = (BatchRunner._run_scalar(job, backend="scalar")
-                   for job in jobs)
-    elif backend == "batched":
+    results: Iterable[BatchResult]
+    if backend == "batched":
+        from ..sim.batch import BatchRunner
+
         results = BatchRunner().run(jobs)
     else:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; available: {BACKENDS}")
+        # lazy, so a failing leg raises before the ones after it run
+        results = (run_scalar(job) for job in jobs)
     return [_job_outcome(res, audit_map)
             for res, audit_map in zip(results, audit_maps)]
 
 
 def leg_jobs(test: LitmusTest, legs: Sequence[Leg],
-             ) -> Tuple[List[object], List[Dict[str, int]]]:
-    """One :class:`~repro.sim.batch.jobs.BatchJob` — the arguments of
+             ) -> Tuple[List[BatchJob], List[Dict[str, int]]]:
+    """One :class:`~repro.system.jobs.BatchJob` — the arguments of
     ``run_workload`` — plus its audit map per leg.
 
     This is the only place programs, start skew, warm lines, initial
@@ -444,13 +430,11 @@ def leg_jobs(test: LitmusTest, legs: Sequence[Leg],
     the fuzzer (either backend), the localizer and the job server's
     executors all run what it returns.
     """
-    from ..sim.batch import BatchJob
-
     addresses = test.addresses()
     nthreads = len(test.threads)
     initial_memory = {addr: 0 for addr in addresses.values()}
     programs_by_skew: Dict[Tuple[int, ...], tuple] = {}
-    jobs: List[object] = []
+    jobs: List[BatchJob] = []
     audit_maps: List[Dict[str, int]] = []
     for model_name, prefetch, speculation, run_config in legs:
         skew = tuple(run_config.skew[t % len(run_config.skew)]
@@ -519,7 +503,7 @@ def _server_outcomes(test: LitmusTest, legs: Sequence[Leg],
     return outcomes
 
 
-def _job_outcome(res, audit_map: Dict[str, int]) -> Outcome:
+def _job_outcome(res: BatchResult, audit_map: Dict[str, int]) -> Outcome:
     """Read one job's final registers (raising what a scalar run would)."""
     res.raise_if_error()
     return tuple(sorted(
@@ -546,13 +530,6 @@ def _harness_config(options: Mapping[str, object]) -> HarnessConfig:
     )
 
 
-def _generated_test(seed: int, options: Mapping[str, object]) -> LitmusTest:
-    from .generator import GeneratorConfig, generate_litmus
-
-    return generate_litmus(seed, GeneratorConfig.from_dict(
-        dict(options.get("generator", {}))))  # type: ignore[arg-type]
-
-
 def check_seed(item: Tuple[int, int, Dict[str, object]]) -> CheckResult:
     """Fuzz one derived seed: generate, then differentially check.
 
@@ -561,71 +538,12 @@ def check_seed(item: Tuple[int, int, Dict[str, object]]) -> CheckResult:
     ``"fault"`` (a registered fault name).  Everything is plain data so
     the sweep engine can ship items to worker processes.
     """
+    from .generator import GeneratorConfig, generate_litmus
+
     index, seed, options = item
-    return check_test(_generated_test(seed, options),
-                      _harness_config(options), index=index, seed=seed)
-
-
-def check_seed_chunk(
-        items: Sequence[Tuple[int, int, Dict[str, object]]]) -> List[object]:
-    """Chunk-level fuzz worker: one lockstep batch across *every* test.
-
-    :func:`check_seed` with ``backend="batched"`` only batches the legs
-    of a single test (typically 16 lanes) — too few for the SoA engine
-    to amortize its per-step vector cost.  This worker instead collects
-    the simulator legs of an entire sweep chunk into **one**
-    :class:`~repro.sim.batch.runner.BatchRunner` call (hundreds to
-    thousands of lanes), which is where the batched engine's throughput
-    comes from.  Results are per-item :class:`CheckResult` objects in
-    item order, with per-item failures recorded as
-    :class:`~repro.sim.sweep.SweepError` slots — exactly what
-    ``run_sweep(..., chunk_worker=check_seed_chunk, on_error="record")``
-    expects.
-    """
-    from ..sim.batch import BatchRunner
-    from ..sim.sweep import SweepError
-
-    tm = _tm()
-    results: List[object] = []
-    all_jobs: List[object] = []
-    # (slot, test, out, legs, audit_maps, reference, axiomatic, job_lo)
-    pending: List[tuple] = []
-    with tm.span("verify/seed_chunk", {"items": len(items)}) as chunk_args:
-        for index, seed, options in items:
-            try:
-                harness = replace(_harness_config(options),
-                                  backend="batched", server=None)
-                test = _generated_test(seed, options)
-                out, legs, reference, axiomatic = _static_check(
-                    test, harness, index, seed)
-                results.append(out)
-                if legs:
-                    jobs, audit_maps = leg_jobs(test, legs)
-                    pending.append((len(results) - 1, test, out, legs,
-                                    audit_maps, reference, axiomatic,
-                                    len(all_jobs)))
-                    all_jobs.extend(jobs)
-            except Exception as exc:  # noqa: BLE001 - mirrors _run_chunk
-                results.append(SweepError(item_index=index,
-                                          error_type=type(exc).__name__,
-                                          message=str(exc)))
-        chunk_args["lanes"] = len(all_jobs)
-
-        batch_results = BatchRunner().run(all_jobs) if all_jobs else []
-    for (slot, test, out, legs, audit_maps, reference, axiomatic,
-         job_lo) in pending:
-        try:
-            outcomes = [
-                _job_outcome(res, audit_map)
-                for res, audit_map in zip(
-                    batch_results[job_lo:job_lo + len(legs)], audit_maps)]
-            _classify_outcomes(test, out, legs, outcomes, reference,
-                               axiomatic)
-        except Exception as exc:  # noqa: BLE001 - per-item containment
-            results[slot] = SweepError(item_index=out.index,
-                                       error_type=type(exc).__name__,
-                                       message=str(exc))
-    return results
+    test = generate_litmus(seed, GeneratorConfig.from_dict(
+        dict(options.get("generator", {}))))  # type: ignore[arg-type]
+    return check_test(test, _harness_config(options), index=index, seed=seed)
 
 
 def check_named(item: Tuple[int, str, Dict[str, object]]) -> CheckResult:

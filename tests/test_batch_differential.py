@@ -17,16 +17,16 @@ Families:
    harness's default run configs;
 3. generated fuzz litmus tests (seeded, deterministic) compared
    wholesale in one batch;
-4. ``repro.verify`` parity: ``check_seed`` / ``check_seed_chunk`` with
-   ``backend="batched"`` produce the same :class:`CheckResult`s as the
-   scalar worker — the batched conformance mode of the fuzzer.
+4. ``repro.verify`` parity: ``check_seed`` with ``backend="batched"``
+   produces the same :class:`CheckResult`s as the scalar worker — the
+   batched conformance mode of the fuzzer.
 """
 
 import pytest
 
 from repro.consistency.litmus import STANDARD_TESTS
 from repro.sim.batch import BatchJob, BatchRunner, job_unsupported_reason
-from repro.sim.sweep import derive_seed, run_sweep
+from repro.sim.sweep import derive_seed
 from repro.system.machine import run_workload
 from repro.verify.generator import GeneratorConfig, generate_litmus
 from repro.verify.harness import (
@@ -34,7 +34,6 @@ from repro.verify.harness import (
     MODEL_NAMES,
     TECHNIQUE_COMBOS,
     check_seed,
-    check_seed_chunk,
     leg_jobs,
 )
 from repro.workloads import example1_program, example2_program, figure5_program
@@ -232,12 +231,3 @@ class TestVerifyParity:
                                   self._items("batched")):
             assert _comparable(check_seed(item_s)) == \
                 _comparable(check_seed(item_b))
-
-    def test_chunk_worker_matches_scalar_sweep(self):
-        scalar = run_sweep(check_seed, self._items("scalar"),
-                           on_error="record")
-        batched = run_sweep(None, self._items("batched"),
-                            on_error="record",
-                            chunk_worker=check_seed_chunk)
-        assert ([_comparable(r) for r in scalar.results]
-                == [_comparable(r) for r in batched.results])

@@ -13,7 +13,11 @@ The stack's contract has three load-bearing claims, each pinned here:
 """
 
 import json
+import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -224,19 +228,24 @@ class TestExecutors:
             direct.append(observed_outcome(
                 test, spec["model"], spec["prefetch"], spec["speculation"],
                 rc))
-        for kind in ("serial", "batched"):
-            results = make_executor(kind)(jobs, None)
+        for kind in ("serial", "pool"):
+            results = make_executor(kind, jobs=2)(jobs, None)
             assert [outcome_pairs(r) for r in results] == direct, kind
 
-    def test_batched_executor_contains_per_item_failures(self):
+    def test_executors_contain_per_item_failures(self):
         good = normalize_job(make_job(test={"name": "SB"}))
         bad = dict(good)
         bad["model"] = "NOPE"  # normalize would catch it; the executor
         # must contain it per-item instead of sinking the batch
-        results = make_executor("batched")([good, bad, good], None)
-        assert "error" in results[1]
-        assert "error" not in results[0] and "error" not in results[2]
-        assert outcome_pairs(results[0]) == outcome_pairs(results[2])
+        for kind in ("serial", "pool"):
+            results = make_executor(kind, jobs=2)([good, bad, good], None)
+            assert "error" in results[1], kind
+            assert "error" not in results[0] and "error" not in results[2]
+            assert outcome_pairs(results[0]) == outcome_pairs(results[2])
+
+    def test_retired_batched_kind_is_rejected_by_name(self):
+        with pytest.raises(ProtocolError, match=r"'serial', 'pool'"):
+            make_executor("batched")
 
 
 # ----------------------------------------------------------------------
@@ -472,3 +481,42 @@ class TestLoadgen:
         assert warm_p50 * 10 <= cold_p50, (
             f"warm p50 {warm_p50:.6f}s not 10x below cold p50 "
             f"{cold_p50:.6f}s")
+
+
+# ----------------------------------------------------------------------
+# Command line
+# ----------------------------------------------------------------------
+
+class TestServeCli:
+    def test_jobs_picks_the_executor_and_the_pool_serves(self, tmp_path):
+        # the worker count alone picks the executor kind
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "serve", "--port", "0",
+             "--jobs", "2", "--store", str(tmp_path / "store"),
+             "--no-ledger"],
+            stdout=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+        try:
+            banner = proc.stdout.readline()
+            match = re.match(r"serving on (\S+):(\d+) \(executor=(\w+),",
+                             banner)
+            assert match and match.group(3) == "pool", banner
+            with ServeClient(match.group(1), int(match.group(2))) as client:
+                results = client.submit_many(build_job_mix(4, seed=2))
+                assert all(r.ok for r in results)
+                client.shutdown()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.wait(timeout=30)
+
+    def test_executor_flag_is_gone(self, capsys):
+        from repro.serve.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--executor", "pool"])
+        assert "--executor" in capsys.readouterr().err
+        args = build_parser().parse_args(["serve"])
+        assert args.jobs == 1

@@ -12,6 +12,7 @@ from repro.sim import (
     format_stats_table,
 )
 from repro.sim.errors import ConfigurationError
+from tests.test_kernel_fastpath import _Sleeper, _TimedWaker
 
 
 class TickCounter(Component):
@@ -170,6 +171,35 @@ class TestSimulator:
         for _ in range(3):
             sim.step()
         assert cycles == [1, 2, 3]
+
+    def test_profiling_does_not_shadow_step(self):
+        # one step loop: the profiler is consulted, not swapped in
+        sim = Simulator()
+        sim.enable_profiling()
+        assert "step" not in vars(sim)
+        c = TickCounter()
+        sim.register(c)
+        sim.step()
+        assert (sim.cycle, c.ticks, sim.profiler.ticks) == (1, 1, 1)
+        assert sim.profiler.component_ticks == {"TickCounter": 1}
+
+    def test_raise_inside_a_profiled_tick_spares_the_components_after_it(
+            self):
+        # registration order: a sleeper, the one that raises, a sleeper
+        books = []
+        for profile in (False, True):
+            sim = Simulator(profile=profile)
+            first, bomb, last = _Sleeper(), _TimedWaker(wake_at=10), _Sleeper()
+            bomb.on_tick = lambda cycle: cycle == 10 and 1 // 0
+            for component in (first, bomb, last):
+                sim.register(component)
+            with pytest.raises(ZeroDivisionError):
+                sim.run(until=lambda: False, max_cycles=100,
+                        deadlock_check=False)
+            books.append((sim.cycle, first.ticks + first.skipped,
+                          last.ticks + last.skipped))
+        # `first` was ticked at cycle 10, nobody got to `last`
+        assert books[0] == books[1] == (10, 10, 9)
 
 
 class TestStats:

@@ -96,6 +96,8 @@ class TestSerialSweep:
             run_sweep(square, [1], on_error="explode")
         with pytest.raises(ConfigurationError):
             run_sweep(square, [1, 2], chunk_size=0)
+        with pytest.raises(ConfigurationError):
+            run_sweep(None, [1, 2], on_error="record")
 
     def test_describe_mentions_throughput(self):
         res = run_sweep(square, list(range(4)), jobs=1)
