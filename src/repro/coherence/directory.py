@@ -175,7 +175,7 @@ class DirectoryController(Component):
                                   line_addr=msg.line_addr, txn=msg.txn,
                                   value=result))
 
-        self.sim.schedule(self.lat.memory, act, label=f"uncached {msg.describe()}")
+        self.sim.schedule(self.lat.memory, act)
 
     def _accept_request(self, msg: Message) -> None:
         if msg.line_addr in self._busy:
@@ -203,8 +203,7 @@ class DirectoryController(Component):
                           txn=txn.txn_id, line=txn.line_addr,
                           op=msg.kind.value, src=msg.src)
         # Directory lookup + memory access latency, then act.
-        self.sim.schedule(self.lat.memory, lambda: self._act(txn),
-                          label=f"dir act {msg.describe()}")
+        self.sim.schedule(self.lat.memory, lambda: self._act(txn))
 
     def _finish(self, txn: Transaction) -> None:
         self.trace.record(self.sim.cycle, "dir", "txn_finish",
@@ -215,7 +214,7 @@ class DirectoryController(Component):
             nxt = queue.popleft()
             if not queue:
                 del self._queues[txn.line_addr]
-            self.sim.schedule(0, lambda: self._start(nxt), label="dir dequeue")
+            self.sim.schedule(0, lambda: self._start(nxt))
 
     # ------------------------------------------------------------------
     # Transaction logic

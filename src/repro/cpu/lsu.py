@@ -466,9 +466,7 @@ class LoadStoreUnit:
         self.stat_forwards.inc()
         self.sim.schedule(
             self.cache.config.hit_latency,
-            self._waking(lambda: self._load_completed(op, gen, value, cycle)),
-            label=f"forward {op.tag}",
-        )
+            self._waking(lambda: self._load_completed(op, gen, value, cycle)))
         return True
 
     def _enter_slb(self, op: MemOp) -> bool:
@@ -525,9 +523,6 @@ class LoadStoreUnit:
             return  # stale response from before a reissue/squash
         if op.seq not in self.pending:
             return  # squashed
-        if op.is_rmw:
-            self._rmw_read_completed(op, value)
-            return
         op.state = MemState.PERFORMED
         self.pending.pop(op.seq, None)
         self.stat_load_latency.add(self.sim.cycle - start)
@@ -543,8 +538,7 @@ class LoadStoreUnit:
     def _issue_speculative_rmw_read(self, op: MemOp) -> None:
         assert self.slb is not None
         if not self._enter_slb(op):
-            self.sim.schedule(1, self._waking(lambda: self._retry_spec_rmw(op)),
-                              label="slb retry")
+            self.sim.schedule(1, self._waking(lambda: self._retry_spec_rmw(op)))
             return
         entry = self.slb.get(op.seq)
         entry.store_tags.add(op.seq)  # its own store-buffer tag (Appendix A)
@@ -576,8 +570,7 @@ class LoadStoreUnit:
         if blocked:
             # a poll that finds the store still there has touched
             # nothing: it goes round again without waking the core
-            self.sim.schedule(1, lambda: self._try_send_rmw_read(op),
-                              label="rmw read dep wait")
+            self.sim.schedule(1, lambda: self._try_send_rmw_read(op))
             return
         self._wake()
         self._send_rmw_read(op)
@@ -596,8 +589,7 @@ class LoadStoreUnit:
                     self._spec_rmw_read_done(op, gen, v)),
         )
         if not self.cache.access(req):
-            self.sim.schedule(1, self._waking(lambda: self._retry_rmw_read(op, gen)),
-                              label="rmw read retry")
+            self.sim.schedule(1, self._waking(lambda: self._retry_rmw_read(op, gen)))
 
     def _retry_rmw_read(self, op: MemOp, gen: int) -> None:
         if op.generation != gen or op.seq not in self.pending:
@@ -613,12 +605,6 @@ class LoadStoreUnit:
             self.slb.mark_done(op.seq)
         self.trace.record(self.sim.cycle, self.name, "rmw_spec_value",
                           tag=op.tag, seq=op.seq, value=value)
-
-    def _rmw_read_completed(self, op: MemOp, value: int) -> None:
-        # demand RMW path never routes here: actual RMWs complete via
-        # _store_completed.  (Reached only if a LOAD-kind callback was
-        # wired to an RMW op outside the spec path, which is a bug.)
-        raise AssertionError("RMW ops complete via the store buffer path")
 
     # ------------------------------------------------------------------
     # Detection & correction plumbing

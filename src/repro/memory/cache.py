@@ -190,8 +190,7 @@ class LockupFreeCache(Component):
             self._touch(line)
             req.issued_cycle = self.sim.cycle
             self.sim.schedule(self.config.hit_latency,
-                              lambda: self._complete_access(req, line_addr),
-                              label=f"hit {req.tag or req.addr}")
+                              lambda: self._complete_access(req, line_addr))
             return True
 
         # Merge with an outstanding transaction for this line.
@@ -340,15 +339,14 @@ class LockupFreeCache(Component):
             # The line was invalidated/replaced between hit detection and
             # completion (possible with multi-cycle hit latency).  Re-run
             # the access as a fresh miss.
-            self.sim.schedule(0, lambda: self._retry(req), label="hit-race retry")
+            self.sim.schedule(0, lambda: self._retry(req))
             return
         if req.kind is not AccessKind.LOAD and line.state is not LineState.MODIFIED:
             # Same race as above, but the line lost *permission* rather
             # than presence: a RECALL downgraded MODIFIED -> SHARED after
             # the store/RMW was accepted as a hit.  Re-run as a fresh
             # access so an UPGRADE re-acquires ownership.
-            self.sim.schedule(0, lambda: self._retry(req),
-                              label="ownership-race retry")
+            self.sim.schedule(0, lambda: self._retry(req))
             return
         widx = self.config.word_index(req.addr)
         if req.kind is AccessKind.LOAD:
@@ -366,7 +364,7 @@ class LockupFreeCache(Component):
 
     def _retry(self, req: AccessRequest) -> None:
         if not self.access(req):
-            self.sim.schedule(1, lambda: self._retry(req), label="access retry")
+            self.sim.schedule(1, lambda: self._retry(req))
 
     # ------------------------------------------------------------------
     # Message plumbing
@@ -477,7 +475,7 @@ class LockupFreeCache(Component):
             raise ProtocolError(f"cache{self.node}: DATA with no MSHR for line {msg.line_addr:#x}")
         line = self._install(msg.line_addr, LineState.SHARED, msg.data or [])
         if line is None:
-            self.sim.schedule(1, lambda: self._on_data(msg), label="fill retry")
+            self.sim.schedule(1, lambda: self._on_data(msg))
             return
         del self.mshrs[msg.line_addr]
         self._mark_prefetch_fill(entry)
@@ -515,7 +513,7 @@ class LockupFreeCache(Component):
             data = existing.data
         line = self._install(msg.line_addr, LineState.MODIFIED, data)
         if line is None:
-            self.sim.schedule(1, lambda: self._on_data_excl(msg), label="fill retry")
+            self.sim.schedule(1, lambda: self._on_data_excl(msg))
             return
         del self.mshrs[msg.line_addr]
         self._mark_prefetch_fill(entry)

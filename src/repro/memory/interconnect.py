@@ -63,7 +63,7 @@ class Interconnect(Component):
             self._in_flight -= 1
             self._endpoints[msg.dst](msg)
 
-        self.sim.schedule_at(max(arrival, self.sim.cycle), deliver, label=msg.describe())
+        self.sim.schedule_at(max(arrival, self.sim.cycle), deliver)
 
     @property
     def in_flight(self) -> int:

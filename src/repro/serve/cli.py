@@ -31,7 +31,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .client import ServeClient, connect_with_retry
+from .client import ServeClient, ServeClientError, connect_with_retry
 from .loadgen import build_job_mix, run_closed_loop, run_open_loop
 from .protocol import ProtocolError, make_job
 from .server import ServeServer
@@ -69,7 +69,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ledger_path=args.ledger_path,
         ledger=not args.no_ledger,
         request_log=not args.no_request_log,
-        max_batch=args.max_batch,
     )
 
     async def main() -> None:
@@ -165,7 +164,7 @@ def _submit_all(args: argparse.Namespace,
 def _cmd_submit(args: argparse.Namespace) -> int:
     try:
         jobs = _jobs_from_args(args)
-    except (OSError, ValueError, ProtocolError) as exc:
+    except ValueError as exc:  # not JSON, or not a job (ProtocolError)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _submit_all(args, jobs)
@@ -174,7 +173,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         jobs = _jobs_from_file(args.log)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: cannot read request log: {exc}", file=sys.stderr)
         return 2
     return _submit_all(args, jobs)
@@ -242,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="do not append ledger records")
     p_serve.add_argument("--no-request-log", action="store_true",
                          help="do not keep <store>/requests.jsonl")
-    p_serve.add_argument("--max-batch", type=int, default=256,
-                         help="max jobs per executor batch "
-                              "(default: %(default)s)")
     p_serve.set_defaults(func=_cmd_serve)
 
     for name, func, helptext in (
@@ -306,7 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ServeClientError, ProtocolError) as exc:
+        # nothing listening, a dropped connection, a reply that is not
+        # the protocol: an unusable endpoint, not a failed job (exit 1)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 __all__ = ["DEFAULT_PORT", "build_parser", "main"]

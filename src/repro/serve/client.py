@@ -16,7 +16,7 @@ import os
 import socket
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -60,10 +60,6 @@ class ServeResult:
         return int(self.result["cycles"])  # type: ignore[arg-type]
 
 
-#: progress callback: one server progress event (plain dict)
-ProgressCallback = Callable[[Dict[str, object]], None]
-
-
 class ServeClient:
     """Synchronous NDJSON client over one TCP connection."""
 
@@ -104,13 +100,11 @@ class ServeClient:
         return self._next_id
 
     def _request(self, op: str) -> Dict[str, object]:
-        """One-shot op; skips any stray progress events in between."""
+        """One-shot op: send it, return the reply that carries its id."""
         msg_id = self._take_id()
         self._send({"op": op, "id": msg_id})
         while True:
             message = self._recv()
-            if message.get("event") == "progress":
-                continue
             if message.get("id") == msg_id:
                 if not message.get("ok"):
                     raise ServeClientError(str(message.get("error")))
@@ -141,39 +135,31 @@ class ServeClient:
 
     # -- submission -----------------------------------------------------
 
-    def submit(self, job: Mapping[str, object],
-               progress: Optional[ProgressCallback] = None) -> ServeResult:
-        return self.submit_many([job], progress=progress)[0]
+    def submit(self, job: Mapping[str, object]) -> ServeResult:
+        return self.submit_many([job])[0]
 
     def submit_many(self, jobs: Sequence[Mapping[str, object]],
-                    progress: Optional[ProgressCallback] = None,
                     ) -> List[ServeResult]:
         """Pipeline every job, then collect results in submission order.
 
-        All submits go out before any result is read, so the server can
-        batch the misses into one executor call; ``progress`` receives
-        the server's streamed progress events (when requested, which is
-        exactly when ``progress`` is given).  Jobs are sent as-is — the
-        server canonicalizes and validates, and a rejected job comes
-        back as a :class:`ServeResult` with ``ok == False`` rather than
-        raising, so one bad job never sinks a batch.
+        All submits go out before any result is read, so the server has
+        every miss in hand at once and a pool runs them side by side.
+        Jobs are sent as-is — the server canonicalizes and validates,
+        and a rejected job comes back as a :class:`ServeResult` with
+        ``ok == False`` rather than raising, so one bad job never sinks
+        the rest.
         """
         specs = [dict(job) for job in jobs]
         pending: Dict[object, int] = {}
         for i, spec in enumerate(specs):
             msg_id = self._take_id()
             pending[msg_id] = i
-            self._send({"op": "submit", "id": msg_id, "job": spec,
-                        "progress": progress is not None})
+            self._send({"op": "submit", "id": msg_id, "job": spec})
         results: List[Optional[ServeResult]] = [None] * len(specs)
         outstanding = len(specs)
         while outstanding:
             message = self._recv()
             event = message.get("event")
-            if event == "progress":
-                if progress is not None:
-                    progress(message)
-                continue
             if event == "accepted":
                 continue
             if event == "result":
@@ -255,7 +241,6 @@ def shared_client(host: str, port: int) -> ServeClient:
 
 
 __all__ = [
-    "ProgressCallback",
     "ServeClient",
     "ServeClientError",
     "ServeResult",

@@ -1,26 +1,25 @@
-"""Pluggable executor pool: how cache misses actually run.
+"""How cache misses actually run: one job, one future.
 
-Both executors are :func:`repro.sim.sweep.run_sweep` over the per-item
-:func:`execute_job` worker — one job, one scalar-kernel run — so the
-server inherits the sweep engine's whole contract for free: ordered
-results, per-item error containment (``on_error="record"``), worker
-utilization stats, and live :class:`~repro.sim.sweep.SweepProgress`
-telemetry that the server streams on to subscribed clients:
+The server awaits ``loop.run_in_executor(executor, execute_job, spec)``
+for every miss, on a :class:`concurrent.futures.Executor` that
+:func:`make_executor` builds once and that lives as long as the server:
 
-* ``serial`` — in-process, one job at a time (``jobs=1``): the
-  lowest-latency path for small batches and the default;
-* ``pool`` — a ``ProcessPoolExecutor`` fan-out (``jobs=N``).
+* ``serial`` — one worker thread in the server process, one job at a
+  time: the lowest-latency path and the default;
+* ``pool`` — a ``ProcessPoolExecutor`` of ``jobs`` workers, started
+  once (the first misses pay for it).
 
-A failed job comes back as an ``{"error": {...}}`` marker rather than
-poisoning the batch; the server reports it to the submitting client
-and never caches it.
+A job that raises fails its own future only; the server reports it to
+the submitting client as an ``{"error": {...}}`` marker and never
+caches it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+import multiprocessing
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Dict, Mapping
 
-from ..sim.sweep import SweepError, TelemetryCallback, run_sweep
 from .protocol import (
     ProtocolError,
     normalize_job,
@@ -30,15 +29,6 @@ from .protocol import (
 
 #: executor kinds the server and CLI know
 EXECUTOR_KINDS = ("serial", "pool")
-
-#: an executor: (canonical job specs, telemetry) -> one result per spec
-Executor = Callable[[Sequence[Mapping[str, object]],
-                     Optional[TelemetryCallback]], List[Dict[str, object]]]
-
-
-def _tm():
-    from ..obs import telemetry
-    return telemetry
 
 
 def execute_job(spec: Mapping[str, object]) -> Dict[str, object]:
@@ -63,42 +53,25 @@ def execute_job(spec: Mapping[str, object]) -> Dict[str, object]:
             "cycles": int(res.cycles)}
 
 
-def _materialize(results: Sequence[object]) -> List[Dict[str, object]]:
-    """SweepError slots -> ``{"error": ...}`` markers the server (and
-    clients) understand; successful slots pass through."""
-    out: List[Dict[str, object]] = []
-    for slot in results:
-        if isinstance(slot, SweepError):
-            out.append({"error": {"type": slot.error_type,
-                                  "message": slot.message}})
-        else:
-            out.append(slot)  # type: ignore[arg-type]
-    return out
-
-
 def make_executor(kind: str, jobs: int = 1) -> Executor:
-    """Build one of the two executors (see module docstring)."""
+    """Build one of the two executors (see module docstring); the
+    caller owns it and shuts it down."""
     if kind not in EXECUTOR_KINDS:
         raise ProtocolError(f"unknown executor {kind!r}; "
                             f"available: {EXECUTOR_KINDS}")
-    workers = 1 if kind == "serial" else max(1, jobs)
-
-    def run(specs: Sequence[Mapping[str, object]],
-            telemetry: Optional[TelemetryCallback] = None,
-            ) -> List[Dict[str, object]]:
-        if not specs:
-            return []
-        _tm().inc("serve/simulations", len(specs))
-        sweep = run_sweep(execute_job, list(specs), jobs=workers,
-                          telemetry=telemetry, on_error="record")
-        return _materialize(sweep.results)
-
-    return run
+    if kind == "serial":
+        return ThreadPoolExecutor(max_workers=1,
+                                  thread_name_prefix="serve-exec")
+    # spawn, not fork: an embedding process has threads (ServerThread's
+    # own, and a replacement pool starts while the broken one's manager
+    # thread winds down), and a forked worker inherits their held locks
+    return ProcessPoolExecutor(
+        max_workers=max(1, jobs),
+        mp_context=multiprocessing.get_context("spawn"))
 
 
 __all__ = [
     "EXECUTOR_KINDS",
-    "Executor",
     "execute_job",
     "make_executor",
 ]

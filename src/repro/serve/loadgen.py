@@ -242,7 +242,7 @@ async def _open_loop(host: str, port: int,
                 raise ServeClientError("oversized frame")
             message = decode_message(line)
             if message.get("event") != "result":
-                if message.get("event") in ("accepted", "progress"):
+                if message.get("event") == "accepted":
                     continue
                 if not message.get("ok", True):
                     report.errors += 1

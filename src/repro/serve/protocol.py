@@ -17,16 +17,16 @@ a socket, land in a ledger, and key a content-addressed cache:
 **canonical job**: a fully-determined plain dict whose
 :func:`repro.obs.ledger.request_hash` is the cache key.  Everything
 result-determining is in the canonical form; nothing about execution
-shape (executor choice, batching, worker count) is, so a job served by
+shape (executor choice, worker count) is, so a job served by
 a pool worker hashes — and must answer — identically to one served by
 an in-process run.  Determinism is pinned by the
 differential suites, which is what makes results cacheable forever.
 
 Wire format: one JSON object per line (``\\n``-delimited, UTF-8), in
 both directions.  Client ops: ``submit``, ``stats``, ``metrics``,
-``ping``, ``shutdown``.  Server events: ``accepted``, ``progress``,
-``result``, plus one-shot responses.  See ``docs/serving.md`` for the
-full message catalogue.
+``ping``, ``shutdown``.  Server events: ``accepted`` then exactly one
+``result`` per submit, plus one-shot responses.  See
+``docs/serving.md`` for the full message catalogue.
 """
 
 from __future__ import annotations

@@ -14,11 +14,13 @@ request path for a ``submit``:
 3. **look up** the persistent content-addressed
    :class:`~repro.serve.store.ResultStore` — a hit answers without
    touching the simulator, forever, because determinism is pinned;
-4. on a miss, **enqueue** to the dispatcher, which drains whatever is
-   queued into one executor batch (serial / process-pool —
-   :mod:`repro.serve.executors`), streams the sweep
-   engine's :class:`~repro.sim.sweep.SweepProgress` samples to
-   subscribed clients, stores the result, and resolves every waiter;
+4. on a miss, **execute**: one task per miss awaits one
+   :func:`~repro.serve.executors.execute_job` future on the server's
+   executor (serial / process-pool — :mod:`repro.serve.executors`),
+   stores the result, and resolves every waiter.  It is the
+   lockup-free cache's MSHR file (DESIGN S3): each outstanding miss
+   owns one ``_inflight`` entry, later requests for the same job merge
+   into it, and every miss completes on its own;
 5. **append** one ledger record per completed submission, so
    ``python -m repro.obs ledger stats`` reports the server's real
    dedupe hit rate with no extra bookkeeping.
@@ -34,15 +36,13 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import BrokenExecutor
 from threading import Event as ThreadEvent
 from threading import Thread
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from ..obs import ledger as ledger_mod
-from ..sim.sweep import SweepProgress
-from .executors import Executor, make_executor
+from .executors import execute_job, make_executor
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -65,36 +65,23 @@ def _tm():
     return telemetry
 
 
-@dataclass
-class _PendingJob:
-    """One queued cache miss: the future every waiter shares, plus the
-    progress subscriptions to notify while its batch runs."""
-
-    sha: str
-    spec: Dict[str, object]
-    future: "asyncio.Future[Dict[str, object]]"
-    #: (send, client message id) pairs that asked for progress events
-    subscribers: List[Tuple[AsyncSend, object]] = field(default_factory=list)
-
-
 class ServeServer:
     """The simulation-as-a-service front end (one asyncio loop)."""
 
     def __init__(self,
                  store: ResultStore,
-                 executor: Optional[Executor] = None,
                  executor_kind: str = "serial",
                  executor_jobs: int = 1,
                  host: str = "127.0.0.1",
                  port: int = 0,
                  ledger_path: Optional[str] = None,
                  ledger: bool = True,
-                 request_log: bool = True,
-                 max_batch: int = 256) -> None:
+                 request_log: bool = True) -> None:
         self.store = store
         self.executor_kind = executor_kind
-        self.executor = executor if executor is not None else make_executor(
-            executor_kind, jobs=executor_jobs)
+        self.executor_jobs = executor_jobs
+        #: built once, shut down in :meth:`aclose`
+        self.executor = make_executor(executor_kind, jobs=executor_jobs)
         self.host = host
         self.port = port
         self.ledger_path = ledger_path
@@ -102,33 +89,30 @@ class ServeServer:
         self.request_log_path = (
             os.path.join(store.root, "requests.jsonl")
             if request_log else None)
-        self.max_batch = max_batch
         self.counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
         self.started_at = time.time()
-        self._inflight: Dict[str, _PendingJob] = {}
-        self._queue: "asyncio.Queue[Optional[_PendingJob]]" = None  # type: ignore[assignment]
+        #: request hash -> the one execution every asker of it shares
+        self._inflight: Dict[str, "asyncio.Future[Dict[str, object]]"] = {}
+        #: accepted submits not yet answered
+        self._submits: Set["asyncio.Task[None]"] = set()
+        #: open connections: handler task -> its writer
+        self._connections: Dict["asyncio.Task[None]",
+                                asyncio.StreamWriter] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._dispatcher: Optional["asyncio.Task[None]"] = None
         self._shutdown: Optional[asyncio.Event] = None
-        # executor batches run on one worker thread so the asyncio loop
-        # stays responsive; one thread also serializes executor access
-        self._exec_threads = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-exec")
         self._prev_telemetry = False
 
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and start the dispatcher; after
-        this returns, :attr:`port` holds the real bound port."""
+        """Bind the listening socket; after this returns, :attr:`port`
+        holds the real bound port."""
         tm = _tm()
         self._prev_telemetry = tm.enabled()
         tm.enable(True)
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue()
         self._shutdown = asyncio.Event()
-        self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -143,14 +127,23 @@ class ServeServer:
 
     async def aclose(self) -> None:
         if self._server is not None:
-            self._server.close()
+            self._server.close()  # stop listening
+        # every submit accepted so far finishes: its miss runs, is
+        # stored, answered and ledgered (one arriving from here on is
+        # not waited for)
+        if self._submits:
+            await asyncio.wait(set(self._submits))
+        # the clients still connected read EOF and their handlers end
+        # on it; left to the loop's teardown they would be cancelled
+        # mid-read, which asyncio logs
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(set(self._connections))
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        if self._dispatcher is not None:
-            await self._queue.put(None)
-            await self._dispatcher
-            self._dispatcher = None
-        self._exec_threads.shutdown(wait=True)
+        self.executor.shutdown(wait=True, cancel_futures=True)
         _tm().enable(self._prev_telemetry)
 
     def request_shutdown(self) -> None:
@@ -164,7 +157,9 @@ class ServeServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         write_lock = asyncio.Lock()
-        tasks: List["asyncio.Task[None]"] = []
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[handler] = writer
 
         async def send(message: Dict[str, object]) -> None:
             async with write_lock:
@@ -186,13 +181,13 @@ class ServeServer:
                     await self._safe_send(send, {"ok": False,
                                                  "error": str(exc)})
                     continue
-                tasks[:] = [task for task in tasks if not task.done()]
-                if not await self._handle_message(message, send, tasks):
+                if not await self._handle_message(message, send):
                     break
         finally:
             # a disconnected client's pending submits still run to
             # completion (the result is cached for the next asker);
             # their sends fail silently via _safe_send
+            del self._connections[handler]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -200,14 +195,14 @@ class ServeServer:
                 pass
 
     async def _handle_message(self, message: Dict[str, object],
-                              send: AsyncSend,
-                              tasks: List["asyncio.Task[None]"]) -> bool:
+                              send: AsyncSend) -> bool:
         """Dispatch one client message; returns False to close."""
         op = message.get("op")
         msg_id = message.get("id")
         if op == "submit":
-            tasks.append(asyncio.ensure_future(
-                self._handle_submit(message, send)))
+            task = asyncio.ensure_future(self._handle_submit(message, send))
+            self._submits.add(task)
+            task.add_done_callback(self._submits.discard)
             return True
         if op == "ping":
             await self._safe_send(send, {
@@ -265,17 +260,14 @@ class ServeServer:
         self._log_request(sha, spec)
         await self._safe_send(send, {"ok": True, "event": "accepted",
                                      "id": msg_id, "request_sha256": sha})
-        want_progress = bool(message.get("progress"))
 
         cached = False
         coalesced = False
-        pending = self._inflight.get(sha)
-        if pending is not None:
+        execution = self._inflight.get(sha)
+        if execution is not None:
             coalesced = True
             self._count("coalesced")
-            if want_progress:
-                pending.subscribers.append((send, msg_id))
-            result = await asyncio.shield(pending.future)
+            result = await asyncio.shield(execution)
         else:
             stored = self.store.get(sha)
             if stored is not None:
@@ -284,14 +276,9 @@ class ServeServer:
                 result = stored
             else:
                 self._count("cache_misses")
-                assert self._loop is not None
-                pending = _PendingJob(sha=sha, spec=spec,
-                                      future=self._loop.create_future())
-                if want_progress:
-                    pending.subscribers.append((send, msg_id))
-                self._inflight[sha] = pending
-                await self._queue.put(pending)
-                result = await asyncio.shield(pending.future)
+                execution = self._inflight[sha] = asyncio.ensure_future(
+                    self._execute(sha, spec))
+                result = await asyncio.shield(execution)
 
         wall = time.perf_counter() - t0
         if "error" in result:
@@ -309,74 +296,44 @@ class ServeServer:
             "coalesced": coalesced, "result": result,
             "wall_seconds": round(wall, 6)})
 
-    # -- dispatcher -----------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        assert self._queue is not None
-        while True:
-            entry = await self._queue.get()
-            if entry is None:
-                return
-            batch = [entry]
-            while len(batch) < self.max_batch:
-                try:
-                    extra = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is None:
-                    await self._run_batch(batch)
-                    return
-                batch.append(extra)
-            await self._run_batch(batch)
-
-    async def _run_batch(self, batch: List[_PendingJob]) -> None:
-        assert self._loop is not None
-        loop = self._loop
-        specs = [entry.spec for entry in batch]
+    async def _execute(self, sha: str,
+                       spec: Dict[str, object]) -> Dict[str, object]:
+        """One cache miss: run the job, store its result and release
+        the ``_inflight`` entry.  A job that raised comes back as an
+        ``{"error": ...}`` marker, which is reported and never stored."""
         tm = _tm()
-        tm.inc("serve/batches")
-        tm.observe("serve/batch_jobs", len(batch),
-                   buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512))
-
-        def on_progress(sample: SweepProgress) -> None:
-            # called on the executor thread; hop to the loop before
-            # touching any asyncio state
-            loop.call_soon_threadsafe(self._emit_progress, batch, sample)
-
+        tm.inc("serve/simulations")
         t0 = time.perf_counter()
         try:
-            results = await loop.run_in_executor(
-                self._exec_threads,
-                lambda: self.executor(specs, on_progress))
-        except Exception as exc:  # noqa: BLE001 - batch-level containment
-            results = [{"error": {"type": type(exc).__name__,
-                                  "message": str(exc)}}] * len(batch)
-        tm.observe("serve/batch_seconds", time.perf_counter() - t0)
-        for entry, result in zip(batch, results):
-            if "error" not in result:
-                self._count("executed")
-                self.store.put(entry.sha, entry.spec, result)
-            self._inflight.pop(entry.sha, None)
-            if not entry.future.done():
-                entry.future.set_result(result)
+            result = await self._run(spec)
+        except Exception as exc:  # noqa: BLE001 - per-job containment
+            result = {"error": {"type": type(exc).__name__,
+                                "message": str(exc)}}
+        else:
+            self._count("executed")
+            self.store.put(sha, spec, result)
+        finally:
+            del self._inflight[sha]
+        tm.observe("serve/job_seconds", time.perf_counter() - t0)
+        return result
 
-    def _emit_progress(self, batch: List[_PendingJob],
-                       sample: SweepProgress) -> None:
-        event = {
-            "ok": True,
-            "event": "progress",
-            "done": sample.done,
-            "total": sample.total,
-            "items_per_second": round(sample.items_per_second, 3),
-            "eta_seconds": (round(sample.eta_seconds, 3)
-                            if sample.eta_seconds is not None else None),
-            "utilization": round(sample.utilization, 4),
-        }
-        for entry in batch:
-            for send, msg_id in entry.subscribers:
-                message = dict(event)
-                message["id"] = msg_id
-                asyncio.ensure_future(self._safe_send(send, message))
+    def _run(self, spec: Dict[str, object],
+             ) -> "asyncio.Future[Dict[str, object]]":
+        """Hand one job to the executor.
+
+        A pool that lost a worker fails every job it held
+        (``BrokenExecutor``, an error marker each) and refuses the next
+        one here, before it is queued: that is where the pool is
+        replaced, once, and the job runs on the new one.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            return loop.run_in_executor(self.executor, execute_job, spec)
+        except BrokenExecutor:
+            self.executor.shutdown(wait=False)
+            self.executor = make_executor(self.executor_kind,
+                                          jobs=self.executor_jobs)
+            return loop.run_in_executor(self.executor, execute_job, spec)
 
     # -- bookkeeping ----------------------------------------------------
 

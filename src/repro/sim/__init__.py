@@ -8,7 +8,7 @@ from .errors import (
     ProtocolError,
     SimulationError,
 )
-from .events import Event, EventQueue
+from .events import EventQueue
 from .kernel import WAKE_NEVER, Component, Simulator
 from .profiler import HostHeartbeat, HostProfiler
 from .stats import Counter, Histogram, StatsRegistry, format_stats_table
@@ -30,7 +30,6 @@ __all__ = [
     "ConfigurationError",
     "Counter",
     "DeadlockError",
-    "Event",
     "EventQueue",
     "Histogram",
     "HostHeartbeat",

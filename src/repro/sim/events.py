@@ -7,10 +7,9 @@ heap keyed on ``(cycle, sequence)`` so that events scheduled for the same
 cycle fire in the order they were scheduled — this keeps simulations
 fully deterministic.
 
-The queue also maintains a live count of non-cancelled events (so
-``len()`` is O(1) — the profiler samples it every cycle) and a pop
-horizon: once events due at cycle *c* have been drained, scheduling a
-new event before *c* is an error rather than a silently late firing.
+The queue keeps a pop horizon: once events due at cycle *c* have been
+drained, scheduling a new event before *c* is an error rather than a
+silently late firing.
 """
 
 from __future__ import annotations
@@ -24,52 +23,21 @@ from .errors import ConfigurationError
 EventCallback = Callable[[], Any]
 
 
-class Event:
-    """A scheduled callback.
-
-    Instances are returned by :meth:`EventQueue.schedule` and may be
-    cancelled; a cancelled event is skipped when its cycle arrives.
-    """
-
-    __slots__ = ("cycle", "seq", "callback", "cancelled", "label", "_queue")
-
-    def __init__(self, cycle: int, seq: int, callback: EventCallback, label: str,
-                 queue: Optional["EventQueue"] = None) -> None:
-        self.cycle = cycle
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self.label = label
-        self._queue = queue
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._queue is not None:
-                self._queue._live -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event {self.label or self.callback!r} @cycle {self.cycle} ({state})>"
-
-
 class EventQueue:
-    """Deterministic min-heap of :class:`Event` objects."""
+    """Deterministic min-heap of ``(cycle, seq, callback)`` entries."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Tuple[int, int, EventCallback]] = []
         self._counter = itertools.count()
-        self._live = 0           # non-cancelled events still in the heap
-        self._popped_through = -1  # latest cycle handed to pop_due
+        self._popped_through = -1  # latest cycle handed to run_due
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap)
 
-    def schedule(self, cycle: int, callback: EventCallback, label: str = "") -> Event:
+    def schedule(self, cycle: int, callback: EventCallback) -> None:
         """Schedule ``callback`` to run at ``cycle``.
 
-        ``cycle`` must not be in the past: once :meth:`pop_due` has
+        ``cycle`` must not be in the past: once :meth:`run_due` has
         drained events due at some cycle, scheduling before that cycle
         raises (a past event would otherwise fire silently late).
         """
@@ -79,30 +47,11 @@ class EventQueue:
             raise ConfigurationError(
                 f"cannot schedule event at cycle {cycle}: events due at or "
                 f"before cycle {self._popped_through} have already fired")
-        ev = Event(cycle, next(self._counter), callback, label, queue=self)
-        heapq.heappush(self._heap, (cycle, ev.seq, ev))
-        self._live += 1
-        return ev
+        heapq.heappush(self._heap, (cycle, next(self._counter), callback))
 
     def next_cycle(self) -> Optional[int]:
         """Cycle of the earliest pending event, or ``None`` if empty."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def pop_due(self, cycle: int) -> List[Event]:
-        """Remove and return all non-cancelled events due at or before ``cycle``."""
-        if cycle > self._popped_through:
-            self._popped_through = cycle
-        due: List[Event] = []
-        while self._heap and self._heap[0][0] <= cycle:
-            _, _, ev = heapq.heappop(self._heap)
-            if not ev.cancelled:
-                self._live -= 1
-                due.append(ev)
-        return due
+        return self._heap[0][0] if self._heap else None
 
     def run_due(self, cycle: int) -> int:
         """Fire every event due at or before ``cycle``; return count fired.
@@ -111,11 +60,11 @@ class EventQueue:
         so a message that triggers an immediate (zero-latency) response
         within the same cycle is handled before the pipeline ticks.
         """
+        if cycle > self._popped_through:
+            self._popped_through = cycle
+        heap = self._heap
         fired = 0
-        while True:
-            due = self.pop_due(cycle)
-            if not due:
-                return fired
-            for ev in due:
-                ev.callback()
-                fired += 1
+        while heap and heap[0][0] <= cycle:
+            heapq.heappop(heap)[2]()
+            fired += 1
+        return fired

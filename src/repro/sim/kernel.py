@@ -32,7 +32,7 @@ import time
 from typing import Callable, Dict, List, Optional, Union
 
 from .errors import DeadlockError
-from .events import Event, EventCallback, EventQueue
+from .events import EventCallback, EventQueue
 from .profiler import HostProfiler
 from .stats import StatsRegistry
 
@@ -146,19 +146,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, callback: EventCallback, label: str = "") -> Event:
+    def schedule(self, delay: int, callback: EventCallback) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
 
         ``delay`` of 0 means "later this same cycle" when called from an
         event, or "at the start of the next processed cycle" when called
         from a component tick.
         """
-        return self.events.schedule(self.cycle + delay, callback, label)
+        self.events.schedule(self.cycle + delay, callback)
 
-    def schedule_at(self, cycle: int, callback: EventCallback, label: str = "") -> Event:
+    def schedule_at(self, cycle: int, callback: EventCallback) -> None:
         if cycle < self.cycle:
             raise ValueError(f"cannot schedule in the past ({cycle} < {self.cycle})")
-        return self.events.schedule(cycle, callback, label)
+        self.events.schedule(cycle, callback)
 
     # ------------------------------------------------------------------
     # Execution

@@ -1,11 +1,10 @@
 """A generic parallel sweep engine (``ProcessPoolExecutor``).
 
-The two workloads that need processes — fuzzing campaigns
-(``repro.verify``) and the job server's executors (``repro.serve``) —
-have the same shape: a pure worker function mapped over a list of
-independent work items.  :func:`run_sweep` is the one shared runner for
-both (the analysis tables are a few hundred milliseconds and run
-serially):
+A fuzzing campaign (``repro.verify``) is a pure worker function mapped
+over a list of independent work items, and :func:`run_sweep` is its
+runner — ``verify.cli.run_fuzz`` is the one caller in the package (the
+analysis tables are a few hundred milliseconds and run serially, and
+the job server hands each miss to its own executor):
 
 * **chunked dispatch** — items are grouped into chunks so the
   per-task pickling/IPC overhead is amortized over many items;
@@ -21,9 +20,8 @@ serially):
   also the path used on machines where fork is unavailable.
 
 Workers must be module-level (picklable) callables and items must be
-picklable values.  Exceptions inside a worker propagate to the caller
-unless ``on_error="record"``, in which case the failing item's result
-slot holds a :class:`SweepError`.
+picklable values.  An exception inside a worker never aborts the sweep:
+the failing item's result slot holds a :class:`SweepError`.
 """
 
 from __future__ import annotations
@@ -49,10 +47,6 @@ from .errors import ConfigurationError
 
 #: worker signature: one picklable item in, one picklable result out
 SweepWorker = Callable[[Any], Any]
-
-#: progress callback: (items_done, items_total) -> None, called in the
-#: parent process each time a chunk completes
-ProgressCallback = Callable[[int, int], None]
 
 #: elapsed times below this are treated as zero in every rate/ETA
 #: division (a chunk of trivial items can complete within clock
@@ -98,7 +92,7 @@ def derive_seed(master_seed: int, index: int, stream: str = "") -> int:
 
 @dataclass(frozen=True)
 class SweepError:
-    """Recorded in a result slot when a worker raised (``on_error="record"``)."""
+    """Recorded in a result slot when the worker raised on that item."""
 
     item_index: int
     error_type: str
@@ -279,25 +273,21 @@ def _chunk_indices(total: int, chunk_size: int) -> List[Tuple[int, int]]:
             for start in range(0, total, chunk_size)]
 
 
-def _chunk_body(worker: SweepWorker, start: int, items: Sequence[Any],
-                record_errors: bool) -> List[Any]:
+def _chunk_body(worker: SweepWorker, start: int,
+                items: Sequence[Any]) -> List[Any]:
     """The chunk's actual work, shared by both telemetry modes."""
     out = []
     for offset, item in enumerate(items):
-        if record_errors:
-            try:
-                out.append(worker(item))
-            except Exception as exc:  # noqa: BLE001 - reported to the caller
-                out.append(SweepError(item_index=start + offset,
-                                      error_type=type(exc).__name__,
-                                      message=str(exc)))
-        else:
+        try:
             out.append(worker(item))
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
+            out.append(SweepError(item_index=start + offset,
+                                  error_type=type(exc).__name__,
+                                  message=str(exc)))
     return out
 
 
-def _run_chunk(worker: SweepWorker, start: int,
-               items: Sequence[Any], record_errors: bool,
+def _run_chunk(worker: SweepWorker, start: int, items: Sequence[Any],
                ctx: Optional[Dict[str, Any]] = None,
                ) -> Tuple[str, float, List[Any], Optional[Dict[str, Any]]]:
     """Executed inside a worker process: map ``worker`` over one chunk.
@@ -314,7 +304,7 @@ def _run_chunk(worker: SweepWorker, start: int,
     worker_id = f"pid{os.getpid()}"
     if ctx is None:
         t0 = time.perf_counter()
-        out = _chunk_body(worker, start, items, record_errors)
+        out = _chunk_body(worker, start, items)
         return worker_id, time.perf_counter() - t0, out, None
 
     tm = _tm()
@@ -324,7 +314,7 @@ def _run_chunk(worker: SweepWorker, start: int,
         t0 = time.perf_counter()
         with tm.span("sweep/chunk", {"start": start, "items": len(items),
                                      "queue_wait_seconds": round(queue_wait, 6)}):
-            out = _chunk_body(worker, start, items, record_errors)
+            out = _chunk_body(worker, start, items)
         busy = time.perf_counter() - t0
         tm.inc("sweep/chunks")
         tm.inc("sweep/items", len(items))
@@ -347,32 +337,25 @@ def run_sweep(
     items: Sequence[Any],
     jobs: int = 1,
     chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
     telemetry: Optional[TelemetryCallback] = None,
-    on_error: str = "raise",
 ) -> SweepResult:
     """Map ``worker`` over ``items``, optionally across processes.
 
     ``jobs <= 1`` (or a single item) runs serially in-process.
-    ``progress`` receives plain ``(done, total)`` ticks; ``telemetry``
-    receives full :class:`SweepProgress` samples (EMA rate, ETA,
-    per-worker utilization) — both fire in the parent process each time
-    a chunk completes.  ``on_error`` is ``"raise"`` (default) or
-    ``"record"`` (failing items yield :class:`SweepError` result slots
-    instead of aborting the sweep).
+    ``telemetry`` receives a :class:`SweepProgress` sample (items done,
+    EMA rate, ETA, per-worker utilization) in the parent process each
+    time a chunk completes.  An item whose worker raised yields a
+    :class:`SweepError` result slot (``SweepResult.errors`` lists them)
+    instead of aborting the sweep.
     """
-    if on_error not in ("raise", "record"):
-        raise ConfigurationError(
-            f"on_error must be 'raise' or 'record', got {on_error!r}")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if not callable(worker):
-        # with on_error="record" every item would otherwise "fail" with
-        # the same TypeError and the sweep would look like it ran
+        # every item would otherwise "fail" with the same TypeError and
+        # the sweep would look like it ran
         raise ConfigurationError(f"worker must be callable, got {worker!r}")
     items = list(items)
     total = len(items)
-    record = on_error == "record"
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     size = chunk_size or default_chunk_size(total, jobs)
@@ -425,8 +408,6 @@ def run_sweep(
             if queue_wait > max_queue_wait:
                 max_queue_wait = queue_wait
                 tm.set_gauge("sweep/queue_wait_seconds", max_queue_wait)
-        if progress is not None:
-            progress(done, total)
         if telemetry is not None:
             emit_telemetry()
 
@@ -437,7 +418,7 @@ def run_sweep(
                 with tm.span("sweep/chunk",
                              {"start": start, "items": stop - start}):
                     _, busy, chunk_results, _ = _run_chunk(
-                        worker, start, items[start:stop], record)
+                        worker, start, items[start:stop])
                 tm.inc("sweep/chunks")
                 tm.inc("sweep/items", stop - start)
                 tm.observe("sweep/chunk_busy_seconds", busy)
@@ -451,8 +432,8 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             pending = {
                 pool.submit(_run_chunk, worker, start, items[start:stop],
-                            record, ({"submit_us": tm.spans.now_us()}
-                                     if instrumented else None)):
+                            ({"submit_us": tm.spans.now_us()}
+                             if instrumented else None)):
                 (start, stop)
                 for start, stop in ranges
             }

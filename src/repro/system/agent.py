@@ -45,7 +45,7 @@ class ScriptedAgent:
                                   dst=DIRECTORY_NODE, line_addr=line_addr))
             self._pending_write = (line_addr, addr % self.line_size, value)
 
-        self.sim.schedule_at(cycle, fire, label=f"agent write {addr:#x}")
+        self.sim.schedule_at(cycle, fire)
 
     def read_at(self, cycle: int, addr: int) -> None:
         """Schedule a read: a READ that downgrades a remote owner."""
@@ -55,7 +55,7 @@ class ScriptedAgent:
             self.net.send(Message(kind=MessageKind.READ, src=self.node,
                                   dst=DIRECTORY_NODE, line_addr=line_addr))
 
-        self.sim.schedule_at(cycle, fire, label=f"agent read {addr:#x}")
+        self.sim.schedule_at(cycle, fire)
 
     # ------------------------------------------------------------------
     # Protocol plumbing

@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "DivergenceReport to the corpus entry "
                              "(paired archtraces land in "
                              "<corpus>.localize/)")
-    parser.add_argument("--progress", action="store_true",
-                        help="live sweep telemetry on stderr: items done, "
-                             "EMA rate, ETA, worker utilization")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     parser.add_argument("--stats-json", metavar="FILE", default=None,
@@ -124,18 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _progress_printer(quiet: bool):
-    if quiet:
-        return None
-
-    def progress(done: int, total: int) -> None:
-        print(f"\r  checked {done}/{total}", end="", file=sys.stderr)
-        if done == total:
-            print(file=sys.stderr)
-
-    return progress
-
-
 def _oracle_counters(failures: Sequence[CheckResult]) -> Tuple[int, int, int]:
     """(sim-vs-enumerator, sim-vs-axiomatic, axiomatic-vs-enumerator)."""
     sim_enum = sum(1 for f in failures for d in f.divergences
@@ -152,7 +137,6 @@ def run_fuzz(budget: int, jobs: int, seed: int,
              corpus_path: Optional[str] = None,
              do_minimize: bool = True,
              quiet: bool = False,
-             telemetry: bool = False,
              generator: Optional[GeneratorConfig] = None,
              oracle: str = "all",
              suite: bool = False,
@@ -167,10 +151,11 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     """Fuzz ``budget`` seeds (or sweep the named suite); returns the
     process exit status.
 
-    ``telemetry`` upgrades the plain ``checked n/total`` counter to the
-    live sweep meter (EMA rate, ETA, worker utilization).  ``oracle``
-    selects the crosscheck legs (see module docstring); ``suite``
-    checks every named standard litmus test instead of fuzzing.
+    Unless ``quiet``, progress goes to stderr through the sweep meter
+    (EMA rate, ETA, worker utilization): a live line on a terminal, one
+    summary line on a redirected stream.  ``oracle`` selects the
+    crosscheck legs (see module docstring); ``suite`` checks every
+    named standard litmus test instead of fuzzing.
 
     Every campaign runs inside its own telemetry scope (a fresh
     campaign-scoped registry + span tracer, so two campaigns in one
@@ -199,16 +184,14 @@ def run_fuzz(budget: int, jobs: int, seed: int,
         worker = check_seed  # type: ignore[assignment]
         total = budget
 
-    meter = ProgressMeter(label="verify") if telemetry and not quiet else None
+    meter = None if quiet else ProgressMeter(label="verify")
     t0 = time.perf_counter()
     with tm.collect(process="verify campaign") as scope:
         with tm.span("verify/campaign",
                      {"tests": total, "oracle": oracle, "backend": backend,
                       "jobs": jobs}):
             sweep = run_sweep(worker, items, jobs=jobs, chunk_size=chunk_size,
-                              progress=None if meter else
-                              _progress_printer(quiet),
-                              telemetry=meter, on_error="record")
+                              telemetry=meter)
     wall = time.perf_counter() - t0
     if meter is not None:
         meter.finish()
@@ -385,6 +368,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.budget < 1 and not args.suite:
         print("--budget must be >= 1", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("--jobs must be >= 1", file=sys.stderr)
+        return 2
+    if args.chunk_size is not None and args.chunk_size < 1:
+        print("--chunk-size must be >= 1", file=sys.stderr)
+        return 2
     if args.server is not None and args.fault is not None:
         print("--fault is incompatible with --server: faults monkeypatch "
               "this process, not the job server", file=sys.stderr)
@@ -398,7 +387,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         corpus_path=args.corpus,
         do_minimize=not args.no_minimize,
         quiet=args.quiet,
-        telemetry=args.progress,
         oracle=args.oracle,
         suite=args.suite,
         backend=args.backend,

@@ -17,14 +17,19 @@ Families:
    harness's default run configs;
 3. generated fuzz litmus tests (seeded, deterministic) compared
    wholesale in one batch;
-4. ``repro.verify`` parity: ``check_seed`` with ``backend="batched"``
+4. caches of one or two lines, where every access replaces one: the
+   eviction and writeback paths the default geometry never reaches;
+5. ``repro.verify`` parity: ``check_seed`` with ``backend="batched"``
    produces the same :class:`CheckResult`s as the scalar worker — the
    batched conformance mode of the fuzzer.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.consistency.litmus import STANDARD_TESTS
+from repro.memory.types import CacheConfig
 from repro.sim.batch import BatchJob, BatchRunner, job_unsupported_reason
 from repro.sim.sweep import derive_seed
 from repro.system.machine import run_workload
@@ -207,7 +212,45 @@ class TestGeneratedLitmus:
 
 
 # ----------------------------------------------------------------------
-# 4. repro.verify parity (the batched conformance mode)
+# 4. Replacement: caches too small for the working set
+# ----------------------------------------------------------------------
+
+class TestReplacement:
+    #: (num_sets, assoc, line_size): every other test in the suite runs
+    #: 64 sets x 4 ways, where a litmus test's few lines never collide,
+    #: so the engine's eviction and writeback paths never run there
+    GEOMETRIES = [(1, 1, 1), (1, 2, 1), (2, 1, 2)]
+
+    def test_tiny_caches_evict_identically(self):
+        tests = [STANDARD_TESTS[name]() for name in sorted(STANDARD_TESTS)]
+        tests += [generate_litmus(derive_seed(7, i, "fuzz")) for i in range(4)]
+        jobs = []
+        for num_sets, assoc, line_size in self.GEOMETRIES:
+            cache = CacheConfig(num_sets=num_sets, assoc=assoc,
+                                line_size=line_size)
+            for test in tests:
+                for model_name in MODEL_NAMES:
+                    legs, _ = litmus_jobs(test, model_name, False, False,
+                                          DEFAULT_RUN_CONFIGS)
+                    jobs += [dataclasses.replace(job, cache=cache)
+                             for job in legs]
+        batched = BatchRunner().run(jobs)
+        scalar = BatchRunner(force_scalar=True).run(jobs)
+        assert any(res.backend == "batched" for res in batched)
+        replacements = 0
+        for job, res, ref in zip(jobs, batched, scalar):
+            where = (job.model_name, job.cache, job.miss_latency)
+            assert res.ok == ref.ok, where
+            assert res.cycles == ref.cycles, where
+            snapshot = res.stats.snapshot()
+            assert snapshot == ref.stats.snapshot(), where
+            replacements += sum(value for name, value in snapshot.items()
+                                if name.endswith("/replacements"))
+        assert replacements > 0
+
+
+# ----------------------------------------------------------------------
+# 5. repro.verify parity (the batched conformance mode)
 # ----------------------------------------------------------------------
 
 def _comparable(result):

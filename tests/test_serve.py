@@ -12,11 +12,16 @@ The stack's contract has three load-bearing claims, each pinned here:
    outcome digest, served as a miss, and healed by re-execution.
 """
 
+import contextlib
 import json
+import multiprocessing
+import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -37,11 +42,11 @@ from repro.serve import (
     run_open_loop,
 )
 from repro.serve.client import parse_endpoint
+from repro.serve.executors import execute_job
 from repro.serve.protocol import (
     ProtocolError,
     decode_message,
     encode_message,
-    outcome_pairs,
 )
 from repro.serve.store import STORE_SCHEMA
 from repro.verify.harness import RunConfig, observed_outcome
@@ -62,6 +67,24 @@ def server(tmp_path):
 def _client(server):
     _, host, port = server
     return ServeClient(host, port)
+
+
+@contextlib.contextmanager
+def _live_server(root, kind):
+    """A live server of one executor kind (``pool``: 2 workers)."""
+    srv = ServeServer(store=ResultStore(str(root / f"store-{kind}")),
+                      executor_kind=kind, executor_jobs=2,
+                      ledger=False, request_log=False)
+    handle = ServerThread(srv)
+    host, port = handle.start()
+    try:
+        yield srv, host, port
+    finally:
+        handle.stop()
+
+
+def _worker_pids():
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 # ----------------------------------------------------------------------
@@ -215,33 +238,35 @@ class TestResultStore:
 # ----------------------------------------------------------------------
 
 class TestExecutors:
-    def test_all_executors_agree_with_direct_run(self):
-        jobs = [normalize_job(j) for j in build_job_mix(6, seed=3)]
-        direct = []
-        for spec in jobs:
-            from repro.consistency.litmus import STANDARD_TESTS
-
-            test = STANDARD_TESTS[spec["test"]["name"]]()
-            rc = RunConfig(name="serve", **{
-                k: tuple(v) if k == "skew" else v
-                for k, v in spec["run_config"].items()})
-            direct.append(observed_outcome(
-                test, spec["model"], spec["prefetch"], spec["speculation"],
-                rc))
+    def test_all_executors_agree_with_direct_run(self, tmp_path):
+        jobs = build_job_mix(6, seed=3)
+        direct = [execute_job(job) for job in jobs]
         for kind in ("serial", "pool"):
-            results = make_executor(kind, jobs=2)(jobs, None)
-            assert [outcome_pairs(r) for r in results] == direct, kind
+            with _live_server(tmp_path, kind) as server:
+                with _client(server) as client:
+                    served = client.submit_many(jobs)
+            assert [r.result for r in served] == direct, kind
 
-    def test_executors_contain_per_item_failures(self):
-        good = normalize_job(make_job(test={"name": "SB"}))
-        bad = dict(good)
-        bad["model"] = "NOPE"  # normalize would catch it; the executor
-        # must contain it per-item instead of sinking the batch
+    def test_executors_contain_per_item_failures(self, tmp_path):
+        good = make_job(test={"name": "SB"})
+        # a valid job whose run cannot finish inside its cycle budget:
+        # it fails in the executor, not in normalize_job
+        bad = make_job(test={"name": "SB"}, run_config={"max_cycles": 1})
+        other_good = make_job(test={"name": "MP"})
         for kind in ("serial", "pool"):
-            results = make_executor(kind, jobs=2)([good, bad, good], None)
-            assert "error" in results[1], kind
-            assert "error" not in results[0] and "error" not in results[2]
-            assert outcome_pairs(results[0]) == outcome_pairs(results[2])
+            with _live_server(tmp_path, kind) as server:
+                with _client(server) as client:
+                    first, failed, last = client.submit_many(
+                        [good, bad, other_good])
+                    stats = client.stats()
+            assert first.ok and last.ok and not failed.ok, kind
+            assert failed.error["type"] == "DeadlockError", kind
+            assert first.result == execute_job(good)
+            assert last.result == execute_job(other_good)
+            # the failure is reported and never stored
+            assert stats["store"]["objects"] == 2, kind
+            assert stats["counters"]["errors"] == 1, kind
+            assert stats["counters"]["executed"] == 2, kind
 
     def test_retired_batched_kind_is_rejected_by_name(self):
         with pytest.raises(ProtocolError, match=r"'serial', 'pool'"):
@@ -347,16 +372,6 @@ class TestServerEndToEnd:
         with _client(server) as client:
             replayed = client.submit_many([e["job"] for e in logged])
         assert all(r.cached for r in replayed)
-
-    def test_progress_events_stream_to_subscribers(self, server):
-        events = []
-        with _client(server) as client:
-            results = client.submit_many(build_job_mix(5, seed=4),
-                                         progress=events.append)
-        assert all(r.ok for r in results)
-        assert events, "no progress events streamed"
-        assert all(e["event"] == "progress" and e["total"] >= 1
-                   for e in events)
 
     def test_bad_submit_gets_error_without_closing_connection(self, server):
         with _client(server) as client:
@@ -484,6 +499,50 @@ class TestLoadgen:
 
 
 # ----------------------------------------------------------------------
+# Executor lifetime
+# ----------------------------------------------------------------------
+
+class TestExecutorLifetime:
+    def test_one_pool_serves_every_submission(self, tmp_path):
+        jobs = build_job_mix(12, seed=4, unique=True)
+        with _live_server(tmp_path, "pool") as server:
+            with _client(server) as client:
+                assert all(r.ok for r in client.submit_many(jobs[:6]))
+                workers = _worker_pids()
+                assert len(workers) == 2
+                assert all(r.ok for r in client.submit_many(jobs[6:]))
+                assert _worker_pids() == workers
+        assert _worker_pids() == set()
+
+    def test_pool_that_lost_a_worker_is_replaced(self, tmp_path):
+        first, second = build_job_mix(2, seed=4, unique=True)
+        with _live_server(tmp_path, "pool") as server:
+            with _client(server) as client:
+                assert client.submit(first).ok
+                workers = _worker_pids()
+                os.kill(min(workers), signal.SIGKILL)
+                # the pool notices, gives up and reaps its other worker
+                deadline = time.monotonic() + 30.0
+                while _worker_pids() & workers:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                served = client.submit(second)
+                assert served.ok and served.result == execute_job(second)
+                assert not _worker_pids() & workers
+
+    def test_stop_is_quiet(self, tmp_path, caplog):
+        for round_ in range(20):
+            with _live_server(tmp_path, "serial") as server:
+                client = _client(server)
+                assert client.ping() == "repro-serve/1"
+                if round_ % 2:
+                    client.close()  # else: still connected when it stops
+            client.close()
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
+
+
+# ----------------------------------------------------------------------
 # Command line
 # ----------------------------------------------------------------------
 
@@ -511,6 +570,28 @@ class TestServeCli:
             proc.kill()
             proc.stdout.close()
             proc.wait(timeout=30)
+
+    @pytest.mark.parametrize("command", [
+        ["stats"], ["metrics"], ["shutdown"],
+        ["submit", "--connect-timeout", "0.2"],
+        ["replay", "LOG", "--connect-timeout", "0.2"],
+        ["loadgen", "--count", "2"],
+        ["loadgen", "--mode", "open", "--count", "2"],
+    ])
+    def test_unreachable_server_exits_2(self, command, tmp_path, capsys):
+        import socket
+
+        from repro.serve.cli import main
+
+        log = tmp_path / "requests.jsonl"
+        log.write_text(json.dumps({"job": make_job(test={"name": "SB"})}))
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        argv = [str(log) if arg == "LOG" else arg for arg in command]
+        assert main(argv + ["--port", str(port)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_executor_flag_is_gone(self, capsys):
         from repro.serve.cli import build_parser

@@ -47,15 +47,6 @@ class TestEventQueue:
         q.run_due(3)
         assert fired == list(range(10))
 
-    def test_cancelled_event_does_not_fire(self):
-        q = EventQueue()
-        fired = []
-        ev = q.schedule(1, lambda: fired.append("a"))
-        q.schedule(1, lambda: fired.append("b"))
-        ev.cancel()
-        q.run_due(1)
-        assert fired == ["b"]
-
     def test_event_scheduled_during_sweep_same_cycle_fires(self):
         q = EventQueue()
         fired = []
@@ -73,21 +64,6 @@ class TestEventQueue:
         with pytest.raises(ConfigurationError):
             q.schedule(-1, lambda: None)
 
-    def test_len_ignores_cancelled(self):
-        q = EventQueue()
-        ev = q.schedule(1, lambda: None)
-        q.schedule(2, lambda: None)
-        assert len(q) == 2
-        ev.cancel()
-        assert len(q) == 1
-
-    def test_next_cycle_skips_cancelled(self):
-        q = EventQueue()
-        ev = q.schedule(1, lambda: None)
-        q.schedule(4, lambda: None)
-        ev.cancel()
-        assert q.next_cycle() == 4
-
     def test_schedule_before_pop_horizon_rejected(self):
         q = EventQueue()
         q.schedule(5, lambda: None)
@@ -103,16 +79,15 @@ class TestEventQueue:
         q.schedule(3, lambda: q.schedule(3, lambda: fired.append("chained")))
         q.run_due(3)
         assert fired == ["chained"]
-        assert q.schedule(3, lambda: None).cycle == 3
+        q.schedule(3, lambda: None)
+        assert q.next_cycle() == 3
 
     def test_len_is_live_count_across_pops_and_cancels(self):
         q = EventQueue()
-        evs = [q.schedule(c, lambda: None) for c in (1, 2, 3, 4)]
+        for c in (1, 2, 3, 4):
+            q.schedule(c, lambda: None)
         assert len(q) == 4
-        evs[1].cancel()
-        evs[1].cancel()  # idempotent: must not double-decrement
-        assert len(q) == 3
-        q.run_due(2)     # pops ev@1 and the cancelled ev@2
+        q.run_due(2)
         assert len(q) == 2
         q.run_due(10)
         assert len(q) == 0

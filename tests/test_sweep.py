@@ -67,7 +67,7 @@ class TestSerialSweep:
     def test_progress_callback_monotone_and_complete(self):
         seen = []
         run_sweep(square, list(range(10)), jobs=1, chunk_size=3,
-                  progress=lambda done, total: seen.append((done, total)))
+                  telemetry=lambda s: seen.append((s.done, s.total)))
         assert seen == [(3, 10), (6, 10), (9, 10), (10, 10)]
 
     def test_worker_stats_accumulate(self):
@@ -76,13 +76,8 @@ class TestSerialSweep:
         assert res.workers["serial"].items == 8
         assert res.workers["serial"].chunks == 4
 
-    def test_error_raises_by_default(self):
-        with pytest.raises(ValueError):
-            run_sweep(boom_on_three, [1, 2, 3, 4], jobs=1)
-
     def test_error_recorded_on_request(self):
-        res = run_sweep(boom_on_three, [1, 2, 3, 4], jobs=1,
-                        on_error="record")
+        res = run_sweep(boom_on_three, [1, 2, 3, 4], jobs=1)
         assert res.results[0:2] == [1, 2]
         assert isinstance(res.results[2], SweepError)
         assert res.results[2].item_index == 2
@@ -93,11 +88,9 @@ class TestSerialSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(square, [1], jobs=0)
         with pytest.raises(ConfigurationError):
-            run_sweep(square, [1], on_error="explode")
-        with pytest.raises(ConfigurationError):
             run_sweep(square, [1, 2], chunk_size=0)
         with pytest.raises(ConfigurationError):
-            run_sweep(None, [1, 2], on_error="record")
+            run_sweep(None, [1, 2])
 
     def test_describe_mentions_throughput(self):
         res = run_sweep(square, list(range(4)), jobs=1)
@@ -112,8 +105,7 @@ class TestParallelSweep:
         assert parallel.results == serial.results
 
     def test_parallel_records_errors(self):
-        res = run_sweep(boom_on_three, [3, 5], jobs=2, chunk_size=1,
-                        on_error="record")
+        res = run_sweep(boom_on_three, [3, 5], jobs=2, chunk_size=1)
         assert isinstance(res.results[0], SweepError)
         assert "three" in res.results[0].describe()
         assert res.results[1] == 5
@@ -199,14 +191,6 @@ class TestTelemetry:
         assert final.eta_seconds is None or final.eta_seconds >= 0.0
         assert 0.0 <= final.utilization <= 1.0
         assert final.workers["serial"].items == 10
-
-    def test_telemetry_and_progress_both_fire(self):
-        ticks, samples = [], []
-        run_sweep(square, list(range(4)), jobs=1, chunk_size=2,
-                  progress=lambda d, t: ticks.append(d),
-                  telemetry=samples.append)
-        assert ticks == [2, 4]
-        assert [s.done for s in samples] == [2, 4]
 
     def test_parallel_telemetry_reports_pool_jobs(self):
         samples = []

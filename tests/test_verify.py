@@ -292,6 +292,14 @@ class TestCli:
             assert proc.stderr.startswith("error: cannot read corpus")
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag", ["--jobs", "--chunk-size"])
+    def test_zero_count_exits_2_not_1(self, flag, capsys):
+        # exit 1 means "divergence found"; a bad count is a usage error
+        from repro.verify.cli import main
+
+        assert main(["--budget", "2", flag, "0"]) == 2
+        assert capsys.readouterr().err == f"{flag} must be >= 1\n"
+
 
 class TestCampaignTelemetryEndToEnd:
     """ISSUE acceptance: one --jobs 4 campaign produces a merged
