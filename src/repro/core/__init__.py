@@ -1,6 +1,6 @@
 """The paper's contribution: prefetch, speculative loads, analytic timing."""
 
-from .prefetch import HardwarePrefetcher, PrefetchCandidate
+from .prefetch import HardwarePrefetcher
 from .sc_detection import PotentialViolation, ScViolationDetector
 from .speculation import (
     Correction,
@@ -25,7 +25,6 @@ __all__ = [
     "CorrectionKind",
     "HardwarePrefetcher",
     "PotentialViolation",
-    "PrefetchCandidate",
     "ScViolationDetector",
     "ScheduleResult",
     "SlbEntry",

@@ -20,20 +20,8 @@ prefetcher, and the cache port check arbitrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 from ..memory.cache import LockupFreeCache
 from ..sim.stats import StatsRegistry
-
-
-@dataclass(frozen=True)
-class PrefetchCandidate:
-    """A delayed access the LSU exposes to the prefetcher."""
-
-    addr: int
-    exclusive: bool
-    tag: str = ""
 
 
 class HardwarePrefetcher:
@@ -45,30 +33,23 @@ class HardwarePrefetcher:
         name: str = "prefetcher",
     ) -> None:
         self.cache = cache
+        #: prefetches the load/store unit may issue in one cycle
         self.per_cycle = per_cycle
         self.allow_exclusive = cache.config.protocol == "invalidate"
         self.stat_issued = stats.counter(f"{name}/issued")
         self.stat_exclusive = stats.counter(f"{name}/exclusive")
 
-    def tick(self, candidates: Iterable[PrefetchCandidate]) -> int:
-        """Issue prefetches for a prefix of ``candidates`` (bounded by
-        ``per_cycle`` and cache port availability); returns how many of
-        the candidates were consumed, so the caller only marks those as
-        handled and re-offers the rest next cycle."""
-        issued = 0
-        for cand in candidates:
-            if issued >= self.per_cycle:
-                break
-            if not self.cache.can_accept():
-                break
-            exclusive = cand.exclusive and self.allow_exclusive
-            # Under the update protocol a write cannot be partially
-            # serviced (Section 3.2); fall back to a read prefetch,
-            # which at least brings the line near.
-            if not self.cache.prefetch(cand.addr, exclusive=exclusive):
-                break
-            issued += 1
-            self.stat_issued.inc()
-            if exclusive:
-                self.stat_exclusive.inc()
-        return issued
+    def issue(self, addr: int, exclusive: bool) -> bool:
+        """Prefetch the line of one delayed access; False when the cache
+        port turned it away, so the caller offers it again next cycle
+        and nothing younger before it."""
+        # Under the update protocol a write cannot be partially
+        # serviced (Section 3.2); fall back to a read prefetch,
+        # which at least brings the line near.
+        exclusive = exclusive and self.allow_exclusive
+        if not self.cache.prefetch(addr, exclusive=exclusive):
+            return False
+        self.stat_issued.inc()
+        if exclusive:
+            self.stat_exclusive.inc()
+        return True

@@ -28,12 +28,11 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
-from ..consistency.access_class import AccessClass, classify
+from ..consistency.access_class import AccessClass
 from ..consistency.models import ConsistencyModel
-from ..core.prefetch import HardwarePrefetcher, PrefetchCandidate
+from ..core.prefetch import HardwarePrefetcher
 from ..core.sc_detection import ScViolationDetector
 from ..core.speculation import (
     Correction,
@@ -41,14 +40,13 @@ from ..core.speculation import (
     SlbEntry,
     SpeculativeLoadBuffer,
 )
-from ..consistency.access_class import PLAIN_LOAD, PLAIN_STORE
-from ..isa.instructions import Load, SoftwarePrefetch, Store
 from ..memory.cache import LockupFreeCache
 from ..memory.types import AccessKind, AccessRequest, SnoopKind
 from ..sim.kernel import Component, Simulator
 from ..sim.stats import Counter
 from ..sim.trace import NullTraceRecorder, TraceRecorder
 from .config import ProcessorConfig
+from .decode import RMW, STORE, SW_PREFETCH
 from .rob import Operand, ReorderBuffer, RobEntry
 
 
@@ -62,36 +60,35 @@ class MemState(enum.Enum):
     PERFORMED = "performed"
 
 
-@dataclass
 class MemOp:
     """One memory instruction tracked by the LSU, decode to completion."""
 
-    seq: int
-    rob_entry: RobEntry
-    klass: AccessClass
-    base: Operand
-    data: Optional[Operand]       # store value / rmw operand
-    offset: int
-    state: MemState = MemState.IN_RS
-    addr: Optional[int] = None
-    generation: int = 0
-    prefetch_issued: bool = False
-    signalled: bool = False
-    forwarded: bool = False
-    is_sw_prefetch: bool = False
-    tag: str = ""
+    __slots__ = ("seq", "rob_entry", "klass", "base", "data", "offset",
+                 "state", "addr", "generation", "prefetch_issued",
+                 "signalled", "forwarded", "is_sw_prefetch", "tag",
+                 "is_load", "is_store", "is_rmw")
 
-    @property
-    def is_load(self) -> bool:
-        return self.klass.is_load and not self.klass.is_store
-
-    @property
-    def is_store(self) -> bool:
-        return self.klass.is_store and not self.klass.is_load
-
-    @property
-    def is_rmw(self) -> bool:
-        return self.klass.is_load and self.klass.is_store
+    def __init__(self, seq: int, rob_entry: RobEntry, klass: AccessClass,
+                 base: Operand, data: Optional[Operand], offset: int,
+                 is_sw_prefetch: bool = False, tag: str = "") -> None:
+        self.seq = seq
+        self.rob_entry = rob_entry
+        self.klass = klass
+        self.base = base
+        self.data = data              # store value / rmw operand
+        self.offset = offset
+        self.state = MemState.IN_RS
+        self.addr: Optional[int] = None
+        self.generation = 0
+        self.prefetch_issued = False
+        self.signalled = False
+        self.forwarded = False
+        self.is_sw_prefetch = is_sw_prefetch
+        self.tag = tag
+        # exactly one of the three holds
+        self.is_load = klass.is_load and not klass.is_store
+        self.is_store = klass.is_store and not klass.is_load
+        self.is_rmw = klass.is_load and klass.is_store
 
     @property
     def performed(self) -> bool:
@@ -125,7 +122,12 @@ class LoadStoreUnit:
         self.pending: "OrderedDict[int, MemOp]" = OrderedDict()
         self._req_ids = itertools.count(1)
         #: stall counters the current tick bumped (see :meth:`tick`)
-        self.stalled: List[Counter] = []
+        self.stalled: Tuple[Counter, ...] = ()
+        #: whether any address is uncached at all; when none is (the
+        #: common machine) ``is_uncached`` is never asked
+        self._has_uncached = bool(cache.config.uncached_ranges)
+        #: SC: the store at the ROB head is not retired until it completes
+        self._stores_retire_at_completion = self.model.name == "SC"
 
         self.slb: Optional[SpeculativeLoadBuffer] = None
         if config.enable_speculation:
@@ -192,33 +194,16 @@ class LoadStoreUnit:
         return len(self.rs) >= self.config.ls_rs_size
 
     def dispatch(self, entry: RobEntry, base: Operand, data: Optional[Operand]) -> None:
-        instr = entry.instr
-        if isinstance(instr, SoftwarePrefetch):
-            # non-binding: flows through the address unit like any
-            # memory op but never participates in consistency ordering
-            op = MemOp(
-                seq=entry.seq,
-                rob_entry=entry,
-                klass=PLAIN_STORE if instr.exclusive else PLAIN_LOAD,
-                base=base,
-                data=None,
-                offset=instr.offset,
-                is_sw_prefetch=True,
-                tag=instr.describe(),
-            )
-            self.rs.append(op)
-            return
-        op = MemOp(
-            seq=entry.seq,
-            rob_entry=entry,
-            klass=classify(instr),
-            base=base,
-            data=data,
-            offset=instr.offset,
-            tag=instr.describe(),
-        )
+        row = entry.row
+        sw_prefetch = row.kind == SW_PREFETCH
+        op = MemOp(entry.seq, entry, row.klass, base, data,
+                   row.instr.offset, is_sw_prefetch=sw_prefetch, tag=row.tag)
         self.rs.append(op)
-        self.pending[op.seq] = op
+        if not sw_prefetch:
+            # a software prefetch is non-binding: it flows through the
+            # address unit like any memory op but never participates in
+            # consistency ordering
+            self.pending[op.seq] = op
 
     # ------------------------------------------------------------------
     # Consistency queries
@@ -228,7 +213,7 @@ class LoadStoreUnit:
         for s, op in self.pending.items():
             if s >= seq:
                 break
-            if not op.performed:
+            if op.state is not MemState.PERFORMED:
                 out.append(op)
         return out
 
@@ -251,33 +236,36 @@ class LoadStoreUnit:
         every cycle) and an access the cache port turned away (the port
         budget resets each cycle).
         """
-        self.stalled = []
-        moved = self.addr_unit is not None
-        self._drain_addr_unit(cycle)
-        moved |= self._advance_rs(cycle)
-        moved |= self._issue_stores(cycle)
-        moved |= self._issue_loads(cycle)
+        self.stalled = ()
+        moved = False
+        # a stage with nothing in its buffer is not entered
+        if self.addr_unit is not None:
+            moved = True
+            self._drain_addr_unit(cycle)
+        if self.rs and self.addr_unit is None:
+            moved = self._advance_rs(cycle) or moved
+        if self.store_buffer:
+            moved = self._issue_stores(cycle) or moved
+        if self.ready_loads:
+            moved = self._issue_loads(cycle) or moved
         if self.slb is not None:
             retired = self.slb.retire_ready()
-            moved |= bool(retired)
-            for seq in retired:
-                self.trace.record(cycle, self.name, "slb_retire", seq=seq)
+            if retired:
+                moved = True
+                if self.trace.enabled:
+                    for seq in retired:
+                        self.trace.record(cycle, self.name, "slb_retire",
+                                          seq=seq)
         if self.prefetcher is not None:
-            ops, candidates = self._prefetch_candidates()
-            moved |= bool(candidates)
-            issued = self.prefetcher.tick(candidates)
-            for op in ops[:issued]:
-                op.prefetch_issued = True
+            moved = self._offer_prefetches() or moved
         return moved
 
     def _stall(self, counter: Counter) -> None:
         counter.inc()
-        self.stalled.append(counter)
+        self.stalled += (counter,)
 
     # -- address unit ---------------------------------------------------
     def _drain_addr_unit(self, cycle: int) -> None:
-        if self.addr_unit is None:
-            return
         op, ready = self.addr_unit
         if cycle < ready:
             return
@@ -289,22 +277,22 @@ class LoadStoreUnit:
                 op.seq, op.addr, self.cache.config.line_addr(op.addr),
                 is_store=op.klass.is_store, tag=op.tag)
         if op.is_sw_prefetch:
-            instr = op.rob_entry.instr
             if not self.cache.can_accept():
                 return  # retry next cycle
-            self.cache.prefetch(op.addr, exclusive=bool(
-                getattr(instr, "exclusive", False)
+            self.cache.prefetch(op.addr, exclusive=(
+                op.rob_entry.instr.exclusive
                 and self.cache.config.protocol == "invalidate"))
             self.rob.mark_done(op.seq, None)
             op.state = MemState.PERFORMED
             self.addr_unit = None
             return
+        uncached = (self._has_uncached
+                    and self.cache.config.is_uncached(op.addr))
         if op.is_load:
             # loads retired from the reservation station enter the
             # speculative-load buffer here, in program (FIFO) order —
             # except uncached loads, which cannot be monitored and are
             # delayed conventionally (Appendix A)
-            uncached = self.cache.config.is_uncached(op.addr)
             if (not uncached and self.slb is not None
                     and not self._enter_slb(op)):
                 return  # SLB full: stall the address unit
@@ -322,21 +310,19 @@ class LoadStoreUnit:
                 # a store "completes" for ROB purposes at address
                 # translation; the value it writes is tracked here
                 self.rob.mark_done(op.seq, None)
-            if (op.is_rmw and self.slb is not None
-                    and not self.cache.config.is_uncached(op.addr)):
+            if op.is_rmw and self.slb is not None and not uncached:
                 # "there is no speculative load for non-cached
                 # read-modify-write accesses" (Appendix A)
                 self._issue_speculative_rmw_read(op)
 
     # -- reservation station ---------------------------------------------
     def _advance_rs(self, cycle: int) -> bool:
-        if self.addr_unit is not None or not self.rs:
-            return False
+        """Move the station's head to the (free) address unit."""
         head = self.rs[0]
         base = head.base.resolve(self.rob)
         if base is None:
             return False  # effective address not computable yet (paper: stall)
-        uncached_load = (head.is_load
+        uncached_load = (self._has_uncached and head.is_load
                          and self.cache.config.is_uncached(base + head.offset))
         if (head.is_load and not head.is_sw_prefetch
                 and (self.slb is None or uncached_load)
@@ -357,7 +343,7 @@ class LoadStoreUnit:
             op.signalled = True
 
     def _issue_stores(self, cycle: int) -> bool:
-        for idx, op in enumerate(self.store_buffer):
+        for op in self.store_buffer:
             if op.state is not MemState.IN_SB:
                 continue
             if not op.signalled:
@@ -365,17 +351,24 @@ class LoadStoreUnit:
             value = op.data.resolve(self.rob) if op.data is not None else 0
             if value is None:
                 break
-            blocked = any(
-                e.state is not MemState.PERFORMED
-                and self.model.delay_arc(e.klass, op.klass)
-                for e in self.store_buffer[:idx]
-            )
-            if blocked:
+            if self._store_blocked(op):
                 self._stall(self.stat_sb_stalls)
                 break
             if self.cache.can_accept():
                 self._send_store(op, value, cycle)
             return True  # one cache issue (or refusal) per tick
+        return False
+
+    def _store_blocked(self, op: MemOp) -> bool:
+        """An earlier, unperformed store-buffer entry has a delay arc
+        to ``op``."""
+        delay_arc = self.model.delay_arc
+        for earlier in self.store_buffer:
+            if earlier is op:
+                return False
+            if (earlier.state is not MemState.PERFORMED
+                    and delay_arc(earlier.klass, op.klass)):
+                return True
         return False
 
     def _send_store(self, op: MemOp, value: int, cycle: int) -> None:
@@ -404,9 +397,10 @@ class LoadStoreUnit:
             op.generation -= 1
             return
         (self.stat_rmws if op.is_rmw else self.stat_stores).inc()
-        self.trace.record(self.sim.cycle, self.name, "store_issue",
-                          tag=op.tag, seq=op.seq, addr=op.addr,
-                          line=self.cache.config.line_addr(op.addr))
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, self.name, "store_issue",
+                              tag=op.tag, seq=op.seq, addr=op.addr,
+                              line=self.cache.config.line_addr(op.addr))
 
     def _store_completed(self, op: MemOp, gen: int, value: int, start: int) -> None:
         if op.generation != gen or op.state is not MemState.SB_ISSUED:
@@ -424,9 +418,10 @@ class LoadStoreUnit:
             self.slb.store_performed(op.seq)
             if op.is_rmw:
                 self.slb.mark_done(op.seq)
-        self.trace.record(self.sim.cycle, self.name, "store_complete",
-                          tag=op.tag, seq=op.seq, addr=op.addr,
-                          value=value, rmw=op.is_rmw)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, self.name, "store_complete",
+                              tag=op.tag, seq=op.seq, addr=op.addr,
+                              value=value, rmw=op.is_rmw)
 
     # -- loads -------------------------------------------------------------
     def _issue_loads(self, cycle: int) -> bool:
@@ -489,9 +484,10 @@ class LoadStoreUnit:
             is_rmw=op.is_rmw,
             tag=op.tag,
         ))
-        self.trace.record(self.sim.cycle, self.name, "slb_insert",
-                          seq=op.seq, tag=op.tag,
-                          line=self.cache.config.line_addr(op.addr))
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, self.name, "slb_insert",
+                              seq=op.seq, tag=op.tag,
+                              line=self.cache.config.line_addr(op.addr))
         return True
 
     def _send_load(self, op: MemOp, cycle: int, exclusive_hint: bool = False) -> None:
@@ -514,9 +510,10 @@ class LoadStoreUnit:
             op.generation -= 1
             return
         self.stat_loads.inc()
-        self.trace.record(self.sim.cycle, self.name, "load_issue",
-                          tag=op.tag, seq=op.seq, addr=op.addr,
-                          speculative=self.slb is not None)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, self.name, "load_issue",
+                              tag=op.tag, seq=op.seq, addr=op.addr,
+                              speculative=self.slb is not None)
 
     def _load_completed(self, op: MemOp, gen: int, value: int, start: int) -> None:
         if op.generation != gen:
@@ -531,8 +528,10 @@ class LoadStoreUnit:
             self.slb.mark_done(op.seq)
         if self.sc_detector is not None:
             self.sc_detector.mark_performed(op.seq)
-        self.trace.record(self.sim.cycle, self.name, "load_complete",
-                          tag=op.tag, seq=op.seq, addr=op.addr, value=value)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, self.name, "load_complete",
+                              tag=op.tag, seq=op.seq, addr=op.addr,
+                              value=value)
 
     # -- speculative RMW (Appendix A) ---------------------------------------
     def _issue_speculative_rmw_read(self, op: MemOp) -> None:
@@ -603,8 +602,9 @@ class LoadStoreUnit:
         self.rob.mark_done(op.seq, value)
         if self.slb is not None:
             self.slb.mark_done(op.seq)
-        self.trace.record(self.sim.cycle, self.name, "rmw_spec_value",
-                          tag=op.tag, seq=op.seq, value=value)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, self.name, "rmw_spec_value",
+                              tag=op.tag, seq=op.seq, value=value)
 
     # ------------------------------------------------------------------
     # Detection & correction plumbing
@@ -628,8 +628,9 @@ class LoadStoreUnit:
         if corr.kind is CorrectionKind.REISSUE:
             if op is None or op.is_rmw:
                 return
-            self.trace.record(self.sim.cycle, self.name, "slb_reissue",
-                              seq=corr.seq, tag=op.tag, snoop=kind.value)
+            if self.trace.enabled:
+                self.trace.record(self.sim.cycle, self.name, "slb_reissue",
+                                  seq=corr.seq, tag=op.tag, snoop=kind.value)
             op.generation += 1
             if op.state is MemState.ISSUED:
                 op.state = MemState.READY
@@ -642,12 +643,16 @@ class LoadStoreUnit:
         if entry is None:
             return
         if corr.kind is CorrectionKind.SQUASH_FROM:
-            self.trace.record(self.sim.cycle, self.name, "slb_squash",
-                              seq=corr.seq, tag=entry.describe(), snoop=kind.value)
+            if self.trace.enabled:
+                self.trace.record(self.sim.cycle, self.name, "slb_squash",
+                                  seq=corr.seq, tag=entry.describe(),
+                                  snoop=kind.value)
             self.request_squash(corr.seq, entry.pc, "speculative load violated")
         else:  # SQUASH_AFTER (issued RMW keeps its own result)
-            self.trace.record(self.sim.cycle, self.name, "slb_squash_after",
-                              seq=corr.seq, tag=entry.describe(), snoop=kind.value)
+            if self.trace.enabled:
+                self.trace.record(self.sim.cycle, self.name, "slb_squash_after",
+                                  seq=corr.seq, tag=entry.describe(),
+                                  snoop=kind.value)
             if op is not None and not op.performed:
                 # the previously-bound speculative value may be stale;
                 # re-decoded dependents must wait for the atomic's own
@@ -659,84 +664,103 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     # Squash (called by the processor)
     # ------------------------------------------------------------------
-    def squash(self, seqs: Set[int]) -> None:
-        self.rs = deque(op for op in self.rs if op.seq not in seqs)
-        if self.addr_unit is not None and self.addr_unit[0].seq in seqs:
+    def squash(self, seqs: List[int]) -> None:
+        """Forget the discarded instructions ``seqs`` (ascending).
+
+        A rollback discards a suffix of the program order, and every
+        buffer here is kept in program order (stores that retired and
+        are still draining are older than anything in the reorder
+        buffer), so each one is cut from its young end.
+        """
+        if not seqs:
+            return
+        first = seqs[0]
+        rs = self.rs
+        while rs and rs[-1].seq >= first:
+            rs.pop()
+        if self.addr_unit is not None and self.addr_unit[0].seq >= first:
             self.addr_unit = None
-        self.ready_loads = [op for op in self.ready_loads if op.seq not in seqs]
-        for op in self.store_buffer:
-            if op.seq in seqs:
-                assert op.state is not MemState.SB_ISSUED, \
-                    "an issued store can never be squashed (it passed the ROB head)"
-        self.store_buffer = [op for op in self.store_buffer if op.seq not in seqs]
-        for seq in seqs:
-            op = self.pending.pop(seq, None)
-            if op is not None:
-                op.generation += 1  # drop in-flight responses
-            if self.sc_detector is not None:
+        ready = self.ready_loads
+        while ready and ready[-1].seq >= first:
+            ready.pop()
+        sb = self.store_buffer
+        while sb and sb[-1].seq >= first:
+            assert sb[-1].state is not MemState.SB_ISSUED, \
+                "an issued store can never be squashed (it passed the ROB head)"
+            sb.pop()
+        pending = self.pending
+        while pending and next(reversed(pending)) >= first:
+            pending.popitem()[1].generation += 1  # drop in-flight responses
+        if self.sc_detector is not None:
+            for seq in seqs:
                 self.sc_detector.discard(seq)
         if self.slb is not None:
             self.slb.squash(seqs)
 
     # ------------------------------------------------------------------
-    # Prefetch candidates (Section 3.2: accesses delayed in the buffers)
+    # Prefetch (Section 3.2: accesses delayed in the buffers)
     # ------------------------------------------------------------------
-    def _prefetch_candidates(self) -> Tuple[List[MemOp], List[PrefetchCandidate]]:
-        """Delayed accesses with computable addresses, oldest first.
-
-        Returns parallel lists; the caller marks ``prefetch_issued``
-        only on the prefix the prefetcher actually consumed.
-        """
-        ops: List[MemOp] = []
-        candidates: List[PrefetchCandidate] = []
-
-        def offer(op: MemOp, addr: int, exclusive: bool) -> None:
-            ops.append(op)
-            candidates.append(PrefetchCandidate(addr, exclusive=exclusive, tag=op.tag))
-
+    def _delayed_accesses(self) -> Iterator[Tuple[MemOp, int, bool]]:
+        """Delayed accesses with computable addresses that have not had
+        their prefetch yet, oldest first per buffer, as
+        ``(op, address, exclusive)``."""
         # store buffer entries not yet allowed to issue
         for op in self.store_buffer:
             if (op.state is MemState.IN_SB and not op.prefetch_issued
-                    and not self.cache.config.is_uncached(op.addr)):
-                offer(op, op.addr, exclusive=True)
+                    and not (self._has_uncached
+                             and self.cache.config.is_uncached(op.addr))):
+                yield op, op.addr, True
         # delayed (not yet issued) loads at the issue stage
         for op in self.ready_loads:
             if not op.prefetch_issued:
-                offer(op, op.addr, exclusive=False)
+                yield op, op.addr, False
         # reservation-station (and address-unit) entries whose addresses
         # are computable via instruction-stream lookahead
-        scan = [self.addr_unit[0]] if self.addr_unit is not None else []
-        scan.extend(self.rs)
-        for op in scan:
+        in_addr_unit = (self.addr_unit[0],) if self.addr_unit is not None else ()
+        for op in itertools.chain(in_addr_unit, self.rs):
             if op.prefetch_issued or op.is_sw_prefetch:
                 continue
             base = op.base.resolve(self.rob)
-            if base is None:
-                continue
-            offer(op, base + op.offset, exclusive=op.klass.is_store)
-        return ops, candidates
+            if base is not None:
+                yield op, base + op.offset, op.klass.is_store
+
+    def _offer_prefetches(self) -> bool:
+        """Hand the delayed accesses to the prefetcher one by one, up to
+        its per-cycle budget or the first one it turns away; True when
+        there was anything to offer (issued or not: the cache port that
+        refused it is free again next cycle)."""
+        budget = self.prefetcher.per_cycle
+        offered = False
+        for op, addr, exclusive in self._delayed_accesses():
+            offered = True
+            if not self.prefetcher.issue(addr, exclusive):
+                break
+            op.prefetch_issued = True
+            budget -= 1
+            if not budget:
+                break
+        return offered
 
     # ------------------------------------------------------------------
     # Retirement support
     # ------------------------------------------------------------------
     def may_retire(self, entry: RobEntry) -> bool:
+        kind = entry.row.kind
+        if kind != STORE:
+            # load or RMW: bound, no longer speculative and, for the
+            # RMW, performed
+            return (entry.done
+                    and (kind != RMW or entry.seq not in self.pending)
+                    and (self.slb is None or self.slb.is_cleared(entry.seq)))
         op = self.pending.get(entry.seq)
-        slb_clear = self.slb is None or self.slb.is_cleared(entry.seq)
-        if entry.instr.is_load and not entry.instr.is_rmw:
-            return entry.done and slb_clear
-        if entry.instr.is_rmw:
-            return op is None and entry.done and slb_clear  # performed
-        # plain store
         if op is None:
             return True  # already performed
         if op.state not in (MemState.IN_SB, MemState.SB_ISSUED):
             return False  # address not translated yet
         if not op.signalled:
             return False
-        if self.model.name in ("SC",):
-            # SC: the store at the head is not retired until it completes
-            return op.performed
-        return True
+        # SC: the store at the head is not retired until it completes
+        return not self._stores_retire_at_completion
 
     def is_empty(self) -> bool:
         return (not self.rs and self.addr_unit is None and not self.ready_loads

@@ -13,28 +13,18 @@ for speculative load accesses").
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
-from ..isa.instructions import (
-    Alu,
-    Branch,
-    Halt,
-    Instruction,
-    Jump,
-    Load,
-    Nop,
-    Rmw,
-    SoftwarePrefetch,
-    Store,
-)
 from ..isa.program import Program
 from ..isa.registers import RegisterFile
 from ..memory.cache import LockupFreeCache
 from ..obs.accounting import CycleAccountant
 from ..sim.kernel import Component, Simulator
+from ..sim.stats import Counter
 from ..sim.trace import NullTraceRecorder, TraceRecorder
 from .branch import BranchPredictor
 from .config import ProcessorConfig
+from .decode import ALU, BRANCH, HALT, JUMP, TO_LSU, Decoded, decode_program
 from .lsu import LoadStoreUnit
 from .rob import Operand, ReorderBuffer, RobEntry
 from .units import AluUnit, BranchUnit
@@ -60,6 +50,7 @@ class Processor(Component):
         self.cpu_id = cpu_id
         self.sim = sim
         self.program = program
+        self._rows = decode_program(program)
         self.config = config or ProcessorConfig()
         self.trace = trace or NullTraceRecorder()
         self.name = f"cpu{cpu_id}"
@@ -90,6 +81,8 @@ class Processor(Component):
         self.stat_squashes = s.counter(f"{self.name}/squash_events")
         self.stat_mispredicts = s.counter(f"{self.name}/branch_mispredicts")
         self.stat_squash_depth = s.histogram(f"{self.name}/squash_depth")
+        #: squash_reason/<slug> counters, each created at its first squash
+        self._stat_squash_reason: Dict[str, Counter] = {}
         self.accountant = CycleAccountant(s, self.name)
 
     # ------------------------------------------------------------------
@@ -148,24 +141,26 @@ class Processor(Component):
         """Retire up to ``width`` instructions; True when one retired or
         a store head was signalled (which happens exactly once)."""
         moved = False
+        rob = self.rob
         for _ in range(self.config.width):
-            head = self.rob.head()
+            head = rob.head()
             if head is None:
                 break
-            instr = head.instr
-            if isinstance(instr, (Store, Rmw)) and not head.signalled:
+            row = head.row
+            if row.signals_store and not head.signalled:
                 head.signalled = True
                 self.lsu.signal_store(head.seq)
                 moved = True
-            if instr.is_memory:
+            if row.is_memory:
                 if not self.lsu.may_retire(head):
                     break
             elif not head.done:
                 break
-            self.rob.retire_head()
+            rob.retire_head()
             moved = True
             self.stat_retired.inc()
             if self.trace.enabled:
+                instr = head.instr
                 acq = getattr(instr, "is_acquire", False)
                 rel = getattr(instr, "is_release", False)
                 sync = {(True, True): "full", (True, False): "acquire",
@@ -178,9 +173,10 @@ class Processor(Component):
                     bound=head.value is not None, **extra)
             if head.dst is not None and head.value is not None:
                 self.regfile.write(head.dst, head.value)
-            if isinstance(instr, Halt):
+            if row.is_halt:
                 self.finished = True
-                self.trace.record(cycle, self.name, "finished")
+                if self.trace.enabled:
+                    self.trace.record(cycle, self.name, "finished")
                 break
         return moved
 
@@ -190,104 +186,86 @@ class Processor(Component):
     def _operand(self, reg: str) -> Operand:
         if reg == "r0":
             return Operand(value=0)
-        producer = self.rob.rename_of(reg)
+        producer = self.rob.producer_of(reg)
         if producer is None:
             return Operand(value=self.regfile.read(reg))
-        value = self.rob.value_of(producer)
-        if value is not None:
-            return Operand(value=value)
-        return Operand(producer=producer)
+        if producer.done and producer.value is not None:
+            return Operand(value=producer.value)
+        return Operand(producer=producer.seq)
 
     def _decode(self, cycle: int) -> bool:
         """Dispatch up to ``width`` instructions; True when one was
         decoded (a Halt too, though :meth:`_dispatch` returns False for
         it) or ``fetch_halted`` was latched."""
+        if self.fetch_halted:
+            return False
         first_seq = self._next_seq
-        for _ in range(self.config.width):
-            if self.fetch_halted or self.rob.full:
-                break
-            instr = self.program.at(self.pc)
-            if instr is None:
+        rows = self._rows
+        # only a dispatch fills the window or halts fetch in here, and a
+        # dispatch that halts fetch ends the loop
+        room = self.rob.size - len(self.rob)
+        for _ in range(min(self.config.width, room)):
+            if not 0 <= self.pc < len(rows):
                 self.fetch_halted = True
                 return True
-            if not self._dispatch(instr, cycle):
+            if not self._dispatch(rows[self.pc]):
                 break
         return self._next_seq != first_seq
 
-    def _dispatch(self, instr: Instruction, cycle: int) -> bool:
-        """Decode one instruction; False when a structural stall occurs."""
+    def _dispatch(self, row: Decoded) -> bool:
+        """Rename and dispatch the instruction at ``pc``, decoded as
+        ``row``; False when a structural stall occurs."""
         seq = self._next_seq
         pc = self.pc
+        kind = row.kind
+        instr = row.instr
 
-        if isinstance(instr, Halt):
-            entry = RobEntry(seq=seq, pc=pc, instr=instr, dst=None, done=True)
-            self.rob.allocate(entry)
-            self.fetch_halted = True
-            self._advance(seq, pc + 1)
-            return False
-
-        if isinstance(instr, Nop):
-            entry = RobEntry(seq=seq, pc=pc, instr=instr, dst=None, done=True)
-            self.rob.allocate(entry)
-            self._advance(seq, pc + 1)
-            return True
-
-        if isinstance(instr, Jump):
-            entry = RobEntry(seq=seq, pc=pc, instr=instr, dst=None, done=True)
-            self.rob.allocate(entry)
-            self._advance(seq, self.program.target_pc(instr.target))
-            return True
-
-        if isinstance(instr, Alu):
+        if kind == ALU:
             if self.alu_unit.rs_full:
                 return False
             operands = [self._operand(instr.src1)]
             if instr.src2 is not None:
                 operands.append(self._operand(instr.src2))
-            entry = RobEntry(seq=seq, pc=pc, instr=instr, dst=instr.dst)
+            entry = RobEntry(seq, pc, instr, row.dst, row=row)
             self.rob.allocate(entry)
             self.alu_unit.dispatch(entry, operands)
             self._advance(seq, pc + 1)
             return True
 
-        if isinstance(instr, Branch):
-            if self.branch_unit.rs_full:
-                return False
-            operand = self._operand(instr.cond)
-            taken = self.predictor.predict(pc, instr)
-            target = self.program.target_pc(instr.target)
-            next_pc = target if taken else pc + 1
-            entry = RobEntry(seq=seq, pc=pc, instr=instr, dst=None,
-                             predicted_taken=taken, predicted_next_pc=next_pc)
-            self.rob.allocate(entry)
-            self.branch_unit.dispatch(entry, [operand])
-            self._advance(seq, next_pc)
-            return True
-
-        if isinstance(instr, SoftwarePrefetch):
-            if self.lsu.rs_full:
-                return False
-            entry = RobEntry(seq=seq, pc=pc, instr=instr, dst=None)
-            self.rob.allocate(entry)
-            self.lsu.dispatch(entry, self._operand(instr.base), None)
-            self._advance(seq, pc + 1)
-            return True
-
-        if isinstance(instr, (Load, Store, Rmw)):
+        if kind in TO_LSU:
             if self.lsu.rs_full:
                 return False
             base = self._operand(instr.base)
-            data: Optional[Operand] = None
-            if isinstance(instr, (Store, Rmw)):
-                data = self._operand(instr.src)
-            dst = instr.dst if isinstance(instr, (Load, Rmw)) else None
-            entry = RobEntry(seq=seq, pc=pc, instr=instr, dst=dst)
+            data = (self._operand(instr.src) if row.signals_store else None)
+            entry = RobEntry(seq, pc, instr, row.dst, row=row)
             self.rob.allocate(entry)
             self.lsu.dispatch(entry, base, data)
             self._advance(seq, pc + 1)
             return True
 
-        raise TypeError(f"cannot dispatch {instr!r}")  # pragma: no cover
+        if kind == BRANCH:
+            if self.branch_unit.rs_full:
+                return False
+            operand = self._operand(instr.cond)
+            taken = self.predictor.predict(pc, instr)
+            next_pc = row.target_pc if taken else pc + 1
+            entry = RobEntry(seq, pc, instr, None, predicted_taken=taken,
+                             predicted_next_pc=next_pc, row=row)
+            self.rob.allocate(entry)
+            self.branch_unit.dispatch(entry, [operand])
+            self._advance(seq, next_pc)
+            return True
+
+        # jump, nop, halt: nothing to execute, done at decode
+        self.rob.allocate(RobEntry(seq, pc, instr, None, done=True, row=row))
+        if kind == JUMP:
+            self._advance(seq, row.target_pc)
+            return True
+        self._advance(seq, pc + 1)
+        if kind == HALT:
+            self.fetch_halted = True
+            return False
+        return True
 
     def _advance(self, seq: int, next_pc: int) -> None:
         self._next_seq = seq + 1
@@ -301,18 +279,16 @@ class Processor(Component):
         self.rob.mark_done(entry.seq, value)
 
     def _on_branch_resolve(self, entry: RobEntry, taken: bool) -> None:
-        instr = entry.instr
-        assert isinstance(instr, Branch)
-        actual_next = (self.program.target_pc(instr.target) if taken
-                       else entry.pc + 1)
+        actual_next = entry.row.target_pc if taken else entry.pc + 1
         entry.resolved_next_pc = actual_next
         self.rob.mark_done(entry.seq, None)
         mispredicted = actual_next != entry.predicted_next_pc
-        self.predictor.update(entry.pc, instr, taken, mispredicted)
+        self.predictor.update(entry.pc, entry.instr, taken, mispredicted)
         if mispredicted:
             self.stat_mispredicts.inc()
-            self.trace.record(self.sim.cycle, self.name, "mispredict",
-                              pc=entry.pc, taken=taken)
+            if self.trace.enabled:
+                self.trace.record(self.sim.cycle, self.name, "mispredict",
+                                  pc=entry.pc, taken=taken)
             self.squash_from(entry.seq + 1, actual_next, "branch mispredict")
 
     # ------------------------------------------------------------------
@@ -325,22 +301,26 @@ class Processor(Component):
         discarded = self.rob.squash_from(seq)
         if not discarded and self.pc == refetch_pc:
             return
-        squashed: Set[int] = set(discarded)
+        squashed = set(discarded)
         self.alu_unit.squash(squashed)
         self.branch_unit.squash(squashed)
-        self.lsu.squash(squashed)
+        self.lsu.squash(discarded)
         self.pc = refetch_pc
         self.fetch_halted = False
         self.finished = False
         self.stat_squashes.inc()
         self.stat_squashed.inc(len(squashed))
         self.stat_squash_depth.add(len(squashed))
-        self.sim.stats.counter(
-            f"{self.name}/squash_reason/{_reason_slug(reason)}").inc()
+        counter = self._stat_squash_reason.get(reason)
+        if counter is None:
+            counter = self._stat_squash_reason[reason] = self.sim.stats.counter(
+                f"{self.name}/squash_reason/{_reason_slug(reason)}")
+        counter.inc()
         self.accountant.note_squash()
-        self.trace.record(self.sim.cycle, self.name, "squash",
-                          count=len(squashed), from_seq=seq,
-                          refetch_pc=refetch_pc, reason=reason)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, self.name, "squash",
+                              count=len(squashed), from_seq=seq,
+                              refetch_pc=refetch_pc, reason=reason)
 
     # ------------------------------------------------------------------
     @property

@@ -10,27 +10,50 @@ head — which is how consistency constraints on stores are enforced.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ..isa.instructions import Instruction
 from ..sim.errors import SimulationError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .decode import Decoded
 
-@dataclass
+
 class Operand:
-    """A source operand: either an immediate value or a ROB tag."""
+    """A source operand: either an immediate value or a ROB tag.
 
-    value: Optional[int] = None
-    producer: Optional[int] = None  # seq of the producing ROB entry
+    A tagged operand is Tomasulo's Qj: a *pointer* to the producing
+    reorder-buffer entry, looked up by number once and read directly
+    from then on.  It is read afresh at every :meth:`resolve` and never
+    copies a value out of a live entry — a lock RMW is marked done
+    twice (its speculative read, then the atomic's own result), and a
+    correction can un-do it in between, so only the value seen at issue
+    time counts.
+    """
+
+    __slots__ = ("value", "producer", "_entry")
+
+    def __init__(self, value: Optional[int] = None,
+                 producer: Optional[int] = None) -> None:
+        self.value = value
+        self.producer = producer  # seq of the producing ROB entry
+        self._entry: Optional[RobEntry] = None
 
     def resolve(self, rob: "ReorderBuffer") -> Optional[int]:
         """The operand's value, or ``None`` if still being produced."""
         if self.value is not None:
             return self.value
-        assert self.producer is not None
-        return rob.value_of(self.producer)
+        entry = self._entry
+        if entry is None:
+            assert self.producer is not None
+            entry = self._entry = rob.get(self.producer)
+            if entry is None:
+                # first asked after the producer left the buffer
+                return rob.value_of(self.producer)
+        # the entry outlives its slot: retired, it keeps its value;
+        # squashed, it is never done again
+        return entry.value if entry.done else None
 
     def describe(self) -> str:
         if self.value is not None:
@@ -38,20 +61,32 @@ class Operand:
         return f"tag#{self.producer}"
 
 
-@dataclass
 class RobEntry:
-    seq: int
-    pc: int
-    instr: Instruction
-    dst: Optional[str]
-    value: Optional[int] = None
-    done: bool = False
-    #: store/RMW: the reorder buffer has signalled the store buffer
-    signalled: bool = False
-    #: branches: prediction bookkeeping
-    predicted_taken: Optional[bool] = None
-    predicted_next_pc: Optional[int] = None
-    resolved_next_pc: Optional[int] = None
+    __slots__ = ("seq", "pc", "instr", "dst", "value", "done", "signalled",
+                 "predicted_taken", "predicted_next_pc", "resolved_next_pc",
+                 "row")
+
+    def __init__(self, seq: int, pc: int, instr: Instruction,
+                 dst: Optional[str], value: Optional[int] = None,
+                 done: bool = False, signalled: bool = False,
+                 predicted_taken: Optional[bool] = None,
+                 predicted_next_pc: Optional[int] = None,
+                 resolved_next_pc: Optional[int] = None,
+                 row: Optional["Decoded"] = None) -> None:
+        self.seq = seq
+        self.pc = pc
+        self.instr = instr
+        self.dst = dst
+        self.value = value
+        self.done = done
+        #: store/RMW: the reorder buffer has signalled the store buffer
+        self.signalled = signalled
+        #: branches: prediction bookkeeping
+        self.predicted_taken = predicted_taken
+        self.predicted_next_pc = predicted_next_pc
+        self.resolved_next_pc = resolved_next_pc
+        #: the decode-table row of ``instr`` (None on a hand-built entry)
+        self.row = row
 
     @property
     def is_memory(self) -> bool:
@@ -66,34 +101,35 @@ class ReorderBuffer:
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self._entries: "OrderedDict[int, RobEntry]" = OrderedDict()
-        self._rename: Dict[str, int] = {}
-        # values of recently retired producers, for operands captured
-        # before retirement; pruned periodically
+        #: in-flight entries in program order, and the same by number
+        self._fifo: Deque[RobEntry] = deque()
+        self._by_seq: Dict[int, RobEntry] = {}
+        #: register -> the youngest in-flight entry that writes it
+        self._rename: Dict[str, RobEntry] = {}
+        # values of recently retired producers, for operands first
+        # resolved after retirement; pruned periodically
         self._retired_values: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._fifo)
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.size
+        return len(self._fifo) >= self.size
 
     @property
     def empty(self) -> bool:
-        return not self._entries
+        return not self._fifo
 
     def head(self) -> Optional[RobEntry]:
-        if not self._entries:
-            return None
-        return next(iter(self._entries.values()))
+        return self._fifo[0] if self._fifo else None
 
     def get(self, seq: int) -> Optional[RobEntry]:
-        return self._entries.get(seq)
+        return self._by_seq.get(seq)
 
     def entries(self) -> List[RobEntry]:
-        return list(self._entries.values())
+        return list(self._fifo)
 
     # ------------------------------------------------------------------
     # Rename / dispatch
@@ -101,22 +137,28 @@ class ReorderBuffer:
     def allocate(self, entry: RobEntry) -> None:
         if self.full:
             raise SimulationError("reorder buffer overflow (caller must check .full)")
-        self._entries[entry.seq] = entry
+        self._fifo.append(entry)
+        self._by_seq[entry.seq] = entry
         if entry.dst is not None and entry.dst != "r0":
-            self._rename[entry.dst] = entry.seq
+            self._rename[entry.dst] = entry
+
+    def producer_of(self, reg: str) -> Optional[RobEntry]:
+        """The in-flight entry currently producing ``reg``, if any."""
+        return self._rename.get(reg)
 
     def rename_of(self, reg: str) -> Optional[int]:
         """The ROB tag currently producing ``reg``, if any."""
-        return self._rename.get(reg)
+        entry = self._rename.get(reg)
+        return entry.seq if entry is not None else None
 
     def value_of(self, seq: int) -> Optional[int]:
-        entry = self._entries.get(seq)
+        entry = self._by_seq.get(seq)
         if entry is not None:
             return entry.value if entry.done else None
         return self._retired_values.get(seq)
 
     def mark_done(self, seq: int, value: Optional[int] = None) -> None:
-        entry = self._entries.get(seq)
+        entry = self._by_seq.get(seq)
         if entry is None:
             return  # squashed while executing
         entry.value = value
@@ -126,10 +168,12 @@ class ReorderBuffer:
     # Retirement
     # ------------------------------------------------------------------
     def retire_head(self) -> RobEntry:
-        seq, entry = self._entries.popitem(last=False)
+        entry = self._fifo.popleft()
+        seq = entry.seq
+        del self._by_seq[seq]
         if entry.dst is not None and entry.value is not None:
             self._retired_values[seq] = entry.value
-        if self._rename.get(entry.dst) == seq:
+        if self._rename.get(entry.dst) is entry:
             del self._rename[entry.dst]
         if len(self._retired_values) > 65536:
             cutoff = seq - 4 * self.size
@@ -147,14 +191,23 @@ class ReorderBuffer:
         Returns the discarded seq numbers (ascending).  The rename table
         is rebuilt from the survivors.
         """
-        discarded = [s for s in self._entries if s >= seq]
-        for s in discarded:
-            del self._entries[s]
+        fifo = self._fifo
+        discarded: List[int] = []
+        while fifo and fifo[-1].seq >= seq:
+            entry = fifo.pop()
+            del self._by_seq[entry.seq]
+            # an operand already bound to this entry must never read it
+            entry.done = False
+            entry.value = None
+            discarded.append(entry.seq)
+        if not discarded:
+            return discarded
+        discarded.reverse()
         self._rename = {}
-        for entry in self._entries.values():
+        for entry in fifo:
             if entry.dst is not None and entry.dst != "r0":
-                self._rename[entry.dst] = entry.seq
+                self._rename[entry.dst] = entry
         return discarded
 
     def describe(self) -> str:
-        return " | ".join(e.describe() for e in self._entries.values())
+        return " | ".join(e.describe() for e in self._fifo)

@@ -4,31 +4,38 @@ Each functional unit (ALU, branch unit) has a reservation station
 (Tomasulo): decoded instructions wait there until their operands are
 produced, then execute for the instruction's latency and write their
 result into the reorder buffer.
+
+A station is kept oldest-first.  Decode fills it in program order, so
+keeping it so is an append, and the per-cycle scan for the oldest ready
+entry is a walk from the front.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List
+from bisect import insort
+from typing import Callable, List, Tuple
 
-from ..isa.instructions import Alu, Branch
 from ..sim.kernel import WAKE_NEVER
 from .rob import Operand, ReorderBuffer, RobEntry
 
 
-@dataclass
 class RsEntry:
-    seq: int
-    entry: RobEntry
-    operands: List[Operand]
+    __slots__ = ("seq", "entry", "operands")
+
+    def __init__(self, seq: int, entry: RobEntry,
+                 operands: List[Operand]) -> None:
+        self.seq = seq
+        self.entry = entry
+        self.operands = operands
 
 
-@dataclass
-class _Executing:
-    seq: int
-    entry: RobEntry
-    values: List[int]
-    finish_cycle: int
+def _station_insert(rs: List[RsEntry], entry: RobEntry,
+                    operands: List[Operand]) -> None:
+    rs_entry = RsEntry(entry.seq, entry, operands)
+    if not rs or rs[-1].seq < entry.seq:
+        rs.append(rs_entry)
+    else:  # dispatched out of program order (only ever by hand)
+        insort(rs, rs_entry, key=lambda r: r.seq)
 
 
 class AluUnit:
@@ -41,62 +48,62 @@ class AluUnit:
         self.alu_count = alu_count
         self.on_complete = on_complete
         self.rs: List[RsEntry] = []
-        self._executing: List[_Executing] = []
+        #: in flight: (finish cycle, entry, operand values read at issue)
+        self._executing: List[Tuple[int, RobEntry, List[int]]] = []
 
     @property
     def rs_full(self) -> bool:
         return len(self.rs) >= self.rs_size
 
     def dispatch(self, entry: RobEntry, operands: List[Operand]) -> None:
-        self.rs.append(RsEntry(entry.seq, entry, operands))
+        _station_insert(self.rs, entry, operands)
 
     def tick(self, cycle: int) -> bool:
         """Complete and issue; True when either happened."""
-        # complete
-        in_flight = len(self._executing)
-        still_running: List[_Executing] = []
-        for ex in self._executing:
-            if cycle >= ex.finish_cycle:
-                self._finish(ex)
-            else:
-                still_running.append(ex)
-        self._executing = still_running
-        moved = len(still_running) != in_flight
+        moved = False
+        if self._executing:
+            still_running = []
+            for ex in self._executing:
+                if cycle >= ex[0]:
+                    self._finish(ex[1], ex[2])
+                    moved = True
+                else:
+                    still_running.append(ex)
+            self._executing = still_running
         # issue (oldest-first) up to the number of free units
         free = self.alu_count - len(self._executing)
-        if free <= 0:
+        if free <= 0 or not self.rs:
             return moved
+        rob = self.rob
         issued: List[RsEntry] = []
-        for rs_entry in sorted(self.rs, key=lambda r: r.seq):
-            if free == 0:
-                break
-            values = [op.resolve(self.rob) for op in rs_entry.operands]
-            if any(v is None for v in values):
-                continue
-            instr = rs_entry.entry.instr
-            latency = instr.latency if isinstance(instr, Alu) else 1
-            self._executing.append(
-                _Executing(rs_entry.seq, rs_entry.entry, values, cycle + latency)
-            )
-            issued.append(rs_entry)
-            free -= 1
+        for rs_entry in self.rs:
+            values: List[int] = []
+            for op in rs_entry.operands:
+                value = op.resolve(rob)
+                if value is None:
+                    break
+                values.append(value)
+            else:
+                entry = rs_entry.entry
+                self._executing.append(
+                    (cycle + entry.instr.latency, entry, values))
+                issued.append(rs_entry)
+                free -= 1
+                if not free:
+                    break
         for rs_entry in issued:
             self.rs.remove(rs_entry)
         return moved or bool(issued)
 
-    def _finish(self, ex: _Executing) -> None:
-        instr = ex.entry.instr
-        if isinstance(instr, Alu):
-            a = ex.values[0]
-            b = ex.values[1] if len(ex.values) > 1 else (instr.imm or 0)
-            result = instr.compute(a, b)
-        else:  # Nop-like
-            result = 0
-        self.on_complete(ex.entry, result)
+    def _finish(self, entry: RobEntry, values: List[int]) -> None:
+        instr = entry.instr
+        b = values[1] if len(values) > 1 else (instr.imm or 0)
+        self.on_complete(entry, instr.compute(values[0], b))
 
     def squash(self, seqs: set) -> None:
         self.rs = [r for r in self.rs if r.seq not in seqs]
-        self._executing = [e for e in self._executing if e.seq not in seqs]
+        self._executing = [ex for ex in self._executing
+                           if ex[1].seq not in seqs]
 
     def is_empty(self) -> bool:
         return not self.rs and not self._executing
@@ -105,7 +112,7 @@ class AluUnit:
         """Cycle of the earliest in-flight completion: the one change
         to a stalled core that comes from the clock, not from an event."""
         if self._executing:
-            return min(ex.finish_cycle for ex in self._executing)
+            return min(ex[0] for ex in self._executing)
         return WAKE_NEVER
 
 
@@ -124,18 +131,18 @@ class BranchUnit:
         return len(self.rs) >= self.rs_size
 
     def dispatch(self, entry: RobEntry, operands: List[Operand]) -> None:
-        self.rs.append(RsEntry(entry.seq, entry, operands))
+        _station_insert(self.rs, entry, operands)
 
     def tick(self, cycle: int) -> bool:
         """Resolve the oldest ready branch; True when one resolved."""
-        for rs_entry in sorted(self.rs, key=lambda r: r.seq):
-            value = rs_entry.operands[0].resolve(self.rob)
+        rob = self.rob
+        for idx, rs_entry in enumerate(self.rs):
+            value = rs_entry.operands[0].resolve(rob)
             if value is None:
                 continue
-            self.rs.remove(rs_entry)
-            instr = rs_entry.entry.instr
-            assert isinstance(instr, Branch)
-            self.on_resolve(rs_entry.entry, instr.outcome(value))
+            del self.rs[idx]
+            entry = rs_entry.entry
+            self.on_resolve(entry, entry.instr.outcome(value))
             return True  # one resolution per cycle
         return False
 

@@ -96,6 +96,17 @@ class LockupFreeCache(Component):
         # lines brought in by a prefetch and not yet touched by any
         # demand access — the basis of useful/late/useless accounting
         self._prefetched_unused: set = set()
+        self._handlers = {
+            MessageKind.DATA: self._on_data,
+            MessageKind.DATA_EXCL: self._on_data_excl,
+            MessageKind.INVAL: self._on_inval,
+            MessageKind.RECALL: self._on_recall,
+            MessageKind.RECALL_INVAL: self._on_recall_inval,
+            MessageKind.UPDATE: self._on_update,
+            MessageKind.WB_ACK: self._on_wb_ack,
+            MessageKind.UPDATE_DONE: self._on_update_done,
+            MessageKind.UNCACHED_DONE: self._on_uncached_done,
+        }
         net.attach(node, self.receive)
 
         s = sim.stats
@@ -168,7 +179,7 @@ class LockupFreeCache(Component):
         (port busy or MSHRs exhausted); the caller retries next cycle."""
         if not self.can_accept():
             return False
-        if self.config.is_uncached(req.addr):
+        if self.config.uncached_ranges and self.config.is_uncached(req.addr):
             return self._uncached_access(req)
         if self.config.protocol == "update" and req.kind is not AccessKind.LOAD:
             return self._update_protocol_write(req)
@@ -283,7 +294,7 @@ class LockupFreeCache(Component):
         """
         if not self.can_accept():
             return False
-        if self.config.is_uncached(addr):
+        if self.config.uncached_ranges and self.config.is_uncached(addr):
             self._use_port()
             self.stat_prefetch_discarded.inc()  # uncached: nothing to bring
             return True
@@ -381,17 +392,7 @@ class LockupFreeCache(Component):
             listener(kind, line_addr)
 
     def receive(self, msg: Message) -> None:
-        handler = {
-            MessageKind.DATA: self._on_data,
-            MessageKind.DATA_EXCL: self._on_data_excl,
-            MessageKind.INVAL: self._on_inval,
-            MessageKind.RECALL: self._on_recall,
-            MessageKind.RECALL_INVAL: self._on_recall_inval,
-            MessageKind.UPDATE: self._on_update,
-            MessageKind.WB_ACK: self._on_wb_ack,
-            MessageKind.UPDATE_DONE: self._on_update_done,
-            MessageKind.UNCACHED_DONE: self._on_uncached_done,
-        }.get(msg.kind)
+        handler = self._handlers.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"cache{self.node} cannot handle {msg.describe()}")
         handler(msg)

@@ -48,6 +48,7 @@ from ..sim.stats import Counter, StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..cpu.rob import RobEntry
+    from ..isa.instructions import Instruction
 
 
 class StallCause(enum.Enum):
@@ -75,8 +76,12 @@ class CycleAccountant:
 
     def __init__(self, stats: StatsRegistry, name: str) -> None:
         self.name = name
+        # keyed by ``cause.value``, read as the plain attribute
+        # ``_value_``: the lookup runs once per cycle, and a str hashes
+        # in C where an Enum member's hash (and ``.value``) is a Python
+        # call
         self._counters = {
-            cause: stats.counter(f"{name}/cycles/{cause.value}")
+            cause.value: stats.counter(f"{name}/cycles/{cause.value}")
             for cause in CAUSES
         }
         self._refilling = False  # between a squash and the next retirement
@@ -91,7 +96,8 @@ class CycleAccountant:
                 rob_full: bool) -> Counter:
         """Attribute the cycle that just executed (active program);
         returns the counter it charged."""
-        counter = self._counters[self._classify(retired, head, rob_full)]
+        counter = self._counters[
+            self._classify(retired, head, rob_full)._value_]
         counter.inc()
         return counter
 
@@ -99,12 +105,26 @@ class CycleAccountant:
         """Attribute a cycle after the program retired its Halt: the
         store buffer may still be draining (write stall), after which
         the CPU is idle.  Returns the counter it charged."""
-        counter = self._counters[
-            StallCause.IDLE if lsu_empty else StallCause.WRITE]
+        cause = StallCause.IDLE if lsu_empty else StallCause.WRITE
+        counter = self._counters[cause._value_]
         counter.inc()
         return counter
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def head_blame(instr: "Instruction") -> Optional[StallCause]:
+        """The stall a memory instruction blocking the reorder-buffer
+        head is charged to; ``None`` for everything else, whose blame
+        depends on the state of the window.  Fixed per static
+        instruction: decode works it out once (``Decoded.head_blame``)."""
+        if not instr.is_memory:
+            return None
+        if instr.is_acquire:
+            return StallCause.ACQUIRE
+        if instr.is_store or instr.is_rmw:
+            return StallCause.WRITE
+        return StallCause.READ
+
     def _classify(self, retired: int, head: Optional["RobEntry"],
                   rob_full: bool) -> StallCause:
         if retired > 0:
@@ -114,13 +134,11 @@ class CycleAccountant:
             # empty window: the frontend is filling — after a squash
             # that refill time is the visible cost of the rollback
             return StallCause.ROLLBACK if self._refilling else StallCause.BUSY
-        instr = head.instr
-        if instr.is_memory:
-            if instr.is_acquire:
-                return StallCause.ACQUIRE
-            if instr.is_store or instr.is_rmw:
-                return StallCause.WRITE
-            return StallCause.READ
+        row = head.row
+        blame = (row.head_blame if row is not None
+                 else self.head_blame(head.instr))
+        if blame is not None:
+            return blame
         if self._refilling:
             return StallCause.ROLLBACK
         if rob_full:

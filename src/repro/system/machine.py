@@ -118,9 +118,14 @@ class Multiprocessor:
 
     # ------------------------------------------------------------------
     def done(self) -> bool:
-        return (all(p.finished for p in self.processors)
-                and all(p.lsu.is_empty() for p in self.processors)
-                and self.fabric.is_quiescent())
+        # asked once per kernel step: plain loops, no generators
+        for proc in self.processors:
+            if not proc.finished:
+                return False
+        for proc in self.processors:
+            if not proc.lsu.is_empty():
+                return False
+        return self.fabric.is_quiescent()
 
     def run(self, max_cycles: int = 1_000_000) -> int:
         """Run until every program finishes and all memory traffic drains."""

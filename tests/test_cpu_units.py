@@ -96,6 +96,49 @@ class TestOperand:
         assert Operand(value=7).describe() == "7"
         assert "tag#3" in Operand(producer=3).describe()
 
+    def test_reads_its_producer_live(self):
+        """A lock RMW is marked done twice (speculative read, then the
+        atomic's own result) and a correction un-does it in between: an
+        operand must never keep a value it read from a live entry."""
+        rob = ReorderBuffer(4)
+        producer = alu_entry(0)
+        rob.allocate(producer)
+        op = Operand(producer=0)
+        assert op.resolve(rob) is None
+        rob.mark_done(0, 10)
+        assert op.resolve(rob) == 10
+        rob.mark_done(0, 11)
+        assert op.resolve(rob) == 11
+        producer.done = False   # what SQUASH_AFTER does to the entry
+        producer.value = None
+        assert op.resolve(rob) is None
+
+    def test_squashed_producer_never_resolves(self):
+        rob = ReorderBuffer(4)
+        rob.allocate(alu_entry(0))
+        rob.allocate(alu_entry(1))
+        seen = Operand(producer=1)
+        unseen = Operand(producer=1)
+        rob.mark_done(1, 5)
+        assert seen.resolve(rob) == 5
+        rob.squash_from(1)
+        rob.mark_done(1, 7)     # a completion that was already in flight
+        assert seen.resolve(rob) is None
+        assert unseen.resolve(rob) is None
+
+    def test_retired_producer_keeps_its_value(self):
+        rob = ReorderBuffer(4)
+        rob.allocate(alu_entry(0, dst="r1"))
+        rob.allocate(alu_entry(1, dst="r1"))
+        rob.mark_done(0, 5)
+        seen = Operand(producer=0)
+        unseen = Operand(producer=0)
+        assert seen.resolve(rob) == 5
+        rob.retire_head()
+        rob.mark_done(1, 6)     # the register's next writer
+        assert seen.resolve(rob) == 5
+        assert unseen.resolve(rob) == 5
+
 
 class TestBranchPredictor:
     def branch(self, predict=None):
@@ -170,6 +213,31 @@ class TestAluUnit:
         unit.tick(2)
         unit.tick(3)
         assert done == [(1, 11)]
+
+    def test_operands_are_read_at_issue(self):
+        rob, unit, done = self.make()
+        rob.allocate(alu_entry(0))
+        consumer = alu_entry(1, imm=1)
+        rob.allocate(consumer)
+        operand = Operand(producer=0)
+        unit.dispatch(consumer, [operand])
+        rob.mark_done(0, 10)
+        assert operand.resolve(rob) == 10   # looked at, not latched
+        rob.mark_done(0, 11)
+        unit.tick(1)
+        unit.tick(2)
+        assert done == [(1, 12)]
+
+    def test_issues_oldest_first_whatever_the_dispatch_order(self):
+        rob, unit, done = self.make(alu_count=1)
+        entries = [alu_entry(seq, imm=seq) for seq in range(2)]
+        for e in entries:
+            rob.allocate(e)
+        for e in reversed(entries):
+            unit.dispatch(e, [Operand(value=0)])
+        for cycle in (1, 2, 3):
+            unit.tick(cycle)
+        assert [seq for seq, _ in done] == [0, 1]
 
     def test_multi_cycle_latency(self):
         rob, unit, done = self.make()

@@ -14,11 +14,23 @@ analytical ones (pipeline fill, decode); what matters is that they are
 and re-verified against the analytical shape.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis.experiments import TECHNIQUES, example_cycle_table
-from repro.consistency.models import PC, RC, SC, WC
+from repro.consistency.models import PC, RC, SC, WC, get_model
 from repro.core.timing import AnalyticalTimingModel, TimingConfig
+from repro.obs.ledger import canonical_json
+from repro.sim.trace import TraceRecorder
+from repro.system import run_workload
+from repro.workloads import (
+    barrier_workload,
+    critical_section_workload,
+    false_sharing_workload,
+    grid_relaxation_workload,
+    work_queue_workload,
+)
 from repro.workloads.paper_examples import (
     PAPER_CYCLE_COUNTS,
     example1_segment,
@@ -100,3 +112,86 @@ def test_goldens_keep_paper_shape():
             for m in MODELS:
                 row = golden[(example, m.name)]
                 assert row[3] <= row[0] and row[1] <= row[0]
+
+
+# ----------------------------------------------------------------------
+# Cross-commit identity of everything a run reports
+# ----------------------------------------------------------------------
+
+#: (workload, model, both techniques on) -> (cycles, sha256 of the
+#: whole non-host stats registry, sha256 of the trace-event stream),
+#: the hashes cut to 16 hex digits.  Generated at commit d13ba9b, the
+#: parent of the "decode once, bind once" rewrite of the core, and held
+#: since: a change to the simulator's host representation must leave
+#: every one of them alone, and a change to the modelled machine says
+#: so by editing this table.
+WHOLE_REGISTRY_PINS = {
+    ("barrier-4x1", "SC", False): (1583, "2c6e02db9a8ca9de", "35977c43e5fc6af9"),
+    ("barrier-4x1", "SC", True): (1199, "1954087f1c8a0abf", "778917672de717e7"),
+    ("barrier-4x1", "RC", False): (1483, "ea31fbb357112474", "9275e4244d77ecc8"),
+    ("barrier-4x1", "RC", True): (1199, "05e91db72bb3a302", "a3674831dcb49bd9"),
+    ("grid-4x4x1", "SC", False): (2937, "b195e9eb0944dd6d", "74639db6b897d5b5"),
+    ("grid-4x4x1", "SC", True): (1214, "cb284605ec0633cc", "f7d870406766b0d4"),
+    ("grid-4x4x1", "RC", False): (1412, "bf62b5223add89d7", "7941a73610bd648f"),
+    ("grid-4x4x1", "RC", True): (1214, "da3d58f4f876ed62", "fafef67252862adc"),
+    ("workqueue-3x4", "SC", False): (3389, "0c3d32ff095ace4e", "7b2d391455c61d78"),
+    ("workqueue-3x4", "SC", True): (2343, "ba1dcb7c3e57605b", "d91fc20c7991494e"),
+    ("workqueue-3x4", "RC", False): (1925, "b747177fcfd48a0b", "95fceaae7baed136"),
+    ("workqueue-3x4", "RC", True): (1924, "8683ef442c0cef6e", "e6571e3c6bb816cb"),
+    ("false-sharing-packed", "SC", False): (2948, "43c6356786020fd3", "f9dde4a3a943e826"),
+    ("false-sharing-packed", "SC", True): (1912, "1a60d80b141e0499", "6b5e5117d7b77c1f"),
+    ("false-sharing-packed", "RC", False): (873, "402fd059ab4b6e30", "f6204df2f525ce8b"),
+    ("false-sharing-packed", "RC", True): (870, "56f77414e47e8a17", "71b49cacf0417289"),
+    ("critical-section-private-2x5", "SC", False): (792, "b484b2f804c0c3f0", "33d8c377e04d4214"),
+    ("critical-section-private-2x5", "SC", True): (274, "9903c5d6b605e509", "1b4315f6e8c0cdee"),
+    ("critical-section-private-2x5", "RC", False): (360, "2555c679b22ca332", "86a0b2324422561c"),
+    ("critical-section-private-2x5", "RC", True): (245, "f881e653a9f9a251", "65858a6d0aa57e09"),
+}
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestWholeRegistryPins:
+    """The ``guest_apps`` members at half size: cycles alone can stay
+    put while a counter or an event moves, and ``test_determinism``
+    compares a commit only with itself."""
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        return {wl.name: wl for wl in (
+            barrier_workload(4, phases=1),
+            grid_relaxation_workload(4, 4, 1),
+            work_queue_workload(3, 4),
+            false_sharing_workload(4, updates=24),
+            critical_section_workload(2, iterations=5, shared_counters=3,
+                                      private=True),
+        )}
+
+    @pytest.mark.parametrize(
+        "name,model,both", list(WHOLE_REGISTRY_PINS),
+        ids=[f"{name}-{model}-{'on' if both else 'off'}"
+             for name, model, both in WHOLE_REGISTRY_PINS])
+    def test_cycles_registry_and_trace_stream(self, members, name, model,
+                                              both):
+        wl = members[name]
+        trace = TraceRecorder()
+        result = run_workload(
+            wl.programs, model=get_model(model), prefetch=both,
+            speculation=both, miss_latency=MISS_LATENCY,
+            initial_memory=wl.initial_memory, trace=trace)
+        registry = {key: value
+                    for key, value in result.stats.snapshot().items()
+                    if not key.startswith("host/")}
+        observed = (
+            result.cycles,
+            _sha16(canonical_json(registry)),
+            _sha16("\n".join(ev.describe() for ev in trace.events)),
+        )
+        assert observed == WHOLE_REGISTRY_PINS[(name, model, both)]
+
+    def test_every_member_is_pinned_under_every_setting(self, members):
+        assert set(WHOLE_REGISTRY_PINS) == {
+            (name, model, both) for name in members
+            for model in ("SC", "RC") for both in (False, True)}
