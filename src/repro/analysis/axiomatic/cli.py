@@ -19,26 +19,14 @@ interleaving enumerator's, 1 on any disagreement.
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ...consistency.litmus import STANDARD_TESTS, LitmusTest
-from ...consistency.models import ALL_MODELS, ConsistencyModel, get_model
+from ...consistency.models import (ALL_MODELS, ConsistencyModel,
+                                   model_argument)
 from .axioms import render_axiom_table
 from .checker import accepting_witness, compare_with_enumerator
 from .relations import build_events, event_table
-
-
-def _resolve_tests(names: Sequence[str]) -> List[LitmusTest]:
-    if not names:
-        return [factory() for factory in STANDARD_TESTS.values()]
-    tests = []
-    for name in names:
-        if name not in STANDARD_TESTS:
-            raise SystemExit(
-                f"unknown litmus test {name!r}; available: "
-                f"{', '.join(sorted(STANDARD_TESTS))}")
-        tests.append(STANDARD_TESTS[name]())
-    return tests
 
 
 def _verbose_report(test: LitmusTest, model: ConsistencyModel) -> str:
@@ -69,7 +57,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="named litmus tests (default: the whole "
                              "standard suite)")
     parser.add_argument("--model", action="append", default=[],
-                        metavar="NAME",
+                        type=model_argument, metavar="NAME",
                         help="consistency model (repeatable; default: the "
                              "paper's SC PC WC RC)")
     parser.add_argument("--all-models", action="store_true",
@@ -81,13 +69,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "admitted outcome")
     args = parser.parse_args(argv)
 
-    models = ([get_model(n) for n in args.model]
+    models = (args.model
               if args.model and not args.all_models else list(ALL_MODELS))
     if args.axioms:
         print(render_axiom_table(models))
         return 0
 
-    tests = _resolve_tests(args.tests)
+    unknown = sorted(set(args.tests) - set(STANDARD_TESTS))
+    if unknown:
+        parser.error(f"unknown litmus test {unknown[0]!r}; available: "
+                     f"{', '.join(sorted(STANDARD_TESTS))}")
+    tests = [STANDARD_TESTS[name]() for name in args.tests or STANDARD_TESTS]
 
     print(render_axiom_table(models))
     print()

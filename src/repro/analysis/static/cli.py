@@ -20,7 +20,8 @@ import argparse
 import os
 from typing import List, Optional
 
-from ...consistency.models import ALL_MODELS, get_model
+from ...consistency.models import (ALL_MODELS, PC, RC, WC, ConsistencyModel,
+                                   get_model, model_argument)
 from ...isa.assembler import assemble
 from ...isa.program import Program
 from .diagnostics import summarize_reports
@@ -35,11 +36,11 @@ def _load_programs(paths: List[str]) -> List[Program]:
     return programs
 
 
-def _analyze_and_print(programs: List[Program], model_names: List[str],
+def _analyze_and_print(programs: List[Program],
+                       models: List[ConsistencyModel],
                        fix: bool, line_size: int) -> int:
     reports = []
-    for name in model_names:
-        model = get_model(name)
+    for model in models:
         report = analyze_programs(programs, model, line_size=line_size)
         reports.append(report)
         print(report.render())
@@ -128,7 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("programs", nargs="*",
                         help="assembly files, one per processor")
     parser.add_argument("--model", action="append", default=[],
-                        metavar="NAME",
+                        type=model_argument, metavar="NAME",
                         help="consistency model to analyze under "
                              "(repeatable; default PC WC RC)")
     parser.add_argument("--all-models", action="store_true",
@@ -146,7 +147,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return selfcheck(args.selfcheck, line_size=args.line_size)
     if not args.programs:
         parser.error("give at least one assembly file (or --selfcheck DIR)")
-    models = (["SC", "PC", "WC", "RC"] if args.all_models
-              else (args.model or ["PC", "WC", "RC"]))
-    programs = _load_programs(args.programs)
+    models = (list(ALL_MODELS) if args.all_models
+              else (args.model or [PC, WC, RC]))
+    try:
+        programs = _load_programs(args.programs)
+    except OSError as exc:
+        parser.error(f"cannot read program: {exc}")
     return _analyze_and_print(programs, models, args.fix, args.line_size)

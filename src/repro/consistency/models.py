@@ -162,7 +162,7 @@ RC = ReleaseConsistency()
 RCSC = ReleaseConsistencySC()
 
 _MODELS: Dict[str, ConsistencyModel] = {
-    m.name: m for m in (SC, PC, WC, DRF0, RC, RCSC)
+    m.name.upper(): m for m in (SC, PC, WC, DRF0, RC, RCSC)
 }
 
 ALL_MODELS = (SC, PC, WC, RC)  # the four the paper discusses
@@ -173,5 +173,15 @@ def get_model(name: str) -> ConsistencyModel:
     key = name.upper()
     if key not in _MODELS:
         raise KeyError(f"unknown consistency model {name!r}; "
-                       f"available: {sorted(_MODELS)}")
+                       f"available: {sorted(m.name for m in _MODELS.values())}")
     return _MODELS[key]
+
+
+def model_argument(name: str) -> ConsistencyModel:
+    """:func:`get_model` as an argparse ``type=``: an unknown name is a
+    usage error (one ``error:`` line, exit 2), not a traceback."""
+    import argparse
+    try:
+        return get_model(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None

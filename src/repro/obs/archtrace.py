@@ -52,9 +52,9 @@ classify a divergence from the two files alone.
 :class:`ArchTraceCollector` implements the ``TraceRecorder`` recording
 surface (``enabled`` + ``record``), so it can be passed directly as the
 ``trace=`` argument of ``run_workload`` — recording does **not**
-disable the kernel's idle-cycle fast-forward (only per-cycle hooks do)
-— and the batched engine feeds the same collector class its raw-style
-events, so both backends share one derivation path.
+disable the kernel's idle-cycle fast-forward — and the batched engine
+feeds the same collector class its raw-style events, so both backends
+share one derivation path.
 """
 
 from __future__ import annotations

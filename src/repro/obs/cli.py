@@ -28,6 +28,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..consistency.models import model_argument
 from .ledger import KNOWN_KINDS
 from .perfetto import (
     export_chrome_trace,
@@ -40,12 +41,10 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     # heavy import (workloads + simulator) deferred until needed
     import time
 
-    from ..consistency.models import get_model
     from ..sim.stats import StatsRegistry
     from .report import DEFAULT_MODELS, TECHNIQUES, example_breakdown_matrix
 
-    models = (tuple(get_model(m) for m in args.models)
-              if args.models else DEFAULT_MODELS)
+    models = tuple(args.models) if args.models else DEFAULT_MODELS
     merged: Optional[StatsRegistry] = StatsRegistry() if args.stats_json else None
     t0 = time.perf_counter()
     table = example_breakdown_matrix(
@@ -87,7 +86,11 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     from .jsonl import read_jsonl
 
-    events = read_jsonl(args.jsonl)
+    try:
+        events = read_jsonl(args.jsonl)
+    except (OSError, ValueError) as exc:    # missing file / not a trace
+        print(f"error: cannot read trace: {exc}", file=sys.stderr)
+        return 2
     obj = export_chrome_trace(events, args.output)
     print(f"{args.output}: {len(obj['traceEvents'])} trace event(s) "
           f"from {len(events)} recorded event(s)")
@@ -182,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("example", nargs="?", default="example2",
                    choices=("example1", "example2", "figure5"))
     p.add_argument("--models", nargs="*", metavar="MODEL",
+                   type=model_argument,
                    help="models to include (default: SC PC WC RC)")
     p.add_argument("--miss-latency", type=int, default=100)
     p.add_argument("--raw", dest="normalize", action="store_false",

@@ -38,6 +38,7 @@ while the streams agree and are frozen per-CPU at the first mismatch).
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -350,10 +351,14 @@ def diff_archtraces(path_a: str, path_b: str,
 def diff_main(path_a: str, path_b: str, context: int = 5,
               as_json: bool = False) -> int:
     """CLI body for ``python -m repro.obs diff``: 0 identical,
-    1 divergent."""
-    report = diff_archtraces(path_a, path_b,
-                             label_a=path_a, label_b=path_b,
-                             context=context)
+    1 divergent, 2 unreadable input."""
+    try:
+        report = diff_archtraces(path_a, path_b,
+                                 label_a=path_a, label_b=path_b,
+                                 context=context)
+    except OSError as exc:
+        print(f"error: cannot read archtrace: {exc}", file=sys.stderr)
+        return 2
     if as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

@@ -26,22 +26,25 @@ import hashlib
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
-from .consistency import get_model
+from .consistency.models import model_argument
 from .isa import assemble
 from .sim.trace import TraceRecorder
 from .system import run_workload
 
 
-def parse_init(pairs: List[str]) -> Dict[int, int]:
-    memory: Dict[int, int] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"--init expects ADDR=VALUE, got {pair!r}")
-        addr_text, value_text = pair.split("=", 1)
-        memory[int(addr_text, 0)] = int(value_text, 0)
-    return memory
+def address(text: str) -> int:
+    return int(text, 0)
+
+
+def init_pair(text: str) -> Tuple[int, int]:
+    addr_text, _, value_text = text.partition("=")
+    try:
+        return int(addr_text, 0), int(value_text, 0)
+    except ValueError:      # a bad number, or no "=" at all
+        raise argparse.ArgumentTypeError(
+            f"expects ADDR=VALUE, got {text!r}") from None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -56,8 +59,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run a built-in paper kernel (with its "
                              "warm-cache/memory environment) instead of "
                              "assembly files")
-    parser.add_argument("--model", default="SC",
-                        help="consistency model: SC, PC, WC, RC, RCsc")
+    parser.add_argument("--model", default="SC", type=model_argument,
+                        help="consistency model: SC, PC, WC, RC, RCsc, DRF0")
     parser.add_argument("--prefetch", action="store_true",
                         help="enable hardware non-binding prefetch")
     parser.add_argument("--speculation", action="store_true",
@@ -65,9 +68,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--miss-latency", type=int, default=100)
     parser.add_argument("--max-cycles", type=int, default=1_000_000)
     parser.add_argument("--init", action="append", default=[],
-                        metavar="ADDR=VALUE", help="initial memory word")
+                        type=init_pair, metavar="ADDR=VALUE",
+                        help="initial memory word")
     parser.add_argument("--watch", action="append", default=[],
-                        metavar="ADDR", help="print this word afterwards")
+                        type=address, metavar="ADDR",
+                        help="print this word afterwards")
     parser.add_argument("--regs", action="append", default=[],
                         metavar="REG", help="registers to print (default r1-r8)")
     parser.add_argument("--stats", action="store_true",
@@ -128,12 +133,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     programs = []
     program_sha256: List[str] = []
     for path in args.programs:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            parser.error(f"cannot read program: {exc}")
         program_sha256.append(hashlib.sha256(text.encode()).hexdigest())
         programs.append(assemble(text))
 
-    initial_memory = parse_init(args.init)
+    initial_memory = dict(args.init)
     warm_lines = ()
     if args.example:
         from .obs.report import example_workload
@@ -142,7 +150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         warm_lines = wl.warm_lines
         initial_memory = {**wl.initial_memory, **initial_memory}
 
-    model = get_model(args.model)
+    model = args.model
     if args.analyze:
         from .analysis.static import analyze_programs
         report = analyze_programs(programs, model)
@@ -204,14 +212,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.progress:
         print(file=sys.stderr)
     print(f"completed in {result.cycles} cycles "
-          f"(model={args.model.upper()}, prefetch={args.prefetch}, "
+          f"(model={model.name}, prefetch={args.prefetch}, "
           f"speculation={args.speculation})")
     regs = args.regs or [f"r{i}" for i in range(1, 9)]
     for cpu in range(len(programs)):
         values = ", ".join(f"{r}={result.machine.reg(cpu, r)}" for r in regs)
         print(f"cpu{cpu}: {values}")
-    for addr_text in args.watch:
-        addr = int(addr_text, 0)
+    for addr in args.watch:
         print(f"MEM[{addr:#x}] = {result.machine.read_word(addr)}")
     if args.trace and trace is not None:
         print("--- trace ---")
@@ -247,15 +254,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"jsonl trace written to {args.trace_jsonl} "
               f"({trace.streamed} event(s))")
     if archtrace is not None:
-        watched = sorted({int(a, 0) for a in args.watch}
-                         | set(initial_memory))
+        watched = sorted(set(args.watch) | set(initial_memory))
         archtrace.finalize(
             cycles=result.cycles,
             final_memory={a: result.machine.read_word(a) for a in watched},
             breakdowns=result.breakdowns())
         count = archtrace.write_jsonl(
             args.archtrace, backend="scalar",
-            label=f"{args.model.upper()} prefetch={args.prefetch} "
+            label=f"{model.name} prefetch={args.prefetch} "
                   f"speculation={args.speculation}")
         dropped = (f" ({archtrace.dropped} dropped)"
                    if archtrace.dropped else "")
@@ -282,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             request={
                 "example": args.example,
                 "programs_sha256": program_sha256,
-                "model": args.model.upper(),
+                "model": model.name,
                 "prefetch": args.prefetch,
                 "speculation": args.speculation,
                 "miss_latency": args.miss_latency,

@@ -32,7 +32,7 @@ both directions.  Client ops: ``submit``, ``stats``, ``metrics``,
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..obs.ledger import request_hash
 from ..sim.errors import ConfigurationError
@@ -221,22 +221,6 @@ def make_job(test: Mapping[str, object],
 # Results
 # ----------------------------------------------------------------------
 
-def validate_result(result: object) -> List[str]:
-    """Structural check of a job result; returns problems (empty = ok)."""
-    errors: List[str] = []
-    if not isinstance(result, dict):
-        return [f"result must be an object, got {type(result).__name__}"]
-    outcome = result.get("outcome")
-    if not isinstance(outcome, list) or not all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2
-            and isinstance(pair[0], str) for pair in outcome):
-        errors.append("outcome must be a list of [register, value] pairs")
-    cycles = result.get("cycles")
-    if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 0:
-        errors.append("cycles must be a non-negative integer")
-    return errors
-
-
 def outcome_pairs(result: Mapping[str, object]) -> Tuple[Tuple[str, int], ...]:
     """The result's outcome in the harness's canonical tuple shape."""
     return tuple(sorted((str(reg), int(val))  # type: ignore[call-overload]
@@ -288,5 +272,4 @@ __all__ = [
     "outcome_pairs",
     "resolve_test",
     "run_config_from_spec",
-    "validate_result",
 ]

@@ -15,9 +15,7 @@ from .stats import Counter, Histogram, StatsRegistry, format_stats_table
 from .sweep import (
     ProgressMeter,
     SweepError,
-    SweepProgress,
     SweepResult,
-    WorkerStats,
     derive_seed,
     format_duration,
     run_sweep,
@@ -42,12 +40,10 @@ __all__ = [
     "Simulator",
     "StatsRegistry",
     "SweepError",
-    "SweepProgress",
     "SweepResult",
     "TraceEvent",
     "TraceRecorder",
     "WAKE_NEVER",
-    "WorkerStats",
     "derive_seed",
     "format_duration",
     "format_stats_table",

@@ -108,7 +108,6 @@ class Simulator:
         #: is in its books; ``None`` otherwise — everybody ticks
         self._wakes: Optional[Dict[Component, int]] = None
         self._synced: Dict[Component, int] = {}
-        self._trace_hooks: List[Callable[[int], None]] = []
         self.profiler: Optional[HostProfiler] = None
         if profile:
             self.enable_profiling(
@@ -120,14 +119,6 @@ class Simulator:
     def register(self, component: Component) -> None:
         """Register a component; ticked each cycle in registration order."""
         self._components.append(component)
-
-    def add_trace_hook(self, hook: Callable[[int], None]) -> None:
-        """Call ``hook(cycle)`` at the end of every cycle (for tracing).
-
-        Trace hooks observe *every* cycle, so adding one disables
-        all sleeping for the run.
-        """
-        self._trace_hooks.append(hook)
 
     def enable_profiling(
         self, profiler: Optional[HostProfiler] = None,
@@ -220,15 +211,7 @@ class Simulator:
                 self._forgive(passed)
             raise
         if prof is not None:
-            # a fresh reading: ``prev`` is the last component that ticked,
-            # and passing over the sleepers after it is not hook time
-            prev = time.perf_counter_ns()
-        for hook in self._trace_hooks:
-            hook(cycle)
-        if prof is not None:
-            end = time.perf_counter_ns()
-            prof.hooks_ns += end - prev
-            prof.wall_ns += end - t0
+            prof.wall_ns += time.perf_counter_ns() - t0
             prof.ticks += 1
             depth = len(self.events)
             prof.queue_depth_sum += depth
@@ -298,7 +281,7 @@ class Simulator:
         cycles are never observed, and a sleeper's counters lag the
         clock until it next ticks or ``run()`` ends.
         """
-        fast = self.fast_forward and not self._trace_hooks
+        fast = self.fast_forward
         prof = self.profiler
         if prof is not None:
             prof.note_registered(self._components)

@@ -79,7 +79,6 @@ class HostProfiler:
         #: registered instances per Component subclass name
         self.registered: Dict[str, int] = {}
         self.events_ns = 0      # event-queue run_due phase
-        self.hooks_ns = 0       # trace-hook phase
         self.wall_ns = 0        # total time inside profiled steps
         self.ticks = 0          # cycles stepped while profiling
         self.ff_spans = 0       # fast-forward jumps taken
@@ -180,7 +179,6 @@ class HostProfiler:
         put("ticks", self.ticks)
         put("wall_ns", self.wall_ns + self.ff_ns)
         put("events_ns", self.events_ns)
-        put("hooks_ns", self.hooks_ns)
         put("fastforward/spans", self.ff_spans)
         put("fastforward/cycles", self.ff_cycles)
         put("fastforward/ns", self.ff_ns)
@@ -208,7 +206,6 @@ class HostProfiler:
             "event_queue_depth_max": self.queue_depth_max,
             "event_queue_depth_mean": round(self.mean_queue_depth(), 3),
             "events_ns": self.events_ns,
-            "hooks_ns": self.hooks_ns,
         }
         if stats is not None:
             retired = _retired_instructions(stats)

@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed; item seeds are derived "
                              "deterministically (default 0)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="items per sweep chunk (default: auto)")
     parser.add_argument("--corpus", default="verify-corpus.json",
                         help="where to write the JSON failure corpus "
                              "(default verify-corpus.json; only written "
@@ -132,7 +130,6 @@ def _oracle_counters(failures: Sequence[CheckResult]) -> Tuple[int, int, int]:
 
 
 def run_fuzz(budget: int, jobs: int, seed: int,
-             chunk_size: Optional[int] = None,
              fault: Optional[str] = None,
              corpus_path: Optional[str] = None,
              do_minimize: bool = True,
@@ -152,8 +149,8 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     process exit status.
 
     Unless ``quiet``, progress goes to stderr through the sweep meter
-    (EMA rate, ETA, worker utilization): a live line on a terminal, one
-    summary line on a redirected stream.  ``oracle`` selects the
+    (run-average rate, ETA): a live line on a terminal, one summary
+    line on a redirected stream.  ``oracle`` selects the
     crosscheck legs (see module docstring); ``suite`` checks every
     named standard litmus test instead of fuzzing.
 
@@ -190,8 +187,7 @@ def run_fuzz(budget: int, jobs: int, seed: int,
         with tm.span("verify/campaign",
                      {"tests": total, "oracle": oracle, "backend": backend,
                       "jobs": jobs}):
-            sweep = run_sweep(worker, items, jobs=jobs, chunk_size=chunk_size,
-                              telemetry=meter)
+            sweep = run_sweep(worker, items, jobs=jobs, telemetry=meter)
     wall = time.perf_counter() - t0
     if meter is not None:
         meter.finish()
@@ -298,9 +294,9 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     if ledger:
         from ..obs import ledger as ledger_mod
 
-        # execution shape (jobs, chunking) deliberately excluded: it
-        # cannot change the campaign's outcome, and this hash is the
-        # future result-cache key
+        # execution shape (jobs) deliberately excluded: it cannot
+        # change the campaign's outcome, and this hash is the future
+        # result-cache key
         request: Dict[str, object] = {
             "kind": "suite" if suite else "fuzz",
             "budget": None if suite else budget,
@@ -371,9 +367,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
-    if args.chunk_size is not None and args.chunk_size < 1:
-        print("--chunk-size must be >= 1", file=sys.stderr)
-        return 2
     if args.server is not None and args.fault is not None:
         print("--fault is incompatible with --server: faults monkeypatch "
               "this process, not the job server", file=sys.stderr)
@@ -382,7 +375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         budget=args.budget,
         jobs=args.jobs,
         seed=args.seed,
-        chunk_size=args.chunk_size,
         fault=args.fault,
         corpus_path=args.corpus,
         do_minimize=not args.no_minimize,

@@ -231,5 +231,7 @@ class TestDerivedQueries:
     def test_get_model_lookup(self):
         assert get_model("sc") is SC
         assert get_model("RC") is RC
-        with pytest.raises(KeyError):
+        # the one mixed-case name is reachable as printed and in any case
+        assert get_model("RCsc") is RCSC and get_model("rcsc") is RCSC
+        with pytest.raises(KeyError, match="RCsc"):
             get_model("TSO")

@@ -114,17 +114,8 @@ class TestSweepDeterminism:
     def test_serial_matches_parallel(self):
         items = [(i, derive_seed(5, i, "fuzz"), {}) for i in range(3)]
         serial = run_sweep(check_seed, items, jobs=1)
-        parallel = run_sweep(check_seed, items, jobs=2, chunk_size=1)
+        parallel = run_sweep(check_seed, items, jobs=2)
         assert [(r.seed, r.num_runs, r.divergences)
                 for r in serial.results] == \
                [(r.seed, r.num_runs, r.divergences)
                 for r in parallel.results]
-
-    def test_chunking_does_not_change_results(self):
-        items = [(i, derive_seed(5, i, "fuzz"), {}) for i in range(4)]
-        by_one = run_sweep(check_seed, items, chunk_size=1)
-        by_four = run_sweep(check_seed, items, chunk_size=4)
-        assert [r.seed for r in by_one.results] == \
-               [r.seed for r in by_four.results]
-        assert [r.divergences for r in by_one.results] == \
-               [r.divergences for r in by_four.results]

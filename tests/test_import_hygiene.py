@@ -1,8 +1,11 @@
-"""Scalar legs do not load numpy or the lockstep engine.
+"""Scalar legs do not load numpy, the lockstep engine or a process pool.
 
 ``repro.sim.batch`` is the only numpy user; the job type and the scalar
 way to run a job live in ``repro.system.jobs`` so that a scalar fuzz
 campaign, a served job and a detailed report table never import it.
+``repro.sim.sweep`` imports ``ProcessPoolExecutor`` in its pool branch
+only, so a ``jobs=1`` campaign, a bench child and a serve pool worker do
+not pay for ``multiprocessing`` (22-25 ms of a ~100 ms ``import repro``).
 ``sys.modules`` is per-process, so the check runs in a fresh
 interpreter (this one has long since imported the batch tests).
 """
@@ -16,9 +19,14 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 _SCRIPT = """
 import sys
 
+POOL = ("concurrent.futures.process", "multiprocessing")
+import repro.system.jobs
+assert not [name for name in POOL if name in sys.modules]
+
 from repro.verify.cli import run_fuzz
 assert run_fuzz(budget=2, jobs=1, seed=0, backend="scalar", oracle="all",
                 corpus_path=None, quiet=True, ledger=False) == 0
+assert not [name for name in POOL if name in sys.modules]
 
 from repro.serve import make_job
 from repro.serve.executors import execute_job

@@ -274,16 +274,6 @@ class TestFastForwardEngages:
         assert (snap[HOST_PREFIX + "tick_count/Processor"]
                 <= 0.75 * 2 * snap[HOST_PREFIX + "ticks"])
 
-    def test_trace_hooks_disable_fast_forward(self):
-        sim = Simulator()
-        sim.register(_Sleeper())
-        seen = []
-        sim.add_trace_hook(seen.append)
-        sim.schedule(10, lambda: None)
-        sim.run(until=lambda: sim.events.next_cycle() is None,
-                max_cycles=100, deadlock_check=False)
-        assert seen == list(range(1, 11))  # every cycle observed
-
 
 class _Sleeper(Component):
     """Event-driven-only component that counts its elided cycles."""

@@ -183,3 +183,51 @@ class TestPrefetcherDetails:
         r = run1(p, model=SC)
         cache = r.machine.fabric.caches[0]
         assert cache.line_state(0x40) is LineState.MODIFIED
+
+
+class TestSpeculativeRmwRead:
+    """Appendix A: an RMW waiting its turn reads its location
+    speculatively (read-exclusive) and hands dependents the old value."""
+
+    def test_read_refused_by_a_full_mshr_file_is_retried(self, monkeypatch):
+        from repro.cpu.lsu import LoadStoreUnit
+        from repro.memory.types import CacheConfig
+        from repro.sim.trace import TraceRecorder
+
+        # the load miss holds the only MSHR for ~100 cycles, so the
+        # cache refuses the RMW's speculative read every cycle until
+        # then; the store behind the load keeps the RMW itself (SC:
+        # after every earlier access) waiting long enough for the
+        # retried read to come back first
+        p = assemble("""
+            ld      r1, 0x40
+            st      r1, 0x100
+            rmw.add r2, 0x80, r1
+            add     r3, r2, r1
+            halt
+        """)
+        retries = []
+        retry = LoadStoreUnit._retry_rmw_read
+
+        def counted(self, op, gen):
+            retries.append(self.sim.cycle)
+            retry(self, op, gen)
+
+        monkeypatch.setattr(LoadStoreUnit, "_retry_rmw_read", counted)
+        runs = []
+        for fast_forward in (True, False):
+            trace = TraceRecorder()
+            r = run1(p, model=SC, speculation=True,
+                     cache=CacheConfig(mshr_entries=1),
+                     initial_memory={0x40: 7, 0x80: 30}, trace=trace,
+                     fast_forward=fast_forward)
+            spec = [e for e in trace.events if e.kind == "rmw_spec_value"]
+            assert [e.detail["value"] for e in spec] == [30]
+            assert r.machine.reg(0, "r2") == 30
+            assert r.machine.reg(0, "r3") == 37
+            assert r.machine.read_word(0x80) == 37
+            assert r.machine.read_word(0x100) == 7
+            runs.append((r.cycles, spec[0].cycle, len(retries)))
+            retries.clear()
+        assert runs[0] == runs[1]
+        assert runs[0][2] > 50       # refused for most of the load's miss

@@ -43,9 +43,7 @@ def run_with_injected_squash(squash_cycle, model=SC, spec=True):
     proc = machine.processors[0]
     injected = {"done": False}
 
-    def inject(cycle):
-        if injected["done"] or cycle != squash_cycle:
-            return
+    def inject():
         injected["done"] = True
         # squash the youngest *squashable* instruction: anything not yet
         # signalled to memory (signalled stores are committed)
@@ -55,8 +53,11 @@ def run_with_injected_squash(squash_cycle, model=SC, spec=True):
             return
         victim = candidates[-1]
         proc.squash_from(victim.seq, victim.pc, "injected interrupt")
+        # the core's state changed outside its own tick
+        machine.sim.wake(proc)
 
-    machine.sim.add_trace_hook(inject)
+    # first thing in cycle N+1 is the end of cycle N
+    machine.sim.schedule_at(squash_cycle + 1, inject)
     machine.run(max_cycles=200_000)
     return machine, injected["done"]
 

@@ -140,12 +140,25 @@ class TestSimulator:
             sim.schedule_at(1, lambda: None)
 
     def test_trace_hook_called_every_cycle(self):
+        # the per-cycle hook is a registered component that never asks
+        # to sleep (the default next_wake): run() shows it every cycle,
+        # also the ones its neighbour sleeps through
+        class Observer(Component):
+            def __init__(self):
+                self.cycles = []
+
+            def tick(self, cycle):
+                self.cycles.append(cycle)
+
         sim = Simulator()
-        cycles = []
-        sim.add_trace_hook(cycles.append)
-        for _ in range(3):
-            sim.step()
-        assert cycles == [1, 2, 3]
+        sleeper, observer = _Sleeper(), Observer()
+        sim.register(sleeper)
+        sim.register(observer)
+        sim.schedule(10, lambda: None)
+        sim.run(until=lambda: sim.events.next_cycle() is None,
+                max_cycles=100, deadlock_check=False)
+        assert observer.cycles == list(range(1, 11))
+        assert sleeper.ticks < 10
 
     def test_profiling_does_not_shadow_step(self):
         # one step loop: the profiler is consulted, not swapped in

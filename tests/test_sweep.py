@@ -1,4 +1,4 @@
-"""The shared parallel sweep engine (`repro.sim.sweep`)."""
+"""The campaign map (`repro.sim.sweep`)."""
 
 import io
 
@@ -8,10 +8,7 @@ from repro.sim.errors import ConfigurationError
 from repro.sim.sweep import (
     ProgressMeter,
     SweepError,
-    SweepProgress,
     SweepResult,
-    WorkerStats,
-    default_chunk_size,
     derive_seed,
     format_duration,
     run_sweep,
@@ -26,6 +23,11 @@ def boom_on_three(x):
     if x == 3:
         raise ValueError("three is right out")
     return x
+
+
+class Tty(io.StringIO):
+    def isatty(self):
+        return True
 
 
 class TestSeedDerivation:
@@ -53,7 +55,7 @@ class TestSeedDerivation:
 
 class TestSerialSweep:
     def test_results_in_item_order(self):
-        res = run_sweep(square, list(range(17)), jobs=1, chunk_size=5)
+        res = run_sweep(square, list(range(17)), jobs=1)
         assert res.results == [i * i for i in range(17)]
         assert res.jobs == 1
 
@@ -61,20 +63,23 @@ class TestSerialSweep:
         res = run_sweep(square, [], jobs=1)
         assert res.results == []
 
-    def test_chunk_larger_than_items(self):
-        assert run_sweep(square, [1, 2], chunk_size=100).results == [1, 4]
+    def test_serial_takes_a_closure_and_unpicklable_items(self):
+        # jobs=1 is worker(item) in this process: nothing is pickled
+        # (the benchmark's traced pass hands run_sweep a closure)
+        offset = 3
+        items = [lambda: 1, lambda: 2]
+        res = run_sweep(lambda f: f() + offset, items, jobs=1)
+        assert res.results == [4, 5]
+
+    def test_one_item_runs_in_process_whatever_jobs(self):
+        res = run_sweep(lambda x: x + 1, [1], jobs=4)
+        assert res.results == [2] and res.jobs == 1
 
     def test_progress_callback_monotone_and_complete(self):
         seen = []
-        run_sweep(square, list(range(10)), jobs=1, chunk_size=3,
-                  telemetry=lambda s: seen.append((s.done, s.total)))
-        assert seen == [(3, 10), (6, 10), (9, 10), (10, 10)]
-
-    def test_worker_stats_accumulate(self):
-        res = run_sweep(square, list(range(8)), jobs=1, chunk_size=2)
-        assert list(res.workers) == ["serial"]
-        assert res.workers["serial"].items == 8
-        assert res.workers["serial"].chunks == 4
+        run_sweep(square, list(range(4)), jobs=1,
+                  telemetry=lambda done, total, _s: seen.append((done, total)))
+        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_error_recorded_on_request(self):
         res = run_sweep(boom_on_three, [1, 2, 3, 4], jobs=1)
@@ -88,8 +93,6 @@ class TestSerialSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(square, [1], jobs=0)
         with pytest.raises(ConfigurationError):
-            run_sweep(square, [1, 2], chunk_size=0)
-        with pytest.raises(ConfigurationError):
             run_sweep(None, [1, 2])
 
     def test_describe_mentions_throughput(self):
@@ -101,24 +104,22 @@ class TestParallelSweep:
     def test_parallel_matches_serial(self):
         items = list(range(23))
         serial = run_sweep(square, items, jobs=1)
-        parallel = run_sweep(square, items, jobs=2, chunk_size=4)
+        parallel = run_sweep(square, items, jobs=2)
         assert parallel.results == serial.results
+        assert parallel.jobs == 2
 
     def test_parallel_records_errors(self):
-        res = run_sweep(boom_on_three, [3, 5], jobs=2, chunk_size=1)
+        res = run_sweep(boom_on_three, [3, 5], jobs=2)
         assert isinstance(res.results[0], SweepError)
         assert "three" in res.results[0].describe()
+        assert res.results[0].item_index == 0
         assert res.results[1] == 5
-
-    def test_parallel_worker_stats_cover_all_items(self):
-        res = run_sweep(square, list(range(12)), jobs=2, chunk_size=3)
-        assert sum(w.items for w in res.workers.values()) == 12
 
 
 class TestRateGuards:
     def _result(self, elapsed):
         return SweepResult(results=[1, 2, 3], elapsed_seconds=elapsed,
-                           jobs=1, chunk_size=1)
+                           jobs=1)
 
     def test_items_per_second_zero_elapsed(self):
         assert self._result(0.0).items_per_second == 0.0
@@ -134,23 +135,10 @@ class TestRateGuards:
         assert self._result(1.5).items_per_second == pytest.approx(2.0)
 
     def test_progress_eta_guards(self):
-        p = SweepProgress(done=0, total=10, elapsed_seconds=0.0,
-                          items_per_second=0.0, eta_seconds=None,
-                          jobs=0, workers={})
-        assert p.utilization == 0.0
-        assert p.fraction == 0.0
-        assert "eta ?" in p.describe()
-        empty = SweepProgress(done=0, total=0, elapsed_seconds=0.0,
-                              items_per_second=0.0, eta_seconds=None,
-                              jobs=1, workers={})
-        assert empty.fraction == 1.0
-
-    def test_utilization_clamped_to_one(self):
-        workers = {"w": WorkerStats(worker_id="w", busy_seconds=100.0)}
-        p = SweepProgress(done=5, total=10, elapsed_seconds=1.0,
-                          items_per_second=5.0, eta_seconds=1.0,
-                          jobs=2, workers=workers)
-        assert p.utilization == 1.0
+        # no time elapsed yet: no rate, so an unknown ETA — not a division
+        stream = Tty()
+        ProgressMeter(label="demo", stream=stream)(1, 10, 0.0)
+        assert stream.getvalue() == "\r  demo: 1/10 (10%) 0.0/s eta ? in 0s"
 
     def test_format_duration(self):
         assert format_duration(None) == "?"
@@ -159,91 +147,76 @@ class TestRateGuards:
         assert format_duration(83) == "1m23s"
         assert format_duration(3 * 3600 + 5 * 60) == "3h05m"
 
-    def test_compute_eta_near_zero_rate_is_unknown(self):
-        from repro.sim.sweep import MIN_ELAPSED_SECONDS, MIN_RATE, compute_eta
-
-        # the old guard compared a rate (items/s) against a *time*
-        # epsilon (1e-9 s): an EMA rate of 1e-8 items/s slipped through
-        # and produced a billions-of-seconds ETA
-        assert compute_eta(10, 0.0) is None
-        assert compute_eta(10, 1e-8) is None
-        assert compute_eta(10, MIN_RATE / 2) is None
-        # the dedicated rate epsilon is far above the time epsilon
-        assert MIN_RATE > MIN_ELAPSED_SECONDS
-
-    def test_compute_eta_normal_rate(self):
-        from repro.sim.sweep import compute_eta
-
-        assert compute_eta(10, 2.0) == pytest.approx(5.0)
-        assert compute_eta(0, 2.0) == pytest.approx(0.0)
-
 
 class TestTelemetry:
     def test_samples_cover_run_and_carry_eta(self):
+        # the observer's samples are what an ETA is derived from: items
+        # done, items in all, seconds elapsed since the run began
         samples = []
-        run_sweep(square, list(range(10)), jobs=1, chunk_size=3,
-                  telemetry=samples.append)
-        assert [s.done for s in samples] == [3, 6, 9, 10]
-        assert all(s.total == 10 for s in samples)
-        assert all(s.jobs == 1 for s in samples)
-        final = samples[-1]
-        assert final.items_per_second >= 0.0
-        assert final.eta_seconds is None or final.eta_seconds >= 0.0
-        assert 0.0 <= final.utilization <= 1.0
-        assert final.workers["serial"].items == 10
+        run_sweep(square, list(range(10)), jobs=1,
+                  telemetry=lambda *sample: samples.append(sample))
+        assert [done for done, _, _ in samples] == list(range(1, 11))
+        assert all(total == 10 for _, total, _ in samples)
+        elapsed = [seconds for _, _, seconds in samples]
+        assert elapsed == sorted(elapsed) and elapsed[0] >= 0.0
 
     def test_parallel_telemetry_reports_pool_jobs(self):
-        samples = []
-        run_sweep(square, list(range(8)), jobs=2, chunk_size=2,
-                  telemetry=samples.append)
-        assert samples[-1].done == 8
-        assert samples[-1].jobs == 2
-        assert sum(w.items for w in samples[-1].workers.values()) == 8
+        # one observer, called in the parent once per finished item
+        import os
+        seen = []
+        res = run_sweep(square, list(range(8)), jobs=2,
+                        telemetry=lambda done, total, _s: seen.append(
+                            (done, total, os.getpid())))
+        assert seen == [(i, 8, os.getpid()) for i in range(1, 9)]
+        assert res.jobs == 2 and "jobs=2" in res.describe()
 
     def test_progress_meter_renders_line(self):
         stream = io.StringIO()
         meter = ProgressMeter(label="demo", stream=stream)
-        run_sweep(square, list(range(6)), jobs=1, chunk_size=2,
-                  telemetry=meter)
+        run_sweep(square, list(range(6)), jobs=1, telemetry=meter)
         meter.finish()
         text = stream.getvalue()
         assert "demo: 6/6 (100%)" in text
         assert text.endswith("\n")
-        assert meter.last is not None and meter.last.done == 6
+        assert meter.last is not None and meter.last[0] == 6
 
     def test_progress_meter_finish_without_samples_is_silent(self):
         stream = io.StringIO()
         ProgressMeter(stream=stream).finish()
         assert stream.getvalue() == ""
 
+    def test_meter_rate_is_items_over_elapsed(self):
+        # the run average, not the latest burst: a 3-item run that took
+        # 0.16 s once read "3/3 (100%) 1203.6/s"
+        stream = io.StringIO()
+        meter = ProgressMeter(label="demo", stream=stream)
+        meter(1, 3, 0.001)          # a burst: 1000 items/s right now
+        meter(3, 3, 0.15)
+        meter.finish()
+        assert "demo: 3/3 (100%) 20.0/s" in stream.getvalue()
 
-class TestChunkSizing:
-    def test_default_targets_four_chunks_per_worker(self):
-        assert default_chunk_size(160, 4) == 10
-
-    def test_never_below_one(self):
-        assert default_chunk_size(2, 8) == 1
-        assert default_chunk_size(0, 4) == 1
+    def test_meter_live_line_on_a_terminal(self):
+        stream = Tty()
+        meter = ProgressMeter(label="demo", stream=stream)
+        meter(1, 4, 2.0)
+        assert stream.getvalue() == "\r  demo: 1/4 (25%) 0.5/s eta 6s in 2s"
+        meter(4, 4, 4.0)
+        meter.finish()
+        assert stream.getvalue().endswith(
+            "\r  demo: 4/4 (100%) 1.0/s eta 0s in 4s\n")
 
 
 class TestCampaignTelemetry:
     """Sweep instrumentation via `repro.obs.telemetry` (off by default)."""
 
-    def test_queue_wait_zero_when_telemetry_off(self):
-        samples = []
-        run_sweep(square, list(range(8)), jobs=2, chunk_size=2,
-                  telemetry=samples.append)
-        assert all(s.queue_wait_seconds == 0.0 for s in samples)
-
     def test_serial_instrumented_counts_items_and_chunks(self):
+        # "chunks" are Executor.map's business now: no series, no spans
         from repro.obs import telemetry as tm
         with tm.collect(process="sweep test") as scope:
-            run_sweep(square, list(range(10)), jobs=1, chunk_size=3)
+            run_sweep(square, list(range(10)), jobs=1)
         assert scope.metrics.counter_value("sweep/items") == 10
-        assert scope.metrics.counter_value("sweep/chunks") == 4
-        names = [s["name"] for s in scope.spans.spans]
-        assert "sweep/run" in names
-        assert names.count("sweep/chunk") == 4
+        assert scope.metrics.counter_value("sweep/chunks") == 0
+        assert [s["name"] for s in scope.spans.spans] == ["sweep/run"]
 
     def test_parallel_instrumented_merges_worker_spans(self):
         import os
@@ -251,36 +224,31 @@ class TestCampaignTelemetry:
         from repro.obs import telemetry as tm
         from repro.obs.perfetto import validate_trace_events
         with tm.collect(process="sweep test") as scope:
-            samples = []
-            run_sweep(square, list(range(12)), jobs=2, chunk_size=3,
-                      telemetry=samples.append)
+            run_sweep(square, list(range(12)), jobs=2)
         assert scope.metrics.counter_value("sweep/items") == 12
-        assert scope.metrics.gauge_value("sweep/queue_wait_seconds") >= 0.0
-        assert samples[-1].queue_wait_seconds >= 0.0
         events = scope.spans.to_trace_events()
         assert validate_trace_events({"traceEvents": events}) == []
-        chunk_pids = {e["pid"] for e in events
-                      if e.get("ph") == "X" and e["name"] == "sweep/chunk"}
-        assert chunk_pids, "worker chunk spans must ship back to the parent"
-        assert os.getpid() not in chunk_pids
+        items = [e for e in events
+                 if e.get("ph") == "X" and e["name"] == "sweep/item"]
+        assert sorted(e["args"]["index"] for e in items) == list(range(12))
+        assert os.getpid() not in {e["pid"] for e in items}, \
+            "worker item spans must ship back to the parent"
+
+    def test_parallel_uninstrumented_ships_nothing(self):
+        from repro.obs import telemetry as tm
+        assert not tm.enabled()
+        before = len(tm.tracer())
+        assert run_sweep(square, list(range(6)), jobs=2).results == [
+            0, 1, 4, 9, 16, 25]
+        assert len(tm.tracer()) == before
 
     def test_meter_non_tty_prints_single_summary_line(self):
         stream = io.StringIO()  # isatty() is False: no live \r updates
         meter = ProgressMeter(label="demo", stream=stream)
-        run_sweep(square, list(range(6)), jobs=1, chunk_size=2,
-                  telemetry=meter)
+        run_sweep(square, list(range(6)), jobs=1, telemetry=meter)
         meter.finish()
         text = stream.getvalue()
         assert "\r" not in text
         assert text.count("\n") == 1
         assert "demo: 6/6 (100%)" in text
         assert " in " in text
-
-    def test_meter_summary_mentions_queue_wait_when_nonzero(self):
-        stream = io.StringIO()
-        meter = ProgressMeter(label="demo", stream=stream)
-        meter(SweepProgress(done=4, total=4, elapsed_seconds=1.0,
-                            items_per_second=4.0, eta_seconds=0.0, jobs=2,
-                            workers={}, queue_wait_seconds=0.75))
-        meter.finish()
-        assert "max queue wait 0.75s" in stream.getvalue()

@@ -96,3 +96,47 @@ class TestRunCli:
         out = capsys.readouterr().out
         assert "--- trace ---" in out
         assert "store_issue" in out
+
+
+class TestCliMisuse:
+    """A bad file or name is a usage error: one ``error:`` line on
+    stderr and exit 2 — never a traceback, never exit 1 (which means
+    "sanitize failed" / "races found" / "diverged")."""
+
+    CASES = [
+        ("repro.run", ["{missing}"]),
+        ("repro.run", ["{program}", "--model", "XX"]),
+        ("repro.run", ["{program}", "--watch", "zz"]),
+        ("repro.run", ["{program}", "--init", "zz=1"]),
+        ("repro.obs.cli", ["convert", "{missing}", "{out}"]),
+        ("repro.obs.cli", ["diff", "{missing}", "{missing}"]),
+        ("repro.obs.cli", ["breakdown", "--models", "XX"]),
+        ("repro.analysis.static.cli", ["{missing}"]),
+        ("repro.analysis.static.cli", ["{program}", "--model", "XX"]),
+        ("repro.analysis.axiomatic.cli", ["--model", "XX"]),
+        ("repro.analysis.axiomatic.cli", ["NOPE"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "module,argv", CASES,
+        ids=[f"{m.split('.', 1)[1]}:{' '.join(a)}" for m, a in CASES])
+    def test_exits_2_with_one_error_line(self, module, argv, tmp_path,
+                                         capsys):
+        import importlib
+
+        program = tmp_path / "p.s"
+        program.write_text("halt\n")
+        paths = {"program": str(program), "out": str(tmp_path / "out.json"),
+                 "missing": str(tmp_path / "missing")}
+        main = importlib.import_module(module).main
+        try:
+            status = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exc:       # argparse's own exit
+            status = exc.code
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "Traceback" not in captured.err
+        assert sum("error:" in line
+                   for line in captured.err.splitlines()) == 1
+        # nothing ran first: a bad --watch used to fail after the simulation
+        assert captured.out == ""

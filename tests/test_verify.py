@@ -141,7 +141,7 @@ class TestHarness:
     def test_check_seed_through_parallel_sweep(self):
         # exercises pickling of items and CheckResults across processes
         items = [(i, derive_seed(0, i, "fuzz"), {}) for i in range(2)]
-        sweep = run_sweep(check_seed, items, jobs=2, chunk_size=1)
+        sweep = run_sweep(check_seed, items, jobs=2)
         assert all(r.ok for r in sweep.results)
 
 
@@ -292,13 +292,31 @@ class TestCli:
             assert proc.stderr.startswith("error: cannot read corpus")
             assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--chunk-size"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--budget"])
     def test_zero_count_exits_2_not_1(self, flag, capsys):
         # exit 1 means "divergence found"; a bad count is a usage error
         from repro.verify.cli import main
 
         assert main(["--budget", "2", flag, "0"]) == 2
         assert capsys.readouterr().err == f"{flag} must be >= 1\n"
+
+
+class TestCanonicalRequest:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fuzz_request_hash_pinned_whatever_the_jobs(self, jobs, tmp_path):
+        # the request hash is the result-cache key and must survive the
+        # batch deletion (ROADMAP item 3); how a campaign is executed is
+        # not part of what was asked
+        from repro.obs.ledger import read_ledger
+        from repro.verify.cli import run_fuzz
+
+        led = str(tmp_path / "ledger.jsonl")
+        assert run_fuzz(budget=2, jobs=jobs, seed=0, quiet=True,
+                        corpus_path=None, ledger_path=led) == 0
+        (record,), skipped = read_ledger(led)
+        assert skipped == 0
+        assert record["request_sha256"].startswith("fa4dcdee35a1")
+        assert record["outcome"]["simulator_runs"] == 128
 
 
 class TestCampaignTelemetryEndToEnd:
