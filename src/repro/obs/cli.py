@@ -29,6 +29,7 @@ import sys
 from typing import List, Optional
 
 from ..consistency.models import model_argument
+from ..sim.stats import output_path
 from .ledger import KNOWN_KINDS
 from .perfetto import (
     export_chrome_trace,
@@ -41,7 +42,7 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     # heavy import (workloads + simulator) deferred until needed
     import time
 
-    from ..sim.stats import StatsRegistry
+    from ..sim.stats import StatsRegistry, write_stats_json
     from .report import DEFAULT_MODELS, TECHNIQUES, example_breakdown_matrix
 
     models = tuple(args.models) if args.models else DEFAULT_MODELS
@@ -57,9 +58,7 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     print(table.render())
     if args.stats_json and merged is not None:
-        with open(args.stats_json, "w") as fh:
-            json.dump(merged.snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_stats_json(args.stats_json, merged)
         print(f"merged statistics written to {args.stats_json}")
     if not args.no_ledger:
         from . import ledger as ledger_mod
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--miss-latency", type=int, default=100)
     p.add_argument("--raw", dest="normalize", action="store_false",
                    help="print raw cycle counts instead of normalized %")
-    p.add_argument("--stats-json", metavar="FILE",
+    p.add_argument("--stats-json", metavar="FILE", type=output_path,
                    help="write the merged per-cell statistics registry here")
     _add_ledger_path_argument(p)
     p.add_argument("--no-ledger", action="store_true",

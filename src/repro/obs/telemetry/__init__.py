@@ -1,27 +1,27 @@
-"""Campaign telemetry: metrics registry, span tracing, worker shipping.
+"""Campaign telemetry: an active registry and tracer, worker shipping.
 
 ``repro.obs.telemetry`` is the fleet-level observability substrate —
 where the rest of ``repro.obs`` watches a single simulation, this
-package watches *campaigns*: fuzz sweeps, benchmark suites, breakdown
-matrices.  Three cooperating pieces:
+package watches *campaigns*: fuzz sweeps and the batch runner under
+them.  Three cooperating pieces:
 
-* :mod:`.metrics` — a process-wide registry of counters/gauges/
-  histograms with Prometheus text exposition and JSON snapshots,
-  mergeable across ProcessPool workers (counters add, gauges max);
+* the process-wide *active* :class:`~repro.sim.stats.StatsRegistry` —
+  the same counter and exact-histogram type the guest machine counts
+  into — behind the :func:`inc` / :func:`observe` proxies, rendered for
+  Prometheus by :func:`to_prometheus` (:mod:`.prometheus`);
 * :mod:`.spans` — wall-clock span tracing of the orchestration layer,
   exported as one merged Perfetto trace across all worker processes;
 * :func:`collect` / :func:`absorb` — the shipping protocol: a worker
-  wraps each chunk in ``collect()`` (fresh registry + tracer pushed as
-  active, so consecutive chunks in the same long-lived worker process
-  never double-count), serializes the scope's state into a *shipment*
-  dict, and the parent folds it in with ``absorb()``.
+  wraps each item in ``collect()`` (fresh registry + tracer pushed as
+  active, so consecutive items in the same long-lived worker process
+  never double-count), serializes what the scope recorded into a
+  *shipment* of plain JSON-able data, and the parent folds it in with
+  ``absorb()`` (``StatsRegistry.merge_from``: counters and histogram
+  samples add, so merged totals do not depend on completion order).
 
-Import discipline: this package must stay importable from anywhere in
-the tree (the sweep engine reaches for it lazily), so it imports only
-the standard library.
-
-Everything is a no-op until :func:`enable` is called — instrumentation
-sites stay in place on hot paths at the cost of one flag check.
+Everything is a no-op outside a :func:`collect` scope (the one thing
+that raises the enable flag) — instrumentation sites stay in place on
+hot paths at the cost of one flag check.
 """
 
 from __future__ import annotations
@@ -29,100 +29,129 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Mapping, Optional
 
-from .metrics import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    enable,
-    enabled,
-    inc,
-    observe,
-    registry,
-    set_gauge,
-    swap_registry,
-)
-from .spans import SPANS_SCHEMA, SpanTracer, span, swap_tracer, tracer
+from ...sim.stats import StatsRegistry
+from .prometheus import series_key, to_prometheus
+from .spans import SPANS_SCHEMA, SpanTracer
 
 __all__ = [
-    "METRICS_SCHEMA",
     "SPANS_SCHEMA",
-    "MetricsRegistry",
     "SpanTracer",
     "absorb",
     "collect",
-    "enable",
     "enabled",
     "inc",
     "observe",
     "registry",
-    "set_gauge",
     "span",
-    "swap_registry",
-    "swap_tracer",
+    "to_prometheus",
     "tracer",
 ]
+
+_ENABLED = False
+_REGISTRY = StatsRegistry()
+_TRACER = SpanTracer()
+
+
+def enabled() -> bool:
+    """Whether a :func:`collect` scope is open in this process."""
+    return _ENABLED
+
+
+def registry() -> StatsRegistry:
+    """The currently active process-wide registry."""
+    return _REGISTRY
+
+
+def tracer() -> SpanTracer:
+    """The currently active process-wide tracer."""
+    return _TRACER
+
+
+def inc(name: str, amount: int = 1,
+        labels: Optional[Mapping[str, str]] = None) -> None:
+    """Increment a counter on the active registry (no-op when telemetry
+    is disabled — one flag check)."""
+    if _ENABLED:
+        if amount < 0:
+            raise ValueError(f"counter increments must be >= 0, got {amount}")
+        _REGISTRY.counter(series_key(name, labels)).inc(amount)
+
+
+def observe(name: str, sample: int,
+            labels: Optional[Mapping[str, str]] = None) -> None:
+    """Add one integer sample to a histogram on the active registry."""
+    if _ENABLED:
+        _REGISTRY.histogram(series_key(name, labels)).add(sample)
+
+
+@contextmanager
+def span(name: str,
+         args: Optional[Mapping[str, object]] = None
+         ) -> Iterator[Dict[str, object]]:
+    """Time a block on the active tracer — no-op (yielding a throwaway
+    dict) when telemetry is disabled."""
+    if not _ENABLED:
+        yield dict(args) if args else {}
+        return
+    with _TRACER.span(name, args) as mutable:
+        yield mutable
 
 
 class CollectScope:
     """Handle yielded by :func:`collect`: the scope's fresh registry and
     tracer, plus :meth:`shipment` once the scope has closed."""
 
-    def __init__(self, metrics_registry: MetricsRegistry,
-                 span_tracer: SpanTracer) -> None:
-        self.metrics = metrics_registry
-        self.spans = span_tracer
+    def __init__(self, metrics: StatsRegistry, spans: SpanTracer) -> None:
+        self.metrics = metrics
+        self.spans = spans
 
     def shipment(self) -> Dict[str, object]:
-        """Serialize everything recorded inside the scope for shipping
-        back to the parent process (see :func:`absorb`)."""
+        """Everything recorded inside the scope as plain JSON-able data
+        for shipping back to the parent process (see :func:`absorb`)."""
         return {
-            "metrics": self.metrics.to_state(),
+            "counters": dict(self.metrics.counters()),
+            "histograms": {name: hist.items() for name, hist
+                           in self.metrics.histograms().items()},
             "spans": self.spans.to_state(),
         }
 
 
 @contextmanager
-def collect(process: Optional[str] = None,
-            enable_telemetry: bool = True) -> Iterator[CollectScope]:
-    """Run a block against a *fresh* registry and tracer.
+def collect(process: Optional[str] = None) -> Iterator[CollectScope]:
+    """Run a block with telemetry on, against a *fresh* registry and
+    tracer.
 
     This is the worker-side half of the shipping protocol: ProcessPool
-    workers are long-lived and process many chunks, so shipping the
-    process-wide registry after each chunk would double-count earlier
-    chunks.  ``collect()`` pushes fresh instances as the active ones,
-    restores the previous ones on exit, and hands back a
-    :class:`CollectScope` whose :meth:`~CollectScope.shipment` carries
-    exactly what happened inside the block.
+    workers are long-lived and process many items, so shipping the
+    process-wide registry after each item would double-count earlier
+    items.  ``collect()`` pushes fresh instances as the active ones,
+    restores the previous ones (and the enable flag) on exit, and hands
+    back a :class:`CollectScope` whose :meth:`~CollectScope.shipment`
+    carries exactly what happened inside the block.
 
     The parent side uses it too — ``run_fuzz`` wraps each campaign so a
     second campaign in the same process starts from zero.
     """
-    from .metrics import _ENABLED  # current flag, to restore on exit
-    scope = CollectScope(MetricsRegistry(), SpanTracer(process=process))
-    prev_registry = swap_registry(scope.metrics)
-    prev_tracer = swap_tracer(scope.spans)
-    prev_enabled = _ENABLED
-    if enable_telemetry:
-        enable(True)
+    global _ENABLED, _REGISTRY, _TRACER
+    saved = _ENABLED, _REGISTRY, _TRACER
+    scope = CollectScope(StatsRegistry(), SpanTracer(process=process))
+    _ENABLED, _REGISTRY, _TRACER = True, scope.metrics, scope.spans
     try:
         yield scope
     finally:
-        swap_registry(prev_registry)
-        swap_tracer(prev_tracer)
-        enable(prev_enabled)
+        _ENABLED, _REGISTRY, _TRACER = saved
 
 
-def absorb(shipment: Optional[Mapping[str, object]],
-           metrics_registry: Optional[MetricsRegistry] = None,
-           span_tracer: Optional[SpanTracer] = None) -> None:
+def absorb(shipment: Optional[Mapping[str, object]]) -> None:
     """Parent-side half of the shipping protocol: fold a worker's
-    shipment into the given (default: active) registry and tracer."""
+    shipment into the active registry and tracer."""
     if not shipment:
         return
-    reg = metrics_registry if metrics_registry is not None else registry()
-    trc = span_tracer if span_tracer is not None else tracer()
-    metrics_state = shipment.get("metrics")
-    if metrics_state:
-        reg.merge_from(MetricsRegistry.from_state(metrics_state))  # type: ignore[arg-type]
-    spans_state = shipment.get("spans")
-    if spans_state:
-        trc.absorb_state(spans_state)  # type: ignore[arg-type]
+    shipped = StatsRegistry()
+    for name, value in shipment["counters"].items():  # type: ignore[attr-defined]
+        shipped.counter(name).inc(value)
+    for name, items in shipment["histograms"].items():  # type: ignore[attr-defined]
+        for sample, weight in items:
+            shipped.histogram(name).add(sample, weight)
+    _REGISTRY.merge_from(shipped)
+    _TRACER.absorb_state(shipment["spans"])  # type: ignore[arg-type]

@@ -2,18 +2,18 @@
 
 The simulator's Perfetto export (:mod:`repro.obs.perfetto`) renders the
 *guest* timeline — one simulated cycle per microsecond.  This module
-traces the *host orchestration*: sweep run → chunk → leg, verify
-campaign → seed chunk, batch runner compile/step/fallback phases.
+traces the *host orchestration*: verify campaign → sweep run → item,
+batch runner compile/step/fallback phases.
 Spans are recorded as plain dicts, cheap enough to leave on for whole
-fuzz campaigns (tens of spans per chunk, not per cycle), and exported
+fuzz campaigns (a few spans per item, not per cycle), and exported
 as Chrome ``trace_event`` JSON that passes
 :func:`repro.obs.perfetto.validate_trace_events`.
 
 Cross-process story: timestamps are **wall-clock microseconds**
 (``time.time_ns() // 1000``), not a per-process monotonic origin, and
 every span carries the real ``os.getpid()``.  A ProcessPool worker
-records spans into its own chunk-local tracer, ships them back with
-:meth:`SpanTracer.to_state` in the chunk result payload, and the sweep
+records spans into its own item-local tracer, ships them back with
+:meth:`SpanTracer.to_state` beside the item's result, and the sweep
 parent absorbs them — so a ``--jobs 4`` campaign renders as **one**
 merged trace with five aligned process tracks (the parent plus four
 workers), each labelled via ``process_name`` metadata.
@@ -37,7 +37,7 @@ def now_us() -> int:
 
 class SpanTracer:
     """Append-only list of completed spans for one process (or one
-    worker chunk, when used chunk-locally for shipping)."""
+    worker item, when used item-locally for shipping)."""
 
     def __init__(self, process: Optional[str] = None) -> None:
         self.spans: List[Dict[str, object]] = []
@@ -69,8 +69,8 @@ class SpanTracer:
              args: Optional[Mapping[str, object]] = None
              ) -> Iterator[Dict[str, object]]:
         """Time a block.  The yielded dict lands in the span's ``args``;
-        instrumentation sites may add fields to it mid-flight (e.g. a
-        chunk span recording how many legs it ran)."""
+        instrumentation sites may add fields to it mid-flight (e.g. an
+        item span recording how many legs it ran)."""
         mutable: Dict[str, object] = dict(args) if args else {}
         start = now_us()
         try:
@@ -96,9 +96,6 @@ class SpanTracer:
         self.spans.extend(state.get("spans", ()))  # type: ignore[arg-type]
         for pid, name in dict(state.get("process_names", {})).items():  # type: ignore[call-overload]
             self._process_names[int(pid)] = str(name)
-
-    def merge_from(self, other: "SpanTracer") -> None:
-        self.absorb_state(other.to_state())
 
     # -- export ---------------------------------------------------------
 
@@ -152,37 +149,3 @@ class SpanTracer:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-
-
-# ----------------------------------------------------------------------
-# The process-wide active tracer and its cheap proxies
-# ----------------------------------------------------------------------
-
-_ACTIVE = SpanTracer()
-
-
-def tracer() -> SpanTracer:
-    """The currently active process-wide tracer."""
-    return _ACTIVE
-
-
-def swap_tracer(t: SpanTracer) -> SpanTracer:
-    """Install ``t`` as the active tracer; returns the previous one."""
-    global _ACTIVE
-    prev = _ACTIVE
-    _ACTIVE = t
-    return prev
-
-
-@contextmanager
-def span(name: str,
-         args: Optional[Mapping[str, object]] = None
-         ) -> Iterator[Dict[str, object]]:
-    """Time a block on the active tracer — no-op (yielding a throwaway
-    dict) when telemetry is disabled."""
-    from . import metrics  # sibling; cheap after first import
-    if not metrics.enabled():
-        yield dict(args) if args else {}
-        return
-    with _ACTIVE.span(name, args) as mutable:
-        yield mutable

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from typing import List, Optional, Tuple
 
 from .consistency.models import model_argument
 from .isa import assemble
+from .sim.stats import output_path, write_stats_json
 from .sim.trace import TraceRecorder
 from .system import run_workload
 
@@ -101,15 +101,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="CYCLES",
                         help="heartbeat interval in simulated cycles "
                              "(default 25000)")
-    parser.add_argument("--stats-json", metavar="FILE",
+    parser.add_argument("--stats-json", metavar="FILE", type=output_path,
                         help="write the statistics snapshot as JSON")
-    parser.add_argument("--perfetto", metavar="FILE",
+    parser.add_argument("--perfetto", metavar="FILE", type=output_path,
                         help="export the trace as Chrome/Perfetto "
                              "trace_event JSON (implies tracing)")
-    parser.add_argument("--trace-jsonl", metavar="FILE",
+    parser.add_argument("--trace-jsonl", metavar="FILE", type=output_path,
                         help="stream every trace event to FILE as JSONL "
                              "(implies tracing)")
-    parser.add_argument("--archtrace", metavar="FILE",
+    parser.add_argument("--archtrace", metavar="FILE", type=output_path,
                         help="write the canonical architectural event "
                              "stream (retires, load/store/RMW values, "
                              "coherence transitions, squashes) as JSONL "
@@ -236,11 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .sim.stats import format_stats_table
         print(format_stats_table(result.stats.snapshot(), title="statistics"))
     if args.stats_json:
-        snapshot = dict(result.stats.snapshot())
-        snapshot["cycles"] = result.cycles
-        with open(args.stats_json, "w") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_stats_json(args.stats_json, result.stats, cycles=result.cycles)
         print(f"statistics written to {args.stats_json}")
     if args.perfetto and trace is not None:
         from .obs.perfetto import export_chrome_trace

@@ -42,6 +42,8 @@ from threading import Thread
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from ..obs import ledger as ledger_mod
+from ..obs.telemetry import to_prometheus
+from ..sim.stats import StatsRegistry
 from .executors import execute_job, make_executor
 from .protocol import (
     PROTOCOL_VERSION,
@@ -52,17 +54,11 @@ from .protocol import (
 )
 from .store import ResultStore
 
-#: counters the stats op reports (plain ints, authoritative; the same
-#: values are mirrored into repro.obs.telemetry for Prometheus)
+#: counters the stats op reports: ``serve/<name>`` of the server's registry
 COUNTER_NAMES = ("requests", "cache_hits", "cache_misses", "coalesced",
                  "executed", "errors", "bad_requests")
 
 AsyncSend = Callable[[Dict[str, object]], Awaitable[None]]
-
-
-def _tm():
-    from ..obs import telemetry
-    return telemetry
 
 
 class ServeServer:
@@ -89,7 +85,11 @@ class ServeServer:
         self.request_log_path = (
             os.path.join(store.root, "requests.jsonl")
             if request_log else None)
-        self.counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
+        #: this server's own statistics: every serve event is counted
+        #: here, once; ``stats`` and ``metrics`` are two views of it
+        self.metrics = StatsRegistry()
+        self._counters = {name: self.metrics.counter(f"serve/{name}")
+                          for name in COUNTER_NAMES}
         self.started_at = time.time()
         #: request hash -> the one execution every asker of it shares
         self._inflight: Dict[str, "asyncio.Future[Dict[str, object]]"] = {}
@@ -101,16 +101,12 @@ class ServeServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
-        self._prev_telemetry = False
 
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listening socket; after this returns, :attr:`port`
         holds the real bound port."""
-        tm = _tm()
-        self._prev_telemetry = tm.enabled()
-        tm.enable(True)
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
         self._server = await asyncio.start_server(
@@ -144,7 +140,6 @@ class ServeServer:
             await self._server.wait_closed()
             self._server = None
         self.executor.shutdown(wait=True, cancel_futures=True)
-        _tm().enable(self._prev_telemetry)
 
     def request_shutdown(self) -> None:
         """Thread-safe shutdown trigger (used by :class:`ServerThread`)."""
@@ -217,7 +212,7 @@ class ServeServer:
         if op == "metrics":
             await self._safe_send(send, {
                 "ok": True, "event": "metrics", "id": msg_id,
-                "prometheus": _tm().registry().to_prometheus()})
+                "prometheus": self.prometheus()})
             return True
         if op == "shutdown":
             await self._safe_send(send, {"ok": True, "event": "shutdown",
@@ -301,8 +296,7 @@ class ServeServer:
         """One cache miss: run the job, store its result and release
         the ``_inflight`` entry.  A job that raised comes back as an
         ``{"error": ...}`` marker, which is reported and never stored."""
-        tm = _tm()
-        tm.inc("serve/simulations")
+        self.metrics.counter("serve/simulations").inc()
         t0 = time.perf_counter()
         try:
             result = await self._run(spec)
@@ -314,7 +308,10 @@ class ServeServer:
             self.store.put(sha, spec, result)
         finally:
             del self._inflight[sha]
-        tm.observe("serve/job_seconds", time.perf_counter() - t0)
+        # whole milliseconds: the range of values, not the number of
+        # jobs, bounds what the exact histogram holds
+        self.metrics.histogram("serve/job_ms").add(
+            round((time.perf_counter() - t0) * 1e3))
         return result
 
     def _run(self, spec: Dict[str, object],
@@ -337,9 +334,13 @@ class ServeServer:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] += amount
-        _tm().inc(f"serve/{name}", amount)
+    def _count(self, name: str) -> None:
+        self._counters[name].inc()
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        return {name: counter.value
+                for name, counter in self._counters.items()}
 
     def _log_request(self, sha: str, spec: Dict[str, object]) -> None:
         if self.request_log_path is None:
@@ -377,10 +378,19 @@ class ServeServer:
             "protocol": PROTOCOL_VERSION,
             "executor": self.executor_kind,
             "uptime_seconds": round(time.time() - self.started_at, 3),
-            "counters": dict(self.counters),
+            "counters": self.counters,
             "inflight": len(self._inflight),
             "store": self.store.describe(),
         }
+
+    def prometheus(self) -> str:
+        """The ``metrics`` reply: this server's registry and its store's
+        four tallies in the Prometheus text exposition format."""
+        view = StatsRegistry()
+        view.merge_from(self.metrics)
+        for name in ("hits", "misses", "puts", "poisoned"):
+            view.counter(f"serve/store_{name}").inc(getattr(self.store, name))
+        return to_prometheus(view)
 
 
 class ServerThread:

@@ -31,11 +31,6 @@ from ..obs.ledger import digest_outcome
 STORE_SCHEMA = "repro-serve-result/1"
 
 
-def _tm():
-    from ..obs import telemetry
-    return telemetry
-
-
 class ResultStore:
     """Content-addressed persistence for job results."""
 
@@ -43,8 +38,7 @@ class ResultStore:
         self.root = root
         self.objects_dir = os.path.join(root, "objects")
         os.makedirs(self.objects_dir, exist_ok=True)
-        # process-lifetime counters (authoritative ones live in the
-        # server; these survive a server-less library use)
+        # what this store object has seen since it was created
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -71,13 +65,11 @@ class ResultStore:
         except (OSError, ValueError):
             self.poisoned += 1
             self.misses += 1
-            _tm().inc("serve/store_poisoned")
             return None
         problems = self.validate_entry(entry, sha)
         if problems:
             self.poisoned += 1
             self.misses += 1
-            _tm().inc("serve/store_poisoned")
             return None
         self.hits += 1
         return entry["result"]

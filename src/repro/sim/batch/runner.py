@@ -25,7 +25,7 @@ from .engine import BatchEngine
 
 
 def _tm():
-    """Campaign telemetry, imported lazily (cycle-safe, stdlib-only)."""
+    """Campaign telemetry, imported lazily (cycle-safe)."""
     from ...obs import telemetry
     return telemetry
 

@@ -1,12 +1,16 @@
-"""Statistics collection.
+"""Statistics collection: the one counter and histogram type.
 
 Components register named counters and histograms against a shared
-:class:`StatsRegistry`.  Statistics are plain Python numbers so reports
-can be rendered without any third-party dependency.
+:class:`StatsRegistry`.  The guest machine counts into the simulator's,
+campaign telemetry (:mod:`repro.obs.telemetry`) into the active
+scope's, a job server into its own.  Statistics are plain Python
+numbers so reports can be rendered without any third-party dependency.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from collections import defaultdict
 from typing import Dict, List, Mapping, Tuple
 
@@ -22,9 +26,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name}={self.value})"
@@ -74,11 +75,6 @@ class Histogram:
     def items(self) -> List[Tuple[int, int]]:
         return sorted(self._buckets.items())
 
-    def reset(self) -> None:
-        self._buckets.clear()
-        self.count = self.total = 0
-        self.min = self.max = 0
-
 
 class StatsRegistry:
     """Hierarchically named counters and histograms.
@@ -108,6 +104,9 @@ class StatsRegistry:
             if name.startswith(prefix)
         }
 
+    def histograms(self) -> Mapping[str, Histogram]:
+        return dict(sorted(self._histograms.items()))
+
     def snapshot(self) -> Dict[str, object]:
         """A flat, JSON-friendly view of every statistic."""
         out: Dict[str, object] = {}
@@ -123,20 +122,41 @@ class StatsRegistry:
             out[name + "/p99"] = h.percentile(99)
         return out
 
-    def reset(self) -> None:
-        for c in self._counters.values():
-            c.reset()
-        for h in self._histograms.values():
-            h.reset()
-
     def merge_from(self, other: "StatsRegistry", prefix: str = "") -> None:
-        """Accumulate another registry's counters into this one."""
+        """Accumulate another registry's counters and histogram samples
+        into this one: both add, so merging is associative and
+        commutative."""
         for name, c in other._counters.items():
             self.counter(prefix + name).inc(c.value)
         for name, h in other._histograms.items():
             dest = self.histogram(prefix + name)
             for sample, weight in h.items():
                 dest.add(sample, weight)
+
+
+def write_stats_json(path: str, stats: StatsRegistry, **extra: object) -> None:
+    """What every ``--stats-json`` writes: the flat :meth:`snapshot`
+    (plus the front-end's ``extra`` keys) as sorted, indented JSON."""
+    with open(path, "w") as fh:
+        json.dump({**stats.snapshot(), **extra}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def output_path(path: str) -> str:
+    """argparse ``type=`` for a file written when the run is over: a
+    path that cannot be created is a usage error before anything runs,
+    not a traceback after it."""
+    import argparse
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(parent, os.W_OK):
+        reason = f"{parent} is not writable"
+    else:
+        return path
+    raise argparse.ArgumentTypeError(f"cannot write {path}: {reason}")
 
 
 def format_stats_table(stats: Mapping[str, object], title: str = "") -> str:

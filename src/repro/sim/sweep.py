@@ -123,13 +123,19 @@ class SweepResult:
 
 
 def _call(worker: SweepWorker, indexed: Tuple[int, Any]) -> Any:
-    """``worker(item)``, or the slot's :class:`SweepError` if it raised."""
+    """``worker(item)`` under one ``sweep/item`` span, or the slot's
+    :class:`SweepError` if it raised."""
+    from ..obs import telemetry as tm
     index, item = indexed
-    try:
-        return worker(item)
-    except Exception as exc:  # noqa: BLE001 - reported to the caller
-        return SweepError(item_index=index, error_type=type(exc).__name__,
-                          message=str(exc))
+    with tm.span("sweep/item", {"index": index}):
+        try:
+            result = worker(item)
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
+            result = SweepError(item_index=index,
+                                error_type=type(exc).__name__,
+                                message=str(exc))
+    tm.inc("sweep/items")
+    return result
 
 
 def _pool_call(worker: SweepWorker, ship: bool,
@@ -137,12 +143,12 @@ def _pool_call(worker: SweepWorker, ship: bool,
     """One pool item.  With campaign telemetry on (``ship``) it runs in
     a fresh ``collect()`` scope — a long-lived worker must not count an
     item twice — and what the scope recorded goes back to the parent."""
+    if not ship:
+        return _call(worker, indexed), None
     from ..obs import telemetry as tm
-    with tm.collect(enable_telemetry=ship) as scope:
-        with tm.span("sweep/item", {"index": indexed[0]}):
-            result = _call(worker, indexed)
-        tm.inc("sweep/items")
-    return result, scope.shipment() if ship else None
+    with tm.collect() as scope:
+        result = _call(worker, indexed)
+    return result, scope.shipment()
 
 
 def run_sweep(worker: SweepWorker, items: Sequence[Any], jobs: int = 1,
@@ -176,7 +182,6 @@ def run_sweep(worker: SweepWorker, items: Sequence[Any], jobs: int = 1,
         if jobs == 1:
             for indexed in enumerate(items):
                 finished(_call(worker, indexed))
-            tm.inc("sweep/items", total)
         else:
             from concurrent.futures import ProcessPoolExecutor
             call = partial(_pool_call, worker, tm.enabled())

@@ -28,6 +28,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..consistency.litmus import STANDARD_TESTS
+from ..sim.stats import output_path, write_stats_json
 from ..sim.sweep import ProgressMeter, SweepError, derive_seed, run_sweep
 from .corpus import (
     Corpus,
@@ -102,12 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     parser.add_argument("--stats-json", metavar="FILE", default=None,
+                        type=output_path,
                         help="write the campaign metrics snapshot (legs, "
                              "compile-memo hits, fallback reasons) as JSON")
     parser.add_argument("--prometheus", metavar="FILE", default=None,
+                        type=output_path,
                         help="write the campaign metrics in the Prometheus "
                              "text exposition format")
     parser.add_argument("--trace-spans", metavar="FILE", default=None,
+                        type=output_path,
                         help="write the campaign's orchestration spans "
                              "(parent + workers, one merged timeline) as "
                              "Perfetto trace_event JSON")
@@ -155,7 +159,7 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     named standard litmus test instead of fuzzing.
 
     Every campaign runs inside its own telemetry scope (a fresh
-    campaign-scoped registry + span tracer, so two campaigns in one
+    campaign-scoped ``StatsRegistry`` + span tracer, so two campaigns in one
     process never mix), exportable via ``stats_json`` /
     ``prometheus`` / ``trace_spans``, and — unless ``ledger`` is off —
     lands one content-addressed record in the run ledger.
@@ -276,12 +280,13 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     if corpus.entries and corpus_path:
         artifacts["corpus"] = corpus_path
     if stats_json:
-        scope.metrics.write_json(stats_json)
+        write_stats_json(stats_json, scope.metrics)
         artifacts["stats_json"] = stats_json
         if not quiet:
             print(f"campaign metrics snapshot written to {stats_json}")
     if prometheus:
-        scope.metrics.write_prometheus(prometheus)
+        with open(prometheus, "w") as fh:
+            fh.write(tm.to_prometheus(scope.metrics))
         artifacts["prometheus"] = prometheus
         if not quiet:
             print(f"Prometheus exposition written to {prometheus}")

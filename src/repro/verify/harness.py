@@ -46,7 +46,7 @@ MODEL_NAMES: Tuple[str, ...] = ("SC", "PC", "WC", "RC")
 
 
 def _tm():
-    """Campaign telemetry, imported lazily (cycle-safe, stdlib-only)."""
+    """Campaign telemetry, imported lazily (cycle-safe)."""
     from ..obs import telemetry
     return telemetry
 

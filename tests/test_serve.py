@@ -303,14 +303,14 @@ class TestServerEndToEnd:
         with _client(server) as client:
             first = client.submit_many(jobs)
             assert all(r.ok for r in first)
-            sims_after_first = tm.registry().counter_value(
-                "serve/simulations")
+            simulations = srv.metrics.counter("serve/simulations")
+            sims_after_first = simulations.value
+            assert sims_after_first == len({job_hash(j) for j in jobs})
             second = client.submit_many(jobs)
         assert all(r.cached for r in second)
         assert [r.result for r in second] == [r.result for r in first]
         # zero simulator invocations on the resubmit
-        assert tm.registry().counter_value("serve/simulations") == \
-            sims_after_first
+        assert simulations.value == sims_after_first
         assert srv.counters["cache_hits"] >= len(jobs)
 
     def test_two_concurrent_clients_with_overlapping_sets(self, server):
@@ -390,11 +390,47 @@ class TestServerEndToEnd:
             stats = client.stats()
             assert stats["counters"]["requests"] == 1
             assert stats["store"]["objects"] == 1
-            prom = client.metrics()
-        # the process registry is cumulative across servers, so assert
-        # presence, not an exact count (stats() above is per-server)
-        assert "repro_serve_requests_total" in prom
-        assert "repro_serve_cache_misses_total" in prom
+            prom = client.metrics().splitlines()
+        # a server's metrics are its own: the same registry stats() reads
+        assert "repro_serve_requests_total 1" in prom
+        assert "repro_serve_cache_misses_total 1" in prom
+        assert "repro_serve_simulations_total 1" in prom
+        assert "repro_serve_store_puts_total 1" in prom
+        assert "repro_serve_job_ms_count 1" in prom
+        assert 'repro_serve_job_ms_bucket{le="+Inf"} 1' in prom
+
+    def test_two_servers_in_one_process_count_only_their_own(self, tmp_path):
+        """``metrics`` and ``stats`` are two views of the server's own
+        registry, and serving toggles nothing process-wide."""
+        def counter_lines(client):
+            counters = client.stats()["counters"]
+            prom = client.metrics().splitlines()
+            for name, value in counters.items():
+                assert f"repro_serve_{name}_total {value}" in prom
+            return counters
+
+        was_enabled = tm.enabled()
+        handles = [ServerThread(ServeServer(
+            store=ResultStore(str(tmp_path / f"store-{tag}")),
+            ledger=False, request_log=False)) for tag in "ab"]
+        (host_a, port_a), (host_b, port_b) = [h.start() for h in handles]
+        try:
+            with ServeClient(host_a, port_a) as a, \
+                    ServeClient(host_b, port_b) as b:
+                assert a.submit(make_job(test={"name": "SB"})).ok
+                assert counter_lines(a)["requests"] == 1
+                assert counter_lines(b)["requests"] == 0
+                handles.pop(0).stop()
+                # stopping one leaves the other counting
+                for name in ("MP", "LB"):
+                    assert b.submit(make_job(test={"name": name})).ok
+                counts = counter_lines(b)
+                assert (counts["requests"], counts["executed"]) == (2, 2)
+        finally:
+            for handle in handles:
+                handle.stop()
+        assert tm.enabled() == was_enabled
+        assert tm.registry().counters("serve/") == {}
 
     def test_server_restart_serves_from_persisted_store(self, tmp_path):
         job = make_job(test={"name": "LB"}, model="PC")

@@ -251,14 +251,6 @@ class TestStats:
     def test_format_stats_table_empty(self):
         assert "(no statistics)" in format_stats_table({})
 
-    def test_reset(self):
-        reg = StatsRegistry()
-        reg.counter("c").inc(9)
-        reg.histogram("h").add(3)
-        reg.reset()
-        assert reg.counter("c").value == 0
-        assert reg.histogram("h").count == 0
-
 
 class TestTraceRecorder:
     def test_record_and_filter(self):

@@ -214,9 +214,12 @@ class TestCampaignTelemetry:
         from repro.obs import telemetry as tm
         with tm.collect(process="sweep test") as scope:
             run_sweep(square, list(range(10)), jobs=1)
-        assert scope.metrics.counter_value("sweep/items") == 10
-        assert scope.metrics.counter_value("sweep/chunks") == 0
-        assert [s["name"] for s in scope.spans.spans] == ["sweep/run"]
+        assert scope.metrics.counters() == {"sweep/items": 10}
+        # the spans a pool run ships, recorded in place: no chunk spans
+        assert [s["name"] for s in scope.spans.spans] == \
+            ["sweep/item"] * 10 + ["sweep/run"]
+        assert [s["args"]["index"] for s in scope.spans.spans[:10]] == \
+            list(range(10))
 
     def test_parallel_instrumented_merges_worker_spans(self):
         import os
@@ -225,7 +228,7 @@ class TestCampaignTelemetry:
         from repro.obs.perfetto import validate_trace_events
         with tm.collect(process="sweep test") as scope:
             run_sweep(square, list(range(12)), jobs=2)
-        assert scope.metrics.counter_value("sweep/items") == 12
+        assert scope.metrics.counters() == {"sweep/items": 12}
         events = scope.spans.to_trace_events()
         assert validate_trace_events({"traceEvents": events}) == []
         items = [e for e in events

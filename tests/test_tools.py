@@ -115,6 +115,19 @@ class TestCliMisuse:
         ("repro.analysis.static.cli", ["{program}", "--model", "XX"]),
         ("repro.analysis.axiomatic.cli", ["--model", "XX"]),
         ("repro.analysis.axiomatic.cli", ["NOPE"]),
+        # an output file that cannot be created, found before the run
+        ("repro.run", ["{program}", "--stats-json", "{missing}/x.json"]),
+        ("repro.run", ["{program}", "--perfetto", "{missing}/x.json"]),
+        ("repro.run", ["{program}", "--trace-jsonl", "{missing}/x.jsonl"]),
+        ("repro.run", ["{program}", "--archtrace", "{missing}/x.jsonl"]),
+        ("repro.run", ["{program}", "--stats-json", "{dir}"]),
+        ("repro.obs.cli", ["breakdown", "--stats-json", "{missing}/x.json"]),
+        ("repro.verify.cli", ["--budget", "2", "--stats-json",
+                              "{missing}/x.json"]),
+        ("repro.verify.cli", ["--budget", "2", "--prometheus",
+                              "{missing}/x.prom"]),
+        ("repro.verify.cli", ["--budget", "2", "--trace-spans",
+                              "{missing}/x.json"]),
     ]
 
     @pytest.mark.parametrize(
@@ -127,7 +140,7 @@ class TestCliMisuse:
         program = tmp_path / "p.s"
         program.write_text("halt\n")
         paths = {"program": str(program), "out": str(tmp_path / "out.json"),
-                 "missing": str(tmp_path / "missing")}
+                 "missing": str(tmp_path / "missing"), "dir": str(tmp_path)}
         main = importlib.import_module(module).main
         try:
             status = main([arg.format(**paths) for arg in argv])

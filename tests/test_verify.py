@@ -341,6 +341,35 @@ class TestCampaignTelemetryEndToEnd:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         return stats, prom, spans, led
 
+    def test_serial_and_pool_campaigns_write_the_same_artifacts(
+            self, tmp_path):
+        import collections
+        import json
+
+        written = {}
+        for jobs in ("1", "2"):
+            files = [tmp_path / f"{kind}-{jobs}" for kind in
+                     ("stats", "prom", "spans")]
+            proc = _run_verify(
+                "--budget", "6", "--seed", "0", "--no-minimize", "--quiet",
+                "--no-ledger", "--jobs", jobs, "--stats-json", str(files[0]),
+                "--prometheus", str(files[1]), "--trace-spans", str(files[2]))
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            spans = collections.Counter(
+                e["name"] for e in json.loads(files[2].read_text())[
+                    "traceEvents"] if e["ph"] == "X")
+            written[jobs] = (files[0].read_bytes(), files[1].read_bytes(),
+                             spans)
+        assert written["1"] == written["2"]
+        stats, prom, spans = written["1"]
+        assert json.loads(stats) == {"sweep/items": 6, "verify/legs": 384,
+                                     "verify/tests": 6}
+        assert prom.decode().splitlines()[1::2] == [
+            "repro_sweep_items_total 6", "repro_verify_legs_total 384",
+            "repro_verify_tests_total 6"]
+        assert spans == {"verify/campaign": 1, "sweep/run": 1,
+                         "sweep/item": 6}
+
     @pytest.mark.slow
     def test_campaign_artifacts_and_ledger_dedupe(self, tmp_path):
         import json
@@ -358,7 +387,7 @@ class TestCampaignTelemetryEndToEnd:
 
         # leg counter == the leg count the ledger/harness reports
         snapshot = json.loads(stats.read_text())
-        legs = snapshot["counters"]["verify/legs"]
+        legs = snapshot["verify/legs"]
         records, skipped = ledger_mod.read_ledger(str(led))
         assert skipped == 0 and len(records) == 1
         assert records[0]["kind"] == "fuzz"
