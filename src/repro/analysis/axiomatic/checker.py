@@ -34,7 +34,7 @@ IRIW) checks in milliseconds:
 Like :meth:`LitmusTest.outcomes` — whose state-memoized search keeps
 the interleaving side affordable — the axiomatic side memoizes across
 calls: candidate executions per test and outcome sets per
-(test, model), keyed *structurally* (tests are mutable, so identity
+(test, ppo relation), keyed *structurally* (tests are mutable, so identity
 keys would be unsound) in bounded insertion-ordered caches.
 """
 
@@ -251,16 +251,16 @@ def axiomatic_outcomes(test: LitmusTest,
     """The outcome set the model's axioms admit for ``test``.
 
     Same shape as :meth:`LitmusTest.outcomes`; memoized per
-    (test structure, model name).
+    (test structure, ppo): the axiom reads nothing else of the model,
+    so models that preserve the same program order share one solve.
     """
-    key = (_test_key(test), model.name)
+    ppo = ppo_masks(build_events(test), model)
+    key = (_test_key(test), tuple(ppo))
     cached = _outcome_cache.get(key)
     if cached is not None:
         return cached
-    candidates = candidate_executions(test)
-    ppo = ppo_masks(build_events(test), model)
     accepted: set = set()
-    for candidate in candidates:
+    for candidate in candidate_executions(test):
         if candidate.outcome in accepted:
             continue
         if acyclic(union_masks(ppo, candidate.com)):

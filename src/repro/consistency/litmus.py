@@ -121,6 +121,9 @@ def fence() -> LitmusOp:
 class LitmusTest:
     """A named multi-threaded litmus test."""
 
+    #: exhaustive enumeration is exponential in the access count
+    MAX_ACCESSES = 12
+
     name: str
     threads: Sequence[Sequence[LitmusOp]]
     initial: Dict[str, int] = field(default_factory=dict)
@@ -130,69 +133,73 @@ class LitmusTest:
         if len(regs) != len(set(regs)):
             raise ConfigurationError(f"{self.name}: read registers must be unique")
         total = sum(len(t) for t in self.threads)
-        if total > 12:
+        if total > self.MAX_ACCESSES:
             raise ConfigurationError(
                 f"{self.name}: {total} accesses is too many for exhaustive enumeration"
             )
 
     # ------------------------------------------------------------------
+    def ordering(self, model: ConsistencyModel) -> Tuple[int, ...]:
+        """What ``model`` makes of this test: per access (numbered
+        thread by thread), the bitmask of earlier same-thread accesses
+        that must linearize before it — those to the same address and
+        those ``model`` draws a delay arc from.  Models with equal
+        orderings have equal outcome sets."""
+        classes = [op.access_class() for thread in self.threads for op in thread]
+        masks: List[int] = []
+        for thread in self.threads:
+            base = len(masks)
+            for i, op in enumerate(thread):
+                mask = 0
+                for j in range(i):
+                    if thread[j].addr == op.addr or model.delay_arc(
+                            classes[base + j], classes[base + i]):
+                        mask |= 1 << (base + j)
+                masks.append(mask)
+        return tuple(masks)
+
     def outcomes(self, model: ConsistencyModel) -> FrozenSet[Outcome]:
         """All final register assignments reachable under ``model``."""
-        ops: List[Tuple[int, int, LitmusOp]] = [
-            (t, i, op)
-            for t, thread in enumerate(self.threads)
-            for i, op in enumerate(thread)
-        ]
-        # preds[k] = indices (into ops) that must linearize before ops[k]
-        preds: List[List[int]] = [[] for _ in ops]
-        for k, (t, i, op) in enumerate(ops):
-            for k2, (t2, i2, op2) in enumerate(ops):
-                if t2 != t or i2 >= i:
-                    continue
-                same_addr = op2.addr == op.addr
-                if same_addr or model.delay_arc(op2.access_class(), op.access_class()):
-                    preds[k].append(k2)
-
-        results: set = set()
+        ops = [op for thread in self.threads for op in thread]
+        slots = {addr: i for i, addr in enumerate(
+            sorted({op.addr for op in ops if op.op != "F"}))}
+        names = sorted(op.reg for op in ops if op.reads)
+        # one row per access: its bit, the bits that must be set first,
+        # its memory slot, the value it stores (None: it stores nothing)
+        # and the register slot it fills (-1: none)
+        program = [(1 << k, need, slots.get(op.addr, -1),
+                    op.value if op.writes else None,
+                    names.index(op.reg) if op.reads else -1)
+                   for k, (op, need) in enumerate(zip(ops, self.ordering(model)))]
+        full = (1 << len(ops)) - 1
+        start = (0, tuple(self.initial.get(addr, 0) for addr in slots),
+                 (0,) * len(names))
         # Many linearizations reach identical (done, memory, registers)
-        # states — e.g. two independent fences in either order.  Memoizing
-        # on the full state collapses that exponential blow-up, which is
+        # states — e.g. two independent fences in either order.  Visiting
+        # each state once collapses that exponential blow-up, which is
         # what keeps enumeration affordable for the fuzzer's generated
         # tests (up to 4 threads of mixed R/W/RMW/F ops).
-        visited: set = set()
-
-        def dfs(done: Tuple[bool, ...], memory: Dict[str, int], regs: Dict[str, int]) -> None:
-            state = (done, tuple(sorted(memory.items())), tuple(sorted(regs.items())))
-            if state in visited:
-                return
-            visited.add(state)
-            if all(done):
-                results.add(tuple(sorted(regs.items())))
-                return
-            for k, (t, i, op) in enumerate(ops):
-                if done[k] or any(not done[p] for p in preds[k]):
+        visited = {start}
+        stack = [start]
+        results: set = set()
+        while stack:
+            done, memory, regs = stack.pop()
+            if done == full:
+                results.add(regs)
+                continue
+            for bit, need, slot, value, reg in program:
+                if done & bit or need & ~done:
                     continue
-                new_done = done[:k] + (True,) + done[k + 1:]
-                if op.op == "F":
-                    dfs(new_done, memory, regs)
-                elif op.op == "W":
-                    new_memory = dict(memory)
-                    new_memory[op.addr] = op.value
-                    dfs(new_done, new_memory, regs)
-                elif op.op == "U":
-                    old = memory.get(op.addr, self.initial.get(op.addr, 0))
-                    new_memory = dict(memory)
-                    new_memory[op.addr] = op.value
-                    new_regs = dict(regs)
-                    new_regs[op.reg] = old
-                    dfs(new_done, new_memory, new_regs)
-                else:
-                    new_regs = dict(regs)
-                    new_regs[op.reg] = memory.get(op.addr, self.initial.get(op.addr, 0))
-                    dfs(new_done, memory, new_regs)
-
-        dfs(tuple(False for _ in ops), dict(self.initial), {})
-        return frozenset(results)
+                state = (
+                    done | bit,
+                    memory if value is None
+                    else memory[:slot] + (value,) + memory[slot + 1:],
+                    regs if reg < 0
+                    else regs[:reg] + (memory[slot],) + regs[reg + 1:])
+                if state not in visited:
+                    visited.add(state)
+                    stack.append(state)
+        return frozenset(tuple(zip(names, regs)) for regs in results)
 
     # ------------------------------------------------------------------
     def axiomatic_outcomes(self, model: ConsistencyModel) -> FrozenSet[Outcome]:

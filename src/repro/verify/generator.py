@@ -31,8 +31,9 @@ class GeneratorConfig:
     """Shape knobs for random litmus tests.
 
     The default caps keep exhaustive outcome enumeration affordable
-    (``LitmusTest`` itself rejects more than 12 accesses) while still
-    covering 2–4 CPUs and every op kind.
+    (``LitmusTest`` itself rejects more than
+    ``LitmusTest.MAX_ACCESSES``, and so does ``max_total_ops``) while
+    still covering 2–4 CPUs and every op kind.
     """
 
     min_cpus: int = 2
@@ -52,8 +53,18 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.min_cpus <= self.max_cpus:
             raise ConfigurationError("need 2 <= min_cpus <= max_cpus")
+        if self.min_ops_per_thread > self.max_ops_per_thread:
+            raise ConfigurationError(
+                "need min_ops_per_thread <= max_ops_per_thread")
         if self.max_cpus * self.min_ops_per_thread > self.max_total_ops:
             raise ConfigurationError("max_total_ops too small for max_cpus")
+        if self.max_total_ops > LitmusTest.MAX_ACCESSES:
+            raise ConfigurationError(
+                f"max_total_ops must be at most {LitmusTest.MAX_ACCESSES}, "
+                f"the most accesses a LitmusTest enumerates")
+        for name in ("max_addrs", "max_value"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
         if not self.addr_pool:
             raise ConfigurationError("addr_pool must not be empty")
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.axiomatic
 from repro.analysis.axiomatic import (
     CandidateExecution,
     axiomatic_outcomes,
@@ -194,6 +195,9 @@ class TestCandidates:
                                                  b.op.access_class())))
                 assert bool(masks[a.eid] & (1 << b.eid)) == expected, \
                     (a.eid, b.eid)
+                # ... and ``ordering`` is the same edges, transposed
+                assert bool(test.ordering(RC)[b.eid] & (1 << a.eid)) \
+                    == expected, (a.eid, b.eid)
 
     def test_candidate_limit_guards_enumeration(self):
         test = LitmusTest("wide", [[write("x", v)] for v in range(1, 9)]
@@ -253,28 +257,23 @@ class TestHarnessOracle:
         with pytest.raises(ConfigurationError):
             check_named((0, "no-such-test", {}))
 
-    def test_disagreement_surfaces_in_result(self):
-        """Poison the axiomatic cache so the oracles disagree: the
+    def test_disagreement_surfaces_in_result(self, monkeypatch):
+        """Poison the axiomatic oracle so the oracles disagree: the
         harness must report an OracleDisagreement, and a simulator
         outcome inside the enumerator set but outside the poisoned
         axiomatic set must be tagged with the axiomatic oracle."""
         test = STANDARD_TESTS["SB"]()
-        clear_caches()
-        try:
-            for model_name in FAST.models:
-                key = (checker_mod._test_key(test), model_name)
-                checker_mod._outcome_cache[key] = frozenset()
-            result = check_test(test, FAST)
-            assert not result.ok
-            assert len(result.oracle_disagreements) == len(FAST.models)
-            dis = result.oracle_disagreements[0]
-            assert isinstance(dis, OracleDisagreement)
-            assert dis.missing and not dis.extra
-            assert "differ" in dis.describe()
-            assert result.divergences
-            assert all(d.oracle == "axiomatic" for d in result.divergences)
-        finally:
-            clear_caches()
+        monkeypatch.setattr(repro.analysis.axiomatic, "axiomatic_outcomes",
+                            lambda test, model: frozenset())
+        result = check_test(test, FAST)
+        assert not result.ok
+        assert len(result.oracle_disagreements) == len(FAST.models)
+        dis = result.oracle_disagreements[0]
+        assert isinstance(dis, OracleDisagreement)
+        assert dis.missing and not dis.extra
+        assert "differ" in dis.describe()
+        assert result.divergences
+        assert all(d.oracle == "axiomatic" for d in result.divergences)
 
 
 # ----------------------------------------------------------------------

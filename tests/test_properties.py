@@ -13,12 +13,22 @@ Four families:
 """
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.consistency import PC, RC, SC, WC, LitmusTest, read, write
+from repro.consistency import (
+    PC,
+    RC,
+    SC,
+    WC,
+    LitmusTest,
+    get_model,
+    read,
+    write,
+)
 from repro.consistency.access_class import (
     ACQUIRE,
     PLAIN_LOAD,
@@ -251,6 +261,77 @@ class TestAxiomaticProperties:
         fenced = test.with_fences()
         for model in (SC, PC, WC, RC):
             assert axiomatic_outcomes(fenced, model) == sc, model.name
+
+
+class TestOneSolvePerRelation:
+    """The static oracles solve each distinct ordering relation of a
+    test once and hand the set to every model that yields it."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_equal_orderings_have_equal_outcome_sets(self, seed):
+        """Both semantics read nothing of a model but its ordering:
+        solved separately (caches dropped before each solve), models
+        with one ordering get one enumerated and one axiomatic set."""
+        from repro.analysis.axiomatic import axiomatic_outcomes, clear_caches
+        from repro.verify import generate_litmus
+        test = generate_litmus(seed)
+        by_relation = {}
+        for model in MODELS:
+            clear_caches()
+            solved = (test.outcomes(model), axiomatic_outcomes(test, model))
+            assert by_relation.setdefault(
+                test.ordering(model), solved) == solved, model.name
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_sc_ordering_contains_every_other(self, seed):
+        from repro.verify import generate_litmus
+        test = generate_litmus(seed)
+        strongest = test.ordering(SC)
+        for model in (PC, WC, RC):
+            assert all(weaker & ~strong == 0 for strong, weaker
+                       in zip(strongest, test.ordering(model))), model.name
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           poisoned=st.booleans())
+    @example(seed=0, poisoned=True)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_harness_reports_what_independent_comparisons_report(
+            self, seed, poisoned):
+        """Sharing must not hide a disagreement: with an axiomatic
+        oracle that loses an outcome, the shared wrong answer surfaces
+        under every model name, exactly as four unshared comparisons
+        report it."""
+        import repro.analysis.axiomatic as axiomatic
+        from repro.analysis.axiomatic import checker
+        from repro.verify import HarnessConfig, check_test, generate_litmus
+
+        real = checker.axiomatic_outcomes
+
+        def oracle(test, model):
+            outcomes = real(test, model)
+            return frozenset(sorted(outcomes)[1:]) if poisoned else outcomes
+
+        test = generate_litmus(seed)
+        config = HarnessConfig(oracle="axiomatic")
+        with mock.patch.object(axiomatic, "axiomatic_outcomes", oracle), \
+                mock.patch.object(checker, "axiomatic_outcomes", oracle):
+            axiomatic.clear_caches()
+            result = check_test(test, config)
+            independent = []
+            for name in config.models:
+                axiomatic.clear_caches()
+                compared = checker.compare_with_enumerator(
+                    test, get_model(name))
+                if not compared.agree:
+                    independent.append((name, tuple(sorted(compared.missing)),
+                                        tuple(sorted(compared.extra))))
+        assert [(d.model, d.missing, d.extra)
+                for d in result.oracle_disagreements] == independent
+        assert len(independent) == (len(config.models) if poisoned else 0)
 
 
 # ----------------------------------------------------------------------

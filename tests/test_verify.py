@@ -94,6 +94,26 @@ class TestGenerator:
         with pytest.raises(ConfigurationError):
             GeneratorConfig(max_total_ops=3, max_cpus=4)
 
+    # each of these used to pass construction and die later: the first
+    # three at the first generate_litmus with "empty range for
+    # randrange()", the last on whichever seed drew 13 accesses
+    @pytest.mark.parametrize("field,kwargs", [
+        ("max_addrs", {"max_addrs": 0}),
+        ("min_ops_per_thread", {"min_ops_per_thread": 3,
+                                "max_ops_per_thread": 2}),
+        ("max_value", {"max_value": 0}),
+        ("max_total_ops", {"max_total_ops": LitmusTest.MAX_ACCESSES + 1}),
+    ], ids=["max_addrs", "min_ops_per_thread", "max_value", "max_total_ops"])
+    def test_config_rejects_what_generation_cannot_draw(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=field):
+            GeneratorConfig(**kwargs)
+
+    def test_config_accepts_the_enumeration_cap_itself(self):
+        config = GeneratorConfig(max_total_ops=LitmusTest.MAX_ACCESSES)
+        for seed in range(20):
+            total = sum(len(t) for t in generate_litmus(seed, config).threads)
+            assert total <= LitmusTest.MAX_ACCESSES == 12
+
     def test_enumeration_affordable(self):
         # generated tests must stay enumerable under every model
         for seed in range(10):
@@ -363,10 +383,11 @@ class TestCampaignTelemetryEndToEnd:
         assert written["1"] == written["2"]
         stats, prom, spans = written["1"]
         assert json.loads(stats) == {"sweep/items": 6, "verify/legs": 384,
+                                     "verify/orderings": 16,
                                      "verify/tests": 6}
         assert prom.decode().splitlines()[1::2] == [
             "repro_sweep_items_total 6", "repro_verify_legs_total 384",
-            "repro_verify_tests_total 6"]
+            "repro_verify_orderings_total 16", "repro_verify_tests_total 6"]
         assert spans == {"verify/campaign": 1, "sweep/run": 1,
                          "sweep/item": 6}
 
