@@ -33,6 +33,8 @@ import math
 import os
 import platform
 import subprocess
+import threading
+from datetime import datetime, timezone
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: bump when the record layout changes incompatibly
@@ -79,12 +81,20 @@ def _canonicalize(obj: object) -> object:
     return obj
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           allow_nan=False).encode
+
+
 def canonical_json(obj: object) -> str:
     """The canonical serialization the request hash is defined over:
     sorted keys, no whitespace, non-finite floats as string sentinels
     (see :func:`_canonicalize`)."""
-    return json.dumps(_canonicalize(obj), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+    try:
+        return _encode(obj)
+    except ValueError:
+        # a non-finite float somewhere inside: the one input the
+        # encoder refuses and the only one the rewrite changes
+        return _encode(_canonicalize(obj))
 
 
 def request_hash(request: Mapping[str, object]) -> str:
@@ -116,18 +126,26 @@ def _git_sha() -> Optional[str]:
     return _GIT_SHA_CACHE[0]
 
 
+#: what the platform module answers is fixed for the life of a process
+_HOST_INFO: Optional[Dict[str, object]] = None
+
+
 def _host_info() -> Dict[str, object]:
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "cpu_count": os.cpu_count() or 0,
-    }
+    """This host, asked once per process; every caller gets a dict of
+    its own, so a record that edits its ``host`` edits no other."""
+    global _HOST_INFO
+    if _HOST_INFO is None:
+        _HOST_INFO = {
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "cpu_count": os.cpu_count() or 0,
+        }
+    return dict(_HOST_INFO)
 
 
 def _utc_timestamp() -> str:
-    from datetime import datetime, timezone
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -166,6 +184,55 @@ def make_record(kind: str,
     return record
 
 
+#: how many append descriptors a process holds open at most
+_MAX_HELD = 8
+
+#: path -> (descriptor, its ``(st_dev, st_ino)``), oldest first
+_held: Dict[str, Tuple[int, Tuple[int, int]]] = {}
+
+#: appenders may be threads: looking a descriptor up, dropping one and
+#: writing through one must not interleave with a close
+_held_lock = threading.Lock()
+
+
+def _fresh_lock_in_child() -> None:
+    # a fork while another thread is mid-append copies the lock held;
+    # the descriptors themselves are as good in the child
+    global _held_lock
+    _held_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_in_child)
+
+
+def _held_descriptor(path: str) -> int:
+    """The ``O_APPEND`` descriptor for ``path``, opened on first use and
+    kept.  One ``os.stat`` per call checks that the path still names
+    the file the descriptor has open; after an unlink, a rename or a
+    replacement (log rotation) it does not, and the path is opened
+    afresh, parents and all, so the line lands where a reader of
+    ``path`` will look.  Call with :data:`_held_lock` held."""
+    held = _held.get(path)
+    if held is not None:
+        try:
+            st = os.stat(path)
+            if (st.st_dev, st.st_ino) == held[1]:
+                return held[0]
+        except FileNotFoundError:
+            pass
+        del _held[path]
+        os.close(held[0])
+    elif len(_held) >= _MAX_HELD:
+        os.close(_held.pop(next(iter(_held)))[0])
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    st = os.fstat(fd)
+    _held[path] = (fd, (st.st_dev, st.st_ino))
+    return fd
+
+
 def append_jsonl(obj: object, path: str) -> str:
     """Append one object as one JSONL line with a single ``os.write``.
 
@@ -176,16 +243,15 @@ def append_jsonl(obj: object, path: str) -> str:
     ``fh.write`` gives no such guarantee: the stdio layer may flush a
     line in several syscalls, and two processes' fragments can then
     interleave into garbage the tolerant reader has to skip.
+
+    The descriptor stays open between appends (at most
+    :data:`_MAX_HELD` per process, see :func:`_held_descriptor`): a
+    server that logs two lines per request must not pay two
+    ``makedirs`` + ``open`` + ``close`` for them.
     """
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     data = (canonical_json(obj) + "\n").encode()
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
+    with _held_lock:
+        os.write(_held_descriptor(path), data)
     return path
 
 

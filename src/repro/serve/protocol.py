@@ -34,8 +34,13 @@ from __future__ import annotations
 import json
 from typing import Dict, Mapping, Optional, Tuple
 
+from ..consistency.litmus import STANDARD_TESTS
+from ..consistency.models import get_model
 from ..obs.ledger import request_hash
 from ..sim.errors import ConfigurationError
+from ..verify.corpus import litmus_from_dict, litmus_to_dict
+from ..verify.generator import GeneratorConfig, generate_litmus
+from ..verify.harness import RunConfig
 
 #: bump when the canonical job layout changes incompatibly (the schema
 #: string is hashed with the job, so old cache entries can never alias
@@ -57,13 +62,16 @@ class ProtocolError(ValueError):
 # Job canonicalization
 # ----------------------------------------------------------------------
 
-def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
-    from ..verify.harness import RunConfig
+_JOB_KEYS = frozenset({"schema", "test", "model", "prefetch", "speculation",
+                       "run_config"})
+_RUN_CONFIG_KEYS = frozenset({"miss_latency", "skew", "warm_shared",
+                              "line_size", "max_cycles", "name"})
+_RUN_CONFIG_DEFAULTS = RunConfig(name="serve")
 
-    defaults = RunConfig(name="serve")
-    known = {"miss_latency", "skew", "warm_shared", "line_size",
-             "max_cycles", "name"}
-    unknown = set(raw) - known
+
+def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
+    defaults = _RUN_CONFIG_DEFAULTS
+    unknown = set(raw) - _RUN_CONFIG_KEYS
     if unknown:
         raise ProtocolError(f"unknown run_config key(s): {sorted(unknown)}")
     try:
@@ -98,16 +106,12 @@ def _canonical_test(raw: Mapping[str, object]) -> Dict[str, object]:
             "test must have exactly one of 'name' (standard suite), "
             f"'seed' (generator), or 'litmus' (inline); got {sorted(raw)}")
     if "name" in keys:
-        from ..consistency.litmus import STANDARD_TESTS
-
         name = str(raw["name"])
         if name not in STANDARD_TESTS:
             raise ProtocolError(f"unknown litmus test {name!r}; available: "
                                 f"{sorted(STANDARD_TESTS)}")
         return {"name": name}
     if "seed" in keys:
-        from ..verify.generator import GeneratorConfig
-
         try:
             seed = int(raw["seed"])  # type: ignore[call-overload]
         except (TypeError, ValueError):
@@ -119,8 +123,6 @@ def _canonical_test(raw: Mapping[str, object]) -> Dict[str, object]:
         except (TypeError, ConfigurationError) as exc:
             raise ProtocolError(f"bad generator config: {exc}") from None
         return {"seed": seed, "generator": gen.to_dict()}
-    from ..verify.corpus import litmus_from_dict, litmus_to_dict
-
     try:
         test = litmus_from_dict(dict(raw["litmus"]))  # type: ignore[arg-type]
     except (KeyError, TypeError, ValueError) as exc:
@@ -138,9 +140,7 @@ def normalize_job(job: Mapping[str, object]) -> Dict[str, object]:
     if not isinstance(job, Mapping):
         raise ProtocolError(f"job must be an object, "
                             f"got {type(job).__name__}")
-    known = {"schema", "test", "model", "prefetch", "speculation",
-             "run_config"}
-    unknown = set(job) - known
+    unknown = set(job) - _JOB_KEYS
     if unknown:
         raise ProtocolError(f"unknown job key(s): {sorted(unknown)}")
     schema = job.get("schema", JOB_SCHEMA)
@@ -150,8 +150,6 @@ def normalize_job(job: Mapping[str, object]) -> Dict[str, object]:
     test_raw = job.get("test")
     if not isinstance(test_raw, Mapping):
         raise ProtocolError("job.test must be an object")
-    from ..consistency.models import get_model
-
     model = str(job.get("model", "SC"))
     try:
         get_model(model)
@@ -178,24 +176,16 @@ def job_hash(job: Mapping[str, object]) -> str:
 def resolve_test(spec: Mapping[str, object]):
     """Materialize the canonical test spec as a :class:`LitmusTest`."""
     if "name" in spec:
-        from ..consistency.litmus import STANDARD_TESTS
-
         return STANDARD_TESTS[str(spec["name"])]()
     if "seed" in spec:
-        from ..verify.generator import GeneratorConfig, generate_litmus
-
         return generate_litmus(
             int(spec["seed"]),  # type: ignore[call-overload]
             GeneratorConfig.from_dict(dict(spec.get("generator", {}))))  # type: ignore[arg-type]
-    from ..verify.corpus import litmus_from_dict
-
     return litmus_from_dict(dict(spec["litmus"]))  # type: ignore[arg-type]
 
 
 def run_config_from_spec(spec: Mapping[str, object]):
     """The canonical run_config dict as a harness :class:`RunConfig`."""
-    from ..verify.harness import RunConfig
-
     # the canonical dict holds every field but the display-only name
     return RunConfig(**{**spec, "name": "serve",
                         "skew": tuple(spec["skew"])})  # type: ignore[arg-type]
@@ -235,10 +225,16 @@ def outcome_pairs(result: Mapping[str, object]) -> Tuple[Tuple[str, int], ...]:
 #: connection must not balloon memory)
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
+#: what a longer frame is answered with, whoever measures it
+FRAME_TOO_LONG = f"frame exceeds {MAX_FRAME_BYTES} bytes"
+
+
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
 
 def encode_message(message: Mapping[str, object]) -> bytes:
     """One message -> one NDJSON line (UTF-8, trailing newline)."""
-    line = json.dumps(message, separators=(",", ":"), allow_nan=False)
+    line = _encode(message)
     if "\n" in line:  # pragma: no cover - json never emits raw newlines
         raise ProtocolError("encoded message must be newline-free")
     return line.encode() + b"\n"
@@ -247,7 +243,7 @@ def encode_message(message: Mapping[str, object]) -> bytes:
 def decode_message(line: bytes) -> Dict[str, object]:
     """One NDJSON line -> one message dict."""
     if len(line) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
+        raise ProtocolError(FRAME_TOO_LONG)
     try:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -260,6 +256,7 @@ def decode_message(line: bytes) -> Dict[str, object]:
 
 __all__ = [
     "CLIENT_OPS",
+    "FRAME_TOO_LONG",
     "JOB_SCHEMA",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",

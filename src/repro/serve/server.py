@@ -13,7 +13,10 @@ request path for a ``submit``:
    clients asking for the same job while it runs share one execution);
 3. **look up** the persistent content-addressed
    :class:`~repro.serve.store.ResultStore` — a hit answers without
-   touching the simulator, forever, because determinism is pinned;
+   touching the simulator, forever, because determinism is pinned.
+   The lookup precedes the answer: a hit's ``accepted`` and ``result``
+   frames leave in one socket write, while a coalesced request or a
+   miss is told ``accepted`` at once and ``result`` when there is one;
 4. on a miss, **execute**: one task per miss awaits one
    :func:`~repro.serve.executors.execute_job` future on the server's
    executor (serial / process-pool — :mod:`repro.serve.executors`),
@@ -46,6 +49,8 @@ from ..obs.telemetry import to_prometheus
 from ..sim.stats import StatsRegistry
 from .executors import execute_job, make_executor
 from .protocol import (
+    FRAME_TOO_LONG,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_message,
@@ -58,7 +63,31 @@ from .store import ResultStore
 COUNTER_NAMES = ("requests", "cache_hits", "cache_misses", "coalesced",
                  "executed", "errors", "bad_requests")
 
-AsyncSend = Callable[[Dict[str, object]], Awaitable[None]]
+#: ``await send(*messages)``: the frames of one call share one write
+AsyncSend = Callable[..., Awaitable[None]]
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> bytes:
+    """The next line as ``readline`` would give it (``b""`` at EOF).
+
+    A line longer than the reader's limit is dropped through its
+    newline, however many reads that takes, and reported once as a
+    :class:`ProtocolError`: the connection stays in step with its
+    client, and what is buffered never exceeds the limit by more than
+    one read."""
+    fits = True
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            fits = False
+            continue
+        if not fits:
+            raise ProtocolError(FRAME_TOO_LONG)
+        return line
 
 
 class ServeServer:
@@ -109,8 +138,11 @@ class ServeServer:
         holds the real bound port."""
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
+        # the bound the client reads with; asyncio's default of 64 KiB
+        # is far below the frame the protocol documents
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port,
+            limit=MAX_FRAME_BYTES + 2)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_until_shutdown(self) -> None:
@@ -156,21 +188,20 @@ class ServeServer:
         assert handler is not None
         self._connections[handler] = writer
 
-        async def send(message: Dict[str, object]) -> None:
+        async def send(*messages: Dict[str, object]) -> None:
             async with write_lock:
-                writer.write(encode_message(message))
+                writer.write(b"".join(map(encode_message, messages)))
                 await writer.drain()
 
         try:
             while True:
                 try:
-                    line = await reader.readline()
+                    line = await _read_frame(reader)
+                    if not line:
+                        break
+                    message = decode_message(line)
                 except (ConnectionResetError, OSError):
                     break
-                if not line:
-                    break
-                try:
-                    message = decode_message(line)
                 except ProtocolError as exc:
                     self._count("bad_requests")
                     await self._safe_send(send, {"ok": False,
@@ -229,10 +260,10 @@ class ServeServer:
 
     @staticmethod
     async def _safe_send(send: AsyncSend,
-                         message: Dict[str, object]) -> bool:
+                         *messages: Dict[str, object]) -> bool:
         """Send, tolerating a client that already went away."""
         try:
-            await send(message)
+            await send(*messages)
             return True
         except (ConnectionResetError, BrokenPipeError, OSError):
             return False
@@ -253,39 +284,43 @@ class ServeServer:
         sha = ledger_mod.request_hash(spec)
         self._count("requests")
         self._log_request(sha, spec)
-        await self._safe_send(send, {"ok": True, "event": "accepted",
-                                     "id": msg_id, "request_sha256": sha})
+        accepted = {"ok": True, "event": "accepted", "id": msg_id,
+                    "request_sha256": sha}
 
-        cached = False
-        coalesced = False
+        stored = None
         execution = self._inflight.get(sha)
-        if execution is not None:
-            coalesced = True
+        coalesced = execution is not None
+        if coalesced:
             self._count("coalesced")
-            result = await asyncio.shield(execution)
         else:
             stored = self.store.get(sha)
             if stored is not None:
-                cached = True
                 self._count("cache_hits")
-                result = stored
             else:
                 self._count("cache_misses")
+                # registered before the first await below, so an
+                # identical submit arriving meanwhile merges into it
                 execution = self._inflight[sha] = asyncio.ensure_future(
                     self._execute(sha, spec))
-                result = await asyncio.shield(execution)
+        cached = stored is not None
+        if cached:
+            # nothing to wait for: both frames of a hit share one write
+            result, unsent = stored, (accepted,)
+        else:
+            await self._safe_send(send, accepted)
+            result, unsent = await asyncio.shield(execution), ()
 
         wall = time.perf_counter() - t0
         if "error" in result:
             self._count("errors")
-            await self._safe_send(send, {
+            await self._safe_send(send, *unsent, {
                 "ok": False, "event": "result", "id": msg_id,
                 "request_sha256": sha, "cached": False,
                 "coalesced": coalesced, "error": result["error"],
                 "wall_seconds": round(wall, 6)})
             return
-        self._append_ledger(sha, spec, result, wall, cached=cached)
-        await self._safe_send(send, {
+        self._append_ledger(sha, spec, result, wall)
+        await self._safe_send(send, *unsent, {
             "ok": True, "event": "result", "id": msg_id,
             "request_sha256": sha, "cached": cached,
             "coalesced": coalesced, "result": result,
@@ -351,8 +386,7 @@ class ServeServer:
             self.request_log_path)
 
     def _append_ledger(self, sha: str, spec: Dict[str, object],
-                       result: Dict[str, object], wall: float,
-                       cached: bool) -> None:
+                       result: Dict[str, object], wall: float) -> None:
         """One ledger record per completed submission.
 
         The record's outcome is the *result itself* (small: registers +

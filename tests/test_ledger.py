@@ -8,11 +8,15 @@ survives a corrupted line without losing the rest of the file.
 """
 
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import ledger
 
@@ -76,6 +80,76 @@ class TestCanonicalHashing:
         second = _record()
         assert first["request_sha256"] == second["request_sha256"]
         assert first["outcome_digest"] == second["outcome_digest"]
+
+
+def _reference_json(obj):
+    """``canonical_json`` as it was written before it tried the encoder
+    first: rewrite the whole tree, then encode."""
+    return json.dumps(ledger._canonicalize(obj), sort_keys=True,
+                      separators=(",", ":"), allow_nan=False)
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+           | st.floats(allow_nan=True, allow_infinity=True))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=25)
+
+#: taken at the parent of the PR that made ``canonical_json`` one
+#: encoder pass (``fef63ef``), before any edit
+PINNED_MIX_JOBS = {
+    # test: (request_hash(make_job(test))[:16], digest_outcome(result))
+    "SB": ("16846fb94060e1cc", "6c7ed1849d63af17"),
+    "MP": ("c53dadef94720100", "b044c1f52dad1109"),
+    "LB": ("777421a4dc0ac060", "2f564b9a8710ada6"),
+    "coherence": ("a73374037560d177", "50f16965783b141b"),
+    "SB+sync": ("7007b4d3eaa7d504", "6c7ed1849d63af17"),
+    "MP+sync": ("8a0f9ccb16bb7c7c", "b044c1f52dad1109"),
+    "IRIW": ("a7a34bbfe65686e9", "52dcb53c1056b1dc"),
+    "WRC": ("50c9f92b6d60cd65", "bfd10decbcb5d57d"),
+}
+#: what ``run_fuzz(budget=2, seed=0)`` asks the ledger to hash
+FUZZ_BUDGET_2_REQUEST = {
+    "backend": "scalar", "budget": 2, "fault": None,
+    "generator": {"addr_pool": ["x", "y", "data", "flag"], "max_addrs": 3,
+                  "max_cpus": 4, "max_ops_per_thread": 4, "max_total_ops": 9,
+                  "max_value": 3, "min_cpus": 2, "min_ops_per_thread": 1,
+                  "op_weights": [4.0, 4.0, 1.0, 1.0],
+                  "sync_probability": 0.25},
+    "kind": "fuzz", "master_seed": 0, "oracle": "all"}
+
+
+class TestByteIdentity:
+    """The hashes are cache keys and the lines are on disk: the fast
+    path of ``canonical_json`` must give the reference's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    @example({"a": ({"b": [1.5, (float("-inf"),)]}, 2), "c": ()})
+    def test_encoder_first_equals_rewrite_first(self, tree):
+        assert ledger.canonical_json(tree) == _reference_json(tree)
+
+    def test_mix_job_hashes_and_outcome_digests_pinned(self):
+        from repro.serve import make_job
+        from repro.serve.executors import execute_job
+        from repro.serve.loadgen import MIX_TESTS
+
+        assert set(MIX_TESTS) == set(PINNED_MIX_JOBS)
+        taken = {}
+        for name in MIX_TESTS:
+            job = make_job(test={"name": name})
+            taken[name] = (ledger.request_hash(job)[:16],
+                           ledger.digest_outcome(execute_job(job)))
+        assert taken == PINNED_MIX_JOBS
+
+    def test_fuzz_request_hash_pinned(self):
+        # the key PR 16 pinned through a whole campaign
+        # (test_verify.py::TestCanonicalRequest), here on the request
+        assert ledger.request_hash(FUZZ_BUDGET_2_REQUEST) == (
+            "fa4dcdee35a172305f5c5afa4f9b16c58af78992c752fb1693768103aeead517")
 
 
 class TestRoundTrip:
@@ -165,6 +239,105 @@ class TestAtomicAppends:
         ledger.append_jsonl({"a": 2}, path)
         with open(path) as fh:
             assert [json.loads(l)["a"] for l in fh] == [1, 2]
+
+
+def _lines(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+class TestHeldDescriptors:
+    """``append_jsonl`` keeps its descriptor; the path, not the
+    descriptor, says where a line belongs."""
+
+    def test_unlinked_file_is_recreated(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        ledger.append_jsonl({"n": 1}, path)
+        os.unlink(path)
+        ledger.append_jsonl({"n": 2}, path)
+        assert _lines(path) == [{"n": 2}]
+
+    def test_rotated_file_keeps_its_lines_and_a_new_one_starts(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        rotated = str(tmp_path / "log.jsonl.1")
+        ledger.append_jsonl({"n": 1}, path)
+        os.rename(path, rotated)
+        ledger.append_jsonl({"n": 2}, path)
+        ledger.append_jsonl({"n": 3}, path)
+        assert _lines(rotated) == [{"n": 1}]
+        assert _lines(path) == [{"n": 2}, {"n": 3}]
+
+    def test_replaced_file_gets_the_next_line(self, tmp_path):
+        path = str(tmp_path / "log.jsonl")
+        ledger.append_jsonl({"n": 1}, path)
+        fresh = tmp_path / "fresh"
+        fresh.write_text('{"n": 0}\n')
+        os.replace(fresh, path)
+        ledger.append_jsonl({"n": 2}, path)
+        assert _lines(path) == [{"n": 0}, {"n": 2}]
+
+    def test_removed_directory_is_recreated(self, tmp_path):
+        path = str(tmp_path / "deep" / "log.jsonl")
+        ledger.append_jsonl({"n": 1}, path)
+        os.unlink(path)
+        os.rmdir(tmp_path / "deep")
+        ledger.append_jsonl({"n": 2}, path)
+        assert _lines(path) == [{"n": 2}]
+
+    def test_more_paths_than_the_table_holds(self, tmp_path):
+        paths = [str(tmp_path / f"log{i}.jsonl")
+                 for i in range(3 * ledger._MAX_HELD)]
+        for n in range(3):
+            for path in paths:
+                ledger.append_jsonl({"path": path, "n": n}, path)
+            assert len(ledger._held) <= ledger._MAX_HELD
+        for path in paths:
+            assert _lines(path) == [{"path": path, "n": n} for n in range(3)]
+        # nothing leaked: every descriptor the table names is open
+        for fd, _identity in ledger._held.values():
+            os.fstat(fd)
+
+    def test_threads_evicting_each_other_misplace_nothing(self, tmp_path,
+                                                          monkeypatch):
+        # a table of one and two paths: every append closes the
+        # descriptor the other path's appenders are about to write
+        # through, and the next open reuses its number
+        monkeypatch.setattr(ledger, "_MAX_HELD", 1)
+        paths = [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]
+        workers, rounds = 4, 4000
+        failures = []
+
+        def hammer(worker):
+            path = paths[worker % 2]
+            try:
+                for n in range(rounds):
+                    ledger.append_jsonl({"to": path, "w": worker, "n": n},
+                                        path)
+            except Exception as exc:  # noqa: BLE001 - asserted on below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,))
+                       for w in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        for path in paths:
+            lines = _lines(path)
+            assert {line["to"] for line in lines} == {path}
+            assert len(lines) == workers // 2 * rounds
+
+    def test_each_record_owns_its_host(self):
+        first = _record()
+        first["host"]["cpu_count"] = -1
+        assert _record()["host"]["cpu_count"] != -1
 
 
 class TestStats:

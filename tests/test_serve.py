@@ -12,12 +12,14 @@ The stack's contract has three load-bearing claims, each pinned here:
    outcome digest, served as a miss, and healed by re-execution.
 """
 
+import asyncio
 import contextlib
 import json
 import multiprocessing
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -44,6 +46,7 @@ from repro.serve import (
 from repro.serve.client import parse_endpoint
 from repro.serve.executors import execute_job
 from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
     ProtocolError,
     decode_message,
     encode_message,
@@ -81,6 +84,39 @@ def _live_server(root, kind):
         yield srv, host, port
     finally:
         handle.stop()
+
+
+class _RawConnection:
+    """The wire as a client that is not ``ServeClient`` sees it."""
+
+    def __init__(self, server):
+        _, host, port = server
+        self._sock = socket.create_connection((host, port), timeout=60)
+        self._fh = self._sock.makefile("rwb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        self._fh.close()
+        self._sock.close()
+
+    def send(self, *frames):
+        """Every frame (a message, or bytes as they are) in one write."""
+        self._fh.write(b"".join(
+            frame if isinstance(frame, bytes) else encode_message(frame)
+            for frame in frames))
+        self._fh.flush()
+
+    def read(self, count):
+        return [json.loads(self._fh.readline()) for _ in range(count)]
+
+
+def _line_count(path):
+    if not os.path.exists(path):
+        return 0
+    with open(path) as fh:
+        return sum(1 for _ in fh)
 
 
 def _worker_pids():
@@ -383,6 +419,124 @@ class TestServerEndToEnd:
             assert good.ok
             # connection still healthy
             assert client.ping() == "repro-serve/1"
+
+    def test_hit_miss_and_coalesced_each_answer_accepted_then_result(
+            self, server):
+        job = make_job(test={"name": "LB"}, model="PC")
+        with _RawConnection(server) as raw:
+            # two identical submits in one segment: the second finds the
+            # first in flight
+            raw.send({"op": "submit", "id": "miss", "job": job},
+                     {"op": "submit", "id": "merged", "job": job})
+            frames = raw.read(4)
+            raw.send({"op": "submit", "id": "hit", "job": job})
+            frames += raw.read(2)
+        by_id = {}
+        for frame in frames:
+            by_id.setdefault(frame["id"], []).append(frame)
+        assert sorted(by_id) == ["hit", "merged", "miss"]
+        for msg_id, (accepted, result) in by_id.items():
+            assert accepted["event"] == "accepted", msg_id
+            assert result["event"] == "result" and result["ok"], msg_id
+            assert accepted["request_sha256"] == result["request_sha256"] \
+                == job_hash(job)
+        flags = {msg_id: (pair[1]["cached"], pair[1]["coalesced"])
+                 for msg_id, pair in by_id.items()}
+        assert flags == {"miss": (False, False), "merged": (False, True),
+                         "hit": (True, False)}
+        assert len({json.dumps(pair[1]["result"], sort_keys=True)
+                    for pair in by_id.values()}) == 1
+
+    def test_every_hit_lands_one_log_line_and_one_ledger_record(self, server):
+        srv, _, _ = server
+        job = make_job(test={"name": "WRC"})
+        hits = 25
+        with _RawConnection(server) as raw:
+            raw.send({"op": "submit", "id": 0, "job": job})
+            raw.read(2)
+            before = (_line_count(srv.ledger_path),
+                      _line_count(srv.request_log_path))
+            for n in range(1, hits + 1):
+                raw.send({"op": "submit", "id": n, "job": job})
+                accepted, result = raw.read(2)
+                assert (accepted["event"], accepted["id"]) == ("accepted", n)
+                assert (result["event"], result["id"]) == ("result", n)
+                assert result["cached"]
+        assert before == (1, 1)
+        assert _line_count(srv.ledger_path) == 1 + hits
+        assert _line_count(srv.request_log_path) == 1 + hits
+        records, skipped = ledger.read_ledger(srv.ledger_path)
+        assert skipped == 0 and len(records) == 1 + hits
+
+    def test_logs_survive_rotation_under_a_live_server(self, server):
+        srv, _, _ = server
+        job = make_job(test={"name": "MP"})
+        with _client(server) as client:
+            client.submit(job)
+            for path in (srv.ledger_path, srv.request_log_path):
+                os.rename(path, path + ".1")
+            client.submit(job)
+            client.submit(job)
+        for path in (srv.ledger_path, srv.request_log_path):
+            assert (_line_count(path + ".1"), _line_count(path)) == (1, 2)
+
+    def test_a_hit_shares_one_write_and_a_miss_is_accepted_at_once(
+            self, tmp_path):
+        srv = ServeServer(store=ResultStore(str(tmp_path / "store")),
+                          ledger=False, request_log=False)
+        writes = []
+
+        async def send(*messages):
+            writes.append([(m["event"], m["id"]) for m in messages])
+
+        async def submit(msg_id):
+            await srv._handle_submit(
+                {"op": "submit", "id": msg_id,
+                 "job": make_job(test={"name": "SB"})}, send)
+
+        async def body():
+            await asyncio.gather(submit("miss"), submit("merged"))
+            await submit("hit")
+
+        try:
+            asyncio.run(body())
+        finally:
+            srv.executor.shutdown()
+        assert writes == [
+            [("accepted", "miss")], [("accepted", "merged")],
+            [("result", "miss")], [("result", "merged")],
+            [("accepted", "hit"), ("result", "hit")]]
+
+    def test_frame_above_the_asyncio_default_is_served(self, server):
+        # 100 KiB: over StreamReader's default 64 KiB limit, far under
+        # MAX_FRAME_BYTES; the handler used to die on it
+        srv, _, _ = server
+        with _RawConnection(server) as raw:
+            raw.send({"op": "submit", "id": "big", "pad": "x" * 100 * 1024,
+                      "job": make_job(test={"name": "SB"})})
+            accepted, result = raw.read(2)
+            raw.send({"op": "ping", "id": "after"})
+            (pong,) = raw.read(1)
+        assert (accepted["event"], result["event"]) == ("accepted", "result")
+        assert result["ok"] and result["id"] == "big"
+        assert (pong["event"], pong["id"]) == ("pong", "after")
+        assert srv.counters["bad_requests"] == 0
+
+    @pytest.mark.parametrize("excess", [3, 300 * 1024])
+    def test_oversized_frame_is_a_typed_error_on_a_usable_connection(
+            self, server, excess):
+        # a few bytes over (the newline is in the buffer when the limit
+        # trips) and several socket reads over (it is not)
+        srv, _, _ = server
+        with _RawConnection(server) as raw:
+            raw.send(b'{"op":"ping","pad":"'
+                     + b"x" * (MAX_FRAME_BYTES + excess) + b'"}\n',
+                     {"op": "ping", "id": "after"})
+            error, pong = raw.read(2)
+        assert error == {"ok": False,
+                         "error": f"frame exceeds {MAX_FRAME_BYTES} bytes"}
+        assert (pong["event"], pong["id"]) == ("pong", "after")
+        assert srv.counters["bad_requests"] == 1
 
     def test_stats_and_metrics_ops(self, server):
         with _client(server) as client:
