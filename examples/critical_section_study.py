@@ -16,7 +16,7 @@ Run:  python examples/critical_section_study.py
 """
 
 from repro import PC, RC, SC, WC, run_workload
-from repro.analysis import Table, bar_chart
+from repro.analysis import Table
 from repro.workloads import critical_section_workload
 
 
@@ -53,8 +53,6 @@ def study(private: bool) -> None:
                       round(base.cycles / both.cycles, 2),
                       "yes" if (ok_base and ok_both) else "NO")
     print(table.render())
-    print()
-    print(bar_chart("cycles, prefetch+speculation", both_cycles, unit=" cycles"))
     spread_base = max(base_cycles.values()) / min(base_cycles.values())
     spread_both = max(both_cycles.values()) / min(both_cycles.values())
     print(f"model spread (max/min): baseline {spread_base:.2f}x -> "

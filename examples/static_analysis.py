@@ -10,10 +10,11 @@ from pathlib import Path
 from repro.analysis.static import (
     analyze_programs,
     apply_fence_suggestions,
+    cross_validate,
     sanitize_trace,
 )
 from repro.consistency import SC, WC
-from repro.consistency.litmus import cross_validate_suite, store_buffering
+from repro.consistency.litmus import store_buffering
 from repro.isa import assemble
 from repro.sim.trace import TraceRecorder
 from repro.system import run_workload
@@ -47,7 +48,7 @@ def main():
     print(sanitize_trace(trace, model=SC).render())
 
     section("Static prediction vs the dynamic Section 6 detector")
-    cross = cross_validate_suite(tests=[store_buffering()], models=[SC, WC])
+    cross = cross_validate([store_buffering()], models=[SC, WC])
     print(cross.render())
 
 

@@ -46,7 +46,6 @@ from .core import (
     AnalyticalTimingModel,
     SpeculativeLoadBuffer,
     TimingConfig,
-    compare_configurations,
 )
 from .cpu import Processor, ProcessorConfig
 from .isa import Program, ProgramBuilder, assemble
@@ -81,7 +80,6 @@ __all__ = [
     "TraceRecorder",
     "WC",
     "assemble",
-    "compare_configurations",
     "get_model",
     "run_figure5",
     "run_workload",

@@ -1,4 +1,4 @@
-"""Analysis: text tables/charts and the per-experiment runners."""
+"""Analysis: text tables and the per-experiment runners."""
 
 from .ablations import (
     false_sharing_table,
@@ -27,14 +27,13 @@ from .experiments import (
     stall_breakdown_table,
     traffic_table,
 )
-from .tables import Table, bar_chart, series_chart, speedup_table
+from .tables import Table
 
 __all__ = [
     "TECHNIQUES",
     "CpuSummary",
     "MachineSummary",
     "Table",
-    "bar_chart",
     "barrier_scaling_table",
     "compare_schedules",
     "cpu_scaling_table",
@@ -58,8 +57,6 @@ __all__ = [
     "summary_table",
     "rmw_handoff_table",
     "rollback_cost_table",
-    "series_chart",
-    "speedup_table",
     "stall_breakdown_table",
     "traffic_table",
 ]

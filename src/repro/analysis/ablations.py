@@ -18,14 +18,13 @@ contributes:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
-from ..consistency.models import RC, SC
+from ..consistency.models import SC
 from ..cpu.config import ProcessorConfig
 from ..memory.types import CacheConfig
 from ..system.machine import run_workload
-from ..workloads.paper_examples import example1_program, example2_program
+from ..workloads.paper_examples import example2_program
 from ..workloads.synthetic import delayed_store_chain
 from .tables import Table
 

@@ -25,7 +25,6 @@ from ..core.timing import (
     AnalyticalTimingModel,
     TimingConfig,
 )
-from ..memory.types import CacheConfig
 from ..system.machine import run_workload
 from ..workloads.figure5 import Figure5Result, run_figure5
 from ..workloads.paper_examples import (
@@ -40,7 +39,6 @@ from ..workloads.synthetic import (
     critical_section_segment,
     critical_section_workload,
     pointer_chase_segment,
-    producer_consumer_workload,
     random_segment,
 )
 from .tables import Table

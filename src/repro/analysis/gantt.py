@@ -13,7 +13,7 @@ Used by the examples and handy in a REPL when exploring schedules.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..core.timing import ScheduleResult
 

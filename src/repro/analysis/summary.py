@@ -8,7 +8,7 @@ network traffic — per CPU and machine-wide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from ..system.machine import RunResult
 from .tables import Table

@@ -1,14 +1,13 @@
-"""Plain-text tables and charts for experiment reports.
+"""Plain-text tables for experiment reports.
 
 No plotting dependencies: every figure the paper implies is rendered as
-an aligned text table or an ASCII bar chart, which also makes the
-report output diffable.
+an aligned text table, which also makes the report output diffable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
@@ -61,55 +60,3 @@ class Table:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
-
-def bar_chart(
-    title: str,
-    data: Mapping[str, float],
-    width: int = 50,
-    unit: str = "",
-) -> str:
-    """Render a horizontal ASCII bar chart, scaled to the max value."""
-    if not data:
-        return f"{title}\n(no data)"
-    label_width = max(len(k) for k in data)
-    peak = max(data.values()) or 1.0
-    lines = [title, "=" * len(title)]
-    for label, value in data.items():
-        bar = "#" * max(1 if value > 0 else 0, int(round(value / peak * width)))
-        suffix = f" {value:g}{unit}"
-        lines.append(f"{label.ljust(label_width)} |{bar}{suffix}")
-    return "\n".join(lines)
-
-
-def series_chart(
-    title: str,
-    xs: Sequence[float],
-    series: Mapping[str, Sequence[float]],
-    x_label: str = "x",
-    width: int = 12,
-) -> str:
-    """Render multiple y-series against shared x values as a table.
-
-    (The paper has no plots; sweeps print as aligned series so the
-    crossover structure is readable.)
-    """
-    table = Table(title, [x_label] + list(series.keys()))
-    for i, x in enumerate(xs):
-        table.add_row(x, *(s[i] for s in series.values()))
-    return table.render()
-
-
-def speedup_table(
-    title: str,
-    baseline: Mapping[str, float],
-    improved: Mapping[str, float],
-    baseline_name: str = "baseline",
-    improved_name: str = "improved",
-) -> Table:
-    """A baseline-vs-improved table with a speedup column."""
-    table = Table(title, ["configuration", baseline_name, improved_name, "speedup"])
-    for key in baseline:
-        b, i = baseline[key], improved.get(key)
-        speedup = (b / i) if i else None
-        table.add_row(key, b, i, speedup)
-    return table

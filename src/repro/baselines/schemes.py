@@ -26,13 +26,12 @@ same segments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..consistency.models import SC, ConsistencyModel
 from ..core.timing import (
     AccessSpec,
     AnalyticalTimingModel,
-    ScheduleResult,
     TimingConfig,
 )
 from ..sim.errors import ConfigurationError

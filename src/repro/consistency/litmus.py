@@ -17,7 +17,6 @@ an executable form.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -200,21 +199,6 @@ class LitmusTest:
                     visited.add(state)
                     stack.append(state)
         return frozenset(tuple(zip(names, regs)) for regs in results)
-
-    # ------------------------------------------------------------------
-    def axiomatic_outcomes(self, model: ConsistencyModel) -> FrozenSet[Outcome]:
-        """The outcome set by the *axiomatic* (herd-style) semantics.
-
-        Same shape as :meth:`outcomes`, derived independently —
-        candidate (rf, co) executions accepted by the model's
-        acyclicity axiom instead of explicit interleaving.  The two
-        sets are provably equal; the differential harness checks it.
-        Thin hook over :func:`repro.analysis.axiomatic.axiomatic_outcomes`
-        (imported lazily — the analysis package depends on this module).
-        """
-        from ..analysis.axiomatic import axiomatic_outcomes
-
-        return axiomatic_outcomes(self, model)
 
     # ------------------------------------------------------------------
     def allows(self, model: ConsistencyModel, **partial: int) -> bool:
@@ -458,18 +442,3 @@ STANDARD_TESTS = {
     "SB+sync": sb_with_sync,
 }
 
-
-def cross_validate_suite(tests: Optional[Sequence[LitmusTest]] = None,
-                         models: Optional[Sequence[ConsistencyModel]] = None):
-    """Run the static race analyzer and the dynamic SC-violation
-    detector over the same litmus suite and report their agreement
-    (every dynamically flagged line must be statically predicted).
-
-    Thin hook over :func:`repro.analysis.static.crosscheck.cross_validate`
-    (imported lazily — the analysis package depends on this module).
-    """
-    from ..analysis.static.crosscheck import cross_validate
-
-    if tests is None:
-        tests = [fn() for fn in STANDARD_TESTS.values()]
-    return cross_validate(tests, models=models)

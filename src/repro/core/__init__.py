@@ -14,7 +14,6 @@ from .timing import (
     AnalyticalTimingModel,
     ScheduleResult,
     TimingConfig,
-    compare_configurations,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "SlbEntry",
     "SpeculativeLoadBuffer",
     "TimingConfig",
-    "compare_configurations",
 ]

@@ -268,21 +268,3 @@ class AnalyticalTimingModel:
                     )
             seen.add(s.label)
 
-
-def compare_configurations(
-    segment: Sequence[AccessSpec],
-    models: Sequence[ConsistencyModel],
-    config: Optional[TimingConfig] = None,
-) -> Dict[Tuple[str, str], int]:
-    """Total cycles for every (model, technique) combination.
-
-    Keys are ``(model_name, technique)`` with technique a key of
-    :data:`TECHNIQUES`.
-    """
-    engine = AnalyticalTimingModel(config)
-    out: Dict[Tuple[str, str], int] = {}
-    for model in models:
-        for tech, (pf, sp) in TECHNIQUES.items():
-            res = engine.schedule(segment, model, prefetch=pf, speculation=sp)
-            out[(model.name, tech)] = res.total_cycles
-    return out

@@ -36,9 +36,6 @@ class ProcessorConfig:
     #: (detection only; no correction)
     enable_sc_detection: bool = False
     prefetches_per_cycle: int = 1
-    #: static branch hints are always honoured; this enables a 2-bit
-    #: counter fallback for unhinted branches (else predict not-taken)
-    dynamic_branch_prediction: bool = True
 
     def __post_init__(self) -> None:
         for name in ("width", "rob_size", "alu_rs_size", "ls_rs_size",

@@ -57,7 +57,7 @@ class Processor(Component):
 
         self.regfile = RegisterFile()
         self.rob = ReorderBuffer(self.config.rob_size)
-        self.predictor = BranchPredictor(self.config.dynamic_branch_prediction)
+        self.predictor = BranchPredictor()
         self.alu_unit = AluUnit(self.rob, self.config.alu_rs_size,
                                 self.config.alu_count, self._on_alu_complete)
         self.branch_unit = BranchUnit(self.rob, self.config.alu_rs_size,

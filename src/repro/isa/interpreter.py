@@ -12,7 +12,7 @@ instruction against a flat memory, with no timing model.  Two uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..sim.errors import SimulationError

@@ -9,7 +9,7 @@ the protocol relies on (e.g. INVAL ordered before a later DATA).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..coherence.messages import Message, NodeId
 from ..sim.errors import ConfigurationError

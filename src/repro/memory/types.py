@@ -7,7 +7,7 @@ Addresses are word-granular integers.  A cache line covers
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from ..sim.errors import ConfigurationError

@@ -33,13 +33,11 @@ from .accounting import (
     breakdown_from_stats,
     machine_breakdown,
     per_cpu_breakdowns,
-    render_breakdown,
 )
 from .effectiveness import (
     PrefetchEffectiveness,
     SpeculationEffectiveness,
     prefetch_effectiveness,
-    render_effectiveness,
     speculation_effectiveness,
 )
 from .archtrace import (
@@ -98,8 +96,6 @@ __all__ = [
     "read_archtrace",
     "read_jsonl",
     "read_ledger",
-    "render_breakdown",
-    "render_effectiveness",
     "request_hash",
     "speculation_effectiveness",
     "to_trace_events",

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..sim.stats import Counter, StatsRegistry
 
@@ -205,22 +205,3 @@ def machine_breakdown(stats: StatsRegistry, num_cpus: int) -> CycleBreakdown:
         total = total.merged_with(bd)
     return total
 
-
-def render_breakdown(
-    breakdowns: Mapping[str, CycleBreakdown],
-    title: str = "cycle breakdown",
-) -> str:
-    """Plain-text per-row breakdown table (no heavy dependencies, so
-    ``run.py --breakdown`` stays importable from anywhere)."""
-    columns = ["" ] + [cause.value for cause in CAUSES] + ["total"]
-    rows: List[List[str]] = []
-    for label, bd in breakdowns.items():
-        rows.append([label] + [str(bd.get(c)) for c in CAUSES] + [str(bd.total)])
-    widths = [max(len(columns[i]), *(len(r[i]) for r in rows)) if rows
-              else len(columns[i])
-              for i in range(len(columns))]
-    lines = [title, "-" * len(title)]
-    lines.append("  ".join(c.rjust(w) for c, w in zip(columns, widths)))
-    for row in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)

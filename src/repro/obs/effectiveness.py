@@ -40,10 +40,6 @@ from ..sim.stats import StatsRegistry
 SNOOP_KINDS = ("inval", "update", "replacement")
 
 
-def _ratio(part: int, whole: int) -> float:
-    return part / whole if whole else 0.0
-
-
 @dataclass
 class PrefetchEffectiveness:
     """One CPU's prefetch outcome counts (cache + prefetcher counters)."""
@@ -56,16 +52,6 @@ class PrefetchEffectiveness:
     late: int               # demand access merged onto the in-flight miss
     useful_hits: int        # demand access hit the completed line
     useless_invalidated: int  # line lost before any demand access
-
-    @property
-    def useful(self) -> int:
-        """Prefetches that saved some or all of a demand miss."""
-        return self.late + self.useful_hits
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of issued prefetches that were used at all."""
-        return _ratio(self.useful, self.issued)
 
     @classmethod
     def from_stats(cls, stats: StatsRegistry, cpu: int) -> "PrefetchEffectiveness":
@@ -82,19 +68,6 @@ class PrefetchEffectiveness:
             useful_hits=c(f"cache{cpu}/prefetches_useful_hit"),
             useless_invalidated=c(f"cache{cpu}/prefetches_useless_invalidated"),
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "cpu": self.cpu,
-            "requested": self.requested,
-            "exclusive": self.exclusive,
-            "issued": self.issued,
-            "discarded": self.discarded,
-            "late": self.late,
-            "useful_hits": self.useful_hits,
-            "useless_invalidated": self.useless_invalidated,
-            "accuracy": round(self.accuracy, 4),
-        }
 
 
 @dataclass
@@ -113,11 +86,6 @@ class SpeculationEffectiveness:
     @property
     def corrections(self) -> int:
         return self.reissues + self.rollbacks
-
-    @property
-    def confirmation_rate(self) -> float:
-        """Fraction of speculations that survived untouched."""
-        return _ratio(self.confirmed, self.inserted)
 
     @classmethod
     def from_stats(cls, stats: StatsRegistry, cpu: int) -> "SpeculationEffectiveness":
@@ -142,19 +110,6 @@ class SpeculationEffectiveness:
             squash_reasons=reasons,
         )
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "cpu": self.cpu,
-            "inserted": self.inserted,
-            "confirmed": self.confirmed,
-            "reissues": self.reissues,
-            "rollbacks": self.rollbacks,
-            "confirmation_rate": round(self.confirmation_rate, 4),
-            "reissue_causes": dict(self.reissue_causes),
-            "rollback_causes": dict(self.rollback_causes),
-            "squash_reasons": dict(self.squash_reasons),
-        }
-
 
 def prefetch_effectiveness(stats: StatsRegistry,
                            num_cpus: int) -> List[PrefetchEffectiveness]:
@@ -167,27 +122,3 @@ def speculation_effectiveness(stats: StatsRegistry,
     return [SpeculationEffectiveness.from_stats(stats, cpu)
             for cpu in range(num_cpus)]
 
-
-def render_effectiveness(stats: StatsRegistry, num_cpus: int) -> str:
-    """A plain-text effectiveness report (no heavy dependencies)."""
-    lines: List[str] = ["technique effectiveness",
-                        "-----------------------"]
-    for pf in prefetch_effectiveness(stats, num_cpus):
-        lines.append(
-            f"cpu{pf.cpu} prefetch: requested={pf.requested} "
-            f"issued={pf.issued} discarded={pf.discarded} "
-            f"late={pf.late} useful_hits={pf.useful_hits} "
-            f"useless={pf.useless_invalidated} "
-            f"accuracy={pf.accuracy:.0%}")
-    for sp in speculation_effectiveness(stats, num_cpus):
-        cause_bits = [f"{kind}={n}" for kind, n
-                      in {**sp.reissue_causes, **{
-                          f"rb:{k}": v for k, v in sp.rollback_causes.items()
-                      }}.items() if n]
-        causes = f" causes[{' '.join(cause_bits)}]" if cause_bits else ""
-        lines.append(
-            f"cpu{sp.cpu} speculation: inserted={sp.inserted} "
-            f"confirmed={sp.confirmed} reissues={sp.reissues} "
-            f"rollbacks={sp.rollbacks} "
-            f"confirmed={sp.confirmation_rate:.0%}{causes}")
-    return "\n".join(lines)

@@ -70,21 +70,20 @@ def read_jsonl(source: Union[str, IO[str]]) -> List[TraceEvent]:
 
 
 class JsonlTraceRecorder(TraceRecorder):
-    """A :class:`TraceRecorder` that *also* streams every accepted event
-    to a JSONL file.
+    """A :class:`TraceRecorder` that *also* streams every event to a
+    JSONL file.
 
-    The in-memory side keeps the normal recorder semantics (kind
-    filtering, optional ``max_events`` ring buffer), so post-run code
-    that inspects ``events`` still works; the stream receives every
-    event that passed the filter, including ones the ring buffer later
-    discards.  ``streamed`` counts the lines written.
+    The in-memory side keeps the normal recorder semantics (optional
+    ``max_events`` ring buffer), so post-run code that inspects
+    ``events`` still works; the stream receives every event, including
+    ones the ring buffer later discards.  ``streamed`` counts the lines
+    written.
 
     Use as a context manager, or call :meth:`close` when done.
     """
 
-    def __init__(self, path: str, kinds: Optional[Iterable[str]] = None,
-                 max_events: Optional[int] = None) -> None:
-        super().__init__(kinds=kinds, enabled=True, max_events=max_events)
+    def __init__(self, path: str, max_events: Optional[int] = None) -> None:
+        super().__init__(enabled=True, max_events=max_events)
         self.path = path
         self._fh: Optional[IO[str]] = open(path, "w")
         self.streamed = 0

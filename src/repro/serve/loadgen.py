@@ -27,7 +27,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .client import ServeClient, ServeClientError
 from .protocol import (

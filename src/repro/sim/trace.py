@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,10 @@ class TraceEvent:
 class TraceRecorder:
     """Accumulates :class:`TraceEvent` records.
 
-    Recording can be filtered by ``kinds`` to keep long simulations
-    cheap; with ``kinds=None`` everything is kept.  ``max_events``
-    turns the recorder into a bounded ring buffer: once full, the
-    oldest event is discarded for each new one and ``dropped`` counts
-    the discards.  ``max_events=None`` keeps everything (the historical
-    behaviour, right for short runs and golden-trace tests).
+    ``max_events`` turns the recorder into a bounded ring buffer: once
+    full, the oldest event is discarded for each new one and ``dropped``
+    counts the discards.  ``max_events=None`` keeps everything (the
+    historical behaviour, right for short runs and golden-trace tests).
     """
 
     #: ring-buffer bound batch entry points default to (``run.py``,
@@ -55,14 +53,12 @@ class TraceRecorder:
 
     def __init__(
         self,
-        kinds: Optional[Iterable[str]] = None,
         enabled: bool = True,
         max_events: Optional[int] = None,
     ) -> None:
         if max_events is not None and max_events < 1:
             raise ValueError(f"max_events must be >= 1 or None, got {max_events}")
         self._events: Deque[TraceEvent] = deque()
-        self._kinds = frozenset(kinds) if kinds is not None else None
         self.enabled = enabled
         self.max_events = max_events
         self.dropped = 0
@@ -74,11 +70,8 @@ class TraceRecorder:
 
     def record(self, cycle: int, source: str, kind: str,
                **detail: Any) -> Optional[TraceEvent]:
-        """Keep the event unless filtered out; returns the event kept
-        (``None`` when dropped by ``enabled``/``kinds``)."""
+        """Keep the event; returns it (``None`` when not ``enabled``)."""
         if not self.enabled:
-            return None
-        if self._kinds is not None and kind not in self._kinds:
             return None
         if self.max_events is not None and len(self._events) >= self.max_events:
             self._events.popleft()

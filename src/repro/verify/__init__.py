@@ -32,11 +32,11 @@ from .harness import (
     HarnessConfig,
     OracleDisagreement,
     RunConfig,
-    apply_fault,
     check_named,
     check_seed,
     check_test,
     divergence_reproduces,
+    injected_fault,
     leg_jobs,
     observed_outcome,
 )
@@ -58,7 +58,6 @@ __all__ = [
     "OracleDisagreement",
     "RunConfig",
     "TECHNIQUE_COMBOS",
-    "apply_fault",
     "check_named",
     "check_seed",
     "check_test",
@@ -66,6 +65,7 @@ __all__ = [
     "divergence_reproduces",
     "divergence_to_dict",
     "generate_litmus",
+    "injected_fault",
     "leg_jobs",
     "litmus_from_dict",
     "litmus_to_dict",

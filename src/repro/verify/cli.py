@@ -215,7 +215,7 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     corpus = Corpus()
     for failure in failures:
         if suite:
-            test = STANDARD_TESTS[failure.test_name]()
+            test = STANDARD_TESTS[names[failure.index]]()
         else:
             test = generate_litmus(failure.seed, gen_config)
         label = (f"test {failure.test_name!r}" if suite

@@ -24,15 +24,16 @@ huge fuzz slices), or ``all`` (the default three-way).
 picklable :class:`CheckResult` out, so fuzzing parallelizes across
 processes.  ``check_named`` is its sibling for the named litmus suite.
 A small **fault registry** can deliberately break the speculative-load
-buffer inside the worker process; the fuzzer finding those mutations
-proves the harness has teeth.
+buffer while one check's simulator legs run (:func:`injected_fault`);
+the fuzzer finding those mutations proves the harness has teeth.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 from ..consistency.litmus import LitmusTest, Outcome
 from ..consistency.models import get_model
@@ -108,7 +109,8 @@ class HarnessConfig:
     models: Tuple[str, ...] = MODEL_NAMES
     techniques: Tuple[Tuple[bool, bool], ...] = TECHNIQUE_COMBOS
     run_configs: Tuple[RunConfig, ...] = DEFAULT_RUN_CONFIGS
-    #: name of a registered fault to apply in the worker (tests only)
+    #: name of a registered fault to inject while the simulator legs
+    #: run (self-test only; see :func:`injected_fault`)
     fault: Optional[str] = None
     #: which oracle legs to run: "sim", "axiomatic", or "all"
     oracle: str = "all"
@@ -234,32 +236,29 @@ def _fault_slb_forgets_acquires() -> Callable[[], None]:
     return undo
 
 
-#: each fault applies a monkeypatch and returns an undo callable, so
-#: the localizer can run clean reference legs in the same process
+#: each fault applies a monkeypatch and returns an undo callable
 FAULTS = {
     "slb-deaf": _fault_slb_deaf,
     "slb-forgets-acquires": _fault_slb_forgets_acquires,
 }
 
-_applied_faults: Dict[str, Callable[[], None]] = {}
 
-
-def apply_fault(name: str) -> None:
-    """Apply a registered fault (idempotent, per-process)."""
+@contextmanager
+def injected_fault(name: Optional[str]) -> Iterator[None]:
+    """Apply the registered fault ``name`` for the duration of the
+    block and undo it on exit (``None`` injects nothing), so a fault
+    never outlives the check that asked for it."""
+    if name is None:
+        yield
+        return
     if name not in FAULTS:
         raise ConfigurationError(
             f"unknown fault {name!r}; available: {sorted(FAULTS)}")
-    if name not in _applied_faults:
-        _applied_faults[name] = FAULTS[name]()
-
-
-def clear_faults() -> List[str]:
-    """Undo every applied fault; returns their names (so a caller can
-    re-apply after running clean reference legs)."""
-    names = list(_applied_faults)
-    for name in names:
-        _applied_faults.pop(name)()
-    return names
+    undo = FAULTS[name]()
+    try:
+        yield
+    finally:
+        undo()
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +283,6 @@ def check_test(test: LitmusTest, config: HarnessConfig = HarnessConfig(),
     tests per second.
     """
     _validate(config)
-    if config.fault is not None:
-        apply_fault(config.fault)
     _tm().inc("verify/tests")
     out = CheckResult(index=index, seed=seed, test_name=test.name)
     reference, axiomatic = _static_oracles(test, config, out)
@@ -294,7 +291,8 @@ def check_test(test: LitmusTest, config: HarnessConfig = HarnessConfig(),
         if config.server is not None:
             outcomes = _server_outcomes(test, legs, config.server)
         else:
-            outcomes = _observed_outcomes(test, legs, config.backend)
+            with injected_fault(config.fault):
+                outcomes = _observed_outcomes(test, legs, config.backend)
         _classify_outcomes(test, out, legs, outcomes, reference, axiomatic)
     return out
 

@@ -8,10 +8,10 @@ and diffs it against reference runs to pin the **first divergent
 architectural event**:
 
 * with a fault injected (the ``--fault`` self-test and any future
-  in-process fault), the references are *clean* runs — faults are
-  reversible (:func:`~repro.verify.harness.clear_faults`), so the
-  localizer undoes them, runs a clean scalar and a clean batched
-  reference, re-applies the fault, and diffs the faulted subject
+  in-process fault), the references are *clean* runs — a fault is
+  active only inside :func:`~repro.verify.harness.injected_fault`, so
+  the localizer runs a clean scalar and a clean batched reference,
+  then the subject inside that scope, and diffs the faulted subject
   against both (``scalar-vs-scalar`` and ``scalar-vs-batched``);
 * with no fault, the failure is either a genuine model bug or a
   backend-parity break, and the localizer runs the leg on both
@@ -41,8 +41,7 @@ from .harness import (
     Divergence,
     HarnessConfig,
     RunConfig,
-    apply_fault,
-    clear_faults,
+    injected_fault,
     leg_jobs,
 )
 
@@ -152,18 +151,12 @@ def localize_divergence(test: LitmusTest, divergence: Divergence,
         return path
 
     if config.fault:
-        # the subject must actually carry the fault in this process
-        apply_fault(config.fault)
-        faults = clear_faults()
-        try:
-            ref_scalar = _run_leg(test, *leg[:3], run_config,
-                                  force_scalar=True)
-            ref_batched = _run_leg(test, *leg[:3], run_config,
-                                   force_scalar=False)
-        finally:
-            for name in faults:
-                apply_fault(name)
-        subject = _run_leg(test, *leg[:3], run_config, force_scalar=True)
+        ref_scalar = _run_leg(test, *leg[:3], run_config, force_scalar=True)
+        ref_batched = _run_leg(test, *leg[:3], run_config,
+                               force_scalar=False)
+        with injected_fault(config.fault):
+            subject = _run_leg(test, *leg[:3], run_config,
+                               force_scalar=True)
         p_subject = write(subject, "faulted-scalar")
         p_ref_s = write(ref_scalar, "clean-scalar")
         p_ref_b = write(ref_batched, "clean-batched")

@@ -11,15 +11,12 @@ interpreter:
   exchange makes consistency visible);
 * **work queue** — a lock-protected shared queue: a producer enqueues
   task indices, consumers dequeue and process them (lock hand-off +
-  irregular sharing);
-* **reduction tree** — each CPU computes a local sum, then pairwise
-  combination up a tree using flag synchronization (release/acquire
-  chains of increasing span).
+  irregular sharing).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..isa.program import Program, ProgramBuilder
 from .synthetic import MultiprocessorWorkload
@@ -27,7 +24,6 @@ from .synthetic import MultiprocessorWorkload
 GRID_BASE = 0x2000
 GRID_SCRATCH = 0x3000
 QUEUE_BASE = 0x4000
-REDUCE_BASE = 0x5000
 SYNC_BASE = 0x6000
 
 
@@ -150,70 +146,3 @@ def work_queue_workload(
                      + [(head, num_tasks)],
     )
 
-
-# ----------------------------------------------------------------------
-# Reduction tree
-# ----------------------------------------------------------------------
-
-def reduction_workload(
-    num_cpus: int = 4,
-    values_per_cpu: int = 2,
-) -> MultiprocessorWorkload:
-    """A binary combining tree with flag-based hand-offs.
-
-    Each CPU sums ``values_per_cpu`` private inputs into its slot and
-    releases a flag.  At level k, CPU ``i`` (multiple of 2^(k+1))
-    acquires its partner's flag, adds the partner's partial sum, and
-    releases the next-level flag.  CPU 0 publishes the grand total.
-    """
-    if num_cpus & (num_cpus - 1):
-        raise ValueError("reduction tree needs a power-of-two CPU count")
-
-    value = lambda cpu, j: REDUCE_BASE + 4 * (cpu * values_per_cpu + j)
-    partial = lambda cpu: REDUCE_BASE + 0x100 + 4 * cpu
-    flag = lambda cpu, level: REDUCE_BASE + 0x200 + 4 * (level * num_cpus + cpu)
-    total_addr = REDUCE_BASE + 0x300
-
-    levels = num_cpus.bit_length() - 1
-    programs: List[Program] = []
-    for cpu in range(num_cpus):
-        b = ProgramBuilder()
-        b.mov_imm("r1", 0)
-        for j in range(values_per_cpu):
-            b.load("r2", addr=value(cpu, j), tag=f"in{j}")
-            b.add("r1", "r1", "r2")
-        b.store("r1", addr=partial(cpu), tag="partial")
-        b.release_store_imm(1, addr=flag(cpu, 0), tag="flag0")
-        for level in range(levels):
-            stride = 1 << level
-            if cpu % (2 * stride) == 0:
-                partner = cpu + stride
-                b.spin_until_set(addr=flag(partner, level),
-                                 tag=f"wait p{partner} l{level}")
-                b.load("r2", addr=partial(partner), tag=f"peer l{level}")
-                b.add("r1", "r1", "r2")
-                b.store("r1", addr=partial(cpu))
-                b.release_store_imm(1, addr=flag(cpu, level + 1),
-                                    tag=f"flag{level + 1}")
-            else:
-                break  # this CPU's job ended at its last release
-        if cpu == 0:
-            b.store("r1", addr=total_addr, tag="total")
-        programs.append(b.build())
-
-    memory: Dict[int, int] = {total_addr: 0}
-    expected_total = 0
-    for cpu in range(num_cpus):
-        for j in range(values_per_cpu):
-            v = cpu * 10 + j + 1
-            memory[value(cpu, j)] = v
-            expected_total += v
-        memory[partial(cpu)] = 0
-        for level in range(levels + 1):
-            memory[flag(cpu, level)] = 0
-    return MultiprocessorWorkload(
-        name=f"reduction-{num_cpus}x{values_per_cpu}",
-        programs=programs,
-        initial_memory=memory,
-        expectations=[(total_addr, expected_total)],
-    )

@@ -24,7 +24,6 @@ from typing import Dict, List, Tuple
 
 from ..consistency.access_class import (
     ACQUIRE,
-    ACQUIRE_RMW,
     PLAIN_LOAD,
     PLAIN_STORE,
     RELEASE,

@@ -25,7 +25,6 @@ from ..consistency.access_class import (
     PLAIN_LOAD,
     PLAIN_STORE,
     RELEASE,
-    AccessClass,
 )
 from ..core.timing import AccessSpec
 from ..isa.program import Program, ProgramBuilder
@@ -127,16 +126,6 @@ def pointer_chase_segment(length: int = 6, hit_fraction: float = 0.0,
         segment.append(AccessSpec(label, PLAIN_LOAD,
                                   hit=r.random() < hit_fraction, deps=deps))
         prev = label
-    return segment
-
-
-def producer_segment(writes: int = 4, hit_fraction: float = 0.0,
-                     rng: RngLike = 0) -> List[AccessSpec]:
-    """Produce data, then release a flag (Example-1 generalization)."""
-    r = _rng(rng)
-    segment = [AccessSpec(f"w{i}", PLAIN_STORE, hit=r.random() < hit_fraction)
-               for i in range(writes)]
-    segment.append(AccessSpec("flag", RELEASE, hit=True))
     return segment
 
 
@@ -442,23 +431,4 @@ def delayed_store_chain(
     for i, addr in enumerate(addrs):
         b.store_imm(i + 1, addr=addr, tag=f"w{i}")
     b.unlock(addr=lock_addr, tag="unlock")
-    return b.build()
-
-
-def private_streaming_program(ops: int = 24, stride_lines: int = 1,
-                              base: int = 0x1000, write_fraction: float = 0.5,
-                              rng: RngLike = 0) -> Program:
-    """A single-CPU streaming kernel over private data (no sharing).
-
-    Useful for measuring raw consistency-model overhead without any
-    coherence interference.
-    """
-    r = _rng(rng)
-    b = ProgramBuilder()
-    for i in range(ops):
-        addr = base + 4 * stride_lines * i
-        if r.random() < write_fraction:
-            b.store_imm(i, addr=addr, tag=f"st{i}")
-        else:
-            b.load(f"r{1 + (i % 8)}", addr=addr, tag=f"ld{i}")
     return b.build()

@@ -3,7 +3,7 @@ paper's Sections 3.3 and 4.1 — this is experiment E2/E3's core check."""
 
 import pytest
 
-from repro.consistency import PC, RC, SC, WC
+from repro.consistency import PC, RC, SC, WC, get_model
 from repro.consistency.access_class import (
     ACQUIRE,
     PLAIN_LOAD,
@@ -12,9 +12,9 @@ from repro.consistency.access_class import (
 )
 from repro.core.timing import (
     AccessSpec,
+    TECHNIQUES,
     AnalyticalTimingModel,
     TimingConfig,
-    compare_configurations,
 )
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.workloads.paper_examples import (
@@ -111,8 +111,10 @@ class TestPaperTable:
     )
     def test_matches_paper(self, example, model, technique, expected):
         segment = example1_segment() if example == "example1" else example2_segment()
-        table = compare_configurations(segment, [SC, RC])
-        assert table[(model, technique)] == expected
+        pf, spec = TECHNIQUES[technique]
+        res = ENGINE.schedule(segment, get_model(model), prefetch=pf,
+                              speculation=spec)
+        assert res.total_cycles == expected
 
 
 class TestIntermediateModels:

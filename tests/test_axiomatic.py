@@ -141,12 +141,6 @@ class TestOracleEquality:
             [d.describe() for d in result.oracle_disagreements]
         assert result.num_runs > 0
 
-    def test_litmus_method_matches_module_function(self):
-        test = STANDARD_TESTS["WRC"]()
-        for model in ALL_MODELS:
-            assert test.axiomatic_outcomes(model) == \
-                axiomatic_outcomes(test, model)
-
 
 # ----------------------------------------------------------------------
 # Enumeration internals: candidates, caching

@@ -12,14 +12,11 @@ from repro.baselines import (
 )
 from repro.analysis import (
     Table,
-    bar_chart,
     equalization_table,
     example_cycle_table,
     latency_sweep_table,
     litmus_outcome_table,
     related_work_table,
-    series_chart,
-    speedup_table,
 )
 from repro.consistency import RC, SC
 from repro.core.timing import TimingConfig
@@ -121,23 +118,6 @@ class TestTables:
     def test_none_renders_as_dash(self):
         t = Table("t", ["x"]).add_row(None)
         assert "-" in t.render()
-
-    def test_bar_chart_scales(self):
-        chart = bar_chart("c", {"a": 10, "b": 5}, width=10)
-        lines = chart.splitlines()
-        assert lines[2].count("#") == 10
-        assert lines[3].count("#") == 5
-
-    def test_bar_chart_empty(self):
-        assert "(no data)" in bar_chart("c", {})
-
-    def test_series_chart_renders_all_series(self):
-        text = series_chart("s", [1, 2], {"a": [10, 20], "b": [30, 40]})
-        assert "30" in text and "20" in text
-
-    def test_speedup_table(self):
-        t = speedup_table("s", {"x": 100.0}, {"x": 50.0})
-        assert t.cell(0, "speedup") == 2.0
 
 
 class TestExperimentTables:

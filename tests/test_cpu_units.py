@@ -149,10 +149,6 @@ class TestBranchPredictor:
         assert bp.predict(0, self.branch(predict=True)) is True
         assert bp.predict(0, self.branch(predict=False)) is False
 
-    def test_default_not_taken_without_dynamic(self):
-        bp = BranchPredictor(dynamic=False)
-        assert bp.predict(0, self.branch()) is False
-
     def test_counters_learn_taken_branch(self):
         bp = BranchPredictor()
         b = self.branch()

@@ -19,7 +19,6 @@ from repro.obs.accounting import (
     CycleBreakdown,
     StallCause,
     breakdown_from_stats,
-    render_breakdown,
 )
 from repro.sim.stats import StatsRegistry
 from repro.system import run_workload
@@ -130,15 +129,6 @@ def test_breakdown_survives_registry_merge():
     master.merge_from(result.stats, prefix="cell0/")
     bd = breakdown_from_stats(master, cpu=0, prefix="cell0/")
     assert bd.counts == result.breakdowns()[0].counts
-
-
-def test_render_breakdown_is_aligned_text():
-    bd = CycleBreakdown({StallCause.BUSY: 3, StallCause.READ: 200})
-    text = render_breakdown({"cpu0": bd}, title="t")
-    lines = text.splitlines()
-    assert lines[0] == "t"
-    assert "read_stall" in lines[2]
-    assert lines[-1].split()[-1] == "203"  # total column
 
 
 def test_paper_causes_are_a_subset_in_order():

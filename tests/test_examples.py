@@ -53,11 +53,6 @@ class TestExamples:
                           argv=["example1"])
         assert "301 cycles" in out and "103 cycles" in out
 
-    def test_trace_analysis(self, monkeypatch, capsys):
-        out = run_example("trace_analysis", monkeypatch, capsys)
-        assert "captured trace" in out
-        assert "trace-driven sweep" in out
-
     def test_sc_violation_detector(self, monkeypatch, capsys):
         out = run_example("sc_violation_detector", monkeypatch, capsys)
         assert "no potential SC violations" in out

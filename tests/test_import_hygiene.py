@@ -1,4 +1,6 @@
-"""Scalar legs do not load numpy, the lockstep engine or a process pool.
+"""Import direction: scalar legs do not load numpy, the lockstep engine
+or a process pool, and the consistency layer does not reach up into
+analysis.
 
 ``repro.sim.batch`` is the only numpy user; the job type and the scalar
 way to run a job live in ``repro.system.jobs`` so that a scalar fuzz
@@ -10,6 +12,7 @@ not pay for ``multiprocessing`` (22-25 ms of a ~100 ms ``import repro``).
 interpreter (this one has long since imported the batch tests).
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +50,32 @@ def test_scalar_paths_never_import_numpy_or_the_batch_engine():
                           env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _imported_modules(path: Path, package: str):
+    """Every module ``path`` imports, at any depth (lazy imports
+    included), with relative imports resolved against ``package``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.split(".")
+            if node.level:
+                base = base[:len(base) - node.level + 1]
+                yield ".".join(base + ([node.module] if node.module else []))
+            else:
+                yield node.module
+
+
+def test_consistency_never_imports_analysis():
+    """``repro.analysis`` builds on ``repro.consistency``; an import the
+    other way round (even a lazy one inside a function) is a cycle."""
+    package_dir = Path(SRC) / "repro" / "consistency"
+    upward = {
+        path.name: sorted(name for name in
+                          _imported_modules(path, "repro.consistency")
+                          if name.startswith("repro.analysis"))
+        for path in sorted(package_dir.glob("*.py"))
+    }
+    assert len(upward) > 3
+    assert not {name: mods for name, mods in upward.items() if mods}

@@ -18,7 +18,6 @@ from repro.verify.harness import (
     Divergence,
     HarnessConfig,
     check_test,
-    clear_faults,
 )
 from repro.verify.localize import LocalizationResult, localize_divergence
 
@@ -36,14 +35,11 @@ class TestFaultLocalization:
     def test_injected_fault_is_pinned_to_first_arch_event(self, tmp_path):
         test = STANDARD_TESTS["SB"]()
         config = _fault_config()
-        try:
-            result = check_test(test, config)
-            assert result.divergences, "fault must be caught first"
-            loc = localize_divergence(test, result.divergences[0],
-                                      config=config, test_name="SB",
-                                      out_dir=str(tmp_path))
-        finally:
-            clear_faults()
+        result = check_test(test, config)
+        assert result.divergences, "fault must be caught first"
+        loc = localize_divergence(test, result.divergences[0],
+                                  config=config, test_name="SB",
+                                  out_dir=str(tmp_path))
 
         assert set(loc.reports) == {"scalar-vs-scalar", "scalar-vs-batched"}
         for name, report in loc.reports.items():
@@ -62,13 +58,10 @@ class TestFaultLocalization:
     def test_localization_round_trips_and_lands_in_corpus(self, tmp_path):
         test = STANDARD_TESTS["SB"]()
         config = _fault_config()
-        try:
-            result = check_test(test, config)
-            loc = localize_divergence(test, result.divergences[0],
-                                      config=config, test_name="SB",
-                                      out_dir=str(tmp_path / "loc"))
-        finally:
-            clear_faults()
+        result = check_test(test, config)
+        loc = localize_divergence(test, result.divergences[0],
+                                  config=config, test_name="SB",
+                                  out_dir=str(tmp_path / "loc"))
 
         again = LocalizationResult.from_dict(loc.to_dict())
         assert again.fault == "slb-deaf"

@@ -6,7 +6,6 @@ from repro.consistency import PC, RC, SC, WC
 from repro.system import run_workload
 from repro.workloads import (
     grid_relaxation_workload,
-    reduction_workload,
     work_queue_workload,
 )
 
@@ -66,18 +65,3 @@ class TestWorkQueue:
         check(work_queue_workload(num_consumers=3, num_tasks=2),
               RC, True, True)
 
-
-class TestReduction:
-    @pytest.mark.parametrize("name,model,pf,spec", CONFIGS,
-                             ids=[c[0] for c in CONFIGS])
-    def test_tree_total_correct(self, name, model, pf, spec):
-        check(reduction_workload(num_cpus=4, values_per_cpu=2),
-              model, pf, spec)
-
-    def test_two_cpus(self):
-        check(reduction_workload(num_cpus=2, values_per_cpu=3),
-              RC, True, True)
-
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            reduction_workload(num_cpus=3)

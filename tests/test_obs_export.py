@@ -7,7 +7,6 @@ import pytest
 from repro.obs.effectiveness import (
     PrefetchEffectiveness,
     SpeculationEffectiveness,
-    render_effectiveness,
 )
 from repro.obs.jsonl import JsonlTraceRecorder, read_jsonl, write_jsonl
 from repro.obs.perfetto import (
@@ -38,13 +37,6 @@ class TestRingBuffer:
         assert len(tr.events) == 10
         assert tr.dropped == 15
         assert [ev.detail["i"] for ev in tr.events] == list(range(15, 25))
-
-    def test_filtered_events_do_not_count_as_dropped(self):
-        tr = TraceRecorder(kinds=("keep",), max_events=5)
-        for i in range(20):
-            tr.record(i, "x", "skip")
-        assert tr.events == []
-        assert tr.dropped == 0
 
     def test_clear_resets_dropped(self):
         tr = TraceRecorder(max_events=1)
@@ -222,9 +214,8 @@ class TestEffectiveness:
         s.counter("cache0/prefetches_useful_hit").inc(1)
         s.counter("cache0/prefetches_useless_invalidated").inc(1)
         pf = PrefetchEffectiveness.from_stats(s, 0)
-        assert pf.issued == 5 and pf.useful == 3
-        assert pf.accuracy == pytest.approx(0.6)
-        assert pf.as_dict()["useless_invalidated"] == 1
+        assert pf.requested == 8 and pf.issued == 5
+        assert (pf.late, pf.useful_hits, pf.useless_invalidated) == (2, 1, 1)
 
     def test_speculation_counters_roundtrip(self):
         s = StatsRegistry()
@@ -235,15 +226,9 @@ class TestEffectiveness:
         s.counter("cpu0/slb/rollback_cause/inval").inc(1)
         s.counter("cpu0/squash_reason/speculative_load_violated").inc(1)
         sp = SpeculationEffectiveness.from_stats(s, 0)
-        assert sp.corrections == 2
-        assert sp.confirmation_rate == pytest.approx(0.8)
+        assert (sp.inserted, sp.confirmed, sp.corrections) == (10, 8, 2)
         assert sp.rollback_causes["inval"] == 1
         assert sp.squash_reasons == {"speculative_load_violated": 1}
-
-    def test_render_is_text(self):
-        s = StatsRegistry()
-        text = render_effectiveness(s, num_cpus=1)
-        assert "cpu0 prefetch" in text and "cpu0 speculation" in text
 
 
 # ----------------------------------------------------------------------

@@ -261,12 +261,6 @@ class TestTraceRecorder:
         assert [e.kind for e in tr.of_kind("squash")] == ["squash"]
         assert tr.first("issue").detail["tag"] == "ld A"
 
-    def test_kind_filter_drops_unwanted(self):
-        tr = TraceRecorder(kinds=["squash"])
-        tr.record(1, "lsu", "issue")
-        tr.record(2, "slb", "squash")
-        assert [e.kind for e in tr.events] == ["squash"]
-
     def test_disabled_recorder_records_nothing(self):
         tr = TraceRecorder(enabled=False)
         tr.record(1, "x", "y")

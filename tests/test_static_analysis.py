@@ -13,12 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.static import analyze_programs, apply_fence_suggestions
+from repro.analysis.static import (
+    analyze_programs,
+    apply_fence_suggestions,
+    cross_validate,
+)
 from repro.analysis.static.cli import selfcheck
 from repro.consistency import PC, RC, SC, WC
 from repro.consistency.litmus import (
     STANDARD_TESTS,
-    cross_validate_suite,
     message_passing_sync,
     sb_with_sync,
     store_buffering,
@@ -189,19 +192,17 @@ class TestCrossValidation:
     def test_static_covers_dynamic_on_core_suite(self):
         tests = [STANDARD_TESTS["SB"](), STANDARD_TESTS["MP+sync"](),
                  sb_with_sync()]
-        report = cross_validate_suite(tests=tests, models=[SC, WC, RC])
+        report = cross_validate(tests, models=[SC, WC, RC])
         assert report.ok, report.render()
 
     def test_dynamic_detector_actually_fires_somewhere(self):
         """Guard against vacuous agreement: the relaxed machine must
         dynamically flag the store-buffering race at least once."""
-        report = cross_validate_suite(tests=[STANDARD_TESTS["SB"]()],
-                                      models=[WC])
+        report = cross_validate([STANDARD_TESTS["SB"]()], models=[WC])
         assert any(case.dynamic_lines for case in report.cases)
 
     def test_sc_machine_never_flagged(self):
-        report = cross_validate_suite(tests=[STANDARD_TESTS["SB"]()],
-                                      models=[SC])
+        report = cross_validate([STANDARD_TESTS["SB"]()], models=[SC])
         for case in report.cases:
             assert not case.dynamic_lines
             assert not case.static_lines

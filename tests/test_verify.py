@@ -30,6 +30,7 @@ from repro.verify import (
     litmus_to_dict,
     minimize,
     observed_outcome,
+    replay_corpus,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -236,7 +237,7 @@ class TestCorpus:
 
 
 # ----------------------------------------------------------------------
-# CLI and fault injection (subprocess: faults patch classes in-process)
+# CLI and fault injection
 # ----------------------------------------------------------------------
 
 def _run_verify(*args):
@@ -302,6 +303,30 @@ class TestCli:
         proc = _run_verify("--replay", str(fixed))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "replay: OK" in proc.stdout
+
+    def test_suite_failures_land_in_a_replayable_corpus(self, tmp_path,
+                                                        capsys):
+        from repro.verify.cli import main
+
+        corpus_path = tmp_path / "corpus.json"
+        assert main(["--suite", "--fault", "slb-deaf", "--no-minimize",
+                     "--no-ledger", "--quiet",
+                     "--corpus", str(corpus_path)]) == 1
+        assert "FAIL test 'store-buffering'" in capsys.readouterr().out
+        corpus = Corpus.load(corpus_path)
+        assert {entry.fault for entry in corpus.entries} == {"slb-deaf"}
+        assert len(replay_corpus(corpus)) == len(corpus.entries)
+
+    def test_fault_does_not_outlive_its_campaign(self):
+        from repro.core.speculation import SpeculativeLoadBuffer
+        from repro.verify.cli import run_fuzz
+
+        on_snoop = SpeculativeLoadBuffer.on_snoop
+        run_fuzz(budget=2, jobs=1, seed=0, fault="slb-deaf",
+                 do_minimize=False, corpus_path=None, quiet=True, ledger=False)
+        assert SpeculativeLoadBuffer.on_snoop is on_snoop
+        assert run_fuzz(budget=25, jobs=1, seed=0, corpus_path=None,
+                        quiet=True, ledger=False) == 0
 
     def test_replay_of_unreadable_corpus_exits_2(self, tmp_path):
         not_json = tmp_path / "corpus.json"

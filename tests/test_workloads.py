@@ -12,9 +12,7 @@ from repro.workloads import (
     example2_segment,
     figure5_segment,
     pointer_chase_segment,
-    private_streaming_program,
     producer_consumer_workload,
-    producer_segment,
     random_segment,
     random_sharing_workload,
 )
@@ -103,16 +101,11 @@ class TestSegmentGenerators:
         for i, s in enumerate(seg):
             assert s.deps == ((seg[i - 1].label,) if i else ())
 
-    def test_producer_segment_ends_with_release(self):
-        seg = producer_segment(writes=3)
-        assert seg[-1].klass.release
-        assert all(s.klass.is_store for s in seg)
-
     def test_segments_schedule_cleanly(self):
         from repro.core import AnalyticalTimingModel
         engine = AnalyticalTimingModel()
         for seg in (critical_section_segment(), random_segment(rng=5),
-                    pointer_chase_segment(), producer_segment(),
+                    pointer_chase_segment(),
                     example1_segment(), example2_segment(), figure5_segment()):
             res = engine.schedule(seg, SC, prefetch=True, speculation=True)
             assert res.total_cycles > 0
@@ -152,11 +145,3 @@ class TestMultiprocessorWorkloads:
         wl = random_sharing_workload(num_cpus=2, ops_per_cpu=8, rng=1)
         result = run_workload(wl.programs, model=SC, max_cycles=500_000)
         assert result.cycles > 0
-
-    def test_private_streaming_program_matches_interpreter(self):
-        p = private_streaming_program(ops=10, rng=2)
-        expected = interpret(p)
-        result = run_workload([p], model=SC, speculation=True, prefetch=True,
-                              max_cycles=500_000)
-        for addr, value in expected.memory.items():
-            assert result.machine.read_word(addr) == value
