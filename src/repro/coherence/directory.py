@@ -30,7 +30,7 @@ from ..memory.interconnect import Interconnect
 from ..memory.types import LatencyConfig
 from ..sim.errors import ProtocolError
 from ..sim.kernel import Component, Simulator
-from ..sim.trace import NullTraceRecorder, TraceRecorder
+from ..sim.trace import TraceRecorder
 from .messages import DIRECTORY_NODE, Message, MessageKind, NodeId
 
 
@@ -77,7 +77,7 @@ class DirectoryController(Component):
     ) -> None:
         self.sim = sim
         self.net = net
-        self.trace = trace or NullTraceRecorder()
+        self.trace = trace or TraceRecorder(enabled=False)
         self.lat = latencies or LatencyConfig()
         self.line_size = line_size
         self._entries: Dict[int, DirEntry] = {}
@@ -180,9 +180,10 @@ class DirectoryController(Component):
     def _accept_request(self, msg: Message) -> None:
         if msg.line_addr in self._busy:
             self.stat_queued.inc()
-            self.trace.record(self.sim.cycle, "dir", "queued",
-                              line=msg.line_addr, op=msg.kind.value,
-                              src=msg.src)
+            if self.trace.enabled:
+                self.trace.record(self.sim.cycle, "dir", "queued",
+                                  line=msg.line_addr, op=msg.kind.value,
+                                  src=msg.src)
             self._queues.setdefault(msg.line_addr, deque()).append(msg)
             return
         self._start(msg)
@@ -199,15 +200,17 @@ class DirectoryController(Component):
         if msg.kind is MessageKind.UPDATE_WRITE:
             txn.txn_id = msg.txn  # the cache's own txn id, echoed in UPDATE_DONE
         self._busy[msg.line_addr] = txn
-        self.trace.record(self.sim.cycle, "dir", "txn_start",
-                          txn=txn.txn_id, line=txn.line_addr,
-                          op=msg.kind.value, src=msg.src)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, "dir", "txn_start",
+                              txn=txn.txn_id, line=txn.line_addr,
+                              op=msg.kind.value, src=msg.src)
         # Directory lookup + memory access latency, then act.
         self.sim.schedule(self.lat.memory, lambda: self._act(txn))
 
     def _finish(self, txn: Transaction) -> None:
-        self.trace.record(self.sim.cycle, "dir", "txn_finish",
-                          txn=txn.txn_id, line=txn.line_addr)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, "dir", "txn_finish",
+                              txn=txn.txn_id, line=txn.line_addr)
         del self._busy[txn.line_addr]
         queue = self._queues.get(txn.line_addr)
         if queue:
@@ -246,8 +249,9 @@ class DirectoryController(Component):
                 f"owner {ent.owner} issued READ for line {txn.line_addr:#x} it still owns"
             )
         self.stat_recalls.inc()
-        self.trace.record(self.sim.cycle, "dir", "recall_sent",
-                          txn=txn.txn_id, line=txn.line_addr, dst=ent.owner)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, "dir", "recall_sent",
+                              txn=txn.txn_id, line=txn.line_addr, dst=ent.owner)
         self._send(MessageKind.RECALL, ent.owner, txn)
 
     def _act_readx(self, txn: Transaction, upgrade: bool = False) -> None:
@@ -269,9 +273,10 @@ class DirectoryController(Component):
                 return
             for node in others:
                 self.stat_invals.inc()
-                self.trace.record(self.sim.cycle, "dir", "inval_sent",
-                                  txn=txn.txn_id, line=txn.line_addr,
-                                  dst=node)
+                if self.trace.enabled:
+                    self.trace.record(self.sim.cycle, "dir", "inval_sent",
+                                      txn=txn.txn_id, line=txn.line_addr,
+                                      dst=node)
                 self._send(MessageKind.INVAL, node, txn)
             return
         # EXCLUSIVE at another cache: recall-invalidate it.
@@ -280,8 +285,9 @@ class DirectoryController(Component):
                 f"owner {ent.owner} re-requested exclusive line {txn.line_addr:#x}"
             )
         self.stat_recalls.inc()
-        self.trace.record(self.sim.cycle, "dir", "recall_sent",
-                          txn=txn.txn_id, line=txn.line_addr, dst=ent.owner)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, "dir", "recall_sent",
+                              txn=txn.txn_id, line=txn.line_addr, dst=ent.owner)
         self._send(MessageKind.RECALL_INVAL, ent.owner, txn)
 
     def _act_update_write(self, txn: Transaction) -> None:

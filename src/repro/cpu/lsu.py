@@ -44,7 +44,7 @@ from ..memory.cache import LockupFreeCache
 from ..memory.types import AccessKind, AccessRequest, SnoopKind
 from ..sim.kernel import Component, Simulator
 from ..sim.stats import Counter
-from ..sim.trace import NullTraceRecorder, TraceRecorder
+from ..sim.trace import TraceRecorder
 from .config import ProcessorConfig
 from .decode import RMW, STORE, SW_PREFETCH
 from .rob import Operand, ReorderBuffer, RobEntry
@@ -111,7 +111,7 @@ class LoadStoreUnit:
         self.rob = rob
         self.config = config
         self.model: ConsistencyModel = config.model
-        self.trace = trace or NullTraceRecorder()
+        self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}/lsu"
 
         self.rs: Deque[MemOp] = deque()

@@ -21,7 +21,7 @@ from ..memory.cache import LockupFreeCache
 from ..obs.accounting import CycleAccountant
 from ..sim.kernel import Component, Simulator
 from ..sim.stats import Counter
-from ..sim.trace import NullTraceRecorder, TraceRecorder
+from ..sim.trace import TraceRecorder
 from .branch import BranchPredictor
 from .config import ProcessorConfig
 from .decode import ALU, BRANCH, HALT, JUMP, TO_LSU, Decoded, decode_program
@@ -52,7 +52,7 @@ class Processor(Component):
         self.program = program
         self._rows = decode_program(program)
         self.config = config or ProcessorConfig()
-        self.trace = trace or NullTraceRecorder()
+        self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}"
 
         self.regfile = RegisterFile()

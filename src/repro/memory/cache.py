@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..coherence.messages import DIRECTORY_NODE, Message, MessageKind, NodeId
 from ..sim.errors import ProtocolError
 from ..sim.kernel import Component, Simulator
-from ..sim.trace import NullTraceRecorder, TraceRecorder
+from ..sim.trace import TraceRecorder
 from .interconnect import Interconnect
 from .types import (
     AccessKind,
@@ -80,7 +80,7 @@ class LockupFreeCache(Component):
         self.sim = sim
         self.net = net
         self.config = config or CacheConfig()
-        self.trace = trace or NullTraceRecorder()
+        self.trace = trace or TraceRecorder(enabled=False)
         self._sets: List[List[CacheLine]] = [[] for _ in range(self.config.num_sets)]
         self.mshrs: Dict[int, MshrEntry] = {}
         self._snoop_listeners: List[SnoopListener] = []
@@ -336,8 +336,9 @@ class LockupFreeCache(Component):
             self._send(MessageKind.UPGRADE, line_addr)
         else:
             self._send(MessageKind.READX if exclusive else MessageKind.READ, line_addr)
-        self.trace.record(self.sim.cycle, f"cache{self.node}",
-                          "prefetch", line=line_addr, exclusive=exclusive)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, f"cache{self.node}",
+                              "prefetch", line=line_addr, exclusive=exclusive)
         return True
 
     # ------------------------------------------------------------------
@@ -438,8 +439,9 @@ class LockupFreeCache(Component):
         return victim
 
     def _record_fill(self, line_addr: int, state: LineState) -> None:
-        self.trace.record(self.sim.cycle, f"cache{self.node}", "fill",
-                          line=line_addr, state=state.value)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, f"cache{self.node}", "fill",
+                              line=line_addr, state=state.value)
 
     def _mark_prefetch_fill(self, entry: MshrEntry) -> None:
         """A fill landed for ``entry``; if it was still prefetch-only
@@ -461,8 +463,9 @@ class LockupFreeCache(Component):
         self._note_prefetched_line_lost(line.line_addr)
         # record before notifying: corrections the snoop listeners emit
         # must appear after their cause in the trace
-        self.trace.record(self.sim.cycle, f"cache{self.node}", "evict",
-                          line=line.line_addr, state=line.state.value)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, f"cache{self.node}", "evict",
+                              line=line.line_addr, state=line.state.value)
         self._notify_snoop(SnoopKind.REPLACEMENT, line.line_addr)
         if line.state is LineState.MODIFIED:
             self.stat_writebacks.inc()
@@ -530,7 +533,8 @@ class LockupFreeCache(Component):
         if line is not None:
             line.state = LineState.INVALID
             self._note_prefetched_line_lost(msg.line_addr)
-        self.trace.record(self.sim.cycle, f"cache{self.node}", "inval", line=msg.line_addr)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, f"cache{self.node}", "inval", line=msg.line_addr)
         self._notify_snoop(SnoopKind.INVALIDATION, msg.line_addr)
         self._send(MessageKind.INVAL_ACK, msg.line_addr, txn=msg.txn)
 
@@ -542,8 +546,9 @@ class LockupFreeCache(Component):
             self._send(MessageKind.RECALL_ACK, msg.line_addr, txn=msg.txn, data=None)
             return
         line.state = LineState.SHARED
-        self.trace.record(self.sim.cycle, f"cache{self.node}", "downgrade",
-                          line=msg.line_addr)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, f"cache{self.node}", "downgrade",
+                              line=msg.line_addr)
         self._send(MessageKind.RECALL_ACK, msg.line_addr, txn=msg.txn, data=list(line.data))
 
     def _on_recall_inval(self, msg: Message) -> None:
@@ -554,7 +559,8 @@ class LockupFreeCache(Component):
                 data = list(line.data)
             line.state = LineState.INVALID
             self._note_prefetched_line_lost(msg.line_addr)
-        self.trace.record(self.sim.cycle, f"cache{self.node}", "inval", line=msg.line_addr)
+        if self.trace.enabled:
+            self.trace.record(self.sim.cycle, f"cache{self.node}", "inval", line=msg.line_addr)
         self._notify_snoop(SnoopKind.INVALIDATION, msg.line_addr)
         self._send(MessageKind.RECALL_ACK, msg.line_addr, txn=msg.txn, data=data)
 

@@ -4,8 +4,7 @@ The paper's results are *normalized execution-time breakdowns*; this
 package reproduces that accounting on the detailed simulator and adds
 the modern tooling around it — per-cause cycle blame
 (:mod:`~repro.obs.accounting`), prefetch/speculation effectiveness
-counters (:mod:`~repro.obs.effectiveness`), streaming JSONL traces
-(:mod:`~repro.obs.jsonl`), Chrome/Perfetto timeline export
+counters (:mod:`~repro.obs.effectiveness`), Chrome/Perfetto timeline export
 (:mod:`~repro.obs.perfetto`), the canonical backend-agnostic
 architectural event stream (:mod:`~repro.obs.archtrace`) and its
 first-divergence differ (:mod:`~repro.obs.diff`).
@@ -43,14 +42,12 @@ from .effectiveness import (
 from .archtrace import (
     ARCHTRACE_VERSION,
     ArchEvent,
-    ArchTraceCollector,
+    ArchTrace,
     ArchTraceReader,
-    TeeTrace,
     derive_arch_event,
     read_archtrace,
 )
 from .diff import DivergenceReport, diff_archtraces
-from .jsonl import JsonlTraceRecorder, read_jsonl, write_jsonl
 from .ledger import (
     LEDGER_SCHEMA,
     append_record,
@@ -70,19 +67,17 @@ from .perfetto import (
 __all__ = [
     "ARCHTRACE_VERSION",
     "ArchEvent",
-    "ArchTraceCollector",
+    "ArchTrace",
     "ArchTraceReader",
     "CAUSES",
     "PAPER_CAUSES",
     "CycleAccountant",
     "CycleBreakdown",
     "DivergenceReport",
-    "JsonlTraceRecorder",
     "LEDGER_SCHEMA",
     "PrefetchEffectiveness",
     "SpeculationEffectiveness",
     "StallCause",
-    "TeeTrace",
     "append_record",
     "breakdown_from_stats",
     "derive_arch_event",
@@ -94,7 +89,6 @@ __all__ = [
     "per_cpu_breakdowns",
     "prefetch_effectiveness",
     "read_archtrace",
-    "read_jsonl",
     "read_ledger",
     "request_hash",
     "speculation_effectiveness",
@@ -102,5 +96,4 @@ __all__ = [
     "trace_warnings",
     "validate_trace_events",
     "validate_trace_file",
-    "write_jsonl",
 ]

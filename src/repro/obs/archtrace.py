@@ -46,15 +46,15 @@ sort erases the residual emission-order difference.
 Serialized form (JSONL): a header line (schema version, backend, lane
 tag, job label), one line per event, and a footer line carrying the
 run's cycle count, final memory words, per-CPU cycle-blame breakdowns
-and the collector's drop counter — everything the differ needs to
+and the recorder's drop counter — everything the differ needs to
 classify a divergence from the two files alone.
 
-:class:`ArchTraceCollector` implements the ``TraceRecorder`` recording
-surface (``enabled`` + ``record``), so it can be passed directly as the
-``trace=`` argument of ``run_workload`` — recording does **not**
-disable the kernel's idle-cycle fast-forward — and the batched engine
-feeds the same collector class its raw-style events, so both backends
-share one derivation path.
+:meth:`ArchTrace.from_events` projects the events a
+:class:`~repro.sim.trace.TraceRecorder` holds after the run.  The
+scalar kernel records into one passed as the ``trace=`` of
+``run_workload`` — recording does **not** disable the kernel's
+idle-cycle fast-forward — and the batched engine records its raw-style
+events into one per lane, so both backends share one derivation path.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ import json
 from dataclasses import dataclass, field
 from typing import (Any, Dict, IO, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
+
+from ..sim.trace import TraceEvent
 
 #: bump when the event schema or serialized layout changes
 ARCHTRACE_VERSION = 1
@@ -134,85 +136,50 @@ def _mk(cycle: int, cpu: int, seq: int, kind: str,
                      detail=tuple(sorted(detail.items())))
 
 
-class ArchTraceCollector:
-    """Derive the canonical stream from raw ``record()`` calls.
+@dataclass
+class ArchTrace:
+    """One run's canonical architectural stream plus its footer data.
 
-    Implements the :class:`~repro.sim.trace.TraceRecorder` recording
-    surface, so it drops in as the ``trace=`` of ``run_workload`` (the
-    scalar kernel) *and* as the per-lane sink of the batched engine.
-    Raw kinds outside the architectural projection (issues, SLB
-    bookkeeping, directory transactions, prefetches) are ignored;
-    microarchitectural detail fields (``tag``) are stripped.
+    :meth:`from_events` projects a run's recorded
+    :class:`~repro.sim.trace.TraceEvent` list (from either backend)
+    onto the canonical schema after the run.  Raw kinds outside the
+    projection (issues, SLB bookkeeping, directory transactions,
+    prefetches) are ignored; microarchitectural detail fields (``tag``)
+    are stripped.  Built directly, ``events`` is taken as given (test
+    fixtures, synthesized divergence examples).
 
-    ``max_events`` caps memory: unlike the raw ring buffer (which keeps
-    the *tail* for timelines), the collector keeps the *head* — the
-    differ localizes the first divergence, so early events matter most.
-    ``dropped`` counts what the cap discarded and lands in the footer,
-    where the differ warns about incomplete streams.
+    ``dropped`` is the recorder's drop counter: nonzero exactly when the
+    stream is incomplete, and the differ warns about it.
     """
 
-    enabled = True
+    events: List[ArchEvent]
+    cycles: Optional[int] = None
+    final_memory: Dict[int, int] = field(default_factory=dict)
+    breakdowns: List[Dict[str, int]] = field(default_factory=list)
+    dropped: int = 0
 
-    def __init__(self, max_events: Optional[int] = None) -> None:
-        self.max_events = max_events
-        self.dropped = 0
-        self._events: List[ArchEvent] = []
-        self._sorted = True
-        # footer data, bound by finalize()
-        self.cycles: Optional[int] = None
-        self.final_memory: Dict[int, int] = {}
-        self.breakdowns: List[Dict[str, int]] = []
-
-    # -- TraceRecorder surface -----------------------------------------
-    def record(self, cycle: int, source: str, kind: str,
-               **detail: Any) -> None:
-        event = derive_arch_event(cycle, source, kind, detail)
-        if event is None:
-            return
-        if self.max_events is not None and len(self._events) >= self.max_events:
-            self.dropped += 1
-            return
-        self._events.append(event)
-        self._sorted = False
-
-    # -- results --------------------------------------------------------
-    @property
-    def events(self) -> List[ArchEvent]:
-        if not self._sorted:
-            self._events.sort(key=ArchEvent.sort_key)
-            self._sorted = True
-        return self._events
-
-    def finalize(self, cycles: int,
-                 final_memory: Optional[Mapping[int, int]] = None,
-                 breakdowns: Optional[Sequence[Any]] = None) -> None:
-        """Bind the footer data once the run is over.
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent],
+                    cycles: Optional[int] = None,
+                    final_memory: Optional[Mapping[int, int]] = None,
+                    breakdowns: Sequence[Any] = (),
+                    dropped: int = 0) -> "ArchTrace":
+        """Project raw events and bind the footer data.
 
         ``breakdowns`` accepts :class:`~repro.obs.accounting.CycleBreakdown`
         objects or plain ``{cause: count}`` dicts.
         """
-        self.cycles = cycles
-        if final_memory is not None:
-            self.final_memory = {int(a): int(v)
-                                 for a, v in final_memory.items()}
-        if breakdowns is not None:
-            self.breakdowns = [
-                bd if isinstance(bd, dict) else bd.as_dict()
-                for bd in breakdowns
-            ]
-
-    def header(self, backend: str = "scalar",
-               label: str = "", lane: Optional[int] = None,
-               fallback_reason: Optional[str] = None) -> Dict[str, Any]:
-        obj: Dict[str, Any] = {"archtrace": ARCHTRACE_VERSION,
-                               "backend": backend}
-        if label:
-            obj["label"] = label
-        if lane is not None:
-            obj["lane"] = lane
-        if fallback_reason is not None:
-            obj["fallback_reason"] = fallback_reason
-        return obj
+        arch = [a for a in (derive_arch_event(ev.cycle, ev.source, ev.kind,
+                                              ev.detail)
+                            for ev in events) if a is not None]
+        arch.sort(key=ArchEvent.sort_key)
+        return cls(
+            events=arch, cycles=cycles,
+            final_memory={int(a): int(v)
+                          for a, v in (final_memory or {}).items()},
+            breakdowns=[bd if isinstance(bd, dict) else bd.as_dict()
+                        for bd in breakdowns],
+            dropped=dropped)
 
     def footer(self) -> Dict[str, Any]:
         return {
@@ -233,21 +200,25 @@ class ArchTraceCollector:
                     lane: Optional[int] = None,
                     fallback_reason: Optional[str] = None) -> int:
         """Serialize header + events + footer; returns the event count."""
+        header: Dict[str, Any] = {"archtrace": ARCHTRACE_VERSION,
+                                  "backend": backend}
+        if label:
+            header["label"] = label
+        if lane is not None:
+            header["lane"] = lane
+        if fallback_reason is not None:
+            header["fallback_reason"] = fallback_reason
         own = isinstance(target, str)
         fh: IO[str] = open(target, "w") if own else target  # type: ignore[arg-type]
         try:
-            fh.write(_canon(self.header(backend=backend, label=label,
-                                        lane=lane,
-                                        fallback_reason=fallback_reason))
-                     + "\n")
-            events = self.events
-            for ev in events:
-                fh.write(ev.to_json() + "\n")
+            fh.write(_canon(header) + "\n")
+            for line in self.event_lines():
+                fh.write(line + "\n")
             fh.write(_canon(self.footer()) + "\n")
         finally:
             if own:
                 fh.close()
-        return len(self._events)
+        return len(self.events)
 
 
 # ----------------------------------------------------------------------
@@ -322,15 +293,33 @@ class ArchTraceReader:
 
     def __post_init__(self) -> None:
         self._fh: Optional[IO[str]] = open(self.path)
-        first = self._fh.readline()
-        if first:
-            obj = json.loads(first)
-            if "archtrace" in obj:
-                self.header = obj
-            else:
-                # headerless stream (hand-crafted fixture): rewind
-                self._fh.close()
-                self._fh = open(self.path)
+        self._lineno = 0
+        first = self._next_obj()
+        if first is not None and "archtrace" in first:
+            self.header = first
+        else:
+            # headerless stream (hand-crafted fixture): rewind
+            self._fh.seek(0)
+            self._lineno = 0
+
+    def _bad(self, why: str) -> ValueError:
+        self.close()
+        return ValueError(f"{self.path}: line {self._lineno}: {why}")
+
+    def _next_obj(self) -> Optional[Dict[str, Any]]:
+        """The next line as a JSON object (None at end of file)."""
+        assert self._fh is not None
+        line = self._fh.readline()
+        if not line:
+            return None
+        self._lineno += 1
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise self._bad(f"not valid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise self._bad("not a JSON object")
+        return obj
 
     def __iter__(self) -> "ArchTraceReader":
         return self
@@ -338,17 +327,22 @@ class ArchTraceReader:
     def __next__(self) -> ArchEvent:
         if self._fh is None:
             raise StopIteration
-        line = self._fh.readline()
-        if not line:
+        obj = self._next_obj()
+        if obj is None:
             self.close()
             raise StopIteration
-        obj = json.loads(line)
         if obj.get("end"):
             self.footer = obj
             self.close()
             raise StopIteration
+        try:
+            event = ArchEvent.from_json_obj(obj)
+        except KeyError as exc:
+            raise self._bad(f"missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise self._bad(f"not an archtrace event: {exc}") from None
         self.events_read += 1
-        return ArchEvent.from_json_obj(obj)
+        return event
 
     def close(self) -> None:
         if self._fh is not None:
@@ -362,43 +356,3 @@ def read_archtrace(path: str) -> Tuple[Dict[str, Any], List[ArchEvent],
     reader = ArchTraceReader(path)
     events = list(reader)
     return reader.header, events, reader.footer
-
-
-def write_events_jsonl(path: str, events: Iterable[ArchEvent],
-                       header: Optional[Mapping[str, Any]] = None,
-                       footer: Optional[Mapping[str, Any]] = None) -> None:
-    """Write a hand-assembled archtrace (test fixtures, synthesized
-    divergence examples)."""
-    with open(path, "w") as fh:
-        if header is not None:
-            merged = {"archtrace": ARCHTRACE_VERSION}
-            merged.update(header)
-            fh.write(_canon(merged) + "\n")
-        for ev in events:
-            fh.write(ev.to_json() + "\n")
-        if footer is not None:
-            merged = {"end": True}
-            merged.update(footer)
-            fh.write(_canon(merged) + "\n")
-
-
-class TeeTrace:
-    """Fan one ``record()`` stream out to several recorders.
-
-    Lets ``--archtrace`` coexist with ``--trace``/``--perfetto``/
-    ``--trace-jsonl`` on a single run: the kernel sees one trace object,
-    every sink sees every raw event (each applies its own filtering).
-    """
-
-    def __init__(self, *sinks: Any) -> None:
-        self.sinks = [s for s in sinks if s is not None]
-
-    @property
-    def enabled(self) -> bool:
-        return any(s.enabled for s in self.sinks)
-
-    def record(self, cycle: int, source: str, kind: str,
-               **detail: Any) -> None:
-        for sink in self.sinks:
-            if sink.enabled:
-                sink.record(cycle, source, kind, **detail)

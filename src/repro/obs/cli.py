@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from ..consistency.models import model_argument
 from ..sim.stats import output_path
+from ..sim.trace import read_jsonl
 from .ledger import KNOWN_KINDS
 from .perfetto import (
     export_chrome_trace,
@@ -83,8 +84,6 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    from .jsonl import read_jsonl
-
     try:
         events = read_jsonl(args.jsonl)
     except (OSError, ValueError) as exc:    # missing file / not a trace

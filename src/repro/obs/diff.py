@@ -85,7 +85,7 @@ class DivergenceReport:
         field(default_factory=dict)
     #: per-CPU blame delta: cause -> cycles_b - cycles_a
     blame_delta: List[Dict[str, int]] = field(default_factory=list)
-    #: events dropped by either collector's cap (incomplete streams)
+    #: events dropped by either recorder's cap (incomplete streams)
     dropped_a: int = 0
     dropped_b: int = 0
     events_a: int = 0
@@ -145,7 +145,7 @@ class DivergenceReport:
         if self.incomplete:
             lines.append(f"  WARNING: incomplete streams "
                          f"(dropped {self.dropped_a} vs {self.dropped_b} "
-                         f"events past the collector cap)")
+                         f"events past the recorder cap)")
         if self.classification == "identical":
             lines.append(f"  {self.events_a} events, bit-identical bodies")
             return "\n".join(lines)
@@ -356,7 +356,7 @@ def diff_main(path_a: str, path_b: str, context: int = 5,
         report = diff_archtraces(path_a, path_b,
                                  label_a=path_a, label_b=path_b,
                                  context=context)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # missing / malformed file
         print(f"error: cannot read archtrace: {exc}", file=sys.stderr)
         return 2
     if as_json:

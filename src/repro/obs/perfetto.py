@@ -142,8 +142,8 @@ def to_trace_events(
             key = (ev.source, closer, _pair_key(ev.detail))
             opener = open_slices.pop(key, None)
             if opener is None:
-                # completion without a recorded issue (ring buffer
-                # dropped the opener): render as an instant instead
+                # completion without a recorded issue (a hand-cut
+                # stream lost the opener): render as an instant instead
                 emit({"name": ev.kind, "ph": "i", "s": "t",
                       "ts": ev.cycle, "cat": "memory",
                       "args": _args(ev.detail)}, pid, slice_tid(ev.kind, tid))
@@ -192,10 +192,9 @@ def to_trace_events(
 
     other: Dict[str, Any] = {"exporter": label, "cycles_per_us": 1}
     if isinstance(trace, TraceRecorder):
-        dropped = getattr(trace, "dropped", 0)
-        other["dropped"] = int(dropped)
-        other["max_events"] = getattr(trace, "max_events", None)
-        other["truncated"] = bool(dropped)
+        other["dropped"] = trace.dropped
+        other["max_events"] = trace.max_events
+        other["truncated"] = bool(trace.dropped)
 
     return {
         "traceEvents": meta + out,
@@ -269,10 +268,10 @@ def validate_trace_events(obj: Any) -> List[str]:
 def trace_warnings(obj: Any) -> List[str]:
     """Non-fatal completeness warnings for a (structurally valid) trace.
 
-    A trace recorded through the bounded ring buffer (``--trace-limit``)
-    may have dropped its oldest events; the exporter records that in
-    ``otherData`` and this reports it, so CI and triage know the
-    timeline is a suffix of the run, not the whole run.
+    A bounded recorder (``--trace-limit``) keeps the run's first events
+    and drops the rest; the exporter records that in ``otherData`` and
+    this reports it, so CI and triage know the timeline is a prefix of
+    the run, not the whole run.
     """
     warnings: List[str] = []
     other = obj.get("otherData") if isinstance(obj, dict) else None
@@ -282,8 +281,8 @@ def trace_warnings(obj: Any) -> List[str]:
     if other.get("truncated") or dropped:
         limit = other.get("max_events")
         warnings.append(
-            f"trace is incomplete: ring buffer dropped {dropped} oldest "
-            f"event(s)"
+            f"trace is incomplete: recorder dropped {dropped} event(s) "
+            f"past its bound"
             + (f" (--trace-limit {limit})" if limit else ""))
     return warnings
 

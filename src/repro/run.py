@@ -25,10 +25,11 @@ import argparse
 import hashlib
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .consistency.models import model_argument
 from .isa import assemble
+from .sim.errors import SimulationError
 from .sim.stats import output_path, write_stats_json
 from .sim.trace import TraceRecorder
 from .system import run_workload
@@ -45,6 +46,33 @@ def init_pair(text: str) -> Tuple[int, int]:
     except ValueError:      # a bad number, or no "=" at all
         raise argparse.ArgumentTypeError(
             f"expects ADDR=VALUE, got {text!r}") from None
+
+
+def _write_trace_views(args: argparse.Namespace, trace: TraceRecorder,
+                       label: str, cycles: Optional[int],
+                       final_memory: Optional[Dict[int, int]] = None,
+                       breakdowns: Sequence[Any] = ()) -> None:
+    """Write ``--perfetto`` and ``--archtrace`` from the one recorder
+    (the ``--trace-jsonl`` stream is already on disk) and report each."""
+    dropped = f" ({trace.dropped} dropped)" if trace.dropped else ""
+    if args.perfetto:
+        from .obs.perfetto import export_chrome_trace
+        obj = export_chrome_trace(trace, args.perfetto,
+                                  breakdowns=breakdowns)
+        print(f"perfetto trace written to {args.perfetto} "
+              f"({len(obj['traceEvents'])} event(s){dropped})")
+    if args.trace_jsonl:
+        print(f"jsonl trace written to {args.trace_jsonl} "
+              f"({len(trace.events) + trace.dropped} event(s))")
+    if args.archtrace:
+        from .obs.archtrace import ArchTrace
+        archtrace = ArchTrace.from_events(
+            trace.events, cycles=cycles, final_memory=final_memory,
+            breakdowns=breakdowns, dropped=trace.dropped)
+        count = archtrace.write_jsonl(args.archtrace, backend="scalar",
+                                      label=label)
+        print(f"archtrace written to {args.archtrace} "
+              f"({count} event(s){dropped})")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -117,9 +145,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "disable the kernel fast path")
     parser.add_argument("--trace-limit", type=int, metavar="N",
                         default=TraceRecorder.DEFAULT_BATCH_MAX_EVENTS,
-                        help="keep at most N trace events in memory "
-                             "(0 = unbounded; --sanitize needs the full "
-                             "trace and ignores the limit)")
+                        help="keep the first N trace events in memory "
+                             "and count the rest as dropped (0 = "
+                             "unbounded; --sanitize needs the full trace "
+                             "and ignores the limit)")
     parser.add_argument("--ledger", metavar="FILE", default=None,
                         help="run-ledger JSONL path (default: "
                              "$REPRO_LEDGER or .repro/ledger.jsonl)")
@@ -163,26 +192,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  axiomatic checker: {report.axiomatic_verdict}")
         print()
 
-    tracing = (args.trace or args.sanitize or args.perfetto
-               or args.trace_jsonl)
-    trace = None
-    if tracing:
-        # the sanitizer checks whole-run invariants, so it must see an
-        # unbounded trace; everything else respects --trace-limit
-        limit = (None if (args.sanitize or args.trace_limit <= 0)
-                 else args.trace_limit)
-        if args.trace_jsonl:
-            from .obs.jsonl import JsonlTraceRecorder
-            trace = JsonlTraceRecorder(args.trace_jsonl, max_events=limit)
-        else:
-            trace = TraceRecorder(max_events=limit)
-    archtrace = None
-    sink = trace
-    if args.archtrace:
-        from .obs.archtrace import ArchTraceCollector, TeeTrace
-        archtrace = ArchTraceCollector(
-            max_events=None if args.trace_limit <= 0 else args.trace_limit)
-        sink = archtrace if trace is None else TeeTrace(trace, archtrace)
+    # one recorder serves every trace view; the sanitizer checks
+    # whole-run invariants, so it must see an unbounded trace, and
+    # everything else respects --trace-limit
+    stream = open(args.trace_jsonl, "w") if args.trace_jsonl else None
+    trace = TraceRecorder(
+        enabled=bool(args.trace or args.sanitize or args.perfetto
+                     or args.trace_jsonl or args.archtrace),
+        max_events=(None if (args.sanitize or args.trace_limit <= 0)
+                    else args.trace_limit),
+        stream=stream)
+    label = (f"{model.name} prefetch={args.prefetch} "
+             f"speculation={args.speculation}")
     profiler = None
     if args.profile or args.progress:
         from .sim.profiler import HostHeartbeat, HostProfiler
@@ -195,18 +216,29 @@ def main(argv: Optional[List[str]] = None) -> int:
             heartbeat=heartbeat if args.progress else None,
             heartbeat_cycles=max(1, args.progress_every))
     t0 = time.perf_counter()
-    result = run_workload(
-        programs,
-        model=model,
-        prefetch=args.prefetch,
-        speculation=args.speculation,
-        miss_latency=args.miss_latency,
-        initial_memory=initial_memory,
-        warm_lines=warm_lines,
-        max_cycles=args.max_cycles,
-        trace=sink,
-        profile=profiler if profiler is not None else False,
-    )
+    try:
+        result = run_workload(
+            programs,
+            model=model,
+            prefetch=args.prefetch,
+            speculation=args.speculation,
+            miss_latency=args.miss_latency,
+            initial_memory=initial_memory,
+            warm_lines=warm_lines,
+            max_cycles=args.max_cycles,
+            trace=trace,
+            profile=profiler if profiler is not None else False,
+        )
+    except SimulationError as exc:
+        # what was recorded before the failure is still worth keeping
+        if args.progress:
+            print(file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
+        _write_trace_views(args, trace, label, cycles=exc.cycle)
+        return 1
+    finally:
+        if stream is not None:
+            stream.close()
     wall = time.perf_counter() - t0
 
     if args.progress:
@@ -220,7 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"cpu{cpu}: {values}")
     for addr in args.watch:
         print(f"MEM[{addr:#x}] = {result.machine.read_word(addr)}")
-    if args.trace and trace is not None:
+    if args.trace:
         print("--- trace ---")
         print(trace.render())
     if args.summary:
@@ -238,33 +270,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.stats_json:
         write_stats_json(args.stats_json, result.stats, cycles=result.cycles)
         print(f"statistics written to {args.stats_json}")
-    if args.perfetto and trace is not None:
-        from .obs.perfetto import export_chrome_trace
-        obj = export_chrome_trace(trace, args.perfetto,
-                                  breakdowns=result.breakdowns())
-        dropped = f" ({trace.dropped} dropped)" if trace.dropped else ""
-        print(f"perfetto trace written to {args.perfetto} "
-              f"({len(obj['traceEvents'])} event(s){dropped})")
-    if args.trace_jsonl and trace is not None:
-        trace.close()
-        print(f"jsonl trace written to {args.trace_jsonl} "
-              f"({trace.streamed} event(s))")
-    if archtrace is not None:
-        watched = sorted(set(args.watch) | set(initial_memory))
-        archtrace.finalize(
-            cycles=result.cycles,
-            final_memory={a: result.machine.read_word(a) for a in watched},
-            breakdowns=result.breakdowns())
-        count = archtrace.write_jsonl(
-            args.archtrace, backend="scalar",
-            label=f"{model.name} prefetch={args.prefetch} "
-                  f"speculation={args.speculation}")
-        dropped = (f" ({archtrace.dropped} dropped)"
-                   if archtrace.dropped else "")
-        print(f"archtrace written to {args.archtrace} "
-              f"({count} event(s){dropped})")
+    watched = sorted(set(args.watch) | set(initial_memory))
+    _write_trace_views(
+        args, trace, label, cycles=result.cycles,
+        final_memory={a: result.machine.read_word(a) for a in watched},
+        breakdowns=result.breakdowns())
     sanitize_ok = True
-    if args.sanitize and trace is not None:
+    if args.sanitize:
         from .analysis.static import sanitize_trace
         report = sanitize_trace(trace, model=model)
         print(report.render())

@@ -20,7 +20,7 @@ from .sweep import (
     format_duration,
     run_sweep,
 )
-from .trace import NullTraceRecorder, TraceEvent, TraceRecorder
+from .trace import TraceEvent, TraceRecorder, read_jsonl
 
 __all__ = [
     "AssemblerError",
@@ -33,7 +33,6 @@ __all__ = [
     "HostHeartbeat",
     "HostProfiler",
     "IsaError",
-    "NullTraceRecorder",
     "ProgressMeter",
     "ProtocolError",
     "SimulationError",
@@ -47,5 +46,6 @@ __all__ = [
     "derive_seed",
     "format_duration",
     "format_stats_table",
+    "read_jsonl",
     "run_sweep",
 ]

@@ -398,7 +398,7 @@ class FastFabric:
                  arch=None) -> None:
         self.engine = engine
         self.lane = lane
-        # archtrace collector; must be bound before the warm loop below
+        # archtrace recorder; must be bound before the warm loop below
         # so warm fills land at cycle 0, matching the scalar kernel
         self.arch = arch
         cfg = job.cache_config()

@@ -136,7 +136,7 @@ class BatchEngine:
         self.L = len(jobs)
         self.C = self.L * ncpu
         self.cycle = 0
-        #: per-lane archtrace collectors (or None)
+        #: per-lane TraceRecorders the archtrace is projected from (or None)
         if arch is not None and any(a is not None for a in arch):
             if len(arch) != self.L:
                 raise ValueError("need one archtrace sink per lane")

@@ -18,10 +18,13 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...consistency.models import get_model
+from ...obs.accounting import per_cpu_breakdowns
+from ...obs.archtrace import ArchTrace
 from ...system.jobs import BatchJob, BatchResult, run_scalar
 from .compile import (CompiledProgram, compile_core, job_unsupported_reason,
                       specialize_model)
 from .engine import BatchEngine
+from ..trace import TraceRecorder
 
 
 def _tm():
@@ -162,11 +165,7 @@ class BatchRunner:
                 compiled.append(tuple(compile_cache.get(program, model)
                                       for program in job.programs))
 
-        arch: List[Optional[object]] = [None] * len(batch)
-        if any(job.archtrace for job in batch):
-            from ...obs.archtrace import ArchTraceCollector
-            arch = [ArchTraceCollector() if job.archtrace else None
-                    for job in batch]
+        arch = [TraceRecorder() if job.archtrace else None for job in batch]
 
         try:
             with tm.span("batch/step", {"lanes": len(batch)}):
@@ -192,10 +191,11 @@ class BatchRunner:
                                       reason="deadlock"))
                 continue
             fabric = engine.fabrics[lane]
-            collector = arch[lane]
-            if collector is not None:
-                from ...obs.accounting import per_cpu_breakdowns
-                collector.finalize(
+            archtrace = None
+            recorder = arch[lane]
+            if recorder is not None:
+                archtrace = ArchTrace.from_events(
+                    recorder.events,
                     cycles=int(engine.lane_cycles[lane]),
                     final_memory={
                         addr: fabric.read_word(addr)
@@ -206,7 +206,7 @@ class BatchRunner:
                 job=job,
                 backend="batched",
                 cycles=int(engine.lane_cycles[lane]),
-                archtrace=collector,
+                archtrace=archtrace,
                 _stats_thunk=partial(engine.materialize_stats, lane),
                 _read_word=fabric.read_word,
             ))

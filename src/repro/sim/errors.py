@@ -7,9 +7,14 @@ errors (``TypeError``, ``KeyError``, ...).
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class SimulationError(Exception):
     """Base class for all simulator errors."""
+
+    #: the cycle the failure was declared at, when the error knows it
+    cycle: Optional[int] = None
 
 
 class ConfigurationError(SimulationError):

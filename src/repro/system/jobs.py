@@ -20,7 +20,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..consistency.models import get_model
 from ..isa.program import Program
 from ..memory.types import CacheConfig
+from ..obs.archtrace import ArchTrace
 from ..sim.stats import StatsRegistry
+from ..sim.trace import TraceRecorder
 from .machine import run_workload
 
 
@@ -74,10 +76,10 @@ class BatchResult:
     cycles: Optional[int] = None
     error: Optional[BaseException] = None
     unsupported_reason: Optional[str] = None
-    #: finalized ArchTraceCollector when the job asked for one; the
-    #: header of any serialization must carry ``backend`` and
-    #: ``unsupported_reason`` so a scalar fallback is never silent
-    archtrace: Optional[object] = field(
+    #: the job's ArchTrace when it asked for one; the header of any
+    #: serialization must carry ``backend`` and ``unsupported_reason``
+    #: so a scalar fallback is never silent
+    archtrace: Optional[ArchTrace] = field(
         default=None, repr=False, compare=False)
     _stats: Optional[StatsRegistry] = field(
         default=None, repr=False, compare=False)
@@ -135,10 +137,7 @@ def run_scalar(job: BatchJob, backend: str = "scalar",
     batch runner passes ``"scalar-fallback"`` and why the lockstep
     engine could not take the job.
     """
-    collector = None
-    if job.archtrace:
-        from ..obs.archtrace import ArchTraceCollector
-        collector = ArchTraceCollector()
+    trace = TraceRecorder(enabled=job.archtrace)
     try:
         rr = run_workload(
             programs=job.programs,
@@ -150,15 +149,17 @@ def run_scalar(job: BatchJob, backend: str = "scalar",
             warm_lines=job.warm_lines,
             cache=job.cache,
             max_cycles=job.max_cycles,
-            trace=collector,
+            trace=trace,
         )
     except Exception as exc:
         return BatchResult(job=job, backend=backend, error=exc,
                            unsupported_reason=reason,
-                           archtrace=collector)
-    if collector is not None:
-        collector.finalize(
-            cycles=rr.cycles,
+                           archtrace=(ArchTrace.from_events(trace.events)
+                                      if job.archtrace else None))
+    archtrace = None
+    if job.archtrace:
+        archtrace = ArchTrace.from_events(
+            trace.events, cycles=rr.cycles,
             final_memory={addr: rr.machine.read_word(addr)
                           for addr in sorted(job.initial_memory or {})},
             breakdowns=rr.breakdowns())
@@ -168,6 +169,6 @@ def run_scalar(job: BatchJob, backend: str = "scalar",
         cycles=rr.cycles,
         _stats=rr.stats,
         unsupported_reason=reason,
-        archtrace=collector,
+        archtrace=archtrace,
         _read_word=rr.machine.read_word,
     )

@@ -24,7 +24,7 @@ from ..sim.errors import ConfigurationError
 from ..sim.kernel import Simulator
 from ..sim.profiler import HostProfiler
 from ..sim.stats import StatsRegistry
-from ..sim.trace import NullTraceRecorder, TraceRecorder
+from ..sim.trace import TraceRecorder
 from .agent import ScriptedAgent
 from .fabric import MemoryFabric
 
@@ -80,7 +80,7 @@ class Multiprocessor:
         if not programs:
             raise ConfigurationError("need at least one program")
         self.config = config or MachineConfig()
-        self.trace = trace or NullTraceRecorder()
+        self.trace = trace or TraceRecorder(enabled=False)
         self.sim = Simulator(profile=profile, fast_forward=fast_forward)
         self.fabric = MemoryFabric(
             self.sim,

@@ -5,8 +5,8 @@ Contracts pinned here:
 
 1. **Schema units** — :func:`derive_arch_event` maps raw trace records
    to the canonical kinds (and drops timing-domain noise), events
-   serialize canonically and round-trip, and the collector's head cap
-   counts what it discards.
+   serialize canonically and round-trip, and a projection of a bounded
+   recorder counts what the recorder discarded.
 2. **Determinism** — the same leg produces byte-identical event bodies
    and footers run-over-run, and under serial vs parallel sweeps.
 3. **Backend parity** — on the named litmus suite the batched engine's
@@ -26,16 +26,15 @@ from repro.consistency.litmus import STANDARD_TESTS
 from repro.obs.archtrace import (
     ARCHTRACE_VERSION,
     ArchEvent,
-    ArchTraceCollector,
-    TeeTrace,
+    ArchTrace,
     _mk,
     derive_arch_event,
     read_archtrace,
-    write_events_jsonl,
 )
 from repro.obs.diff import diff_archtraces, diff_main
 from repro.sim.batch import BatchRunner
 from repro.sim.sweep import run_sweep
+from repro.sim.trace import TraceRecorder
 from repro.verify.harness import (
     DEFAULT_RUN_CONFIGS,
     MODEL_NAMES,
@@ -127,36 +126,32 @@ class TestDeriveArchEvent:
 
 class TestCollector:
     def test_head_cap_keeps_earliest_and_counts_drops(self):
-        coll = ArchTraceCollector(max_events=2)
+        tr = TraceRecorder(max_events=2)
         for cycle in range(5):
-            coll.record(cycle, "cpu0", "retire",
-                        seq=cycle, pc=cycle, op="alu", bound=True)
-        assert [ev.cycle for ev in coll.events] == [0, 1]
-        assert coll.dropped == 3
-        assert coll.footer()["dropped"] == 3
-
-    def test_tee_fans_out_to_both_sinks(self):
-        a = ArchTraceCollector()
-        b = ArchTraceCollector()
-        tee = TeeTrace(a, b)
-        assert tee.enabled
-        tee.record(3, "cpu0", "retire", seq=0, pc=0, op="alu", bound=True)
-        assert a.event_lines() == b.event_lines() != []
+            tr.record(cycle, "cpu0", "retire",
+                      seq=cycle, pc=cycle, op="alu", bound=True)
+        arch = ArchTrace.from_events(tr.events, dropped=tr.dropped)
+        assert [ev.cycle for ev in arch.events] == [0, 1]
+        assert arch.dropped == 3
+        assert arch.footer()["dropped"] == 3
 
     def test_write_read_round_trip(self, tmp_path):
-        coll = ArchTraceCollector()
-        coll.record(2, "cpu1", "retire", seq=0, pc=0, op="load", bound=True)
-        coll.record(1, "cache0", "fill", line=16, state="S")
-        coll.finalize(cycles=42, final_memory={16: 7},
-                      breakdowns=[{"busy": 40, "idle": 2}])
+        tr = TraceRecorder()
+        tr.record(2, "cpu1", "retire", seq=0, pc=0, op="load", bound=True)
+        tr.record(1, "cache0", "fill", line=16, state="S")
+        tr.record(1, "dir", "txn_start", txn=3, line=16)  # not projected
+        arch = ArchTrace.from_events(tr.events, cycles=42,
+                                     final_memory={16: 7},
+                                     breakdowns=[{"busy": 40, "idle": 2}])
         path = str(tmp_path / "t.jsonl")
-        count = coll.write_jsonl(path, backend="scalar", label="unit",
+        count = arch.write_jsonl(path, backend="scalar", label="unit",
                                  fallback_reason=None)
         assert count == 2
         header, events, footer = read_archtrace(path)
         assert header["archtrace"] == ARCHTRACE_VERSION
         assert header["backend"] == "scalar"
-        assert [ev.to_json() for ev in events] == coll.event_lines()
+        assert [ev.cycle for ev in events] == [1, 2]   # canonical order
+        assert [ev.to_json() for ev in events] == arch.event_lines()
         assert footer["cycles"] == 42
         assert footer["final_memory"] == {"16": 7}
 
@@ -263,14 +258,9 @@ def _instr_stream():
 
 def _write(path, events, cycles=10, memory=None, breakdowns=None,
            dropped=0):
-    write_events_jsonl(
-        str(path), events,
-        header={"backend": "scalar", "label": "fixture"},
-        footer={"cycles": cycles,
-                "final_memory": {str(k): v
-                                 for k, v in (memory or {16: 1}).items()},
-                "breakdowns": breakdowns or [],
-                "dropped": dropped})
+    ArchTrace(events, cycles=cycles, final_memory=memory or {16: 1},
+              breakdowns=breakdowns or [], dropped=dropped,
+              ).write_jsonl(str(path), backend="scalar", label="fixture")
     return str(path)
 
 

@@ -1,5 +1,6 @@
-"""Trace export, ring buffer, stats snapshot, and CLI smoke tests."""
+"""Trace export, the recorder bound, stats snapshot, and CLI smoke tests."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,18 +9,17 @@ from repro.obs.effectiveness import (
     PrefetchEffectiveness,
     SpeculationEffectiveness,
 )
-from repro.obs.jsonl import JsonlTraceRecorder, read_jsonl, write_jsonl
 from repro.obs.perfetto import (
     to_trace_events,
     validate_trace_events,
     validate_trace_file,
 )
 from repro.sim.stats import StatsRegistry, format_stats_table
-from repro.sim.trace import NullTraceRecorder, TraceEvent, TraceRecorder
+from repro.sim.trace import TraceEvent, TraceRecorder, read_jsonl
 
 
 # ----------------------------------------------------------------------
-# TraceRecorder ring buffer (satellite 1)
+# TraceRecorder bound: the first N events are kept
 # ----------------------------------------------------------------------
 
 class TestRingBuffer:
@@ -30,40 +30,34 @@ class TestRingBuffer:
         assert len(tr.events) == 500
         assert tr.dropped == 0
 
-    def test_bounded_keeps_most_recent(self):
+    def test_bounded_keeps_the_first_events(self):
+        # the archtrace differ localizes the first divergence: the head
+        # of the run is what a bounded recorder must keep
         tr = TraceRecorder(max_events=10)
         for i in range(25):
             tr.record(i, "x", "k", i=i)
         assert len(tr.events) == 10
         assert tr.dropped == 15
-        assert [ev.detail["i"] for ev in tr.events] == list(range(15, 25))
-
-    def test_clear_resets_dropped(self):
-        tr = TraceRecorder(max_events=1)
-        tr.record(0, "x", "k")
-        tr.record(1, "x", "k")
-        assert tr.dropped == 1
-        tr.clear()
-        assert tr.dropped == 0
-        assert tr.events == []
+        assert [ev.detail["i"] for ev in tr.events] == list(range(10))
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
             TraceRecorder(max_events=0)
 
-    def test_null_recorder_unchanged(self):
-        tr = NullTraceRecorder()
-        tr.record(0, "x", "k")
+    def test_disabled_recorder_keeps_nothing(self, tmp_path):
+        with open(tmp_path / "t.jsonl", "w") as fh:
+            tr = TraceRecorder(enabled=False, stream=fh)
+            tr.record(0, "x", "k")
         assert tr.events == []
         assert tr.dropped == 0
-        assert not tr.enabled
+        assert (tmp_path / "t.jsonl").read_text() == ""
 
     def test_queries_see_ring_contents(self):
         tr = TraceRecorder(max_events=3)
         for i in range(6):
             tr.record(i, "x", "a" if i % 2 else "b", i=i)
-        assert {ev.detail["i"] for ev in tr.of_kind("a")} <= {3, 5}
-        assert tr.first("a").detail["i"] == 3
+        assert [ev.detail["i"] for ev in tr.of_kind("a")] == [1]
+        assert tr.first("b").detail["i"] == 0
         assert len(tr.render().splitlines()) == 3
 
 
@@ -106,22 +100,24 @@ class TestStatsSnapshot:
 
 class TestJsonl:
     def test_write_read_roundtrip(self, tmp_path):
-        tr = TraceRecorder()
-        tr.record(1, "cpu0", "retire", seq=0, pc=0)
-        tr.record(2, "cache0", "fill", line=32)
         path = str(tmp_path / "t.jsonl")
-        assert write_jsonl(tr.events, path) == 2
+        with open(path, "w") as fh:
+            tr = TraceRecorder(stream=fh)
+            tr.record(1, "cpu0", "retire", seq=0, pc=0)
+            tr.record(2, "cache0", "fill", line=32)
         back = read_jsonl(path)
         assert back == tr.events
+        assert len(back) == 2
 
     def test_streaming_recorder_keeps_full_log_past_ring(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        with JsonlTraceRecorder(path, max_events=3) as tr:
+        with open(path, "w") as fh:
+            tr = TraceRecorder(max_events=3, stream=fh)
             for i in range(10):
                 tr.record(i, "x", "k", i=i)
         assert len(tr.events) == 3      # in-memory window bounded
         assert tr.dropped == 7
-        assert tr.streamed == 10        # disk log complete
+        # the disk log is complete, dropped events included
         assert [ev.detail["i"] for ev in read_jsonl(path)] == list(range(10))
 
     def test_read_rejects_garbage(self, tmp_path):
@@ -131,6 +127,9 @@ class TestJsonl:
             read_jsonl(str(path))
         path.write_text("not json\n")
         with pytest.raises(ValueError, match="not valid JSON"):
+            read_jsonl(str(path))
+        path.write_text('{"cycle": 1, "source": "x", "kind": "k"}\n5\n')
+        with pytest.raises(ValueError, match="line 2: not a JSON object"):
             read_jsonl(str(path))
 
 
@@ -257,6 +256,54 @@ class TestCliSmoke:
         assert validate_trace_file(str(perfetto)) == []
         assert len(read_jsonl(str(jsonl))) > 0
 
+    # sha256 of each view of one producer/consumer run, all three fed by
+    # one recorder; any byte that moves here changes what Perfetto, jq
+    # or `repro.obs diff` reads
+    PINNED_VIEWS = {
+        "perfetto": "6a55d47a89a7f4d812270fae528fbea4f06a0c121c14df43461a358e9f461a89",
+        "trace-jsonl": "efe260f91ec2bf2b884a60c96689b0d999f080566287470db187bab962bf94b1",
+        "archtrace": "3e4ed0ba1c2a77a9842e0ae6de45524499ade3e6d67717c324e4b83bdc9b8572",
+    }
+
+    def test_one_recorder_serves_every_view_byte_identically(self, tmp_path,
+                                                             capsys):
+        from repro.run import main
+        paths = {view: tmp_path / f"{view}.out" for view in self.PINNED_VIEWS}
+        argv = ["examples/asm/producer.s", "examples/asm/consumer.s",
+                "--model", "RC", "--prefetch", "--speculation", "--no-ledger"]
+        for view, path in paths.items():
+            argv += [f"--{view}", str(path)]
+        assert main(argv) == 0
+        digests = {view: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for view, path in paths.items()}
+        assert digests == self.PINNED_VIEWS
+
+    def test_failed_run_still_writes_its_trace_views(self, tmp_path, capsys):
+        from repro.obs.archtrace import read_archtrace
+        from repro.run import main
+        perfetto = tmp_path / "t.json"
+        jsonl = tmp_path / "t.jsonl"
+        arch = tmp_path / "a.jsonl"
+        ledger = tmp_path / "ledger.jsonl"
+        rc = main(["--example", "example2", "--model", "SC",
+                   "--max-cycles", "20", "--ledger", str(ledger),
+                   "--perfetto", str(perfetto), "--trace-jsonl", str(jsonl),
+                   "--archtrace", str(arch)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [
+            "error: simulation made no progress by cycle 20: "
+            "non-quiescent components: ['cpu0']"]
+        assert validate_trace_file(str(perfetto)) == []
+        recorded = read_jsonl(str(jsonl))
+        assert recorded and max(ev.cycle for ev in recorded) <= 20
+        _header, _events, footer = read_archtrace(str(arch))
+        assert footer["cycles"] == 20
+        assert footer["final_memory"] == {} and footer["breakdowns"] == []
+        assert not ledger.exists()
+
     def test_run_requires_program_or_example(self, capsys):
         from repro.run import main
         with pytest.raises(SystemExit):
@@ -276,7 +323,8 @@ class TestCliSmoke:
     def test_obs_convert_and_validate_commands(self, tmp_path, capsys):
         from repro.obs.cli import main
         jsonl = tmp_path / "t.jsonl"
-        write_jsonl([TraceEvent(1, "cpu0", "retire", {"seq": 0})], str(jsonl))
+        jsonl.write_text(TraceEvent(1, "cpu0", "retire", {"seq": 0}).to_json()
+                         + "\n")
         trace_json = tmp_path / "t.json"
         assert main(["convert", str(jsonl), str(trace_json)]) == 0
         assert main(["validate", str(trace_json)]) == 0

@@ -110,6 +110,10 @@ class TestCliMisuse:
         ("repro.run", ["{program}", "--init", "zz=1"]),
         ("repro.obs.cli", ["convert", "{missing}", "{out}"]),
         ("repro.obs.cli", ["diff", "{missing}", "{missing}"]),
+        # a malformed trace is unreadable input, not a divergence
+        ("repro.obs.cli", ["diff", "{notjson}", "{notjson}"]),
+        ("repro.obs.cli", ["diff", "{nocpu}", "{nocpu}"]),
+        ("repro.obs.cli", ["convert", "{scalar}", "{out}"]),
         ("repro.obs.cli", ["breakdown", "--models", "XX"]),
         ("repro.analysis.static.cli", ["{missing}"]),
         ("repro.analysis.static.cli", ["{program}", "--model", "XX"]),
@@ -141,6 +145,12 @@ class TestCliMisuse:
         program.write_text("halt\n")
         paths = {"program": str(program), "out": str(tmp_path / "out.json"),
                  "missing": str(tmp_path / "missing"), "dir": str(tmp_path)}
+        for name, text in (("notjson", "not json\n"),
+                           ("nocpu", '{"archtrace": 1}\n'
+                                     '{"cycle": 1, "kind": "retire"}\n'),
+                           ("scalar", "5\n")):
+            (tmp_path / f"{name}.jsonl").write_text(text)
+            paths[name] = str(tmp_path / f"{name}.jsonl")
         main = importlib.import_module(module).main
         try:
             status = main([arg.format(**paths) for arg in argv])
