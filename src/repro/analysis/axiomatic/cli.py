@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
+from ...cli_options import add_model
 from ...consistency.litmus import STANDARD_TESTS, LitmusTest
-from ...consistency.models import (ALL_MODELS, ConsistencyModel,
-                                   model_argument)
+from ...consistency.models import ALL_MODELS, ConsistencyModel
 from .axioms import render_axiom_table
 from .checker import accepting_witness, compare_with_enumerator
 from .relations import build_events, event_table
@@ -56,10 +56,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("tests", nargs="*",
                         help="named litmus tests (default: the whole "
                              "standard suite)")
-    parser.add_argument("--model", action="append", default=[],
-                        type=model_argument, metavar="NAME",
-                        help="consistency model (repeatable; default: the "
-                             "paper's SC PC WC RC)")
+    add_model(parser, many=True, default=ALL_MODELS)
     parser.add_argument("--all-models", action="store_true",
                         help="check under SC, PC, WC, and RC")
     parser.add_argument("--axioms", action="store_true",
@@ -69,8 +66,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "admitted outcome")
     args = parser.parse_args(argv)
 
-    models = (args.model
-              if args.model and not args.all_models else list(ALL_MODELS))
+    models = list(ALL_MODELS) if args.all_models else list(args.model)
     if args.axioms:
         print(render_axiom_table(models))
         return 0

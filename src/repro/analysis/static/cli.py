@@ -20,20 +20,12 @@ import argparse
 import os
 from typing import List, Optional
 
+from ...cli_options import add_model, at_least, program_file
 from ...consistency.models import (ALL_MODELS, PC, RC, WC, ConsistencyModel,
-                                   get_model, model_argument)
-from ...isa.assembler import assemble
+                                   get_model)
 from ...isa.program import Program
 from .diagnostics import summarize_reports
 from .racecheck import analyze_programs, apply_fence_suggestions
-
-
-def _load_programs(paths: List[str]) -> List[Program]:
-    programs = []
-    for path in paths:
-        with open(path) as fh:
-            programs.append(assemble(fh.read()))
-    return programs
 
 
 def _analyze_and_print(programs: List[Program],
@@ -75,12 +67,13 @@ def selfcheck(examples_dir: str, line_size: int = 4) -> int:
         if not cond:
             failures.append(what)
 
-    def path(*names: str) -> List[str]:
-        return [os.path.join(examples_dir, n) for n in names]
+    def load(*names: str) -> List[Program]:
+        return [program_file(os.path.join(examples_dir, n))[1]
+                for n in names]
 
-    dekker = _load_programs(path("dekker.s", "dekker_mirror.s"))
-    example1 = _load_programs(path("example1.s", "example1.s"))
-    prodcons = _load_programs(path("producer.s", "consumer.s"))
+    dekker = load("dekker.s", "dekker_mirror.s")
+    example1 = load("example1.s", "example1.s")
+    prodcons = load("producer.s", "consumer.s")
 
     sc_report = analyze_programs(dekker, get_model("SC"), line_size=line_size)
     check(sc_report.sc_guaranteed and not sc_report.races(),
@@ -126,17 +119,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.analysis.static",
         description="Static race & ordering analysis of assembly programs.",
     )
-    parser.add_argument("programs", nargs="*",
+    parser.add_argument("programs", nargs="*", type=program_file,
                         help="assembly files, one per processor")
-    parser.add_argument("--model", action="append", default=[],
-                        type=model_argument, metavar="NAME",
-                        help="consistency model to analyze under "
-                             "(repeatable; default PC WC RC)")
+    add_model(parser, many=True, default=[PC, WC, RC])
     parser.add_argument("--all-models", action="store_true",
                         help="analyze under SC, PC, WC, and RC")
     parser.add_argument("--fix", action="store_true",
                         help="apply the suggested fences and re-analyze")
-    parser.add_argument("--line-size", type=int, default=4,
+    parser.add_argument("--line-size", type=at_least(1), default=4,
                         help="cache line size in words (conflict granularity)")
     parser.add_argument("--selfcheck", metavar="EXAMPLES_DIR",
                         help="verify the expected classification of the "
@@ -147,10 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return selfcheck(args.selfcheck, line_size=args.line_size)
     if not args.programs:
         parser.error("give at least one assembly file (or --selfcheck DIR)")
-    models = (list(ALL_MODELS) if args.all_models
-              else (args.model or [PC, WC, RC]))
-    try:
-        programs = _load_programs(args.programs)
-    except OSError as exc:
-        parser.error(f"cannot read program: {exc}")
+    models = list(ALL_MODELS) if args.all_models else args.model
+    programs = [program for _text, program in args.programs]
     return _analyze_and_print(programs, models, args.fix, args.line_size)

@@ -176,12 +176,3 @@ def get_model(name: str) -> ConsistencyModel:
                        f"available: {sorted(m.name for m in _MODELS.values())}")
     return _MODELS[key]
 
-
-def model_argument(name: str) -> ConsistencyModel:
-    """:func:`get_model` as an argparse ``type=``: an unknown name is a
-    usage error (one ``error:`` line, exit 2), not a traceback."""
-    import argparse
-    try:
-        return get_model(name)
-    except KeyError as exc:
-        raise argparse.ArgumentTypeError(exc.args[0]) from None

@@ -28,8 +28,9 @@ import json
 import sys
 from typing import List, Optional
 
-from ..consistency.models import model_argument
-from ..sim.stats import output_path
+from ..cli_options import (add_ledger, add_model, add_stats_json,
+                           append_ledger, miss_latency, output_path)
+from ..consistency.models import ALL_MODELS
 from ..sim.trace import read_jsonl
 from .ledger import KNOWN_KINDS
 from .perfetto import (
@@ -44,9 +45,9 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     import time
 
     from ..sim.stats import StatsRegistry, write_stats_json
-    from .report import DEFAULT_MODELS, TECHNIQUES, example_breakdown_matrix
+    from .report import TECHNIQUES, example_breakdown_matrix
 
-    models = tuple(args.models) if args.models else DEFAULT_MODELS
+    models = tuple(args.model)
     merged: Optional[StatsRegistry] = StatsRegistry() if args.stats_json else None
     t0 = time.perf_counter()
     table = example_breakdown_matrix(
@@ -61,25 +62,21 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     if args.stats_json and merged is not None:
         write_stats_json(args.stats_json, merged)
         print(f"merged statistics written to {args.stats_json}")
-    if not args.no_ledger:
-        from . import ledger as ledger_mod
-
-        num_cells = len(models) * len(TECHNIQUES)
-        record = ledger_mod.make_record(
-            kind="breakdown",
-            request={
-                "example": args.example,
-                "models": [m.name for m in models],
-                "miss_latency": args.miss_latency,
-                "normalize": args.normalize,
-            },
-            outcome={"cells": num_cells},
-            wall_seconds=wall,
-            items=num_cells,
-            artifacts=({"stats_json": args.stats_json}
-                       if args.stats_json else None),
-        )
-        ledger_mod.append_record(record, args.ledger)
+    num_cells = len(models) * len(TECHNIQUES)
+    append_ledger(
+        args,
+        kind="breakdown",
+        request={
+            "example": args.example,
+            "models": [m.name for m in models],
+            "miss_latency": args.miss_latency,
+            "normalize": args.normalize,
+        },
+        outcome={"cells": num_cells},
+        wall_seconds=wall,
+        items=num_cells,
+        artifacts={"stats_json": args.stats_json} if args.stats_json else None,
+    )
     return 0
 
 
@@ -165,12 +162,6 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
                          f"{args.ledger_command!r}")  # pragma: no cover
 
 
-def _add_ledger_path_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ledger", metavar="FILE", default=None,
-                   help="run-ledger JSONL path (default: "
-                        "$REPRO_LEDGER or .repro/ledger.jsonl)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -182,23 +173,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stall-breakdown matrix for a paper example")
     p.add_argument("example", nargs="?", default="example2",
                    choices=("example1", "example2", "figure5"))
-    p.add_argument("--models", nargs="*", metavar="MODEL",
-                   type=model_argument,
-                   help="models to include (default: SC PC WC RC)")
-    p.add_argument("--miss-latency", type=int, default=100)
+    add_model(p, many=True, default=ALL_MODELS, aliases=("--models",))
+    p.add_argument("--miss-latency", type=miss_latency, default=100)
     p.add_argument("--raw", dest="normalize", action="store_false",
-                   help="print raw cycle counts instead of normalized %")
-    p.add_argument("--stats-json", metavar="FILE", type=output_path,
-                   help="write the merged per-cell statistics registry here")
-    _add_ledger_path_argument(p)
-    p.add_argument("--no-ledger", action="store_true",
-                   help="do not append this run to the run ledger")
+                   help="print raw cycle counts instead of normalized %%")
+    add_stats_json(p)
+    add_ledger(p)
     p.set_defaults(func=_cmd_breakdown)
 
     p = sub.add_parser("convert",
                        help="JSONL trace -> Chrome/Perfetto trace_event JSON")
     p.add_argument("jsonl", help="input JSONL trace (see --trace-jsonl)")
-    p.add_argument("output", help="output trace_event JSON file")
+    p.add_argument("output", type=output_path,
+                   help="output trace_event JSON file")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("validate",
@@ -224,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = p.add_subparsers(dest="ledger_command", required=True)
 
     lp = lsub.add_parser("list", help="one line per record, newest last")
-    _add_ledger_path_argument(lp)
+    add_ledger(lp, appends=False)
     lp.add_argument("--kind", choices=KNOWN_KINDS,
                     help="only records of this kind")
     lp.add_argument("--limit", type=int, default=20,
@@ -234,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     lp = lsub.add_parser("show",
                          help="dump records matching a request-hash prefix")
     lp.add_argument("hash", help="request_sha256 prefix")
-    _add_ledger_path_argument(lp)
+    add_ledger(lp, appends=False)
     lp.set_defaults(func=_cmd_ledger, kind=None)
 
     lp = lsub.add_parser("stats",
                          help="per-kind totals and the dedupe-hit rate a "
                               "content-addressed result cache would see")
-    _add_ledger_path_argument(lp)
+    add_ledger(lp, appends=False)
     lp.add_argument("--kind", choices=KNOWN_KINDS,
                     help="restrict to one record kind")
     lp.add_argument("--json", action="store_true",
@@ -250,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp = lsub.add_parser("trajectory",
                          help="throughput trend of one record kind, "
                               "oldest first (default: fuzz)")
-    _add_ledger_path_argument(lp)
+    add_ledger(lp, appends=False)
     lp.add_argument("--kind", choices=KNOWN_KINDS, default="fuzz")
     lp.add_argument("--json", action="store_true",
                     help="emit the trajectory points as JSON")

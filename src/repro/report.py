@@ -53,6 +53,9 @@ class Experiment(NamedTuple):
     #: (what ``build`` returned) -> bool; ``__doc__`` states the expectation
     claim: Callable[[Any], bool]
 
+    def matches(self, section: str) -> bool:
+        return section.lower() in f"{self.id} {self.title}".lower()
+
 
 class _Tables(list):
     """Several tables rendered as one section."""
@@ -378,6 +381,15 @@ EXPERIMENTS: List[Experiment] = [
 ]
 
 
+def _section(text: str) -> str:
+    """argparse ``type=``: a filter must select some experiment."""
+    if not any(exp.matches(text) for exp in EXPERIMENTS):
+        raise argparse.ArgumentTypeError(
+            f"no experiment matches {text!r}; ids: "
+            f"{', '.join(exp.id for exp in EXPERIMENTS)}")
+    return text
+
+
 def generate(selected: List[str],
              verbose: bool = True) -> Tuple[str, List[str]]:
     """Render the selected experiments; returns (report, failed ids)."""
@@ -385,7 +397,7 @@ def generate(selected: List[str],
     failed: List[str] = []
     for exp in EXPERIMENTS:
         name = f"{exp.id} {exp.title}"
-        if selected and not any(s.lower() in name.lower() for s in selected):
+        if selected and not any(exp.matches(s) for s in selected):
             continue
         start = time.time()
         table = exp.build()
@@ -408,7 +420,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Regenerate the reproduction's experiment tables and "
                     "check each one's claim (exit 1 if any fails).",
     )
-    parser.add_argument("sections", nargs="*",
+    parser.add_argument("sections", nargs="*", type=_section,
                         help="substring filters (e.g. 'E5' 'figure 5'); "
                              "default: everything")
     parser.add_argument("--output", "-o", help="also write the report here")

@@ -27,10 +27,11 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .consistency.models import model_argument
-from .isa import assemble
+from .cli_options import (add_ledger, add_model, add_stats_json,
+                          append_ledger, miss_latency, output_path,
+                          program_file, register)
 from .sim.errors import SimulationError
-from .sim.stats import output_path, write_stats_json
+from .sim.stats import write_stats_json
 from .sim.trace import TraceRecorder
 from .system import run_workload
 
@@ -80,20 +81,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.run",
         description="Run assembly programs on the multiprocessor simulator.",
     )
-    parser.add_argument("programs", nargs="*",
+    parser.add_argument("programs", nargs="*", type=program_file,
                         help="assembly files, one per processor")
     parser.add_argument("--example",
                         choices=("example1", "example2", "figure5"),
                         help="run a built-in paper kernel (with its "
                              "warm-cache/memory environment) instead of "
                              "assembly files")
-    parser.add_argument("--model", default="SC", type=model_argument,
-                        help="consistency model: SC, PC, WC, RC, RCsc, DRF0")
+    add_model(parser)
     parser.add_argument("--prefetch", action="store_true",
                         help="enable hardware non-binding prefetch")
     parser.add_argument("--speculation", action="store_true",
                         help="enable speculative loads")
-    parser.add_argument("--miss-latency", type=int, default=100)
+    parser.add_argument("--miss-latency", type=miss_latency, default=100)
     parser.add_argument("--max-cycles", type=int, default=1_000_000)
     parser.add_argument("--init", action="append", default=[],
                         type=init_pair, metavar="ADDR=VALUE",
@@ -101,7 +101,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--watch", action="append", default=[],
                         type=address, metavar="ADDR",
                         help="print this word afterwards")
-    parser.add_argument("--regs", action="append", default=[],
+    parser.add_argument("--regs", action="append", default=[], type=register,
                         metavar="REG", help="registers to print (default r1-r8)")
     parser.add_argument("--stats", action="store_true",
                         help="dump the full statistics registry")
@@ -120,8 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="host-side self-profiler: per-component "
                              "wall-time shares, simulated cycles/sec and "
-                             "KIPS (also lands host/profile/* gauges in "
-                             "--stats/--stats-json)")
+                             "KIPS (host/profile/* in --stats/--stats-json)")
     parser.add_argument("--progress", action="store_true",
                         help="live heartbeat on stderr while the "
                              "simulation runs (implies profiling)")
@@ -129,8 +128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="CYCLES",
                         help="heartbeat interval in simulated cycles "
                              "(default 25000)")
-    parser.add_argument("--stats-json", metavar="FILE", type=output_path,
-                        help="write the statistics snapshot as JSON")
+    add_stats_json(parser)
     parser.add_argument("--perfetto", metavar="FILE", type=output_path,
                         help="export the trace as Chrome/Perfetto "
                              "trace_event JSON (implies tracing)")
@@ -149,26 +147,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "and count the rest as dropped (0 = "
                              "unbounded; --sanitize needs the full trace "
                              "and ignores the limit)")
-    parser.add_argument("--ledger", metavar="FILE", default=None,
-                        help="run-ledger JSONL path (default: "
-                             "$REPRO_LEDGER or .repro/ledger.jsonl)")
-    parser.add_argument("--no-ledger", action="store_true",
-                        help="do not append this run to the run ledger")
+    add_ledger(parser)
     args = parser.parse_args(argv)
 
     if not args.programs and not args.example:
         parser.error("need assembly files or --example")
 
-    programs = []
-    program_sha256: List[str] = []
-    for path in args.programs:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            parser.error(f"cannot read program: {exc}")
-        program_sha256.append(hashlib.sha256(text.encode()).hexdigest())
-        programs.append(assemble(text))
+    programs = [program for _text, program in args.programs]
+    program_sha256 = [hashlib.sha256(text.encode()).hexdigest()
+                      for text, _program in args.programs]
 
     initial_memory = dict(args.init)
     warm_lines = ()
@@ -282,33 +269,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report.render())
         sanitize_ok = report.ok
 
-    if not args.no_ledger:
-        from .obs import ledger as ledger_mod
-
-        artifacts = {key: value for key, value in (
-            ("stats_json", args.stats_json),
-            ("perfetto", args.perfetto),
-            ("trace_jsonl", args.trace_jsonl),
-            ("archtrace", args.archtrace),
-        ) if value}
-        ledger_mod.append_record(ledger_mod.make_record(
-            kind="run",
-            request={
-                "example": args.example,
-                "programs_sha256": program_sha256,
-                "model": model.name,
-                "prefetch": args.prefetch,
-                "speculation": args.speculation,
-                "miss_latency": args.miss_latency,
-                "max_cycles": args.max_cycles,
-                "init": {str(a): v for a, v in sorted(initial_memory.items())},
-            },
-            outcome={"cycles": result.cycles,
-                     "sanitize_ok": sanitize_ok},
-            wall_seconds=wall,
-            items=result.cycles,
-            artifacts=artifacts or None,
-        ), args.ledger)
+    artifacts = {key: getattr(args, key) for key in (
+        "stats_json", "perfetto", "trace_jsonl", "archtrace")
+        if getattr(args, key)}
+    append_ledger(
+        args,
+        kind="run",
+        request={
+            "example": args.example,
+            "programs_sha256": program_sha256,
+            "model": model.name,
+            "prefetch": args.prefetch,
+            "speculation": args.speculation,
+            "miss_latency": args.miss_latency,
+            "max_cycles": args.max_cycles,
+            "init": {str(a): v for a, v in sorted(initial_memory.items())},
+        },
+        outcome={"cycles": result.cycles, "sanitize_ok": sanitize_ok},
+        wall_seconds=wall,
+        items=result.cycles,
+        artifacts=artifacts or None,
+    )
 
     return 0 if sanitize_ok else 1
 

@@ -31,6 +31,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from ..cli_options import add_ledger, add_model, at_least, positive
 from .client import ServeClient, ServeClientError, connect_with_retry
 from .loadgen import build_job_mix, run_closed_loop, run_open_loop
 from .protocol import ProtocolError, make_job
@@ -66,7 +67,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         executor_jobs=args.jobs,
         host=args.host,
         port=args.port,
-        ledger_path=args.ledger_path,
+        ledger_path=args.ledger,
         ledger=not args.no_ledger,
         request_log=not args.no_request_log,
     )
@@ -92,15 +93,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _jobs_from_args(args: argparse.Namespace) -> List[Dict[str, object]]:
-    if args.jobs_file:
-        return _jobs_from_file(args.jobs_file)
+    if args.jobs_file is not None:
+        return args.jobs_file
     if args.mix is not None:
         return build_job_mix(args.mix, seed=args.mix_seed)
     tests = args.test or ["SB"]
-    models = args.model or ["SC"]
     jobs = []
     for test in tests:
-        for model in models:
+        for model in args.model:
             for prefetch, speculation in _TECHNIQUE_SETS[args.techniques]:
                 jobs.append(make_job(test={"name": test}, model=model,
                                      prefetch=prefetch,
@@ -108,19 +108,22 @@ def _jobs_from_args(args: argparse.Namespace) -> List[Dict[str, object]]:
     return jobs
 
 
-def _jobs_from_file(path: str) -> List[Dict[str, object]]:
-    """A JSON array of jobs, or JSONL with one job (or one request-log
-    record carrying a ``job`` field) per line."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        raw = json.loads(text)
-    else:
-        raw = []
-        for line in text.splitlines():
-            if line.strip():
-                raw.append(json.loads(line))
+def _jobs_file(path: str) -> List[Dict[str, object]]:
+    """argparse ``type=``: a JSON array of jobs, or JSONL with one job
+    (or one request-log record carrying a ``job`` field) per line."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        stripped = text.lstrip()
+        if stripped.startswith("["):
+            raw = json.loads(text)
+        else:
+            raw = []
+            for line in text.splitlines():
+                if line.strip():
+                    raw.append(json.loads(line))
+    except (OSError, ValueError) as exc:    # missing file / not JSON
+        raise argparse.ArgumentTypeError(f"cannot read jobs: {exc}") from None
     jobs = []
     for entry in raw:
         if isinstance(entry, dict) and "job" in entry:
@@ -162,21 +165,7 @@ def _submit_all(args: argparse.Namespace,
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    try:
-        jobs = _jobs_from_args(args)
-    except ValueError as exc:  # not JSON, or not a job (ProtocolError)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _submit_all(args, jobs)
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        jobs = _jobs_from_file(args.log)
-    except ValueError as exc:
-        print(f"error: cannot read request log: {exc}", file=sys.stderr)
-        return 2
-    return _submit_all(args, jobs)
+    return _submit_all(args, _jobs_from_args(args))
 
 
 # ----------------------------------------------------------------------
@@ -231,57 +220,55 @@ def build_parser() -> argparse.ArgumentParser:
     _add_endpoint(p_serve)
     p_serve.add_argument("--store", default=".repro/serve",
                          help="result-store root (default: %(default)s)")
-    p_serve.add_argument("--jobs", type=int, default=1,
+    p_serve.add_argument("--jobs", type=at_least(1), default=1,
                          help="cache-miss workers: 1 runs misses in the "
                               "server process, N > 1 in a pool of N "
                               "processes (default: %(default)s)")
-    p_serve.add_argument("--ledger-path", default=None,
-                         help="ledger file (default: the repo ledger)")
-    p_serve.add_argument("--no-ledger", action="store_true",
-                         help="do not append ledger records")
+    add_ledger(p_serve, aliases=("--ledger-path",))
     p_serve.add_argument("--no-request-log", action="store_true",
                          help="do not keep <store>/requests.jsonl")
     p_serve.set_defaults(func=_cmd_serve)
 
-    for name, func, helptext in (
-            ("submit", _cmd_submit, "submit jobs, print a JSON summary"),
-            ("replay", _cmd_replay, "re-submit a captured request log")):
+    for name, helptext in (
+            ("submit", "submit jobs, print a JSON summary"),
+            ("replay", "re-submit a captured request log")):
         p = sub.add_parser(name, help=helptext)
         _add_endpoint(p)
         if name == "replay":
-            p.add_argument("log", help="request log (requests.jsonl)")
+            # a replay is a submit whose jobs come from a file
+            p.add_argument("jobs_file", metavar="log", type=_jobs_file,
+                           help="request log (requests.jsonl)")
         else:
             p.add_argument("--test", action="append",
                            help="litmus test name (repeatable; default SB)")
-            p.add_argument("--model", action="append",
-                           help="memory model (repeatable; default SC)")
+            add_model(p, many=True, default=["SC"], as_typed=True)
             p.add_argument("--techniques", choices=sorted(_TECHNIQUE_SETS),
                            default="off",
                            help="technique sweep per test x model "
                                 "(default: %(default)s)")
-            p.add_argument("--mix", type=int, default=None,
+            p.add_argument("--mix", type=at_least(0), default=None,
                            help="submit a deterministic N-job mix instead")
             p.add_argument("--mix-seed", type=int, default=0,
                            help="mix shuffle seed (default: %(default)s)")
-            p.add_argument("--jobs-file", default=None,
+            p.add_argument("--jobs-file", type=_jobs_file, default=None,
                            help="JSON array or JSONL file of jobs")
         p.add_argument("--stats", action="store_true",
                        help="include server stats in the summary")
         p.add_argument("--connect-timeout", type=float, default=30.0,
                        help="seconds to wait for the server "
                             "(default: %(default)s)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_submit)
 
     p_load = sub.add_parser("loadgen", help="synthetic load benchmark")
     _add_endpoint(p_load)
     p_load.add_argument("--mode", choices=("closed", "open"),
                         default="closed")
-    p_load.add_argument("--count", type=int, default=64,
+    p_load.add_argument("--count", type=at_least(0), default=64,
                         help="jobs to submit (default: %(default)s)")
-    p_load.add_argument("--clients", type=int, default=4,
+    p_load.add_argument("--clients", type=at_least(1), default=4,
                         help="closed-loop client threads "
                              "(default: %(default)s)")
-    p_load.add_argument("--rate", type=float, default=50.0,
+    p_load.add_argument("--rate", type=positive, default=50.0,
                         help="open-loop arrival rate, jobs/s "
                              "(default: %(default)s)")
     p_load.add_argument("--unique", action="store_true",

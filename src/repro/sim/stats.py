@@ -10,7 +10,6 @@ numbers so reports can be rendered without any third-party dependency.
 from __future__ import annotations
 
 import json
-import os
 from collections import defaultdict
 from typing import Dict, List, Mapping, Tuple
 
@@ -140,23 +139,6 @@ def write_stats_json(path: str, stats: StatsRegistry, **extra: object) -> None:
     with open(path, "w") as fh:
         json.dump({**stats.snapshot(), **extra}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def output_path(path: str) -> str:
-    """argparse ``type=`` for a file written when the run is over: a
-    path that cannot be created is a usage error before anything runs,
-    not a traceback after it."""
-    import argparse
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        reason = "it is a directory"
-    elif not os.path.isdir(parent):
-        reason = f"no directory {parent}"
-    elif not os.access(parent, os.W_OK):
-        reason = f"{parent} is not writable"
-    else:
-        return path
-    raise argparse.ArgumentTypeError(f"cannot write {path}: {reason}")
 
 
 def format_stats_table(stats: Mapping[str, object], title: str = "") -> str:

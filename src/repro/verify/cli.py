@@ -27,8 +27,10 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..cli_options import (add_ledger, add_stats_json, append_ledger,
+                           at_least, output_path)
 from ..consistency.litmus import STANDARD_TESTS
-from ..sim.stats import output_path, write_stats_json
+from ..sim.stats import write_stats_json
 from ..sim.sweep import ProgressMeter, SweepError, derive_seed, run_sweep
 from .corpus import (
     Corpus,
@@ -56,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.verify",
         description="Differential conformance fuzzer: detailed simulator "
                     "vs reference litmus enumeration.")
-    parser.add_argument("--budget", type=int, default=200,
+    parser.add_argument("--budget", type=at_least(1), default=200,
                         help="number of random tests to check (default 200)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=at_least(1), default=1,
                         help="worker processes for the sweep (default 1)")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed; item seeds are derived "
@@ -102,10 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "<corpus>.localize/)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
-    parser.add_argument("--stats-json", metavar="FILE", default=None,
-                        type=output_path,
-                        help="write the campaign metrics snapshot (legs, "
-                             "compile-memo hits, fallback reasons) as JSON")
+    add_stats_json(parser)
     parser.add_argument("--prometheus", metavar="FILE", default=None,
                         type=output_path,
                         help="write the campaign metrics in the Prometheus "
@@ -115,11 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the campaign's orchestration spans "
                              "(parent + workers, one merged timeline) as "
                              "Perfetto trace_event JSON")
-    parser.add_argument("--ledger", metavar="FILE", default=None,
-                        help="run-ledger JSONL path (default: "
-                             "$REPRO_LEDGER or .repro/ledger.jsonl)")
-    parser.add_argument("--no-ledger", action="store_true",
-                        help="do not append this campaign to the run ledger")
+    add_ledger(parser)
     return parser
 
 
@@ -296,13 +291,12 @@ def run_fuzz(budget: int, jobs: int, seed: int,
         if not quiet:
             print(f"campaign span trace written to {trace_spans}")
 
-    if ledger:
-        from ..obs import ledger as ledger_mod
-
-        # execution shape (jobs) deliberately excluded: it cannot
-        # change the campaign's outcome, and this hash is the future
-        # result-cache key
-        request: Dict[str, object] = {
+    # execution shape (jobs) deliberately excluded: it cannot change
+    # the campaign's outcome, and this hash is the result-cache key
+    appended = append_ledger(
+        argparse.Namespace(ledger=ledger_path, no_ledger=not ledger),
+        kind="fuzz",
+        request={
             "kind": "suite" if suite else "fuzz",
             "budget": None if suite else budget,
             "master_seed": None if suite else seed,
@@ -310,28 +304,25 @@ def run_fuzz(budget: int, jobs: int, seed: int,
             "oracle": oracle,
             "backend": backend,
             "fault": fault,
-        }
-        record = ledger_mod.make_record(
-            kind="fuzz",
-            request=request,
-            outcome={
-                "status": status,
-                "tests": total,
-                "simulator_runs": total_runs,
-                "failures": len(failures),
-                "crashes": len(crashes),
-                "sim_vs_enumerator": sim_enum,
-                "sim_vs_axiomatic": sim_ax,
-                "axiomatic_vs_enumerator": ax_enum,
-            },
-            wall_seconds=wall,
-            items=total_runs,
-            artifacts=artifacts,
-        )
-        path = ledger_mod.append_record(record, ledger_path)
-        if not quiet:
-            print(f"ledger: {record['kind']} "
-                  f"{str(record['request_sha256'])[:12]}.. -> {path}")
+        },
+        outcome={
+            "status": status,
+            "tests": total,
+            "simulator_runs": total_runs,
+            "failures": len(failures),
+            "crashes": len(crashes),
+            "sim_vs_enumerator": sim_enum,
+            "sim_vs_axiomatic": sim_ax,
+            "axiomatic_vs_enumerator": ax_enum,
+        },
+        wall_seconds=wall,
+        items=total_runs,
+        artifacts=artifacts,
+    )
+    if appended is not None and not quiet:
+        record, path = appended
+        print(f"ledger: {record['kind']} "
+              f"{str(record['request_sha256'])[:12]}.. -> {path}")
 
     if status:
         print(f"verify: FAILED ({len(failures)} failing test(s), "
@@ -363,19 +354,13 @@ def run_replay(path: str, quiet: bool = False) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.replay is not None:
         return run_replay(args.replay, quiet=args.quiet)
-    if args.budget < 1 and not args.suite:
-        print("--budget must be >= 1", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     if args.server is not None and args.fault is not None:
-        print("--fault is incompatible with --server: faults monkeypatch "
-              "this process, not the job server", file=sys.stderr)
-        return 2
+        parser.error("--fault is incompatible with --server: faults "
+                     "monkeypatch this process, not the job server")
     return run_fuzz(
         budget=args.budget,
         jobs=args.jobs,

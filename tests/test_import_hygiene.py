@@ -79,3 +79,16 @@ def test_consistency_never_imports_analysis():
     }
     assert len(upward) > 3
     assert not {name: mods for name, mods in upward.items() if mods}
+
+
+def test_only_cli_modules_import_argparse():
+    """Argument parsing is the front-ends' business: the library layers
+    below them raise their own errors and never see a parser."""
+    root = Path(SRC) / "repro"
+    importers = sorted(
+        str(path.relative_to(root)) for path in root.rglob("*.py")
+        if "argparse" in _imported_modules(path, "repro"))
+    assert "cli_options.py" in importers
+    assert [name for name in importers
+            if name not in ("cli_options.py", "run.py", "report.py")
+            and not name.endswith("/cli.py")] == []

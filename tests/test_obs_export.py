@@ -312,7 +312,7 @@ class TestCliSmoke:
     def test_obs_breakdown_command(self, tmp_path, capsys):
         from repro.obs.cli import main
         merged = tmp_path / "m.json"
-        rc = main(["breakdown", "example2", "--models", "SC",
+        rc = main(["breakdown", "example2", "--model", "SC",
                    "--stats-json", str(merged)])
         assert rc == 0
         out = capsys.readouterr().out

@@ -99,9 +99,10 @@ class TestRunCli:
 
 
 class TestCliMisuse:
-    """A bad file or name is a usage error: one ``error:`` line on
-    stderr and exit 2 — never a traceback, never exit 1 (which means
-    "sanitize failed" / "races found" / "diverged")."""
+    """A bad file, name or number is a usage error, in all seven
+    front-ends: one ``error:`` line on stderr and exit 2 — never a
+    traceback, never exit 1 (which means "sanitize failed" / "races
+    found" / "diverged"), never a silent pass."""
 
     CASES = [
         ("repro.run", ["{missing}"]),
@@ -125,6 +126,7 @@ class TestCliMisuse:
         ("repro.run", ["{program}", "--trace-jsonl", "{missing}/x.jsonl"]),
         ("repro.run", ["{program}", "--archtrace", "{missing}/x.jsonl"]),
         ("repro.run", ["{program}", "--stats-json", "{dir}"]),
+        ("repro.obs.cli", ["convert", "{trace}", "{missing}/x.json"]),
         ("repro.obs.cli", ["breakdown", "--stats-json", "{missing}/x.json"]),
         ("repro.verify.cli", ["--budget", "2", "--stats-json",
                               "{missing}/x.json"]),
@@ -132,6 +134,26 @@ class TestCliMisuse:
                               "{missing}/x.prom"]),
         ("repro.verify.cli", ["--budget", "2", "--trace-spans",
                               "{missing}/x.json"]),
+        # a program that does not assemble
+        ("repro.run", ["{badasm}"]),
+        ("repro.analysis.static.cli", ["{badasm}"]),
+        # values out of range, checked by the rule's owner at parse time
+        ("repro.run", ["{program}", "--regs", "zz"]),
+        ("repro.run", ["{program}", "--miss-latency", "-5"]),
+        ("repro.obs.cli", ["breakdown", "--miss-latency", "-1"]),
+        ("repro.analysis.static.cli", ["{program}", "--line-size", "0"]),
+        ("repro.analysis.static.cli", ["{program}", "--line-size", "-4"]),
+        ("repro.serve.cli", ["loadgen", "--clients", "0"]),
+        ("repro.serve.cli", ["loadgen", "--mode", "open", "--rate", "0"]),
+        ("repro.serve.cli", ["loadgen", "--count", "-1"]),
+        ("repro.serve.cli", ["submit", "--model", "XX"]),
+        ("repro.serve.cli", ["replay", "{notjson}"]),
+        ("repro.verify.cli", ["--budget", "0"]),
+        ("repro.verify.cli", ["--jobs", "0"]),
+        ("repro.verify.cli", ["--fault", "slb-deaf",
+                              "--server", "127.0.0.1:1"]),
+        # a filter that selects nothing must not pass as an empty report
+        ("repro.report", ["NOPE"]),
     ]
 
     @pytest.mark.parametrize(
@@ -148,7 +170,9 @@ class TestCliMisuse:
         for name, text in (("notjson", "not json\n"),
                            ("nocpu", '{"archtrace": 1}\n'
                                      '{"cycle": 1, "kind": "retire"}\n'),
-                           ("scalar", "5\n")):
+                           ("scalar", "5\n"), ("badasm", "bogus r1\n"),
+                           ("trace", '{"cycle": 1, "detail": {}, '
+                                     '"kind": "retire", "source": "cpu0"}\n')):
             (tmp_path / f"{name}.jsonl").write_text(text)
             paths[name] = str(tmp_path / f"{name}.jsonl")
         main = importlib.import_module(module).main
@@ -163,3 +187,57 @@ class TestCliMisuse:
                    for line in captured.err.splitlines()) == 1
         # nothing ran first: a bad --watch used to fail after the simulation
         assert captured.out == ""
+
+
+class TestSharedOptions:
+    """``repro.cli_options``: one spelling per concept, old spellings
+    kept as aliases that still work and say they are deprecated."""
+
+    @staticmethod
+    def _parse(argv):
+        from repro.obs.cli import build_parser as obs_parser
+        from repro.serve.cli import build_parser as serve_parser
+
+        build = serve_parser if argv[0] == "serve" else obs_parser
+        return vars(build().parse_args(argv))
+
+    @pytest.mark.parametrize("old,new", [
+        (["serve", "--ledger-path", "l.jsonl"],
+         ["serve", "--ledger", "l.jsonl"]),
+        (["breakdown", "--models", "SC", "WC"],
+         ["breakdown", "--model", "SC", "WC"]),
+    ], ids=["serve --ledger-path", "obs breakdown --models"])
+    def test_deprecated_alias_reaches_the_same_setting(self, old, new,
+                                                       capsys):
+        assert self._parse(new) == self._parse(old)
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {old[1]} is deprecated, use {new[1]}"]
+
+    def test_repeatable_model_replaces_its_default(self):
+        from repro.consistency.models import ALL_MODELS, SC, WC
+
+        assert self._parse(["breakdown"])["model"] == ALL_MODELS
+        for argv in (["--model", "SC", "WC"], ["--model", "SC", "--model",
+                                               "wc"]):
+            assert self._parse(["breakdown", *argv])["model"] == [SC, WC]
+
+    def test_serve_submit_keeps_model_names_as_typed(self):
+        from repro.serve.cli import build_parser
+
+        args = build_parser().parse_args(["submit", "--model", "sc", "RC"])
+        assert args.model == ["sc", "RC"]
+        assert build_parser().parse_args(["submit"]).model == ["SC"]
+
+    @pytest.mark.parametrize("module,argv", [
+        ("repro.run", []), ("repro.verify.cli", []),
+        ("repro.serve.cli", ["serve"]), ("repro.obs.cli", ["breakdown"]),
+        ("repro.analysis.static.cli", []),
+        ("repro.analysis.axiomatic.cli", []), ("repro.report", []),
+    ])
+    def test_help_renders(self, module, argv, capsys):
+        import importlib
+
+        with pytest.raises(SystemExit) as exc:
+            importlib.import_module(module).main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert "--help" in capsys.readouterr().out

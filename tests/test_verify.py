@@ -342,8 +342,11 @@ class TestCli:
         # exit 1 means "divergence found"; a bad count is a usage error
         from repro.verify.cli import main
 
-        assert main(["--budget", "2", flag, "0"]) == 2
-        assert capsys.readouterr().err == f"{flag} must be >= 1\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["--budget", "2", flag, "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument {flag}: must be >= 1, got 0")
 
 
 class TestCanonicalRequest:
