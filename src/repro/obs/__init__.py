@@ -5,8 +5,8 @@ package reproduces that accounting on the detailed simulator and adds
 the modern tooling around it — per-cause cycle blame
 (:mod:`~repro.obs.accounting`), prefetch/speculation effectiveness
 counters (:mod:`~repro.obs.effectiveness`), Chrome/Perfetto timeline export
-(:mod:`~repro.obs.perfetto`), the canonical backend-agnostic
-architectural event stream (:mod:`~repro.obs.archtrace`) and its
+(:mod:`~repro.obs.perfetto`), the canonical architectural event
+stream (:mod:`~repro.obs.archtrace`) and its
 first-divergence differ (:mod:`~repro.obs.diff`).
 ``python -m repro.obs`` is the CLI.
 

@@ -3,13 +3,13 @@
 The raw trace (:mod:`repro.sim.trace`) records what the *machine* did —
 issues, SLB bookkeeping, directory transactions — in whatever order the
 components happened to call ``record``.  That stream is perfect for
-timelines and terrible for differencing: two bit-identical executions
-on different backends interleave their per-component records
+timelines and terrible for differencing: two runs that agree
+architecturally can still interleave their per-component records
 differently, and microarchitectural detail (MSHR tags, transaction
 ids) differs even when the architecture agrees.
 
-An **archtrace** is the backend-agnostic projection of a run onto the
-events the consistency model can see:
+An **archtrace** is the projection of a run onto the events the
+consistency model can see:
 
 =============  ========================================================
 kind           payload (beyond ``cycle``/``cpu``/``seq``)
@@ -38,23 +38,19 @@ and are ordered by line address.  Events are kept **canonically
 sorted** by the total key ``(cycle, cpu, seq, kind, aux)``, which makes
 a serialized archtrace byte-comparable: two executions are
 architecturally identical iff their archtrace event lines are
-identical.  The batched engine's per-cycle phase order differs from
-the scalar kernel's per-CPU tick order, but within one cycle both
-produce the same *multiset* of architectural events — the canonical
-sort erases the residual emission-order difference.
+identical.
 
-Serialized form (JSONL): a header line (schema version, backend, lane
-tag, job label), one line per event, and a footer line carrying the
-run's cycle count, final memory words, per-CPU cycle-blame breakdowns
-and the recorder's drop counter — everything the differ needs to
-classify a divergence from the two files alone.
+Serialized form (JSONL): a header line (schema version, ``"backend":
+"scalar"``, job label), one line per event, and a footer line carrying
+the run's cycle count, final memory words, per-CPU cycle-blame
+breakdowns and the recorder's drop counter — everything the differ
+needs to classify a divergence from the two files alone.
 
 :meth:`ArchTrace.from_events` projects the events a
 :class:`~repro.sim.trace.TraceRecorder` holds after the run.  The
 scalar kernel records into one passed as the ``trace=`` of
 ``run_workload`` — recording does **not** disable the kernel's
-idle-cycle fast-forward — and the batched engine records its raw-style
-events into one per lane, so both backends share one derivation path.
+idle-cycle fast-forward.
 """
 
 from __future__ import annotations
@@ -75,9 +71,6 @@ KIND_ORDER: Tuple[str, ...] = (
     "fill", "evict", "downgrade", "inval",
 )
 _KIND_RANK: Dict[str, int] = {k: i for i, k in enumerate(KIND_ORDER)}
-
-#: sync codes shared with the batch compiler's per-pc sync table
-SYNC_NAMES: Tuple[Optional[str], ...] = (None, "acquire", "release", "full")
 
 
 def _canon(obj: Mapping[str, Any]) -> str:
@@ -141,8 +134,8 @@ class ArchTrace:
     """One run's canonical architectural stream plus its footer data.
 
     :meth:`from_events` projects a run's recorded
-    :class:`~repro.sim.trace.TraceEvent` list (from either backend)
-    onto the canonical schema after the run.  Raw kinds outside the
+    :class:`~repro.sim.trace.TraceEvent` list onto the canonical
+    schema after the run.  Raw kinds outside the
     projection (issues, SLB bookkeeping, directory transactions,
     prefetches) are ignored; microarchitectural detail fields (``tag``)
     are stripped.  Built directly, ``events`` is taken as given (test
@@ -196,18 +189,14 @@ class ArchTrace:
         return [ev.to_json() for ev in self.events]
 
     def write_jsonl(self, target: Union[str, IO[str]],
-                    backend: str = "scalar", label: str = "",
-                    lane: Optional[int] = None,
-                    fallback_reason: Optional[str] = None) -> int:
+                    label: str = "") -> int:
         """Serialize header + events + footer; returns the event count."""
+        # the header keeps its "backend" key, so the output stays
+        # byte-identical to archtraces already written
         header: Dict[str, Any] = {"archtrace": ARCHTRACE_VERSION,
-                                  "backend": backend}
+                                  "backend": "scalar"}
         if label:
             header["label"] = label
-        if lane is not None:
-            header["lane"] = lane
-        if fallback_reason is not None:
-            header["fallback_reason"] = fallback_reason
         own = isinstance(target, str)
         fh: IO[str] = open(target, "w") if own else target  # type: ignore[arg-type]
         try:
@@ -222,7 +211,7 @@ class ArchTrace:
 
 
 # ----------------------------------------------------------------------
-# Raw-event derivation (shared by both backends)
+# Raw-event derivation
 # ----------------------------------------------------------------------
 
 def _source_cpu(source: str) -> Optional[int]:

@@ -1,9 +1,9 @@
 """Streaming archtrace differ (``repro.obs.diff``).
 
-Given two serialized archtraces of the *same job* (two backends, two
-code revisions, a faulted and a clean run), find the first divergent
-event, classify the divergence, and render an aligned context window
-plus a cycle-blame delta.
+Given two serialized archtraces of the *same job* (two code revisions,
+a faulted and a clean run), find the first divergent event, classify
+the divergence, and render an aligned context window plus a
+cycle-blame delta.
 
 Divergence classes (checked in precedence order):
 
@@ -135,13 +135,6 @@ class DivergenceReport:
     def describe(self) -> str:
         lines = [f"divergence: {self.classification} "
                  f"({self.label_a} vs {self.label_b})"]
-        ba = self.header_a.get("backend", "?")
-        bb = self.header_b.get("backend", "?")
-        lines.append(f"  backends: {ba} vs {bb}"
-                     + (f"  [{self.header_a['fallback_reason']}]"
-                        if self.header_a.get("fallback_reason") else "")
-                     + (f" vs [{self.header_b['fallback_reason']}]"
-                        if self.header_b.get("fallback_reason") else ""))
         if self.incomplete:
             lines.append(f"  WARNING: incomplete streams "
                          f"(dropped {self.dropped_a} vs {self.dropped_b} "

@@ -4,7 +4,7 @@ Names use ``/`` separators by repo convention (``verify/legs``); the
 exposition sanitizes them and prefixes ``repro_``
 (``repro_verify_legs_total``).  A labelled series is a statistic whose
 name carries its labels in the canonical form :func:`series_key`
-builds — ``batch/fallback{reason="deadlock"}``, keys sorted, values
+builds — ``verify/divergences{oracle="enumerator"}``, keys sorted, values
 escaped — so a registry needs no label support and merges labelled
 series like any other name.
 """

@@ -70,8 +70,7 @@ def _write_trace_views(args: argparse.Namespace, trace: TraceRecorder,
         archtrace = ArchTrace.from_events(
             trace.events, cycles=cycles, final_memory=final_memory,
             breakdowns=breakdowns, dropped=trace.dropped)
-        count = archtrace.write_jsonl(args.archtrace, backend="scalar",
-                                      label=label)
+        count = archtrace.write_jsonl(args.archtrace, label=label)
         print(f"archtrace written to {args.archtrace} "
               f"({count} event(s){dropped})")
 

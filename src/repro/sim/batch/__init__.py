@@ -12,9 +12,13 @@ Public surface:
 - :func:`~repro.sim.batch.compile.job_unsupported_reason` — why a job
   would fall back (None when it batches).
 
-The scalar kernel remains the bit-exact reference; the engine is pinned
-to it lane-for-lane by ``tests/test_batch_differential.py`` and the
-``--backend batched`` conformance mode of ``repro.verify``.
+No product entry point runs a leg here: the fuzz harness, the
+localizer and the job server's workers run every leg through
+:func:`~repro.system.jobs.run_scalar`.  The engine is kept for the
+benchmark's ``batch_legs`` workload, and the scalar kernel remains its
+bit-exact reference, pinned lane-for-lane by
+``tests/test_batch_differential.py`` and
+``tests/test_batch_properties.py``.
 """
 
 from ...system.jobs import BatchJob, BatchResult

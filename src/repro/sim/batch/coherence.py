@@ -46,8 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # line states (mirror LineState; ints for speed)
 _INV, _SHARED, _MODIFIED = 0, 1, 2
-#: archtrace state strings matching the scalar LineState.value
-_STATE_NAMES = ("I", "S", "M")
 # directory states (mirror DirState)
 _UNOWNED, _DSHARED, _DEXCL = 0, 1, 2
 # transaction kinds (mirror MessageKind.READ/READX/UPGRADE)
@@ -249,14 +247,6 @@ class FastCache:
             self.fab.post(1, self._retry, req)
 
     # -- fills ---------------------------------------------------------
-    def _arch(self, kind: str, **detail) -> None:
-        """Archtrace emission mirroring the scalar CoherentCache's
-        trace.record sites (same kinds, same conditions)."""
-        arch = self.fab.arch
-        if arch is not None:
-            arch.record(self.fab.engine.cycle, f"cache{self.node}",
-                        kind, **detail)
-
     def _install(self, line_addr: int, state: int,
                  data: List[int]) -> Optional[_Line]:
         cache_set = self._sets.setdefault(line_addr % self.fab.num_sets, [])
@@ -265,14 +255,11 @@ class FastCache:
                 line.state = state
                 line.data = list(data)
                 self._touch(line)
-                self._arch("fill", line=line_addr,
-                           state=_STATE_NAMES[state])
                 return line
         if len(cache_set) < self.fab.assoc:
             line = _Line(line_addr, state, list(data))
             self._touch(line)
             cache_set.append(line)
-            self._arch("fill", line=line_addr, state=_STATE_NAMES[state])
             return line
         victims = [
             l for l in cache_set
@@ -286,13 +273,10 @@ class FastCache:
         victim.state = state
         victim.data = list(data)
         self._touch(victim)
-        self._arch("fill", line=line_addr, state=_STATE_NAMES[state])
         return victim
 
     def _evict(self, line: _Line) -> None:
         self.replacements += 1
-        self._arch("evict", line=line.line_addr,
-                   state=_STATE_NAMES[line.state])
         if line.state == _MODIFIED:
             self.writebacks_ctr += 1
             self._writebacks[line.line_addr] = list(line.data)
@@ -347,7 +331,6 @@ class FastCache:
         line = self._find_line(line_addr)
         if line is not None:
             line.state = _INV
-        self._arch("inval", line=line_addr)
         self.fab.send_inval_ack(self.node, line_addr, txn)
 
     def _on_recall(self, line_addr: int, txn: int) -> None:
@@ -357,7 +340,6 @@ class FastCache:
             self.fab.send_recall_ack(self.node, line_addr, txn, None)
             return
         line.state = _SHARED
-        self._arch("downgrade", line=line_addr)
         self.fab.send_recall_ack(self.node, line_addr, txn, list(line.data))
 
     def _on_recall_inval(self, line_addr: int, txn: int) -> None:
@@ -367,7 +349,6 @@ class FastCache:
             if line.state == _MODIFIED:
                 data = list(line.data)
             line.state = _INV
-        self._arch("inval", line=line_addr)
         self.fab.send_recall_ack(self.node, line_addr, txn, data)
 
     def _on_wb_ack(self, line_addr: int) -> None:
@@ -385,7 +366,7 @@ class FastCache:
 class FastFabric:
     """One lane's memory system: caches + directory + FIFO channels."""
 
-    __slots__ = ("engine", "lane", "arch", "num_sets", "assoc", "line_size",
+    __slots__ = ("engine", "lane", "num_sets", "assoc", "line_size",
                  "hit_latency", "mshr_entries", "ports",
                  "lat_request", "lat_response", "lat_inval", "lat_inval_ack",
                  "lat_recall", "lat_recall_response", "lat_memory",
@@ -394,13 +375,10 @@ class FastFabric:
                  "dir_reads", "dir_readx", "dir_upgrades", "dir_invals_sent",
                  "dir_recalls_sent", "dir_writebacks", "dir_queued")
 
-    def __init__(self, engine: "BatchEngine", lane: int, job: "BatchJob",
-                 arch=None) -> None:
+    def __init__(self, engine: "BatchEngine", lane: int,
+                 job: "BatchJob") -> None:
         self.engine = engine
         self.lane = lane
-        # archtrace recorder; must be bound before the warm loop below
-        # so warm fills land at cycle 0, matching the scalar kernel
-        self.arch = arch
         cfg = job.cache_config()
         self.num_sets = cfg.num_sets
         self.assoc = cfg.assoc

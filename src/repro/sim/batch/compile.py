@@ -14,8 +14,8 @@ collapses to two facts per operand —
   is broadcast.
 
 Programs outside the envelope (branches, ALU inputs fed by loads,
-multi-producer ALU operands, >64 memory ops, ...) report an
-``unsupported_reason`` and fall back to the scalar kernel.
+multi-producer ALU operands, >64 memory ops, ...) get a reason from
+:func:`job_unsupported_reason` and fall back to the scalar kernel.
 """
 
 from __future__ import annotations
@@ -86,28 +86,15 @@ class CompiledProgram:
     m_tag: Tuple[str, ...]        # instruction tags, for AccessRequest fidelity
     # per-alu tables, length n_alu
     a_pc: np.ndarray              # int16
-    a_ready0: bool                # unused placeholder (kept for clarity)
     a_init_ready: np.ndarray      # uint64 scalar mask: alus ready at reset
     a_depmask: np.ndarray         # uint64: dependent alus woken by this alu's completion
     #: access classes per memop — kept on the model-independent core so
     #: specialize_model can rebuild block/sbblock for another model
     m_klass: Tuple = ()
-    #: per-pc archtrace sync annotation: 0 none, 1 acquire, 2 release,
-    #: 3 full (indexes :data:`repro.obs.archtrace.SYNC_NAMES`)
-    sync: Optional[np.ndarray] = None
-
-
-def unsupported_reason(instr_lists, model: ConsistencyModel) -> Optional[str]:
-    """Why these programs cannot run batched, or ``None`` if they can."""
-    for tid, program in enumerate(instr_lists):
-        reason = _program_reason(program)
-        if reason is not None:
-            return f"T{tid}: {reason}"
-    return None
 
 
 def _program_reason(program: Program) -> Optional[str]:
-    # static register walk mirroring compile_program, checks only
+    # static register walk mirroring compile_core, checks only
     regs: Dict[str, Tuple[Optional[int], Optional[int], str]] = {}
     n_mem = n_alu = 0
     for pc, instr in enumerate(program):
@@ -157,11 +144,6 @@ def _write(regs, reg, value, pc, kind):
         regs[reg] = (value, pc, kind)
 
 
-def compile_program(program: Program, model: ConsistencyModel) -> CompiledProgram:
-    """Build the SoA tables (caller must have checked supportability)."""
-    return specialize_model(compile_core(program), model)
-
-
 def compile_core(program: Program) -> CompiledProgram:
     """The model-independent compilation: everything except the
     ``block``/``sbblock`` consistency masks (zeroed here).
@@ -177,7 +159,6 @@ def compile_core(program: Program) -> CompiledProgram:
     aidx = np.full(n, -1, dtype=np.int16)
     headcause = np.full(n, -1, dtype=np.int8)
     value = np.zeros(n, dtype=np.int64)
-    sync = np.zeros(n, dtype=np.int8)
 
     regs: Dict[str, Tuple[Optional[int], Optional[int], str]] = {}
     mem: List[dict] = []
@@ -209,8 +190,6 @@ def compile_core(program: Program) -> CompiledProgram:
             _write(regs, instr.dst, result, pc, "alu")
             continue
         # memory
-        sync[pc] = ((1 if instr.is_acquire else 0)
-                    | (2 if instr.is_release else 0))
         klass = classify(instr)
         base_val, base_prod, _bk = _read(regs, instr.base)
         m = {
@@ -285,9 +264,8 @@ def compile_core(program: Program) -> CompiledProgram:
         m_data_val=m_data_val, m_rmw_code=m_rmw_code,
         block=zeros, sbblock=zeros.copy(), fwd=fwd,
         m_tag=tuple(m["tag"] for m in mem),
-        a_pc=a_pc, a_ready0=False, a_init_ready=init_ready, a_depmask=a_depmask,
+        a_pc=a_pc, a_init_ready=init_ready, a_depmask=a_depmask,
         m_klass=tuple(m["klass"] for m in mem),
-        sync=sync,
     )
 
 
@@ -373,6 +351,8 @@ def job_unsupported_reason(job, _memo: Optional[dict] = None) -> Optional[str]:
         return "hardware prefetching enabled"
     if job.speculation:
         return "speculative loads enabled"
+    if job.archtrace:
+        return "archtrace requested"
     cache = job.cache_config()
     if cache.protocol != "invalidate":
         return f"cache protocol {cache.protocol!r}"

@@ -113,19 +113,11 @@ def _bits(positions: np.ndarray) -> np.ndarray:
     return np.left_shift(_ONE, positions.astype(np.uint64))
 
 
-#: archtrace op names matching scalar ``type(instr).__name__.lower()``
-_K_OPNAME = {K_ALU: "alu", K_LOAD: "load", K_STORE: "store",
-             K_RMW: "rmw", K_NOP: "nop", K_HALT: "halt"}
-#: archtrace sync codes from the compiler's per-pc table
-_SYNC_NAMES = (None, "acquire", "release", "full")
-
-
 class BatchEngine:
     """Lockstep SoA execution of a homogeneous-``ncpu`` batch of jobs."""
 
     def __init__(self, jobs: Sequence[BatchJob],
-                 compiled: Sequence[Tuple[CompiledProgram, ...]],
-                 arch: Optional[Sequence] = None) -> None:
+                 compiled: Sequence[Tuple[CompiledProgram, ...]]) -> None:
         if not jobs:
             raise ValueError("empty batch")
         ncpu = jobs[0].ncpu
@@ -136,13 +128,6 @@ class BatchEngine:
         self.L = len(jobs)
         self.C = self.L * ncpu
         self.cycle = 0
-        #: per-lane TraceRecorders the archtrace is projected from (or None)
-        if arch is not None and any(a is not None for a in arch):
-            if len(arch) != self.L:
-                raise ValueError("need one archtrace sink per lane")
-        self.arch: List = (list(arch) if arch is not None
-                           else [None] * self.L)
-        self._any_arch = any(a is not None for a in self.arch)
 
         # --- events ---------------------------------------------------
         # calendar buckets: cycle -> [(lane, fabric-or-None, fn, args)].
@@ -181,7 +166,6 @@ class BatchEngine:
         self.AIDX = np.full((C, P + 1), -1, dtype=np.int16)
         self.HEADC = np.full((C, P + 1), -1, dtype=np.int8)
         self.VALSTAT = np.zeros((C, P + 1), dtype=np.int64)
-        self.SYNC = np.zeros((C, P + 1), dtype=np.int8)
 
         self.MPC = np.zeros((C, M), dtype=np.int16)
         self.MADDR = np.zeros((C, M), dtype=np.int64)
@@ -208,8 +192,6 @@ class BatchEngine:
             self.AIDX[ctx, :n] = cp.aidx
             self.HEADC[ctx, :n] = cp.headcause
             self.VALSTAT[ctx, :n] = cp.value
-            if cp.sync is not None:
-                self.SYNC[ctx, :n] = cp.sync
             if nm:
                 self.MPC[ctx, :nm] = cp.m_pc
                 self.MADDR[ctx, :nm] = cp.m_addr
@@ -295,7 +277,7 @@ class BatchEngine:
         self.store_lat: List[List[int]] = [[] for _ in range(self.C)]
         self._materialized: dict = {}
         for lane, job in enumerate(self.jobs):
-            fabric = FastFabric(self, lane, job, arch=self.arch[lane])
+            fabric = FastFabric(self, lane, job)
             self.fabrics.append(fabric)
             for cpu in range(self.ncpu):
                 self.caches[lane * self.ncpu + cpu] = fabric.caches[cpu]
@@ -398,15 +380,6 @@ class BatchEngine:
         self.sb[ctx] &= inv
         self.sbissued[ctx] &= inv
         self.store_lat[ctx].append(self.cycle - start)
-        if self._any_arch:
-            lane, cpu = divmod(ctx, self.ncpu)
-            arch = self.arch[lane]
-            if arch is not None:
-                arch.record(self.cycle, f"cpu{cpu}/lsu", "store_complete",
-                            seq=int(self.MPC[ctx, m]),
-                            addr=int(self.MADDR[ctx, m]),
-                            value=int(value),
-                            rmw=bool(self.MISR[ctx, m]))
         if self.MISR[ctx, m]:
             pc = self.MPC[ctx, m]
             self.done[ctx, pc] = True
@@ -429,37 +402,8 @@ class BatchEngine:
         self.done[ctx, pc] = True
         self.value[ctx, pc] = value
         self.load_lat[ctx].append(self.cycle - start)
-        if self._any_arch:
-            lane, cpu = divmod(ctx, self.ncpu)
-            arch = self.arch[lane]
-            if arch is not None:
-                arch.record(self.cycle, f"cpu{cpu}/lsu", "load_complete",
-                            seq=int(pc), addr=int(self.MADDR[ctx, m]),
-                            value=int(value))
         # the bound value may be a later store's data operand
         self.scan_load[ctx] = True
-
-    def _arch_retire(self, ri: np.ndarray, rpcs: np.ndarray,
-                     kinds: np.ndarray) -> None:
-        """Archtrace retire events mirroring ``Processor._retire``.
-
-        Inside the batch envelope decode order is program order, so the
-        scalar sequence number equals the flat pc.  ``bound`` mirrors
-        the scalar ``head.value is not None``: ALU/Load/RMW heads bind
-        a value, Store/Nop/Halt heads do not.
-        """
-        for ctx, pc, k in zip(ri.tolist(), rpcs.tolist(), kinds.tolist()):
-            lane, cpu = divmod(ctx, self.ncpu)
-            arch = self.arch[lane]
-            if arch is None:
-                continue
-            extra = {}
-            code = int(self.SYNC[ctx, pc])
-            if code:
-                extra["sync"] = _SYNC_NAMES[code]
-            arch.record(self.cycle, f"cpu{cpu}", "retire",
-                        seq=pc, pc=pc, op=_K_OPNAME[k],
-                        bound=k in (K_ALU, K_LOAD, K_RMW), **extra)
 
     # ------------------------------------------------------------------
     # Phases
@@ -495,8 +439,6 @@ class BatchEngine:
                                   done_h)))
             ri = idx[may]
             if ri.size:
-                if self._any_arch:
-                    self._arch_retire(ri, rpc[may], k[may])
                 self.retired[ri] += 1
                 self.retired_acc[ri] += 1
                 rc[ri] += 1

@@ -4,43 +4,23 @@ The runner is the public face of ``repro.sim.batch``: it takes a list
 of :class:`~repro.system.jobs.BatchJob`, runs everything it can on
 the vectorized :class:`~repro.sim.batch.engine.BatchEngine`, and falls
 back to :func:`~repro.system.jobs.run_scalar` for anything outside the
-engine's envelope (techniques on, branches, dynamic addressing, ...) or
-any lane that deadlocks — the scalar rerun reproduces the genuine
-:class:`~repro.sim.errors.DeadlockError` with the identical cycle.
-Results always come back in input order, one per job, regardless of
-how jobs were grouped or which backend ran them.
+engine's envelope (techniques on, branches, dynamic addressing, an
+archtrace asked for, ...) or any lane that deadlocks — the scalar rerun
+reproduces the genuine :class:`~repro.sim.errors.DeadlockError` with
+the identical cycle.  Results always come back in input order, one per
+job, regardless of how jobs were grouped or which backend ran them.
 """
 
 from __future__ import annotations
 
-import re
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...consistency.models import get_model
-from ...obs.accounting import per_cpu_breakdowns
-from ...obs.archtrace import ArchTrace
 from ...system.jobs import BatchJob, BatchResult, run_scalar
 from .compile import (CompiledProgram, compile_core, job_unsupported_reason,
                       specialize_model)
 from .engine import BatchEngine
-from ..trace import TraceRecorder
-
-
-def _tm():
-    """Campaign telemetry, imported lazily (cycle-safe)."""
-    from ...obs import telemetry
-    return telemetry
-
-
-_THREAD_PREFIX = re.compile(r"^T\d+: ")
-
-
-def _reason_label(reason: str) -> str:
-    """Normalize an unsupported-reason string into a low-cardinality
-    metric label: per-thread prefixes (``T3: branch``) collapse onto
-    the underlying reason so the counter groups by *cause*."""
-    return _THREAD_PREFIX.sub("", reason)
 
 
 class _CompileCache:
@@ -63,27 +43,16 @@ class _CompileCache:
         self.masks: Dict[str, dict] = {}
 
     def get(self, program, model) -> CompiledProgram:
-        tm = _tm()
         key = (id(program), model.name)
         cp = self.specialized.get(key)
         if cp is None:
-            tm.inc("batch/compile_memo",
-                   labels={"layer": "specialized", "result": "miss"})
             core = self.cores.get(id(program))
             if core is None:
-                tm.inc("batch/compile_memo",
-                       labels={"layer": "core", "result": "miss"})
                 core = self.cores[id(program)] = compile_core(program)
-            else:
-                tm.inc("batch/compile_memo",
-                       labels={"layer": "core", "result": "hit"})
             cp = specialize_model(core, model,
                                   self.arcs.setdefault(model.name, {}),
                                   self.masks.setdefault(model.name, {}))
             self.specialized[key] = cp
-        else:
-            tm.inc("batch/compile_memo",
-                   labels={"layer": "specialized", "result": "hit"})
         return cp
 
 
@@ -123,25 +92,14 @@ class BatchRunner:
         compile_cache = _CompileCache()
         reason_cache: Dict[int, Optional[str]] = {}
 
-        tm = _tm()
-        tm.inc("batch/jobs", len(jobs))
-        scalar_routed: List[Tuple[int, BatchJob, str]] = []
         for i, job in enumerate(jobs):
             reason = None if not self.force_scalar else "forced scalar"
             if reason is None:
                 reason = job_unsupported_reason(job, reason_cache)
             if reason is not None:
-                scalar_routed.append((i, job, reason))
+                results[i] = run_scalar(job, reason=reason)
             else:
                 groups.setdefault(job.ncpu, []).append((i, job))
-
-        if scalar_routed:
-            with tm.span("batch/fallback",
-                         {"jobs": len(scalar_routed)}):
-                for i, job, reason in scalar_routed:
-                    tm.inc("batch/fallback",
-                           labels={"reason": _reason_label(reason)})
-                    results[i] = run_scalar(job, reason=reason)
 
         step = max(1, self.chunk_size)
         for _ncpu, members in sorted(groups.items()):
@@ -157,57 +115,35 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _run_batched(self, batch: List[BatchJob],
                      compile_cache: "_CompileCache") -> List[BatchResult]:
-        tm = _tm()
-        with tm.span("batch/compile", {"lanes": len(batch)}):
-            compiled = []
-            for job in batch:
-                model = get_model(job.model_name)
-                compiled.append(tuple(compile_cache.get(program, model)
-                                      for program in job.programs))
-
-        arch = [TraceRecorder() if job.archtrace else None for job in batch]
+        compiled = []
+        for job in batch:
+            model = get_model(job.model_name)
+            compiled.append(tuple(compile_cache.get(program, model)
+                                  for program in job.programs))
 
         try:
-            with tm.span("batch/step", {"lanes": len(batch)}):
-                engine = BatchEngine(batch, compiled, arch=arch)
-                engine.run()
+            engine = BatchEngine(batch, compiled)
+            engine.run()
         except Exception:
             # engine bug or unanticipated envelope escape: never lose a
             # result — rerun the whole group on the reference kernel
-            tm.inc("batch/fallback", len(batch),
-                   labels={"reason": "engine error"})
-            with tm.span("batch/fallback", {"jobs": len(batch)}):
-                return [run_scalar(job, backend="scalar-fallback",
-                                   reason="engine error")
-                        for job in batch]
+            return [run_scalar(job, backend="scalar-fallback",
+                               reason="engine error")
+                    for job in batch]
 
         out = []
         for lane, job in enumerate(batch):
             if engine.lane_deadlocked[lane]:
                 # reproduce the genuine DeadlockError (identical cycle,
                 # identical message) on the reference kernel
-                tm.inc("batch/fallback", labels={"reason": "deadlock"})
                 out.append(run_scalar(job, backend="scalar-fallback",
                                       reason="deadlock"))
                 continue
-            fabric = engine.fabrics[lane]
-            archtrace = None
-            recorder = arch[lane]
-            if recorder is not None:
-                archtrace = ArchTrace.from_events(
-                    recorder.events,
-                    cycles=int(engine.lane_cycles[lane]),
-                    final_memory={
-                        addr: fabric.read_word(addr)
-                        for addr in sorted(job.initial_memory or {})},
-                    breakdowns=per_cpu_breakdowns(
-                        engine.materialize_stats(lane), job.ncpu))
             out.append(BatchResult(
                 job=job,
                 backend="batched",
                 cycles=int(engine.lane_cycles[lane]),
-                archtrace=archtrace,
                 _stats_thunk=partial(engine.materialize_stats, lane),
-                _read_word=fabric.read_word,
+                _read_word=engine.fabrics[lane].read_word,
             ))
         return out

@@ -3,13 +3,13 @@
 A :class:`BatchJob` captures the arguments of
 :func:`repro.system.machine.run_workload` as plain picklable values, so
 one job <=> one scalar ``run_workload`` call; :func:`run_scalar` makes
-that call and wraps what came back in a :class:`BatchResult`.  The
-fuzz harness, the localizer and the job server's workers all run legs
-this way.
+that call and wraps what came back in a :class:`BatchResult`.  Every
+simulator leg of the product — the fuzz harness, the localizer and the
+job server's workers — runs this way.
 
-Nothing here imports numpy.  The lockstep engine ``repro.sim.batch``
-takes the same jobs and returns the same result type (it re-exports
-both), so only a caller that asks for that engine pays for loading it.
+Nothing here imports numpy.  The numpy lockstep engine takes the same
+jobs and returns the same result type (it re-exports both); only its
+own tests and the benchmark load it.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class BatchJob:
     cache: Optional[CacheConfig] = None
     max_cycles: int = 1_000_000
     #: collect the canonical architectural event stream for this job
-    #: (see :mod:`repro.obs.archtrace`); batched and scalar backends
-    #: produce bit-identical streams
+    #: (see :mod:`repro.obs.archtrace`); the lockstep engine sends such
+    #: a job to the scalar kernel
     archtrace: bool = False
     #: opaque caller cookie carried through to the result (job routing)
     key: object = field(default=None, compare=False)
@@ -76,9 +76,7 @@ class BatchResult:
     cycles: Optional[int] = None
     error: Optional[BaseException] = None
     unsupported_reason: Optional[str] = None
-    #: the job's ArchTrace when it asked for one; the header of any
-    #: serialization must carry ``backend`` and ``unsupported_reason``
-    #: so a scalar fallback is never silent
+    #: the job's ArchTrace when it asked for one
     archtrace: Optional[ArchTrace] = field(
         default=None, repr=False, compare=False)
     _stats: Optional[StatsRegistry] = field(
@@ -115,17 +113,12 @@ class BatchResult:
             raise self.error
         return self
 
-    def write_archtrace(self, path: str, label: str = "",
-                        lane: Optional[int] = None) -> int:
-        """Serialize the job's archtrace, tagging the header with the
-        backend that actually ran and (for scalar routing of a job that
-        asked for the batched engine) the specific unsupported reason —
-        a fallback is visible in the stream, never silent."""
+    def write_archtrace(self, path: str, label: str = "") -> int:
+        """Serialize the job's archtrace (see
+        :meth:`~repro.obs.archtrace.ArchTrace.write_jsonl`)."""
         if self.archtrace is None:
             raise RuntimeError("job did not request an archtrace")
-        return self.archtrace.write_jsonl(
-            path, backend=self.backend, label=label, lane=lane,
-            fallback_reason=self.unsupported_reason)
+        return self.archtrace.write_jsonl(path, label=label)
 
 
 def run_scalar(job: BatchJob, backend: str = "scalar",

@@ -4,7 +4,6 @@ Typical runs::
 
     python -m repro.verify --budget 200 --jobs 4 --seed 0
     python -m repro.verify --budget 2000 --oracle axiomatic   # static only
-    python -m repro.verify --budget 150 --backend batched     # pin the engine
     python -m repro.verify --suite --oracle all               # named suite
     python -m repro.verify --budget 50 --fault slb-deaf --corpus out.json
     python -m repro.verify --replay out.json
@@ -30,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cli_options import (add_ledger, add_stats_json, append_ledger,
                            at_least, output_path)
 from ..consistency.litmus import STANDARD_TESTS
+from ..sim.errors import ConfigurationError
 from ..sim.stats import write_stats_json
 from ..sim.sweep import ProgressMeter, SweepError, derive_seed, run_sweep
 from .corpus import (
@@ -42,7 +42,6 @@ from .corpus import (
 )
 from .generator import GeneratorConfig, generate_litmus
 from .harness import (
-    BACKENDS,
     FAULTS,
     ORACLE_MODES,
     CheckResult,
@@ -76,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "enumerator), axiomatic (enumerator vs "
                              "declarative checker, no simulation), or all "
                              "(default)")
-    parser.add_argument("--backend", choices=BACKENDS, default="scalar",
-                        help="simulator-leg backend: scalar (one machine "
-                             "per run) or batched (each test's legs on the "
-                             "lockstep SoA engine: the conformance mode "
-                             "that pins it; bit-identical outcomes, no "
-                             "faster)")
     parser.add_argument("--server", metavar="HOST:PORT", default=None,
                         help="submit simulator legs to a running "
                              "repro.serve job server instead of running "
@@ -97,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip test-case minimization of failures")
     parser.add_argument("--localize", action="store_true",
                         help="on failure, re-run the failing leg with "
-                             "archtraces on both backends, diff against "
-                             "reference runs, and attach the "
+                             "an archtrace, diff it against a clean "
+                             "reference run, and attach the "
                              "DivergenceReport to the corpus entry "
                              "(paired archtraces land in "
                              "<corpus>.localize/)")
@@ -158,13 +151,19 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     process never mix), exportable via ``stats_json`` /
     ``prometheus`` / ``trace_spans``, and — unless ``ledger`` is off —
     lands one content-addressed record in the run ledger.
+
+    Every simulator leg runs on the scalar kernel; ``backend`` is
+    accepted for callers that still name it and must be ``"scalar"``.
     """
+    if backend != "scalar":
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; simulator legs run on the "
+            f"scalar kernel only")
     from ..obs import telemetry as tm
 
     gen_config = generator if generator is not None else GeneratorConfig()
     options: Dict[str, object] = {"generator": gen_config.to_dict(),
-                                  "oracle": oracle,
-                                  "backend": backend}
+                                  "oracle": oracle}
     if fault is not None:
         options["fault"] = fault
     if server is not None:
@@ -184,8 +183,7 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     t0 = time.perf_counter()
     with tm.collect(process="verify campaign") as scope:
         with tm.span("verify/campaign",
-                     {"tests": total, "oracle": oracle, "backend": backend,
-                      "jobs": jobs}):
+                     {"tests": total, "oracle": oracle, "jobs": jobs}):
             sweep = run_sweep(worker, items, jobs=jobs, telemetry=meter)
     wall = time.perf_counter() - t0
     if meter is not None:
@@ -205,7 +203,7 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     if not quiet:
         print(sweep.describe())
         print(f"  {total_runs} simulator run(s) across {total} test(s) "
-              f"[oracle={oracle}, backend={backend}]")
+              f"[oracle={oracle}]")
 
     corpus = Corpus()
     for failure in failures:
@@ -225,8 +223,7 @@ def run_fuzz(budget: int, jobs: int, seed: int,
         minimized_dict = None
         if do_minimize:
             shrink = minimize(test,
-                              config=HarnessConfig(fault=fault, oracle=oracle,
-                                                   backend=backend))
+                              config=HarnessConfig(fault=fault, oracle=oracle))
             minimized_dict = litmus_to_dict(shrink.test)
             print(f"  {shrink.describe()}")
             for tid, thread in enumerate(shrink.test.threads):
@@ -240,8 +237,7 @@ def run_fuzz(budget: int, jobs: int, seed: int,
                 loc_dir = f"{corpus_path}.localize/item{failure.index}"
             loc = localize_failure(
                 test, list(failure.divergences),
-                config=HarnessConfig(fault=fault, oracle=oracle,
-                                     backend=backend),
+                config=HarnessConfig(fault=fault, oracle=oracle),
                 test_name=failure.test_name if suite
                 else f"seed={failure.seed}",
                 out_dir=loc_dir)
@@ -302,7 +298,8 @@ def run_fuzz(budget: int, jobs: int, seed: int,
             "master_seed": None if suite else seed,
             "generator": gen_config.to_dict(),
             "oracle": oracle,
-            "backend": backend,
+            # a constant, kept so request hashes match earlier ledgers
+            "backend": "scalar",
             "fault": fault,
         },
         outcome={
@@ -371,7 +368,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         quiet=args.quiet,
         oracle=args.oracle,
         suite=args.suite,
-        backend=args.backend,
         server=args.server,
         localize=args.localize,
         stats_json=args.stats_json,

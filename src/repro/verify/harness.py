@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..consistency.litmus import LitmusTest, Outcome
 from ..consistency.models import get_model
@@ -53,15 +53,6 @@ def _tm():
 
 #: which oracle legs the harness runs — see the module docstring
 ORACLE_MODES: Tuple[str, ...] = ("sim", "axiomatic", "all")
-
-#: how the simulator leg executes: one scalar machine per run, or —
-#: the conformance mode that pins ``repro.sim.batch`` — the lockstep
-#: engine stepping every (model, technique, config) leg of a test at
-#: once.  The engine is bit-exact within its envelope and falls back to
-#: the scalar kernel per job outside it, so the observed outcomes are
-#: identical either way, and no faster on a campaign
-#: (``docs/performance.md``, "The batch decision").
-BACKENDS: Tuple[str, ...] = ("scalar", "batched")
 
 #: (prefetch, speculation) combinations the harness drives
 TECHNIQUE_COMBOS: Tuple[Tuple[bool, bool], ...] = (
@@ -114,8 +105,6 @@ class HarnessConfig:
     fault: Optional[str] = None
     #: which oracle legs to run: "sim", "axiomatic", or "all"
     oracle: str = "all"
-    #: simulator-leg execution backend: "scalar" or "batched"
-    backend: str = "scalar"
     #: ``"host:port"`` of a running ``repro.serve`` job server; when
     #: set, the simulator legs are submitted there (and answered from
     #: its content-addressed cache) instead of running in-process
@@ -269,7 +258,7 @@ def observed_outcome(test: LitmusTest, model_name: str, prefetch: bool,
                      speculation: bool, run_config: RunConfig) -> Outcome:
     """Run the detailed machine once and read back the final registers."""
     return _observed_outcomes(
-        test, [(model_name, prefetch, speculation, run_config)], "scalar")[0]
+        test, [(model_name, prefetch, speculation, run_config)])[0]
 
 
 def check_test(test: LitmusTest, config: HarnessConfig = HarnessConfig(),
@@ -292,7 +281,7 @@ def check_test(test: LitmusTest, config: HarnessConfig = HarnessConfig(),
             outcomes = _server_outcomes(test, legs, config.server)
         else:
             with injected_fault(config.fault):
-                outcomes = _observed_outcomes(test, legs, config.backend)
+                outcomes = _observed_outcomes(test, legs)
         _classify_outcomes(test, out, legs, outcomes, reference, axiomatic)
     return out
 
@@ -302,9 +291,6 @@ def _validate(config: HarnessConfig) -> None:
         raise ConfigurationError(
             f"unknown oracle mode {config.oracle!r}; "
             f"available: {ORACLE_MODES}")
-    if config.backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {config.backend!r}; available: {BACKENDS}")
     if config.server is not None and config.fault is not None:
         # faults are in-process monkeypatches; a remote server never
         # sees them, so the combination would silently test nothing
@@ -402,29 +388,15 @@ def _classify_outcomes(test: LitmusTest, out: CheckResult,
             ))
 
 
-def _observed_outcomes(test: LitmusTest, legs: Sequence[Leg],
-                       backend: str) -> List[Outcome]:
-    """Observed outcome per leg, in leg order, on the chosen backend.
-
-    Both backends run the same :func:`leg_jobs`.  ``scalar`` hands them
-    one by one to the scalar kernel; ``batched`` lets the
-    :class:`~repro.sim.batch.runner.BatchRunner` step them in lockstep,
-    and legs outside the batch envelope (techniques on) take that same
-    scalar path inside the runner, so the outcomes are identical.  A
-    leg that deadlocks raises the
-    :class:`~repro.sim.errors.DeadlockError` of its scalar run.
-    """
+def _observed_outcomes(test: LitmusTest,
+                       legs: Sequence[Leg]) -> List[Outcome]:
+    """Observed outcome per leg, in leg order: each of :func:`leg_jobs`
+    runs on the scalar kernel, one after another, so a leg that
+    deadlocks raises its :class:`~repro.sim.errors.DeadlockError`
+    before the legs after it run."""
     jobs, audit_maps = leg_jobs(test, legs)
-    results: Iterable[BatchResult]
-    if backend == "batched":
-        from ..sim.batch import BatchRunner
-
-        results = BatchRunner().run(jobs)
-    else:
-        # lazy, so a failing leg raises before the ones after it run
-        results = (run_scalar(job) for job in jobs)
-    return [_job_outcome(res, audit_map)
-            for res, audit_map in zip(results, audit_maps)]
+    return [_job_outcome(run_scalar(job), audit_map)
+            for job, audit_map in zip(jobs, audit_maps)]
 
 
 def leg_jobs(test: LitmusTest, legs: Sequence[Leg],
@@ -434,8 +406,8 @@ def leg_jobs(test: LitmusTest, legs: Sequence[Leg],
 
     This is the only place programs, start skew, warm lines, initial
     memory and cache geometry are derived from a :class:`RunConfig`;
-    the fuzzer (either backend), the localizer and the job server's
-    executors all run what it returns.
+    the fuzzer, the localizer and the job server's executors all run
+    what it returns.
     """
     addresses = test.addresses()
     nthreads = len(test.threads)
@@ -532,7 +504,6 @@ def _harness_config(options: Mapping[str, object]) -> HarnessConfig:
     return HarnessConfig(
         fault=options.get("fault"),  # type: ignore[arg-type]
         oracle=str(options.get("oracle", "all")),
-        backend=str(options.get("backend", "scalar")),
         server=options.get("server"),  # type: ignore[arg-type]
     )
 

@@ -1,45 +1,40 @@
 """First-divergence localization for verify failures.
 
-When the fuzzer finds a :class:`~repro.verify.harness.Divergence` (or a
-backend-parity failure), knowing *that* a leg diverged is the start of
-triage, not the end.  This module re-runs the failing leg with the
-canonical architectural event stream enabled (:mod:`repro.obs.archtrace`)
-and diffs it against reference runs to pin the **first divergent
-architectural event**:
+When the fuzzer finds a :class:`~repro.verify.harness.Divergence`,
+knowing *that* a leg diverged is the start of triage, not the end.
+This module re-runs the failing leg on the scalar kernel with the
+canonical architectural event stream enabled (:mod:`repro.obs.archtrace`):
 
 * with a fault injected (the ``--fault`` self-test and any future
-  in-process fault), the references are *clean* runs — a fault is
+  in-process fault), the reference is a *clean* run — a fault is
   active only inside :func:`~repro.verify.harness.injected_fault`, so
-  the localizer runs a clean scalar and a clean batched reference,
-  then the subject inside that scope, and diffs the faulted subject
-  against both (``scalar-vs-scalar`` and ``scalar-vs-batched``);
-* with no fault, the failure is either a genuine model bug or a
-  backend-parity break, and the localizer runs the leg on both
-  backends and diffs them (``scalar-vs-batched``).
+  the localizer runs the leg once outside that scope and once inside
+  it, and diffs the two (``scalar-vs-scalar``) to pin the **first
+  divergent architectural event**;
+* with no fault there is no clean run to compare against: the failing
+  leg's archtrace (``scalar.archtrace.jsonl``) is written for triage
+  with ``python -m repro.obs diff``, and no comparison is attached.
 
-Honesty note: fault legs run with ``speculation=True``, which is
-outside the batched engine's envelope — the "batched" reference is then
-transparently routed to the scalar kernel and its archtrace header
-says so (``backend: scalar``, ``fallback_reason: ...``), exactly the
-tagging the runner applies to any unsupported job.
-
-Every archtrace is also written to ``out_dir`` (when given) so CI can
-upload the paired streams next to the :class:`DivergenceReport`.
+Every archtrace is written to ``out_dir`` (a fresh temporary directory
+when none is given) so CI can upload the streams next to the
+:class:`DivergenceReport`.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..consistency.litmus import LitmusTest
 from ..obs.diff import DivergenceReport, diff_archtraces
+from ..system.jobs import BatchResult, run_scalar
 from .harness import (
     DEFAULT_RUN_CONFIGS,
     Divergence,
     HarnessConfig,
+    Leg,
     RunConfig,
     injected_fault,
     leg_jobs,
@@ -55,7 +50,6 @@ class LocalizationResult:
     prefetch: bool
     speculation: bool
     config_name: str
-    backend: str
     fault: Optional[str] = None
     #: comparison name (e.g. "scalar-vs-scalar") -> report
     reports: Dict[str, DivergenceReport] = field(default_factory=dict)
@@ -69,7 +63,6 @@ class LocalizationResult:
             "prefetch": self.prefetch,
             "speculation": self.speculation,
             "config_name": self.config_name,
-            "backend": self.backend,
             "fault": self.fault,
             "reports": {name: rep.to_dict()
                         for name, rep in self.reports.items()},
@@ -79,7 +72,10 @@ class LocalizationResult:
 
     @classmethod
     def from_dict(cls, obj: Dict[str, object]) -> "LocalizationResult":
-        kwargs = dict(obj)
+        # keys this class no longer has (older corpora tag the engine
+        # that ran the references) are dropped; reports load as recorded
+        names = {f.name for f in fields(cls)}
+        kwargs = {key: value for key, value in obj.items() if key in names}
         kwargs["reports"] = {
             name: DivergenceReport.from_dict(rep)
             for name, rep in (obj.get("reports") or {}).items()}
@@ -107,18 +103,11 @@ def _resolve_run_config(config: HarnessConfig,
     raise KeyError(f"unknown run config {config_name!r}")
 
 
-def _run_leg(test: LitmusTest, model: str, prefetch: bool,
-             speculation: bool, run_config: RunConfig,
-             force_scalar: bool):
-    """One archtrace-enabled run of the leg; returns the BatchResult."""
-    from ..sim.batch import BatchRunner
-
-    jobs, _audit = leg_jobs(
-        test, [(model, prefetch, speculation, run_config)])
-    jobs[0].archtrace = True
-    result = BatchRunner(force_scalar=force_scalar).run(jobs)[0]
-    result.raise_if_error()
-    return result
+def _run_leg(test: LitmusTest, leg: Leg) -> BatchResult:
+    """One archtrace-enabled scalar run of the leg."""
+    (job,), _audit = leg_jobs(test, [leg])
+    job.archtrace = True
+    return run_scalar(job).raise_if_error()
 
 
 def localize_divergence(test: LitmusTest, divergence: Divergence,
@@ -126,11 +115,10 @@ def localize_divergence(test: LitmusTest, divergence: Divergence,
                         test_name: str = "",
                         out_dir: Optional[str] = None,
                         context: int = 5) -> LocalizationResult:
-    """Re-run ``divergence``'s leg with archtraces and diff it against
-    reference runs (see module docstring for the comparison matrix)."""
-    run_config = _resolve_run_config(config, divergence.config_name)
+    """Re-run ``divergence``'s leg with an archtrace and, under a fault,
+    diff it against a clean run (see the module docstring)."""
     leg = (divergence.model, divergence.prefetch, divergence.speculation,
-           run_config)
+           _resolve_run_config(config, divergence.config_name))
     if out_dir is None:
         out_dir = tempfile.mkdtemp(prefix="repro-localize-")
     os.makedirs(out_dir, exist_ok=True)
@@ -141,43 +129,27 @@ def localize_divergence(test: LitmusTest, divergence: Divergence,
         prefetch=divergence.prefetch,
         speculation=divergence.speculation,
         config_name=divergence.config_name,
-        backend=config.backend,
         fault=config.fault,
     )
 
-    def write(result, stem: str) -> str:
+    def write(result: BatchResult, stem: str) -> str:
         path = os.path.join(out_dir, f"{stem}.archtrace.jsonl")
         result.write_archtrace(path, label=f"{loc.test_name} {stem}")
         return path
 
-    if config.fault:
-        ref_scalar = _run_leg(test, *leg[:3], run_config, force_scalar=True)
-        ref_batched = _run_leg(test, *leg[:3], run_config,
-                               force_scalar=False)
-        with injected_fault(config.fault):
-            subject = _run_leg(test, *leg[:3], run_config,
-                               force_scalar=True)
-        p_subject = write(subject, "faulted-scalar")
-        p_ref_s = write(ref_scalar, "clean-scalar")
-        p_ref_b = write(ref_batched, "clean-batched")
-        pairs = [("scalar-vs-scalar", p_ref_s, p_subject),
-                 ("scalar-vs-batched", p_ref_b, p_subject)]
-    else:
-        subject_scalar = _run_leg(test, *leg[:3], run_config,
-                                  force_scalar=True)
-        subject_batched = _run_leg(test, *leg[:3], run_config,
-                                   force_scalar=False)
-        p_s = write(subject_scalar, "scalar")
-        p_b = write(subject_batched, "batched")
-        pairs = [("scalar-vs-batched", p_s, p_b)]
-
-    for name, path_a, path_b in pairs:
-        loc.reports[name] = diff_archtraces(
-            path_a, path_b,
-            label_a=os.path.basename(path_a).replace(".archtrace.jsonl", ""),
-            label_b=os.path.basename(path_b).replace(".archtrace.jsonl", ""),
-            context=context)
-        loc.artifacts[name] = (path_a, path_b)
+    if not config.fault:
+        write(_run_leg(test, leg), "scalar")
+        return loc
+    clean = _run_leg(test, leg)
+    with injected_fault(config.fault):
+        faulted = _run_leg(test, leg)
+    name = "scalar-vs-scalar"
+    path_a = write(clean, "clean-scalar")
+    path_b = write(faulted, "faulted-scalar")
+    loc.reports[name] = diff_archtraces(
+        path_a, path_b, label_a="clean-scalar", label_b="faulted-scalar",
+        context=context)
+    loc.artifacts[name] = (path_a, path_b)
     return loc
 
 

@@ -9,18 +9,12 @@ Contracts pinned here:
    recorder counts what the recorder discarded.
 2. **Determinism** — the same leg produces byte-identical event bodies
    and footers run-over-run, and under serial vs parallel sweeps.
-3. **Backend parity** — on the named litmus suite the batched engine's
-   archtrace is bit-identical to the scalar kernel's, for every model;
-   technique legs fall back to the scalar kernel with the fallback
-   *tagged*, never silent.
-4. **Differ classes** — hand-crafted streams exercise all three
+3. **Differ classes** — hand-crafted streams exercise all three
    divergence classes (architectural, final-state, timing-only) plus
    the identical verdict and the CLI exit codes.
 """
 
 import json
-
-import pytest
 
 from repro.consistency.litmus import STANDARD_TESTS
 from repro.obs.archtrace import (
@@ -32,39 +26,31 @@ from repro.obs.archtrace import (
     read_archtrace,
 )
 from repro.obs.diff import diff_archtraces, diff_main
-from repro.sim.batch import BatchRunner
 from repro.sim.sweep import run_sweep
 from repro.sim.trace import TraceRecorder
-from repro.verify.harness import (
-    DEFAULT_RUN_CONFIGS,
-    MODEL_NAMES,
-    TECHNIQUE_COMBOS,
-    leg_jobs,
-)
+from repro.system.jobs import run_scalar
+from repro.verify.harness import DEFAULT_RUN_CONFIGS, leg_jobs
 
 
 # ----------------------------------------------------------------------
 # Shared machinery
 # ----------------------------------------------------------------------
 
-def leg_trace(test, model_name, prefetch, speculation, run_config,
-              force_scalar):
+def leg_trace(test, model_name, prefetch, speculation, run_config):
     """One archtrace-enabled run of a litmus leg; returns the
-    byte-comparable body (event lines + footer) and the BatchResult."""
-    jobs, _audit = leg_jobs(
+    byte-comparable body (event lines + footer)."""
+    (job,), _audit = leg_jobs(
         test, [(model_name, prefetch, speculation, run_config)])
-    jobs[0].archtrace = True
-    (res,) = BatchRunner(force_scalar=force_scalar).run(jobs)
-    res.raise_if_error()
-    return res.archtrace.event_lines(), res.archtrace.footer(), res
+    job.archtrace = True
+    res = run_scalar(job).raise_if_error()
+    return res.archtrace.event_lines(), res.archtrace.footer()
 
 
 def _sweep_leg(item):
     """Module-level (picklable) sweep worker: one leg's trace body."""
     name, model_name = item
-    lines, footer, _res = leg_trace(STANDARD_TESTS[name](), model_name,
-                                    False, False, DEFAULT_RUN_CONFIGS[0],
-                                    force_scalar=True)
+    lines, footer = leg_trace(STANDARD_TESTS[name](), model_name,
+                              False, False, DEFAULT_RUN_CONFIGS[0])
     return lines, json.dumps(footer, sort_keys=True)
 
 
@@ -144,8 +130,7 @@ class TestCollector:
                                      final_memory={16: 7},
                                      breakdowns=[{"busy": 40, "idle": 2}])
         path = str(tmp_path / "t.jsonl")
-        count = arch.write_jsonl(path, backend="scalar", label="unit",
-                                 fallback_reason=None)
+        count = arch.write_jsonl(path, label="unit")
         assert count == 2
         header, events, footer = read_archtrace(path)
         assert header["archtrace"] == ARCHTRACE_VERSION
@@ -163,20 +148,16 @@ class TestCollector:
 class TestDeterminism:
     def test_repeated_scalar_runs_are_bit_identical(self):
         test = STANDARD_TESTS["SB"]()
-        first = leg_trace(test, "WC", False, False,
-                          DEFAULT_RUN_CONFIGS[0], force_scalar=True)[:2]
-        second = leg_trace(test, "WC", False, False,
-                           DEFAULT_RUN_CONFIGS[0], force_scalar=True)[:2]
+        first = leg_trace(test, "WC", False, False, DEFAULT_RUN_CONFIGS[0])
+        second = leg_trace(test, "WC", False, False, DEFAULT_RUN_CONFIGS[0])
         assert first == second
 
     def test_archtrace_survives_speculative_legs(self):
         # speculation exercises squash/rollback emission; determinism
         # must hold there too
         test = STANDARD_TESTS["MP"]()
-        first = leg_trace(test, "RC", True, True,
-                          DEFAULT_RUN_CONFIGS[1], force_scalar=True)[:2]
-        second = leg_trace(test, "RC", True, True,
-                           DEFAULT_RUN_CONFIGS[1], force_scalar=True)[:2]
+        first = leg_trace(test, "RC", True, True, DEFAULT_RUN_CONFIGS[1])
+        second = leg_trace(test, "RC", True, True, DEFAULT_RUN_CONFIGS[1])
         assert first == second
 
     def test_serial_and_parallel_sweeps_agree(self):
@@ -189,60 +170,7 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# 3. Backend parity on the named suite
-# ----------------------------------------------------------------------
-
-class TestBackendParity:
-    @pytest.mark.parametrize("model_name", MODEL_NAMES)
-    def test_named_suite_batched_bit_identical(self, model_name):
-        rc = DEFAULT_RUN_CONFIGS[0]
-        for name in sorted(STANDARD_TESTS):
-            test = STANDARD_TESTS[name]()
-            s_lines, s_footer, _ = leg_trace(test, model_name, False, False,
-                                             rc, force_scalar=True)
-            b_lines, b_footer, b_res = leg_trace(test, model_name, False,
-                                                 False, rc,
-                                                 force_scalar=False)
-            assert b_res.backend == "batched", name
-            assert b_lines == s_lines, (name, model_name)
-            assert b_footer == s_footer, (name, model_name)
-
-    @pytest.mark.parametrize(
-        "prefetch,speculation",
-        [t for t in TECHNIQUE_COMBOS if any(t)],
-        ids=["prefetch", "speculation", "both"])
-    @pytest.mark.parametrize("model_name", MODEL_NAMES)
-    def test_technique_legs_fall_back_tagged(self, model_name, prefetch,
-                                             speculation):
-        # techniques are outside the batch envelope: the runner must
-        # route to the scalar kernel, keep emitting the archtrace, and
-        # tag the result — silent fallback is a bug
-        rc = DEFAULT_RUN_CONFIGS[0]
-        for name in sorted(STANDARD_TESTS):
-            test = STANDARD_TESTS[name]()
-            s_lines, s_footer, _ = leg_trace(test, model_name, prefetch,
-                                             speculation, rc,
-                                             force_scalar=True)
-            b_lines, b_footer, b_res = leg_trace(test, model_name, prefetch,
-                                                 speculation, rc,
-                                                 force_scalar=False)
-            assert b_res.backend == "scalar", name
-            assert b_res.unsupported_reason is not None, name
-            assert b_lines == s_lines and b_footer == s_footer, name
-
-    def test_fallback_reason_lands_in_the_header(self, tmp_path):
-        test = STANDARD_TESTS["SB"]()
-        _, _, res = leg_trace(test, "SC", False, True,
-                              DEFAULT_RUN_CONFIGS[0], force_scalar=False)
-        path = str(tmp_path / "fallback.jsonl")
-        res.write_archtrace(path, label="tagged")
-        header, _events, _footer = read_archtrace(path)
-        assert header["backend"] == "scalar"
-        assert header["fallback_reason"]
-
-
-# ----------------------------------------------------------------------
-# 4. Differ classes on hand-crafted streams
+# 3. Differ classes on hand-crafted streams
 # ----------------------------------------------------------------------
 
 def _instr_stream():
@@ -260,7 +188,7 @@ def _write(path, events, cycles=10, memory=None, breakdowns=None,
            dropped=0):
     ArchTrace(events, cycles=cycles, final_memory=memory or {16: 1},
               breakdowns=breakdowns or [], dropped=dropped,
-              ).write_jsonl(str(path), backend="scalar", label="fixture")
+              ).write_jsonl(str(path), label="fixture")
     return str(path)
 
 

@@ -18,10 +18,7 @@ Families:
 3. generated fuzz litmus tests (seeded, deterministic) compared
    wholesale in one batch;
 4. caches of one or two lines, where every access replaces one: the
-   eviction and writeback paths the default geometry never reaches;
-5. ``repro.verify`` parity: ``check_seed`` with ``backend="batched"``
-   produces the same :class:`CheckResult`s as the scalar worker — the
-   batched conformance mode of the fuzzer.
+   eviction and writeback paths the default geometry never reaches.
 """
 
 import dataclasses
@@ -38,7 +35,6 @@ from repro.verify.harness import (
     DEFAULT_RUN_CONFIGS,
     MODEL_NAMES,
     TECHNIQUE_COMBOS,
-    check_seed,
     leg_jobs,
 )
 from repro.workloads import example1_program, example2_program, figure5_program
@@ -116,6 +112,17 @@ class TestPaperExamples:
                        warm_lines=wl.warm_lines)
         (res,) = BatchRunner().run([job])
         assert res.backend == "batched"
+
+    def test_archtrace_jobs_run_scalar(self):
+        # only the scalar kernel records an archtrace
+        wl = example1_program()
+        job = BatchJob(programs=[wl.program], model_name="WC",
+                       initial_memory=wl.initial_memory,
+                       warm_lines=wl.warm_lines, archtrace=True)
+        assert job_unsupported_reason(job) == "archtrace requested"
+        (res,) = BatchRunner().run([job])
+        assert res.backend == "scalar"
+        assert res.archtrace is not None and res.archtrace.events
 
     @pytest.mark.parametrize("factory", [example2_program, figure5_program],
                              ids=["example2", "figure5"])
@@ -248,29 +255,3 @@ class TestReplacement:
                                 if name.endswith("/replacements"))
         assert replacements > 0
 
-
-# ----------------------------------------------------------------------
-# 5. repro.verify parity (the batched conformance mode)
-# ----------------------------------------------------------------------
-
-def _comparable(result):
-    """A CheckResult's identity-relevant fields (or the error slot)."""
-    if hasattr(result, "divergences"):
-        return (result.index, result.seed, result.test_name,
-                result.num_runs, tuple(result.divergences),
-                tuple(result.oracle_disagreements))
-    return result
-
-
-class TestVerifyParity:
-    SEEDS = [derive_seed(0, i, "fuzz") for i in range(6)]
-
-    def _items(self, backend, oracle="sim"):
-        options = {"oracle": oracle, "backend": backend}
-        return [(i, seed, options) for i, seed in enumerate(self.SEEDS)]
-
-    def test_check_seed_backends_agree(self):
-        for item_s, item_b in zip(self._items("scalar"),
-                                  self._items("batched")):
-            assert _comparable(check_seed(item_s)) == \
-                _comparable(check_seed(item_b))

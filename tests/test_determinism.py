@@ -14,10 +14,10 @@ import pytest
 from repro.consistency import RC, SC
 from repro.consistency.litmus import STANDARD_TESTS, LitmusTest
 from repro.serve.executors import execute_job
-from repro.sim.batch import BatchRunner
 from repro.sim.sweep import derive_seed, run_sweep
 from repro.sim.trace import TraceRecorder
 from repro.system import run_workload
+from repro.system.jobs import run_scalar
 from repro.verify import check_seed, generate_litmus
 from repro.verify.harness import (
     DEFAULT_RUN_CONFIGS,
@@ -61,7 +61,7 @@ class TestSimulatorDeterminism:
 
 
 class TestOneLegBuilder:
-    """The job server, the scalar harness path and the batch runner all
+    """The job server, the harness and a direct ``run_scalar`` call all
     run what ``leg_jobs`` builds, so they agree on every leg."""
 
     FUZZ_SEED = derive_seed(7, 0, "fuzz")
@@ -80,7 +80,7 @@ class TestOneLegBuilder:
             local = observed_outcome(test, "WC", True, True, config)
             (job,), (audit_map,) = leg_jobs(
                 test, [("WC", True, True, config)])
-            (res,) = BatchRunner(force_scalar=True).run([job])
+            res = run_scalar(job)
             forced = tuple(sorted((reg, res.read_word(slot))
                                   for reg, slot in audit_map.items()))
             assert tuple(map(tuple, served["outcome"])) == local == forced

@@ -1,10 +1,11 @@
-"""Import direction: scalar legs do not load numpy, the lockstep engine
-or a process pool, and the consistency layer does not reach up into
-analysis.
+"""Import direction: product entry points do not load numpy, the
+lockstep engine or a process pool, and the consistency layer does not
+reach up into analysis.
 
 ``repro.sim.batch`` is the only numpy user; the job type and the scalar
-way to run a job live in ``repro.system.jobs`` so that a scalar fuzz
-campaign, a served job and a detailed report table never import it.
+way to run a job live in ``repro.system.jobs`` so that a fuzz campaign,
+a localized divergence, a served job and a detailed report table never
+import it.
 ``repro.sim.sweep`` imports ``ProcessPoolExecutor`` in its pool branch
 only, so a ``jobs=1`` campaign, a bench child and a serve pool worker do
 not pay for ``multiprocessing`` (22-25 ms of a ~100 ms ``import repro``).
@@ -27,9 +28,24 @@ import repro.system.jobs
 assert not [name for name in POOL if name in sys.modules]
 
 from repro.verify.cli import run_fuzz
-assert run_fuzz(budget=2, jobs=1, seed=0, backend="scalar", oracle="all",
+assert run_fuzz(budget=2, jobs=1, seed=0, oracle="all",
                 corpus_path=None, quiet=True, ledger=False) == 0
 assert not [name for name in POOL if name in sys.modules]
+
+# SB under SC with speculation diverges under the slb-deaf fault
+from repro.consistency.litmus import STANDARD_TESTS
+from repro.verify.harness import DEFAULT_RUN_CONFIGS, HarnessConfig, check_test
+from repro.verify.localize import localize_divergence
+config = HarnessConfig(models=("SC",), techniques=((False, True),),
+                       run_configs=DEFAULT_RUN_CONFIGS[:1],
+                       fault="slb-deaf", oracle="sim")
+test = STANDARD_TESTS["SB"]()
+result = check_test(test, config)
+import tempfile
+with tempfile.TemporaryDirectory() as out_dir:
+    loc = localize_divergence(test, result.divergences[0], config=config,
+                              out_dir=out_dir)
+assert loc.reports
 
 from repro.serve import make_job
 from repro.serve.executors import execute_job

@@ -152,6 +152,8 @@ class TestCliMisuse:
         ("repro.verify.cli", ["--jobs", "0"]),
         ("repro.verify.cli", ["--fault", "slb-deaf",
                               "--server", "127.0.0.1:1"]),
+        # the batched backend is gone, not silently scalar
+        ("repro.verify.cli", ["--backend", "batched"]),
         # a filter that selects nothing must not pass as an empty report
         ("repro.report", ["NOPE"]),
     ]

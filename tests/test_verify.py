@@ -273,12 +273,11 @@ class TestCli:
         entry = corpus.entries[0]
         assert entry.fault == "slb-deaf"
         # the localizer must have pinned the injected fault to its
-        # first divergent architectural event, against both a clean
-        # scalar and a clean batched reference
+        # first divergent architectural event against a clean reference
         loc = entry.localization
         assert loc is not None and loc["fault"] == "slb-deaf"
         reports = loc["reports"]
-        assert set(reports) == {"scalar-vs-scalar", "scalar-vs-batched"}
+        assert set(reports) == {"scalar-vs-scalar"}
         for name, report in reports.items():
             assert report["classification"] == "architectural", name
             assert report["arch_event_a"] or report["arch_event_b"], name
