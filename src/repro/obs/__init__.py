@@ -10,11 +10,13 @@ stream (:mod:`~repro.obs.archtrace`) and its
 first-divergence differ (:mod:`~repro.obs.diff`).
 ``python -m repro.obs`` is the CLI.
 
-Fleet-level telemetry lives in :mod:`repro.obs.telemetry` (campaign
-metrics registry + cross-process span tracing) and
-:mod:`repro.obs.ledger` (the content-addressed run ledger); both are
-stdlib-only and imported lazily by the orchestration layers, so they
-are re-exported here without widening this package's import footprint.
+A campaign's metrics are a :class:`~repro.sim.stats.StatsRegistry`
+that ``repro.verify`` fills from its sweep's results, exposed for
+Prometheus by :mod:`repro.obs.prometheus`; its span trace is
+:func:`~repro.obs.perfetto.export_span_trace` over the sweep's
+per-item stamps.  :mod:`repro.obs.ledger` is the content-addressed run
+ledger.  All three are stdlib-only and imported lazily by the
+orchestration layers.
 
 Import discipline: this package is imported by the processor core, so
 only modules that depend on nothing above ``repro.sim`` are pulled in

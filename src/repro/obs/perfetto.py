@@ -24,6 +24,11 @@ Mapping:
   (``ph: "i"``);
 * ``ph: "M"`` metadata events name the processes and threads.
 
+:func:`export_span_trace` writes the other timeline this package
+knows: host spans on the wall clock, one process row per pid — a
+``repro.verify`` campaign, its sweep run and each item, stamped by
+:func:`repro.sim.sweep.run_sweep` in whichever process ran it.
+
 :func:`validate_trace_events` is a dependency-free structural checker
 for the subset of the spec this exporter emits; CI runs it over the
 exported file so a malformed timeline fails the build rather than
@@ -36,7 +41,7 @@ failing silently in the viewer.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..sim.trace import TraceEvent, TraceRecorder
 
@@ -211,10 +216,47 @@ def export_chrome_trace(
 ) -> Dict[str, Any]:
     """Convert and write a trace; returns the converted object."""
     obj = to_trace_events(trace, label=label, breakdowns=breakdowns)
+    _write(obj, path)
+    return obj
+
+
+#: one host span: (name, pid, start_us, end_us, args), wall clock
+WallSpan = Tuple[str, int, int, int, Mapping[str, Any]]
+
+
+def export_span_trace(spans: Sequence[WallSpan], path: str,
+                      process_names: Mapping[int, str]) -> Dict[str, Any]:
+    """Write host spans as a trace_event file; returns the object.
+
+    ``ts`` is wall-clock microseconds, so spans from different
+    processes line up; it is rebased so the earliest span starts at 0
+    (the Perfetto UI dislikes epoch-scale offsets).  Every pid gets a
+    ``process_name`` (``process_names[pid]``, else ``pid N``) and an
+    ``orchestration`` thread.
+    """
+    origin = min((start for _, _, start, _, _ in spans), default=0)
+    meta: List[Dict[str, Any]] = []
+    for pid in sorted({span[1] for span in spans} | set(process_names)):
+        meta.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                     "args": {"name": process_names.get(pid, f"pid {pid}")}})
+        meta.append({"name": "thread_name", "ph": "M", "pid": pid, "tid": 0,
+                     "args": {"name": "orchestration"}})
+    obj = {
+        "traceEvents": meta + [
+            {"name": name, "ph": "X", "ts": start - origin,
+             "dur": max(0, end - start), "pid": pid, "tid": 0,
+             "cat": "orchestration", "args": dict(args)}
+            for name, pid, start, end, args in spans],
+        "displayTimeUnit": "ms",
+    }
+    _write(obj, path)
+    return obj
+
+
+def _write(obj: Dict[str, Any], path: str) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=None, separators=(",", ":"))
         fh.write("\n")
-    return obj
 
 
 # ----------------------------------------------------------------------

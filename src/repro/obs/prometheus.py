@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import List, Mapping, Optional, Tuple
 
-from ...sim.stats import Histogram, StatsRegistry
+from ..sim.stats import Histogram, StatsRegistry
 
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 

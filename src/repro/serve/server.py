@@ -45,7 +45,7 @@ from threading import Thread
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from ..obs import ledger as ledger_mod
-from ..obs.telemetry import to_prometheus
+from ..obs.prometheus import to_prometheus
 from ..sim.stats import StatsRegistry
 from .executors import execute_job, make_executor
 from .protocol import (

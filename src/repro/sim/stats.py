@@ -2,8 +2,8 @@
 
 Components register named counters and histograms against a shared
 :class:`StatsRegistry`.  The guest machine counts into the simulator's,
-campaign telemetry (:mod:`repro.obs.telemetry`) into the active
-scope's, a job server into its own.  Statistics are plain Python
+a job server into its own, and a ``repro.verify`` campaign fills one
+from its sweep's results.  Statistics are plain Python
 numbers so reports can be rendered without any third-party dependency.
 """
 

@@ -3,20 +3,23 @@
 :func:`run_sweep` maps a pure worker over independent items for its one
 caller, ``verify.cli.run_fuzz``.  Chunked dispatch and ordered results
 are ``ProcessPoolExecutor.map``'s; added here are :func:`derive_seed`,
-a worker exception contained in its slot as a :class:`SweepError`, a
-serial path that neither pickles nor imports the pool machinery, and —
-while campaign telemetry (:mod:`repro.obs.telemetry`) is on — shipping
-each pool item's metrics and spans back to the parent.
+a worker exception contained in its slot as a :class:`SweepError` (a
+worker process that dies fills every slot not yet returned with one), a
+serial path that neither pickles nor imports the pool machinery, and a
+:class:`Stamp` per item — which process ran it, wall-clock start and
+end — from which the caller renders its span trace.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import IO, Any, Callable, List, Optional, Sequence, Tuple
+from typing import (IO, Any, Callable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .errors import ConfigurationError
 
@@ -46,6 +49,20 @@ class SweepError:
         return f"item {self.item_index}: {self.error_type}: {self.message}"
 
 
+def wall_us() -> int:
+    """Wall-clock microseconds: comparable across processes, unlike a
+    per-process monotonic clock."""
+    return time.time_ns() // 1000
+
+
+class Stamp(NamedTuple):
+    """Which process ran an item, and when (wall-clock microseconds)."""
+
+    pid: int
+    start_us: int
+    end_us: int
+
+
 def _rate(count: int, seconds: float) -> float:
     """Items per second; 0.0 for a run that finished within clock
     resolution (1e-12 s elapsed must not read as 10^12 items/s)."""
@@ -67,7 +84,7 @@ def format_duration(seconds: Optional[float]) -> str:
 
 
 class ProgressMeter:
-    """A ``run_sweep(telemetry=)`` observer rendering one progress
+    """A ``run_sweep(progress=)`` observer rendering one progress
     line: live (carriage returns) on a terminal only, on a redirected
     stream just the summary :meth:`finish` prints.  The rate on both is
     the run average, items done over time elapsed."""
@@ -99,11 +116,16 @@ class ProgressMeter:
 
 @dataclass
 class SweepResult:
-    """Ordered results plus run-wide accounting."""
+    """Ordered results plus run-wide accounting: ``stamps[i]`` says
+    where and when ``results[i]`` was produced, ``start_us`` /
+    ``end_us`` bound the whole run in the caller's process."""
 
     results: List[Any]
     elapsed_seconds: float
     jobs: int
+    stamps: List[Stamp] = field(default_factory=list)
+    start_us: int = 0
+    end_us: int = 0
 
     @property
     def errors(self) -> List[SweepError]:
@@ -122,74 +144,69 @@ class SweepResult:
         return text
 
 
-def _call(worker: SweepWorker, indexed: Tuple[int, Any]) -> Any:
-    """``worker(item)`` under one ``sweep/item`` span, or the slot's
-    :class:`SweepError` if it raised."""
-    from ..obs import telemetry as tm
+def _call(worker: SweepWorker, indexed: Tuple[int, Any]) -> Tuple[Any, Stamp]:
+    """``worker(item)`` (or the slot's :class:`SweepError` if it
+    raised), stamped with this process and the call's wall-clock span."""
     index, item = indexed
-    with tm.span("sweep/item", {"index": index}):
-        try:
-            result = worker(item)
-        except Exception as exc:  # noqa: BLE001 - reported to the caller
-            result = SweepError(item_index=index,
-                                error_type=type(exc).__name__,
-                                message=str(exc))
-    tm.inc("sweep/items")
-    return result
-
-
-def _pool_call(worker: SweepWorker, ship: bool,
-               indexed: Tuple[int, Any]) -> Tuple[Any, Optional[dict]]:
-    """One pool item.  With campaign telemetry on (``ship``) it runs in
-    a fresh ``collect()`` scope — a long-lived worker must not count an
-    item twice — and what the scope recorded goes back to the parent."""
-    if not ship:
-        return _call(worker, indexed), None
-    from ..obs import telemetry as tm
-    with tm.collect() as scope:
-        result = _call(worker, indexed)
-    return result, scope.shipment()
+    start = wall_us()
+    try:
+        result = worker(item)
+    except Exception as exc:  # noqa: BLE001 - reported to the caller
+        result = SweepError(item_index=index,
+                            error_type=type(exc).__name__,
+                            message=str(exc))
+    return result, Stamp(os.getpid(), start, wall_us())
 
 
 def run_sweep(worker: SweepWorker, items: Sequence[Any], jobs: int = 1,
-              telemetry: Optional[Callable[[int, int, float], None]] = None,
+              progress: Optional[Callable[[int, int, float], None]] = None,
               ) -> SweepResult:
     """Map ``worker`` over ``items``, across ``jobs`` processes if > 1;
-    ``results[i]`` belongs to ``items[i]``.  ``telemetry(done, total,
+    ``results[i]`` belongs to ``items[i]``.  ``progress(done, total,
     elapsed_seconds)`` is called in this process per finished item."""
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if not callable(worker):
         # else every item "fails" with one TypeError and the sweep looks run
         raise ConfigurationError(f"worker must be callable, got {worker!r}")
-    # repro.obs reaches back into repro.sim for trace types, so a
-    # module-level import would be a cycle
-    from ..obs import telemetry as tm
 
     items = list(items)
     total = len(items)
     if total <= 1:
         jobs = 1
     results: List[Any] = []
+    stamps: List[Stamp] = []
+    start = wall_us()
     t0 = time.perf_counter()
 
-    def finished(result: Any) -> None:
+    def finished(result: Any, stamp: Stamp) -> None:
         results.append(result)
-        if telemetry is not None:
-            telemetry(len(results), total, time.perf_counter() - t0)
+        stamps.append(stamp)
+        if progress is not None:
+            progress(len(results), total, time.perf_counter() - t0)
 
-    with tm.span("sweep/run", {"items": total, "jobs": jobs}):
-        if jobs == 1:
-            for indexed in enumerate(items):
-                finished(_call(worker, indexed))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            call = partial(_pool_call, worker, tm.enabled())
-            # ~4 chunks per worker: stragglers rebalance, IPC amortizes
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for result, shipment in pool.map(
-                        call, enumerate(items),
+    if jobs == 1:
+        for indexed in enumerate(items):
+            finished(*_call(worker, indexed))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        # ~4 chunks per worker: stragglers rebalance, IPC amortizes
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            try:
+                for outcome in pool.map(
+                        partial(_call, worker), enumerate(items),
                         chunksize=max(1, total // (4 * jobs))):
-                    tm.absorb(shipment)
-                    finished(result)
-    return SweepResult(results, time.perf_counter() - t0, jobs)
+                    finished(*outcome)
+            except BrokenProcessPool as exc:
+                # a worker died (os._exit, OOM kill): what came back
+                # stands, every slot still out is lost with the pool and
+                # stamped here, when the loss was noticed
+                now = wall_us()
+                for index in range(len(results), total):
+                    finished(SweepError(item_index=index,
+                                        error_type="BrokenProcessPool",
+                                        message=str(exc)),
+                             Stamp(os.getpid(), now, now))
+    return SweepResult(results, time.perf_counter() - t0, jobs,
+                       stamps, start, wall_us())

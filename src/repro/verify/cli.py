@@ -22,6 +22,7 @@ found.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,8 +31,9 @@ from ..cli_options import (add_ledger, add_stats_json, append_ledger,
                            at_least, output_path)
 from ..consistency.litmus import STANDARD_TESTS
 from ..sim.errors import ConfigurationError
-from ..sim.stats import write_stats_json
-from ..sim.sweep import ProgressMeter, SweepError, derive_seed, run_sweep
+from ..sim.stats import StatsRegistry, write_stats_json
+from ..sim.sweep import (ProgressMeter, SweepError, derive_seed, run_sweep,
+                         wall_us)
 from .corpus import (
     Corpus,
     CorpusEntry,
@@ -146,11 +148,12 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     crosscheck legs (see module docstring); ``suite`` checks every
     named standard litmus test instead of fuzzing.
 
-    Every campaign runs inside its own telemetry scope (a fresh
-    campaign-scoped ``StatsRegistry`` + span tracer, so two campaigns in one
-    process never mix), exportable via ``stats_json`` /
-    ``prometheus`` / ``trace_spans``, and — unless ``ledger`` is off —
-    lands one content-addressed record in the run ledger.
+    The campaign's metrics (``stats_json`` / ``prometheus``) are a
+    ``StatsRegistry`` built here from the sweep's results, and its span
+    trace (``trace_spans``) is rendered from the sweep's per-item
+    stamps, so nothing is counted in the workers or shipped back.
+    Unless ``ledger`` is off the campaign lands one content-addressed
+    record in the run ledger.
 
     Every simulator leg runs on the scalar kernel; ``backend`` is
     accepted for callers that still name it and must be ``"scalar"``.
@@ -159,7 +162,6 @@ def run_fuzz(budget: int, jobs: int, seed: int,
         raise ConfigurationError(
             f"unknown backend {backend!r}; simulator legs run on the "
             f"scalar kernel only")
-    from ..obs import telemetry as tm
 
     gen_config = generator if generator is not None else GeneratorConfig()
     options: Dict[str, object] = {"generator": gen_config.to_dict(),
@@ -181,10 +183,9 @@ def run_fuzz(budget: int, jobs: int, seed: int,
 
     meter = None if quiet else ProgressMeter(label="verify")
     t0 = time.perf_counter()
-    with tm.collect(process="verify campaign") as scope:
-        with tm.span("verify/campaign",
-                     {"tests": total, "oracle": oracle, "jobs": jobs}):
-            sweep = run_sweep(worker, items, jobs=jobs, telemetry=meter)
+    start_us = wall_us()
+    sweep = run_sweep(worker, items, jobs=jobs, progress=meter)
+    end_us = wall_us()
     wall = time.perf_counter() - t0
     if meter is not None:
         meter.finish()
@@ -192,11 +193,13 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     failures: List[CheckResult] = []
     crashes: List[SweepError] = []
     total_runs = 0
+    orderings = 0
     for result in sweep.results:
         if isinstance(result, SweepError):
             crashes.append(result)
         else:
             total_runs += result.num_runs
+            orderings += result.orderings
             if not result.ok:
                 failures.append(result)
 
@@ -270,19 +273,38 @@ def run_fuzz(budget: int, jobs: int, seed: int,
     artifacts: Dict[str, str] = {}
     if corpus.entries and corpus_path:
         artifacts["corpus"] = corpus_path
+    metrics = StatsRegistry()
+    for name, value in (("sweep/items", len(sweep.results)),
+                        ("verify/tests", total),
+                        ("verify/legs", total_runs),
+                        ("verify/orderings", orderings),
+                        ('verify/divergences{oracle="enumerator"}', sim_enum),
+                        ('verify/divergences{oracle="axiomatic"}', sim_ax)):
+        if value:
+            metrics.counter(name).inc(value)
     if stats_json:
-        write_stats_json(stats_json, scope.metrics)
+        write_stats_json(stats_json, metrics)
         artifacts["stats_json"] = stats_json
         if not quiet:
             print(f"campaign metrics snapshot written to {stats_json}")
     if prometheus:
+        from ..obs.prometheus import to_prometheus
         with open(prometheus, "w") as fh:
-            fh.write(tm.to_prometheus(scope.metrics))
+            fh.write(to_prometheus(metrics))
         artifacts["prometheus"] = prometheus
         if not quiet:
             print(f"Prometheus exposition written to {prometheus}")
     if trace_spans:
-        scope.spans.write_perfetto(trace_spans, label="verify campaign")
+        from ..obs.perfetto import export_span_trace
+        parent = os.getpid()
+        export_span_trace(
+            [("verify/campaign", parent, start_us, end_us,
+              {"tests": total, "oracle": oracle, "jobs": jobs}),
+             ("sweep/run", parent, sweep.start_us, sweep.end_us,
+              {"items": total, "jobs": sweep.jobs})]
+            + [("sweep/item", pid, start, end, {"index": index})
+               for index, (pid, start, end) in enumerate(sweep.stamps)],
+            trace_spans, {parent: "verify campaign"})
         artifacts["trace_spans"] = trace_spans
         if not quiet:
             print(f"campaign span trace written to {trace_spans}")

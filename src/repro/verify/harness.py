@@ -45,12 +45,6 @@ from ..system.jobs import BatchJob, BatchResult, run_scalar
 #: and more robustly than model instances)
 MODEL_NAMES: Tuple[str, ...] = ("SC", "PC", "WC", "RC")
 
-
-def _tm():
-    """Campaign telemetry, imported lazily (cycle-safe)."""
-    from ..obs import telemetry
-    return telemetry
-
 #: which oracle legs the harness runs — see the module docstring
 ORACLE_MODES: Tuple[str, ...] = ("sim", "axiomatic", "all")
 
@@ -178,6 +172,9 @@ class CheckResult:
     seed: int
     test_name: str
     num_runs: int = 0
+    #: distinct ordering relations the enumerator solved (models that
+    #: order the test alike share one)
+    orderings: int = 0
     divergences: List[Divergence] = field(default_factory=list)
     oracle_disagreements: List[OracleDisagreement] = field(default_factory=list)
 
@@ -272,7 +269,6 @@ def check_test(test: LitmusTest, config: HarnessConfig = HarnessConfig(),
     tests per second.
     """
     _validate(config)
-    _tm().inc("verify/tests")
     out = CheckResult(index=index, seed=seed, test_name=test.name)
     reference, axiomatic = _static_oracles(test, config, out)
     legs = _sim_legs(config) if config.oracle in ("sim", "all") else []
@@ -304,10 +300,10 @@ def _static_oracles(
 ) -> Tuple[Dict[str, FrozenSet[Outcome]], Dict[str, FrozenSet[Outcome]]]:
     """Run the static legs: enumerator always, axioms when selected.
 
-    Returns the per-model permitted sets and appends any
-    :class:`OracleDisagreement` onto ``out``.
+    Returns the per-model permitted sets, records how many distinct
+    orderings were solved and appends any :class:`OracleDisagreement`
+    onto ``out``.
     """
-    tm = _tm()
     # a model is its delay arcs (Figure 1): models that order this test
     # alike pose the enumerator one problem, solved once per call
     solved: Dict[Tuple[int, ...], FrozenSet[Outcome]] = {}
@@ -316,9 +312,9 @@ def _static_oracles(
         model = get_model(model_name)
         relation = test.ordering(model)
         if relation not in solved:
-            tm.inc("verify/orderings")
             solved[relation] = test.outcomes(model)
         reference[model_name] = solved[relation]
+    out.orderings = len(solved)
 
     axiomatic: Dict[str, FrozenSet[Outcome]] = {}
     if config.oracle in ("axiomatic", "all"):
@@ -353,15 +349,12 @@ def _classify_outcomes(test: LitmusTest, out: CheckResult,
                        reference: Dict[str, FrozenSet[Outcome]],
                        axiomatic: Dict[str, FrozenSet[Outcome]]) -> None:
     """Check each observed outcome against the oracle sets."""
-    tm = _tm()
     for (model_name, prefetch, speculation, run_config), observed in zip(
             legs, outcomes):
         permitted = reference[model_name]
         ax_permitted = axiomatic.get(model_name)
         out.num_runs += 1
-        tm.inc("verify/legs")
         if observed not in permitted:
-            tm.inc("verify/divergences", labels={"oracle": "enumerator"})
             out.divergences.append(Divergence(
                 test_name=test.name,
                 model=model_name,
@@ -375,7 +368,6 @@ def _classify_outcomes(test: LitmusTest, out: CheckResult,
         elif ax_permitted is not None and observed not in ax_permitted:
             # only reachable while the static oracles disagree:
             # the simulator sided with the enumerator
-            tm.inc("verify/divergences", labels={"oracle": "axiomatic"})
             out.divergences.append(Divergence(
                 test_name=test.name,
                 model=model_name,

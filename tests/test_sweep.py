@@ -1,6 +1,8 @@
 """The campaign map (`repro.sim.sweep`)."""
 
 import io
+import os
+import time
 
 import pytest
 
@@ -22,6 +24,13 @@ def square(x):
 def boom_on_three(x):
     if x == 3:
         raise ValueError("three is right out")
+    return x
+
+
+def exit_on_three(x):
+    if x == 3:
+        time.sleep(0.3)     # items 0-2 come home first
+        os._exit(7)
     return x
 
 
@@ -78,7 +87,7 @@ class TestSerialSweep:
     def test_progress_callback_monotone_and_complete(self):
         seen = []
         run_sweep(square, list(range(4)), jobs=1,
-                  telemetry=lambda done, total, _s: seen.append((done, total)))
+                  progress=lambda done, total, _s: seen.append((done, total)))
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_error_recorded_on_request(self):
@@ -114,6 +123,17 @@ class TestParallelSweep:
         assert "three" in res.results[0].describe()
         assert res.results[0].item_index == 0
         assert res.results[1] == 5
+
+    def test_dead_worker_fails_only_the_slots_still_out(self):
+        # a worker that dies takes the pool with it; what came back
+        # stays, every slot still out becomes a SweepError
+        res = run_sweep(exit_on_three, list(range(8)), jobs=2)
+        assert len(res.results) == 8 and len(res.stamps) == 8
+        assert res.results[:3] == [0, 1, 2]
+        lost = res.results[3:]
+        assert all(isinstance(r, SweepError) for r in lost)
+        assert [r.item_index for r in lost] == list(range(3, 8))
+        assert {r.error_type for r in lost} == {"BrokenProcessPool"}
 
 
 class TestRateGuards:
@@ -154,7 +174,7 @@ class TestTelemetry:
         # done, items in all, seconds elapsed since the run began
         samples = []
         run_sweep(square, list(range(10)), jobs=1,
-                  telemetry=lambda *sample: samples.append(sample))
+                  progress=lambda *sample: samples.append(sample))
         assert [done for done, _, _ in samples] == list(range(1, 11))
         assert all(total == 10 for _, total, _ in samples)
         elapsed = [seconds for _, _, seconds in samples]
@@ -162,10 +182,9 @@ class TestTelemetry:
 
     def test_parallel_telemetry_reports_pool_jobs(self):
         # one observer, called in the parent once per finished item
-        import os
         seen = []
         res = run_sweep(square, list(range(8)), jobs=2,
-                        telemetry=lambda done, total, _s: seen.append(
+                        progress=lambda done, total, _s: seen.append(
                             (done, total, os.getpid())))
         assert seen == [(i, 8, os.getpid()) for i in range(1, 9)]
         assert res.jobs == 2 and "jobs=2" in res.describe()
@@ -173,7 +192,7 @@ class TestTelemetry:
     def test_progress_meter_renders_line(self):
         stream = io.StringIO()
         meter = ProgressMeter(label="demo", stream=stream)
-        run_sweep(square, list(range(6)), jobs=1, telemetry=meter)
+        run_sweep(square, list(range(6)), jobs=1, progress=meter)
         meter.finish()
         text = stream.getvalue()
         assert "demo: 6/6 (100%)" in text
@@ -205,53 +224,36 @@ class TestTelemetry:
         assert stream.getvalue().endswith(
             "\r  demo: 4/4 (100%) 1.0/s eta 0s in 4s\n")
 
-
-class TestCampaignTelemetry:
-    """Sweep instrumentation via `repro.obs.telemetry` (off by default)."""
-
-    def test_serial_instrumented_counts_items_and_chunks(self):
-        # "chunks" are Executor.map's business now: no series, no spans
-        from repro.obs import telemetry as tm
-        with tm.collect(process="sweep test") as scope:
-            run_sweep(square, list(range(10)), jobs=1)
-        assert scope.metrics.counters() == {"sweep/items": 10}
-        # the spans a pool run ships, recorded in place: no chunk spans
-        assert [s["name"] for s in scope.spans.spans] == \
-            ["sweep/item"] * 10 + ["sweep/run"]
-        assert [s["args"]["index"] for s in scope.spans.spans[:10]] == \
-            list(range(10))
-
-    def test_parallel_instrumented_merges_worker_spans(self):
-        import os
-
-        from repro.obs import telemetry as tm
-        from repro.obs.perfetto import validate_trace_events
-        with tm.collect(process="sweep test") as scope:
-            run_sweep(square, list(range(12)), jobs=2)
-        assert scope.metrics.counters() == {"sweep/items": 12}
-        events = scope.spans.to_trace_events()
-        assert validate_trace_events({"traceEvents": events}) == []
-        items = [e for e in events
-                 if e.get("ph") == "X" and e["name"] == "sweep/item"]
-        assert sorted(e["args"]["index"] for e in items) == list(range(12))
-        assert os.getpid() not in {e["pid"] for e in items}, \
-            "worker item spans must ship back to the parent"
-
-    def test_parallel_uninstrumented_ships_nothing(self):
-        from repro.obs import telemetry as tm
-        assert not tm.enabled()
-        before = len(tm.tracer())
-        assert run_sweep(square, list(range(6)), jobs=2).results == [
-            0, 1, 4, 9, 16, 25]
-        assert len(tm.tracer()) == before
-
     def test_meter_non_tty_prints_single_summary_line(self):
         stream = io.StringIO()  # isatty() is False: no live \r updates
         meter = ProgressMeter(label="demo", stream=stream)
-        run_sweep(square, list(range(6)), jobs=1, telemetry=meter)
+        run_sweep(square, list(range(6)), jobs=1, progress=meter)
         meter.finish()
         text = stream.getvalue()
         assert "\r" not in text
         assert text.count("\n") == 1
         assert "demo: 6/6 (100%)" in text
         assert " in " in text
+
+
+class TestItemStamps:
+    """Each result slot carries the pid that produced it and its
+    wall-clock span: what a campaign renders its span trace from."""
+
+    def test_serial_stamps_in_item_order_with_the_parent_pid(self):
+        res = run_sweep(square, list(range(10)), jobs=1)
+        assert len(res.stamps) == 10
+        assert {stamp.pid for stamp in res.stamps} == {os.getpid()}
+        bounds = [res.start_us]
+        for stamp in res.stamps:
+            bounds += [stamp.start_us, stamp.end_us]
+        bounds.append(res.end_us)
+        assert bounds == sorted(bounds)
+
+    def test_pool_stamps_carry_worker_pids(self):
+        res = run_sweep(square, list(range(12)), jobs=2)
+        assert len(res.stamps) == 12
+        pids = {stamp.pid for stamp in res.stamps}
+        assert os.getpid() not in pids and 1 <= len(pids) <= 2
+        assert all(res.start_us <= stamp.start_us <= stamp.end_us
+                   <= res.end_us for stamp in res.stamps)

@@ -1,19 +1,16 @@
-"""Campaign telemetry substrate: the active registry, spans, shipping.
+"""Campaign metrics and spans: exposition, merging, the span trace.
 
 Covers the exposition-format conformance (label escaping, cumulative
 histogram buckets, one pinned literal), merge associativity across
 worker orderings on the one ``StatsRegistry`` type (counters and exact
-histogram samples add), the collect/absorb shipping protocol, and
-Perfetto validity of merged multi-process span traces.
+histogram samples add), and Perfetto validity of multi-process
+wall-clock span traces.
 """
 
 import json
 
-import pytest
-
-from repro.obs import telemetry as tm
-from repro.obs.perfetto import validate_trace_events
-from repro.obs.telemetry.prometheus import prometheus_name, series_key
+from repro.obs.perfetto import export_span_trace, validate_trace_events
+from repro.obs.prometheus import prometheus_name, series_key, to_prometheus
 from repro.sim.stats import StatsRegistry
 
 
@@ -21,7 +18,7 @@ class TestPrometheusExposition:
     def test_counter_gets_total_suffix_and_type_line(self):
         reg = StatsRegistry()
         reg.counter("sweep/items").inc(7)
-        text = tm.to_prometheus(reg)
+        text = to_prometheus(reg)
         assert "# TYPE repro_sweep_items_total counter" in text
         assert "repro_sweep_items_total 7" in text
 
@@ -30,10 +27,10 @@ class TestPrometheusExposition:
             "repro_batch_compile_memo_hit"
 
     def test_label_value_escaping(self):
-        with tm.collect() as scope:
-            tm.inc("batch/fallback",
-                   labels={"reason": 'cache "x\\y"\nprotocol'})
-        text = tm.to_prometheus(scope.metrics)
+        reg = StatsRegistry()
+        reg.counter(series_key("batch/fallback",
+                               {"reason": 'cache "x\\y"\nprotocol'})).inc()
+        text = to_prometheus(reg)
         # Prometheus text format: \ -> \\, " -> \", newline -> \n
         assert 'reason="cache \\"x\\\\y\\"\\nprotocol"' in text
         assert "\nrepro_batch_fallback_total{" in text
@@ -43,13 +40,13 @@ class TestPrometheusExposition:
             series_key("x", {"a": "1", "b": "2"}) == 'x{a="1",b="2"}'
         reg = StatsRegistry()
         reg.counter(series_key("x", {"b": "2", "a": "1"})).inc()
-        assert 'repro_x_total{a="1",b="2"} 1' in tm.to_prometheus(reg)
+        assert 'repro_x_total{a="1",b="2"} 1' in to_prometheus(reg)
 
     def test_histogram_buckets_cumulative_and_monotonic(self):
         reg = StatsRegistry()
         for v in (0, 3, 3, 1500, 120000):
             reg.histogram("serve/job_ms").add(v)
-        text = tm.to_prometheus(reg)
+        text = to_prometheus(reg)
         assert "# TYPE repro_serve_job_ms histogram" in text
         counts = []
         for line in text.splitlines():
@@ -66,13 +63,13 @@ class TestPrometheusExposition:
     def test_exposition_is_pinned(self):
         """An unlabelled counter, a two-label counter whose value needs
         escaping, a histogram: the text CI greps, byte for byte."""
-        with tm.collect() as scope:
-            tm.inc("verify/legs", 384)
-            tm.inc("batch/compile_memo", 2,
-                   labels={"result": 'a "hit"\\\n', "layer": "core"})
-            for sample in (0, 1, 2, 2, 7, 30):
-                tm.observe("serve/job_ms", sample)
-        assert tm.to_prometheus(scope.metrics) == (
+        reg = StatsRegistry()
+        reg.counter("verify/legs").inc(384)
+        reg.counter(series_key("batch/compile_memo", {
+            "result": 'a "hit"\\\n', "layer": "core"})).inc(2)
+        for sample in (0, 1, 2, 2, 7, 30):
+            reg.histogram("serve/job_ms").add(sample)
+        assert to_prometheus(reg) == (
             '# TYPE repro_batch_compile_memo_total counter\n'
             'repro_batch_compile_memo_total'
             '{layer="core",result="a \\"hit\\"\\\\\\n"} 2\n'
@@ -92,29 +89,24 @@ class TestPrometheusExposition:
     def test_labelled_histogram_joins_le_to_its_labels(self):
         reg = StatsRegistry()
         reg.histogram(series_key("lat", {"kind": "miss"})).add(1)
-        text = tm.to_prometheus(reg)
+        text = to_prometheus(reg)
         assert 'repro_lat_bucket{kind="miss",le="1"} 1' in text
         assert 'repro_lat_count{kind="miss"} 1' in text
 
-    def test_negative_counter_increment_rejected(self):
-        with tm.collect():
-            with pytest.raises(ValueError):
-                tm.inc("x", -1)
-
 
 def _populate(n):
-    """What one worker item would ship after ``n`` legs."""
-    with tm.collect() as scope:
-        tm.inc("legs", n)
-        tm.inc("fallback", n, labels={"reason": "deadlock"})
-        for i in range(n):
-            tm.observe("busy", i + 1)
-    return scope
+    """What one worker's registry would hold after ``n`` legs."""
+    reg = StatsRegistry()
+    reg.counter("legs").inc(n)
+    reg.counter(series_key("fallback", {"reason": "deadlock"})).inc(n)
+    for i in range(n):
+        reg.histogram("busy").add(i + 1)
+    return reg
 
 
 class TestMergeAssociativity:
     def _regs(self):
-        return [_populate(n).metrics for n in (3, 5, 11)]
+        return [_populate(n) for n in (3, 5, 11)]
 
     def _merged(self, order):
         regs = self._regs()
@@ -127,7 +119,7 @@ class TestMergeAssociativity:
         base = self._merged((0, 1, 2))
         for order in ((2, 1, 0), (1, 0, 2), (2, 0, 1)):
             merged = self._merged(order)
-            assert tm.to_prometheus(merged) == tm.to_prometheus(base)
+            assert to_prometheus(merged) == to_prometheus(base)
             assert merged.snapshot() == base.snapshot()
 
     def test_counters_and_histogram_samples_add(self):
@@ -154,110 +146,40 @@ class TestMergeAssociativity:
         assert left.histograms()["busy"].items() == \
             right.histograms()["busy"].items()
 
-    def test_state_round_trip(self):
-        scope = _populate(4)
-        with tm.collect() as clone:
-            tm.absorb(scope.shipment())
-        assert tm.to_prometheus(clone.metrics) == \
-            tm.to_prometheus(scope.metrics)
-        assert clone.metrics.snapshot() == scope.metrics.snapshot()
-
-    def test_state_is_json_serializable(self):
-        scope = _populate(2)
-        with tm.collect() as clone:
-            tm.absorb(json.loads(json.dumps(scope.shipment())))
-        assert clone.metrics.snapshot() == scope.metrics.snapshot()
-        assert clone.metrics.histograms()["busy"].items() == [(1, 1), (2, 1)]
-
-
-class TestShippingProtocol:
-    def test_disabled_module_calls_are_noops(self):
-        assert not tm.enabled()
-        before = tm.registry().snapshot()
-        tm.inc("should/not/land")
-        tm.observe("nor/this", 1)
-        with tm.span("quiet") as args:
-            args["x"] = 1
-        assert tm.registry().snapshot() == before
-        assert not tm.enabled()
-
-    def test_collect_scope_isolates_and_restores(self):
-        outer_reg = tm.registry()
-        with tm.collect(process="test scope") as scope:
-            assert tm.enabled()
-            tm.inc("campaign/legs", 3)
-            with tm.span("campaign/item", {"items": 2}):
-                pass
-            assert tm.registry() is scope.metrics
-        assert tm.registry() is outer_reg
-        assert not tm.enabled()
-        assert scope.metrics.counters() == {"campaign/legs": 3}
-        assert len(scope.spans) == 1
-
-    def test_nested_collect_does_not_double_count(self):
-        with tm.collect() as parent:
-            tm.inc("legs", 3)
-            tm.observe("busy", 7)
-            with tm.collect() as child:
-                tm.inc("legs", 5)
-                tm.observe("busy", 7)
-                tm.observe("busy", 9)
-                shipment = child.shipment()
-            tm.absorb(shipment)
-            assert parent.metrics.counters() == {"legs": 8}
-            assert parent.metrics.histograms()["busy"].items() == \
-                [(7, 2), (9, 1)]
-        assert child.metrics.counters() == {"legs": 5}
-        assert child.metrics.histograms()["busy"].count == 2
-
-    def test_shipment_survives_json_round_trip(self):
-        with tm.collect(process="worker 1") as scope:
-            tm.inc("legs", 2)
-            tm.observe("busy", 4)
-            with tm.span("item"):
-                pass
-        shipment = json.loads(json.dumps(scope.shipment()))
-        with tm.collect(process="parent") as target:
-            tm.absorb(shipment)
-        assert target.metrics.counters() == {"legs": 2}
-        assert target.metrics.histograms()["busy"].items() == [(4, 1)]
-        assert len(target.spans) == 1
-
 
 class TestSpanTrace:
-    def _two_process_tracer(self):
-        parent = tm.SpanTracer(process="campaign")
-        with parent.span("verify/campaign", {"tests": 2}):
-            pass
-        worker = tm.SpanTracer(process="worker 0")
-        worker._pid = parent._pid + 1  # simulate a separate process
-        with worker.span("sweep/item", {"index": 0}):
-            pass
-        parent.absorb_state(worker.to_state())
-        return parent
+    def _two_process_trace(self, path):
+        # a campaign span in this process around an item span in a
+        # worker, on the wall clock (microseconds since the epoch)
+        return export_span_trace(
+            [("verify/campaign", 100, 1_700_000_000_000_000,
+              1_700_000_000_000_900, {"tests": 2}),
+             ("sweep/item", 101, 1_700_000_000_000_100,
+              1_700_000_000_000_800, {"index": 0})],
+            str(path), {100: "campaign"})
 
-    def test_merged_trace_validates(self):
-        parent = self._two_process_tracer()
-        events = parent.to_trace_events()
-        assert validate_trace_events({"traceEvents": events}) == []
+    def test_merged_trace_validates(self, tmp_path):
+        obj = self._two_process_trace(tmp_path / "trace.json")
+        assert validate_trace_events(obj) == []
 
-    def test_process_name_metadata_per_pid(self):
-        events = self._two_process_tracer().to_trace_events()
+    def test_process_name_metadata_per_pid(self, tmp_path):
+        events = self._two_process_trace(tmp_path / "trace.json")[
+            "traceEvents"]
         names = {e["pid"]: e["args"]["name"] for e in events
                  if e.get("ph") == "M" and e.get("name") == "process_name"}
-        assert sorted(names.values()) == ["campaign", "worker 0"]
+        assert names == {100: "campaign", 101: "pid 101"}
         pids = {e["pid"] for e in events if e.get("ph") == "X"}
         assert len(pids) == 2
 
-    def test_timestamps_rebased_to_zero_origin(self):
-        events = self._two_process_tracer().to_trace_events()
+    def test_timestamps_rebased_to_zero_origin(self, tmp_path):
+        events = self._two_process_trace(tmp_path / "trace.json")[
+            "traceEvents"]
         xs = [e for e in events if e.get("ph") == "X"]
-        assert min(e["ts"] for e in xs) == 0
+        assert [(e["ts"], e["dur"]) for e in xs] == [(0, 900), (100, 700)]
 
     def test_write_perfetto(self, tmp_path):
         path = tmp_path / "trace.json"
-        self._two_process_tracer().write_perfetto(
-            str(path), label="unit test")
+        written = self._two_process_trace(path)
         obj = json.loads(path.read_text())
+        assert obj == written
         assert validate_trace_events(obj) == []
-        assert obj["otherData"]["label"] == "unit test"
