@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ...consistency.access_class import PLAIN_STORE
 from ...consistency.models import ConsistencyModel
-from ...sim.trace import TraceEvent, TraceRecorder
+from ...sim.trace import TraceEvent, TraceRecorder, source_cpu
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,6 @@ class _CpuState:
         self.slb_dirty: Dict[int, int] = {}           # seq -> inval cycle
 
 
-def _src_cpu(source: str) -> Optional[int]:
-    """``cpu3`` / ``cpu3/lsu`` / ``cache3`` -> 3."""
-    head = source.split("/", 1)[0]
-    for prefix in ("cpu", "cache"):
-        if head.startswith(prefix) and head[len(prefix):].isdigit():
-            return int(head[len(prefix):])
-    return None
-
-
 def sanitize_trace(
     trace: Union[TraceRecorder, Sequence[TraceEvent]],
     model: Optional[ConsistencyModel] = None,
@@ -131,7 +122,7 @@ def sanitize_trace(
 
     for ev in events:
         report.events_checked += 1
-        n = _src_cpu(ev.source)
+        n = source_cpu(ev.source)
         d = ev.detail
 
         if ev.kind == "retire" and n is not None:

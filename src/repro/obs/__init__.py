@@ -45,9 +45,7 @@ from .archtrace import (
     ARCHTRACE_VERSION,
     ArchEvent,
     ArchTrace,
-    ArchTraceReader,
     derive_arch_event,
-    read_archtrace,
 )
 from .diff import DivergenceReport, diff_archtraces
 from .ledger import (
@@ -70,7 +68,6 @@ __all__ = [
     "ARCHTRACE_VERSION",
     "ArchEvent",
     "ArchTrace",
-    "ArchTraceReader",
     "CAUSES",
     "PAPER_CAUSES",
     "CycleAccountant",
@@ -90,7 +87,6 @@ __all__ = [
     "make_record",
     "per_cpu_breakdowns",
     "prefetch_effectiveness",
-    "read_archtrace",
     "read_ledger",
     "request_hash",
     "speculation_effectiveness",

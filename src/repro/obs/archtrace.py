@@ -45,6 +45,8 @@ Serialized form (JSONL): a header line (schema version, ``"backend":
 the run's cycle count, final memory words, per-CPU cycle-blame
 breakdowns and the recorder's drop counter — everything the differ
 needs to classify a divergence from the two files alone.
+:meth:`ArchTrace.read_jsonl` is the exact inverse of
+:meth:`ArchTrace.write_jsonl` and refuses any other file.
 
 :meth:`ArchTrace.from_events` projects the events a
 :class:`~repro.sim.trace.TraceRecorder` holds after the run.  The
@@ -57,10 +59,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import (Any, Dict, IO, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..sim.trace import TraceEvent
+from ..sim.trace import TraceEvent, source_cpu
 
 #: bump when the event schema or serialized layout changes
 ARCHTRACE_VERSION = 1
@@ -142,7 +143,8 @@ class ArchTrace:
     fixtures, synthesized divergence examples).
 
     ``dropped`` is the recorder's drop counter: nonzero exactly when the
-    stream is incomplete, and the differ warns about it.
+    stream is incomplete, and the differ warns about it.  ``label``
+    names the run in the serialized header.
     """
 
     events: List[ArchEvent]
@@ -150,13 +152,14 @@ class ArchTrace:
     final_memory: Dict[int, int] = field(default_factory=dict)
     breakdowns: List[Dict[str, int]] = field(default_factory=list)
     dropped: int = 0
+    label: str = ""
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent],
                     cycles: Optional[int] = None,
                     final_memory: Optional[Mapping[int, int]] = None,
                     breakdowns: Sequence[Any] = (),
-                    dropped: int = 0) -> "ArchTrace":
+                    dropped: int = 0, label: str = "") -> "ArchTrace":
         """Project raw events and bind the footer data.
 
         ``breakdowns`` accepts :class:`~repro.obs.accounting.CycleBreakdown`
@@ -172,7 +175,16 @@ class ArchTrace:
                           for a, v in (final_memory or {}).items()},
             breakdowns=[bd if isinstance(bd, dict) else bd.as_dict()
                         for bd in breakdowns],
-            dropped=dropped)
+            dropped=dropped, label=label)
+
+    def header(self) -> Dict[str, Any]:
+        # the header keeps its "backend" key, so the output stays
+        # byte-identical to archtraces already written
+        header: Dict[str, Any] = {"archtrace": ARCHTRACE_VERSION,
+                                  "backend": "scalar"}
+        if self.label:
+            header["label"] = self.label
+        return header
 
     def footer(self) -> Dict[str, Any]:
         return {
@@ -188,52 +200,81 @@ class ArchTrace:
         """The canonical event lines — the byte-comparable body."""
         return [ev.to_json() for ev in self.events]
 
-    def write_jsonl(self, target: Union[str, IO[str]],
-                    label: str = "") -> int:
+    def write_jsonl(self, path: str) -> int:
         """Serialize header + events + footer; returns the event count."""
-        # the header keeps its "backend" key, so the output stays
-        # byte-identical to archtraces already written
-        header: Dict[str, Any] = {"archtrace": ARCHTRACE_VERSION,
-                                  "backend": "scalar"}
-        if label:
-            header["label"] = label
-        own = isinstance(target, str)
-        fh: IO[str] = open(target, "w") if own else target  # type: ignore[arg-type]
-        try:
-            fh.write(_canon(header) + "\n")
+        with open(path, "w") as fh:
+            fh.write(_canon(self.header()) + "\n")
             for line in self.event_lines():
                 fh.write(line + "\n")
             fh.write(_canon(self.footer()) + "\n")
-        finally:
-            if own:
-                fh.close()
         return len(self.events)
+
+    @classmethod
+    def read_jsonl(cls, path: str) -> "ArchTrace":
+        """Load a file :meth:`write_jsonl` wrote: its header line, the
+        event lines and one ``{"end": true}`` footer line, in that order.
+
+        Anything else — an empty or cut file, a foreign header, a
+        malformed event, lines after the footer — raises ``ValueError``
+        naming the path and the line.
+        """
+        def bad(lineno: int, why: str) -> ValueError:
+            return ValueError(f"{path}: line {lineno}: {why}")
+
+        objs: List[Dict[str, Any]] = []
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise bad(lineno, f"not valid JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise bad(lineno, "not a JSON object")
+                objs.append(obj)
+        if not objs:
+            raise bad(1, "empty file, no archtrace header")
+        label = objs[0].get("label", "")
+        if objs[0] != cls([], label=str(label)).header():
+            raise bad(1, f"not an archtrace v{ARCHTRACE_VERSION} header")
+        events: List[ArchEvent] = []
+        footer: Optional[Dict[str, Any]] = None
+        for lineno, obj in enumerate(objs[1:], 2):
+            if footer is not None:
+                raise bad(lineno, "a line after the footer")
+            if obj.get("end"):
+                footer = obj
+                continue
+            try:
+                events.append(ArchEvent.from_json_obj(obj))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise bad(lineno, f"not an archtrace event: {exc!r}") from None
+        if footer is None:
+            raise bad(len(objs), "no footer: the file is cut short")
+        # coerce every field, then insist the value writes this footer
+        # back: that refuses extra keys and values of the wrong type
+        try:
+            cycles = footer["cycles"]
+            arch = cls(events, cycles=None if cycles is None else int(cycles),
+                       final_memory={int(a): int(v) for a, v
+                                     in footer["final_memory"].items()},
+                       breakdowns=[{str(c): int(n) for c, n in bd.items()}
+                                   for bd in footer["breakdowns"]],
+                       dropped=int(footer["dropped"]), label=label)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise bad(len(objs), f"not an archtrace footer: {exc!r}") from None
+        if arch.footer() != footer:
+            raise bad(len(objs), "not an archtrace footer")
+        return arch
 
 
 # ----------------------------------------------------------------------
 # Raw-event derivation
 # ----------------------------------------------------------------------
 
-def _source_cpu(source: str) -> Optional[int]:
-    """cpu index for ``cpu<k>``/``cpu<k>/lsu``/``cache<k>``, else None."""
-    if source.startswith("cpu"):
-        head, _, _ = source.partition("/")
-        try:
-            return int(head[3:])
-        except ValueError:
-            return None
-    if source.startswith("cache"):
-        try:
-            return int(source[5:])
-        except ValueError:
-            return None
-    return None
-
-
 def derive_arch_event(cycle: int, source: str, kind: str,
                       detail: Mapping[str, Any]) -> Optional[ArchEvent]:
     """Map one raw ``TraceEvent`` onto the canonical schema (or None)."""
-    cpu = _source_cpu(source)
+    cpu = source_cpu(source)
     if cpu is None:
         return None  # directory / interconnect: microarchitectural
     if kind == "retire":
@@ -261,87 +302,3 @@ def derive_arch_event(cycle: int, source: str, kind: str,
     if kind == "inval" or kind == "downgrade":
         return _mk(cycle, cpu, -1, kind, line=int(detail["line"]))
     return None
-
-
-# ----------------------------------------------------------------------
-# Reading serialized archtraces
-# ----------------------------------------------------------------------
-
-@dataclass
-class ArchTraceReader:
-    """Streaming reader for one serialized archtrace.
-
-    Iterating yields :class:`ArchEvent` objects; ``header`` is read
-    eagerly, ``footer`` becomes available once iteration is exhausted.
-    """
-
-    path: str
-    header: Dict[str, Any] = field(default_factory=dict)
-    footer: Dict[str, Any] = field(default_factory=dict)
-    events_read: int = 0
-
-    def __post_init__(self) -> None:
-        self._fh: Optional[IO[str]] = open(self.path)
-        self._lineno = 0
-        first = self._next_obj()
-        if first is not None and "archtrace" in first:
-            self.header = first
-        else:
-            # headerless stream (hand-crafted fixture): rewind
-            self._fh.seek(0)
-            self._lineno = 0
-
-    def _bad(self, why: str) -> ValueError:
-        self.close()
-        return ValueError(f"{self.path}: line {self._lineno}: {why}")
-
-    def _next_obj(self) -> Optional[Dict[str, Any]]:
-        """The next line as a JSON object (None at end of file)."""
-        assert self._fh is not None
-        line = self._fh.readline()
-        if not line:
-            return None
-        self._lineno += 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise self._bad(f"not valid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise self._bad("not a JSON object")
-        return obj
-
-    def __iter__(self) -> "ArchTraceReader":
-        return self
-
-    def __next__(self) -> ArchEvent:
-        if self._fh is None:
-            raise StopIteration
-        obj = self._next_obj()
-        if obj is None:
-            self.close()
-            raise StopIteration
-        if obj.get("end"):
-            self.footer = obj
-            self.close()
-            raise StopIteration
-        try:
-            event = ArchEvent.from_json_obj(obj)
-        except KeyError as exc:
-            raise self._bad(f"missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise self._bad(f"not an archtrace event: {exc}") from None
-        self.events_read += 1
-        return event
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-def read_archtrace(path: str) -> Tuple[Dict[str, Any], List[ArchEvent],
-                                       Dict[str, Any]]:
-    """Load a whole archtrace file: (header, events, footer)."""
-    reader = ArchTraceReader(path)
-    events = list(reader)
-    return reader.header, events, reader.footer

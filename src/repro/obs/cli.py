@@ -29,7 +29,8 @@ import sys
 from typing import List, Optional
 
 from ..cli_options import (add_ledger, add_model, add_stats_json,
-                           append_ledger, miss_latency, output_path)
+                           append_ledger, at_least, miss_latency,
+                           output_path)
 from ..consistency.models import ALL_MODELS
 from ..sim.trace import read_jsonl
 from .ledger import KNOWN_KINDS
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSONL streams (exit 1 when they diverge)")
     p.add_argument("trace_a", help="reference archtrace (--archtrace output)")
     p.add_argument("trace_b", help="subject archtrace")
-    p.add_argument("--context", type=int, default=5,
+    p.add_argument("--context", type=at_least(0), default=5,
                    help="events of context around the divergence "
                         "(default 5)")
     p.add_argument("--json", action="store_true",

@@ -1,7 +1,7 @@
-"""Streaming archtrace differ (``repro.obs.diff``).
+"""Archtrace differ (``repro.obs.diff``).
 
-Given two serialized archtraces of the *same job* (two code revisions,
-a faulted and a clean run), find the first divergent event, classify
+Given two archtraces of the *same job* (two code revisions, a faulted
+and a clean run), find the first divergent event, classify
 the divergence, and render an aligned context window plus a
 cycle-blame delta.
 
@@ -22,28 +22,27 @@ Divergence classes (checked in precedence order):
     traced window, e.g. a truncated stream).
 
 ``timing-only``
-    Raw event lines differ (cycle counts, coherence traffic order,
-    total cycles) but every CPU's cycle-stripped instruction stream
-    and the final memory agree.  Harmless for correctness; the blame
-    delta shows *where* the cycles went.
+    Raw event lines differ (cycle counts, coherence traffic order) or
+    the footers do (total cycles, cycle blame, dropped events), but
+    every CPU's cycle-stripped instruction stream and the final memory
+    agree.  Harmless for correctness; the blame delta shows *where* the
+    cycles went.
 
 ``identical``
     Byte-identical event bodies and footers.
 
-The differ is streaming: both files are walked once, keeping only
-bounded context windows and per-CPU pending queues (which stay shallow
-while the streams agree and are frozen per-CPU at the first mismatch).
+:func:`diff_archtraces` compares two :class:`~repro.obs.archtrace.ArchTrace`
+values; :func:`diff_main` reads two files and compares what they hold.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .archtrace import ArchEvent, ArchTraceReader
+from .archtrace import ArchEvent, ArchTrace
 
 #: instruction-stream kinds — the architectural projection; coherence
 #: events (fill/evict/inval/downgrade) are timing-domain and only
@@ -52,10 +51,6 @@ ARCH_KINDS = ("retire", "load", "store", "rmw", "squash")
 
 CLASSIFICATIONS = ("identical", "timing-only", "architectural",
                    "final-state")
-
-
-def _fmt(ev: Optional[ArchEvent]) -> Optional[str]:
-    return None if ev is None else ev.describe()
 
 
 @dataclass
@@ -183,162 +178,98 @@ class DivergenceReport:
         return "\n".join(lines)
 
 
-class _ArchMatcher:
-    """Per-CPU cycle-stripped instruction-stream matcher."""
-
-    def __init__(self) -> None:
-        self.pend_a: Dict[int, deque] = {}
-        self.pend_b: Dict[int, deque] = {}
-        # cpu -> (ArchEvent|None, ArchEvent|None) at first mismatch
-        self.mismatch: Dict[int, Tuple[Optional[ArchEvent],
-                                       Optional[ArchEvent]]] = {}
-
-    def push(self, side: str, ev: ArchEvent) -> None:
-        if ev.kind not in ARCH_KINDS or ev.cpu in self.mismatch:
-            return
-        mine = self.pend_a if side == "a" else self.pend_b
-        mine.setdefault(ev.cpu, deque()).append(ev)
-        self._drain(ev.cpu)
-
-    def _drain(self, cpu: int) -> None:
-        qa = self.pend_a.get(cpu)
-        qb = self.pend_b.get(cpu)
-        while qa and qb:
-            ea, eb = qa.popleft(), qb.popleft()
-            if ea.arch_key() != eb.arch_key():
-                self.mismatch[cpu] = (ea, eb)
-                qa.clear()
-                qb.clear()
-                return
-
-    def finish(self) -> None:
-        """Leftover unmatched events at end-of-streams are mismatches
-        against nothing (one run has events the other lacks)."""
-        for cpu in set(self.pend_a) | set(self.pend_b):
-            if cpu in self.mismatch:
-                continue
-            qa = self.pend_a.get(cpu) or deque()
-            qb = self.pend_b.get(cpu) or deque()
-            if qa or qb:
-                self.mismatch[cpu] = (qa[0] if qa else None,
-                                      qb[0] if qb else None)
-
-    def first(self) -> Optional[Tuple[int, Optional[ArchEvent],
-                                      Optional[ArchEvent]]]:
-        """The earliest per-CPU mismatch by event cycle (the present
-        side's cycle when one side is missing the event entirely)."""
-        if not self.mismatch:
-            return None
-
-        def order(item: Tuple[int, Tuple[Optional[ArchEvent],
-                                         Optional[ArchEvent]]]):
-            cpu, (ea, eb) = item
-            cycles = [ev.cycle for ev in (ea, eb) if ev is not None]
-            return (min(cycles), cpu)
-
-        cpu, (ea, eb) = min(self.mismatch.items(), key=order)
-        return cpu, ea, eb
+def _first_difference(xs: Sequence[Any], ys: Sequence[Any]) -> Optional[int]:
+    """The first index where ``xs`` and ``ys`` differ (one running out
+    counts), or None when they are equal."""
+    for index, (x, y) in enumerate(zip(xs, ys)):
+        if x != y:
+            return index
+    return None if len(xs) == len(ys) else min(len(xs), len(ys))
 
 
-def _iter_pairs(ra: Iterator[ArchEvent], rb: Iterator[ArchEvent]
-                ) -> Iterator[Tuple[Optional[ArchEvent],
-                                    Optional[ArchEvent]]]:
-    while True:
-        ea = next(ra, None)
-        eb = next(rb, None)
-        if ea is None and eb is None:
-            return
-        yield ea, eb
+def _describe_at(events: Sequence[ArchEvent], index: int) -> Optional[str]:
+    return events[index].describe() if index < len(events) else None
 
 
-def diff_archtraces(path_a: str, path_b: str,
+def _first_arch_mismatch(a: ArchTrace, b: ArchTrace
+                         ) -> Optional[Tuple[int, List[ArchEvent],
+                                             List[ArchEvent], int]]:
+    """The earliest per-CPU mismatch of the cycle-stripped instruction
+    streams, as (cpu, stream of a, stream of b, index): by event cycle
+    (the present side's when one side lacks the event), then by cpu."""
+    found = []
+    for cpu in sorted({ev.cpu for ev in a.events + b.events}):
+        sa, sb = ([ev for ev in trace.events
+                   if ev.cpu == cpu and ev.kind in ARCH_KINDS]
+                  for trace in (a, b))
+        index = _first_difference([ev.arch_key() for ev in sa],
+                                  [ev.arch_key() for ev in sb])
+        if index is not None:
+            cycle = min(s[index].cycle for s in (sa, sb) if index < len(s))
+            found.append((cycle, cpu, sa, sb, index))
+    return min(found, key=lambda item: item[:2])[1:] if found else None
+
+
+def diff_archtraces(a: ArchTrace, b: ArchTrace,
                     label_a: str = "a", label_b: str = "b",
                     context: int = 5) -> DivergenceReport:
-    """Walk both archtraces once and classify their divergence."""
-    ra = ArchTraceReader(path_a)
-    rb = ArchTraceReader(path_b)
-    matcher = _ArchMatcher()
-    ctx_a: deque = deque(maxlen=context)
-    ctx_b: deque = deque(maxlen=context)
-    post_a: List[str] = []
-    post_b: List[str] = []
-    first_raw: Optional[Tuple[int, Optional[ArchEvent],
-                              Optional[ArchEvent]]] = None
-    index = 0
-    for ea, eb in _iter_pairs(iter(ra), iter(rb)):
-        if first_raw is None:
-            if ea is None or eb is None or ea != eb:
-                first_raw = (index, ea, eb)
-            else:
-                ctx_a.append(ea.describe())
-                ctx_b.append(eb.describe())
-        else:
-            if ea is not None and len(post_a) < context:
-                post_a.append(ea.describe())
-            if eb is not None and len(post_b) < context:
-                post_b.append(eb.describe())
-        if ea is not None:
-            matcher.push("a", ea)
-        if eb is not None:
-            matcher.push("b", eb)
-        index += 1
-    matcher.finish()
-
-    footer_a, footer_b = ra.footer, rb.footer
-    mem_a = footer_a.get("final_memory", {}) or {}
-    mem_b = footer_b.get("final_memory", {}) or {}
+    """Classify how ``b`` diverges from ``a`` (see the module docstring)."""
     memory_delta: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
-    for addr in sorted(set(mem_a) | set(mem_b), key=int):
-        va, vb = mem_a.get(addr), mem_b.get(addr)
+    for addr in sorted(set(a.final_memory) | set(b.final_memory)):
+        va, vb = a.final_memory.get(addr), b.final_memory.get(addr)
         if va != vb:
-            memory_delta[addr] = (va, vb)
+            memory_delta[str(addr)] = (va, vb)
 
-    arch = matcher.first()
+    raw = _first_difference(a.events, b.events)
+    arch = _first_arch_mismatch(a, b)
     if arch is not None:
         classification = "architectural"
     elif memory_delta:
         classification = "final-state"
-    elif (first_raw is not None
-          or footer_a.get("cycles") != footer_b.get("cycles")):
+    elif raw is not None or a.footer() != b.footer():
         classification = "timing-only"
     else:
         classification = "identical"
 
     blame_delta: List[Dict[str, int]] = []
-    bds_a = footer_a.get("breakdowns", []) or []
-    bds_b = footer_b.get("breakdowns", []) or []
-    for cpu in range(max(len(bds_a), len(bds_b))):
-        da = bds_a[cpu] if cpu < len(bds_a) else {}
-        db = bds_b[cpu] if cpu < len(bds_b) else {}
+    for cpu in range(max(len(a.breakdowns), len(b.breakdowns))):
+        da = a.breakdowns[cpu] if cpu < len(a.breakdowns) else {}
+        db = b.breakdowns[cpu] if cpu < len(b.breakdowns) else {}
         blame_delta.append({cause: db.get(cause, 0) - da.get(cause, 0)
                             for cause in sorted(set(da) | set(db))})
 
     report = DivergenceReport(
         classification=classification,
         label_a=label_a, label_b=label_b,
-        header_a=ra.header, header_b=rb.header,
-        cycles_a=footer_a.get("cycles"), cycles_b=footer_b.get("cycles"),
+        header_a=a.header(), header_b=b.header(),
+        cycles_a=a.cycles, cycles_b=b.cycles,
         memory_delta=memory_delta,
         blame_delta=blame_delta,
-        dropped_a=int(footer_a.get("dropped", 0) or 0),
-        dropped_b=int(footer_b.get("dropped", 0) or 0),
-        events_a=ra.events_read, events_b=rb.events_read,
+        dropped_a=a.dropped, dropped_b=b.dropped,
+        events_a=len(a.events), events_b=len(b.events),
     )
-    if first_raw is not None:
-        idx, ea, eb = first_raw
-        report.first_raw_index = idx
-        report.first_raw_a = _fmt(ea)
-        report.first_raw_b = _fmt(eb)
-        report.context_a = list(ctx_a) + (["--- divergence ---"]
-                                          if _fmt(ea) else []) + post_a
-        report.context_b = list(ctx_b) + (["--- divergence ---"]
-                                          if _fmt(eb) else []) + post_b
+    if raw is not None:
+        report.first_raw_index = raw
+        report.first_raw_a = _describe_at(a.events, raw)
+        report.first_raw_b = _describe_at(b.events, raw)
+        report.context_a = _context(a.events, raw, context)
+        report.context_b = _context(b.events, raw, context)
     if arch is not None:
-        cpu, ea, eb = arch
-        report.arch_cpu = cpu
-        report.arch_event_a = _fmt(ea)
-        report.arch_event_b = _fmt(eb)
+        report.arch_cpu, sa, sb, index = arch
+        report.arch_event_a = _describe_at(sa, index)
+        report.arch_event_b = _describe_at(sb, index)
     return report
+
+
+def _context(events: Sequence[ArchEvent], index: int,
+             context: int) -> List[str]:
+    """Up to ``context`` events either side of the mismatch at
+    ``index``, with a marker where this side's mismatching event is."""
+    before = events[max(index - context, 0):index]
+    after = events[index + 1:index + 1 + context]
+    marker = ["--- divergence ---"] if index < len(events) else []
+    return ([ev.describe() for ev in before] + marker
+            + [ev.describe() for ev in after])
 
 
 def diff_main(path_a: str, path_b: str, context: int = 5,
@@ -346,12 +277,12 @@ def diff_main(path_a: str, path_b: str, context: int = 5,
     """CLI body for ``python -m repro.obs diff``: 0 identical,
     1 divergent, 2 unreadable input."""
     try:
-        report = diff_archtraces(path_a, path_b,
-                                 label_a=path_a, label_b=path_b,
-                                 context=context)
+        a, b = ArchTrace.read_jsonl(path_a), ArchTrace.read_jsonl(path_b)
     except (OSError, ValueError) as exc:    # missing / malformed file
         print(f"error: cannot read archtrace: {exc}", file=sys.stderr)
         return 2
+    report = diff_archtraces(a, b, label_a=path_a, label_b=path_b,
+                             context=context)
     if as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
-from ..sim.trace import TraceEvent, TraceRecorder
+from ..sim.trace import TraceEvent, TraceRecorder, source_cpu
 
 #: (open kind, close kind) pairs rendered as duration slices, matched
 #: by the ``seq`` (CPU events) or ``txn`` (directory events) detail
@@ -82,19 +82,12 @@ _THREAD_NAMES = {TID_CORE: "core", TID_LSU: "lsu",
 
 def _locate(source: str) -> Tuple[int, int]:
     """Map an event source to a (pid, tid) pair."""
-    if source.startswith("cpu"):
-        head, _, unit = source.partition("/")
-        try:
-            pid = int(head[3:])
-        except ValueError:
-            return FABRIC_PID, 0
-        return pid, (TID_LSU if unit == "lsu" else TID_CORE)
+    cpu = source_cpu(source)
+    if cpu is None:
+        return FABRIC_PID, 0
     if source.startswith("cache"):
-        try:
-            return int(source[5:]), TID_CACHE
-        except ValueError:
-            return FABRIC_PID, 0
-    return FABRIC_PID, 0
+        return cpu, TID_CACHE
+    return cpu, (TID_LSU if source.partition("/")[2] == "lsu" else TID_CORE)
 
 
 def _args(detail: Dict[str, Any]) -> Dict[str, Any]:

@@ -69,8 +69,8 @@ def _write_trace_views(args: argparse.Namespace, trace: TraceRecorder,
         from .obs.archtrace import ArchTrace
         archtrace = ArchTrace.from_events(
             trace.events, cycles=cycles, final_memory=final_memory,
-            breakdowns=breakdowns, dropped=trace.dropped)
-        count = archtrace.write_jsonl(args.archtrace, label=label)
+            breakdowns=breakdowns, dropped=trace.dropped, label=label)
+        count = archtrace.write_jsonl(args.archtrace)
         print(f"archtrace written to {args.archtrace} "
               f"({count} event(s){dropped})")
 

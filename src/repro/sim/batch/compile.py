@@ -351,8 +351,6 @@ def job_unsupported_reason(job, _memo: Optional[dict] = None) -> Optional[str]:
         return "hardware prefetching enabled"
     if job.speculation:
         return "speculative loads enabled"
-    if job.archtrace:
-        return "archtrace requested"
     cache = job.cache_config()
     if cache.protocol != "invalidate":
         return f"cache protocol {cache.protocol!r}"

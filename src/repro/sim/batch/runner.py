@@ -4,11 +4,11 @@ The runner is the public face of ``repro.sim.batch``: it takes a list
 of :class:`~repro.system.jobs.BatchJob`, runs everything it can on
 the vectorized :class:`~repro.sim.batch.engine.BatchEngine`, and falls
 back to :func:`~repro.system.jobs.run_scalar` for anything outside the
-engine's envelope (techniques on, branches, dynamic addressing, an
-archtrace asked for, ...) or any lane that deadlocks — the scalar rerun
-reproduces the genuine :class:`~repro.sim.errors.DeadlockError` with
-the identical cycle.  Results always come back in input order, one per
-job, regardless of how jobs were grouped or which backend ran them.
+engine's envelope (techniques on, branches, dynamic addressing, ...)
+or any lane that deadlocks — the scalar rerun reproduces the genuine
+:class:`~repro.sim.errors.DeadlockError` with the identical cycle.
+Results always come back in input order, one per job, regardless of
+how jobs were grouped or which backend ran them.
 """
 
 from __future__ import annotations

@@ -53,6 +53,18 @@ class TraceEvent:
             separators=(",", ":"), sort_keys=True)
 
 
+def source_cpu(source: str) -> Optional[int]:
+    """The CPU an event ``source`` names: ``cpu3``, ``cpu3/lsu`` and
+    ``cache3`` -> 3; the directory, the interconnect and any other
+    name -> None."""
+    head = source.partition("/")[0]
+    for prefix in ("cpu", "cache"):
+        index = head[len(prefix):]
+        if head.startswith(prefix) and index.isdecimal():
+            return int(index)
+    return None
+
+
 class TraceRecorder:
     """Accumulates :class:`TraceEvent` records.
 

@@ -20,7 +20,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..consistency.models import get_model
 from ..isa.program import Program
 from ..memory.types import CacheConfig
-from ..obs.archtrace import ArchTrace
 from ..sim.stats import StatsRegistry
 from ..sim.trace import TraceRecorder
 from .machine import run_workload
@@ -43,10 +42,6 @@ class BatchJob:
     warm_lines: Sequence[Tuple[int, int, bool]] = ()
     cache: Optional[CacheConfig] = None
     max_cycles: int = 1_000_000
-    #: collect the canonical architectural event stream for this job
-    #: (see :mod:`repro.obs.archtrace`); the lockstep engine sends such
-    #: a job to the scalar kernel
-    archtrace: bool = False
     #: opaque caller cookie carried through to the result (job routing)
     key: object = field(default=None, compare=False)
 
@@ -76,9 +71,6 @@ class BatchResult:
     cycles: Optional[int] = None
     error: Optional[BaseException] = None
     unsupported_reason: Optional[str] = None
-    #: the job's ArchTrace when it asked for one
-    archtrace: Optional[ArchTrace] = field(
-        default=None, repr=False, compare=False)
     _stats: Optional[StatsRegistry] = field(
         default=None, repr=False, compare=False)
     _stats_thunk: Optional[Callable[[], StatsRegistry]] = field(
@@ -113,24 +105,19 @@ class BatchResult:
             raise self.error
         return self
 
-    def write_archtrace(self, path: str, label: str = "") -> int:
-        """Serialize the job's archtrace (see
-        :meth:`~repro.obs.archtrace.ArchTrace.write_jsonl`)."""
-        if self.archtrace is None:
-            raise RuntimeError("job did not request an archtrace")
-        return self.archtrace.write_jsonl(path, label=label)
 
-
-def run_scalar(job: BatchJob, backend: str = "scalar",
+def run_scalar(job: BatchJob, trace: Optional[TraceRecorder] = None,
+               backend: str = "scalar",
                reason: Optional[str] = None) -> BatchResult:
     """Run one job on the scalar kernel.
 
-    An exception from the run is returned in ``BatchResult.error``, not
+    ``trace`` is the recorder the run records into (see
+    :mod:`repro.sim.trace`); without one nothing is recorded.  An
+    exception from the run is returned in ``BatchResult.error``, not
     raised.  ``backend`` and ``reason`` only label the result: the
     batch runner passes ``"scalar-fallback"`` and why the lockstep
     engine could not take the job.
     """
-    trace = TraceRecorder(enabled=job.archtrace)
     try:
         rr = run_workload(
             programs=job.programs,
@@ -146,22 +133,12 @@ def run_scalar(job: BatchJob, backend: str = "scalar",
         )
     except Exception as exc:
         return BatchResult(job=job, backend=backend, error=exc,
-                           unsupported_reason=reason,
-                           archtrace=(ArchTrace.from_events(trace.events)
-                                      if job.archtrace else None))
-    archtrace = None
-    if job.archtrace:
-        archtrace = ArchTrace.from_events(
-            trace.events, cycles=rr.cycles,
-            final_memory={addr: rr.machine.read_word(addr)
-                          for addr in sorted(job.initial_memory or {})},
-            breakdowns=rr.breakdowns())
+                           unsupported_reason=reason)
     return BatchResult(
         job=job,
         backend=backend,
         cycles=rr.cycles,
         _stats=rr.stats,
         unsupported_reason=reason,
-        archtrace=archtrace,
         _read_word=rr.machine.read_word,
     )

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..consistency.litmus import LitmusOp, LitmusTest
+from ..sim.errors import ConfigurationError
 from .harness import Divergence, OracleDisagreement
 
 #: bumped when the on-disk schema changes incompatibly; version-1
@@ -105,9 +106,33 @@ class Corpus:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Corpus":
+        """Read a corpus :meth:`save` wrote; ``ValueError`` names what
+        makes any other JSON not a corpus."""
         payload = json.loads(Path(path).read_text())
-        entries = [CorpusEntry(**raw) for raw in payload.get("entries", [])]
-        return cls(entries=entries, version=payload.get("version", 0))
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: not a corpus: the payload is a "
+                             f"{type(payload).__name__}, not an object")
+        raw_entries = payload.get("entries", [])
+        if not isinstance(raw_entries, list):
+            raise ValueError(f"{path}: not a corpus: 'entries' is not a list")
+        return cls(entries=[_load_entry(path, index, raw)
+                            for index, raw in enumerate(raw_entries)],
+                   version=payload.get("version", 0))
+
+
+def _load_entry(path: Union[str, Path], index: int,
+                raw: object) -> CorpusEntry:
+    where = f"{path}: entry {index}"
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: not an object")
+    try:
+        entry = CorpusEntry(**raw)    # unknown or missing keys: TypeError
+        entry.litmus()
+        entry.minimized_litmus()
+    except (AttributeError, ConfigurationError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ValueError(f"{where}: not a corpus entry: {exc!r}") from None
+    return entry
 
 
 def replay_corpus(corpus: Corpus,

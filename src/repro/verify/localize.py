@@ -15,21 +15,24 @@ canonical architectural event stream enabled (:mod:`repro.obs.archtrace`):
   leg's archtrace (``scalar.archtrace.jsonl``) is written for triage
   with ``python -m repro.obs diff``, and no comparison is attached.
 
-Every archtrace is written to ``out_dir`` (a fresh temporary directory
-when none is given) so CI can upload the streams next to the
-:class:`DivergenceReport`.
+Both runs are diffed in memory.  The archtraces are written only when
+an ``out_dir`` is given (``verify --localize`` gives
+``<corpus>.localize/item<N>/``), so CI can upload the streams next to
+the :class:`DivergenceReport`.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..consistency.litmus import LitmusTest
+from ..obs.accounting import per_cpu_breakdowns
+from ..obs.archtrace import ArchTrace
 from ..obs.diff import DivergenceReport, diff_archtraces
-from ..system.jobs import BatchResult, run_scalar
+from ..sim.trace import TraceRecorder
+from ..system.jobs import run_scalar
 from .harness import (
     DEFAULT_RUN_CONFIGS,
     Divergence,
@@ -103,11 +106,17 @@ def _resolve_run_config(config: HarnessConfig,
     raise KeyError(f"unknown run config {config_name!r}")
 
 
-def _run_leg(test: LitmusTest, leg: Leg) -> BatchResult:
-    """One archtrace-enabled scalar run of the leg."""
+def _trace_leg(test: LitmusTest, leg: Leg, label: str) -> ArchTrace:
+    """One recorded scalar run of the leg, as its archtrace."""
     (job,), _audit = leg_jobs(test, [leg])
-    job.archtrace = True
-    return run_scalar(job).raise_if_error()
+    trace = TraceRecorder()
+    result = run_scalar(job, trace=trace).raise_if_error()
+    return ArchTrace.from_events(
+        trace.events, cycles=result.cycles,
+        final_memory={addr: result.read_word(addr)
+                      for addr in sorted(job.initial_memory or {})},
+        breakdowns=per_cpu_breakdowns(result.stats, job.ncpu),
+        label=label)
 
 
 def localize_divergence(test: LitmusTest, divergence: Divergence,
@@ -119,10 +128,6 @@ def localize_divergence(test: LitmusTest, divergence: Divergence,
     diff it against a clean run (see the module docstring)."""
     leg = (divergence.model, divergence.prefetch, divergence.speculation,
            _resolve_run_config(config, divergence.config_name))
-    if out_dir is None:
-        out_dir = tempfile.mkdtemp(prefix="repro-localize-")
-    os.makedirs(out_dir, exist_ok=True)
-
     loc = LocalizationResult(
         test_name=test_name or divergence.test_name,
         model=divergence.model,
@@ -132,24 +137,30 @@ def localize_divergence(test: LitmusTest, divergence: Divergence,
         fault=config.fault,
     )
 
-    def write(result: BatchResult, stem: str) -> str:
+    def run(stem: str) -> ArchTrace:
+        return _trace_leg(test, leg, label=f"{loc.test_name} {stem}")
+
+    def write(archtrace: ArchTrace, stem: str) -> str:
+        assert out_dir is not None
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{stem}.archtrace.jsonl")
-        result.write_archtrace(path, label=f"{loc.test_name} {stem}")
+        archtrace.write_jsonl(path)
         return path
 
     if not config.fault:
-        write(_run_leg(test, leg), "scalar")
+        if out_dir is not None:
+            write(run("scalar"), "scalar")
         return loc
-    clean = _run_leg(test, leg)
+    clean = run("clean-scalar")
     with injected_fault(config.fault):
-        faulted = _run_leg(test, leg)
+        faulted = run("faulted-scalar")
     name = "scalar-vs-scalar"
-    path_a = write(clean, "clean-scalar")
-    path_b = write(faulted, "faulted-scalar")
     loc.reports[name] = diff_archtraces(
-        path_a, path_b, label_a="clean-scalar", label_b="faulted-scalar",
+        clean, faulted, label_a="clean-scalar", label_b="faulted-scalar",
         context=context)
-    loc.artifacts[name] = (path_a, path_b)
+    if out_dir is not None:
+        loc.artifacts[name] = (write(clean, "clean-scalar"),
+                               write(faulted, "faulted-scalar"))
     return loc
 
 

@@ -5,7 +5,8 @@ Contracts pinned here:
 
 1. **Schema units** — :func:`derive_arch_event` maps raw trace records
    to the canonical kinds (and drops timing-domain noise), events
-   serialize canonically and round-trip, and a projection of a bounded
+   serialize canonically, a file round-trips to the value that wrote
+   it and anything else is refused, and a projection of a bounded
    recorder counts what the recorder discarded.
 2. **Determinism** — the same leg produces byte-identical event bodies
    and footers run-over-run, and under serial vs parallel sweeps.
@@ -16,20 +17,20 @@ Contracts pinned here:
 
 import json
 
+import pytest
+
 from repro.consistency.litmus import STANDARD_TESTS
 from repro.obs.archtrace import (
-    ARCHTRACE_VERSION,
     ArchEvent,
     ArchTrace,
     _mk,
     derive_arch_event,
-    read_archtrace,
 )
 from repro.obs.diff import diff_archtraces, diff_main
 from repro.sim.sweep import run_sweep
 from repro.sim.trace import TraceRecorder
-from repro.system.jobs import run_scalar
-from repro.verify.harness import DEFAULT_RUN_CONFIGS, leg_jobs
+from repro.verify.harness import DEFAULT_RUN_CONFIGS
+from repro.verify.localize import _trace_leg
 
 
 # ----------------------------------------------------------------------
@@ -37,13 +38,11 @@ from repro.verify.harness import DEFAULT_RUN_CONFIGS, leg_jobs
 # ----------------------------------------------------------------------
 
 def leg_trace(test, model_name, prefetch, speculation, run_config):
-    """One archtrace-enabled run of a litmus leg; returns the
+    """The localizer's archtrace of one litmus leg; returns the
     byte-comparable body (event lines + footer)."""
-    (job,), _audit = leg_jobs(
-        test, [(model_name, prefetch, speculation, run_config)])
-    job.archtrace = True
-    res = run_scalar(job).raise_if_error()
-    return res.archtrace.event_lines(), res.archtrace.footer()
+    arch = _trace_leg(test, (model_name, prefetch, speculation, run_config),
+                      label="leg")
+    return arch.event_lines(), arch.footer()
 
 
 def _sweep_leg(item):
@@ -128,17 +127,65 @@ class TestCollector:
         tr.record(1, "dir", "txn_start", txn=3, line=16)  # not projected
         arch = ArchTrace.from_events(tr.events, cycles=42,
                                      final_memory={16: 7},
-                                     breakdowns=[{"busy": 40, "idle": 2}])
-        path = str(tmp_path / "t.jsonl")
-        count = arch.write_jsonl(path, label="unit")
+                                     breakdowns=[{"busy": 40, "idle": 2}],
+                                     dropped=1, label="unit")
+        path = tmp_path / "t.jsonl"
+        count = arch.write_jsonl(str(path))
         assert count == 2
-        header, events, footer = read_archtrace(path)
-        assert header["archtrace"] == ARCHTRACE_VERSION
-        assert header["backend"] == "scalar"
-        assert [ev.cycle for ev in events] == [1, 2]   # canonical order
-        assert [ev.to_json() for ev in events] == arch.event_lines()
-        assert footer["cycles"] == 42
-        assert footer["final_memory"] == {"16": 7}
+        assert [ev.cycle for ev in arch.events] == [1, 2]  # canonical order
+        again = ArchTrace.read_jsonl(str(path))
+        assert again == arch
+        rewritten = tmp_path / "again.jsonl"
+        again.write_jsonl(str(rewritten))
+        assert rewritten.read_bytes() == path.read_bytes()
+
+
+def _footer_with(**change):
+    """Edit the footer line of a valid serialized archtrace."""
+    def edit(lines, arch):
+        return lines[:-1] + [json.dumps({**arch.footer(), **change})]
+    return edit
+
+
+#: ways to spoil a valid 7-line archtrace (header, 5 events, footer):
+#: (edit, line the error names, what it says)
+SPOILED = {
+    "empty": (lambda lines, arch: [], 1, "empty"),
+    "no-footer": (lambda lines, arch: lines[:-1], 6, "no footer"),
+    "header-only": (lambda lines, arch: lines[:1], 1, "no footer"),
+    "no-header": (lambda lines, arch: lines[1:], 1, "header"),
+    "foreign-version": (lambda lines, arch: [json.dumps(
+        {"archtrace": 99, "backend": "scalar"})] + lines[1:], 1, "header"),
+    "event-after-footer": (lambda lines, arch: lines + [lines[1]], 8,
+                           "after the footer"),
+    "second-footer": (lambda lines, arch: lines + [lines[-1]], 8,
+                      "after the footer"),
+    "cut-line": (lambda lines, arch: lines[:-1] + [lines[-1][:-10]], 7,
+                 "not valid JSON"),
+    "event-without-cpu": (lambda lines, arch: lines[:2] + [json.dumps(
+        {"cycle": 3, "kind": "retire"})] + lines[3:], 3, "KeyError('cpu')"),
+    "footer-memory-null": (_footer_with(final_memory=None), 7, "footer"),
+    "footer-cycles-string": (_footer_with(cycles="10"), 7, "footer"),
+    "footer-dropped-fraction": (_footer_with(dropped=0.5), 7, "footer"),
+    "footer-blame-not-dict": (_footer_with(breakdowns=[5]), 7, "footer"),
+    "footer-blame-string": (_footer_with(breakdowns=[{"busy": "4"}]), 7,
+                            "footer"),
+    "footer-surplus-key": (_footer_with(surplus=1), 7, "footer"),
+}
+
+
+@pytest.mark.parametrize("spoil", SPOILED)
+def test_reader_refuses_what_write_jsonl_does_not_write(tmp_path, spoil):
+    edit, line_no, why = SPOILED[spoil]
+    arch = ArchTrace(_instr_stream(), cycles=10, final_memory={16: 1})
+    lines = ([json.dumps(arch.header())] + arch.event_lines()
+             + [json.dumps(arch.footer())])
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(line + "\n" for line in edit(lines, arch)))
+    with pytest.raises(ValueError) as exc:
+        ArchTrace.read_jsonl(str(path))
+    assert str(exc.value).startswith(f"{path}: line {line_no}: ")
+    assert why in str(exc.value)
 
 
 # ----------------------------------------------------------------------
@@ -184,30 +231,32 @@ def _instr_stream():
     ]
 
 
-def _write(path, events, cycles=10, memory=None, breakdowns=None,
-           dropped=0):
-    ArchTrace(events, cycles=cycles, final_memory=memory or {16: 1},
-              breakdowns=breakdowns or [], dropped=dropped,
-              ).write_jsonl(str(path), label="fixture")
+def _trace(events, cycles=10, memory=None, breakdowns=None, dropped=0):
+    return ArchTrace(events, cycles=cycles, final_memory=memory or {16: 1},
+                     breakdowns=breakdowns or [], dropped=dropped,
+                     label="fixture")
+
+
+def _write(path, events, **footer):
+    _trace(events, **footer).write_jsonl(str(path))
     return str(path)
 
 
 class TestDifferClasses:
-    def test_identical(self, tmp_path):
-        a = _write(tmp_path / "a.jsonl", _instr_stream())
-        b = _write(tmp_path / "b.jsonl", _instr_stream())
-        report = diff_archtraces(a, b)
+    def test_identical(self):
+        report = diff_archtraces(_trace(_instr_stream()),
+                                 _trace(_instr_stream()))
         assert report.classification == "identical"
         assert not report.divergent
         assert report.events_a == report.events_b == 5
 
-    def test_timing_only(self, tmp_path):
+    def test_timing_only(self):
         shifted = [ArchEvent(ev.cycle + 2, ev.cpu, ev.seq, ev.kind,
                              ev.detail)
                    for ev in _instr_stream()]
-        a = _write(tmp_path / "a.jsonl", _instr_stream(), cycles=10,
+        a = _trace(_instr_stream(), cycles=10,
                    breakdowns=[{"busy": 6, "read_stall": 4}])
-        b = _write(tmp_path / "b.jsonl", shifted, cycles=12,
+        b = _trace(shifted, cycles=12,
                    breakdowns=[{"busy": 6, "read_stall": 6}])
         report = diff_archtraces(a, b)
         assert report.classification == "timing-only"
@@ -215,57 +264,61 @@ class TestDifferClasses:
         assert report.cycles_b - report.cycles_a == 2
         assert report.blame_delta[0] == {"busy": 0, "read_stall": 2}
 
-    def test_architectural_value_mismatch(self, tmp_path):
+    def test_footer_only_difference_is_timing_only(self):
+        # same events and cycles; only the cycle blame and the drop
+        # counter moved, which is not "byte-identical footers"
+        a = _trace(_instr_stream(), breakdowns=[{"busy": 4, "read_stall": 6}])
+        b = _trace(_instr_stream(), breakdowns=[{"busy": 6, "read_stall": 4}],
+                   dropped=3)
+        report = diff_archtraces(a, b)
+        assert report.classification == "timing-only"
+        assert report.first_raw_index is None
+        assert report.blame_delta[0] == {"busy": 2, "read_stall": -2}
+        assert "cpu0: busy +2, read_stall -2" in report.describe()
+
+    def test_architectural_value_mismatch(self):
         mutated = _instr_stream()
         mutated[4] = _mk(6, 1, 0, "load", addr=16, value=1)  # stale read
-        a = _write(tmp_path / "a.jsonl", _instr_stream())
-        b = _write(tmp_path / "b.jsonl", mutated)
-        report = diff_archtraces(a, b)
+        report = diff_archtraces(_trace(_instr_stream()), _trace(mutated))
         assert report.classification == "architectural"
         assert report.arch_cpu == 1
         assert "value=0" in report.arch_event_a
         assert "value=1" in report.arch_event_b
         assert "--- divergence ---" in report.context_a
 
-    def test_architectural_missing_event(self, tmp_path):
-        a = _write(tmp_path / "a.jsonl", _instr_stream())
-        b = _write(tmp_path / "b.jsonl", _instr_stream()[:-1])
-        report = diff_archtraces(a, b)
+    def test_architectural_missing_event(self):
+        report = diff_archtraces(_trace(_instr_stream()),
+                                 _trace(_instr_stream()[:-1]))
         assert report.classification == "architectural"
         assert report.arch_cpu == 1
         assert report.arch_event_b is None
 
-    def test_final_state(self, tmp_path):
+    def test_final_state(self):
         # identical streams that end in different memory: the divergence
         # is outside the traced window
-        a = _write(tmp_path / "a.jsonl", _instr_stream(), memory={16: 1})
-        b = _write(tmp_path / "b.jsonl", _instr_stream(), memory={16: 2})
-        report = diff_archtraces(a, b)
+        report = diff_archtraces(_trace(_instr_stream(), memory={16: 1}),
+                                 _trace(_instr_stream(), memory={16: 2}))
         assert report.classification == "final-state"
         assert report.memory_delta == {"16": (1, 2)}
 
-    def test_timing_perturbed_coherence_is_not_architectural(self, tmp_path):
+    def test_timing_perturbed_coherence_is_not_architectural(self):
         # an extra eviction/refill (timing-domain) must not be called
         # an architectural divergence
         noisy = _instr_stream()
         noisy.insert(3, _mk(4, 0, -1, "evict", line=16, state="S"))
         noisy.insert(4, _mk(5, 0, -1, "fill", line=16, state="S"))
-        a = _write(tmp_path / "a.jsonl", _instr_stream())
-        b = _write(tmp_path / "b.jsonl", noisy)
-        report = diff_archtraces(a, b)
+        report = diff_archtraces(_trace(_instr_stream()), _trace(noisy))
         assert report.classification == "timing-only"
 
-    def test_incomplete_streams_are_flagged(self, tmp_path):
-        a = _write(tmp_path / "a.jsonl", _instr_stream(), dropped=7)
-        b = _write(tmp_path / "b.jsonl", _instr_stream())
-        report = diff_archtraces(a, b)
+    def test_incomplete_streams_are_flagged(self):
+        report = diff_archtraces(_trace(_instr_stream(), dropped=7),
+                                 _trace(_instr_stream()))
         assert report.incomplete
         assert "incomplete" in report.describe()
 
-    def test_report_round_trips_through_dict(self, tmp_path):
-        a = _write(tmp_path / "a.jsonl", _instr_stream())
-        b = _write(tmp_path / "b.jsonl", _instr_stream()[:-1])
-        report = diff_archtraces(a, b)
+    def test_report_round_trips_through_dict(self):
+        report = diff_archtraces(_trace(_instr_stream()),
+                                 _trace(_instr_stream()[:-1]))
         again = type(report).from_dict(
             json.loads(json.dumps(report.to_dict())))
         assert again.classification == report.classification
@@ -280,3 +333,15 @@ class TestDifferClasses:
         assert diff_main(a, c, as_json=True) == 1
         out = capsys.readouterr().out
         assert "identical" in out and "architectural" in out
+        # a file without its footer line, and an empty file, are
+        # unreadable input, not a divergence and not a clean diff
+        lines = (tmp_path / "a.jsonl").read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(lines[:-1]))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for pair in ((str(cut), b), (str(empty), str(empty))):
+            assert diff_main(*pair) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read archtrace: ")
+            assert err.count("\n") == 1

@@ -113,17 +113,6 @@ class TestPaperExamples:
         (res,) = BatchRunner().run([job])
         assert res.backend == "batched"
 
-    def test_archtrace_jobs_run_scalar(self):
-        # only the scalar kernel records an archtrace
-        wl = example1_program()
-        job = BatchJob(programs=[wl.program], model_name="WC",
-                       initial_memory=wl.initial_memory,
-                       warm_lines=wl.warm_lines, archtrace=True)
-        assert job_unsupported_reason(job) == "archtrace requested"
-        (res,) = BatchRunner().run([job])
-        assert res.backend == "scalar"
-        assert res.archtrace is not None and res.archtrace.events
-
     @pytest.mark.parametrize("factory", [example2_program, figure5_program],
                              ids=["example2", "figure5"])
     @pytest.mark.parametrize("model_name", MODEL_NAMES)

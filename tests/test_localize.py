@@ -5,15 +5,19 @@ automatically pinned to the **first divergent architectural event**
 (``scalar-vs-scalar``: clean reference vs faulted subject), with the
 paired archtraces written next to the report.  Without a fault there
 is nothing clean to diff against: the failing leg's archtrace is
-written and no comparison is attached.
+written and no comparison is attached.  Nothing is written unless the
+caller names a directory.
 """
 
 import dataclasses
 import os
+import tempfile
 
 from repro.consistency.litmus import STANDARD_TESTS
-from repro.obs.archtrace import ArchTraceReader
-from repro.verify.corpus import CORPUS_VERSION, Corpus, CorpusEntry
+from repro.obs.archtrace import ArchTrace
+from repro.obs.diff import diff_archtraces
+from repro.verify.corpus import (CORPUS_VERSION, Corpus, CorpusEntry,
+                                 litmus_to_dict)
 from repro.verify.harness import (
     DEFAULT_RUN_CONFIGS,
     Divergence,
@@ -46,9 +50,31 @@ class TestFaultLocalization:
         report = loc.reports["scalar-vs-scalar"]
         assert report.classification == "architectural"
         assert report.arch_event_a or report.arch_event_b
-        # paired archtraces are on disk for CI upload
+        # paired archtraces are on disk for CI upload, and the file diff
+        # agrees with the in-memory one
         for path_a, path_b in loc.artifacts.values():
-            assert os.path.exists(path_a) and os.path.exists(path_b)
+            again = diff_archtraces(ArchTrace.read_jsonl(path_a),
+                                    ArchTrace.read_jsonl(path_b),
+                                    label_a="clean-scalar",
+                                    label_b="faulted-scalar")
+            assert again == report
+
+    def test_without_out_dir_nothing_is_written(self, tmp_path,
+                                                 monkeypatch):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.chdir(tmp_path)
+        test = STANDARD_TESTS["SB"]()
+        config = _fault_config()
+        result = check_test(test, config)
+        loc = localize_divergence(test, result.divergences[0],
+                                  config=config, test_name="SB")
+        assert (loc.reports["scalar-vs-scalar"].classification
+                == "architectural")
+        assert loc.artifacts == {}
+        assert sorted(os.listdir(tmp_path)) == ["tmp"]
+        assert os.listdir(tmp) == []
 
     def test_localization_round_trips_and_lands_in_corpus(self, tmp_path):
         test = STANDARD_TESTS["SB"]()
@@ -66,7 +92,8 @@ class TestFaultLocalization:
         corpus = Corpus()
         for localization in (loc.to_dict(), PARENT_SHAPED_LOCALIZATION):
             corpus.add(CorpusEntry(
-                master_seed=0, index=0, derived_seed=0, test={},
+                master_seed=0, index=0, derived_seed=0,
+                test=litmus_to_dict(test),
                 divergences=[], fault="slb-deaf",
                 localization=localization))
         path = tmp_path / "corpus.json"
@@ -135,11 +162,10 @@ class TestNoFaultLocalization:
         loc = localize_divergence(test, div, config=HarnessConfig(),
                                   test_name="MP", out_dir=str(tmp_path))
         assert loc.reports == {} and loc.artifacts == {}
-        reader = ArchTraceReader(str(tmp_path / "scalar.archtrace.jsonl"))
-        events = list(reader)
-        assert reader.header["label"] == "MP scalar"
-        assert {ev.kind for ev in events} >= {"retire", "load", "store"}
-        assert reader.footer["cycles"] > 0
+        arch = ArchTrace.read_jsonl(str(tmp_path / "scalar.archtrace.jsonl"))
+        assert arch.label == "MP scalar"
+        assert {ev.kind for ev in arch.events} >= {"retire", "load", "store"}
+        assert arch.cycles > 0
 
     def test_unknown_run_config_is_rejected(self):
         test = STANDARD_TESTS["MP"]()

@@ -279,7 +279,7 @@ class TestCliSmoke:
         assert digests == self.PINNED_VIEWS
 
     def test_failed_run_still_writes_its_trace_views(self, tmp_path, capsys):
-        from repro.obs.archtrace import read_archtrace
+        from repro.obs.archtrace import ArchTrace
         from repro.run import main
         perfetto = tmp_path / "t.json"
         jsonl = tmp_path / "t.jsonl"
@@ -299,9 +299,9 @@ class TestCliSmoke:
         assert validate_trace_file(str(perfetto)) == []
         recorded = read_jsonl(str(jsonl))
         assert recorded and max(ev.cycle for ev in recorded) <= 20
-        _header, _events, footer = read_archtrace(str(arch))
-        assert footer["cycles"] == 20
-        assert footer["final_memory"] == {} and footer["breakdowns"] == []
+        archtrace = ArchTrace.read_jsonl(str(arch))
+        assert archtrace.cycles == 20
+        assert archtrace.final_memory == {} and archtrace.breakdowns == []
         assert not ledger.exists()
 
     def test_run_requires_program_or_example(self, capsys):

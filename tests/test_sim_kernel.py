@@ -12,6 +12,7 @@ from repro.sim import (
     format_stats_table,
 )
 from repro.sim.errors import ConfigurationError
+from repro.sim.trace import source_cpu
 from tests.test_kernel_fastpath import _Sleeper, _TimedWaker
 
 
@@ -270,3 +271,13 @@ class TestTraceRecorder:
         tr = TraceRecorder()
         tr.record(7, "cache", "inval", line=0x40)
         assert "7" in tr.render() and "inval" in tr.render()
+
+
+@pytest.mark.parametrize("source, cpu", [
+    ("cpu3", 3), ("cpu3/lsu", 3), ("cache3", 3),
+    ("dir", None), ("net", None), ("agent0", None), ("cpux", None),
+])
+def test_cpu_named_by_a_trace_source(source, cpu):
+    # the one parser the archtrace projection, the trace sanitizer and
+    # the Perfetto exporter share
+    assert source_cpu(source) == cpu

@@ -328,9 +328,22 @@ class TestCli:
                         quiet=True, ledger=False) == 0
 
     def test_replay_of_unreadable_corpus_exits_2(self, tmp_path):
-        not_json = tmp_path / "corpus.json"
-        not_json.write_text("not json")
-        for path in (tmp_path / "missing.json", not_json):
+        entry = {"master_seed": 0, "index": 0, "derived_seed": 0,
+                 "divergences": []}
+        bad = {
+            "not-json": "not json",
+            "list": "[]",
+            "entries-not-a-list": '{"entries": {}}',
+            "unknown-key": '{"entries": [{"bogus": 1}]}',
+            "missing-key": json.dumps({"entries": [{"test": {}}]}),
+            "not-a-test": json.dumps(
+                {"entries": [{**entry, "test": {"threads": [[{}]]}}]}),
+        }
+        paths = [tmp_path / "missing.json"]
+        for name, text in bad.items():
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(text)
+        for path in paths:
             proc = _run_verify("--replay", str(path))
             assert proc.returncode == 2, proc.stdout + proc.stderr
             assert proc.stderr.startswith("error: cannot read corpus")
