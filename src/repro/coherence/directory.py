@@ -80,11 +80,6 @@ class DirectoryController(Component):
         self.trace = trace or TraceRecorder(enabled=False)
         self.lat = latencies or LatencyConfig()
         self.line_size = line_size
-        self._entries: Dict[int, DirEntry] = {}
-        self._memory: Dict[int, int] = {}
-        self._busy: Dict[int, Transaction] = {}
-        self._queues: Dict[int, Deque[Message]] = {}
-        self._txn_ids = itertools.count(1)
         net.attach(DIRECTORY_NODE, self.receive)
 
         s = sim.stats
@@ -96,6 +91,15 @@ class DirectoryController(Component):
         self.stat_writebacks = s.counter("dir/writebacks")
         self.stat_updates = s.counter("dir/updates_sent")
         self.stat_queued = s.counter("dir/requests_queued")
+        self.reset()
+
+    def reset(self) -> None:
+        """Every line unowned, memory all zero, no transactions."""
+        self._entries: Dict[int, DirEntry] = {}
+        self._memory: Dict[int, int] = {}
+        self._busy: Dict[int, Transaction] = {}
+        self._queues: Dict[int, Deque[Message]] = {}
+        self._txn_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Backing store

@@ -20,6 +20,10 @@ TABLE_SIZE = 256
 
 class BranchPredictor:
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every branch: a cold table."""
         self._counters: Dict[int, int] = {}  # pc -> 0..3 (>=2 predicts taken)
         self.predictions = 0
         self.mispredictions = 0

@@ -109,40 +109,11 @@ class LoadStoreUnit:
         self.sim = sim
         self.cache = cache
         self.rob = rob
-        self.config = config
-        self.model: ConsistencyModel = config.model
         self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}/lsu"
-
-        self.rs: Deque[MemOp] = deque()
-        self.addr_unit: Optional[Tuple[MemOp, int]] = None  # (op, ready cycle)
-        self.ready_loads: List[MemOp] = []
-        self.store_buffer: List[MemOp] = []
-        #: every decoded memory op, program order, until performed
-        self.pending: "OrderedDict[int, MemOp]" = OrderedDict()
-        self._req_ids = itertools.count(1)
-        #: stall counters the current tick bumped (see :meth:`tick`)
-        self.stalled: Tuple[Counter, ...] = ()
         #: whether any address is uncached at all; when none is (the
         #: common machine) ``is_uncached`` is never asked
         self._has_uncached = bool(cache.config.uncached_ranges)
-        #: SC: the store at the ROB head is not retired until it completes
-        self._stores_retire_at_completion = self.model.name == "SC"
-
-        self.slb: Optional[SpeculativeLoadBuffer] = None
-        if config.enable_speculation:
-            self.slb = SpeculativeLoadBuffer(config.slb_size, sim.stats,
-                                             name=f"cpu{cpu_id}/slb")
-        self.prefetcher: Optional[HardwarePrefetcher] = None
-        if config.enable_prefetch:
-            self.prefetcher = HardwarePrefetcher(
-                cache, config.prefetches_per_cycle, sim.stats,
-                name=f"cpu{cpu_id}/prefetcher")
-        self.sc_detector: Optional[ScViolationDetector] = None
-        if config.enable_sc_detection:
-            self.sc_detector = ScViolationDetector(
-                sim.stats, name=f"cpu{cpu_id}/sc_detector")
-            self.sc_detector.set_clock(lambda: self.sim.cycle)
 
         #: set by the processor: the component whose tick runs this unit
         self.owner: Optional[Component] = None
@@ -160,6 +131,41 @@ class LoadStoreUnit:
         self.stat_sb_stalls = s.counter(f"{self.name}/sb_consistency_stalls")
         self.stat_load_latency = s.histogram(f"{self.name}/load_latency")
         self.stat_store_latency = s.histogram(f"{self.name}/store_latency")
+        self.reset(config)
+
+    def reset(self, config: ProcessorConfig) -> None:
+        """Every buffer empty, and new technique units for the ones
+        ``config`` turns on — their statistics exist only while they do."""
+        self.config = config
+        self.model: ConsistencyModel = config.model
+        self.rs: Deque[MemOp] = deque()
+        self.addr_unit: Optional[Tuple[MemOp, int]] = None  # (op, ready cycle)
+        self.ready_loads: List[MemOp] = []
+        self.store_buffer: List[MemOp] = []
+        #: every decoded memory op, program order, until performed
+        self.pending: "OrderedDict[int, MemOp]" = OrderedDict()
+        self._req_ids = itertools.count(1)
+        #: stall counters the current tick bumped (see :meth:`tick`)
+        self.stalled: Tuple[Counter, ...] = ()
+        #: SC: the store at the ROB head is not retired until it completes
+        self._stores_retire_at_completion = self.model.name == "SC"
+
+        stats = self.sim.stats
+        with stats.transient():
+            self.slb: Optional[SpeculativeLoadBuffer] = None
+            if config.enable_speculation:
+                self.slb = SpeculativeLoadBuffer(
+                    config.slb_size, stats, name=f"cpu{self.cpu_id}/slb")
+            self.prefetcher: Optional[HardwarePrefetcher] = None
+            if config.enable_prefetch:
+                self.prefetcher = HardwarePrefetcher(
+                    self.cache, config.prefetches_per_cycle, stats,
+                    name=f"cpu{self.cpu_id}/prefetcher")
+            self.sc_detector: Optional[ScViolationDetector] = None
+            if config.enable_sc_detection:
+                self.sc_detector = ScViolationDetector(
+                    stats, name=f"cpu{self.cpu_id}/sc_detector")
+                self.sc_detector.set_clock(lambda: self.sim.cycle)
 
     # ------------------------------------------------------------------
     # Wake (kernel sleep protocol)

@@ -51,28 +51,20 @@ class Processor(Component):
         self.sim = sim
         self.program = program
         self._rows = decode_program(program)
-        self.config = config or ProcessorConfig()
+        config = config or ProcessorConfig()
         self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}"
 
-        self.regfile = RegisterFile()
-        self.rob = ReorderBuffer(self.config.rob_size)
+        self.rob = ReorderBuffer(config.rob_size)
         self.predictor = BranchPredictor()
-        self.alu_unit = AluUnit(self.rob, self.config.alu_rs_size,
-                                self.config.alu_count, self._on_alu_complete)
-        self.branch_unit = BranchUnit(self.rob, self.config.alu_rs_size,
+        self.alu_unit = AluUnit(self.rob, config.alu_rs_size,
+                                config.alu_count, self._on_alu_complete)
+        self.branch_unit = BranchUnit(self.rob, config.alu_rs_size,
                                       self._on_branch_resolve)
-        self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, self.config,
+        self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, config,
                                  trace=self.trace)
         self.lsu.owner = self
         self.lsu.request_squash = self.squash_from
-
-        self.pc = 0
-        self._next_seq = 0
-        self.fetch_halted = False   # a Halt has been fetched (maybe speculatively)
-        self.finished = False       # the Halt has retired: program truly done
-        #: what the last tick bumped if it moved nothing, else None
-        self._idle_counters: Optional[tuple] = None
 
         s = sim.stats
         self.stat_retired = s.counter(f"{self.name}/instructions_retired")
@@ -81,9 +73,30 @@ class Processor(Component):
         self.stat_squashes = s.counter(f"{self.name}/squash_events")
         self.stat_mispredicts = s.counter(f"{self.name}/branch_mispredicts")
         self.stat_squash_depth = s.histogram(f"{self.name}/squash_depth")
+        self.accountant = CycleAccountant(s, self.name)
+        self.reset(config)
+
+    def reset(self, config: ProcessorConfig) -> None:
+        """Back to the state construction leaves, at the program's first
+        instruction with every buffer empty, running as ``config`` says.
+        ``config`` may differ from the wired one only in the consistency
+        model and the technique flags: the buffers keep their sizes."""
+        self.config = config
+        self.regfile = RegisterFile()
+        self.rob.reset()
+        self.predictor.reset()
+        self.alu_unit.reset()
+        self.branch_unit.reset()
+        self.lsu.reset(config)
+        self.accountant.reset()
+        self.pc = 0
+        self._next_seq = 0
+        self.fetch_halted = False   # a Halt has been fetched (maybe speculatively)
+        self.finished = False       # the Halt has retired: program truly done
+        #: what the last tick bumped if it moved nothing, else None
+        self._idle_counters: Optional[tuple] = None
         #: squash_reason/<slug> counters, each created at its first squash
         self._stat_squash_reason: Dict[str, Counter] = {}
-        self.accountant = CycleAccountant(s, self.name)
 
     # ------------------------------------------------------------------
     # Per-cycle pipeline (reverse dataflow order)

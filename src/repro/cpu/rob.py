@@ -101,6 +101,10 @@ class ReorderBuffer:
 
     def __init__(self, size: int) -> None:
         self.size = size
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty: nothing in flight, nothing renamed."""
         #: in-flight entries in program order, and the same by number
         self._fifo: Deque[RobEntry] = deque()
         self._by_seq: Dict[int, RobEntry] = {}

@@ -47,6 +47,10 @@ class AluUnit:
         self.rs_size = rs_size
         self.alu_count = alu_count
         self.on_complete = on_complete
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty station, nothing executing."""
         self.rs: List[RsEntry] = []
         #: in flight: (finish cycle, entry, operand values read at issue)
         self._executing: List[Tuple[int, RobEntry, List[int]]] = []
@@ -124,6 +128,10 @@ class BranchUnit:
         self.rob = rob
         self.rs_size = rs_size
         self.on_resolve = on_resolve
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty station."""
         self.rs: List[RsEntry] = []
 
     @property

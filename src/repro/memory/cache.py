@@ -81,21 +81,7 @@ class LockupFreeCache(Component):
         self.net = net
         self.config = config or CacheConfig()
         self.trace = trace or TraceRecorder(enabled=False)
-        self._sets: List[List[CacheLine]] = [[] for _ in range(self.config.num_sets)]
-        self.mshrs: Dict[int, MshrEntry] = {}
         self._snoop_listeners: List[SnoopListener] = []
-        self._lru_clock = 0
-        self._port_cycle = -1
-        self._port_used = 0
-        # lines whose writeback is in flight (awaiting WB_ACK)
-        self._writebacks: Dict[int, List[int]] = {}
-        # update-protocol write transactions in flight, keyed by txn id
-        self._update_txns: Dict[int, AccessRequest] = {}
-        # uncached operations in flight, keyed by txn id (Appendix A)
-        self._uncached_txns: Dict[int, AccessRequest] = {}
-        # lines brought in by a prefetch and not yet touched by any
-        # demand access — the basis of useful/late/useless accounting
-        self._prefetched_unused: set = set()
         self._handlers = {
             MessageKind.DATA: self._on_data,
             MessageKind.DATA_EXCL: self._on_data_excl,
@@ -129,6 +115,25 @@ class LockupFreeCache(Component):
         self.stat_replacements = s.counter(f"{prefix}/replacements")
         self.stat_writebacks = s.counter(f"{prefix}/writebacks")
         self.stat_port_accesses = s.counter(f"{prefix}/port_accesses")
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty and idle: no lines, no transactions, LRU clock and port
+        back at their start."""
+        self._sets: List[List[CacheLine]] = [[] for _ in range(self.config.num_sets)]
+        self.mshrs: Dict[int, MshrEntry] = {}
+        self._lru_clock = 0
+        self._port_cycle = -1
+        self._port_used = 0
+        # lines whose writeback is in flight (awaiting WB_ACK)
+        self._writebacks: Dict[int, List[int]] = {}
+        # update-protocol write transactions in flight, keyed by txn id
+        self._update_txns: Dict[int, AccessRequest] = {}
+        # uncached operations in flight, keyed by txn id (Appendix A)
+        self._uncached_txns: Dict[int, AccessRequest] = {}
+        # lines brought in by a prefetch and not yet touched by any
+        # demand access — the basis of useful/late/useless accounting
+        self._prefetched_unused: set = set()
 
     # ------------------------------------------------------------------
     # Lookup helpers

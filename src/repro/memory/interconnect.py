@@ -32,10 +32,14 @@ class Interconnect(Component):
         self.latency_fn = latency_fn
         self.name = name
         self._endpoints: Dict[NodeId, Callable[[Message], None]] = {}
-        # per-channel watermark enforcing FIFO delivery
-        self._last_delivery: Dict[Tuple[NodeId, NodeId], int] = {}
         self._stat_msgs = sim.stats.counter(f"{name}/messages")
         self._stat_hops = sim.stats.counter(f"{name}/total_latency")
+        self.reset()
+
+    def reset(self) -> None:
+        """Nothing in flight, every channel's FIFO watermark forgotten."""
+        # per-channel watermark enforcing FIFO delivery
+        self._last_delivery: Dict[Tuple[NodeId, NodeId], int] = {}
         self._in_flight = 0
 
     def attach(self, node: NodeId, receive: Callable[[Message], None]) -> None:

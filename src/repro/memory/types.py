@@ -126,6 +126,11 @@ class CacheConfig:
         return addr % self.line_size
 
 
+#: the shortest miss :meth:`LatencyConfig.from_miss_latency` can split
+#: into request, memory and response hops of at least a cycle each
+MIN_MISS_LATENCY = 3
+
+
 @dataclass(frozen=True)
 class LatencyConfig:
     """Interconnect and memory latencies, in cycles.
@@ -158,8 +163,9 @@ class LatencyConfig:
     @classmethod
     def from_miss_latency(cls, total: int) -> "LatencyConfig":
         """Split ``total`` into request/memory/response ≈ 40/20/40%."""
-        if total < 3:
-            raise ConfigurationError(f"miss latency must be >= 3 cycles, got {total}")
+        if total < MIN_MISS_LATENCY:
+            raise ConfigurationError(
+                f"miss latency must be >= {MIN_MISS_LATENCY} cycles, got {total}")
         request = total * 2 // 5
         memory = total - 2 * request
         hop = max(1, total // 3)

@@ -84,6 +84,10 @@ class CycleAccountant:
             cause.value: stats.counter(f"{name}/cycles/{cause.value}")
             for cause in CAUSES
         }
+        self.reset()
+
+    def reset(self) -> None:
+        """No squash pending."""
         self._refilling = False  # between a squash and the next retirement
 
     # ------------------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..consistency.litmus import STANDARD_TESTS
 from ..consistency.models import get_model
+from ..memory.types import MIN_MISS_LATENCY
 from ..obs.ledger import request_hash
 from ..sim.errors import ConfigurationError
 from ..verify.corpus import litmus_from_dict, litmus_to_dict
@@ -88,12 +89,17 @@ def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
         "line_size": int(raw.get("line_size", defaults.line_size)),  # type: ignore[call-overload]
         "max_cycles": int(raw.get("max_cycles", defaults.max_cycles)),  # type: ignore[call-overload]
     }
-    if config["miss_latency"] < 1:
-        raise ProtocolError("run_config.miss_latency must be >= 1")
+    if config["miss_latency"] < MIN_MISS_LATENCY:
+        raise ProtocolError(
+            f"run_config.miss_latency must be >= {MIN_MISS_LATENCY}")
     if config["line_size"] < 1:
         raise ProtocolError("run_config.line_size must be >= 1")
     if config["max_cycles"] < 1:
         raise ProtocolError("run_config.max_cycles must be >= 1")
+    if max(skew) > config["max_cycles"]:
+        # a skew of d cycles compiles to d dependent instructions, so
+        # that thread cannot finish within max_cycles
+        raise ProtocolError("run_config.skew entries must be <= max_cycles")
     # "name" is a display label, not result-determining: excluded from
     # the canonical form so it can never split the cache
     return config

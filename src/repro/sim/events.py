@@ -27,6 +27,10 @@ class EventQueue:
     """Deterministic min-heap of ``(cycle, seq, callback)`` entries."""
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop every pending event and restart the sequence numbers."""
         self._heap: List[Tuple[int, int, EventCallback]] = []
         self._counter = itertools.count()
         self._popped_through = -1  # latest cycle handed to run_due

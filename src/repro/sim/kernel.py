@@ -98,20 +98,29 @@ class Simulator:
     def __init__(self, stats: Optional[StatsRegistry] = None,
                  profile: Union[bool, HostProfiler] = False,
                  fast_forward: bool = True) -> None:
-        self.cycle = 0
         self.events = EventQueue()
         self.stats = stats if stats is not None else StatsRegistry()
         self.fast_forward = fast_forward
         self._components: List[Component] = []
+        self.profiler: Optional[HostProfiler] = None
+        self.reset()
+        if profile:
+            self.enable_profiling(
+                profile if isinstance(profile, HostProfiler) else None)
+
+    def reset(self) -> None:
+        """Back to cycle 0 with nothing scheduled, for a new run of the
+        same components; a profiler starts counting from zero.  The
+        statistics registry is its owner's to reset."""
+        self.cycle = 0
+        self.events.reset()
         #: inside a sleeping ``run()``: the cycle each component's next
         #: tick is due, and the last cycle whose tick (real or replayed)
         #: is in its books; ``None`` otherwise — everybody ticks
         self._wakes: Optional[Dict[Component, int]] = None
         self._synced: Dict[Component, int] = {}
-        self.profiler: Optional[HostProfiler] = None
-        if profile:
-            self.enable_profiling(
-                profile if isinstance(profile, HostProfiler) else None)
+        if self.profiler is not None:
+            self.profiler.reset()
 
     # ------------------------------------------------------------------
     # Wiring

@@ -71,6 +71,12 @@ class HostProfiler:
         if heartbeat_cycles < 1:
             raise ValueError(
                 f"heartbeat_cycles must be >= 1, got {heartbeat_cycles}")
+        self.heartbeat = heartbeat
+        self.heartbeat_cycles = heartbeat_cycles
+        self.reset()
+
+    def reset(self) -> None:
+        """Start counting from zero (a re-armed machine's next run)."""
         #: wall nanoseconds per Component subclass name, tick phase only
         self.component_ns: Dict[str, int] = {}
         #: ticks actually made per Component subclass name — with
@@ -86,11 +92,9 @@ class HostProfiler:
         self.ff_ns = 0          # wall time inside wake/sleep analysis
         self.queue_depth_sum = 0
         self.queue_depth_max = 0
-        self.heartbeat = heartbeat
-        self.heartbeat_cycles = heartbeat_cycles
         self._start_ns = time.perf_counter_ns()
         self._hb_last_ns = self._start_ns
-        self._hb_due = heartbeat_cycles  # simulated cycle of the next beat
+        self._hb_due = self.heartbeat_cycles  # simulated cycle of the next beat
         self._hb_last_cycle = 0
         self._hb_last_retired = 0
 

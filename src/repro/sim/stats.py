@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Dict, List, Mapping, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 
 class Counter:
@@ -37,6 +38,10 @@ class Histogram:
 
     def __init__(self, name: str) -> None:
         self.name = name
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every sample."""
         self._buckets: Dict[int, int] = defaultdict(int)
         self.count = 0
         self.total = 0
@@ -80,21 +85,74 @@ class StatsRegistry:
 
     Names use ``/`` separators by convention, e.g. ``cpu0/lsu/loads`` or
     ``cache1/misses``.
+
+    A registry that a machine re-arms has two kinds of statistics: the
+    ones its components register at wiring, which they hold for the
+    machine's life, and the ones registered later — inside
+    :meth:`transient`, or after :meth:`seal` (lazily created counters,
+    profile gauges).  :meth:`reset` zeroes the first kind and drops the
+    second, which leaves the registry a fresh build's.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: names registered inside :meth:`transient` before the seal
+        self._transient: Set[str] = set()
+        self._in_transient = False
+        #: what :meth:`reset` returns to; ``None`` until :meth:`seal`
+        self._wired: Optional[Tuple[Dict[str, Counter],
+                                    Dict[str, Histogram]]] = None
 
     def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+            if self._in_transient:
+                self._transient.add(name)
+        return counter
 
     def histogram(self, name: str) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(name)
+            if self._in_transient:
+                self._transient.add(name)
+        return histogram
+
+    @contextmanager
+    def transient(self) -> Iterator[None]:
+        """Statistics first registered inside the block are run state,
+        not wiring: :meth:`reset` drops them (a technique unit that the
+        next run may not have)."""
+        self._in_transient = True
+        try:
+            yield
+        finally:
+            self._in_transient = False
+
+    def seal(self) -> None:
+        """End of wiring: what is registered now, outside
+        :meth:`transient`, is what :meth:`reset` keeps."""
+        self._wired = (
+            {n: c for n, c in self._counters.items()
+             if n not in self._transient},
+            {n: h for n, h in self._histograms.items()
+             if n not in self._transient},
+        )
+
+    def reset(self) -> None:
+        """Zero every statistic registered at wiring and drop every
+        other one (requires :meth:`seal`)."""
+        if self._wired is None:
+            raise RuntimeError("StatsRegistry.reset() before seal()")
+        counters, histograms = self._wired
+        for c in counters.values():
+            c.value = 0
+        for h in histograms.values():
+            h.reset()
+        self._counters = dict(counters)
+        self._histograms = dict(histograms)
 
     def counters(self, prefix: str = "") -> Mapping[str, int]:
         return {

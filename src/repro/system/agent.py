@@ -29,9 +29,14 @@ class ScriptedAgent:
         self.sim = sim
         self.net = net
         self.line_size = line_size
+        net.attach(node, self.receive)
+        self.reset()
+
+    def reset(self) -> None:
+        """Holding no line, no write pending."""
         self._owned: Dict[int, List[int]] = {}   # line_addr -> data
         self._shared: Dict[int, List[int]] = {}
-        net.attach(node, self.receive)
+        self._pending_write: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Scripted actions
@@ -60,8 +65,6 @@ class ScriptedAgent:
     # ------------------------------------------------------------------
     # Protocol plumbing
     # ------------------------------------------------------------------
-    _pending_write: Optional[tuple] = None
-
     def receive(self, msg: Message) -> None:
         if msg.kind is MessageKind.DATA_EXCL:
             data = list(msg.data or [0] * self.line_size)

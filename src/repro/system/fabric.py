@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..coherence.directory import DirectoryController
+from ..coherence.directory import DirectoryController, DirState
 from ..coherence.messages import Message, MessageKind
 from ..memory.cache import LockupFreeCache
 from ..memory.interconnect import Interconnect
-from ..memory.types import CacheConfig, LatencyConfig
+from ..memory.types import CacheConfig, LatencyConfig, LineState
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 
@@ -72,6 +72,13 @@ class MemoryFabric:
             for cpu in range(num_cpus)
         ]
 
+    def reset(self) -> None:
+        """Every cache empty, memory zero, nothing in flight."""
+        self.net.reset()
+        self.directory.reset()
+        for cache in self.caches:
+            cache.reset()
+
     def init_memory(self, values: Dict[int, int]) -> None:
         self.directory.init_memory(values)
 
@@ -92,24 +99,29 @@ class MemoryFabric:
     def warm(self, cpu: int, addr: int, exclusive: bool = False) -> None:
         """Pre-install the line containing ``addr`` into ``cpu``'s cache,
         updating directory state to match (warm-start for experiments
-        where the paper declares an access a cache hit)."""
-        from ..coherence.directory import DirState
-        from ..memory.types import LineState
+        where the paper declares an access a cache hit).
 
+        Refuses (``ValueError``) what would break single-writer /
+        multiple-reader: sharing a line another CPU owns, or owning a
+        line another CPU shares or owns."""
         line_addr = self.cache_config.line_addr(addr)
+        ent = self.directory.entry(line_addr)
+        if exclusive:
+            if ent.sharers - {cpu} or ent.owner not in (None, cpu):
+                raise ValueError(
+                    "cannot warm-own a line another CPU holds")
+        elif ent.state is DirState.EXCLUSIVE:
+            raise ValueError("cannot warm-share a line that is exclusively owned")
         base = line_addr * self.cache_config.line_size
         data = [self.directory.read_word(base + i)
                 for i in range(self.cache_config.line_size)]
         state = LineState.MODIFIED if exclusive else LineState.SHARED
         self.caches[cpu].warm_install(line_addr, state, data)
-        ent = self.directory.entry(line_addr)
         if exclusive:
             ent.state = DirState.EXCLUSIVE
             ent.owner = cpu
             ent.sharers = set()
         else:
-            if ent.state is DirState.EXCLUSIVE:
-                raise ValueError("cannot warm-share a line that is exclusively owned")
             ent.state = DirState.SHARED
             ent.sharers.add(cpu)
 

@@ -5,7 +5,9 @@ A :class:`BatchJob` captures the arguments of
 one job <=> one scalar ``run_workload`` call; :func:`run_scalar` makes
 that call and wraps what came back in a :class:`BatchResult`.  Every
 simulator leg of the product — the fuzz harness, the localizer and the
-job server's workers — runs this way.
+job server's workers — runs this way; :func:`run_rearmed` runs a
+sequence of them with one machine per group of jobs that differ only in
+model and technique flags.
 
 Nothing here imports numpy.  The numpy lockstep engine takes the same
 jobs and returns the same result type (it re-exports both); only its
@@ -14,15 +16,19 @@ own tests and the benchmark load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..consistency.models import get_model
 from ..isa.program import Program
 from ..memory.types import CacheConfig
 from ..sim.stats import StatsRegistry
 from ..sim.trace import TraceRecorder
-from .machine import run_workload
+from .machine import Multiprocessor, RunResult, run_machine, run_workload
+
+#: the fields :meth:`Multiprocessor.reset` re-arms a machine for
+_LEG_FIELDS = ("model_name", "prefetch", "speculation")
 
 
 @dataclass
@@ -54,6 +60,12 @@ class BatchJob:
 
     def cache_config(self) -> CacheConfig:
         return self.cache if self.cache is not None else CacheConfig()
+
+    def machine_shape(self) -> tuple:
+        """Every compared field but the ones a re-arm changes: jobs
+        with equal shapes can run one after another on one machine."""
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.compare and f.name not in _LEG_FIELDS)
 
 
 @dataclass
@@ -119,21 +131,66 @@ def run_scalar(job: BatchJob, trace: Optional[TraceRecorder] = None,
     engine could not take the job.
     """
     try:
-        rr = run_workload(
-            programs=job.programs,
-            model=get_model(job.model_name),
-            prefetch=job.prefetch,
-            speculation=job.speculation,
-            miss_latency=job.miss_latency,
-            initial_memory=job.initial_memory,
-            warm_lines=job.warm_lines,
-            cache=job.cache,
-            max_cycles=job.max_cycles,
-            trace=trace,
-        )
+        rr = _build_and_run(job, trace)
     except Exception as exc:
         return BatchResult(job=job, backend=backend, error=exc,
                            unsupported_reason=reason)
+    return _result(job, rr, backend, reason)
+
+
+def run_rearmed(jobs: Iterable[BatchJob]) -> Iterator[BatchResult]:
+    """Run ``jobs`` in order, each as :func:`run_scalar` would, on one
+    machine per :meth:`~BatchJob.machine_shape`: the first job of a
+    shape builds it, the others re-arm it with
+    :meth:`~repro.system.machine.Multiprocessor.reset`.
+
+    A result reads its machine, which the next job of its shape
+    re-arms: use it before drawing the next one.  A machine whose run
+    raised is dropped, and the next job of its shape builds a new one.
+    The machines live as long as the iterator.
+    """
+    machines: List[Tuple[tuple, Multiprocessor]] = []
+    for job in jobs:
+        shape = job.machine_shape()
+        found = next((i for i, (s, _m) in enumerate(machines)
+                      if s == shape), None)
+        try:
+            if found is None:
+                rr = _build_and_run(job)
+                machines.append((shape, rr.machine))
+            else:
+                machine = machines[found][1]
+                machine.reset(get_model(job.model_name), job.prefetch,
+                              job.speculation)
+                rr = run_machine(machine, job.initial_memory,
+                                 job.warm_lines, job.max_cycles)
+        except Exception as exc:
+            if found is not None:
+                del machines[found]
+            yield BatchResult(job=job, backend="scalar", error=exc)
+            continue
+        yield _result(job, rr, "scalar", None)
+
+
+def _build_and_run(job: BatchJob,
+               trace: Optional[TraceRecorder] = None) -> RunResult:
+    """Build a machine for ``job`` and run it."""
+    return run_workload(
+        programs=job.programs,
+        model=get_model(job.model_name),
+        prefetch=job.prefetch,
+        speculation=job.speculation,
+        miss_latency=job.miss_latency,
+        initial_memory=job.initial_memory,
+        warm_lines=job.warm_lines,
+        cache=job.cache,
+        max_cycles=job.max_cycles,
+        trace=trace,
+    )
+
+
+def _result(job: BatchJob, rr: RunResult, backend: str,
+            reason: Optional[str]) -> BatchResult:
     return BatchResult(
         job=job,
         backend=backend,

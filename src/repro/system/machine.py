@@ -7,6 +7,13 @@ geometry), and runs to completion.
 
 A convenience one-shot, :func:`run_workload`, covers the common
 experiment pattern: build, warm, run, return a :class:`RunResult`.
+
+A machine's life cycle is wire -> reset -> warm -> run, and then, for
+another run of the same programs, reset -> warm -> run again:
+:meth:`Multiprocessor.reset` re-arms it, under another consistency model
+and technique flags if asked, in exactly the state a new build would
+have.  :func:`run_machine` is the warm -> run tail every run goes
+through.
 """
 
 from __future__ import annotations
@@ -102,6 +109,33 @@ class Multiprocessor:
                           line_size=self.config.cache.line_size)
             for i in range(extra_agents)
         ]
+        self.sim.stats.seal()
+        self.reset(self.config.model, self.config.enable_prefetch,
+                   self.config.enable_speculation)
+
+    def reset(self, model: ConsistencyModel, prefetch: bool,
+              speculation: bool) -> None:
+        """Re-arm the machine for another run of the same programs.
+
+        Afterwards it is exactly what ``Multiprocessor(programs,
+        config)`` with these three fields of ``config`` replaced would
+        be right after construction: clock at 0, every buffer, cache and
+        the directory empty, memory zero, every wired statistic zero and
+        every other one gone (so the technique units and their counters
+        follow the flags).  The trace recorder and the profiler stay
+        attached; the profiler counts from zero again.
+        """
+        self.config = replace(self.config, model=model,
+                              enable_prefetch=prefetch,
+                              enable_speculation=speculation)
+        self.sim.reset()
+        self.sim.stats.reset()
+        self.fabric.reset()
+        pconfig = self.config.processor_config()
+        for proc in self.processors:
+            proc.reset(pconfig)
+        for agent in self.agents:
+            agent.reset()
 
     # ------------------------------------------------------------------
     def init_memory(self, values: Dict[int, int]) -> None:
@@ -170,6 +204,18 @@ def run_workload(
     machine = Multiprocessor(programs, config, trace=trace,
                              extra_agents=extra_agents, profile=profile,
                              fast_forward=fast_forward)
+    return run_machine(machine, initial_memory, warm_lines, max_cycles)
+
+
+def run_machine(
+    machine: Multiprocessor,
+    initial_memory: Optional[Dict[int, int]] = None,
+    warm_lines: Sequence[Tuple[int, int, bool]] = (),
+    max_cycles: int = 1_000_000,
+) -> RunResult:
+    """Initialize memory, warm the caches and run a machine that was
+    just built or re-armed; the result reads the machine, so it holds
+    until the machine's next :meth:`~Multiprocessor.reset`."""
     if initial_memory:
         machine.init_memory(initial_memory)
     for cpu, addr, exclusive in warm_lines:

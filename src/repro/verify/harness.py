@@ -39,7 +39,7 @@ from ..consistency.litmus import LitmusTest, Outcome
 from ..consistency.models import get_model
 from ..memory.types import CacheConfig
 from ..sim.errors import ConfigurationError
-from ..system.jobs import BatchJob, BatchResult, run_scalar
+from ..system.jobs import BatchJob, BatchResult, run_rearmed
 
 #: the four models the paper discusses, by name (names pickle smaller
 #: and more robustly than model instances)
@@ -385,10 +385,15 @@ def _observed_outcomes(test: LitmusTest,
     """Observed outcome per leg, in leg order: each of :func:`leg_jobs`
     runs on the scalar kernel, one after another, so a leg that
     deadlocks raises its :class:`~repro.sim.errors.DeadlockError`
-    before the legs after it run."""
+    before the legs after it run.
+
+    The legs of one run configuration differ only in model and
+    technique flags, so they share one machine, re-armed for each
+    (:func:`~repro.system.jobs.run_rearmed`); each leg's audit words are
+    read before the next leg re-arms its machine."""
     jobs, audit_maps = leg_jobs(test, legs)
-    return [_job_outcome(run_scalar(job), audit_map)
-            for job, audit_map in zip(jobs, audit_maps)]
+    return [_job_outcome(res, audit_map)
+            for res, audit_map in zip(run_rearmed(jobs), audit_maps)]
 
 
 def leg_jobs(test: LitmusTest, legs: Sequence[Leg],

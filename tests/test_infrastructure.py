@@ -222,13 +222,20 @@ class TestSystemAssembly:
         result = run_workload([p])
         assert result.counter("cpu0/instructions_retired") == 2  # mov + halt
 
-    def test_warm_exclusive_then_shared_conflict_rejected(self):
+    # ids: the two warms in order, X exclusive and S shared
+    @pytest.mark.parametrize("first,second", [
+        (True, False), (False, True), (True, True),
+    ], ids=["XS", "SX", "XX"])
+    def test_warm_exclusive_then_shared_conflict_rejected(self, first,
+                                                          second):
+        # every order that would leave a second copy beside an owned one
+        # breaks single-writer/multiple-reader and is refused
         from repro.isa import ProgramBuilder
         p = ProgramBuilder().build()
-        m = Multiprocessor([p, p][:2])
-        m.warm(0, 0x40, exclusive=True)
+        m = Multiprocessor([p, p])
+        m.warm(0, 0x40, exclusive=first)
         with pytest.raises(ValueError):
-            m.warm(1, 0x40, exclusive=False)
+            m.warm(1, 0x40, exclusive=second)
 
     def test_miss_latency_knob_changes_timing(self):
         from repro.isa import ProgramBuilder

@@ -176,6 +176,12 @@ class TestProtocol:
         {"test": {"name": "SB"}, "run_config": {"miss_latency": 0}},
         {"test": {"name": "SB"}, "unknown_top": 1},
         "not an object",
+        # the machine refuses a miss latency below 3 cycles
+        {"test": {"name": "SB"}, "run_config": {"miss_latency": 2}},
+        # a skew of d cycles is d dependent instructions: past
+        # max_cycles the thread cannot finish
+        {"test": {"name": "SB"},
+         "run_config": {"skew": [1000000], "max_cycles": 50}},
     ])
     def test_bad_jobs_rejected(self, bad):
         with pytest.raises(ProtocolError):
