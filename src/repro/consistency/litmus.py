@@ -257,9 +257,14 @@ class LitmusTest:
         read back from memory after a detailed-machine run.  Returns
         ``(programs, audit_map)`` where ``audit_map`` maps litmus
         register names to their slot addresses.  ``delays`` skews the
-        threads' start times with dependent-ALU chains.
+        threads' start times with dependent-ALU chains: a skew of ``d``
+        is one ``mov`` and one ``add`` object, the ``add`` at ``d``
+        addresses, so the core decodes it once and a long skew costs a
+        reference per cycle, not an instruction.
         """
-        from ..isa.program import ProgramBuilder  # local: isa must not import consistency
+        # local: isa must not import consistency
+        from ..isa.instructions import Alu
+        from ..isa.program import ProgramBuilder
 
         addrs = addr_map or self.ADDR_MAP
         programs: List[Program] = []
@@ -269,8 +274,9 @@ class LitmusTest:
             delay = delays[tid % len(delays)] if delays else 0
             if delay:
                 b.mov_imm("r20", 0)
+                step = Alu(op="add", dst="r20", src1="r20", imm=1)
                 for _ in range(delay):
-                    b.add_imm("r20", "r20", 1)
+                    b.emit(step)
             audits: List[Tuple[str, str]] = []
             for i, op in enumerate(ops):
                 if op.op == "F":

@@ -7,11 +7,15 @@ register it writes, where a branch lands, its access class under the
 consistency model, its trace tag, whether retirement must signal the
 store buffer, and which stall a memory instruction is blamed for while
 it blocks the reorder-buffer head.  :func:`decode_program` works all of
-that out once per :class:`~repro.isa.program.Program` into one
-:class:`Decoded` row per instruction; the processor indexes the table
-by ``pc`` and every reorder-buffer entry carries its row, so the
-per-cycle path switches on a small integer instead of asking the
-instruction what it is.
+that out once per static instruction — each distinct instruction
+object of a :class:`~repro.isa.program.Program`, at however many
+addresses — into a table of one :class:`Decoded` row per ``pc``; the
+processor indexes the table by ``pc`` and every reorder-buffer entry
+carries its row, so the per-cycle path switches on a small integer
+instead of asking the instruction what it is.  A start skew of ``d``
+cycles is one ``add`` object at ``d`` addresses
+(:meth:`~repro.consistency.litmus.LitmusTest.to_programs`): one decode,
+one row, ``d`` references to it.
 
 This is the one place the core's ``isinstance`` ladder over the
 instruction set is written.  The table is memoized by program identity
@@ -23,7 +27,7 @@ unchanged) and a table goes when its program does.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..consistency.access_class import (
     PLAIN_LOAD,
@@ -124,10 +128,18 @@ _tables: "weakref.WeakKeyDictionary[Program, List[Decoded]]" = (
 
 def decode_program(program: Program) -> List[Decoded]:
     """The decode table of ``program``: one row per instruction, indexed
-    by ``pc``; built on first use and shared by every core that runs
-    this program object."""
+    by ``pc``, and one :func:`_decode` per distinct instruction object;
+    built on first use and shared by every core that runs this program
+    object."""
     rows = _tables.get(program)
     if rows is None:
-        rows = _tables[program] = [_decode(program, instr)
-                                   for instr in program.instructions]
+        # by identity: instructions are mutable dataclasses, so unhashable
+        by_id: Dict[int, Decoded] = {}
+        rows = []
+        for instr in program.instructions:
+            row = by_id.get(id(instr))
+            if row is None:
+                row = by_id[id(instr)] = _decode(program, instr)
+            rows.append(row)
+        _tables[program] = rows
     return rows

@@ -275,7 +275,7 @@ class LoadStoreUnit:
         op, ready = self.addr_unit
         if cycle < ready:
             return
-        base = op.base.resolve(self.rob)
+        base = op.base.resolve()
         assert base is not None
         op.addr = base + op.offset
         if self.sc_detector is not None and not op.is_sw_prefetch:
@@ -325,7 +325,7 @@ class LoadStoreUnit:
     def _advance_rs(self, cycle: int) -> bool:
         """Move the station's head to the (free) address unit."""
         head = self.rs[0]
-        base = head.base.resolve(self.rob)
+        base = head.base.resolve()
         if base is None:
             return False  # effective address not computable yet (paper: stall)
         uncached_load = (self._has_uncached and head.is_load
@@ -354,7 +354,7 @@ class LoadStoreUnit:
                 continue
             if not op.signalled:
                 break  # FIFO: later stores cannot be signalled earlier
-            value = op.data.resolve(self.rob) if op.data is not None else 0
+            value = op.data.resolve() if op.data is not None else 0
             if value is None:
                 break
             if self._store_blocked(op):
@@ -457,7 +457,7 @@ class LoadStoreUnit:
             # wait for the RMW's result (uniprocessor data dependence);
             # RMWs do not forward
             return None
-        value = match.data.resolve(self.rob) if match.data is not None else 0
+        value = match.data.resolve() if match.data is not None else 0
         if value is None:
             return None
         op.forwarded = True
@@ -726,7 +726,7 @@ class LoadStoreUnit:
         for op in itertools.chain(in_addr_unit, self.rs):
             if op.prefetch_issued or op.is_sw_prefetch:
                 continue
-            base = op.base.resolve(self.rob)
+            base = op.base.resolve()
             if base is not None:
                 yield op, base + op.offset, op.klass.is_store
 

@@ -57,9 +57,9 @@ class Processor(Component):
 
         self.rob = ReorderBuffer(config.rob_size)
         self.predictor = BranchPredictor()
-        self.alu_unit = AluUnit(self.rob, config.alu_rs_size,
-                                config.alu_count, self._on_alu_complete)
-        self.branch_unit = BranchUnit(self.rob, config.alu_rs_size,
+        self.alu_unit = AluUnit(config.alu_rs_size, config.alu_count,
+                                self._on_alu_complete)
+        self.branch_unit = BranchUnit(config.alu_rs_size,
                                       self._on_branch_resolve)
         self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, config,
                                  trace=self.trace)
@@ -102,16 +102,27 @@ class Processor(Component):
     # Per-cycle pipeline (reverse dataflow order)
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
+        # a unit with no work is not entered: an empty load/store unit's
+        # tick would return False with nothing in ``stalled``, an empty
+        # branch unit's False
+        lsu = self.lsu
+        stalled: tuple = ()
         if self.finished:
             # the program has retired, but stores already signalled may
             # still be draining from the store buffer (RC/WC/PC)
-            moved = self.lsu.tick(cycle)
-            blame = self.accountant.account_drained(self.lsu.is_empty())
+            moved = False
+            if not lsu.is_empty():
+                moved = lsu.tick(cycle)
+                stalled = lsu.stalled
+            blame = self.accountant.account_drained(lsu.is_empty())
         else:
             retired_before = self.stat_retired.value
             moved = self._retire(cycle)
-            moved |= self.lsu.tick(cycle)
-            moved |= self.branch_unit.tick(cycle)
+            if not lsu.is_empty():
+                moved |= lsu.tick(cycle)
+                stalled = lsu.stalled
+            if self.branch_unit.ready:
+                moved |= self.branch_unit.tick(cycle)
             moved |= self.alu_unit.tick(cycle)
             moved |= self._decode(cycle)
             blame = self.accountant.account(
@@ -119,7 +130,7 @@ class Processor(Component):
                 head=self.rob.head(),
                 rob_full=self.rob.full,
             )
-        self._idle_counters = None if moved else (blame, *self.lsu.stalled)
+        self._idle_counters = None if moved else (blame, *stalled)
 
     def is_quiescent(self) -> bool:
         return self.finished and self.lsu.is_empty()
@@ -197,6 +208,8 @@ class Processor(Component):
     # Decode / rename / dispatch
     # ------------------------------------------------------------------
     def _operand(self, reg: str) -> Operand:
+        """``reg`` as a source: its value if it has one now, else bound
+        to the in-flight entry that will produce it."""
         if reg == "r0":
             return Operand(value=0)
         producer = self.rob.producer_of(reg)
@@ -204,7 +217,7 @@ class Processor(Component):
             return Operand(value=self.regfile.read(reg))
         if producer.done and producer.value is not None:
             return Operand(value=producer.value)
-        return Operand(producer=producer.seq)
+        return Operand(producer=producer)
 
     def _decode(self, cycle: int) -> bool:
         """Dispatch up to ``width`` instructions; True when one was

@@ -18,53 +18,47 @@ from ..sim.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .decode import Decoded
+    from .units import RsEntry
 
 
 class Operand:
-    """A source operand: either an immediate value or a ROB tag.
+    """A source operand: either an immediate value or its producer.
 
-    A tagged operand is Tomasulo's Qj: a *pointer* to the producing
-    reorder-buffer entry, looked up by number once and read directly
-    from then on.  It is read afresh at every :meth:`resolve` and never
-    copies a value out of a live entry — a lock RMW is marked done
-    twice (its speculative read, then the atomic's own result), and a
-    correction can un-do it in between, so only the value seen at issue
-    time counts.
+    A tagged operand is Tomasulo's Qj: a pointer to the producing
+    reorder-buffer entry, bound at dispatch.  It is read afresh at every
+    :meth:`resolve` and never copies a value out of the entry — a lock
+    RMW is marked done twice (its speculative read, then the atomic's
+    own result), and a correction can un-do it in between, so only the
+    value seen at issue time counts.  The entry outlives its slot:
+    retired, it keeps its value; squashed, it is never done again.
     """
 
-    __slots__ = ("value", "producer", "_entry")
+    __slots__ = ("value", "producer")
 
     def __init__(self, value: Optional[int] = None,
-                 producer: Optional[int] = None) -> None:
+                 producer: Optional["RobEntry"] = None) -> None:
         self.value = value
-        self.producer = producer  # seq of the producing ROB entry
-        self._entry: Optional[RobEntry] = None
+        self.producer = producer
 
-    def resolve(self, rob: "ReorderBuffer") -> Optional[int]:
+    def resolve(self) -> Optional[int]:
         """The operand's value, or ``None`` if still being produced."""
         if self.value is not None:
             return self.value
-        entry = self._entry
-        if entry is None:
-            assert self.producer is not None
-            entry = self._entry = rob.get(self.producer)
-            if entry is None:
-                # first asked after the producer left the buffer
-                return rob.value_of(self.producer)
-        # the entry outlives its slot: retired, it keeps its value;
-        # squashed, it is never done again
-        return entry.value if entry.done else None
+        producer = self.producer
+        if producer is not None and producer.done:
+            return producer.value
+        return None
 
     def describe(self) -> str:
-        if self.value is not None:
+        if self.producer is None:
             return str(self.value)
-        return f"tag#{self.producer}"
+        return f"tag#{self.producer.seq}"
 
 
 class RobEntry:
     __slots__ = ("seq", "pc", "instr", "dst", "value", "done", "signalled",
                  "predicted_taken", "predicted_next_pc", "resolved_next_pc",
-                 "row")
+                 "row", "waiters")
 
     def __init__(self, seq: int, pc: int, instr: Instruction,
                  dst: Optional[str], value: Optional[int] = None,
@@ -87,6 +81,9 @@ class RobEntry:
         self.resolved_next_pc = resolved_next_pc
         #: the decode-table row of ``instr`` (None on a hand-built entry)
         self.row = row
+        #: station entries with an operand bound to this one, woken by
+        #: :meth:`ReorderBuffer.mark_done`
+        self.waiters: List["RsEntry"] = []
 
     @property
     def is_memory(self) -> bool:
@@ -110,9 +107,6 @@ class ReorderBuffer:
         self._by_seq: Dict[int, RobEntry] = {}
         #: register -> the youngest in-flight entry that writes it
         self._rename: Dict[str, RobEntry] = {}
-        # values of recently retired producers, for operands first
-        # resolved after retirement; pruned periodically
-        self._retired_values: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -155,35 +149,31 @@ class ReorderBuffer:
         entry = self._rename.get(reg)
         return entry.seq if entry is not None else None
 
-    def value_of(self, seq: int) -> Optional[int]:
-        entry = self._by_seq.get(seq)
-        if entry is not None:
-            return entry.value if entry.done else None
-        return self._retired_values.get(seq)
-
     def mark_done(self, seq: int, value: Optional[int] = None) -> None:
+        """Entry ``seq`` has its result: wake the station entries that
+        wait on it (the common data bus).  Each waiter is woken once —
+        a second marking (a lock RMW's own result after its speculative
+        read) finds none left, and a consumer re-decoded after a
+        correction un-did the entry registered anew."""
         entry = self._by_seq.get(seq)
         if entry is None:
             return  # squashed while executing
         entry.value = value
         entry.done = True
+        waiters = entry.waiters
+        if waiters:
+            entry.waiters = []
+            for waiter in waiters:
+                waiter.producer_done()
 
     # ------------------------------------------------------------------
     # Retirement
     # ------------------------------------------------------------------
     def retire_head(self) -> RobEntry:
         entry = self._fifo.popleft()
-        seq = entry.seq
-        del self._by_seq[seq]
-        if entry.dst is not None and entry.value is not None:
-            self._retired_values[seq] = entry.value
+        del self._by_seq[entry.seq]
         if self._rename.get(entry.dst) is entry:
             del self._rename[entry.dst]
-        if len(self._retired_values) > 65536:
-            cutoff = seq - 4 * self.size
-            self._retired_values = {
-                s: v for s, v in self._retired_values.items() if s >= cutoff
-            }
         return entry
 
     # ------------------------------------------------------------------

@@ -5,107 +5,160 @@ Each functional unit (ALU, branch unit) has a reservation station
 produced, then execute for the instruction's latency and write their
 result into the reorder buffer.
 
-A station is kept oldest-first.  Decode fills it in program order, so
-keeping it so is an append, and the per-cycle scan for the oldest ready
-entry is a walk from the front.
+Nothing scans a station.  A station entry counts the operands it still
+waits for and registers on each producer's ``waiters``; the reorder
+buffer's :meth:`~repro.cpu.rob.ReorderBuffer.mark_done` counts them
+down and queues each entry that reaches zero on its unit's ``ready``
+list, oldest first — so issue is a pop from the front of that list.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Set, Tuple, cast
 
 from ..sim.kernel import WAKE_NEVER
-from .rob import Operand, ReorderBuffer, RobEntry
+from .rob import Operand, RobEntry
 
 
 class RsEntry:
-    __slots__ = ("seq", "entry", "operands")
+    __slots__ = ("seq", "entry", "operands", "pending", "ready", "dead")
 
-    def __init__(self, seq: int, entry: RobEntry,
-                 operands: List[Operand]) -> None:
-        self.seq = seq
+    def __init__(self, entry: RobEntry, operands: List[Operand],
+                 ready: List["RsEntry"]) -> None:
+        self.seq = entry.seq
         self.entry = entry
         self.operands = operands
+        #: the unit's ready list, which this entry joins when
+        #: ``pending`` reaches zero
+        self.ready = ready
+        #: squashed: never to join ``ready``
+        self.dead = False
+        pending = 0
+        for op in operands:
+            producer = op.producer
+            if producer is not None and not producer.done:
+                pending += 1
+                producer.waiters.append(self)
+        #: operands whose producer has not marked itself done
+        self.pending = pending
+
+    def producer_done(self) -> None:
+        """A producer this entry waits on is done: join the ready list
+        if it was the last one and the entry is still live."""
+        self.pending -= 1
+        if not self.pending and not self.dead:
+            _enqueue(self.ready, self)
 
 
-def _station_insert(rs: List[RsEntry], entry: RobEntry,
-                    operands: List[Operand]) -> None:
-    rs_entry = RsEntry(entry.seq, entry, operands)
-    if not rs or rs[-1].seq < entry.seq:
-        rs.append(rs_entry)
-    else:  # dispatched out of program order (only ever by hand)
-        insort(rs, rs_entry, key=lambda r: r.seq)
+def _enqueue(queue: List[RsEntry], item: RsEntry) -> None:
+    """Put ``item`` into ``queue``, which is kept oldest-first: an
+    append, unless something younger was queued before it."""
+    if queue and queue[-1].seq > item.seq:
+        insort(queue, item, key=_seq)
+    else:
+        queue.append(item)
 
 
-class AluUnit:
-    """``alu_count`` pipelined integer units sharing one reservation station."""
+def _seq(item: RsEntry) -> int:
+    return item.seq
 
-    def __init__(self, rob: ReorderBuffer, rs_size: int, alu_count: int,
-                 on_complete: Callable[[RobEntry, int], None]) -> None:
-        self.rob = rob
+
+class _Station:
+    """A reservation station: the entries not yet issued, by number,
+    and those of them whose operands are all produced, oldest first."""
+
+    def __init__(self, rs_size: int) -> None:
         self.rs_size = rs_size
-        self.alu_count = alu_count
-        self.on_complete = on_complete
-        self.reset()
 
     def reset(self) -> None:
-        """Empty station, nothing executing."""
-        self.rs: List[RsEntry] = []
-        #: in flight: (finish cycle, entry, operand values read at issue)
-        self._executing: List[Tuple[int, RobEntry, List[int]]] = []
+        """Empty."""
+        self.rs: Dict[int, RsEntry] = {}
+        #: aliased by every waiting entry, so within a run it is
+        #: mutated in place, never rebound
+        self.ready: List[RsEntry] = []
 
     @property
     def rs_full(self) -> bool:
         return len(self.rs) >= self.rs_size
 
     def dispatch(self, entry: RobEntry, operands: List[Operand]) -> None:
-        _station_insert(self.rs, entry, operands)
+        rs_entry = RsEntry(entry, operands, self.ready)
+        self.rs[rs_entry.seq] = rs_entry
+        if not rs_entry.pending:
+            _enqueue(self.ready, rs_entry)
+
+    def _issue(self, rs_entry: RsEntry) -> List[int]:
+        """Take the ready ``rs_entry`` out of the station; its operand
+        values, read now (every producer is done: none is None)."""
+        del self.rs[rs_entry.seq]
+        return cast(List[int], [op.resolve() for op in rs_entry.operands])
+
+    def squash(self, seqs: Set[int]) -> None:
+        rs = self.rs
+        for seq in seqs:
+            rs_entry = rs.pop(seq, None)
+            if rs_entry is not None:
+                rs_entry.dead = True
+        ready = self.ready
+        ready[:] = [r for r in ready if not r.dead]
+
+
+class AluUnit(_Station):
+    """``alu_count`` pipelined integer units sharing one reservation station."""
+
+    def __init__(self, rs_size: int, alu_count: int,
+                 on_complete: Callable[[RobEntry, int], None]) -> None:
+        super().__init__(rs_size)
+        self.alu_count = alu_count
+        self.on_complete = on_complete
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty station, nothing executing."""
+        super().reset()
+        #: in flight: (finish cycle, entry, operand values read at issue)
+        self._executing: List[Tuple[int, RobEntry, List[int]]] = []
 
     def tick(self, cycle: int) -> bool:
         """Complete and issue; True when either happened."""
+        moved = bool(self._executing) and self._complete(cycle)
+        return self._issue_ready(cycle) or moved
+
+    def _complete(self, cycle: int) -> bool:
         moved = False
-        if self._executing:
-            still_running = []
-            for ex in self._executing:
-                if cycle >= ex[0]:
-                    self._finish(ex[1], ex[2])
-                    moved = True
-                else:
-                    still_running.append(ex)
-            self._executing = still_running
-        # issue (oldest-first) up to the number of free units
-        free = self.alu_count - len(self._executing)
-        if free <= 0 or not self.rs:
-            return moved
-        rob = self.rob
-        issued: List[RsEntry] = []
-        for rs_entry in self.rs:
-            values: List[int] = []
-            for op in rs_entry.operands:
-                value = op.resolve(rob)
-                if value is None:
-                    break
-                values.append(value)
+        still_running = []
+        for ex in self._executing:
+            if cycle >= ex[0]:
+                self._finish(ex[1], ex[2])
+                moved = True
             else:
-                entry = rs_entry.entry
-                self._executing.append(
-                    (cycle + entry.instr.latency, entry, values))
-                issued.append(rs_entry)
-                free -= 1
-                if not free:
-                    break
-        for rs_entry in issued:
-            self.rs.remove(rs_entry)
-        return moved or bool(issued)
+                still_running.append(ex)
+        self._executing = still_running
+        return moved
 
     def _finish(self, entry: RobEntry, values: List[int]) -> None:
         instr = entry.instr
         b = values[1] if len(values) > 1 else (instr.imm or 0)
         self.on_complete(entry, instr.compute(values[0], b))
 
-    def squash(self, seqs: set) -> None:
-        self.rs = [r for r in self.rs if r.seq not in seqs]
+    def _issue_ready(self, cycle: int) -> bool:
+        """Issue the oldest ready entries, up to the number of free
+        units; True when one issued."""
+        ready = self.ready
+        free = self.alu_count - len(self._executing)
+        if free <= 0 or not ready:
+            return False
+        issued = ready[:free]
+        del ready[:free]
+        for rs_entry in issued:
+            entry = rs_entry.entry
+            self._executing.append(
+                (cycle + entry.instr.latency, entry, self._issue(rs_entry)))
+        return True
+
+    def squash(self, seqs: Set[int]) -> None:
+        super().squash(seqs)
         self._executing = [ex for ex in self._executing
                            if ex[1].seq not in seqs]
 
@@ -120,42 +173,24 @@ class AluUnit:
         return WAKE_NEVER
 
 
-class BranchUnit:
+class BranchUnit(_Station):
     """Resolves conditional branches one per cycle."""
 
-    def __init__(self, rob: ReorderBuffer, rs_size: int,
+    def __init__(self, rs_size: int,
                  on_resolve: Callable[[RobEntry, bool], None]) -> None:
-        self.rob = rob
-        self.rs_size = rs_size
+        super().__init__(rs_size)
         self.on_resolve = on_resolve
         self.reset()
 
-    def reset(self) -> None:
-        """Empty station."""
-        self.rs: List[RsEntry] = []
-
-    @property
-    def rs_full(self) -> bool:
-        return len(self.rs) >= self.rs_size
-
-    def dispatch(self, entry: RobEntry, operands: List[Operand]) -> None:
-        _station_insert(self.rs, entry, operands)
-
     def tick(self, cycle: int) -> bool:
         """Resolve the oldest ready branch; True when one resolved."""
-        rob = self.rob
-        for idx, rs_entry in enumerate(self.rs):
-            value = rs_entry.operands[0].resolve(rob)
-            if value is None:
-                continue
-            del self.rs[idx]
-            entry = rs_entry.entry
-            self.on_resolve(entry, entry.instr.outcome(value))
-            return True  # one resolution per cycle
-        return False
-
-    def squash(self, seqs: set) -> None:
-        self.rs = [r for r in self.rs if r.seq not in seqs]
+        if not self.ready:
+            return False
+        rs_entry = self.ready.pop(0)
+        (value,) = self._issue(rs_entry)
+        entry = rs_entry.entry
+        self.on_resolve(entry, entry.instr.outcome(value))
+        return True  # one resolution per cycle
 
     def is_empty(self) -> bool:
         return not self.rs

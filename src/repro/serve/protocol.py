@@ -96,6 +96,9 @@ def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
         raise ProtocolError("run_config.line_size must be >= 1")
     if config["max_cycles"] < 1:
         raise ProtocolError("run_config.max_cycles must be >= 1")
+    if config["max_cycles"] > MAX_JOB_CYCLES:
+        raise ProtocolError(
+            f"run_config.max_cycles must be <= {MAX_JOB_CYCLES}")
     if max(skew) > config["max_cycles"]:
         # a skew of d cycles compiles to d dependent instructions, so
         # that thread cannot finish within max_cycles
@@ -234,6 +237,12 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: what a longer frame is answered with, whoever measures it
 FRAME_TOO_LONG = f"frame exceeds {MAX_FRAME_BYTES} bytes"
 
+#: refuse jobs with a larger cycle budget: a skew may be as large as the
+#: budget and compiles to one program address per cycle, so without a
+#: bound a ~100-byte job could make the executor build a program of any
+#: length
+MAX_JOB_CYCLES = 4_000_000
+
 
 _encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
@@ -265,6 +274,7 @@ __all__ = [
     "FRAME_TOO_LONG",
     "JOB_SCHEMA",
     "MAX_FRAME_BYTES",
+    "MAX_JOB_CYCLES",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "decode_message",

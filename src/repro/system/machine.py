@@ -109,9 +109,9 @@ class Multiprocessor:
                           line_size=self.config.cache.line_size)
             for i in range(extra_agents)
         ]
+        # every component reset itself when it was built: sealing the
+        # statistics is all that is left of a fresh machine's state
         self.sim.stats.seal()
-        self.reset(self.config.model, self.config.enable_prefetch,
-                   self.config.enable_speculation)
 
     def reset(self, model: ConsistencyModel, prefetch: bool,
               speculation: bool) -> None:

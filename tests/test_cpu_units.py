@@ -27,13 +27,6 @@ class TestReorderBuffer:
         rob.allocate(alu_entry(1, dst="r1"))
         assert rob.rename_of("r1") == 1
 
-    def test_value_of_requires_done(self):
-        rob = ReorderBuffer(4)
-        rob.allocate(alu_entry(0))
-        assert rob.value_of(0) is None
-        rob.mark_done(0, 42)
-        assert rob.value_of(0) == 42
-
     def test_retire_in_order_and_clear_rename(self):
         rob = ReorderBuffer(4)
         rob.allocate(alu_entry(0, dst="r1"))
@@ -41,16 +34,6 @@ class TestReorderBuffer:
         retired = rob.retire_head()
         assert retired.seq == 0
         assert rob.rename_of("r1") is None
-
-    def test_retired_value_still_resolvable(self):
-        """An operand captured before the producer retired must still
-        resolve afterwards."""
-        rob = ReorderBuffer(4)
-        rob.allocate(alu_entry(0, dst="r1"))
-        rob.mark_done(0, 5)
-        op = Operand(producer=0)
-        rob.retire_head()
-        assert op.resolve(rob) == 5
 
     def test_overflow_raises(self):
         rob = ReorderBuffer(1)
@@ -76,10 +59,11 @@ class TestReorderBuffer:
 
     def test_mark_done_on_squashed_entry_is_ignored(self):
         rob = ReorderBuffer(4)
-        rob.allocate(alu_entry(0))
+        entry = alu_entry(0)
+        rob.allocate(entry)
         rob.squash_from(0)
         rob.mark_done(0, 1)  # must not raise
-        assert rob.value_of(0) is None
+        assert not entry.done and entry.value is None
 
     def test_head_and_empty(self):
         rob = ReorderBuffer(4)
@@ -90,11 +74,11 @@ class TestReorderBuffer:
 
 class TestOperand:
     def test_immediate_operand(self):
-        assert Operand(value=7).resolve(ReorderBuffer(2)) == 7
+        assert Operand(value=7).resolve() == 7
 
     def test_describe(self):
         assert Operand(value=7).describe() == "7"
-        assert "tag#3" in Operand(producer=3).describe()
+        assert "tag#3" in Operand(producer=alu_entry(3)).describe()
 
     def test_reads_its_producer_live(self):
         """A lock RMW is marked done twice (speculative read, then the
@@ -103,41 +87,38 @@ class TestOperand:
         rob = ReorderBuffer(4)
         producer = alu_entry(0)
         rob.allocate(producer)
-        op = Operand(producer=0)
-        assert op.resolve(rob) is None
+        op = Operand(producer=producer)
+        assert op.resolve() is None
         rob.mark_done(0, 10)
-        assert op.resolve(rob) == 10
+        assert op.resolve() == 10
         rob.mark_done(0, 11)
-        assert op.resolve(rob) == 11
+        assert op.resolve() == 11
         producer.done = False   # what SQUASH_AFTER does to the entry
         producer.value = None
-        assert op.resolve(rob) is None
+        assert op.resolve() is None
 
     def test_squashed_producer_never_resolves(self):
         rob = ReorderBuffer(4)
         rob.allocate(alu_entry(0))
-        rob.allocate(alu_entry(1))
-        seen = Operand(producer=1)
-        unseen = Operand(producer=1)
+        producer = alu_entry(1)
+        rob.allocate(producer)
+        op = Operand(producer=producer)
         rob.mark_done(1, 5)
-        assert seen.resolve(rob) == 5
+        assert op.resolve() == 5
         rob.squash_from(1)
         rob.mark_done(1, 7)     # a completion that was already in flight
-        assert seen.resolve(rob) is None
-        assert unseen.resolve(rob) is None
+        assert op.resolve() is None
 
     def test_retired_producer_keeps_its_value(self):
         rob = ReorderBuffer(4)
-        rob.allocate(alu_entry(0, dst="r1"))
+        producer = alu_entry(0, dst="r1")
+        rob.allocate(producer)
         rob.allocate(alu_entry(1, dst="r1"))
+        op = Operand(producer=producer)
         rob.mark_done(0, 5)
-        seen = Operand(producer=0)
-        unseen = Operand(producer=0)
-        assert seen.resolve(rob) == 5
         rob.retire_head()
         rob.mark_done(1, 6)     # the register's next writer
-        assert seen.resolve(rob) == 5
-        assert unseen.resolve(rob) == 5
+        assert op.resolve() == 5
 
 
 class TestBranchPredictor:
@@ -183,7 +164,7 @@ class TestAluUnit:
     def make(self, alu_count=1):
         rob = ReorderBuffer(16)
         done = []
-        unit = AluUnit(rob, rs_size=8, alu_count=alu_count,
+        unit = AluUnit(rs_size=8, alu_count=alu_count,
                        on_complete=lambda e, v: done.append((e.seq, v)))
         return rob, unit, done
 
@@ -202,7 +183,7 @@ class TestAluUnit:
         rob.allocate(producer)
         consumer = alu_entry(1, imm=1)
         rob.allocate(consumer)
-        unit.dispatch(consumer, [Operand(producer=0)])
+        unit.dispatch(consumer, [Operand(producer=producer)])
         unit.tick(1)
         assert done == []            # operand unavailable
         rob.mark_done(0, 10)
@@ -212,13 +193,14 @@ class TestAluUnit:
 
     def test_operands_are_read_at_issue(self):
         rob, unit, done = self.make()
-        rob.allocate(alu_entry(0))
+        producer = alu_entry(0)
+        rob.allocate(producer)
         consumer = alu_entry(1, imm=1)
         rob.allocate(consumer)
-        operand = Operand(producer=0)
+        operand = Operand(producer=producer)
         unit.dispatch(consumer, [operand])
         rob.mark_done(0, 10)
-        assert operand.resolve(rob) == 10   # looked at, not latched
+        assert operand.resolve() == 10   # looked at, not latched
         rob.mark_done(0, 11)
         unit.tick(1)
         unit.tick(2)
@@ -275,7 +257,7 @@ class TestBranchUnit:
     def test_resolves_one_per_cycle_oldest_first(self):
         rob = ReorderBuffer(8)
         resolved = []
-        unit = BranchUnit(rob, rs_size=8,
+        unit = BranchUnit(rs_size=8,
                           on_resolve=lambda e, taken: resolved.append((e.seq, taken)))
         for seq, val in ((0, 1), (1, 0)):
             instr = Branch(cond="r1", target="t", when_nonzero=True)

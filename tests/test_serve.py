@@ -182,6 +182,10 @@ class TestProtocol:
         # max_cycles the thread cannot finish
         {"test": {"name": "SB"},
          "run_config": {"skew": [1000000], "max_cycles": 50}},
+        # and so a cycle budget is a program length: one past
+        # MAX_JOB_CYCLES is refused
+        {"test": {"name": "SB"},
+         "run_config": {"max_cycles": 4_000_001}},
     ])
     def test_bad_jobs_rejected(self, bad):
         with pytest.raises(ProtocolError):
