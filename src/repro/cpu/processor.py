@@ -13,8 +13,10 @@ for speculative load accesses").
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Optional
 
+from ..isa.instructions import Alu
 from ..isa.program import Program
 from ..isa.registers import RegisterFile
 from ..memory.cache import LockupFreeCache
@@ -24,7 +26,7 @@ from ..sim.stats import Counter
 from ..sim.trace import TraceRecorder
 from .branch import BranchPredictor
 from .config import ProcessorConfig
-from .decode import ALU, BRANCH, HALT, JUMP, TO_LSU, Decoded, decode_program
+from .decode import ALU, BRANCH, HALT, JUMP, TO_LSU, Decoded, decode_table
 from .lsu import LoadStoreUnit
 from .rob import Operand, ReorderBuffer, RobEntry
 from .units import AluUnit, BranchUnit
@@ -50,7 +52,12 @@ class Processor(Component):
         self.cpu_id = cpu_id
         self.sim = sim
         self.program = program
-        self._rows = decode_program(program)
+        table = decode_table(program)
+        self._rows = table.rows
+        self._run_firsts = table.run_firsts
+        self._run_lasts = table.run_lasts
+        #: no chain sleep from this pc on (0: the program has no run)
+        self._runs_end = table.run_lasts[-1] if table.run_lasts else 0
         config = config or ProcessorConfig()
         self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}"
@@ -139,24 +146,97 @@ class Processor(Component):
     # Sleep protocol (the kernel ticks only the cores that are due)
     # ------------------------------------------------------------------
     def next_wake(self, cycle: int) -> int:
-        """Earliest future cycle this core's tick would change state.
+        """Earliest future cycle this core's tick would change state
+        other than as :meth:`skip_cycles` does it.
 
-        Observed, not predicted: every stage of :meth:`tick` reports
-        whether it moved anything, and a tick in which none did found
-        the core stalled on state only a delivery to this core can
-        change — each of which wakes it, see
-        :meth:`LoadStoreUnit._waking` — so the next one would repeat
-        it, bumping the same counters (:meth:`skip_cycles` replays
-        them), until the one clock-driven change left, an in-flight ALU
-        completion.  After a tick that moved, keep ticking.
+        Two kinds of sleep.  After a tick in which no stage moved
+        anything, observed, not predicted: the core is stalled on state
+        only a delivery to this core can change — each of which wakes
+        it, see :meth:`LoadStoreUnit._waking` — so the next tick would
+        repeat it, bumping the same counters (:meth:`skip_cycles`
+        replays them), until the one clock-driven change left, an
+        in-flight ALU completion.
+
+        After a tick that moved, keep ticking — unless the core is in a
+        run of one self-dependent ``add`` (a start skew), in the shape
+        :meth:`_chain_span` checks.  There each tick is predicted: it
+        slides the whole window one instruction down the run, which
+        :meth:`_shift` does for any number of ticks at once, so the
+        core sleeps until dispatch would reach the run's last row.
         """
-        if self._idle_counters is None:
-            return cycle + 1
-        return self.alu_unit.next_completion()
+        if self._idle_counters is not None:
+            return self.alu_unit.next_completion()
+        if self.pc < self._runs_end:
+            return cycle + 1 + self._chain_span(cycle)
+        return cycle + 1
 
     def skip_cycles(self, skipped: int) -> None:
-        for counter in self._idle_counters:
+        idle = self._idle_counters
+        if idle is None:
+            # a tick that moved is followed by a sleep only in a run
+            self._shift(skipped)
+            return
+        for counter in idle:
             counter.inc(skipped)
+
+    # ------------------------------------------------------------------
+    # Chain sleep: a run of one self-dependent add
+    # ------------------------------------------------------------------
+    def _chain_span(self, cycle: int) -> int:
+        """Cycles from ``cycle`` on in which each tick would only slide
+        the window one instruction down a run of one self-dependent
+        ``add``; 0 unless the core is in the shape that guarantees it.
+
+        The shape: the next row to dispatch and the one before it lie
+        in one run (:attr:`DecodeTable.run_firsts`); the reorder buffer
+        holds only that row, in order, one entry done at its head, one
+        finishing next cycle and a full station of the rest, none
+        ready, with room left; nothing else is in flight (load/store
+        and branch units empty), nothing is traced.  Each tick then
+        retires the head, completes the next, issues the one after,
+        and dispatches one row — the second dispatch finds the station
+        full, so the span stops where that second row would leave the
+        run.
+        """
+        pc = self.pc
+        run = bisect_right(self._run_firsts, pc - 1) - 1
+        if run < 0:
+            return 0
+        span = self._run_lasts[run] - pc
+        if (span <= 0 or self.finished or self.fetch_halted
+                or self.trace.enabled
+                or not self.alu_unit.is_chained(cycle)):
+            return 0
+        rob = self.rob
+        if (len(rob) != self.alu_unit.rs_size + 2 or rob.full
+                or self.branch_unit.rs or not self.lsu.is_empty()
+                or not rob.holds_run(self._rows[pc], self._next_seq, pc)):
+            return 0
+        return span
+
+    def _shift(self, n: int) -> None:
+        """Apply ``n`` ticks of the shape :meth:`_chain_span` found.
+
+        Each tick is the same function of the state, and the state it
+        leaves differs from the one it found only by one instruction:
+        every number, address and counter one on, every value in the
+        run one ``imm`` on.  So ``n`` of them are that difference ``n``
+        times over, applied to each component's own state.
+        """
+        head = self.rob.head()
+        assert head is not None and head.value is not None
+        instr = head.instr
+        assert isinstance(instr, Alu) and instr.imm is not None
+        imm = instr.imm
+        # the last of the n retirements writes the head's value n-1 on
+        self.regfile.write(instr.dst, head.value + (n - 1) * imm)
+        self.rob.shift(n, n * imm)
+        self.alu_unit.shift(n, n * imm)
+        self.pc += n
+        self._next_seq += n
+        self.stat_retired.inc(n)
+        self.stat_decoded.inc(n)
+        self.accountant.account_retiring(n)
 
     # ------------------------------------------------------------------
     # Retirement

@@ -157,6 +157,20 @@ class AluUnit(_Station):
                 (cycle + entry.instr.latency, entry, self._issue(rs_entry)))
         return True
 
+    def shift(self, n: int, step: int) -> None:
+        """Slide the unit ``n`` instructions down a run of one
+        self-dependent add, as :meth:`ReorderBuffer.shift` slides the
+        window: the waiting entries are renumbered, and the one in
+        flight finishes ``n`` cycles later on an operand ``step``
+        larger."""
+        rs = {}
+        for rs_entry in self.rs.values():
+            rs_entry.seq += n
+            rs[rs_entry.seq] = rs_entry
+        self.rs = rs
+        self._executing = [(finish + n, entry, [values[0] + step])
+                           for finish, entry, values in self._executing]
+
     def squash(self, seqs: Set[int]) -> None:
         super().squash(seqs)
         self._executing = [ex for ex in self._executing
@@ -164,6 +178,14 @@ class AluUnit(_Station):
 
     def is_empty(self) -> bool:
         return not self.rs and not self._executing
+
+    def is_chained(self, cycle: int) -> bool:
+        """The station is full, none of it ready, and exactly one entry
+        is in flight, finishing at ``cycle + 1``: a run of dependent
+        one-cycle work that issues one entry a cycle."""
+        executing = self._executing
+        return (len(executing) == 1 and executing[0][0] == cycle + 1
+                and not self.ready and len(self.rs) >= self.rs_size)
 
     def next_completion(self) -> int:
         """Cycle of the earliest in-flight completion: the one change

@@ -105,6 +105,12 @@ class CycleAccountant:
         counter.inc()
         return counter
 
+    def account_retiring(self, cycles: int) -> None:
+        """Attribute ``cycles`` cycles in each of which an instruction
+        retired: all busy, and no squash is still refilling."""
+        self._refilling = False
+        self._counters[StallCause.BUSY._value_].inc(cycles)
+
     def account_drained(self, lsu_empty: bool) -> Counter:
         """Attribute a cycle after the program retired its Halt: the
         store buffer may still be draining (write stall), after which

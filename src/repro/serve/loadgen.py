@@ -43,11 +43,12 @@ MIX_TESTS = ("SB", "MP", "LB", "coherence", "SB+sync", "MP+sync",
 MIX_MODELS = ("SC", "PC", "WC", "RC")
 MIX_TECHNIQUES = ((False, False), (True, False), (False, True), (True, True))
 
-#: sweep-style run config for every mix job: the skew window makes each
-#: simulation run for a few thousand cycles (like the race-hunting
-#: sweeps that dominate real traffic) instead of the few hundred a
-#: zero-skew litmus test needs — which is also what gives the cold/warm
-#: cache comparison its contrast
+#: sweep-style run config for every mix job: the second thread starts
+#: 200 cycles late, like the race-hunting sweeps that dominate real
+#: traffic.  The skew lengthens the simulated run, not the host's work:
+#: a core sleeps through the run of adds it compiles to (the chain
+#: sleep of ``Processor.next_wake``), so a miss costs building the
+#: programs and the machine plus the test's own few hundred cycles
 MIX_RUN_CONFIG = {"skew": (0, 200)}
 
 

@@ -70,39 +70,68 @@ _RUN_CONFIG_KEYS = frozenset({"miss_latency", "skew", "warm_shared",
 _RUN_CONFIG_DEFAULTS = RunConfig(name="serve")
 
 
+def _flag(raw: Mapping[str, object], key: str, default: bool,
+          where: str = "") -> bool:
+    """``raw[key]`` (or ``default``), which must be a JSON boolean: a
+    string or a number is a typo, not a flag."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{where}{key} must be true or false, "
+                            f"got {value!r}")
+    return value
+
+
+def _integer(value: object, name: str) -> int:
+    """``value``, which must be a JSON integer (not a boolean, a float
+    or a numeric string) and is then called ``name`` in the error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
     defaults = _RUN_CONFIG_DEFAULTS
     unknown = set(raw) - _RUN_CONFIG_KEYS
     if unknown:
         raise ProtocolError(f"unknown run_config key(s): {sorted(unknown)}")
-    try:
-        skew = tuple(int(s) for s in raw.get("skew", defaults.skew))  # type: ignore[union-attr]
-    except (TypeError, ValueError):
-        raise ProtocolError(f"run_config.skew must be a list of ints, "
-                            f"got {raw.get('skew')!r}") from None
+    skew_raw = raw.get("skew", defaults.skew)
+    if not isinstance(skew_raw, (list, tuple)):
+        raise ProtocolError(f"run_config.skew must be a list of integers, "
+                            f"got {skew_raw!r}")
+    skew = [_integer(s, f"run_config.skew[{i}]")
+            for i, s in enumerate(skew_raw)]
     if not skew or any(s < 0 for s in skew):
         raise ProtocolError("run_config.skew must be non-empty, all >= 0")
-    config = {
-        "miss_latency": int(raw.get("miss_latency", defaults.miss_latency)),  # type: ignore[call-overload]
-        "skew": list(skew),
-        "warm_shared": bool(raw.get("warm_shared", defaults.warm_shared)),
-        "line_size": int(raw.get("line_size", defaults.line_size)),  # type: ignore[call-overload]
-        "max_cycles": int(raw.get("max_cycles", defaults.max_cycles)),  # type: ignore[call-overload]
-    }
-    if config["miss_latency"] < MIN_MISS_LATENCY:
+
+    def integer(key: str) -> int:
+        return _integer(raw.get(key, getattr(defaults, key)),
+                        f"run_config.{key}")
+
+    miss_latency = integer("miss_latency")
+    line_size = integer("line_size")
+    max_cycles = integer("max_cycles")
+    if miss_latency < MIN_MISS_LATENCY:
         raise ProtocolError(
             f"run_config.miss_latency must be >= {MIN_MISS_LATENCY}")
-    if config["line_size"] < 1:
+    if line_size < 1:
         raise ProtocolError("run_config.line_size must be >= 1")
-    if config["max_cycles"] < 1:
+    if max_cycles < 1:
         raise ProtocolError("run_config.max_cycles must be >= 1")
-    if config["max_cycles"] > MAX_JOB_CYCLES:
+    if max_cycles > MAX_JOB_CYCLES:
         raise ProtocolError(
             f"run_config.max_cycles must be <= {MAX_JOB_CYCLES}")
-    if max(skew) > config["max_cycles"]:
+    if max(skew) > max_cycles:
         # a skew of d cycles compiles to d dependent instructions, so
         # that thread cannot finish within max_cycles
         raise ProtocolError("run_config.skew entries must be <= max_cycles")
+    config: Dict[str, object] = {
+        "miss_latency": miss_latency,
+        "skew": skew,
+        "warm_shared": _flag(raw, "warm_shared", defaults.warm_shared,
+                             "run_config."),
+        "line_size": line_size,
+        "max_cycles": max_cycles,
+    }
     # "name" is a display label, not result-determining: excluded from
     # the canonical form so it can never split the cache
     return config
@@ -121,11 +150,7 @@ def _canonical_test(raw: Mapping[str, object]) -> Dict[str, object]:
                                 f"{sorted(STANDARD_TESTS)}")
         return {"name": name}
     if "seed" in keys:
-        try:
-            seed = int(raw["seed"])  # type: ignore[call-overload]
-        except (TypeError, ValueError):
-            raise ProtocolError(f"test.seed must be an int, "
-                                f"got {raw['seed']!r}") from None
+        seed = _integer(raw["seed"], "test.seed")
         try:
             gen = GeneratorConfig.from_dict(
                 dict(raw.get("generator", {})))  # type: ignore[arg-type]
@@ -171,8 +196,8 @@ def normalize_job(job: Mapping[str, object]) -> Dict[str, object]:
         "schema": JOB_SCHEMA,
         "test": _canonical_test(test_raw),
         "model": model,
-        "prefetch": bool(job.get("prefetch", False)),
-        "speculation": bool(job.get("speculation", False)),
+        "prefetch": _flag(job, "prefetch", False),
+        "speculation": _flag(job, "speculation", False),
         "run_config": _canonical_run_config(run_config_raw),
     }
 

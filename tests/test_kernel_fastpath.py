@@ -170,7 +170,15 @@ def _check_sleep_promises(programs, initial_memory, warm_lines,
 
 class TestSleepPromise:
     """The ``next_wake``/``skip_cycles`` contract itself, tick by tick —
-    whole-run equality above only implies it."""
+    whole-run equality above only implies it.
+
+    This holds the idle sleep to account: it probes each promise with
+    ``skip_cycles(1)`` and takes the replayed counters back, which
+    cannot undo a chain sleep's shift of the window.  None of these
+    inputs has a run of one self-dependent ``add`` (a start skew), so no
+    core here promises a chain sleep; ``tests/test_chain_sleep.py``
+    holds that one to the naive path.
+    """
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     @pytest.mark.parametrize("tech,pf,spec", TECHNIQUES,

@@ -44,6 +44,7 @@ from repro.serve import (
 )
 from repro.serve.client import parse_endpoint
 from repro.serve.executors import execute_job
+from repro.serve.loadgen import percentile
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -126,6 +127,27 @@ def _worker_pids():
 # Protocol
 # ----------------------------------------------------------------------
 
+#: a job whose one field has the wrong JSON type, and that field: the
+#: server refuses it rather than coerce it into a job nobody asked for
+MISTYPED_JOBS = [
+    ({"test": {"name": "SB"}, "prefetch": "false"}, "prefetch"),
+    ({"test": {"name": "SB"}, "speculation": 1}, "speculation"),
+    ({"test": {"name": "SB"}, "run_config": {"warm_shared": "no"}},
+     "run_config.warm_shared"),
+    ({"test": {"name": "SB"}, "run_config": {"skew": [0, 2.9]}},
+     "run_config.skew[1]"),
+    ({"test": {"name": "SB"}, "run_config": {"skew": "12"}},
+     "run_config.skew"),
+    ({"test": {"name": "SB"}, "run_config": {"line_size": True}},
+     "run_config.line_size"),
+    ({"test": {"name": "SB"}, "run_config": {"miss_latency": "40"}},
+     "run_config.miss_latency"),
+    ({"test": {"name": "SB"}, "run_config": {"max_cycles": 5e4}},
+     "run_config.max_cycles"),
+    ({"test": {"seed": "7"}}, "test.seed"),
+]
+
+
 class TestProtocol:
     def test_normalize_fills_defaults(self):
         spec = normalize_job({"test": {"name": "SB"}})
@@ -186,9 +208,14 @@ class TestProtocol:
         # MAX_JOB_CYCLES is refused
         {"test": {"name": "SB"},
          "run_config": {"max_cycles": 4_000_001}},
-    ])
+    ] + [job for job, _field in MISTYPED_JOBS])
     def test_bad_jobs_rejected(self, bad):
         with pytest.raises(ProtocolError):
+            normalize_job(bad)
+
+    @pytest.mark.parametrize("bad,field", MISTYPED_JOBS)
+    def test_a_mistyped_field_is_named(self, bad, field):
+        with pytest.raises(ProtocolError, match=re.escape(field)):
             normalize_job(bad)
 
     def test_ndjson_framing_round_trips(self):
@@ -654,8 +681,6 @@ class TestLoadgen:
         assert len(set(shas)) == 40
 
     def test_percentile(self):
-        from repro.serve.loadgen import percentile
-
         assert percentile([5.0], 50) == 5.0
         assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
         assert percentile([1.0, 2.0, 3.0, 4.0], 100) == 4.0
@@ -683,19 +708,25 @@ class TestLoadgen:
         # from the content-addressed store must be an order of
         # magnitude faster than simulating — simulating what the mix
         # stands for, sweep legs of a few thousand cycles (the comment
-        # on MIX_RUN_CONFIG); its own jobs run ~300, too close to the
-        # fixed cost of a request for two 12-sample p50s to tell apart
+        # on MIX_RUN_CONFIG).  Both p50s are the server's own time per
+        # job, ``wall_seconds`` on each result frame: a simulation takes
+        # a few milliseconds, and the loopback and client cost of a
+        # request, the same for both passes, would blur the comparison
         srv, host, port = server
         jobs = [make_job(test=job["test"], model=job["model"],
                          prefetch=job["prefetch"],
                          speculation=job["speculation"],
                          run_config={**job["run_config"], "skew": [0, 1500]})
                 for job in build_job_mix(12, seed=8)]
-        cold = run_closed_loop(host, port, jobs, clients=1)
-        warm = run_closed_loop(host, port, jobs, clients=1)
-        assert warm.cache_hits == len(jobs)
-        cold_p50 = cold.latency_percentiles()["p50"]
-        warm_p50 = warm.latency_percentiles()["p50"]
+
+        def server_p50(cached):
+            with ServeClient(host, port) as client:
+                results = [client.submit(job) for job in jobs]
+            assert all(r.ok and r.cached is cached for r in results)
+            return percentile([r.wall_seconds for r in results], 50)
+
+        cold_p50 = server_p50(cached=False)
+        warm_p50 = server_p50(cached=True)
         assert warm_p50 * 10 <= cold_p50, (
             f"warm p50 {warm_p50:.6f}s not 10x below cold p50 "
             f"{cold_p50:.6f}s")

@@ -19,14 +19,15 @@ import pytest
 
 from repro.consistency.models import get_model
 from repro.cpu import decode, rob, units
-from repro.cpu.decode import RMW, decode_program
+from repro.cpu.decode import RMW
 from repro.cpu.processor import Processor
 from repro.cpu.units import AluUnit, BranchUnit
 from repro.serve.executors import execute_job
 from repro.serve.protocol import (normalize_job, resolve_test,
                                   run_config_from_spec)
+from repro.system import jobs
 from repro.system.jobs import run_scalar
-from repro.system.machine import run_workload
+from repro.system.machine import MachineConfig, Multiprocessor, run_workload
 from repro.verify.generator import GeneratorConfig, generate_litmus
 from repro.verify.harness import (DEFAULT_RUN_CONFIGS, MODEL_NAMES,
                                   TECHNIQUE_COMBOS, leg_jobs)
@@ -210,21 +211,45 @@ class TestCountGuards:
                 programs.append(program)
             return real_decode(program, instr)
 
-        real_retire = rob.ReorderBuffer.retire_head
+        # retirements are read from the job's counters: inside a start
+        # skew the core slides its window down the run (chain sleep)
+        # instead of retiring entry by entry
+        results = []
 
-        def retire_head(self):
-            calls["retired"] += 1
-            return real_retire(self)
+        def capture(job):
+            results.append(run_scalar(job))
+            return results[-1]
 
         monkeypatch.setattr(rob.Operand, "resolve", resolve)
         monkeypatch.setattr(decode, "_decode", _decode)
-        monkeypatch.setattr(rob.ReorderBuffer, "retire_head", retire_head)
+        monkeypatch.setattr(jobs, "run_scalar", capture)
         execute_job(_job([0, 400]))
+        (result,) = results
+        retired = sum(value for name, value in result.stats.snapshot().items()
+                      if name.endswith("/instructions_retired"))
         distinct = len({id(instr) for program in programs
                         for instr in program.instructions})
-        assert calls["retired"] > 400
-        assert calls["resolve"] <= 2 * calls["retired"]
+        assert retired > 400
+        assert calls["resolve"] <= 2 * retired
         assert 0 < calls["decode"] <= distinct
+
+    def test_a_long_skew_costs_no_ticks(self, monkeypatch):
+        # a start skew of d cycles is d dependent adds, and the core
+        # sleeps through the run of them (chain sleep): the long skew
+        # ticks the cores as often as the short one
+        ticks = []
+        real_tick = Processor.tick
+
+        def tick(self, cycle):
+            ticks[-1] += 1
+            return real_tick(self, cycle)
+
+        monkeypatch.setattr(Processor, "tick", tick)
+        for skew in (400, 100_000):
+            ticks.append(0)
+            execute_job(_job([0, skew]))
+        short, long = ticks
+        assert long == short <= 100
 
     def test_a_long_skew_builds_small(self):
         spec = _job([0, 400_000])
@@ -234,10 +259,10 @@ class TestCountGuards:
                 resolve_test(spec["test"]),
                 [("SC", False, False,
                   run_config_from_spec(spec["run_config"]))])
-            for program in job.programs:
-                decode_program(program)
+            machine = Multiprocessor(job.programs,
+                                     MachineConfig(model=get_model("SC")))
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(job.programs[1]) > 400_000
+        assert len(machine.processors[1].program) > 400_000
         assert peak < 16 * 2 ** 20
