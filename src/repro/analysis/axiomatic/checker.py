@@ -27,13 +27,17 @@ IRIW) checks in milliseconds:
   excluded choice closes a 2-cycle with a same-address po edge);
 * an RMW's rf source is forced — its immediate coherence predecessor
   (the atomicity axiom), so RMWs contribute no choice fan-out;
-* duplicate witnesses (same communication edges and final state) are
-  collapsed before the per-model acyclicity pass, and a candidate
-  whose outcome is already accepted for the model is skipped.
+* a candidate whose outcome is already accepted for the model is
+  skipped.
+
+The search works on packed integers: a candidate is one int holding
+its communication edges as a bit-matrix (edge a -> b is bit
+``a * n + b``) with its reads' value fields above, and acceptance is
+``acyclic_matrix(ppo | candidate, n)``.
 
 Like :meth:`LitmusTest.outcomes` — whose state-memoized search keeps
 the interleaving side affordable — the axiomatic side memoizes across
-calls: candidate executions per test and outcome sets per
+calls: the candidate enumeration per test and outcome sets per
 (test, ppo relation), keyed *structurally* (tests are mutable, so identity
 keys would be unsound) in bounded insertion-ordered caches.
 """
@@ -41,6 +45,7 @@ keys would be unsound) in bounded insertion-ordered caches.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -50,11 +55,12 @@ from ...sim.errors import ConfigurationError
 from .relations import (
     CandidateExecution,
     Event,
-    acyclic,
+    acyclic_matrix,
     build_events,
     interleavings,
+    pack,
     ppo_masks,
-    union_masks,
+    unpack,
 )
 
 __all__ = [
@@ -71,8 +77,8 @@ CANDIDATE_LIMIT = 1_000_000
 
 #: bounded structural caches (insertion-ordered FIFO eviction)
 _CACHE_MAX = 512
-_candidate_cache: Dict[object, Tuple[CandidateExecution, ...]] = {}
-_outcome_cache: Dict[object, FrozenSet[Outcome]] = {}
+_candidate_cache: "OrderedDict[object, _Plan]" = OrderedDict()
+_outcome_cache: "OrderedDict[object, FrozenSet[Outcome]]" = OrderedDict()
 
 
 def clear_caches() -> None:
@@ -81,9 +87,10 @@ def clear_caches() -> None:
     _outcome_cache.clear()
 
 
-def _remember(cache: Dict[object, object], key: object, value) -> None:
+def _remember(cache: "OrderedDict[object, object]", key: object,
+              value) -> None:
     if len(cache) >= _CACHE_MAX:
-        cache.pop(next(iter(cache)))
+        cache.popitem(last=False)
     cache[key] = value
 
 
@@ -98,21 +105,58 @@ def _test_key(test: LitmusTest) -> object:
 # Candidate enumeration (model-independent)
 # ----------------------------------------------------------------------
 
+@dataclass
+class _Plan:
+    """One test's events and (rf, co) candidates, as the hot loop
+    reads them.  A candidate is one int: its communication edges as a
+    bit-matrix (see :func:`.relations.pack`) in the low ``n * n`` bits
+    and, above them, one field per read holding the index in
+    ``values`` of the value the read returns."""
+
+    events: List[Event]
+    #: the read events, in event order
+    reads: List[Event]
+    values: List[int]
+    field: int
+    #: (register, shift of its value field), by register name
+    registers: List[Tuple[str, int]]
+    candidates: List[int]
+    #: (index of the first candidate, co) per coherence order that has
+    #: candidates, in enumeration order
+    coherence: List[Tuple[int, Tuple[Tuple[str, Tuple[int, ...]], ...]]]
+    view: Optional[Tuple[CandidateExecution, ...]] = None
+
+    def outcome(self, candidate: int) -> Outcome:
+        """The final register state of a candidate."""
+        return tuple([(reg, self.values[candidate >> at & self.field])
+                      for reg, at in self.registers])
+
+
+def _plan(test: LitmusTest, key: object) -> _Plan:
+    cached = _candidate_cache.get(key)
+    if cached is None:
+        cached = _enumerate(test)
+        _remember(_candidate_cache, key, cached)
+    return cached
+
+
 def candidate_executions(test: LitmusTest) -> Tuple[CandidateExecution, ...]:
-    """All coherent (rf, co) witnesses of ``test``, deduplicated.
+    """All coherent (rf, co) witnesses of ``test``.
 
     Model-independent: the communication relations never mention ppo,
     so the (possibly expensive) enumeration is shared by all models —
-    each model then runs only its own acyclicity pass.
+    each model then runs only its own acyclicity pass.  The witnesses
+    are a view of the cached enumeration, built on first request.
     """
-    key = _test_key(test)
-    cached = _candidate_cache.get(key)
-    if cached is not None:
-        return cached
+    plan = _plan(test, _test_key(test))
+    if plan.view is None:
+        plan.view = tuple(_witnesses(plan))
+    return plan.view
 
+
+def _enumerate(test: LitmusTest) -> _Plan:
     events = build_events(test)
     n = len(events)
-    initial = dict(test.initial)
 
     # per-location, per-thread store sequences (event ids in po order)
     stores: Dict[str, Dict[int, List[int]]] = {}
@@ -121,125 +165,128 @@ def candidate_executions(test: LitmusTest) -> Tuple[CandidateExecution, ...]:
             stores.setdefault(e.location, {}).setdefault(e.tid, []).append(e.eid)
     locations = sorted(stores)
     reads = [e for e in events if e.is_read]
+    values = sorted({0, *test.initial.values(),
+                     *(e.op.value for e in events if e.is_write)})
+    index = {value: i for i, value in enumerate(values)}
+    width = max(1, (len(values) - 1).bit_length())
+    # per read: its id, its location, whether it is a plain load, its
+    # value field holding its location's initial value and holding
+    # each event's stored value, and the latest same-thread store to
+    # its location before it and the earliest after it in po (None:
+    # there is none)
+    shapes = []
+    for i, r in enumerate(reads):
+        loc = r.location
+        assert loc is not None
+        at = n * n + width * i
+        own = stores.get(loc, {}).get(r.tid, [])
+        before = [w for w in own if w < r.eid]
+        after = [w for w in own if w > r.eid]
+        shapes.append((r.eid, loc, r.op.op == "R",
+                       index[test.initial.get(loc, 0)] << at,
+                       [index[e.op.value] << at for e in events],
+                       before[-1] if before else None,
+                       after[0] if after else None))
 
-    per_loc_orders: List[List[Tuple[int, ...]]] = [
-        list(interleavings(list(stores[loc].values()))) for loc in locations]
-
-    seen: set = set()
-    out: List[CandidateExecution] = []
+    per_loc_orders = [interleavings(list(stores[loc].values()))
+                      for loc in locations]
+    candidates: List[int] = []
+    coherence = []
     examined = 0
     for combo in itertools.product(*per_loc_orders):
-        loc_order: Dict[str, Tuple[int, ...]] = dict(zip(locations, combo))
-        pos: Dict[int, int] = {eid: i
-                               for order in combo
-                               for i, eid in enumerate(order)}
-        choices = _rf_choices(events, reads, loc_order, pos)
-        if choices is None:
+        co = tuple(zip(locations, combo))
+        deltas = _rf_deltas(n, shapes, dict(co))
+        if deltas is None:
             continue
-        for assignment in itertools.product(*[c for _, c in choices]):
-            examined += 1
-            if examined > CANDIDATE_LIMIT:
-                raise ConfigurationError(
-                    f"{test.name}: more than {CANDIDATE_LIMIT} candidate "
-                    f"executions; this test is outside the axiomatic "
-                    f"checker's litmus-sized envelope")
-            candidate = _materialize(events, n, initial, loc_order, pos,
-                                     choices, assignment)
-            dedup = (candidate.outcome, candidate.com)
-            if dedup in seen:
-                continue
-            seen.add(dedup)
-            out.append(candidate)
-    result = tuple(out)
-    _remember(_candidate_cache, key, result)
-    return result
+        count = 1
+        for options in deltas:
+            count *= len(options)
+        examined += count
+        if examined > CANDIDATE_LIMIT:
+            raise ConfigurationError(
+                f"{test.name}: more than {CANDIDATE_LIMIT} candidate "
+                f"executions; this test is outside the axiomatic "
+                f"checker's litmus-sized envelope")
+        # co as consecutive pairs: the same reachability as all of co
+        base = 0
+        for order in combo:
+            for a, b in zip(order, order[1:]):
+                base |= 1 << (a * n + b)
+        partial = [base]
+        for options in deltas:
+            partial = [c | d for c in partial for d in options]
+        # no two candidates are equal: a plain load's rf edge names its
+        # source, an RMW's is its co edge, and the store -> store edges
+        # are exactly co's consecutive pairs, so com alone tells the
+        # candidates apart
+        coherence.append((len(candidates), co))
+        candidates.extend(partial)
+    registers = sorted((r.op.reg, n * n + width * i)
+                       for i, r in enumerate(reads))
+    return _Plan(events, reads, values, (1 << width) - 1, registers,
+                 candidates, coherence)
 
 
-def _rf_choices(
-    events: Sequence[Event],
-    reads: Sequence[Event],
-    loc_order: Dict[str, Tuple[int, ...]],
-    pos: Dict[int, int],
-) -> Optional[List[Tuple[Event, List[Optional[int]]]]]:
-    """Feasible rf sources per read (``None`` = initial value), pruned
-    by per-location coherence against same-thread stores.  Returns
-    ``None`` when some read has no feasible source under this co."""
-    choices: List[Tuple[Event, List[Optional[int]]]] = []
-    for r in reads:
-        loc = r.location
-        assert loc is not None
-        order = loc_order.get(loc, ())
-        # lo: the co position of the latest same-thread po-earlier
-        # store (sources must be at or after it; init is out);
-        # hi: the position of the earliest same-thread po-later store
-        # (sources must be strictly before it)
-        lo, hi = -1, len(order)
-        for w in events:
-            if (w.eid == r.eid or w.tid != r.tid or not w.is_write
-                    or w.location != loc):
-                continue
-            if w.idx < r.idx:
-                lo = max(lo, pos[w.eid])
-            else:
-                hi = min(hi, pos[w.eid])
-        if r.op.op == "U":
-            p = pos[r.eid]
-            src = order[p - 1] if p > 0 else None
-            src_pos = -1 if src is None else pos[src]
-            if src_pos < lo or src_pos >= hi:
-                return None
-            opts: List[Optional[int]] = [src]
-        else:
-            opts = [None] if lo < 0 else []
-            opts.extend(order[i] for i in range(max(lo, 0), hi))
-            if not opts:
-                return None
-        choices.append((r, opts))
-    return choices
-
-
-def _materialize(
-    events: Sequence[Event],
+def _rf_deltas(
     n: int,
-    initial: Dict[str, int],
-    loc_order: Dict[str, Tuple[int, ...]],
-    pos: Dict[int, int],
-    choices: Sequence[Tuple[Event, Sequence[Optional[int]]]],
-    assignment: Sequence[Optional[int]],
-) -> CandidateExecution:
-    """Build the communication bitmasks and outcome for one witness.
+    shapes: Sequence[Tuple[int, str, bool, int, List[int],
+                           Optional[int], Optional[int]]],
+    co: Dict[str, Tuple[int, ...]],
+) -> Optional[List[List[int]]]:
+    """Per read, one delta per feasible rf source under this co: the
+    read's value field, its rf edge and, for a plain load, its
+    from-read edge to the *next* store after its source (the
+    transitive generator of fr).  Sources are pruned by per-location
+    coherence against same-thread stores; an RMW's is forced to its
+    immediate co predecessor.  ``None`` when some read has no feasible
+    source under this co."""
+    deltas: List[List[int]] = []
+    for eid, loc, plain, initial, stored, before, after in shapes:
+        order = co.get(loc, ())
+        # sources lie at co positions lo..hi-1 (-1: the initial value):
+        # at or after the latest same-thread po-earlier store, strictly
+        # before the earliest same-thread po-later one
+        lo = -1 if before is None else order.index(before)
+        hi = len(order) if after is None else order.index(after)
+        if not plain:
+            at = order.index(eid) - 1
+            if not lo <= at < hi:
+                return None
+            lo, hi = at, at + 1
+        elif lo >= hi:
+            return None
+        options = []
+        for at in range(lo, hi):
+            if at < 0:
+                delta = initial
+            else:
+                delta = stored[order[at]] | 1 << (order[at] * n + eid)
+            if plain and at + 1 < len(order):
+                delta |= 1 << (eid * n + order[at + 1])
+            options.append(delta)
+        deltas.append(options)
+    return deltas
 
-    Edges are the transitive generators only — consecutive co pairs,
-    rf, and each plain load's from-read to the *next* store after its
-    source — which have the same reachability (hence the same cycles)
-    as the full relations.
-    """
-    masks = [0] * n
-    for order in loc_order.values():
-        for a, b in zip(order, order[1:]):
-            masks[a] |= 1 << b
-    regs: Dict[str, int] = {}
-    rf_pairs: List[Tuple[int, int]] = []
-    for (r, _), src in zip(choices, assignment):
-        loc = r.location
-        assert loc is not None
-        if src is None:
-            regs[r.op.reg] = initial.get(loc, 0)
-        else:
-            regs[r.op.reg] = events[src].op.value
-            masks[src] |= 1 << r.eid
-            rf_pairs.append((r.eid, src))
-        if r.op.op == "R":
-            order = loc_order.get(loc, ())
-            nxt_pos = (pos[src] if src is not None else -1) + 1
-            if nxt_pos < len(order):
-                masks[r.eid] |= 1 << order[nxt_pos]
-    return CandidateExecution(
-        outcome=tuple(sorted(regs.items())),
-        com=tuple(masks),
-        rf=tuple(sorted(rf_pairs)),
-        co=tuple(sorted(loc_order.items())),
-    )
+
+def _witnesses(plan: _Plan):
+    """The :class:`CandidateExecution` of each planned candidate: its
+    rf source is the one same-location store with an edge into the
+    read (into a plain load only rf leads; into an RMW also its co
+    predecessor, which is its rf source)."""
+    n = len(plan.events)
+    ends = [first for first, _ in plan.coherence[1:]] + [len(plan.candidates)]
+    for (first, co), end in zip(plan.coherence, ends):
+        writers = dict(co)
+        for candidate in plan.candidates[first:end]:
+            rf = []
+            for r in plan.reads:
+                for w in writers.get(r.location or "", ()):
+                    if candidate >> (w * n + r.eid) & 1:
+                        rf.append((r.eid, w))
+            yield CandidateExecution(
+                outcome=plan.outcome(candidate),
+                com=unpack(candidate & ((1 << n * n) - 1), n),
+                rf=tuple(sorted(rf)), co=co)
 
 
 # ----------------------------------------------------------------------
@@ -254,18 +301,23 @@ def axiomatic_outcomes(test: LitmusTest,
     (test structure, ppo): the axiom reads nothing else of the model,
     so models that preserve the same program order share one solve.
     """
-    ppo = ppo_masks(build_events(test), model)
-    key = (_test_key(test), tuple(ppo))
+    test_key = _test_key(test)
+    plan = _plan(test, test_key)
+    ppo = pack(ppo_masks(plan.events, model))
+    key = (test_key, ppo)
     cached = _outcome_cache.get(key)
     if cached is not None:
         return cached
+    n = len(plan.events)
+    shift = n * n
+    # the value fields above the bit-matrix are the outcome, and
+    # acyclic_matrix reads only the bit-matrix
     accepted: set = set()
-    for candidate in candidate_executions(test):
-        if candidate.outcome in accepted:
-            continue
-        if acyclic(union_masks(ppo, candidate.com)):
-            accepted.add(candidate.outcome)
-    result = frozenset(accepted)
+    for candidate in plan.candidates:
+        if (candidate >> shift not in accepted
+                and acyclic_matrix(ppo | candidate, n)):
+            accepted.add(candidate >> shift)
+    result = frozenset(plan.outcome(fields << shift) for fields in accepted)
     _remember(_outcome_cache, key, result)
     return result
 
@@ -274,12 +326,13 @@ def accepting_witness(test: LitmusTest, model: ConsistencyModel,
                       outcome: Outcome) -> Optional[CandidateExecution]:
     """An accepted candidate with the given outcome, if any (the
     explanation the CLI prints for worked derivations)."""
-    ppo = ppo_masks(build_events(test), model)
-    for candidate in candidate_executions(test):
-        if candidate.outcome != outcome:
-            continue
-        if acyclic(union_masks(ppo, candidate.com)):
-            return candidate
+    view = candidate_executions(test)
+    plan = _plan(test, _test_key(test))
+    ppo = pack(ppo_masks(plan.events, model))
+    n = len(plan.events)
+    for witness, candidate in zip(view, plan.candidates):
+        if witness.outcome == outcome and acyclic_matrix(ppo | candidate, n):
+            return witness
     return None
 
 

@@ -18,8 +18,9 @@ handful of binary relations over them:
   before every store that coherence-follows the store it read from.
 
 Everything here is sized for litmus tests (``LitmusTest`` caps a test
-at 12 accesses), so relations are adjacency bitmasks over event ids
-and acyclicity is a 12-node DFS.
+at 12 accesses), so a relation is one bit-matrix over event ids (edge
+a -> b is bit ``a * n + b``, at most 144 bits) and acyclicity peels
+sinks off a graph of at most 12 nodes.
 
 Atomic read-modify-writes are modelled as a *single* event that both
 reads and writes.  Its read half is forced to observe its immediate
@@ -40,8 +41,11 @@ __all__ = [
     "Event",
     "CandidateExecution",
     "acyclic",
+    "acyclic_matrix",
     "build_events",
+    "pack",
     "ppo_masks",
+    "unpack",
 ]
 
 
@@ -116,42 +120,56 @@ def ppo_masks(events: Sequence[Event], model: ConsistencyModel) -> List[int]:
     classes = [e.op.access_class() for e in events]
     masks = [0] * len(events)
     for a in events:
-        for b in events:
-            if a.tid != b.tid or a.idx >= b.idx:
-                continue
+        # events are po-major: a's same-thread successors follow it
+        for b in events[a.eid + 1:]:
+            if b.tid != a.tid:
+                break
             if a.op.addr == b.op.addr or model.delay_arc(classes[a.eid],
                                                          classes[b.eid]):
                 masks[a.eid] |= 1 << b.eid
     return masks
 
 
-def acyclic(succ: Sequence[int]) -> bool:
-    """Is the relation (successor bitmasks) free of directed cycles?"""
+def pack(succ: Sequence[int]) -> int:
+    """Successor bitmasks as one bit-matrix: edge a -> b is bit
+    ``a * n + b`` of an ``n``-node relation."""
     n = len(succ)
-    color = [0] * n  # 0 = unvisited, 1 = on stack, 2 = done
-    for root in range(n):
-        if color[root]:
-            continue
-        color[root] = 1
-        stack: List[List[int]] = [[root, succ[root]]]
-        while stack:
-            node, remaining = stack[-1]
-            if remaining:
-                nxt = (remaining & -remaining).bit_length() - 1
-                stack[-1][1] = remaining & (remaining - 1)
-                if color[nxt] == 1:
-                    return False
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append([nxt, succ[nxt]])
-            else:
-                color[node] = 2
-                stack.pop()
+    return sum(row << (a * n) for a, row in enumerate(succ))
+
+
+def unpack(matrix: int, n: int) -> Tuple[int, ...]:
+    """The successor bitmasks of an ``n``-node bit-matrix."""
+    full = (1 << n) - 1
+    return tuple(matrix >> (a * n) & full for a in range(n))
+
+
+def acyclic_matrix(matrix: int, n: int) -> bool:
+    """Is the ``n``-node bit-matrix free of directed cycles?
+
+    Repeatedly peels off the nodes with no successor left: a sink is
+    on no cycle, and a relation whose every remaining node has a
+    successor has one.  Nodes are visited last-first, so program-order
+    chains (which point to higher event ids) peel in one sweep.
+    """
+    full = (1 << n) - 1
+    rows = [matrix >> (a * n) & full for a in range(n - 1, -1, -1)]
+    live = full
+    while live:
+        left = live
+        bit = 1 << n
+        for row in rows:
+            bit >>= 1
+            if left & bit and not row & left:
+                left ^= bit
+        if left == live:
+            return False
+        live = left
     return True
 
 
-def union_masks(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    return [x | y for x, y in zip(a, b)]
+def acyclic(succ: Sequence[int]) -> bool:
+    """Is the relation (successor bitmasks) free of directed cycles?"""
+    return acyclic_matrix(pack(succ), len(succ))
 
 
 def interleavings(seqs: Sequence[Sequence[int]]):

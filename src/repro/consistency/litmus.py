@@ -18,6 +18,7 @@ an executable form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..sim.errors import ConfigurationError
@@ -51,6 +52,19 @@ class LitmusOp:
         if self.op not in ("R", "W", "U", "F"):
             raise ConfigurationError(
                 f"litmus op must be 'R', 'W', 'U', or 'F', got {self.op!r}")
+        # a JSON test reaches here field by field: refuse what would
+        # otherwise be coerced ("no" is truthy, 2.5 stores as 2.5)
+        for name in ("addr", "reg"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigurationError(f"litmus {name} must be a string, "
+                                         f"got {getattr(self, name)!r}")
+        if isinstance(self.value, bool) or not isinstance(self.value, int):
+            raise ConfigurationError(
+                f"litmus value must be an integer, got {self.value!r}")
+        for name in ("acquire", "release"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigurationError(f"litmus {name} must be true or "
+                                         f"false, got {getattr(self, name)!r}")
         if self.op in ("R", "U") and not self.reg:
             raise ConfigurationError(
                 "litmus reads and RMWs need a destination register name")
@@ -65,14 +79,7 @@ class LitmusOp:
             raise ConfigurationError("release must be a write or an RMW")
 
     def access_class(self) -> AccessClass:
-        if self.op == "F":
-            # acquire+release RMW: a delay arc to and from everything
-            # under every model
-            return AccessClass(is_load=True, is_store=True,
-                               acquire=True, release=True)
-        return AccessClass(is_load=self.op in ("R", "U"),
-                           is_store=self.op in ("W", "U"),
-                           acquire=self.acquire, release=self.release)
+        return _access_class(self.op, self.acquire, self.release)
 
     @property
     def reads(self) -> bool:
@@ -95,6 +102,18 @@ class LitmusOp:
         if self.op == "U":
             return f"U{flags} {self.addr} = {self.value} -> {self.reg}"
         return f"W{flags} {self.addr} = {self.value}"
+
+
+@lru_cache(maxsize=None)
+def _access_class(op: str, acquire: bool, release: bool) -> AccessClass:
+    """The one :class:`AccessClass` of each (op, acquire, release)."""
+    if op == "F":
+        # acquire+release RMW: a delay arc to and from everything
+        # under every model
+        return AccessClass(is_load=True, is_store=True,
+                           acquire=True, release=True)
+    return AccessClass(is_load=op in ("R", "U"), is_store=op in ("W", "U"),
+                       acquire=acquire, release=release)
 
 
 def read(addr: str, reg: str, acquire: bool = False) -> LitmusOp:
@@ -158,21 +177,42 @@ class LitmusTest:
         return tuple(masks)
 
     def outcomes(self, model: ConsistencyModel) -> FrozenSet[Outcome]:
-        """All final register assignments reachable under ``model``."""
+        """All final register assignments reachable under ``model``.
+
+        One search state is one int: the low bits are the done mask
+        (bit ``k``: access ``k`` has linearized), then one field per
+        memory slot, then one per result register.  A field holds an
+        index into the test's value table (0, the initial values and
+        the stored values), so a negative or wide value packs like a
+        small one.
+        """
         ops = [op for thread in self.threads for op in thread]
+        n = len(ops)
         slots = {addr: i for i, addr in enumerate(
             sorted({op.addr for op in ops if op.op != "F"}))}
         names = sorted(op.reg for op in ops if op.reads)
-        # one row per access: its bit, the bits that must be set first,
-        # its memory slot, the value it stores (None: it stores nothing)
-        # and the register slot it fills (-1: none)
-        program = [(1 << k, need, slots.get(op.addr, -1),
-                    op.value if op.writes else None,
-                    names.index(op.reg) if op.reads else -1)
-                   for k, (op, need) in enumerate(zip(ops, self.ordering(model)))]
-        full = (1 << len(ops)) - 1
-        start = (0, tuple(self.initial.get(addr, 0) for addr in slots),
-                 (0,) * len(names))
+        memory = [self.initial.get(addr, 0) for addr in slots]
+        values = sorted({0, *memory, *(op.value for op in ops if op.writes)})
+        index = {value: i for i, value in enumerate(values)}
+        width = max(1, (len(values) - 1).bit_length())
+        field = (1 << width) - 1
+        regs_at = n + width * len(slots)
+        # one row per access: the done bits that must read ``need``
+        # (its own bit clear, its predecessors' set), its own bit, the
+        # memory field it reads (-1: none), the register field that
+        # value lands in, and as a store the mask that keeps every
+        # other field and the bits of its value's index
+        program = []
+        for k, (op, need) in enumerate(zip(ops, self.ordering(model))):
+            at = n + width * slots[op.addr] if op.op != "F" else 0
+            program.append((
+                need | 1 << k, need, 1 << k, at if op.reads else -1,
+                regs_at + width * names.index(op.reg) if op.reads else 0,
+                ~(field << at) if op.writes else -1,
+                index[op.value] << at if op.writes else 0))
+        full = (1 << n) - 1
+        start = sum(index[value] << (n + width * i)
+                    for i, value in enumerate(memory))
         # Many linearizations reach identical (done, memory, registers)
         # states — e.g. two independent fences in either order.  Visiting
         # each state once collapses that exponential blow-up, which is
@@ -182,23 +222,25 @@ class LitmusTest:
         stack = [start]
         results: set = set()
         while stack:
-            done, memory, regs = stack.pop()
-            if done == full:
-                results.add(regs)
+            state = stack.pop()
+            if state & full == full:
+                results.add(state >> regs_at)
                 continue
-            for bit, need, slot, value, reg in program:
-                if done & bit or need & ~done:
+            for check, need, bit, src, dst, keep, put in program:
+                if state & check != need:
                     continue
-                state = (
-                    done | bit,
-                    memory if value is None
-                    else memory[:slot] + (value,) + memory[slot + 1:],
-                    regs if reg < 0
-                    else regs[:reg] + (memory[slot],) + regs[reg + 1:])
-                if state not in visited:
-                    visited.add(state)
-                    stack.append(state)
-        return frozenset(tuple(zip(names, regs)) for regs in results)
+                nxt = state | bit
+                if src >= 0:
+                    nxt |= (state >> src & field) << dst
+                nxt = nxt & keep | put
+                if nxt not in visited:
+                    visited.add(nxt)
+                    stack.append(nxt)
+        registers = [(name, width * i) for i, name in enumerate(names)]
+        return frozenset(
+            tuple([(name, values[regs >> at & field])
+                   for name, at in registers])
+            for regs in results)
 
     # ------------------------------------------------------------------
     def allows(self, model: ConsistencyModel, **partial: int) -> bool:

@@ -32,9 +32,9 @@ both directions.  Client ops: ``submit``, ``stats``, ``metrics``,
 from __future__ import annotations
 
 import json
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from ..consistency.litmus import STANDARD_TESTS
+from ..consistency.litmus import STANDARD_TESTS, LitmusTest
 from ..consistency.models import get_model
 from ..memory.types import MIN_MISS_LATENCY
 from ..obs.ledger import request_hash
@@ -156,12 +156,24 @@ def _canonical_test(raw: Mapping[str, object]) -> Dict[str, object]:
                 dict(raw.get("generator", {})))  # type: ignore[arg-type]
         except (TypeError, ConfigurationError) as exc:
             raise ProtocolError(f"bad generator config: {exc}") from None
+        _known_addresses(gen.addr_pool, "test.generator.addr_pool")
         return {"seed": seed, "generator": gen.to_dict()}
     try:
         test = litmus_from_dict(dict(raw["litmus"]))  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise ProtocolError(f"bad inline litmus test: {exc}") from None
+    _known_addresses([op.addr for thread in test.threads for op in thread
+                      if op.op != "F"] + list(test.initial),
+                     "test.litmus address")
     return {"litmus": litmus_to_dict(test)}
+
+
+def _known_addresses(addrs: Iterable[str], name: str) -> None:
+    """Refuse a location the simulator has no address for."""
+    unknown = sorted(set(addrs) - set(LitmusTest.ADDR_MAP))
+    if unknown:
+        raise ProtocolError(f"{name} {unknown[0]!r} is not one of "
+                            f"{sorted(LitmusTest.ADDR_MAP)}")
 
 
 def normalize_job(job: Mapping[str, object]) -> Dict[str, object]:

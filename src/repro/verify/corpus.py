@@ -44,10 +44,13 @@ def litmus_from_dict(data: Dict[str, object]) -> LitmusTest:
         [LitmusOp(**op) for op in thread]  # type: ignore[arg-type]
         for thread in data["threads"]  # type: ignore[union-attr]
     ]
-    initial = {str(k): int(v)  # type: ignore[call-overload]
-               for k, v in dict(data.get("initial", {})).items()}  # type: ignore[arg-type]
+    initial = dict(data.get("initial", {}))  # type: ignore[call-overload]
+    for addr, value in initial.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(
+                f"litmus initial[{addr!r}] must be an integer, got {value!r}")
     return LitmusTest(name=str(data.get("name", "corpus")), threads=threads,
-                      initial=initial)
+                      initial={str(k): v for k, v in initial.items()})
 
 
 @dataclass

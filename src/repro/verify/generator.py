@@ -15,6 +15,7 @@ makes corpus replay and cross-process fuzzing deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -51,6 +52,26 @@ class GeneratorConfig:
     max_value: int = 3
 
     def __post_init__(self) -> None:
+        # a config can arrive as JSON: refuse what the generator would
+        # only trip over later (2.5 as a count, "0.5" as a probability)
+        for name in ("min_cpus", "max_cpus", "min_ops_per_thread",
+                     "max_ops_per_thread", "max_total_ops", "max_addrs",
+                     "max_value"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}")
+        weights = self.op_weights
+        if (len(weights) != 4 or not all(map(_is_number, weights))
+                or min(weights) < 0 or not sum(weights) > 0):
+            raise ConfigurationError(
+                f"op_weights must be 4 non-negative numbers (load, store, "
+                f"rmw, fence) with a positive sum, got {list(weights)!r}")
+        if (not _is_number(self.sync_probability)
+                or not 0 <= self.sync_probability <= 1):
+            raise ConfigurationError(
+                f"sync_probability must be a number in [0, 1], "
+                f"got {self.sync_probability!r}")
         if not 2 <= self.min_cpus <= self.max_cpus:
             raise ConfigurationError("need 2 <= min_cpus <= max_cpus")
         if self.min_ops_per_thread > self.max_ops_per_thread:
@@ -87,8 +108,17 @@ class GeneratorConfig:
         kwargs = dict(data)
         for key in ("addr_pool", "op_weights"):
             if key in kwargs:
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise ConfigurationError(
+                        f"{key} must be a list, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])  # type: ignore[arg-type]
         return cls(**kwargs)  # type: ignore[arg-type]
+
+
+def _is_number(value: object) -> bool:
+    """A finite int or float that is not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _draw_op(rng: random.Random, config: GeneratorConfig,

@@ -89,9 +89,9 @@ def _live_server(root, kind):
 class _RawConnection:
     """The wire as a client that is not ``ServeClient`` sees it."""
 
-    def __init__(self, server):
+    def __init__(self, server, timeout=60):
         _, host, port = server
-        self._sock = socket.create_connection((host, port), timeout=60)
+        self._sock = socket.create_connection((host, port), timeout=timeout)
         self._fh = self._sock.makefile("rwb")
 
     def __enter__(self):
@@ -127,6 +127,20 @@ def _worker_pids():
 # Protocol
 # ----------------------------------------------------------------------
 
+def _inline_mp(initial=None, **change):
+    """Message passing as an inline job, ``change`` applied to the op
+    each key of it belongs to (the flag write or the flag read)."""
+    producer = [{"op": "W", "addr": "data", "value": 1},
+                {"op": "W", "addr": "flag", "value": 1, "release": True}]
+    consumer = [{"op": "R", "addr": "flag", "reg": "r0", "acquire": True},
+                {"op": "R", "addr": "data", "reg": "r1"}]
+    for key, value in change.items():
+        (consumer[0] if key in ("acquire", "reg") else producer[1])[key] = \
+            value
+    return {"test": {"litmus": {"name": "mp", "threads": [producer, consumer],
+                                "initial": initial or {}}}}
+
+
 #: a job whose one field has the wrong JSON type, and that field: the
 #: server refuses it rather than coerce it into a job nobody asked for
 MISTYPED_JOBS = [
@@ -145,6 +159,35 @@ MISTYPED_JOBS = [
     ({"test": {"name": "SB"}, "run_config": {"max_cycles": 5e4}},
      "run_config.max_cycles"),
     ({"test": {"seed": "7"}}, "test.seed"),
+    # an inline litmus test's op fields, initial values and addresses
+    (_inline_mp(release="no"), "release"),
+    (_inline_mp(acquire="no"), "acquire"),
+    (_inline_mp(value=2.5), "value"),
+    (_inline_mp(value=True), "value"),
+    (_inline_mp(value="1"), "value"),
+    (_inline_mp(addr=7), "addr"),
+    (_inline_mp(reg=5), "reg"),
+    (_inline_mp(addr="zz"), "test.litmus address 'zz'"),
+    (_inline_mp(initial={"data": "1"}), "initial['data']"),
+    # a generator config the generator would only trip over at execute
+    ({"test": {"seed": 7, "generator": {"addr_pool": ["zz", "x"]}}},
+     "test.generator.addr_pool 'zz'"),
+    ({"test": {"seed": 7, "generator": {"op_weights": [0, 0, 0, 0]}}},
+     "op_weights"),
+    ({"test": {"seed": 7, "generator": {"op_weights": [4, 4, 1]}}},
+     "op_weights"),
+    ({"test": {"seed": 7, "generator": {"sync_probability": "0.5"}}},
+     "sync_probability"),
+    ({"test": {"seed": 7, "generator": {"max_value": 2.5}}}, "max_value"),
+]
+
+#: inline tests that used to escape ``normalize_job`` as a bare
+#: ``ConfigurationError``, leaving the submit unanswered
+UNANSWERED_JOBS = [
+    {"test": {"litmus": {"threads": [[{"op": "Q", "addr": "x"}]]}}},
+    {"test": {"litmus": {"threads": [
+        [{"op": "W", "addr": "x", "value": 1}] * 7,
+        [{"op": "R", "addr": "x", "reg": f"r{i}"} for i in range(6)]]}}},
 ]
 
 
@@ -208,7 +251,7 @@ class TestProtocol:
         # MAX_JOB_CYCLES is refused
         {"test": {"name": "SB"},
          "run_config": {"max_cycles": 4_000_001}},
-    ] + [job for job, _field in MISTYPED_JOBS])
+    ] + [job for job, _field in MISTYPED_JOBS] + UNANSWERED_JOBS)
     def test_bad_jobs_rejected(self, bad):
         with pytest.raises(ProtocolError):
             normalize_job(bad)
@@ -217,6 +260,12 @@ class TestProtocol:
     def test_a_mistyped_field_is_named(self, bad, field):
         with pytest.raises(ProtocolError, match=re.escape(field)):
             normalize_job(bad)
+
+    def test_valid_inline_jobs_hash_as_before(self):
+        # the typed fields refuse nothing a valid job holds: the hash of
+        # an inline MP job is the one it had before they were typed
+        assert job_hash(_inline_mp()) == (
+            "01f2e84a9e97666774e0dc8dcbcab30e30fefc6ee1f591f6b6ae78e24c0343b2")
 
     def test_ndjson_framing_round_trips(self):
         msg = {"op": "submit", "id": 3, "job": {"x": [1, 2]}}
@@ -455,6 +504,17 @@ class TestServerEndToEnd:
             assert good.ok
             # connection still healthy
             assert client.ping() == "repro-serve/1"
+
+    def test_an_unbuildable_inline_test_is_answered(self, server):
+        with _RawConnection(server, timeout=10) as raw:
+            raw.send(*[{"op": "submit", "id": n, "job": job}
+                       for n, job in enumerate(UNANSWERED_JOBS)])
+            replies = raw.read(len(UNANSWERED_JOBS))
+            raw.send({"op": "ping", "id": "after"})
+            (pong,) = raw.read(1)
+        assert sorted(reply["id"] for reply in replies) == [0, 1]
+        assert not any(reply["ok"] for reply in replies)
+        assert (pong["event"], pong["id"]) == ("pong", "after")
 
     def test_hit_miss_and_coalesced_each_answer_accepted_then_result(
             self, server):
