@@ -218,10 +218,13 @@ class DirectoryController(Component):
         del self._busy[txn.line_addr]
         queue = self._queues.get(txn.line_addr)
         if queue:
+            # hand the line straight to the next queued request: it
+            # never looks idle, so a request arriving later this cycle
+            # queues behind it instead of starting a second transaction
             nxt = queue.popleft()
             if not queue:
                 del self._queues[txn.line_addr]
-            self.sim.schedule(0, lambda: self._start(nxt))
+            self._start(nxt)
 
     # ------------------------------------------------------------------
     # Transaction logic
@@ -424,6 +427,13 @@ class DirectoryController(Component):
     # ------------------------------------------------------------------
     def is_quiescent(self) -> bool:
         return not self._busy and not self._queues
+
+    def describe_wait(self) -> str:
+        busy = [f"{line:#x} {txn.kind.value} txn {txn.txn_id} "
+                f"({txn.pending_acks} acks pending, "
+                f"{len(self._queues.get(line, ()))} queued)"
+                for line, txn in self._busy.items()]
+        return "directory busy: " + ", ".join(busy) if busy else ""
 
     def sharers_of(self, line_addr: int) -> Set[NodeId]:
         return set(self.entry(line_addr).sharers)

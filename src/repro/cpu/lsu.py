@@ -121,6 +121,9 @@ class LoadStoreUnit:
         self.request_squash: Callable[[int, int, str], None] = lambda s, pc, why: None
 
         cache.register_snoop_listener(self._waking(self._on_snoop))
+        #: what an MSHR's release (or the port budget's reset) resumes:
+        #: the speculative RMW reads, and the core's tick for the rest
+        self._resume = self._waking(self._send_rmw_reads)
 
         s = sim.stats
         self.stat_loads = s.counter(f"{self.name}/loads")
@@ -144,7 +147,10 @@ class LoadStoreUnit:
         self.store_buffer: List[MemOp] = []
         #: every decoded memory op, program order, until performed
         self.pending: "OrderedDict[int, MemOp]" = OrderedDict()
-        self._req_ids = itertools.count(1)
+        #: RMWs whose speculative read waits (:meth:`_send_rmw_reads`)
+        self._rmw_reads: List[MemOp] = []
+        #: the id of the next request the cache accepts
+        self._next_req_id = 1
         #: stall counters the current tick bumped (see :meth:`tick`)
         self.stalled: Tuple[Counter, ...] = ()
         #: SC: the store at the ROB head is not retired until it completes
@@ -170,11 +176,6 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     # Wake (kernel sleep protocol)
     # ------------------------------------------------------------------
-    def _wake(self) -> None:
-        """Mark the owning core due: its state is about to change from
-        outside its own tick."""
-        self.sim.wake(self.owner)
-
     def _waking(self, entry: Callable[..., None]) -> Callable[..., None]:
         """``entry`` as it is handed to the cache, the snoop list or the
         event queue: it wakes the core before it runs.
@@ -183,12 +184,10 @@ class LoadStoreUnit:
         back into this unit from outside the core's own tick, and every
         such call is one this unit gave away itself — so each of them
         goes out through here, and none can land on a core the kernel
-        goes on not ticking.  (The one that stays out, the blocked poll
-        of :meth:`_try_send_rmw_read`, wakes the core itself the moment
-        it has anything to change.)
+        goes on not ticking.
         """
         def woken(*args) -> None:
-            self._wake()
+            self.sim.wake(self.owner)  # its state is about to change
             entry(*args)
         return woken
 
@@ -309,6 +308,11 @@ class LoadStoreUnit:
             # store or RMW heads for the store buffer
             if len(self.store_buffer) >= self.config.store_buffer_size:
                 return  # stall until a slot frees
+            # "there is no speculative load for non-cached
+            # read-modify-write accesses" (Appendix A)
+            spec_read = op.is_rmw and self.slb is not None and not uncached
+            if spec_read and not self._enter_slb(op):
+                return  # SLB full: stall the address unit
             op.state = MemState.IN_SB
             self.store_buffer.append(op)
             self.addr_unit = None
@@ -316,10 +320,11 @@ class LoadStoreUnit:
                 # a store "completes" for ROB purposes at address
                 # translation; the value it writes is tracked here
                 self.rob.mark_done(op.seq, None)
-            if op.is_rmw and self.slb is not None and not uncached:
-                # "there is no speculative load for non-cached
-                # read-modify-write accesses" (Appendix A)
-                self._issue_speculative_rmw_read(op)
+            if spec_read:
+                # its own store-buffer tag (Appendix A)
+                self.slb.get(op.seq).store_tags.add(op.seq)
+                self._rmw_reads.append(op)
+                self._send_rmw_reads()
 
     # -- reservation station ---------------------------------------------
     def _advance_rs(self, cycle: int) -> bool:
@@ -360,9 +365,10 @@ class LoadStoreUnit:
             if self._store_blocked(op):
                 self._stall(self.stat_sb_stalls)
                 break
-            if self.cache.can_accept():
-                self._send_store(op, value, cycle)
-            return True  # one cache issue (or refusal) per tick
+            if not self.cache.can_accept():
+                return True  # port budget: it resets next cycle
+            # one cache issue per tick; a refusal moved nothing
+            return self._send_store(op, value, cycle)
         return False
 
     def _store_blocked(self, op: MemOp) -> bool:
@@ -377,36 +383,38 @@ class LoadStoreUnit:
                 return True
         return False
 
-    def _send_store(self, op: MemOp, value: int, cycle: int) -> None:
-        kind = AccessKind.RMW if op.is_rmw else AccessKind.STORE
-        rmw_op = op.rob_entry.instr.op if op.is_rmw else None
+    def _access(self, op: MemOp, kind: AccessKind, gen: int,
+                done: Callable[[AccessRequest, int], None], **fields) -> bool:
+        """Present ``op``'s access to the cache, its port budget checked.
+        Refused, it needed an MSHR and none is free: nothing here has
+        changed, and the cache resumes this unit when one is released."""
+        fields.setdefault("tag", op.tag)
+        if not self.cache.access(AccessRequest(
+                req_id=self._next_req_id, kind=kind, addr=op.addr,
+                generation=gen, callback=self._waking(done), **fields)):
+            self.cache.await_mshr(self._resume)
+            return False
+        self._next_req_id += 1
+        return True
+
+    def _send_store(self, op: MemOp, value: int, cycle: int) -> bool:
+        gen = op.generation + 1  # invalidates any speculative RMW read in flight
+        if not self._access(
+                op, AccessKind.RMW if op.is_rmw else AccessKind.STORE, gen,
+                lambda r, v: self._store_completed(op, gen, v, cycle),
+                value=value,
+                rmw_op=op.rob_entry.instr.op if op.is_rmw else None):
+            return False
         op.state = MemState.SB_ISSUED
-        op.generation += 1  # invalidate any speculative RMW read in flight
+        op.generation = gen
         if op.is_rmw and self.slb is not None:
             self.slb.mark_rmw_issued(op.seq)
-        gen = op.generation
-        req = AccessRequest(
-            req_id=next(self._req_ids),
-            kind=kind,
-            addr=op.addr,
-            value=value,
-            rmw_op=rmw_op,
-            generation=gen,
-            tag=op.tag,
-            callback=self._waking(
-                lambda r, v, op=op, gen=gen, start=cycle:
-                    self._store_completed(op, gen, v, start)),
-        )
-        accepted = self.cache.access(req)
-        if not accepted:  # port raced away; retry next tick
-            op.state = MemState.IN_SB
-            op.generation -= 1
-            return
         (self.stat_rmws if op.is_rmw else self.stat_stores).inc()
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "store_issue",
                               tag=op.tag, seq=op.seq, addr=op.addr,
                               line=self.cache.config.line_addr(op.addr))
+        return True
 
     def _store_completed(self, op: MemOp, gen: int, value: int, start: int) -> None:
         if op.generation != gen or op.state is not MemState.SB_ISSUED:
@@ -428,6 +436,8 @@ class LoadStoreUnit:
             self.trace.record(self.sim.cycle, self.name, "store_complete",
                               tag=op.tag, seq=op.seq, addr=op.addr,
                               value=value, rmw=op.is_rmw)
+        if self._rmw_reads:
+            self._send_rmw_reads()  # one may have waited for this store
 
     # -- loads -------------------------------------------------------------
     def _issue_loads(self, cycle: int) -> bool:
@@ -437,8 +447,9 @@ class LoadStoreUnit:
                 continue  # matching store value unknown yet; retry
             if not forwarded:
                 if not self.cache.can_accept():
-                    return True  # refused: the port budget resets next cycle
-                self._send_load(op, cycle)
+                    return True  # port budget: it resets next cycle
+                if not self._send_load(op, cycle):
+                    return False  # it stays listed until an MSHR frees
             self.ready_loads.remove(op)
             return True  # one issue per tick
         return False
@@ -496,30 +507,20 @@ class LoadStoreUnit:
                               line=self.cache.config.line_addr(op.addr))
         return True
 
-    def _send_load(self, op: MemOp, cycle: int, exclusive_hint: bool = False) -> None:
+    def _send_load(self, op: MemOp, cycle: int) -> bool:
+        gen = op.generation + 1
+        if not self._access(
+                op, AccessKind.LOAD, gen,
+                lambda r, v: self._load_completed(op, gen, v, cycle)):
+            return False
         op.state = MemState.ISSUED
-        op.generation += 1
-        gen = op.generation
-        req = AccessRequest(
-            req_id=next(self._req_ids),
-            kind=AccessKind.LOAD,
-            addr=op.addr,
-            generation=gen,
-            tag=op.tag,
-            exclusive_hint=exclusive_hint,
-            callback=self._waking(
-                lambda r, v, op=op, gen=gen, start=cycle:
-                    self._load_completed(op, gen, v, start)),
-        )
-        if not self.cache.access(req):
-            op.state = MemState.READY
-            op.generation -= 1
-            return
+        op.generation = gen
         self.stat_loads.inc()
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "load_issue",
                               tag=op.tag, seq=op.seq, addr=op.addr,
                               speculative=self.slb is not None)
+        return True
 
     def _load_completed(self, op: MemOp, gen: int, value: int, start: int) -> None:
         if op.generation != gen:
@@ -540,66 +541,42 @@ class LoadStoreUnit:
                               value=value)
 
     # -- speculative RMW (Appendix A) ---------------------------------------
-    def _issue_speculative_rmw_read(self, op: MemOp) -> None:
-        assert self.slb is not None
-        if not self._enter_slb(op):
-            self.sim.schedule(1, self._waking(lambda: self._retry_spec_rmw(op)))
-            return
-        entry = self.slb.get(op.seq)
-        entry.store_tags.add(op.seq)  # its own store-buffer tag (Appendix A)
-        self._try_send_rmw_read(op)
-
-    def _retry_spec_rmw(self, op: MemOp) -> None:
-        if op.seq not in self.pending or op.state is not MemState.IN_SB:
-            return
-        self._issue_speculative_rmw_read(op)
-
-    def _try_send_rmw_read(self, op: MemOp) -> None:
-        """Issue the speculative read-exclusive, honouring the store
-        buffer dependence check.
+    def _send_rmw_reads(self) -> None:
+        """Send each waiting speculative read-exclusive that may go now.
 
         The cache knows nothing about this processor's own pending
         stores, so a speculative read that bypassed an earlier buffered
         store to the same address would bind a stale value *without any
         coherence event ever exposing it* (e.g. a lock RMW reading 1
         while the unlock that writes 0 sits in the store buffer — a
-        lost lock acquisition).  We conservatively wait until no earlier
-        same-address store-buffer entry is outstanding.
+        lost lock acquisition).  So a read waits here while an earlier
+        same-address store is buffered, until :meth:`_store_completed`
+        (a squash of the store takes the RMW too); a refused one, until
+        an MSHR's release or the port budget's reset.
         """
-        if op.seq not in self.pending:
-            return  # squashed
-        if op.state is not MemState.IN_SB:
-            return  # the real RMW has issued; its result is authoritative
-        blocked = any(sb.seq < op.seq and sb.addr == op.addr and not sb.performed
-                      for sb in self.store_buffer)
-        if blocked:
-            # a poll that finds the store still there has touched
-            # nothing: it goes round again without waking the core
-            self.sim.schedule(1, lambda: self._try_send_rmw_read(op))
-            return
-        self._wake()
-        self._send_rmw_read(op)
+        waiting = []
+        port_busy = False
+        for op in self._rmw_reads:
+            if op.state is not MemState.IN_SB:
+                continue  # the real RMW has issued; its result is authoritative
+            if any(sb.seq < op.seq and sb.addr == op.addr and not sb.performed
+                   for sb in self.store_buffer):
+                waiting.append(op)
+            elif not self.cache.can_accept():
+                port_busy = True
+                waiting.append(op)
+            elif not self._send_rmw_read(op):
+                waiting.append(op)
+        self._rmw_reads = waiting
+        if port_busy:
+            self.sim.schedule(1, self._resume)  # port budget: free next cycle
 
-    def _send_rmw_read(self, op: MemOp) -> None:
+    def _send_rmw_read(self, op: MemOp) -> bool:
         gen = op.generation
-        req = AccessRequest(
-            req_id=next(self._req_ids),
-            kind=AccessKind.LOAD,
-            addr=op.addr,
-            generation=gen,
-            exclusive_hint=True,
-            tag=op.tag + " (spec read)",
-            callback=self._waking(
-                lambda r, v, op=op, gen=gen:
-                    self._spec_rmw_read_done(op, gen, v)),
-        )
-        if not self.cache.access(req):
-            self.sim.schedule(1, self._waking(lambda: self._retry_rmw_read(op, gen)))
-
-    def _retry_rmw_read(self, op: MemOp, gen: int) -> None:
-        if op.generation != gen or op.seq not in self.pending:
-            return
-        self._send_rmw_read(op)
+        return self._access(
+            op, AccessKind.LOAD, gen,
+            lambda r, v: self._spec_rmw_read_done(op, gen, v),
+            exclusive_hint=True, tag=op.tag + " (spec read)")
 
     def _spec_rmw_read_done(self, op: MemOp, gen: int, value: int) -> None:
         if op.generation != gen or op.seq not in self.pending:
@@ -689,6 +666,9 @@ class LoadStoreUnit:
         ready = self.ready_loads
         while ready and ready[-1].seq >= first:
             ready.pop()
+        rmw_reads = self._rmw_reads
+        while rmw_reads and rmw_reads[-1].seq >= first:
+            rmw_reads.pop()
         sb = self.store_buffer
         while sb and sb[-1].seq >= first:
             assert sb[-1].state is not MemState.SB_ISSUED, \

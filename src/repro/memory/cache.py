@@ -14,6 +14,10 @@ Models the per-processor cache the paper requires (Section 3.2 / 4.1):
 * **non-binding prefetch**: ``prefetch()`` brings a line in read-shared
   or exclusive state without binding any register value.
 
+Nothing polls for a resource: a refused access waits for a fill to
+release an MSHR (``await_mshr``), and a fill never waits for a way.
+Only the per-cycle port budget is a one-cycle wait.
+
 The cache is one endpoint of the interconnect; the directory is the
 other.  Coherence protocol details live in ``repro.coherence``.
 """
@@ -21,7 +25,7 @@ other.  Coherence protocol details live in ``repro.coherence``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..coherence.messages import DIRECTORY_NODE, Message, MessageKind, NodeId
 from ..sim.errors import ProtocolError
@@ -134,6 +138,8 @@ class LockupFreeCache(Component):
         # lines brought in by a prefetch and not yet touched by any
         # demand access — the basis of useful/late/useless accounting
         self._prefetched_unused: set = set()
+        # resumed, in order, when a fill next releases an MSHR
+        self._mshr_waits: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -180,8 +186,9 @@ class LockupFreeCache(Component):
     # Demand accesses
     # ------------------------------------------------------------------
     def access(self, req: AccessRequest) -> bool:
-        """Present a demand access.  Returns False if not accepted
-        (port busy or MSHRs exhausted); the caller retries next cycle."""
+        """Present a demand access.  Returns False if not accepted: the
+        port budget is spent this cycle (it resets next cycle), or the
+        access needs an MSHR and none is free (:meth:`await_mshr`)."""
         if not self.can_accept():
             return False
         if self.config.uncached_ranges and self.config.is_uncached(req.addr):
@@ -230,19 +237,26 @@ class LockupFreeCache(Component):
         self._use_port()
         self.stat_misses.inc()
         req.issued_cycle = self.sim.cycle
-        entry = MshrEntry(
-            line_addr=line_addr,
-            exclusive=needs_excl,
-            prefetch_only=False,
-            issued_cycle=self.sim.cycle,
-        )
-        entry.waiters.append(req)
-        self.mshrs[line_addr] = entry
-        if needs_excl and line is not None and line.state is LineState.SHARED:
+        self._start_miss(line_addr, line, needs_excl, False).waiters.append(req)
+        return True
+
+    def await_mshr(self, resume: Callable[[], None]) -> None:
+        """Call ``resume`` once, when a fill next releases an MSHR."""
+        if resume not in self._mshr_waits:
+            self._mshr_waits.append(resume)
+
+    def _start_miss(self, line_addr: int, line: Optional[CacheLine],
+                    exclusive: bool, prefetch_only: bool) -> MshrEntry:
+        """Allocate the line's MSHR and ask the directory: an UPGRADE
+        when ownership is wanted of a line held SHARED."""
+        entry = self.mshrs[line_addr] = MshrEntry(
+            line_addr=line_addr, exclusive=exclusive,
+            prefetch_only=prefetch_only, issued_cycle=self.sim.cycle)
+        if exclusive and line is not None and line.state is LineState.SHARED:
             self._send(MessageKind.UPGRADE, line_addr)
         else:
-            self._send(MessageKind.READX if needs_excl else MessageKind.READ, line_addr)
-        return True
+            self._send(MessageKind.READX if exclusive else MessageKind.READ, line_addr)
+        return entry
 
     def _uncached_access(self, req: AccessRequest) -> bool:
         """Appendix A's non-cached locations: performed atomically at
@@ -330,17 +344,7 @@ class LockupFreeCache(Component):
             return True
 
         self.stat_prefetches.inc()
-        entry = MshrEntry(
-            line_addr=line_addr,
-            exclusive=exclusive,
-            prefetch_only=True,
-            issued_cycle=self.sim.cycle,
-        )
-        self.mshrs[line_addr] = entry
-        if exclusive and line is not None and line.state is LineState.SHARED:
-            self._send(MessageKind.UPGRADE, line_addr)
-        else:
-            self._send(MessageKind.READX if exclusive else MessageKind.READ, line_addr)
+        self._start_miss(line_addr, line, exclusive, True)
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, f"cache{self.node}",
                               "prefetch", line=line_addr, exclusive=exclusive)
@@ -352,18 +356,12 @@ class LockupFreeCache(Component):
     def _complete_access(self, req: AccessRequest, line_addr: int) -> None:
         """Perform ``req`` against the (now present) line and call back."""
         line = self._find_line(line_addr)
-        if line is None:
-            # The line was invalidated/replaced between hit detection and
-            # completion (possible with multi-cycle hit latency).  Re-run
-            # the access as a fresh miss.
-            self.sim.schedule(0, lambda: self._retry(req))
-            return
-        if req.kind is not AccessKind.LOAD and line.state is not LineState.MODIFIED:
-            # Same race as above, but the line lost *permission* rather
-            # than presence: a RECALL downgraded MODIFIED -> SHARED after
-            # the store/RMW was accepted as a hit.  Re-run as a fresh
-            # access so an UPGRADE re-acquires ownership.
-            self.sim.schedule(0, lambda: self._retry(req))
+        if line is None or (req.kind is not AccessKind.LOAD
+                            and line.state is not LineState.MODIFIED):
+            # Since the hit (multi-cycle hit latency) the line left, or
+            # a RECALL downgraded it under a store/RMW: probe again (an
+            # UPGRADE re-acquires ownership).
+            self._rerun(req)
             return
         widx = self.config.word_index(req.addr)
         if req.kind is AccessKind.LOAD:
@@ -379,9 +377,13 @@ class LockupFreeCache(Component):
         if req.callback is not None:
             req.callback(req, value)
 
-    def _retry(self, req: AccessRequest) -> None:
-        if not self.access(req):
-            self.sim.schedule(1, lambda: self._retry(req))
+    def _rerun(self, req: AccessRequest) -> None:
+        if self.access(req):
+            return
+        if self.can_accept():
+            self.await_mshr(lambda: self._rerun(req))
+        else:
+            self.sim.schedule(1, lambda: self._rerun(req))  # port budget: free next cycle
 
     # ------------------------------------------------------------------
     # Message plumbing
@@ -406,15 +408,18 @@ class LockupFreeCache(Component):
     # ------------------------------------------------------------------
     # Fills
     # ------------------------------------------------------------------
-    def _install(self, line_addr: int, state: LineState, data: List[int]) -> Optional[CacheLine]:
-        """Place a fill into the set, evicting if needed.
+    def _install(self, line_addr: int, state: LineState, data: List[int]) -> CacheLine:
+        """Place a fill into the set, evicting the LRU victim if needed.
 
-        Returns the installed line, or ``None`` if no victim was
-        available this cycle (all ways have outstanding transactions);
-        the caller schedules a retry.
+        A fill never waits for a way.  A victim is any way but a valid
+        line with a miss or a writeback in flight — an INVALID way is
+        one even with a miss outstanding for its address.  With no
+        victim, the fill takes a way beyond the set's (in hardware, the
+        MSHR's data buffer); a later fill into the set gives it back.
+        Parking the fill instead deadlocks: two caches' fills can each
+        wait for a way behind the other's invalidation.
         """
-        idx = self.config.set_index(line_addr)
-        cache_set = self._sets[idx]
+        cache_set = self._sets[self.config.set_index(line_addr)]
         for line in cache_set:
             if line.line_addr == line_addr:
                 line.state = state
@@ -422,26 +427,21 @@ class LockupFreeCache(Component):
                 self._touch(line)
                 self._record_fill(line_addr, state)
                 return line
-        if len(cache_set) < self.config.assoc:
-            line = CacheLine(line_addr=line_addr, state=state, data=list(data))
-            self._touch(line)
-            cache_set.append(line)
-            self._record_fill(line_addr, state)
-            return line
-        victims = [
-            l for l in cache_set
-            if l.line_addr not in self.mshrs and l.line_addr not in self._writebacks
-        ]
-        if not victims:
-            return None
-        victim = min(victims, key=lambda l: l.lru)
-        self._evict(victim)
-        victim.line_addr = line_addr
-        victim.state = state
-        victim.data = list(data)
-        self._touch(victim)
+        if len(cache_set) >= self.config.assoc:
+            victims = sorted(
+                (l for l in cache_set
+                 if l.state is LineState.INVALID
+                 or (l.line_addr not in self.mshrs
+                     and l.line_addr not in self._writebacks)),
+                key=lambda l: l.lru)
+            for victim in victims[:len(cache_set) - self.config.assoc + 1]:
+                self._evict(victim)
+                cache_set.remove(victim)
+        line = CacheLine(line_addr=line_addr, state=state, data=list(data))
+        self._touch(line)
+        cache_set.append(line)
         self._record_fill(line_addr, state)
-        return victim
+        return line
 
     def _record_fill(self, line_addr: int, state: LineState) -> None:
         if self.trace.enabled:
@@ -478,14 +478,18 @@ class LockupFreeCache(Component):
             self._send(MessageKind.WRITEBACK, line.line_addr, data=list(line.data))
         line.state = LineState.INVALID
 
+    def _release_mshrs(self) -> None:
+        """A fill released an MSHR: resume what waits for one, in order."""
+        if self._mshr_waits and len(self.mshrs) < self.config.mshr_entries:
+            waits, self._mshr_waits = self._mshr_waits, []
+            for resume in waits:
+                resume()
+
     def _on_data(self, msg: Message) -> None:
         entry = self.mshrs.get(msg.line_addr)
         if entry is None:
             raise ProtocolError(f"cache{self.node}: DATA with no MSHR for line {msg.line_addr:#x}")
         line = self._install(msg.line_addr, LineState.SHARED, msg.data or [])
-        if line is None:
-            self.sim.schedule(1, lambda: self._on_data(msg))
-            return
         del self.mshrs[msg.line_addr]
         self._mark_prefetch_fill(entry)
         waiters = entry.waiters
@@ -496,15 +500,9 @@ class LockupFreeCache(Component):
             # Stores (or an exclusive prefetch) were merged onto a
             # shared miss: start the exclusive transaction now
             # (upgrade, since we just got an S copy).
-            new_entry = MshrEntry(
-                line_addr=msg.line_addr,
-                exclusive=True,
-                prefetch_only=not pending_excl,
-                issued_cycle=self.sim.cycle,
-            )
-            new_entry.waiters.extend(pending_excl)
-            self.mshrs[msg.line_addr] = new_entry
-            self._send(MessageKind.UPGRADE, msg.line_addr)
+            self._start_miss(msg.line_addr, line, True,
+                             not pending_excl).waiters.extend(pending_excl)
+        self._release_mshrs()
 
     def _on_data_excl(self, msg: Message) -> None:
         entry = self.mshrs.get(msg.line_addr)
@@ -520,14 +518,12 @@ class LockupFreeCache(Component):
                     f"cache{self.node}: upgrade ack for line {msg.line_addr:#x} not present"
                 )
             data = existing.data
-        line = self._install(msg.line_addr, LineState.MODIFIED, data)
-        if line is None:
-            self.sim.schedule(1, lambda: self._on_data_excl(msg))
-            return
+        self._install(msg.line_addr, LineState.MODIFIED, data)
         del self.mshrs[msg.line_addr]
         self._mark_prefetch_fill(entry)
         for req in entry.waiters + entry.pending_exclusive:
             self._complete_access(req, msg.line_addr)
+        self._release_mshrs()
 
     # ------------------------------------------------------------------
     # Snoops
@@ -599,6 +595,13 @@ class LockupFreeCache(Component):
         return (not self.mshrs and not self._writebacks
                 and not self._update_txns and not self._uncached_txns)
 
+    def describe_wait(self) -> str:
+        waits = [f"{what} {', '.join(f'{line:#x}' for line in lines)}"
+                 for what, lines in (("misses", self.mshrs),
+                                     ("writebacks", self._writebacks))
+                 if lines]
+        return f"{self.name} " + "; ".join(waits) if waits else ""
+
     def warm_install(self, line_addr: int, state: LineState, data: Optional[List[int]] = None) -> None:
         """Pre-install a line for warm-start experiments (not a timed path).
 
@@ -609,8 +612,7 @@ class LockupFreeCache(Component):
             data = [0] * self.config.line_size
         if len(data) != self.config.line_size:
             raise ProtocolError("warm_install data must cover the whole line")
-        if self._install(line_addr, state, data) is None:
-            raise ProtocolError("warm_install could not find a victim way")
+        self._install(line_addr, state, data)
 
     def contents(self) -> Dict[int, Tuple[str, List[int]]]:
         """Snapshot {line_addr: (state, data)} of all valid lines."""

@@ -27,8 +27,11 @@ from typing import Dict, Mapping, Optional
 
 from ..obs.ledger import digest_outcome
 
-#: bump when the entry layout changes incompatibly
-STORE_SCHEMA = "repro-serve-result/1"
+#: bump when the entry layout changes incompatibly, or when the same
+#: request would now compute a different result (``/2``: litmus legs
+#: start from the test's initial memory, and the machine waits on
+#: events instead of polling) — an older entry then reads as a miss
+STORE_SCHEMA = "repro-serve-result/2"
 
 
 class ResultStore:

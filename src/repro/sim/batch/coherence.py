@@ -10,7 +10,9 @@ every ``sim.schedule`` call the scalar classes would make is made here
 in the same order with the same delay, so event sequence numbers, FIFO
 channel floors, transaction interleavings, final memory, and every
 statistic come out identical.  The differential suite pins this against
-the scalar kernel.
+the scalar kernel.  One wait is not mirrored: a re-run hit that finds
+every MSHR taken retries here a cycle later, where the scalar cache
+waits for an MSHR's release.
 
 What makes it fast rather than faithful-but-slow:
 
@@ -220,13 +222,11 @@ class FastCache:
     # -- completion ----------------------------------------------------
     def _complete_access(self, req: AccessRequest, line_addr: int) -> None:
         line = self._find_line(line_addr)
-        if line is None:
-            # invalidated/replaced between hit detection and completion
-            self.fab.post(0, self._retry, req)
-            return
-        if req.kind is not AccessKind.LOAD and line.state != _MODIFIED:
-            # lost permission (RECALL downgrade) in the same window
-            self.fab.post(0, self._retry, req)
+        if line is None or (req.kind is not AccessKind.LOAD
+                            and line.state != _MODIFIED):
+            # invalidated/replaced, or lost permission (RECALL
+            # downgrade), between hit detection and completion
+            self._retry(req)
             return
         widx = req.addr % self.fab.line_size
         if req.kind is AccessKind.LOAD:
@@ -248,7 +248,7 @@ class FastCache:
 
     # -- fills ---------------------------------------------------------
     def _install(self, line_addr: int, state: int,
-                 data: List[int]) -> Optional[_Line]:
+                 data: List[int]) -> _Line:
         cache_set = self._sets.setdefault(line_addr % self.fab.num_sets, [])
         for line in cache_set:
             if line.line_addr == line_addr:
@@ -256,24 +256,22 @@ class FastCache:
                 line.data = list(data)
                 self._touch(line)
                 return line
-        if len(cache_set) < self.fab.assoc:
-            line = _Line(line_addr, state, list(data))
-            self._touch(line)
-            cache_set.append(line)
-            return line
-        victims = [
-            l for l in cache_set
-            if l.line_addr not in self.mshrs and l.line_addr not in self._writebacks
-        ]
-        if not victims:
-            return None
-        victim = min(victims, key=lambda l: l.lru)
-        self._evict(victim)
-        victim.line_addr = line_addr
-        victim.state = state
-        victim.data = list(data)
-        self._touch(victim)
-        return victim
+        if len(cache_set) >= self.fab.assoc:
+            # a fill never waits: with no victim it takes an extra way,
+            # which a later fill into the set gives back
+            victims = sorted(
+                (l for l in cache_set
+                 if l.state == _INV
+                 or (l.line_addr not in self.mshrs
+                     and l.line_addr not in self._writebacks)),
+                key=lambda l: l.lru)
+            for victim in victims[:len(cache_set) - self.fab.assoc + 1]:
+                self._evict(victim)
+                cache_set.remove(victim)
+        line = _Line(line_addr, state, list(data))
+        self._touch(line)
+        cache_set.append(line)
+        return line
 
     def _evict(self, line: _Line) -> None:
         self.replacements += 1
@@ -288,10 +286,7 @@ class FastCache:
         if entry is None:
             raise ProtocolError(
                 f"cache{self.node}: DATA with no MSHR for line {line_addr:#x}")
-        line = self._install(line_addr, _SHARED, data)
-        if line is None:
-            self.fab.post(1, self._on_data, line_addr, data)
-            return
+        self._install(line_addr, _SHARED, data)
         del self.mshrs[line_addr]
         pending_excl = entry.pending_exclusive
         for req in entry.waiters:
@@ -317,10 +312,7 @@ class FastCache:
             fill = existing.data
         else:
             fill = data
-        line = self._install(line_addr, _MODIFIED, fill)
-        if line is None:
-            self.fab.post(1, self._on_data_excl, line_addr, data)
-            return
+        self._install(line_addr, _MODIFIED, fill)
         del self.mshrs[line_addr]
         for req in entry.waiters + entry.pending_exclusive:
             self._complete_access(req, line_addr)
@@ -359,8 +351,7 @@ class FastCache:
         return not self.mshrs and not self._writebacks
 
     def warm_install(self, line_addr: int, state: int, data: List[int]) -> None:
-        if self._install(line_addr, state, data) is None:
-            raise ProtocolError("warm_install could not find a victim way")
+        self._install(line_addr, state, data)
 
 
 class FastFabric:
@@ -503,7 +494,7 @@ class FastFabric:
             kind, src = queue.popleft()
             if not queue:
                 del self._queues[txn.line_addr]
-            self.post(0, self._start, kind, src, txn.line_addr)
+            self._start(kind, src, txn.line_addr)
 
     def _act(self, txn: _Txn) -> None:
         if txn.kind == _T_READ:

@@ -572,7 +572,8 @@ class BatchEngine:
                 else:
                     self.stores_acc[ctx] += 1
                 issued += 1
-            # rejected: scalar reverts to IN_SB and retries next tick
+            # rejected (every MSHR taken): scalar reverts to IN_SB and
+            # retries once a fill releases one
         return issued
 
     def _phase_issue_loads(self) -> int:
@@ -632,15 +633,15 @@ class BatchEngine:
                     accepted = cache.access(req)
                 finally:
                     self._stage_key = None
-                # scalar removes the op from ready_loads and sets
-                # issued_one even when the cache rejects the access (the
-                # op is then lost — reproduced deliberately; such lanes
-                # deadlock at max_cycles exactly like the scalar kernel)
+                if not accepted:
+                    # every MSHR taken: the op stays ready, and scalar
+                    # retries it once a fill releases one
+                    rescan = True
+                    break
                 self.ready[ctx] &= np.uint64((1 << m) ^ _M64)
                 issued_one = True
                 acted += 1
-                if accepted:
-                    self.loads_acc[ctx] += 1
+                self.loads_acc[ctx] += 1
             self.scan_load[ctx] = rescan
         return acted
 

@@ -79,6 +79,11 @@ class Component:
         """
         return cycle + 1
 
+    def describe_wait(self) -> str:
+        """What a busy component waits on, for a deadlock's diagnostic
+        ("" when its name says enough)."""
+        return ""
+
     def skip_cycles(self, skipped: int) -> None:
         """Bulk-apply the per-cycle effects of ``skipped`` elided ticks.
 
@@ -102,6 +107,7 @@ class Simulator:
         self.stats = stats if stats is not None else StatsRegistry()
         self.fast_forward = fast_forward
         self._components: List[Component] = []
+        self._watched: List[Component] = []
         self.profiler: Optional[HostProfiler] = None
         self.reset()
         if profile:
@@ -128,6 +134,13 @@ class Simulator:
     def register(self, component: Component) -> None:
         """Register a component; ticked each cycle in registration order."""
         self._components.append(component)
+
+    def watch(self, component: Component) -> None:
+        """Name ``component`` in a deadlock's diagnostic while it is
+        busy, without ticking it: for the components that only react to
+        events (caches, the directory, the interconnect), whose pending
+        work is what a wedged run waits on."""
+        self._watched.append(component)
 
     def enable_profiling(
         self, profiler: Optional[HostProfiler] = None,
@@ -331,5 +344,10 @@ class Simulator:
         return self.cycle
 
     def _diagnose(self) -> str:
-        busy = [c.name for c in self._components if not c.is_quiescent()]
-        return f"non-quiescent components: {busy!r}" if busy else "no pending work anywhere"
+        busy = [c for c in self._components + self._watched
+                if not c.is_quiescent()]
+        if not busy:
+            return "no pending work anywhere"
+        waits = [wait for wait in (c.describe_wait() for c in busy) if wait]
+        return "; ".join([f"non-quiescent components: {[c.name for c in busy]!r}",
+                          *waits])

@@ -71,6 +71,9 @@ class MemoryFabric:
             LockupFreeCache(cpu, sim, self.net, self.cache_config, trace=trace)
             for cpu in range(num_cpus)
         ]
+        # none of these ticks, but a wedged run waits on their work
+        for component in (self.net, self.directory, *self.caches):
+            sim.watch(component)
 
     def reset(self) -> None:
         """Every cache empty, memory zero, nothing in flight."""

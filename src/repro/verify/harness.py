@@ -408,7 +408,8 @@ def leg_jobs(test: LitmusTest, legs: Sequence[Leg],
     """
     addresses = test.addresses()
     nthreads = len(test.threads)
-    initial_memory = {addr: 0 for addr in addresses.values()}
+    initial_memory = {addr: test.initial.get(name, 0)
+                      for name, addr in addresses.items()}
     programs_by_skew: Dict[Tuple[int, ...], tuple] = {}
     jobs: List[BatchJob] = []
     audit_maps: List[Dict[str, int]] = []

@@ -11,8 +11,11 @@ from repro.cpu import ProcessorConfig
 from repro.isa import ProgramBuilder, assemble, interpret
 from repro.memory import AccessKind, AccessRequest, CacheConfig, LineState
 from repro.sim import Simulator
-from repro.sim.errors import ProtocolError
+from repro.coherence.messages import MessageKind
+from repro.sim.errors import DeadlockError, ProtocolError
 from repro.system import run_workload
+from repro.system.agent import ScriptedAgent
+from repro.system.machine import MachineConfig, Multiprocessor
 from repro.system.fabric import MemoryFabric
 from repro.workloads import barrier_workload, critical_section_workload
 
@@ -170,6 +173,35 @@ class TestFalseSharing:
         machine.run(max_cycles=100_000)
         assert machine.sim.stats.counter("cpu0/slb/squashes").value >= 1
         assert machine.reg(0, "r1") == 42  # value still correct after redo
+
+
+class _DeafAgent(ScriptedAgent):
+    """Keeps its copies, and never acknowledges an invalidation."""
+
+    def receive(self, msg):
+        if msg.kind is not MessageKind.INVAL:
+            super().receive(msg)
+
+
+class TestDeadlockDiagnostic:
+    def test_a_wedge_names_the_cache_and_directory_line_it_waits_on(self):
+        # the agent reads 0x40's line and then withholds the INVAL_ACK
+        # the directory asks for when cpu0 stores to it: cpu0 waits on
+        # its cache's miss, the miss on the directory's transaction
+        program = assemble("""
+            ld   r1, 0x80
+            st   r1, 0x40
+            halt
+        """)
+        machine = Multiprocessor([program], MachineConfig(model=SC))
+        agent = _DeafAgent("agent0", machine.sim, machine.fabric.net)
+        agent.read_at(1, 0x40)
+        with pytest.raises(DeadlockError) as exc:
+            machine.run(max_cycles=2_000)
+        assert exc.value.diagnostic == (
+            "non-quiescent components: ['cpu0', 'directory', 'cache0']; "
+            "directory busy: 0x10 readx txn 3 (1 acks pending, 0 queued); "
+            "cache0 misses 0x10")
 
 
 class TestUpdateProtocolLimits:

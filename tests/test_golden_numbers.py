@@ -124,28 +124,33 @@ def test_goldens_keep_paper_shape():
 #: parent of the "decode once, bind once" rewrite of the core, and held
 #: since: a change to the simulator's host representation must leave
 #: every one of them alone, and a change to the modelled machine says
-#: so by editing this table.
+#: so by editing this table.  Moved since: the directory hands a line
+#: straight to its next queued request (ten trace streams, the same
+#: events in a different order within a cycle), and a lock RMW's
+#: speculative read goes out as the unlock store performs instead of a
+#: poll's cycle later (critical-section SC-on 274 -> 270, RC-on
+#: 245 -> 249).
 WHOLE_REGISTRY_PINS = {
-    ("barrier-4x1", "SC", False): (1583, "2c6e02db9a8ca9de", "35977c43e5fc6af9"),
-    ("barrier-4x1", "SC", True): (1199, "1954087f1c8a0abf", "778917672de717e7"),
-    ("barrier-4x1", "RC", False): (1483, "ea31fbb357112474", "9275e4244d77ecc8"),
-    ("barrier-4x1", "RC", True): (1199, "05e91db72bb3a302", "a3674831dcb49bd9"),
-    ("grid-4x4x1", "SC", False): (2937, "b195e9eb0944dd6d", "74639db6b897d5b5"),
-    ("grid-4x4x1", "SC", True): (1214, "cb284605ec0633cc", "f7d870406766b0d4"),
-    ("grid-4x4x1", "RC", False): (1412, "bf62b5223add89d7", "7941a73610bd648f"),
-    ("grid-4x4x1", "RC", True): (1214, "da3d58f4f876ed62", "fafef67252862adc"),
+    ("barrier-4x1", "SC", False): (1583, "2c6e02db9a8ca9de", "049793c8585695b4"),
+    ("barrier-4x1", "SC", True): (1199, "1954087f1c8a0abf", "993ee1fb39f31820"),
+    ("barrier-4x1", "RC", False): (1483, "ea31fbb357112474", "9da8c6b05e3095be"),
+    ("barrier-4x1", "RC", True): (1199, "05e91db72bb3a302", "5716993a68cb175c"),
+    ("grid-4x4x1", "SC", False): (2937, "b195e9eb0944dd6d", "c91dd14f0bde550b"),
+    ("grid-4x4x1", "SC", True): (1214, "cb284605ec0633cc", "b58babbb0a3748ec"),
+    ("grid-4x4x1", "RC", False): (1412, "bf62b5223add89d7", "316c06e24cc1b0e2"),
+    ("grid-4x4x1", "RC", True): (1214, "da3d58f4f876ed62", "9fb4593ef98cf9a3"),
     ("workqueue-3x4", "SC", False): (3389, "0c3d32ff095ace4e", "7b2d391455c61d78"),
-    ("workqueue-3x4", "SC", True): (2343, "ba1dcb7c3e57605b", "d91fc20c7991494e"),
+    ("workqueue-3x4", "SC", True): (2343, "ba1dcb7c3e57605b", "d7e7a1a76fba75ba"),
     ("workqueue-3x4", "RC", False): (1925, "b747177fcfd48a0b", "95fceaae7baed136"),
-    ("workqueue-3x4", "RC", True): (1924, "8683ef442c0cef6e", "e6571e3c6bb816cb"),
+    ("workqueue-3x4", "RC", True): (1924, "8683ef442c0cef6e", "3ffff8fde1876376"),
     ("false-sharing-packed", "SC", False): (2948, "43c6356786020fd3", "f9dde4a3a943e826"),
     ("false-sharing-packed", "SC", True): (1912, "1a60d80b141e0499", "6b5e5117d7b77c1f"),
     ("false-sharing-packed", "RC", False): (873, "402fd059ab4b6e30", "f6204df2f525ce8b"),
     ("false-sharing-packed", "RC", True): (870, "56f77414e47e8a17", "71b49cacf0417289"),
     ("critical-section-private-2x5", "SC", False): (792, "b484b2f804c0c3f0", "33d8c377e04d4214"),
-    ("critical-section-private-2x5", "SC", True): (274, "9903c5d6b605e509", "1b4315f6e8c0cdee"),
+    ("critical-section-private-2x5", "SC", True): (270, "1a200977f2a20691", "7955fcaf891d2aea"),
     ("critical-section-private-2x5", "RC", False): (360, "2555c679b22ca332", "86a0b2324422561c"),
-    ("critical-section-private-2x5", "RC", True): (245, "f881e653a9f9a251", "65858a6d0aa57e09"),
+    ("critical-section-private-2x5", "RC", True): (249, "86f705797a3bf0ac", "f43ab0367ed00104"),
 }
 
 

@@ -14,6 +14,7 @@ interpreter (this one has long since imported the batch tests).
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,3 +109,19 @@ def test_only_cli_modules_import_argparse():
     assert [name for name in importers
             if name not in ("cli_options.py", "run.py", "report.py")
             and not name.endswith("/cli.py")] == []
+
+
+def test_the_machine_waits_for_events_instead_of_polling():
+    """A blocked access or message in the modelled machine stays where
+    it is queued until the event that frees its resource resumes it; no
+    component reschedules itself to ask again.  The one exception, the
+    per-cycle port budget, says so on its line."""
+    root = Path(SRC) / "repro"
+    polls = [f"{path.relative_to(root)}:{number}: {line.strip()}"
+             for package in ("memory", "coherence", "cpu")
+             for path in sorted((root / package).glob("*.py"))
+             for number, line in enumerate(
+                 path.read_text().splitlines(), 1)
+             if re.search(r"schedule\([01]\b", line)
+             and "# port budget:" not in line]
+    assert polls == []

@@ -18,14 +18,19 @@ later one: the next, this one replayed), and ``TestRaisingRunParity``
 that a run that raises leaves the books the naive path leaves.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.coherence.messages import DIRECTORY_NODE, Message, MessageKind
 from repro.consistency import PC, RC, SC, WC
+from repro.isa import assemble
 from repro.sim import Component, DeadlockError, Simulator, WAKE_NEVER
 from repro.sim.errors import ProtocolError, SimulationError
 from repro.sim.profiler import HOST_PREFIX
 from repro.sim.trace import TraceRecorder
 from repro.system import run_workload
+from repro.system.agent import ScriptedAgent
 from repro.workloads import (
     critical_section_workload,
     grid_relaxation_workload,
@@ -123,7 +128,8 @@ def _check_sleep_promises(programs, initial_memory, warm_lines,
     leave the core naming the same wake (it moved nothing).  This is
     the guard on the list of wake sites: a callback into a core that
     does not pass through the wake breaks a promise nobody lapsed.
-    Returns the number of ticks held to a promise.
+    Returns the number of ticks held to a promise, and how many of them
+    a speculative RMW read of that core waited through unsent.
     """
     from repro.system.machine import MachineConfig, Multiprocessor
 
@@ -140,7 +146,7 @@ def _check_sleep_promises(programs, initial_memory, warm_lines,
     sim.wake = woken.add    # outside run() the kernel's own is a no-op
     cpus = range(len(machine.processors))
     promises = {cpu: None for cpu in cpus}   # cpu -> (wake, replay)
-    checked = 0
+    checked = across_rmw_reads = 0
     while not machine.done():
         assert sim.cycle < 100_000
         before = {cpu: _cpu_stats(machine, cpu) for cpu in cpus}
@@ -160,12 +166,14 @@ def _check_sleep_promises(programs, initial_memory, warm_lines,
                         f"cpu{cpu} promised to sleep until cycle {wake} "
                         f"but tick {cycle} moved")
                     checked += 1
+                    across_rmw_reads += bool(
+                        machine.processors[cpu].lsu._rmw_reads)
                     continue
                 promises[cpu] = None
             wake = machine.processors[cpu].next_wake(cycle)
             if wake > cycle + 1:
                 promises[cpu] = (wake, _replayed_by_skip(machine, cpu))
-    return checked
+    return checked, across_rmw_reads
 
 
 class TestSleepPromise:
@@ -186,7 +194,7 @@ class TestSleepPromise:
     def test_example2_idle_ticks_do_only_what_skip_replays(
             self, model, tech, pf, spec):
         wl = example2_program()
-        checked = _check_sleep_promises(
+        checked, _ = _check_sleep_promises(
             [wl.program], wl.initial_memory, wl.warm_lines, model, pf, spec)
         assert checked > 0, "no promise was ever held to account"
 
@@ -198,9 +206,14 @@ class TestSleepPromise:
             self, model, pf, spec):
         wl = critical_section_workload(num_cpus=2, iterations=2,
                                        shared_counters=3, private=True)
-        checked = _check_sleep_promises(
+        checked, across_rmw_reads = _check_sleep_promises(
             wl.programs, wl.initial_memory, (), model, pf, spec)
         assert checked > 0, "no promise was ever held to account"
+        if spec:
+            # the lock RMW's speculative read waits for the unlock store
+            # to perform; the core it belongs to sleeps meanwhile
+            assert across_rmw_reads > 0, (
+                "no promise was held across a blocked speculative RMW read")
 
     def test_grid_relaxation_spec_rmw_value_reaches_sleeping_core(self):
         # the one input here on which a speculative RMW read's value
@@ -208,7 +221,7 @@ class TestSleepPromise:
         # the tick after it issues a dependent branch, which no counter
         # shows for another two cycles
         wl = grid_relaxation_workload(4, 4, 2)
-        checked = _check_sleep_promises(
+        checked, _ = _check_sleep_promises(
             wl.programs, wl.initial_memory, (), SC, True, True)
         assert checked > 0, "no promise was ever held to account"
 
@@ -228,7 +241,7 @@ class TestSleepPromise:
 
         (job,), _ = leg_jobs(generate_litmus(seed),
                              [(model.name, pf, spec, DEFAULT_RUN_CONFIGS[0])])
-        checked = _check_sleep_promises(
+        checked, _ = _check_sleep_promises(
             job.programs, job.initial_memory, job.warm_lines, model, pf, spec)
         assert checked > 0, "no promise was ever held to account"
 
@@ -269,18 +282,20 @@ class TestFastForwardEngages:
     def test_cores_sleep_while_their_neighbour_works(self):
         # an always-awake core is as bit-identical as a sleeping one and
         # loses the whole speed-up.  With both techniques on, the lock
-        # RMW's one-cycle poll events leave the global jump nothing —
-        # every cycle is stepped — so what is saved here is saved per
-        # core: 114 ticks of 2 x 229 when this was written
+        # RMW's speculative read waits for the unlock store without an
+        # event per cycle, so while both cores wait the clock jumps, and
+        # in the cycles it steps one core sleeps while the other works:
+        # 70 of 228 cycles stepped, 112 core ticks, when this was written
         wl = critical_section_workload(num_cpus=2, iterations=2,
                                        shared_counters=3, private=True)
         result = run_workload(wl.programs, model=SC, prefetch=True,
                               speculation=True,
                               initial_memory=wl.initial_memory, profile=True)
         snap = result.stats.snapshot()
-        assert snap[HOST_PREFIX + "ticks"] == result.cycles
+        assert snap[HOST_PREFIX + "fastforward/cycles"] > 0
+        assert snap[HOST_PREFIX + "ticks"] <= 0.5 * result.cycles
         assert (snap[HOST_PREFIX + "tick_count/Processor"]
-                <= 0.75 * 2 * snap[HOST_PREFIX + "ticks"])
+                <= 0.85 * 2 * snap[HOST_PREFIX + "ticks"])
 
 
 class _Sleeper(Component):
@@ -427,8 +442,10 @@ class TestKernelJumpMechanics:
         assert cycles[0] == cycles[1] == 500
 
 
-def _left_behind(workload, model, pf, spec, max_cycles, fast_forward):
-    """Run to the exception; return it and the state it leaves."""
+def _left_behind(workload, model, pf, spec, max_cycles, fast_forward,
+                 arm=lambda machine: None):
+    """Run to the exception; return it and the state it leaves.
+    ``arm(machine)`` runs just before the machine does."""
     from repro.system.machine import MachineConfig, Multiprocessor
 
     machine = Multiprocessor(
@@ -437,6 +454,7 @@ def _left_behind(workload, model, pf, spec, max_cycles, fast_forward):
                       enable_speculation=spec),
         fast_forward=fast_forward)
     machine.init_memory(workload.initial_memory)
+    arm(machine)
     with pytest.raises(SimulationError) as exc:
         machine.run(max_cycles=max_cycles)
     return (type(exc.value), str(exc.value), machine.sim.cycle,
@@ -449,9 +467,11 @@ class TestRaisingRunParity:
     each core at, which for an exception in mid-cycle is not the same
     cycle for every core."""
 
-    def _check(self, error, workload, model, pf, spec, max_cycles):
-        fast = _left_behind(workload, model, pf, spec, max_cycles, True)
-        naive = _left_behind(workload, model, pf, spec, max_cycles, False)
+    def _check(self, error, workload, model, pf, spec, max_cycles,
+               arm=lambda machine: None):
+        fast = _left_behind(workload, model, pf, spec, max_cycles, True, arm)
+        naive = _left_behind(workload, model, pf, spec, max_cycles, False,
+                             arm)
         assert fast[0] is error
         assert fast == naive
 
@@ -462,19 +482,37 @@ class TestRaisingRunParity:
                     SC, False, False, max_cycles=150)
 
     def test_wedged_guest_runs_out_of_cycles(self):
-        # tests/test_known_failures.py: never finishes; 4 cores asleep
-        # for most of the 20 000 cycles
-        self._check(DeadlockError, grid_relaxation_workload(4, 8, 2),
-                    RC, True, False, max_cycles=20_000)
+        # one core spins on a flag nobody sets; the other finished its
+        # miss long ago and sleeps through the rest of the 5 000 cycles
+        spinner = assemble("""
+            spin:
+                ld     r1, 0x80
+                beqz   r1, spin
+                halt
+        """)
+        idler = assemble("""
+                ld     r2, 0x40
+                halt
+        """)
+        wedged = SimpleNamespace(programs=[spinner, idler, idler],
+                                 initial_memory={})
+        self._check(DeadlockError, wedged, RC, True, False, max_cycles=5_000)
 
     def test_protocol_error_in_the_event_phase(self):
-        # tests/test_known_failures.py: the directory raises while
-        # delivering a message at cycle 2234 — no core ticked that cycle
+        # a scripted agent sends the directory an INVAL_ACK for no
+        # transaction: the directory raises while the message is
+        # delivered, in the event phase, before any core ticks that cycle
+        def stray_ack(machine):
+            agent = ScriptedAgent("agent0", machine.sim, machine.fabric.net)
+            machine.sim.schedule_at(150, lambda: agent.net.send(Message(
+                kind=MessageKind.INVAL_ACK, src=agent.node,
+                dst=DIRECTORY_NODE, line_addr=0x10, txn=0)))
+
         self._check(ProtocolError,
                     critical_section_workload(num_cpus=4, iterations=4,
                                               shared_counters=3,
                                               private=False),
-                    SC, True, False, max_cycles=1_000_000)
+                    SC, True, False, max_cycles=1_000_000, arm=stray_ack)
 
     def test_raise_inside_a_tick_spares_the_components_after_it(self):
         # registration order: a sleeper, the one that raises, a sleeper

@@ -195,10 +195,11 @@ class TestSpeculativeRmwRead:
         from repro.sim.trace import TraceRecorder
 
         # the load miss holds the only MSHR for ~100 cycles, so the
-        # cache refuses the RMW's speculative read every cycle until
-        # then; the store behind the load keeps the RMW itself (SC:
-        # after every earlier access) waiting long enough for the
-        # retried read to come back first
+        # cache refuses the RMW's speculative read, which then waits for
+        # the fill that releases the MSHR — asked twice in all, not once
+        # a cycle; the store behind the load keeps the RMW itself (SC:
+        # after every earlier access) waiting long enough for the read
+        # to come back first
         p = assemble("""
             ld      r1, 0x40
             st      r1, 0x100
@@ -206,14 +207,15 @@ class TestSpeculativeRmwRead:
             add     r3, r2, r1
             halt
         """)
-        retries = []
-        retry = LoadStoreUnit._retry_rmw_read
+        asked = []
+        send = LoadStoreUnit._send_rmw_read
 
-        def counted(self, op, gen):
-            retries.append(self.sim.cycle)
-            retry(self, op, gen)
+        def counted(self, op):
+            sent = send(self, op)
+            asked.append((self.sim.cycle, sent))
+            return sent
 
-        monkeypatch.setattr(LoadStoreUnit, "_retry_rmw_read", counted)
+        monkeypatch.setattr(LoadStoreUnit, "_send_rmw_read", counted)
         runs = []
         for fast_forward in (True, False):
             trace = TraceRecorder()
@@ -227,7 +229,12 @@ class TestSpeculativeRmwRead:
             assert r.machine.reg(0, "r3") == 37
             assert r.machine.read_word(0x80) == 37
             assert r.machine.read_word(0x100) == 7
-            runs.append((r.cycles, spec[0].cycle, len(retries)))
-            retries.clear()
+            fill = next(e.cycle for e in trace.events
+                        if e.kind == "load_complete" and e.detail["seq"] == 0)
+            runs.append((r.cycles, spec[0].cycle, fill, asked[:]))
+            asked.clear()
         assert runs[0] == runs[1]
-        assert runs[0][2] > 50       # refused for most of the load's miss
+        *_, fill, ((refused, no), (resent, yes)) = runs[0]
+        assert (no, yes) == (False, True)
+        assert resent - refused > 50      # refused for most of the load's miss
+        assert resent == fill             # sent as the fill frees the MSHR

@@ -258,10 +258,12 @@ class TestCliSmoke:
 
     # sha256 of each view of one producer/consumer run, all three fed by
     # one recorder; any byte that moves here changes what Perfetto, jq
-    # or `repro.obs diff` reads
+    # or `repro.obs diff` reads (the JSONL moved when the directory began
+    # handing a line straight to its next queued request: one txn_start
+    # now follows its predecessor's txn_finish within cycle 62)
     PINNED_VIEWS = {
         "perfetto": "6a55d47a89a7f4d812270fae528fbea4f06a0c121c14df43461a358e9f461a89",
-        "trace-jsonl": "efe260f91ec2bf2b884a60c96689b0d999f080566287470db187bab962bf94b1",
+        "trace-jsonl": "9ced8245e6a50806984401430454ca625ef610cc66c72a86ff8f1e0012cb6e26",
         "archtrace": "3e4ed0ba1c2a77a9842e0ae6de45524499ade3e6d67717c324e4b83bdc9b8572",
     }
 
@@ -295,7 +297,8 @@ class TestCliSmoke:
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [
             "error: simulation made no progress by cycle 20: "
-            "non-quiescent components: ['cpu0']"]
+            "non-quiescent components: ['cpu0', 'net', 'cache0']; "
+            "cache0 misses 0x4"]
         assert validate_trace_file(str(perfetto)) == []
         recorded = read_jsonl(str(jsonl))
         assert recorded and max(ev.cycle for ev in recorded) <= 20

@@ -346,6 +346,21 @@ class TestResultStore:
         assert ResultStore.validate_entry({**good, "schema": "x"}, "ab") != []
         assert ResultStore.validate_entry("junk", "ab") != []
 
+    def test_an_entry_of_the_previous_schema_is_a_miss(self, tmp_path):
+        # a /1 entry was computed by a machine that started litmus legs
+        # from zeroed memory and polled for busy resources: the same
+        # request may now compute another result, so it re-executes
+        store = ResultStore(str(tmp_path))
+        sha = self._sha()
+        result = {"outcome": [["r0", 1]], "cycles": 5}
+        path = store.put(sha, {"r": 1}, result)
+        entry = json.loads(open(path).read())
+        assert entry["schema"] == STORE_SCHEMA == "repro-serve-result/2"
+        with open(path, "w") as fh:
+            json.dump({**entry, "schema": "repro-serve-result/1"}, fh)
+        assert store.get(sha) is None
+        assert (store.hits, store.misses) == (0, 1)
+
     def test_clear_removes_everything(self, tmp_path):
         store = ResultStore(str(tmp_path))
         for i in range(3):

@@ -152,6 +152,16 @@ class TestHarness:
             test = generate_litmus(derive_seed(0, seed, "fuzz"))
             assert check_test(test, FAST).ok
 
+    def test_simulator_legs_start_from_the_initial_memory(self):
+        # both static oracles honour ``initial``; the simulator legs
+        # once started every location at 0 and read r0=0
+        test = LitmusTest("initial-x", [[read("x", "r0")], [write("y", 1)]],
+                          initial={"x": 5})
+        result = check_test(test, HarnessConfig(models=("SC",)))
+        assert result.ok, [d.describe() for d in result.divergences]
+        assert observed_outcome(test, "SC", False, False,
+                                FAST.run_configs[0]) == (("r0", 5),)
+
     def test_check_seed_worker(self):
         item = (3, derive_seed(0, 3, "fuzz"), {})
         result = check_seed(item)
