@@ -26,7 +26,6 @@ from .checker import (
 from .relations import (
     CandidateExecution,
     Event,
-    Relation,
     acyclic,
     build_events,
     ppo_masks,
@@ -39,7 +38,6 @@ __all__ = [
     "Event",
     "NAMED_AXIOMS",
     "OracleComparison",
-    "Relation",
     "accepting_witness",
     "acyclic",
     "axiomatic_outcomes",

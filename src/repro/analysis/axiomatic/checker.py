@@ -45,6 +45,7 @@ keys would be unsound) in bounded insertion-ordered caches.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -188,6 +189,19 @@ def _enumerate(test: LitmusTest) -> _Plan:
                        before[-1] if before else None,
                        after[0] if after else None))
 
+    # every coherence order is visited (per location, the multinomial
+    # of its threads' store counts): refuse before building them
+    orders = 1
+    for loc in locations:
+        counts = [len(seq) for seq in stores[loc].values()]
+        orders *= math.factorial(sum(counts))
+        for count in counts:
+            orders //= math.factorial(count)
+    if orders > CANDIDATE_LIMIT:
+        raise ConfigurationError(
+            f"{test.name}: {orders} coherence orders is more than "
+            f"{CANDIDATE_LIMIT}; this test is outside the axiomatic "
+            f"checker's litmus-sized envelope")
     per_loc_orders = [interleavings(list(stores[loc].values()))
                       for loc in locations]
     candidates: List[int] = []
@@ -303,7 +317,7 @@ def axiomatic_outcomes(test: LitmusTest,
     """
     test_key = _test_key(test)
     plan = _plan(test, test_key)
-    ppo = pack(ppo_masks(plan.events, model))
+    ppo = pack(ppo_masks(test, model))
     key = (test_key, ppo)
     cached = _outcome_cache.get(key)
     if cached is not None:
@@ -328,7 +342,7 @@ def accepting_witness(test: LitmusTest, model: ConsistencyModel,
     explanation the CLI prints for worked derivations)."""
     view = candidate_executions(test)
     plan = _plan(test, _test_key(test))
-    ppo = pack(ppo_masks(plan.events, model))
+    ppo = pack(ppo_masks(test, model))
     n = len(plan.events)
     for witness, candidate in zip(view, plan.candidates):
         if witness.outcome == outcome and acyclic_matrix(ppo | candidate, n):

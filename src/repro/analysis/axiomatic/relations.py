@@ -5,10 +5,11 @@ handful of binary relations over them:
 
 * **po** — program order: same thread, earlier index first;
 * **ppo** — *preserved* program order: the po edges a model enforces.
-  Exactly the relation the interleaving enumerator builds from
-  ``ConsistencyModel.delay_arc``: an edge when the two accesses share
-  an address (local data dependences are always observed) or when the
-  model draws a delay arc between their :class:`AccessClass`es;
+  Exactly the relation the interleaving enumerator reads
+  (:meth:`LitmusTest.ordering`, from ``ConsistencyModel.preserves``):
+  an edge when the two accesses share an address (local data
+  dependences are always observed) or when the model draws a delay
+  arc between their :class:`AccessClass`es;
 * **rf** — reads-from: which store (or the initial value) each load
   observes;
 * **co** — coherence order: a total order on the stores to each
@@ -110,23 +111,17 @@ def build_events(test: LitmusTest) -> List[Event]:
     return events
 
 
-def ppo_masks(events: Sequence[Event], model: ConsistencyModel) -> List[int]:
-    """Preserved program order under ``model`` as successor bitmasks.
-
-    Mirrors the interleaving enumerator's predecessor relation exactly:
-    an edge a -> b (same thread, a first) when the accesses share an
-    address or when ``model.delay_arc(class(a), class(b))`` holds.
+def ppo_masks(test: LitmusTest, model: ConsistencyModel) -> List[int]:
+    """Preserved program order under ``model`` as successor bitmasks,
+    indexed by event id (:func:`build_events` numbers po-major, as
+    :meth:`LitmusTest.ordering` does): the transpose of the
+    enumerator's predecessor masks, so both oracles read one relation.
     """
-    classes = [e.op.access_class() for e in events]
-    masks = [0] * len(events)
-    for a in events:
-        # events are po-major: a's same-thread successors follow it
-        for b in events[a.eid + 1:]:
-            if b.tid != a.tid:
-                break
-            if a.op.addr == b.op.addr or model.delay_arc(classes[a.eid],
-                                                         classes[b.eid]):
-                masks[a.eid] |= 1 << b.eid
+    masks = [0] * sum(len(thread) for thread in test.threads)
+    for b, preds in enumerate(test.ordering(model)):
+        for a in range(b):
+            if preds >> a & 1:
+                masks[a] |= 1 << b
     return masks
 
 
@@ -194,20 +189,6 @@ def interleavings(seqs: Sequence[Sequence[int]]):
             prefix.pop()
 
     yield from rec()
-
-
-class Relation:
-    """A named edge set over events — the explanation-friendly view
-    used by the CLI and docs (the checker itself works on bitmasks)."""
-
-    def __init__(self, name: str,
-                 edges: Sequence[Tuple[int, int]] = ()) -> None:
-        self.name = name
-        self.edges = sorted(set(edges))
-
-    def describe(self) -> str:
-        pairs = ", ".join(f"e{a}->e{b}" for a, b in self.edges) or "(empty)"
-        return f"{self.name}: {pairs}"
 
 
 def event_table(events: Sequence[Event]) -> str:

@@ -104,10 +104,9 @@ class _HbGraph:
 
 def _po_edge(model: ConsistencyModel, a: StaticAccess, b: StaticAccess) -> bool:
     """Is the program-order edge a -> b (same thread, a earlier)
-    enforced?  Delay arcs, plus local same-address data dependence."""
-    if a.addr is not None and a.addr == b.addr:
-        return True
-    return model.delay_arc(a.klass, b.klass)
+    enforced?  An unresolved address is no address."""
+    return model.preserves(a.klass, b.klass,
+                           a.addr is not None and a.addr == b.addr)
 
 
 def _shared_masks(threads: Sequence[ThreadModel]) -> List[List[bool]]:

@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set
 
+from ..isa.instructions import rmw_result
 from ..memory.interconnect import Interconnect
 from ..memory.types import LatencyConfig
 from ..sim.errors import ProtocolError
@@ -162,14 +163,7 @@ class DirectoryController(Component):
                 self._memory[addr] = msg.value
                 result = msg.value
             elif msg.uncached_kind == "rmw":
-                if msg.rmw_op == "ts":
-                    self._memory[addr] = 1
-                elif msg.rmw_op == "swap":
-                    self._memory[addr] = msg.value
-                elif msg.rmw_op == "add":
-                    self._memory[addr] = old + (msg.value or 0)
-                else:
-                    raise ProtocolError(f"unknown uncached rmw op {msg.rmw_op!r}")
+                self._memory[addr] = rmw_result(msg.rmw_op, old, msg.value)
                 result = old
             else:
                 raise ProtocolError(

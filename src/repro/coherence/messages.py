@@ -9,8 +9,7 @@ for the directory/memory controller.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 NodeId = Union[int, str]
@@ -46,9 +45,6 @@ class MessageKind(enum.Enum):
     UNCACHED_DONE = "uncached_done"
 
 
-_msg_ids = itertools.count()
-
-
 @dataclass
 class Message:
     """One protocol message.
@@ -69,8 +65,6 @@ class Message:
     #: UNCACHED_OP payload: "load" | "store" | "rmw", plus the RMW op
     uncached_kind: Optional[str] = None
     rmw_op: Optional[str] = None
-    requester: Optional[NodeId] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
 
     def describe(self) -> str:
         return (

@@ -160,9 +160,9 @@ class LitmusTest:
     def ordering(self, model: ConsistencyModel) -> Tuple[int, ...]:
         """What ``model`` makes of this test: per access (numbered
         thread by thread), the bitmask of earlier same-thread accesses
-        that must linearize before it — those to the same address and
-        those ``model`` draws a delay arc from.  Models with equal
-        orderings have equal outcome sets."""
+        that must linearize before it: those ``model`` preserves
+        (:meth:`ConsistencyModel.preserves`, same location or a delay
+        arc).  Models with equal orderings have equal outcome sets."""
         classes = [op.access_class() for thread in self.threads for op in thread]
         masks: List[int] = []
         for thread in self.threads:
@@ -170,8 +170,8 @@ class LitmusTest:
             for i, op in enumerate(thread):
                 mask = 0
                 for j in range(i):
-                    if thread[j].addr == op.addr or model.delay_arc(
-                            classes[base + j], classes[base + i]):
+                    if model.preserves(classes[base + j], classes[base + i],
+                                       thread[j].addr == op.addr):
                         mask |= 1 << (base + j)
                 masks.append(mask)
         return tuple(masks)

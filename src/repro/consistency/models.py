@@ -38,6 +38,14 @@ class ConsistencyModel:
         """Must ``a`` (earlier in program order) perform before ``b``?"""
         raise NotImplementedError
 
+    def preserves(self, a: AccessClass, b: AccessClass,
+                  same_address: bool) -> bool:
+        """Preserved program order, the one statement of it: does the
+        model keep ``a`` (same thread, earlier) before ``b``?  Yes for
+        the same address (local dependences are observed; the caller
+        says what that is) and wherever the model draws a delay arc."""
+        return same_address or self.delay_arc(a, b)
+
     # ------------------------------------------------------------------
     # Derived queries used by the hardware models
     # ------------------------------------------------------------------
@@ -106,7 +114,7 @@ class WeakConsistency(ConsistencyModel):
         return a.is_sync or b.is_sync
 
 
-class DataRaceFree0(ConsistencyModel):
+class DataRaceFree0(WeakConsistency):
     """Adve & Hill's DRF0 (paper, Section 2).
 
     DRF0 guarantees SC for data-race-free programs but, unlike RC,
@@ -115,14 +123,12 @@ class DataRaceFree0(ConsistencyModel):
     operational abstraction its delay arcs therefore coincide with
     weak consistency's — which is why the paper says it is "similar to
     release consistency" and declines to discuss it further; we keep it
-    as a distinct named model so experiments can report it explicitly.
+    as a distinct named model so experiments can report it explicitly,
+    and inherit WC's relation rather than restate it.
     """
 
     name = "DRF0"
     description = "data-race-free-0: undifferentiated synchronization fences"
-
-    def delay_arc(self, a: AccessClass, b: AccessClass) -> bool:
-        return a.is_sync or b.is_sync
 
 
 class ReleaseConsistency(ConsistencyModel):

@@ -30,7 +30,7 @@ import itertools
 from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
-from ..consistency.access_class import AccessClass
+from ..consistency.access_class import PLAIN_LOAD, PLAIN_STORE, AccessClass
 from ..consistency.models import ConsistencyModel
 from ..core.prefetch import HardwarePrefetcher
 from ..core.sc_detection import ScViolationDetector
@@ -153,8 +153,10 @@ class LoadStoreUnit:
         self._next_req_id = 1
         #: stall counters the current tick bumped (see :meth:`tick`)
         self.stalled: Tuple[Counter, ...] = ()
-        #: SC: the store at the ROB head is not retired until it completes
-        self._stores_retire_at_completion = self.model.name == "SC"
+        #: a later load waits for a store (SC): the store at the ROB
+        #: head is not retired until it completes
+        self._stores_retire_at_completion = self.model.load_waits_for_store(
+            PLAIN_STORE, PLAIN_LOAD)
 
         stats = self.sim.stats
         with stats.transient():
@@ -745,7 +747,6 @@ class LoadStoreUnit:
             return False  # address not translated yet
         if not op.signalled:
             return False
-        # SC: the store at the head is not retired until it completes
         return not self._stores_retire_at_completion
 
     def is_empty(self) -> bool:

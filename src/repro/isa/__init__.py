@@ -16,6 +16,7 @@ from .instructions import (
     SoftwarePrefetch,
     Store,
     destination_register,
+    rmw_result,
     source_registers,
 )
 from .program import Program, ProgramBuilder, program_from_instructions
@@ -46,5 +47,6 @@ __all__ = [
     "destination_register",
     "interpret",
     "program_from_instructions",
+    "rmw_result",
     "source_registers",
 ]

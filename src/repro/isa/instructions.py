@@ -33,6 +33,18 @@ ALU_OPS = frozenset(
 RMW_OPS = frozenset(["ts", "swap", "add"])
 
 
+def rmw_result(op: Optional[str], old: int, operand: Optional[int]) -> int:
+    """What an RMW ``op`` writes over ``old``, for every engine: ``ts``
+    1, ``swap`` the operand, ``add`` ``old`` plus it (None reads 0)."""
+    if op == "ts":
+        return 1
+    if op == "swap":
+        return operand or 0
+    if op == "add":
+        return old + (operand or 0)
+    raise IsaError(f"unknown RMW op {op!r} (expected one of {sorted(RMW_OPS)})")
+
+
 @dataclass
 class Instruction:
     """Base class; carries the optional trace tag."""
@@ -120,11 +132,7 @@ class Rmw(Instruction):
             raise IsaError(f"unknown RMW op {self.op!r} (expected one of {sorted(RMW_OPS)})")
 
     def new_value(self, old: int, operand: int) -> int:
-        if self.op == "ts":
-            return 1
-        if self.op == "swap":
-            return operand
-        return old + operand  # "add"
+        return rmw_result(self.op, old, operand)
 
 
 @dataclass

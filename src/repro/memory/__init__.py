@@ -1,7 +1,7 @@
 """Memory system: lockup-free caches, interconnect, shared types."""
 
 from .cache import CacheLine, LockupFreeCache, MshrEntry
-from .interconnect import Interconnect, constant_latency
+from .interconnect import Interconnect
 from .types import (
     AccessKind,
     AccessRequest,
@@ -22,5 +22,4 @@ __all__ = [
     "LockupFreeCache",
     "MshrEntry",
     "SnoopKind",
-    "constant_latency",
 ]

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..coherence.messages import DIRECTORY_NODE, Message, MessageKind, NodeId
+from ..isa.instructions import rmw_result
 from ..sim.errors import ProtocolError
 from ..sim.kernel import Component, Simulator
 from ..sim.trace import TraceRecorder
@@ -371,7 +372,7 @@ class LockupFreeCache(Component):
             value = req.value
         else:  # RMW
             old = line.data[widx]
-            line.data[widx] = _rmw_new_value(req.rmw_op, old, req.value)
+            line.data[widx] = rmw_result(req.rmw_op, old, req.value)
             value = old
         self._touch(line)
         if req.callback is not None:
@@ -417,7 +418,10 @@ class LockupFreeCache(Component):
         victim, the fill takes a way beyond the set's (in hardware, the
         MSHR's data buffer); a later fill into the set gives it back.
         Parking the fill instead deadlocks: two caches' fills can each
-        wait for a way behind the other's invalidation.
+        wait for a way behind the other's invalidation.  An INVALID
+        victim just leaves the set: the invalidation that emptied it
+        already took the line, so it is no replacement (no count, no
+        ``evict`` event, no snoop).
         """
         cache_set = self._sets[self.config.set_index(line_addr)]
         for line in cache_set:
@@ -435,7 +439,8 @@ class LockupFreeCache(Component):
                      and l.line_addr not in self._writebacks)),
                 key=lambda l: l.lru)
             for victim in victims[:len(cache_set) - self.config.assoc + 1]:
-                self._evict(victim)
+                if victim.state is not LineState.INVALID:
+                    self._evict(victim)
                 cache_set.remove(victim)
         line = CacheLine(line_addr=line_addr, state=state, data=list(data))
         self._touch(line)
@@ -623,12 +628,3 @@ class LockupFreeCache(Component):
                     out[line.line_addr] = (line.state.value, list(line.data))
         return out
 
-
-def _rmw_new_value(op: Optional[str], old: int, operand: Optional[int]) -> int:
-    if op == "ts":
-        return 1
-    if op == "swap":
-        return operand if operand is not None else 0
-    if op == "add":
-        return old + (operand or 0)
-    raise ProtocolError(f"unknown rmw op {op!r}")

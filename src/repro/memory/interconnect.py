@@ -76,9 +76,3 @@ class Interconnect(Component):
     def is_quiescent(self) -> bool:
         return self._in_flight == 0
 
-
-def constant_latency(cycles: int) -> LatencyFn:
-    """A latency function that charges ``cycles`` for every message."""
-    if cycles < 0:
-        raise ConfigurationError("latency must be >= 0")
-    return lambda msg: cycles

@@ -145,7 +145,7 @@ def _host_info() -> Dict[str, object]:
     return dict(_HOST_INFO)
 
 
-def _utc_timestamp() -> str:
+def utc_timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -172,7 +172,7 @@ def make_record(kind: str,
         "request": dict(request),
         "outcome": dict(outcome),
         "outcome_digest": digest_outcome(outcome),
-        "created_utc": _utc_timestamp(),
+        "created_utc": utc_timestamp(),
         "git_sha": _git_sha(),
         "host": _host_info(),
         "wall_seconds": round(wall, 6),
@@ -492,5 +492,6 @@ __all__ = [
     "render_stats",
     "render_trajectory",
     "request_hash",
+    "utc_timestamp",
     "validate_record",
 ]

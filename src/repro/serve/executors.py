@@ -39,7 +39,7 @@ def execute_job(spec: Mapping[str, object]) -> Dict[str, object]:
     result equals a local one.
     """
     from ..system.jobs import run_scalar
-    from ..verify.harness import _job_outcome, leg_jobs
+    from ..verify.harness import job_outcome, leg_jobs
 
     spec = normalize_job(spec)
     (job,), (audit_map,) = leg_jobs(
@@ -49,7 +49,7 @@ def execute_job(spec: Mapping[str, object]) -> Dict[str, object]:
           run_config_from_spec(spec["run_config"]))])  # type: ignore[arg-type]
     res = run_scalar(job)
     return {"outcome": [[reg, val]
-                        for reg, val in _job_outcome(res, audit_map)],
+                        for reg, val in job_outcome(res, audit_map)],
             "cycles": int(res.cycles)}
 
 

@@ -36,7 +36,6 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..consistency.litmus import STANDARD_TESTS, LitmusTest
 from ..consistency.models import get_model
-from ..memory.types import MIN_MISS_LATENCY
 from ..obs.ledger import request_hash
 from ..sim.errors import ConfigurationError
 from ..verify.corpus import litmus_from_dict, litmus_to_dict
@@ -100,8 +99,6 @@ def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
                             f"got {skew_raw!r}")
     skew = [_integer(s, f"run_config.skew[{i}]")
             for i, s in enumerate(skew_raw)]
-    if not skew or any(s < 0 for s in skew):
-        raise ProtocolError("run_config.skew must be non-empty, all >= 0")
 
     def integer(key: str) -> int:
         return _integer(raw.get(key, getattr(defaults, key)),
@@ -110,13 +107,14 @@ def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
     miss_latency = integer("miss_latency")
     line_size = integer("line_size")
     max_cycles = integer("max_cycles")
-    if miss_latency < MIN_MISS_LATENCY:
-        raise ProtocolError(
-            f"run_config.miss_latency must be >= {MIN_MISS_LATENCY}")
-    if line_size < 1:
-        raise ProtocolError("run_config.line_size must be >= 1")
-    if max_cycles < 1:
-        raise ProtocolError("run_config.max_cycles must be >= 1")
+    warm_shared = _flag(raw, "warm_shared", defaults.warm_shared,
+                        "run_config.")
+    try:
+        RunConfig(name="serve", miss_latency=miss_latency,
+                  skew=tuple(skew), warm_shared=warm_shared,
+                  line_size=line_size, max_cycles=max_cycles)
+    except ConfigurationError as exc:
+        raise ProtocolError(f"bad run_config: {exc}") from None
     if max_cycles > MAX_JOB_CYCLES:
         raise ProtocolError(
             f"run_config.max_cycles must be <= {MAX_JOB_CYCLES}")
@@ -127,8 +125,7 @@ def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
     config: Dict[str, object] = {
         "miss_latency": miss_latency,
         "skew": skew,
-        "warm_shared": _flag(raw, "warm_shared", defaults.warm_shared,
-                             "run_config."),
+        "warm_shared": warm_shared,
         "line_size": line_size,
         "max_cycles": max_cycles,
     }

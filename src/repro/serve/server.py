@@ -382,7 +382,7 @@ class ServeServer:
             return
         ledger_mod.append_jsonl(
             {"request_sha256": sha, "job": spec,
-             "received_utc": ledger_mod._utc_timestamp()},
+             "received_utc": ledger_mod.utc_timestamp()},
             self.request_log_path)
 
     def _append_ledger(self, sha: str, spec: Dict[str, object],

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from ...memory.cache import _rmw_new_value
+from ...isa.instructions import rmw_result
 from ...memory.types import AccessKind, AccessRequest, LatencyConfig
 from ...sim.errors import ProtocolError
 from ...sim.stats import StatsRegistry
@@ -236,7 +236,7 @@ class FastCache:
             value = req.value
         else:  # RMW
             old = line.data[widx]
-            line.data[widx] = _rmw_new_value(req.rmw_op, old, req.value)
+            line.data[widx] = rmw_result(req.rmw_op, old, req.value)
             value = old
         self._touch(line)
         if req.callback is not None:
@@ -266,7 +266,8 @@ class FastCache:
                      and l.line_addr not in self._writebacks)),
                 key=lambda l: l.lru)
             for victim in victims[:len(cache_set) - self.fab.assoc + 1]:
-                self._evict(victim)
+                if victim.state != _INV:  # an INVALID way is no replacement
+                    self._evict(victim)
                 cache_set.remove(victim)
         line = _Line(line_addr, state, list(data))
         self._touch(line)

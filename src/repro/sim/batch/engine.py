@@ -72,6 +72,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...consistency.access_class import PLAIN_LOAD, PLAIN_STORE
 from ...consistency.models import get_model
 from ...memory.types import AccessKind, AccessRequest
 from .compile import (
@@ -212,14 +213,16 @@ class BatchEngine:
             self.AREADY0[ctx] = cp.a_init_ready
 
         # per-ctx scalars derived from the job
-        self.IS_SC = np.zeros(C, dtype=bool)
+        # a later load waits for a store: it retires once performed
+        self.STORE_RETIRES_PERFORMED = np.zeros(C, dtype=bool)
         self.HIT_LAT = [1] * C
         for lane, job in enumerate(self.jobs):
-            sc = get_model(job.model_name).name == "SC"
+            late = get_model(job.model_name).load_waits_for_store(
+                PLAIN_STORE, PLAIN_LOAD)
             hl = job.cache_config().hit_latency
             for cpu in range(ncpu):
                 ctx = lane * ncpu + cpu
-                self.IS_SC[ctx] = sc
+                self.STORE_RETIRES_PERFORMED[ctx] = late
                 self.HIT_LAT[ctx] = hl
 
         self.lane_max = np.array([j.max_cycles for j in self.jobs],
@@ -431,12 +434,11 @@ class BatchEngine:
             perf_bit = (self.perf[idx] & mbit) != 0
             sb_bit = (self.sb[idx] & mbit) != 0
             done_h = self.done[idx, rpc]
+            early = sb_bit & ~self.STORE_RETIRES_PERFORMED[idx]
             may = np.where(
                 k == K_LOAD, done_h,
                 np.where(k == K_RMW, perf_bit,
-                         np.where(k == K_STORE,
-                                  perf_bit | (sb_bit & ~self.IS_SC[idx]),
-                                  done_h)))
+                         np.where(k == K_STORE, perf_bit | early, done_h)))
             ri = idx[may]
             if ri.size:
                 self.retired[ri] += 1

@@ -37,7 +37,7 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
 
 from ..consistency.litmus import LitmusTest, Outcome
 from ..consistency.models import get_model
-from ..memory.types import CacheConfig
+from ..memory.types import CacheConfig, LatencyConfig
 from ..sim.errors import ConfigurationError
 from ..system.jobs import BatchJob, BatchResult, run_rearmed
 
@@ -71,6 +71,17 @@ class RunConfig:
     warm_shared: bool = True
     line_size: int = 4
     max_cycles: int = 400_000
+
+    def __post_init__(self) -> None:
+        """Refuse what no machine runs (the cache and latency configs
+        check their own fields)."""
+        CacheConfig(line_size=self.line_size)
+        LatencyConfig.from_miss_latency(self.miss_latency)
+        if not self.skew or min(self.skew) < 0:
+            raise ConfigurationError(
+                f"RunConfig.skew must be non-empty, all >= 0, got {self.skew!r}")
+        if self.max_cycles < 1:
+            raise ConfigurationError("RunConfig.max_cycles must be >= 1")
 
 
 #: default configuration axis: contention windows of different shapes,
@@ -392,7 +403,7 @@ def _observed_outcomes(test: LitmusTest,
     (:func:`~repro.system.jobs.run_rearmed`); each leg's audit words are
     read before the next leg re-arms its machine."""
     jobs, audit_maps = leg_jobs(test, legs)
-    return [_job_outcome(res, audit_map)
+    return [job_outcome(res, audit_map)
             for res, audit_map in zip(run_rearmed(jobs), audit_maps)]
 
 
@@ -480,7 +491,7 @@ def _server_outcomes(test: LitmusTest, legs: Sequence[Leg],
     return outcomes
 
 
-def _job_outcome(res: BatchResult, audit_map: Dict[str, int]) -> Outcome:
+def job_outcome(res: BatchResult, audit_map: Dict[str, int]) -> Outcome:
     """Read one job's final registers (raising what a scalar run would)."""
     res.raise_if_error()
     return tuple(sorted(

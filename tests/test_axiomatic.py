@@ -10,6 +10,7 @@ and the CLIs.
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -180,7 +181,7 @@ class TestCandidates:
         same-address or delay-arc, same thread, program order."""
         test = STANDARD_TESTS["MP+sync"]()
         events = build_events(test)
-        masks = ppo_masks(events, RC)
+        masks = ppo_masks(test, RC)
         for a in events:
             for b in events:
                 expected = (a.tid == b.tid and a.idx < b.idx
@@ -206,6 +207,18 @@ class TestCandidates:
         finally:
             checker_mod.CANDIDATE_LIMIT = old
             clear_caches()
+
+    def test_candidate_limit_refuses_before_building_orders(self):
+        """Ten single-store writers of ``x`` have 10! coherence orders:
+        counted, not built, so the refusal costs nothing."""
+        test = LitmusTest("ten-writers",
+                          [[write("x", v)] for v in range(1, 11)]
+                          + [[read("x", "r0")]])
+        clear_caches()
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="coherence orders"):
+            axiomatic_outcomes(test, SC)
+        assert time.perf_counter() - start <= 0.1
 
 
 # ----------------------------------------------------------------------

@@ -125,3 +125,103 @@ def test_the_machine_waits_for_events_instead_of_polling():
              if re.search(r"schedule\([01]\b", line)
              and "# port budget:" not in line]
     assert polls == []
+
+
+def _top_package(module: str) -> str:
+    """``repro.sim.batch.engine`` -> ``repro.sim``."""
+    return ".".join(module.split(".")[:2])
+
+
+def _module_name(path: Path, root: Path) -> str:
+    parts = list(path.relative_to(root.parent).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _is_module(name: str, root: Path) -> bool:
+    base = root.parent.joinpath(*name.split("."))
+    return base.with_suffix(".py").exists() or (base / "__init__.py").exists()
+
+
+def test_no_module_reaches_another_packages_private_names():
+    """An underscore name is its package's business: another top-level
+    package (``repro.memory``, ``repro.serve``, ...) neither imports one
+    nor reaches one through a module alias.  What two packages share is
+    public."""
+    root = Path(SRC) / "repro"
+    reaches = []
+    for path in sorted(root.rglob("*.py")):
+        module = _module_name(path, root)
+        package = module if path.name == "__init__.py" else \
+            module.rpartition(".")[0]
+        here = _top_package(module)
+        aliases = {}  # local name -> module it is bound to
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:
+                    base = package.split(".")[:len(package.split("."))
+                                              - node.level + 1]
+                    source = ".".join(base + ([node.module]
+                                              if node.module else []))
+                for alias in node.names:
+                    target = f"{source}.{alias.name}"
+                    if _is_module(target, root):
+                        aliases[alias.asname or alias.name] = target
+                    elif (alias.name.startswith("_")
+                          and _top_package(source) != here):
+                        reaches.append(f"{module}: {target}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and _top_package(aliases[node.value.id]) != here):
+                reaches.append(
+                    f"{module}: {aliases[node.value.id]}.{node.attr}")
+    assert reaches == []
+
+
+def test_only_the_consistency_layer_reads_a_model_by_name():
+    """Behaviour follows a model's relation (``delay_arc`` and what
+    derives from it), never its name: outside ``repro.consistency`` no
+    comparison sets a model's ``.name`` against a model name."""
+    from repro.consistency.models import _MODELS
+
+    names = {model.name for model in _MODELS.values()}
+    names |= {name.upper() for name in names}
+    root = Path(SRC) / "repro"
+
+    def literals(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            for element in node.elts:
+                yield from literals(element)
+
+    def reads_name(node):
+        if isinstance(node, ast.Call) and isinstance(node.func,
+                                                     ast.Attribute):
+            return reads_name(node.func.value)  # model.name.upper()
+        return isinstance(node, ast.Attribute) and node.attr == "name"
+
+    decisions = []
+    for path in sorted(root.rglob("*.py")):
+        if path.parent.name == "consistency":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if (any(reads_name(side) for side in sides)
+                    and any(name in names for side in sides
+                            for name in literals(side))):
+                decisions.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert decisions == []

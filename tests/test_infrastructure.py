@@ -11,7 +11,6 @@ from repro.memory import (
     Interconnect,
     LatencyConfig,
     LineState,
-    constant_latency,
 )
 from repro.sim import Simulator
 from repro.sim.errors import ConfigurationError, ProtocolError
@@ -22,7 +21,7 @@ from repro.system.fabric import MemoryFabric, latency_by_kind
 class TestInterconnect:
     def test_delivers_after_latency(self):
         sim = Simulator()
-        net = Interconnect(sim, constant_latency(5))
+        net = Interconnect(sim, lambda msg: 5)
         got = []
         net.attach(0, got.append)
         net.attach(1, got.append)
@@ -49,21 +48,21 @@ class TestInterconnect:
 
     def test_unattached_destination_rejected(self):
         sim = Simulator()
-        net = Interconnect(sim, constant_latency(1))
+        net = Interconnect(sim, lambda msg: 1)
         net.attach(0, lambda m: None)
         with pytest.raises(ConfigurationError):
             net.send(Message(kind=MessageKind.READ, src=0, dst=9, line_addr=0))
 
     def test_double_attach_rejected(self):
         sim = Simulator()
-        net = Interconnect(sim, constant_latency(1))
+        net = Interconnect(sim, lambda msg: 1)
         net.attach(0, lambda m: None)
         with pytest.raises(ConfigurationError):
             net.attach(0, lambda m: None)
 
     def test_message_stats_counted(self):
         sim = Simulator()
-        net = Interconnect(sim, constant_latency(3))
+        net = Interconnect(sim, lambda msg: 3)
         net.attach(0, lambda m: None)
         net.attach(1, lambda m: None)
         net.send(Message(kind=MessageKind.READ, src=0, dst=1, line_addr=0))

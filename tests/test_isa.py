@@ -17,6 +17,7 @@ from repro.isa import (
     assemble,
     destination_register,
     program_from_instructions,
+    rmw_result,
     source_registers,
 )
 from repro.sim.errors import AssemblerError, IsaError
@@ -118,6 +119,14 @@ class TestInstructionSemantics:
         assert Rmw(dst="r1", op="ts").new_value(0, 7) == 1
         assert Rmw(dst="r1", op="swap").new_value(5, 7) == 7
         assert Rmw(dst="r1", op="add").new_value(5, 7) == 12
+
+    def test_rmw_result_is_the_one_rmw_rule(self):
+        # the memory side may carry no operand: it reads as 0
+        assert rmw_result("ts", 5, None) == 1
+        assert rmw_result("swap", 5, None) == 0
+        assert rmw_result("add", 5, None) == 5
+        with pytest.raises(IsaError):
+            rmw_result("cas", 5, 1)
 
     def test_branch_outcome(self):
         b = Branch(cond="r1", target="t", when_nonzero=True)

@@ -18,6 +18,7 @@ from repro.memory import (
     SnoopKind,
 )
 from repro.sim import DeadlockError, Simulator
+from repro.sim.trace import TraceRecorder
 from repro.system.fabric import MemoryFabric
 
 MISS = 100  # paper's canonical miss latency
@@ -26,13 +27,15 @@ MISS = 100  # paper's canonical miss latency
 class Harness:
     """A fabric plus helpers to issue accesses and wait for completion."""
 
-    def __init__(self, num_cpus=2, cache_config=None, miss_latency=MISS):
+    def __init__(self, num_cpus=2, cache_config=None, miss_latency=MISS,
+                 trace=None):
         self.sim = Simulator()
         self.fabric = MemoryFabric(
             self.sim,
             num_cpus,
             cache_config=cache_config or CacheConfig(),
             latencies=LatencyConfig.from_miss_latency(miss_latency),
+            trace=trace,
         )
         self._ids = itertools.count(1)
         self.completions = {}  # req_id -> (cycle, value)
@@ -331,6 +334,32 @@ class TestReplacement:
             h.wait(h.issue(0, AccessKind.LOAD, addr))
         _, value = h.wait(h.issue(0, AccessKind.LOAD, 0x00))
         assert value == 5
+
+
+    def test_an_invalidated_way_is_no_replacement(self):
+        """At 4 sets x 1 way, line 0 and line 4 share set 0.  After
+        P1's store took P0's copy of line 0, P0's fill of line 4 reuses
+        the INVALID way: no replacement count, no ``evict`` event and no
+        REPLACEMENT snoop for a line that already left."""
+        trace = TraceRecorder()
+        h = Harness(cache_config=CacheConfig(num_sets=4, assoc=1,
+                                             line_size=4), trace=trace)
+        snoops = []
+        h.cache(0).register_snoop_listener(
+            lambda k, l: snoops.append((k, l)))
+        h.wait(h.issue(0, AccessKind.LOAD, 0x00))
+        h.wait(h.issue(1, AccessKind.STORE, 0x00, value=7))
+        h.settle()
+        assert h.cache(0).line_state(0x00) is LineState.INVALID
+        _, value = h.wait(h.issue(0, AccessKind.LOAD, 0x10))
+        h.settle()
+        assert value == 0
+        assert h.cache(0).line_state(0x10) is LineState.SHARED
+        assert h.cache(0).stat_replacements.value == 0
+        assert not [e for e in trace.events
+                    if e.source == "cache0" and e.kind == "evict"]
+        assert (SnoopKind.INVALIDATION, 0) in snoops
+        assert not [k for k, _ in snoops if k is SnoopKind.REPLACEMENT]
 
 
 class TestUpdateProtocol:

@@ -176,6 +176,22 @@ class TestHarness:
         assert all(r.ok for r in sweep.results)
 
 
+class TestRunConfig:
+    """A run configuration refuses, in-process, what no machine runs
+    (the job server maps the same refusals to protocol errors)."""
+
+    @pytest.mark.parametrize("fields", [
+        {"skew": ()},         # leg_jobs would divide by zero
+        {"skew": (0, -5)},    # would compile one extra ``mov``
+        {"line_size": 0},
+        {"miss_latency": 2},
+        {"max_cycles": 0},
+    ])
+    def test_refuses_an_unrunnable_configuration(self, fields):
+        with pytest.raises(ConfigurationError):
+            RunConfig(name="bad", **fields)
+
+
 # ----------------------------------------------------------------------
 # Minimizer
 # ----------------------------------------------------------------------
