@@ -14,6 +14,7 @@ Run:  python examples/figure5_walkthrough.py [inval_cycle]
 import sys
 
 from repro import run_figure5
+from repro.analysis.summary import CpuSummary
 from repro.workloads import A, B, C, D, E_BASE
 
 
@@ -37,10 +38,9 @@ def main() -> None:
     print(f"  r3 = MEM[E[D]] = {machine.reg(0, 'r3')}  "
           "(re-read with the corrected index)")
     print(f"  MEM[B] = {machine.read_word(B)}, MEM[C] = {machine.read_word(C)}")
-    squashes = machine.sim.stats.counter("cpu0/slb/squashes").value
-    reissues = machine.sim.stats.counter("cpu0/slb/reissues").value
-    print(f"  speculative-load buffer: {squashes} squash(es), "
-          f"{reissues} reissue(s)")
+    cpu0 = CpuSummary.from_stats(machine.sim.stats, 0)
+    print(f"  speculative-load buffer: {cpu0.slb_rollbacks} squash(es), "
+          f"{cpu0.slb_reissues} reissue(s)")
     print()
     print("Try different invalidation timings, e.g.:")
     print("  python examples/figure5_walkthrough.py 40   # inval after stores")

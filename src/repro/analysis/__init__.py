@@ -10,7 +10,14 @@ from .ablations import (
     slb_size_table,
 )
 from .gantt import compare_schedules, render_schedule
-from .summary import CpuSummary, MachineSummary, summarize, summary_table
+from .summary import (
+    CpuSummary,
+    MachineSummary,
+    breakdown_table,
+    effectiveness_table,
+    summarize,
+    summary_table,
+)
 from .scaling import barrier_scaling_table, cpu_scaling_table
 from .experiments import (
     TECHNIQUES,
@@ -35,11 +42,13 @@ __all__ = [
     "MachineSummary",
     "Table",
     "barrier_scaling_table",
+    "breakdown_table",
     "compare_schedules",
     "cpu_scaling_table",
     "delay_arc_matrix",
     "render_schedule",
     "detailed_equalization_table",
+    "effectiveness_table",
     "equalization_table",
     "example_cycle_table",
     "false_sharing_table",

@@ -26,6 +26,7 @@ from ..memory.types import CacheConfig
 from ..system.machine import run_workload
 from ..workloads.paper_examples import example2_program
 from ..workloads.synthetic import delayed_store_chain
+from .summary import CpuSummary
 from .tables import Table
 
 
@@ -37,7 +38,7 @@ def lookahead_window_table(
     program = delayed_store_chain(num_stores=num_stores)
     table = Table(
         f"Ablation: hardware prefetch window ({num_stores} delayed stores, SC)",
-        ["LS reservation station size", "cycles", "prefetches issued"],
+        ["LS reservation station size", "cycles", "prefetches requested"],
     )
     for size in window_sizes:
         pconfig = ProcessorConfig(ls_rs_size=size,
@@ -48,7 +49,7 @@ def lookahead_window_table(
                               initial_memory={0x100: 0},
                               max_cycles=1_000_000)
         table.add_row(size, result.cycles,
-                      result.counter("cpu0/prefetcher/issued"))
+                      CpuSummary.from_stats(result.stats, 0).pf_requested)
     table.add_note("a small window starves the prefetcher: accesses beyond "
                    "the reservation station cannot be seen, so their misses "
                    "stay serialized")
@@ -163,8 +164,8 @@ def false_sharing_table(updates: int = 4) -> Table:
                               speculation=True,
                               initial_memory=wl.initial_memory,
                               max_cycles=2_000_000)
-        squashes = sum(
-            result.counter(f"cpu{c}/slb/squashes") for c in range(2))
+        squashes = sum(CpuSummary.from_stats(result.stats, c).slb_rollbacks
+                       for c in range(2))
         ok = all(result.machine.read_word(a) == e
                  for a, e in wl.expectations)
         table.add_row("packed (one line)" if not padded else "padded (own lines)",

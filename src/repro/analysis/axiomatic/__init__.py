@@ -14,7 +14,7 @@ Run ``python -m repro.analysis.axiomatic`` for the named-suite
 crosscheck, per-model axiom tables, and worked witness derivations.
 """
 
-from .axioms import ATOMICITY_AXIOM, NAMED_AXIOMS, AxiomSet, axioms_for, render_axiom_table
+from .axioms import ATOMICITY_AXIOM, AxiomSet, axioms_for, render_axiom_table
 from .checker import (
     OracleComparison,
     accepting_witness,
@@ -36,7 +36,6 @@ __all__ = [
     "AxiomSet",
     "CandidateExecution",
     "Event",
-    "NAMED_AXIOMS",
     "OracleComparison",
     "accepting_witness",
     "acyclic",

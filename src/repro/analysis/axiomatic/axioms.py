@@ -23,15 +23,16 @@ value written).
 Because ``ppo`` is *derived* from ``delay_arc``, any model registered
 with :mod:`repro.consistency.models` — including RCsc, DRF0, and
 future TSO/PSO-style delay-arc variants — is checkable here with no
-axiomatic-side changes; the table below only adds the human-readable
-statement of each paper model's axiom.
+axiomatic-side changes, and its axiom set below is rendered from the
+same relation over Figure 1's access classes, so the prose cannot
+drift from the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
+from ...consistency.access_class import FIGURE1_CLASSES
 from ...consistency.models import ConsistencyModel
 
 ATOMICITY_AXIOM = ("rmw-atomicity: an RMW reads its immediate co-predecessor "
@@ -59,65 +60,30 @@ class AxiomSet:
         return "\n".join(lines)
 
 
-#: the paper's models, with their axioms spelled out (Figure 1's rows
-#: turned into acyclicity conditions)
-NAMED_AXIOMS: Dict[str, AxiomSet] = {
-    "SC": AxiomSet(
-        model="SC",
-        ppo_rule="po (every program-order pair is preserved)",
-        axiom="acyclic(po ∪ rf ∪ co ∪ fr)",
-        notes="Lamport SC: one total order of all accesses",
-    ),
-    "PC": AxiomSet(
-        model="PC",
-        ppo_rule="po \\ (pure-store -> pure-load), plus same-address po",
-        axiom="acyclic(ppo ∪ rf ∪ co ∪ fr)",
-        notes="loads may bypass earlier stores; RMWs preserve both halves",
-    ),
-    "WC": AxiomSet(
-        model="WC",
-        ppo_rule="{(a,b) in po : a or b is a synchronization access}, "
-                 "plus same-address po",
-        axiom="acyclic(ppo ∪ rf ∪ co ∪ fr)",
-        notes="every sync access is a two-way fence (WCsc)",
-    ),
-    "RC": AxiomSet(
-        model="RC",
-        ppo_rule="{(a,b) in po : a is an acquire or b is a release}, "
-                 "plus same-address po",
-        axiom="acyclic(ppo ∪ rf ∪ co ∪ fr)",
-        notes="RCpc: release -> acquire stays unordered (footnote 1)",
-    ),
-    "RCsc": AxiomSet(
-        model="RCsc",
-        ppo_rule="RC's ppo plus sync -> sync pairs, plus same-address po",
-        axiom="acyclic(ppo ∪ rf ∪ co ∪ fr)",
-        notes="syncs are sequentially consistent among themselves",
-    ),
-    "DRF0": AxiomSet(
-        model="DRF0",
-        ppo_rule="{(a,b) in po : a or b is a synchronization access}, "
-                 "plus same-address po",
-        axiom="acyclic(ppo ∪ rf ∪ co ∪ fr)",
-        notes="operationally coincides with WC (paper, Section 2)",
-    ),
-}
+def ppo_rule(model: ConsistencyModel) -> str:
+    """``model``'s preserved program order in words: all of po, or the
+    pairs of Figure 1's access classes it keeps (or, when that list is
+    shorter, drops), plus same-address po."""
+    kept, dropped = [], []
+    for name_a, a in FIGURE1_CLASSES:
+        for name_b, b in FIGURE1_CLASSES:
+            pair = f"{name_a}→{name_b}"
+            (kept if model.preserves(a, b, same_address=False)
+             else dropped).append(pair)
+    if not dropped:
+        return "po"
+    if len(kept) <= len(dropped):
+        return f"po ∩ {{{', '.join(kept)}}}, plus same-address po"
+    return f"po \\ {{{', '.join(dropped)}}}, plus same-address po"
 
 
 def axioms_for(model: ConsistencyModel) -> AxiomSet:
-    """The axiom set for ``model``; unregistered models fall back to
-    the generic delay-arc derivation (still sound and complete against
-    the interleaving semantics — only the prose is generic)."""
-    try:
-        return NAMED_AXIOMS[model.name]
-    except KeyError:
-        return AxiomSet(
-            model=model.name,
-            ppo_rule="{(a,b) in po : delay_arc(class(a), class(b))}, "
-                     "plus same-address po",
-            axiom="acyclic(ppo ∪ rf ∪ co ∪ fr)",
-            notes="derived mechanically from the model's delay arcs",
-        )
+    """The axiom set of ``model``, rendered from its delay arcs."""
+    rule = ppo_rule(model)
+    ppo = "po" if rule == "po" else "ppo"
+    return AxiomSet(model=model.name, ppo_rule=rule,
+                    axiom=f"acyclic({ppo} ∪ rf ∪ co ∪ fr)",
+                    notes=model.description)
 
 
 def render_axiom_table(models) -> str:

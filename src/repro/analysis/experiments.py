@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.schemes import compare_schemes
+from ..consistency.access_class import FIGURE1_CLASSES
 from ..consistency.litmus import (
     coherence_per_location,
     load_buffering,
@@ -25,10 +26,13 @@ from ..core.timing import (
     AnalyticalTimingModel,
     TimingConfig,
 )
+from ..obs.accounting import PAPER_CAUSES, breakdown_from_stats
+from ..sim.stats import StatsRegistry
 from ..system.machine import run_workload
 from ..workloads.figure5 import Figure5Result, run_figure5
 from ..workloads.paper_examples import (
     PAPER_CYCLE_COUNTS,
+    PAPER_EXAMPLES,
     example1_program,
     example1_segment,
     example2_program,
@@ -41,6 +45,7 @@ from ..workloads.synthetic import (
     pointer_chase_segment,
     random_segment,
 )
+from .summary import CpuSummary
 from .tables import Table
 
 
@@ -54,23 +59,14 @@ def delay_arc_matrix(model: ConsistencyModel) -> Table:
     Rows are the earlier access, columns the later one; ``wait`` means
     the later access may not perform until the earlier one has.
     """
-    from ..consistency.access_class import (
-        ACQUIRE,
-        PLAIN_LOAD,
-        PLAIN_STORE,
-        RELEASE,
-    )
-
-    classes = [("load", PLAIN_LOAD), ("store", PLAIN_STORE),
-               ("acquire", ACQUIRE), ("release", RELEASE)]
     table = Table(
         f"Figure 1 delay arcs under {model.name} "
         f"(row must perform before column?)",
-        ["earlier \\ later"] + [name for name, _ in classes],
+        ["earlier \\ later"] + [name for name, _ in FIGURE1_CLASSES],
     )
-    for name_a, a in classes:
+    for name_a, a in FIGURE1_CLASSES:
         row: List[object] = [name_a]
-        for _name_b, b in classes:
+        for _name_b, b in FIGURE1_CLASSES:
             row.append("wait" if model.delay_arc(a, b) else "-")
         table.add_row(*row)
     return table
@@ -310,9 +306,9 @@ def rollback_cost_table(
                   round(base / both_clean, 2))
     for inval_cycle in (inval_cycles or (5, 20, 40)):
         result = run_figure5(inval_cycle=inval_cycle, miss_latency=miss_latency)
-        squashes = result.machine.sim.stats.counter("cpu0/slb/squashes").value
+        cpu0 = CpuSummary.from_stats(result.machine.sim.stats, 0)
         table.add_row(f"both techniques, inval launched @{inval_cycle}",
-                      result.cycles, squashes,
+                      result.cycles, cpu0.slb_rollbacks,
                       round(base / result.cycles, 2))
     table.add_note("even a mis-speculation that forces a full rollback stays "
                    "well ahead of the conventional implementation")
@@ -402,7 +398,7 @@ def traffic_table(miss_latency: int = 100) -> Table:
                               warm_lines=wl.warm_lines)
         table.add_row(tech, result.cycles,
                       result.counter("cache0/port_accesses"),
-                      result.counter("cache0/prefetches_issued"),
+                      CpuSummary.from_stats(result.stats, 0).pf_issued,
                       result.counter("net/messages"))
     table.add_note("prefetched references access the cache twice, but only "
                    "in cycles where demand accesses were stalled anyway")
@@ -410,7 +406,7 @@ def traffic_table(miss_latency: int = 100) -> Table:
 
 
 # ----------------------------------------------------------------------
-# E11: stall breakdown (Figures 3-7 presentation, via repro.obs)
+# E11: stall breakdown (Figures 3-7 presentation)
 # ----------------------------------------------------------------------
 
 def stall_breakdown_table(
@@ -418,16 +414,49 @@ def stall_breakdown_table(
     models: Sequence[ConsistencyModel] = (SC, PC, WC, RC),
     miss_latency: int = 100,
     normalize: bool = True,
+    merged: Optional[StatsRegistry] = None,
 ) -> Table:
-    """Normalized execution-time breakdown per model x technique.
+    """Stall breakdown for every model x technique cell of one paper
+    example, each cell broken into busy / read / write / acquire time.
 
-    Thin wrapper over :func:`repro.obs.report.example_breakdown_matrix`
-    so the experiment suite and EXPERIMENTS.md pick the table up; the
-    import is deferred because ``repro.obs.report`` itself imports this
-    package's table machinery.
+    With ``normalize`` each cause is a percentage of the model's
+    *baseline* total (the paper's convention: baseline bars are 100, a
+    technique bar below 100 is a win); otherwise raw cycle counts.
+    Pass a registry as ``merged`` to receive every cell's counters,
+    aggregated under ``<model>/<technique>/`` prefixes.
     """
-    from ..obs.report import example_breakdown_matrix
-
-    return example_breakdown_matrix(
-        example, models=models, miss_latency=miss_latency,
-        normalize=normalize)
+    unit = "% of model baseline" if normalize else "cycles"
+    table = Table(
+        f"{example}: stall breakdown per model x technique ({unit})",
+        ["model", "technique"] + [c.value for c in PAPER_CAUSES]
+        + ["other", "total"],
+    )
+    for model in models:
+        for tech, (pf, spec) in TECHNIQUES.items():
+            wl = PAPER_EXAMPLES[example]()
+            result = run_workload(
+                [wl.program], model=model, prefetch=pf, speculation=spec,
+                miss_latency=miss_latency,
+                initial_memory=wl.initial_memory, warm_lines=wl.warm_lines,
+            )
+            cycles = result.cycles
+            if tech == "baseline":      # TECHNIQUES' first key
+                baseline_cycles = cycles
+            if merged is not None:
+                merged.merge_from(result.stats, prefix=f"{model.name}/{tech}/")
+            bd = breakdown_from_stats(result.stats, cpu=0)
+            paper = sum(bd.get(c) for c in PAPER_CAUSES)
+            other = bd.total - paper
+            if normalize:
+                norm = bd.normalized(baseline_cycles)
+                row = [round(norm[c], 1) for c in PAPER_CAUSES]
+                row += [round(100.0 * other / baseline_cycles, 1),
+                        round(100.0 * cycles / baseline_cycles, 1)]
+            else:
+                row = [bd.get(c) for c in PAPER_CAUSES] + [other, cycles]
+            table.add_row(model.name, tech, *row)
+    table.add_note("busy/read/write/acquire are the paper's bar segments; "
+                   "'other' folds rob-full, rollback and idle cycles")
+    if normalize:
+        table.add_note("each model's baseline total is scaled to 100")
+    return table

@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import sys
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from .consistency.models import ConsistencyModel, get_model
 from .isa.assembler import assemble
@@ -98,27 +97,23 @@ def positive(text: str) -> float:
     return value
 
 
-class _Spellings(argparse.Action):
-    """Store the value, or with ``nargs="+"`` extend the list (replacing
-    the default); a spelling after the first is a deprecated alias."""
+class _Repeatable(argparse.Action):
+    """``nargs="+"`` that extends the list on each use, replacing the
+    default on the first."""
 
     def __call__(self, parser: argparse.ArgumentParser,
                  namespace: argparse.Namespace, values: Any,
                  option_string: Optional[str] = None) -> None:
-        if option_string != self.option_strings[0]:
-            print(f"warning: {option_string} is deprecated, use "
-                  f"{self.option_strings[0]}", file=sys.stderr)
         current = getattr(namespace, self.dest)
-        if self.nargs == "+" and current is not self.default:
+        if current is not self.default:
             values = current + values
         setattr(namespace, self.dest, values)
 
 
-def add_ledger(parser: argparse.ArgumentParser, appends: bool = True,
-               aliases: Sequence[str] = ()) -> None:
+def add_ledger(parser: argparse.ArgumentParser,
+               appends: bool = True) -> None:
     """``--ledger FILE``, and ``--no-ledger`` where the command appends."""
-    parser.add_argument("--ledger", *aliases, action=_Spellings,
-                        metavar="FILE", default=None,
+    parser.add_argument("--ledger", metavar="FILE", default=None,
                         help="run-ledger JSONL path (default: "
                              "$REPRO_LEDGER or .repro/ledger.jsonl)")
     if appends:
@@ -138,8 +133,7 @@ def append_ledger(args: argparse.Namespace, **record: Any,
 
 
 def add_model(parser: argparse.ArgumentParser, many: bool = False,
-              default: Any = "SC", aliases: Sequence[str] = (),
-              as_typed: bool = False) -> None:
+              default: Any = "SC", as_typed: bool = False) -> None:
     """``--model NAME``, any case; ``many`` takes several names and
     repeats, ``as_typed`` keeps the names as given, not the models."""
     if not many:
@@ -149,7 +143,7 @@ def add_model(parser: argparse.ArgumentParser, many: bool = False,
                                  "DRF0 (default %(default)s)")
         return
     names = " ".join(getattr(m, "name", m) for m in default)
-    parser.add_argument("--model", *aliases, action=_Spellings, nargs="+",
+    parser.add_argument("--model", action=_Repeatable, nargs="+",
                         default=default, metavar="NAME",
                         type=_model_name if as_typed else model_argument,
                         help=f"consistency models (repeatable; default "

@@ -47,6 +47,11 @@ RELEASE = AccessClass(is_load=False, is_store=True, release=True)
 ACQUIRE_RMW = AccessClass(is_load=True, is_store=True, acquire=True)
 RELEASE_RMW = AccessClass(is_load=True, is_store=True, release=True)
 
+#: Figure 1's four access classes by name, the rows and columns of a
+#: model's delay-arc table.
+FIGURE1_CLASSES = (("load", PLAIN_LOAD), ("store", PLAIN_STORE),
+                   ("acquire", ACQUIRE), ("release", RELEASE))
+
 
 def classify(instr: Instruction) -> AccessClass:
     """Build an :class:`AccessClass` from a memory instruction."""

@@ -1,14 +1,15 @@
-"""Observability: cycle accounting, effectiveness metrics, trace export.
+"""Observability: cycle accounting, trace export, the run ledger.
 
 The paper's results are *normalized execution-time breakdowns*; this
 package reproduces that accounting on the detailed simulator and adds
 the modern tooling around it — per-cause cycle blame
-(:mod:`~repro.obs.accounting`), prefetch/speculation effectiveness
-counters (:mod:`~repro.obs.effectiveness`), Chrome/Perfetto timeline export
+(:mod:`~repro.obs.accounting`), Chrome/Perfetto timeline export
 (:mod:`~repro.obs.perfetto`), the canonical architectural event
-stream (:mod:`~repro.obs.archtrace`) and its
-first-divergence differ (:mod:`~repro.obs.diff`).
-``python -m repro.obs`` is the CLI.
+stream (:mod:`~repro.obs.archtrace`) and its first-divergence differ
+(:mod:`~repro.obs.diff`).  ``python -m repro.obs`` is the CLI.  The
+run report that reads a run's counters into one record per CPU —
+activity, cycle blame, prefetch and speculative-load outcomes — is
+:mod:`repro.analysis.summary`.
 
 A campaign's metrics are a :class:`~repro.sim.stats.StatsRegistry`
 that ``repro.verify`` fills from its sweep's results, exposed for
@@ -19,10 +20,10 @@ ledger.  All three are stdlib-only and imported lazily by the
 orchestration layers.
 
 Import discipline: this package is imported by the processor core, so
-only modules that depend on nothing above ``repro.sim`` are pulled in
-here.  The heavyweight report layer (:mod:`repro.obs.report`, which
-needs workloads and the sweep engine) must be imported explicitly by
-entry points.
+its modules import nothing from the layers built on the core —
+``repro.system``, ``repro.workloads``, ``repro.analysis`` — except
+:mod:`repro.obs.cli`, an entry point
+(``tests/test_import_hygiene.py``).
 """
 
 from .accounting import (
@@ -34,12 +35,6 @@ from .accounting import (
     breakdown_from_stats,
     machine_breakdown,
     per_cpu_breakdowns,
-)
-from .effectiveness import (
-    PrefetchEffectiveness,
-    SpeculationEffectiveness,
-    prefetch_effectiveness,
-    speculation_effectiveness,
 )
 from .archtrace import (
     ARCHTRACE_VERSION,
@@ -74,8 +69,6 @@ __all__ = [
     "CycleBreakdown",
     "DivergenceReport",
     "LEDGER_SCHEMA",
-    "PrefetchEffectiveness",
-    "SpeculationEffectiveness",
     "StallCause",
     "append_record",
     "breakdown_from_stats",
@@ -86,10 +79,8 @@ __all__ = [
     "machine_breakdown",
     "make_record",
     "per_cpu_breakdowns",
-    "prefetch_effectiveness",
     "read_ledger",
     "request_hash",
-    "speculation_effectiveness",
     "to_trace_events",
     "trace_warnings",
     "validate_trace_events",

@@ -33,6 +33,7 @@ from ..cli_options import (add_ledger, add_model, add_stats_json,
                            output_path)
 from ..consistency.models import ALL_MODELS
 from ..sim.trace import read_jsonl
+from ..workloads.paper_examples import PAPER_EXAMPLES
 from .ledger import KNOWN_KINDS
 from .perfetto import (
     export_chrome_trace,
@@ -42,16 +43,16 @@ from .perfetto import (
 
 
 def _cmd_breakdown(args: argparse.Namespace) -> int:
-    # heavy import (workloads + simulator) deferred until needed
+    # the simulator and the experiment tables load for this command only
     import time
 
+    from ..analysis.experiments import TECHNIQUES, stall_breakdown_table
     from ..sim.stats import StatsRegistry, write_stats_json
-    from .report import TECHNIQUES, example_breakdown_matrix
 
     models = tuple(args.model)
     merged: Optional[StatsRegistry] = StatsRegistry() if args.stats_json else None
     t0 = time.perf_counter()
-    table = example_breakdown_matrix(
+    table = stall_breakdown_table(
         args.example,
         models=models,
         miss_latency=args.miss_latency,
@@ -173,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("breakdown",
                        help="stall-breakdown matrix for a paper example")
     p.add_argument("example", nargs="?", default="example2",
-                   choices=("example1", "example2", "figure5"))
-    add_model(p, many=True, default=ALL_MODELS, aliases=("--models",))
+                   choices=sorted(PAPER_EXAMPLES))
+    add_model(p, many=True, default=ALL_MODELS)
     p.add_argument("--miss-latency", type=miss_latency, default=100)
     p.add_argument("--raw", dest="normalize", action="store_false",
                    help="print raw cycle counts instead of normalized %%")

@@ -14,7 +14,7 @@ Example::
 
 Observability outputs::
 
-    python -m repro.run --example example2 --model SC --breakdown
+    python -m repro.run --example example2 --model SC --summary
     python -m repro.run prog.s --stats-json stats.json \
         --perfetto run.trace.json --trace-jsonl run.jsonl
 """
@@ -34,6 +34,7 @@ from .sim.errors import SimulationError
 from .sim.stats import write_stats_json
 from .sim.trace import TraceRecorder
 from .system import run_workload
+from .workloads.paper_examples import PAPER_EXAMPLES
 
 
 def address(text: str) -> int:
@@ -83,7 +84,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("programs", nargs="*", type=program_file,
                         help="assembly files, one per processor")
     parser.add_argument("--example",
-                        choices=("example1", "example2", "figure5"),
+                        choices=sorted(PAPER_EXAMPLES),
                         help="run a built-in paper kernel (with its "
                              "warm-cache/memory environment) instead of "
                              "assembly files")
@@ -105,7 +106,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--stats", action="store_true",
                         help="dump the full statistics registry")
     parser.add_argument("--summary", action="store_true",
-                        help="print the per-CPU digest (IPC, stalls, ...)")
+                        help="print the run report: per-CPU activity, "
+                             "cycle-cause breakdown and technique "
+                             "effectiveness")
     parser.add_argument("--trace", action="store_true",
                         help="print the event trace")
     parser.add_argument("--analyze", action="store_true",
@@ -113,9 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--sanitize", action="store_true",
                         help="check trace invariants after the run "
                              "(exits non-zero on a violation)")
-    parser.add_argument("--breakdown", action="store_true",
-                        help="print the per-CPU cycle-cause breakdown "
-                             "and technique-effectiveness counters")
     parser.add_argument("--profile", action="store_true",
                         help="host-side self-profiler: per-component "
                              "wall-time shares, simulated cycles/sec and "
@@ -159,8 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     initial_memory = dict(args.init)
     warm_lines = ()
     if args.example:
-        from .obs.report import example_workload
-        wl = example_workload(args.example)
+        wl = PAPER_EXAMPLES[args.example]()
         programs.append(wl.program)
         warm_lines = wl.warm_lines
         initial_memory = {**wl.initial_memory, **initial_memory}
@@ -242,12 +241,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--- trace ---")
         print(trace.render())
     if args.summary:
-        from .analysis.summary import summary_table
-        print(summary_table(result).render())
-    if args.breakdown:
-        from .obs.report import breakdown_table, effectiveness_table
-        print(breakdown_table(result).render())
-        print(effectiveness_table(result).render())
+        from .analysis.summary import (breakdown_table, effectiveness_table,
+                                       summary_table)
+        for table in (summary_table, breakdown_table, effectiveness_table):
+            print(table(result).render())
     if args.profile and profiler is not None:
         print(profiler.render(result.stats))
     if args.stats:

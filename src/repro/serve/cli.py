@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cache-miss workers: 1 runs misses in the "
                               "server process, N > 1 in a pool of N "
                               "processes (default: %(default)s)")
-    add_ledger(p_serve, aliases=("--ledger-path",))
+    add_ledger(p_serve)
     p_serve.add_argument("--no-request-log", action="store_true",
                          help="do not keep <store>/requests.jsonl")
     p_serve.set_defaults(func=_cmd_serve)

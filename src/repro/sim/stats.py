@@ -83,8 +83,8 @@ class Histogram:
 class StatsRegistry:
     """Hierarchically named counters and histograms.
 
-    Names use ``/`` separators by convention, e.g. ``cpu0/lsu/loads`` or
-    ``cache1/misses``.
+    Names use ``/`` separators by convention, e.g.
+    ``cpu0/instructions_retired`` or ``cache1/misses``.
 
     A registry that a machine re-arms has two kinds of statistics: the
     ones its components register at wiring, which they hold for the

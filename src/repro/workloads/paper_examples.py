@@ -20,7 +20,7 @@ to 0, so ``E[D]`` is word 96 — its own line, distinct from all others.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..consistency.access_class import (
     ACQUIRE,
@@ -153,6 +153,16 @@ def figure5_program() -> PaperWorkload:
         initial_memory={D: 0},
         access_tags=["read A", "write B", "write C", "read D", "read E[D]"],
     )
+
+
+#: The detailed-simulator kernels by name: ``python -m repro.run
+#: --example``, ``python -m repro.obs breakdown`` and the stall-breakdown
+#: matrix all choose from this list.
+PAPER_EXAMPLES: Dict[str, Callable[[], PaperWorkload]] = {
+    "example1": example1_program,
+    "example2": example2_program,
+    "figure5": figure5_program,
+}
 
 
 #: Expected totals from the paper, keyed (example, model, technique).

@@ -3,8 +3,12 @@
 ``sanitized_run`` wraps :func:`repro.system.run_workload` with a trace
 recorder and asserts the trace invariants afterwards, so any test can
 opt into sanitized execution by taking the fixture and calling it like
-``run_workload``.
+``run_workload``.  ``child_env`` is the environment a test hands a
+child interpreter it starts.
 """
+
+import os
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +32,16 @@ def sanitized_run():
         return result
 
     return _run
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env():
+    """The package on the path, a minimal ``PATH``, and the parent's
+    ``PYTHONDONTWRITEBYTECODE``: a test run that writes no bytecode
+    starts children that write none either."""
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env

@@ -8,6 +8,7 @@ atomicity, the memoization discipline, the program-to-litmus bridge,
 and the CLIs.
 """
 
+import re
 import subprocess
 import sys
 import time
@@ -34,6 +35,7 @@ from repro.analysis.static import (
     litmus_from_programs,
 )
 from repro.consistency import PC, RC, SC, WC, LitmusTest, read, rmw, write
+from repro.consistency.access_class import FIGURE1_CLASSES
 from repro.consistency.litmus import STANDARD_TESTS
 from repro.consistency.models import ALL_MODELS, get_model
 from repro.sim.errors import ConfigurationError
@@ -45,6 +47,7 @@ from repro.verify import (
     check_test,
     generate_litmus,
 )
+from tests.conftest import child_env
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -233,6 +236,25 @@ class TestAxioms:
             assert "acyclic" in axioms.axiom
             assert axioms.render()
 
+    @pytest.mark.parametrize("name", ["SC", "PC", "WC", "RC", "RCsc", "DRF0"])
+    def test_rendered_ppo_is_the_delay_arc_relation(self, name):
+        """The prose is rendered from the relation: the class pairs it
+        names are exactly the pairs ``delay_arc`` keeps (``po ∩``) or
+        drops (``po \\``), and SC's is all of po."""
+        model = get_model(name)
+        axioms = axioms_for(model)
+        pairs = {(a, b): model.delay_arc(ca, cb)
+                 for a, ca in FIGURE1_CLASSES for b, cb in FIGURE1_CLASSES}
+        named = set(re.findall(r"(\w+)→(\w+)", axioms.ppo_rule))
+        if axioms.ppo_rule == "po":
+            assert all(pairs.values())
+        elif axioms.ppo_rule.startswith("po ∩ "):
+            assert named == {pair for pair, kept in pairs.items() if kept}
+        else:
+            assert axioms.ppo_rule.startswith("po \\ ")
+            assert named == {pair for pair, kept in pairs.items() if not kept}
+        assert axioms.notes == model.description
+
     def test_axiom_table_renders(self):
         table = render_axiom_table(list(ALL_MODELS))
         for model in ALL_MODELS:
@@ -364,7 +386,7 @@ def _run(module, *argv):
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
         cwd=REPO_ROOT, timeout=600)
 
 

@@ -9,14 +9,14 @@ without perturbing any simulated result.
 import pytest
 
 from repro.consistency import SC
-from repro.obs.report import example_workload
 from repro.sim import Component, HostProfiler, Simulator
 from repro.sim.profiler import HOST_PREFIX
 from repro.system import run_workload
+from repro.workloads import example1_program, example2_program
 
 
 def _example1(profile=False):
-    wl = example_workload("example1")
+    wl = example1_program()
     return run_workload([wl.program], model=SC,
                         initial_memory=wl.initial_memory,
                         warm_lines=wl.warm_lines, profile=profile)
@@ -157,7 +157,7 @@ class TestHeartbeat:
         # interval is in simulated cycles, so six 50-cycle marks are
         # crossed, each beat landing on the first stepped cycle past one
         beats = []
-        wl = example_workload("example2")
+        wl = example2_program()
         result = run_workload(
             [wl.program], model=SC, initial_memory=wl.initial_memory,
             warm_lines=wl.warm_lines,

@@ -19,7 +19,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from tests.conftest import SRC, child_env
+
 
 _SCRIPT = """
 import sys
@@ -64,7 +65,7 @@ assert not loaded, loaded
 
 def test_scalar_paths_never_import_numpy_or_the_batch_engine():
     proc = subprocess.run([sys.executable, "-c", _SCRIPT],
-                          env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+                          env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -95,6 +96,24 @@ def test_consistency_never_imports_analysis():
         for path in sorted(package_dir.glob("*.py"))
     }
     assert len(upward) > 3
+    assert not {name: mods for name, mods in upward.items() if mods}
+
+
+def test_obs_never_imports_the_layers_built_on_the_core():
+    """The processor core imports ``repro.obs``, so an import of the
+    machine, the workloads or the analysis layer from it (even a lazy
+    one inside a function) is a cycle.  Its command line, an entry
+    point, is the one exception."""
+    package_dir = Path(SRC) / "repro" / "obs"
+    above = ("repro.analysis", "repro.system", "repro.workloads")
+    upward = {
+        path.name: sorted(name for name in
+                          _imported_modules(path, "repro.obs")
+                          if name.startswith(above))
+        for path in sorted(package_dir.glob("*.py"))
+        if path.name not in ("cli.py", "__main__.py")
+    }
+    assert len(upward) > 5
     assert not {name: mods for name, mods in upward.items() if mods}
 
 

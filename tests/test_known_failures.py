@@ -46,6 +46,7 @@ from repro.workloads import (
     grid_relaxation_workload,
     random_sharing_workload,
 )
+from tests.conftest import child_env
 
 
 def run(workload, model_name, prefetch, speculation, **kw):
@@ -99,7 +100,7 @@ def test_fuzzer_catches_slb_forgets_acquires():
          "--seed", "0", "--fault", "slb-forgets-acquires", "--no-minimize",
          "--quiet", "--no-ledger"],
         capture_output=True, text=True, cwd=repo,
-        env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
         timeout=540)
     assert proc.returncode == 1, proc.stdout + proc.stderr
 

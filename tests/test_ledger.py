@@ -19,9 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import ledger
+from tests.conftest import child_env
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = str(REPO_ROOT / "src")
 
 
 def _record(kind="fuzz", budget=10, seed=1, status=0, wall=1.0):
@@ -379,7 +379,7 @@ class TestLedgerCLI:
             [sys.executable, "-m", "repro.obs", *argv,
              "--ledger", ledger_path],
             capture_output=True, text=True, cwd=str(REPO_ROOT),
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+            env=child_env())
 
     @pytest.fixture()
     def seeded(self, tmp_path):

@@ -5,10 +5,7 @@ import json
 
 import pytest
 
-from repro.obs.effectiveness import (
-    PrefetchEffectiveness,
-    SpeculationEffectiveness,
-)
+from repro.analysis.summary import CpuSummary
 from repro.obs.perfetto import (
     to_trace_events,
     validate_trace_events,
@@ -212,9 +209,9 @@ class TestEffectiveness:
         s.counter("cache0/prefetches_late").inc(2)
         s.counter("cache0/prefetches_useful_hit").inc(1)
         s.counter("cache0/prefetches_useless_invalidated").inc(1)
-        pf = PrefetchEffectiveness.from_stats(s, 0)
-        assert pf.requested == 8 and pf.issued == 5
-        assert (pf.late, pf.useful_hits, pf.useless_invalidated) == (2, 1, 1)
+        pf = CpuSummary.from_stats(s, 0)
+        assert pf.pf_requested == 8 and pf.pf_issued == 5
+        assert (pf.pf_late, pf.pf_hits, pf.pf_useless) == (2, 1, 1)
 
     def test_speculation_counters_roundtrip(self):
         s = StatsRegistry()
@@ -224,8 +221,9 @@ class TestEffectiveness:
         s.counter("cpu0/slb/squashes").inc(1)
         s.counter("cpu0/slb/rollback_cause/inval").inc(1)
         s.counter("cpu0/squash_reason/speculative_load_violated").inc(1)
-        sp = SpeculationEffectiveness.from_stats(s, 0)
-        assert (sp.inserted, sp.confirmed, sp.corrections) == (10, 8, 2)
+        sp = CpuSummary.from_stats(s, 0)
+        assert (sp.slb_inserted, sp.slb_confirmed, sp.slb_reissues,
+                sp.slb_rollbacks) == (10, 8, 1, 1)
         assert sp.rollback_causes["inval"] == 1
         assert sp.squash_reasons == {"speculative_load_violated": 1}
 
@@ -241,7 +239,7 @@ class TestCliSmoke:
         perfetto = tmp_path / "trace.json"
         jsonl = tmp_path / "trace.jsonl"
         rc = main(["--example", "example2", "--model", "RC",
-                   "--prefetch", "--speculation", "--breakdown",
+                   "--prefetch", "--speculation", "--summary",
                    "--stats-json", str(stats_json),
                    "--perfetto", str(perfetto),
                    "--trace-jsonl", str(jsonl)])

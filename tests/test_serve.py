@@ -24,7 +24,6 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -53,6 +52,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.store import STORE_SCHEMA
 from repro.verify.harness import RunConfig, observed_outcome
+from tests.conftest import child_env
 
 
 @pytest.fixture
@@ -858,13 +858,12 @@ class TestExecutorLifetime:
 class TestServeCli:
     def test_jobs_picks_the_executor_and_the_pool_serves(self, tmp_path):
         # the worker count alone picks the executor kind
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.serve", "serve", "--port", "0",
              "--jobs", "2", "--store", str(tmp_path / "store"),
              "--no-ledger"],
             stdout=subprocess.PIPE, text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+            env=child_env())
         try:
             banner = proc.stdout.readline()
             match = re.match(r"serving on (\S+):(\d+) \(executor=(\w+),",

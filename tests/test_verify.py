@@ -32,6 +32,7 @@ from repro.verify import (
     observed_outcome,
     replay_corpus,
 )
+from tests.conftest import child_env
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -270,7 +271,7 @@ def _run_verify(*args):
     return subprocess.run(
         [sys.executable, "-m", "repro.verify", *args],
         capture_output=True, text=True, cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
         timeout=540)
 
 
