@@ -25,6 +25,10 @@ from ..sim.stats import StatsRegistry
 
 
 class HardwarePrefetcher:
+    #: it keeps no run state: nothing of it is in a spin's period key
+    PERIOD_FIXED = frozenset({"cache", "per_cycle", "allow_exclusive",
+                              "stat_issued", "stat_exclusive"})
+
     def __init__(
         self,
         cache: LockupFreeCache,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set
+from typing import Callable, Iterable, List, Optional, Set
 
 from ..memory.types import SnoopKind
 from ..sim.stats import StatsRegistry
@@ -65,6 +65,12 @@ class SlbEntry:
     rmw_issued: bool = False
     tag: str = ""
 
+    def period_key(self, num: Callable[[int], object]) -> tuple:
+        """This entry numbered as ``num`` does."""
+        return (num(self.seq), self.addr, self.line_addr, self.acq,
+                tuple(map(num, sorted(self.store_tags))),
+                self.done, self.is_rmw, self.rmw_issued, self.tag)
+
     def retirable(self) -> bool:
         """Figure 4's retirement conditions."""
         return not self.store_tags and (self.done or not self.acq)
@@ -77,6 +83,11 @@ class SlbEntry:
 
 class SpeculativeLoadBuffer:
     """FIFO buffer of in-window speculative loads for one processor."""
+
+    #: what a run never changes, left out of :meth:`period_key`
+    PERIOD_FIXED = frozenset({"size", "stat_inserted", "stat_retired",
+                              "stat_squashes", "stat_reissues",
+                              "stat_matches"})
 
     def __init__(self, size: int, stats: StatsRegistry, name: str = "slb") -> None:
         self.size = size
@@ -154,6 +165,22 @@ class SpeculativeLoadBuffer:
     def squash(self, seqs: Iterable[int]) -> None:
         for seq in seqs:
             self._entries.pop(seq, None)
+
+    def period_key(self, num: Callable[[int], object]) -> tuple:
+        """The buffer numbered as ``num`` does."""
+        return tuple(entry.period_key(num)
+                     for entry in self._entries.values())
+
+    def renumber(self, first: int, seqs: int) -> None:
+        """Move every entry, and every store tag, from ``first`` on
+        ``seqs`` on."""
+        for entry in self._entries.values():
+            if entry.seq >= first:
+                entry.seq += seqs
+            entry.store_tags = {tag + seqs if tag >= first else tag
+                                for tag in entry.store_tags}
+        self._entries = OrderedDict(
+            (entry.seq, entry) for entry in self._entries.values())
 
     # ------------------------------------------------------------------
     # Detection (Section 4.2)

@@ -19,6 +19,9 @@ TABLE_SIZE = 256
 
 
 class BranchPredictor:
+    #: what a run never changes, left out of :meth:`period_key`
+    PERIOD_FIXED = frozenset()
+
     def __init__(self) -> None:
         self.reset()
 
@@ -35,6 +38,16 @@ class BranchPredictor:
             return instr.predict_taken
         counter = self._counters.get(pc % TABLE_SIZE, 1)
         return counter >= 2
+
+    def period_key(self) -> tuple:
+        """The counter table; the two totals move on by themselves
+        (:meth:`shift_period`)."""
+        return tuple(sorted(self._counters.items()))
+
+    def shift_period(self, predictions: int, mispredictions: int) -> None:
+        """Count whole spin periods' predictions and mispredictions."""
+        self.predictions += predictions
+        self.mispredictions += mispredictions
 
     def update(self, pc: int, instr: Branch, taken: bool, mispredicted: bool) -> None:
         if mispredicted:

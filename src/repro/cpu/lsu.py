@@ -28,7 +28,8 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterator, List,
+                    Optional, Set, Tuple)
 
 from ..consistency.access_class import PLAIN_LOAD, PLAIN_STORE, AccessClass
 from ..consistency.models import ConsistencyModel
@@ -49,6 +50,9 @@ from .config import ProcessorConfig
 from .decode import RMW, STORE, SW_PREFETCH
 from .rob import Operand, ReorderBuffer, RobEntry
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .spin import Numbering
+
 
 class MemState(enum.Enum):
     IN_RS = "rs"
@@ -66,7 +70,7 @@ class MemOp:
     __slots__ = ("seq", "rob_entry", "klass", "base", "data", "offset",
                  "state", "addr", "generation", "prefetch_issued",
                  "signalled", "forwarded", "is_sw_prefetch", "tag",
-                 "is_load", "is_store", "is_rmw")
+                 "is_load", "is_store", "is_rmw", "req")
 
     def __init__(self, seq: int, rob_entry: RobEntry, klass: AccessClass,
                  base: Operand, data: Optional[Operand], offset: int,
@@ -89,13 +93,34 @@ class MemOp:
         self.is_load = klass.is_load and not klass.is_store
         self.is_store = klass.is_store and not klass.is_load
         self.is_rmw = klass.is_load and klass.is_store
+        #: the id of the last request of it the cache accepted (0: none)
+        self.req = 0
 
     @property
     def performed(self) -> bool:
         return self.state is MemState.PERFORMED
 
+    def period_key(self, num: "Numbering", live: Dict[int, RobEntry]) -> tuple:
+        """This op numbered as ``num`` does (see
+        :meth:`LoadStoreUnit.period_key`)."""
+        return (num(self.seq), live.get(self.seq) is self.rob_entry,
+                self.klass, self.base.period_key(num, live),
+                None if self.data is None else self.data.period_key(num, live),
+                self.offset, self.state, self.addr, self.generation,
+                self.prefetch_issued, self.signalled, self.forwarded,
+                self.is_sw_prefetch, self.tag, self.is_load, self.is_store,
+                self.is_rmw, num.request(self.seq, self.req))
+
 
 class LoadStoreUnit:
+    #: what a run never changes, left out of :meth:`period_key`
+    PERIOD_FIXED = frozenset({
+        "cpu_id", "sim", "cache", "rob", "trace", "name", "_has_uncached",
+        "owner", "request_squash", "_resume", "stat_loads", "stat_stores",
+        "stat_rmws", "stat_forwards", "stat_rs_stalls", "stat_sb_stalls",
+        "stat_load_latency", "stat_store_latency", "config", "model",
+        "prefetcher", "sc_detector", "_stores_retire_at_completion"})
+
     def __init__(
         self,
         cpu_id: int,
@@ -396,6 +421,7 @@ class LoadStoreUnit:
                 generation=gen, callback=self._waking(done), **fields)):
             self.cache.await_mshr(self._resume)
             return False
+        op.req = self._next_req_id
         self._next_req_id += 1
         return True
 
@@ -478,7 +504,7 @@ class LoadStoreUnit:
         op.generation += 1
         gen = op.generation
         self.stat_forwards.inc()
-        self.sim.schedule(
+        self.cache.schedule(
             self.cache.config.hit_latency,
             self._waking(lambda: self._load_completed(op, gen, value, cycle)))
         return True
@@ -571,7 +597,7 @@ class LoadStoreUnit:
                 waiting.append(op)
         self._rmw_reads = waiting
         if port_busy:
-            self.sim.schedule(1, self._resume)  # port budget: free next cycle
+            self.cache.schedule(1, self._resume)  # port budget: free next cycle
 
     def _send_rmw_read(self, op: MemOp) -> bool:
         gen = op.generation
@@ -748,6 +774,60 @@ class LoadStoreUnit:
         if not op.signalled:
             return False
         return not self._stores_retire_at_completion
+
+    # ------------------------------------------------------------------
+    # Spin sleep (see Processor.next_wake)
+    # ------------------------------------------------------------------
+    def period_key(self, num: "Numbering", cycle: int) -> tuple:
+        """Every buffer at the end of ``cycle``'s tick, numbered as
+        ``num`` does, with cycles relative to ``cycle``.  The next
+        request id moves on by itself: :meth:`renumber`."""
+        live = self.rob.live
+        addr_unit = self.addr_unit
+        return (
+            tuple(op.period_key(num, live) for op in self.rs),
+            None if addr_unit is None else (
+                addr_unit[0].period_key(num, live),
+                num.cycle(addr_unit[0].seq, addr_unit[1], cycle)),
+            tuple(num(op.seq) for op in self.ready_loads),
+            tuple(num(op.seq) for op in self.store_buffer),
+            tuple(op.period_key(num, live)
+                  for op in self.pending.values()),
+            tuple(num(op.seq) for op in self._rmw_reads),
+            self.stalled,
+            None if self.slb is None else self.slb.period_key(num),
+        )
+
+    def live_requests(self) -> Set[Tuple[int, int]]:
+        """(id, generation) of every request whose completion would
+        still act: its op's last one, while the op is pending."""
+        return {(op.req, op.generation) for op in self.pending.values()}
+
+    def renumber(self, first: int, seqs: int, cycles: int,
+                 reqs: int) -> None:
+        """Move every op from ``first`` on ``seqs`` instructions,
+        ``cycles`` cycles and, if it has one, ``reqs`` request ids on,
+        and the next request id too (whole spin periods)."""
+        ops = {id(op): op for op in self.pending.values()}
+        ops.update((id(op), op) for op in self.rs)
+        if self.addr_unit is not None:
+            op, ready = self.addr_unit
+            ops[id(op)] = op
+            if op.seq >= first:
+                self.addr_unit = (op, ready + cycles)
+        for op in ops.values():
+            if op.seq >= first:
+                op.seq += seqs
+                if op.req:
+                    op.req += reqs
+        self.pending = OrderedDict((op.seq, op) for op in self.pending.values())
+        self._next_req_id += reqs
+        if self.slb is not None:
+            self.slb.renumber(first, seqs)
+
+    @property
+    def next_req_id(self) -> int:
+        return self._next_req_id
 
     def is_empty(self) -> bool:
         return (not self.rs and self.addr_unit is None and not self.ready_loads

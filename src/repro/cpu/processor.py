@@ -29,6 +29,7 @@ from .config import ProcessorConfig
 from .decode import ALU, BRANCH, HALT, JUMP, TO_LSU, Decoded, decode_table
 from .lsu import LoadStoreUnit
 from .rob import Operand, ReorderBuffer, RobEntry
+from .spin import Books, Numbering, Period, Point, SpinWatch
 from .units import AluUnit, BranchUnit
 
 
@@ -39,6 +40,14 @@ def _reason_slug(reason: str) -> str:
 
 class Processor(Component):
     """One core executing one program against its coherent cache."""
+
+    #: what a run never changes (or only watches it), left out of
+    #: :meth:`_period_key`
+    PERIOD_FIXED = frozenset({
+        "cpu_id", "sim", "program", "_rows", "_runs", "_runs_end", "trace", "name", "rob", "predictor", "alu_unit",
+        "branch_unit", "lsu", "stat_retired", "stat_decoded",
+        "stat_squashed", "stat_squashes", "stat_mispredicts",
+        "stat_squash_depth", "accountant", "config", "_spin"})
 
     def __init__(
         self,
@@ -52,10 +61,11 @@ class Processor(Component):
         self.cpu_id = cpu_id
         self.sim = sim
         self.program = program
-        table = decode_table(program)
+        # the runs stay in their table: up to 29 attributes, CPython
+        # shares the keys of the instances' dicts, and a machine is built
+        # per run configuration
+        self._runs = table = decode_table(program)
         self._rows = table.rows
-        self._run_firsts = table.run_firsts
-        self._run_lasts = table.run_lasts
         #: no chain sleep from this pc on (0: the program has no run)
         self._runs_end = table.run_lasts[-1] if table.run_lasts else 0
         config = config or ProcessorConfig()
@@ -104,6 +114,8 @@ class Processor(Component):
         self._idle_counters: Optional[tuple] = None
         #: squash_reason/<slug> counters, each created at its first squash
         self._stat_squash_reason: Dict[str, Counter] = {}
+        #: spin sleep (:meth:`next_wake`), from the first mispredict on
+        self._spin: Optional[SpinWatch] = None
 
     # ------------------------------------------------------------------
     # Per-cycle pipeline (reverse dataflow order)
@@ -138,6 +150,10 @@ class Processor(Component):
                 rob_full=self.rob.full,
             )
         self._idle_counters = None if moved else (blame, *stalled)
+        if self._spin is not None:
+            spin = self._spin
+            if spin.armed or spin.readings is not None:
+                self._watch_spin(cycle)
 
     def is_quiescent(self) -> bool:
         return self.finished and self.lsu.is_empty()
@@ -149,7 +165,7 @@ class Processor(Component):
         """Earliest future cycle this core's tick would change state
         other than as :meth:`skip_cycles` does it.
 
-        Two kinds of sleep.  After a tick in which no stage moved
+        Three kinds of sleep.  After a tick in which no stage moved
         anything, observed, not predicted: the core is stalled on state
         only a delivery to this core can change — each of which wakes
         it, see :meth:`LoadStoreUnit._waking` — so the next tick would
@@ -163,7 +179,21 @@ class Processor(Component):
         slides the whole window one instruction down the run, which
         :meth:`_shift` does for any number of ticks at once, so the
         core sleeps until dispatch would reach the run's last row.
+
+        Or unless the core is in a steady spin: :meth:`_watch_spin`
+        saw its whole state come round to itself, up to numbering and
+        clocks, one period after the last time.  With no input, each
+        period then repeats the last, so the core sleeps through whole
+        periods (:meth:`_skip_periods` applies them in one go), until
+        the last period boundary before the first message to its cache
+        lands (:meth:`_spin_sleep`) — its only input.
         """
+        if self._spin is not None:
+            spin = self._spin
+            if spin.found:
+                return self._spin_sleep(cycle)
+            if spin.readings is not None:
+                return cycle + 1  # a period is being recorded, every tick
         if self._idle_counters is not None:
             return self.alu_unit.next_completion()
         if self.pc < self._runs_end:
@@ -171,6 +201,9 @@ class Processor(Component):
         return cycle + 1
 
     def skip_cycles(self, skipped: int) -> None:
+        if self._spin is not None and self._spin.asleep:
+            self._skip_periods(skipped)
+            return
         idle = self._idle_counters
         if idle is None:
             # a tick that moved is followed by a sleep only in a run
@@ -199,10 +232,11 @@ class Processor(Component):
         run.
         """
         pc = self.pc
-        run = bisect_right(self._run_firsts, pc - 1) - 1
+        runs = self._runs
+        run = bisect_right(runs.run_firsts, pc - 1) - 1
         if run < 0:
             return 0
-        span = self._run_lasts[run] - pc
+        span = runs.run_lasts[run] - pc
         if (span <= 0 or self.finished or self.fetch_halted
                 or self.trace.enabled
                 or not self.alu_unit.is_chained(cycle)):
@@ -237,6 +271,164 @@ class Processor(Component):
         self.stat_retired.inc(n)
         self.stat_decoded.inc(n)
         self.accountant.account_retiring(n)
+
+    # ------------------------------------------------------------------
+    # Spin sleep: a period of ticks that comes round to itself
+    # ------------------------------------------------------------------
+    def _arm_spin(self) -> None:
+        """A branch mispredicted: a spin may have begun.  Not while the
+        kernel ticks every cycle, nor while every event is recorded."""
+        spin = self._spin
+        if spin is None:
+            if (not self.sim.fast_forward or self.trace.enabled
+                    or self.lsu.sc_detector is not None):
+                return
+            # the books are every statistic this core and its cache
+            # write, of this run's registry
+            spin = self._spin = SpinWatch(Books(
+                self.sim.stats, (f"{self.name}/", f"{self.lsu.cache.name}/")))
+        spin.armed = True
+
+    def _watch_spin(self, cycle: int) -> None:
+        """After a tick that follows a mispredict (or records a period):
+        keep the books of a period under test, and at a *keyed point* —
+        the first tick after a mispredict at whose end none of this
+        node's events is pending — compare the period that ended there
+        with the one before.
+
+        Two periods of the same shape (refetch pc, cycles, instructions,
+        cache requests) make the core key its state there and record the next period's
+        books tick by tick.  If that one ends in the same key, with no
+        message sent or received on the way, it is what follows a state
+        with that key: :attr:`SpinWatch.period`, and the core may sleep
+        (:attr:`SpinWatch.found`) at this and at every later keyed point
+        with that key."""
+        spin = self._spin
+        books = spin.books
+        readings = spin.readings
+        cache = self.lsu.cache
+        if readings is not None:
+            readings.append(books.read())
+        if not spin.armed or cache.events_until > cycle:
+            if readings is not None and len(readings) > spin.shape[1] + 1:
+                spin.readings = None  # the period did not come round
+            return
+        spin.armed = False
+        predictor = self.predictor
+        point = Point(cycle, self._next_seq, self.lsu.next_req_id,
+                      cache.lru_clock, predictor.predictions,
+                      predictor.mispredictions, cache.sent, cache.received,
+                      cache.waiting())
+        last = spin.at
+        shape = (None if last is None
+                 else (self.pc, cycle - last.cycle, point.seq - last.seq,
+                       point.req - last.req))
+        key = None
+        if shape is not None and shape == spin.shape and shape[2] > 0:
+            key = self._period_key(cycle, shape[2])
+        if key is None or key != spin.key:
+            spin.period = None
+        elif (readings is not None and len(readings) == shape[1] + 1
+              and len(self.sim.stats) == spin.size
+              and (point.sent, point.received) == (last.sent, last.received)):
+            spin.period = Period(books, readings, last, point,
+                                 cache.stamps_since(last.clock),
+                                 cache.merged_since(last.waiting))
+        spin.found = spin.period is not None
+        spin.at, spin.shape, spin.key = point, shape, key
+        spin.readings = None
+        if key is not None and spin.period is None:
+            spin.readings = [readings[-1] if readings else books.read()]
+            spin.size = len(self.sim.stats)
+
+    def _period_key(self, cycle: int, seqs: int) -> tuple:
+        """This core's whole state at the end of ``cycle``'s tick, with
+        its cache's CPU side, numbered as :class:`~repro.cpu.spin.Numbering`
+        does for periods that decode ``seqs`` instructions.  Two equal
+        keys one period apart mean the periods after them are the same."""
+        lsu = self.lsu
+        num = Numbering(self._next_seq, lsu.next_req_id,
+                        self._next_seq - 2 * seqs)
+        live = self.rob.live
+        return (self.pc, self.fetch_halted, self.finished,
+                self._idle_counters, tuple(self.regfile.snapshot().values()),
+                tuple(self._stat_squash_reason),
+                self.rob.period_key(num),
+                self.alu_unit.period_key(num, live, cycle),
+                self.branch_unit.period_key(num, live, cycle),
+                lsu.period_key(num, cycle),
+                self.predictor.period_key(), self.accountant.period_key(),
+                lsu.cache.period_key(cycle, lsu.live_requests()))
+
+    def _spin_sleep(self, cycle: int) -> int:
+        """Sleep through as many whole periods as end before the first
+        message in flight to this core's cache lands and before the run
+        ends; a message sent later moves the wake forward
+        (:meth:`_on_arrival`).  That needs every message to take longer
+        than a period and a cycle: then the last boundary before an
+        arrival is never in the past when it is sent."""
+        spin = self._spin
+        spin.found = False
+        cycles = spin.period.cycles
+        cache = self.lsu.cache
+        net = cache.net
+        # the core must tick, and so settle its books, before whatever
+        # lands on its cache: events run before the ticks of a cycle
+        bound = self.sim.horizon
+        arrival = net.next_arrival(cache.node)
+        if arrival is not None and arrival <= bound:
+            bound = arrival - 1
+        periods = (bound - cycle - 1) // cycles
+        if net.floor <= cycles + 1 or periods < 1:
+            return cycle + 1
+        spin.asleep = True
+        spin.start = cycle
+        spin.wake = cycle + 1 + periods * cycles
+        net.watch(cache.node, self._on_arrival)
+        return spin.wake
+
+    def _on_arrival(self, arrival: int) -> None:
+        """A message to this core's cache lands at ``arrival``: wake at
+        the last period boundary before it, if that is sooner."""
+        spin = self._spin
+        cycles = spin.period.cycles
+        start = spin.start
+        wake = start + 1 + (arrival - start - 2) // cycles * cycles
+        if wake < spin.wake:
+            spin.wake = wake
+            self.sim.wake(self, by=wake)
+
+    def _skip_periods(self, skipped: int) -> None:
+        """Apply ``skipped`` cycles of the spin: the whole periods as one
+        shift of the state — every number, request id, cycle and LRU
+        stamp moves on by a period's worth times their number, and the
+        books count each period's additions that often — and a partial
+        period, left only when a run ends in mid-sleep, to the books
+        alone.  The core wakes at a keyed point with the key it fell
+        asleep with."""
+        spin = self._spin
+        period = spin.period
+        periods, rest = divmod(skipped, period.cycles)
+        seqs = periods * period.seqs
+        cycles = periods * period.cycles
+        # what the last two periods decoded moves on, what is older stays
+        first = self._next_seq - 2 * period.seqs
+        lsu = self.lsu
+        # the stations first: the ALU tells its own by their entries' numbers
+        self.alu_unit.renumber(first, seqs, cycles)
+        self.branch_unit.renumber(first, seqs, cycles)
+        self.rob.renumber(first, seqs)
+        lsu.renumber(first, seqs, cycles, periods * period.reqs)
+        self._next_seq += seqs
+        self.predictor.shift_period(periods * period.predictions,
+                                    periods * period.mispredictions)
+        cache = lsu.cache
+        cache.shift_period(periods, period.ticks, period.stamps,
+                           period.merged, period.cycles, spin.start)
+        period.count(periods, rest)
+        cache.net.watch(cache.node, None)
+        spin.asleep = False
+        spin.at = period.after(spin.at, periods)
 
     # ------------------------------------------------------------------
     # Retirement
@@ -391,6 +583,7 @@ class Processor(Component):
         mispredicted = actual_next != entry.predicted_next_pc
         self.predictor.update(entry.pc, entry.instr, taken, mispredicted)
         if mispredicted:
+            self._arm_spin()
             self.stat_mispredicts.inc()
             if self.trace.enabled:
                 self.trace.record(self.sim.cycle, self.name, "mispredict",

@@ -18,6 +18,7 @@ from ..sim.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .decode import Decoded
+    from .spin import Numbering
     from .units import RsEntry
 
 
@@ -54,6 +55,17 @@ class Operand:
             return str(self.value)
         return f"tag#{self.producer.seq}"
 
+    def period_key(self, num: "Numbering", live: Dict[int, "RobEntry"]) -> tuple:
+        """This operand with a producer in ``live`` (the reorder buffer
+        by number) numbered as ``num`` does; one that has left it never
+        changes again and counts by what it holds."""
+        producer = self.producer
+        if producer is None:
+            return (self.value,)
+        if live.get(producer.seq) is producer:
+            return (self.value, num(producer.seq))
+        return (self.value, None, producer.done, producer.value)
+
 
 class RobEntry:
     __slots__ = ("seq", "pc", "instr", "dst", "value", "done", "signalled",
@@ -89,12 +101,24 @@ class RobEntry:
     def is_memory(self) -> bool:
         return self.instr.is_memory
 
+    def period_key(self, num: "Numbering") -> tuple:
+        """This entry numbered as ``num`` does; a waiter squashed out of
+        its station counts only as there."""
+        return (num(self.seq), self.pc, self.instr, self.row, self.dst,
+                self.value, self.done, self.signalled, self.predicted_taken,
+                self.predicted_next_pc, self.resolved_next_pc,
+                tuple(None if waiter.dead else num(waiter.seq)
+                      for waiter in self.waiters))
+
     def describe(self) -> str:
         return self.instr.describe() or f"pc={self.pc}"
 
 
 class ReorderBuffer:
     """FIFO of in-flight instructions plus the rename table."""
+
+    #: what a run never changes, left out of :meth:`period_key`
+    PERIOD_FIXED = frozenset({"size"})
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -128,6 +152,11 @@ class ReorderBuffer:
 
     def entries(self) -> List[RobEntry]:
         return list(self._fifo)
+
+    @property
+    def live(self) -> Dict[int, RobEntry]:
+        """The entries in flight, by number (not to be changed)."""
+        return self._by_seq
 
     # ------------------------------------------------------------------
     # Rename / dispatch
@@ -202,6 +231,22 @@ class ReorderBuffer:
                 entry.value += step
             by_seq[entry.seq] = entry
         self._by_seq = by_seq
+
+    def period_key(self, num: "Numbering") -> tuple:
+        """The window and rename table, numbered as ``num`` does
+        (``_by_seq`` is the window by number)."""
+        return (tuple(entry.period_key(num) for entry in self._fifo),
+                tuple(sorted((reg, num(entry.seq))
+                             for reg, entry in self._rename.items())))
+
+    def renumber(self, first: int, seqs: int) -> None:
+        """Move every entry from ``first`` on ``seqs`` instructions on
+        (whole spin periods, see :meth:`Processor.next_wake`); the
+        objects stay, so every binding to them holds."""
+        for entry in self._fifo:
+            if entry.seq >= first:
+                entry.seq += seqs
+        self._by_seq = {entry.seq: entry for entry in self._fifo}
 
     # ------------------------------------------------------------------
     # Rollback

@@ -15,14 +15,20 @@ list, oldest first — so issue is a pop from the front of that list.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Dict, List, Set, Tuple, cast
+from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple, cast
 
 from ..sim.kernel import WAKE_NEVER
 from .rob import Operand, RobEntry
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .spin import Numbering
+
 
 class RsEntry:
     __slots__ = ("seq", "entry", "operands", "pending", "ready", "dead")
+
+    #: what a run never changes, left out of :meth:`period_key`
+    PERIOD_FIXED = frozenset({"ready"})
 
     def __init__(self, entry: RobEntry, operands: List[Operand],
                  ready: List["RsEntry"]) -> None:
@@ -42,6 +48,13 @@ class RsEntry:
                 producer.waiters.append(self)
         #: operands whose producer has not marked itself done
         self.pending = pending
+
+    def period_key(self, num: "Numbering", live: Dict[int, RobEntry]) -> tuple:
+        """This entry numbered as ``num`` does; ``ready`` is its unit's
+        list, the same all run."""
+        return (num(self.seq), num(self.entry.seq),
+                tuple(op.period_key(num, live) for op in self.operands),
+                self.pending, self.dead)
 
     def producer_done(self) -> None:
         """A producer this entry waits on is done: join the ready list
@@ -67,6 +80,9 @@ def _seq(item: RsEntry) -> int:
 class _Station:
     """A reservation station: the entries not yet issued, by number,
     and those of them whose operands are all produced, oldest first."""
+
+    #: what a run never changes, left out of :meth:`period_key`
+    PERIOD_FIXED = frozenset({"rs_size"})
 
     def __init__(self, rs_size: int) -> None:
         self.rs_size = rs_size
@@ -94,6 +110,21 @@ class _Station:
         del self.rs[rs_entry.seq]
         return cast(List[int], [op.resolve() for op in rs_entry.operands])
 
+    def period_key(self, num: "Numbering", live: Dict[int, RobEntry],
+                   cycle: int) -> tuple:
+        """The station numbered as ``num`` does (see
+        :meth:`Processor.next_wake`)."""
+        return (tuple(r.period_key(num, live) for r in self.rs.values()),
+                tuple(num(r.seq) for r in self.ready))
+
+    def renumber(self, first: int, seqs: int, cycles: int) -> None:
+        """Move the station's entries from ``first`` on ``seqs``
+        instructions and ``cycles`` cycles on (whole spin periods)."""
+        for rs_entry in self.rs.values():
+            if rs_entry.seq >= first:
+                rs_entry.seq += seqs
+        self.rs = {rs_entry.seq: rs_entry for rs_entry in self.rs.values()}
+
     def squash(self, seqs: Set[int]) -> None:
         rs = self.rs
         for seq in seqs:
@@ -106,6 +137,8 @@ class _Station:
 
 class AluUnit(_Station):
     """``alu_count`` pipelined integer units sharing one reservation station."""
+
+    PERIOD_FIXED = _Station.PERIOD_FIXED | {"alu_count", "on_complete"}
 
     def __init__(self, rs_size: int, alu_count: int,
                  on_complete: Callable[[RobEntry, int], None]) -> None:
@@ -171,6 +204,20 @@ class AluUnit(_Station):
         self._executing = [(finish + n, entry, [values[0] + step])
                            for finish, entry, values in self._executing]
 
+    def period_key(self, num: "Numbering", live: Dict[int, RobEntry],
+                   cycle: int) -> tuple:
+        return (super().period_key(num, live, cycle),
+                tuple((num.cycle(entry.seq, finish, cycle), num(entry.seq),
+                       tuple(values))
+                      for finish, entry, values in self._executing))
+
+    def renumber(self, first: int, seqs: int, cycles: int) -> None:
+        # before the reorder buffer renumbers the entries in flight
+        super().renumber(first, seqs, cycles)
+        self._executing = [
+            (finish + cycles if entry.seq >= first else finish, entry, values)
+            for finish, entry, values in self._executing]
+
     def squash(self, seqs: Set[int]) -> None:
         super().squash(seqs)
         self._executing = [ex for ex in self._executing
@@ -197,6 +244,8 @@ class AluUnit(_Station):
 
 class BranchUnit(_Station):
     """Resolves conditional branches one per cycle."""
+
+    PERIOD_FIXED = _Station.PERIOD_FIXED | {"on_resolve"}
 
     def __init__(self, rs_size: int,
                  on_resolve: Callable[[RobEntry, bool], None]) -> None:

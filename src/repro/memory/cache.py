@@ -25,7 +25,7 @@ other.  Coherence protocol details live in ``repro.coherence``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..coherence.messages import DIRECTORY_NODE, Message, MessageKind, NodeId
 from ..isa.instructions import rmw_result
@@ -69,8 +69,21 @@ class MshrEntry:
     issued_cycle: int = 0
 
 
+def _lru(line: CacheLine) -> int:
+    return line.lru
+
+
 class LockupFreeCache(Component):
     """A single processor's coherent, non-blocking cache."""
+
+    #: what a run never changes, left out of :meth:`period_key`
+    PERIOD_FIXED = frozenset({
+        "node", "name", "sim", "net", "config", "trace", "_snoop_listeners",
+        "_handlers", "stat_hits", "stat_misses", "stat_merges",
+        "stat_prefetches", "stat_prefetch_discarded", "stat_prefetch_useful",
+        "stat_prefetch_late", "stat_prefetch_useful_hit",
+        "stat_prefetch_wasted", "stat_invals", "stat_updates",
+        "stat_replacements", "stat_writebacks", "stat_port_accesses"})
 
     def __init__(
         self,
@@ -141,6 +154,12 @@ class LockupFreeCache(Component):
         self._prefetched_unused: set = set()
         # resumed, in order, when a fill next releases an MSHR
         self._mshr_waits: List[Callable[[], None]] = []
+        #: messages this cache sent and received
+        self.sent = 0
+        self.received = 0
+        #: the last cycle an event of this node's CPU side is due at
+        #: (see :meth:`schedule`)
+        self.events_until = -1
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -212,8 +231,12 @@ class LockupFreeCache(Component):
                 self.stat_prefetch_useful.inc()
                 self.stat_prefetch_useful_hit.inc()
             self._touch(line)
-            req.issued_cycle = self.sim.cycle
-            self.sim.schedule(self.config.hit_latency,
+            req.issued_cycle = cycle = self.sim.cycle
+            latency = self.config.hit_latency
+            # no event of this node's is due later than the latest hit's
+            # (see :meth:`schedule`): no need to compare
+            self.events_until = cycle + latency
+            self.sim.schedule(latency,
                               lambda: self._complete_access(req, line_addr))
             return True
 
@@ -384,12 +407,24 @@ class LockupFreeCache(Component):
         if self.can_accept():
             self.await_mshr(lambda: self._rerun(req))
         else:
-            self.sim.schedule(1, lambda: self._rerun(req))  # port budget: free next cycle
+            self.schedule(1, lambda: self._rerun(req))  # port budget: free next cycle
+
+    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
+        """Schedule an event of this node's CPU side — this cache's, or
+        its core's — ``delay`` cycles from now, ``delay`` no more than
+        the hit latency.  Unlike a message, none is announced: so
+        :attr:`events_until` keeps the last cycle one of them is due at
+        (a hit's completion, the one in :meth:`access`, too)."""
+        due = self.sim.cycle + delay
+        if due > self.events_until:
+            self.events_until = due
+        self.sim.schedule(delay, callback)
 
     # ------------------------------------------------------------------
     # Message plumbing
     # ------------------------------------------------------------------
     def _send(self, kind: MessageKind, line_addr: int, **kw) -> None:
+        self.sent += 1
         self.net.send(Message(kind=kind, src=self.node, dst=DIRECTORY_NODE,
                               line_addr=line_addr, **kw))
 
@@ -401,6 +436,7 @@ class LockupFreeCache(Component):
             listener(kind, line_addr)
 
     def receive(self, msg: Message) -> None:
+        self.received += 1
         handler = self._handlers.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"cache{self.node} cannot handle {msg.describe()}")
@@ -594,6 +630,80 @@ class LockupFreeCache(Component):
             line.data[self.config.word_index(req.addr)] = req.value
         if req.callback is not None:
             req.callback(req, req.value if req.value is not None else 0)
+
+    # ------------------------------------------------------------------
+    # Spin sleep (see Processor.next_wake)
+    # ------------------------------------------------------------------
+    def period_key(self, cycle: int, live: Set[Tuple[int, int]]) -> tuple:
+        """This cache's state at the end of ``cycle``'s ticks, up to
+        what a period of its core's spin moves on by itself: the LRU
+        clock (only the order of each set's lines counts), a port budget
+        spent at ``cycle`` (keyed relative to it), and the stale
+        requests merged into a miss — of an MSHR's waiters only the
+        ``live`` ones (id, generation) count, where they stand; the
+        rest, requests of squashed accesses, only touch the line when it
+        lands.  The message totals are the core's to compare
+        (:meth:`Processor._watch_spin`)."""
+        return (
+            tuple(tuple((line.line_addr, line.state, tuple(line.data))
+                        for line in sorted(cache_set, key=_lru))
+                  for cache_set in self._sets if cache_set),
+            tuple((line, entry.exclusive, entry.prefetch_only,
+                   tuple((i, req.req_id) for i, req in enumerate(entry.waiters)
+                         if (req.req_id, req.generation) in live),
+                   len(entry.pending_exclusive), entry.upgrade_after_fill,
+                   entry.issued_cycle)
+                  for line, entry in self.mshrs.items()),
+            self._port_used if self._port_cycle == cycle else None,
+            tuple(self._writebacks), tuple(self._update_txns),
+            tuple(self._uncached_txns), tuple(sorted(self._prefetched_unused)),
+            len(self._mshr_waits), self.events_until > cycle,
+        )
+
+    def stamps_since(self, clock: int) -> Dict[int, int]:
+        """The lines touched since the LRU clock read ``clock``, each
+        with its last stamp counted from there."""
+        return {line.line_addr: line.lru - clock
+                for cache_set in self._sets for line in cache_set
+                if line.lru > clock}
+
+    def waiting(self) -> Dict[int, int]:
+        """How many requests wait on each outstanding miss."""
+        return {line: len(entry.waiters) for line, entry in self.mshrs.items()}
+
+    def merged_since(self, waiting: Dict[int, int]) -> Dict[int, list]:
+        """The requests merged into each outstanding miss since
+        :meth:`waiting` read ``waiting``."""
+        return {line: entry.waiters[waiting[line]:]
+                for line, entry in self.mshrs.items()
+                if len(entry.waiters) > waiting[line]}
+
+    def shift_period(self, periods: int, ticks: int, stamps: Dict[int, int],
+                     merged: Dict[int, list], cycles: int, cycle: int) -> None:
+        """Move the state :meth:`period_key` saw at ``cycle`` on by
+        ``periods`` periods of ``cycles`` cycles of a spin, each of which
+        uses ``ticks`` LRU stamps and merges ``merged`` into the misses:
+        the lines a period touches go where the last one leaves them
+        (``stamps``, as :meth:`stamps_since` counts them from a period's
+        start), the misses wait on that many more stale requests, and a
+        port budget spent at ``cycle`` is spent as many periods later."""
+        if not periods:
+            return
+        for line, requests in merged.items():
+            self.mshrs[line].waiters.extend(requests * periods)
+        self._lru_clock += periods * ticks
+        start = self._lru_clock - ticks
+        for cache_set in self._sets:
+            for line in cache_set:
+                stamp = stamps.get(line.line_addr)
+                if stamp is not None:
+                    line.lru = start + stamp
+        if self._port_cycle == cycle:
+            self._port_cycle += periods * cycles
+
+    @property
+    def lru_clock(self) -> int:
+        return self._lru_clock
 
     # ------------------------------------------------------------------
     def is_quiescent(self) -> bool:

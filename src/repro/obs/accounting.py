@@ -74,6 +74,9 @@ PAPER_CAUSES = (StallCause.BUSY, StallCause.READ, StallCause.WRITE,
 class CycleAccountant:
     """Per-CPU cycle blame, fed once per tick by the processor."""
 
+    #: what a run never changes, left out of :meth:`period_key`
+    PERIOD_FIXED = frozenset({"name", "_counters"})
+
     def __init__(self, stats: StatsRegistry, name: str) -> None:
         self.name = name
         # keyed by ``cause.value``, read as the plain attribute
@@ -89,6 +92,9 @@ class CycleAccountant:
     def reset(self) -> None:
         """No squash pending."""
         self._refilling = False  # between a squash and the next retirement
+
+    def period_key(self) -> tuple:
+        return (self._refilling,)
 
     # ------------------------------------------------------------------
     def note_squash(self) -> None:
@@ -197,11 +203,18 @@ def breakdown_from_stats(stats: StatsRegistry, cpu: int,
     """Read one CPU's breakdown back out of a (possibly merged) registry.
 
     ``prefix`` addresses counters aggregated with
-    ``StatsRegistry.merge_from(other, prefix=...)``."""
-    return CycleBreakdown({
-        cause: stats.counter(f"{prefix}cpu{cpu}/cycles/{cause.value}").value
-        for cause in CAUSES
-    })
+    ``StatsRegistry.merge_from(other, prefix=...)``.  Reading registers
+    nothing: a counter missing from ``stats`` raises a ``KeyError`` that
+    names it."""
+    head = f"{prefix}cpu{cpu}/cycles/"
+    counters = stats.counters(head)
+    missing = [head + cause.value for cause in CAUSES
+               if head + cause.value not in counters]
+    if missing:
+        raise KeyError(f"no counter {', '.join(map(repr, missing))} "
+                       "is registered")
+    return CycleBreakdown({cause: counters[head + cause.value]
+                           for cause in CAUSES})
 
 
 def per_cpu_breakdowns(stats: StatsRegistry, num_cpus: int) -> List[CycleBreakdown]:

@@ -13,7 +13,9 @@ component after its tick when it next needs one, and until that cycle —
 or until :meth:`Simulator.wake` says something was delivered to it —
 leaves it out of the tick loop, whatever the other components do: a
 component in which nothing moved stays frozen until its own clock or a
-delivery *to it* can move it.  The ticks it slept through are owed, not
+delivery *to it* can move it.  A component that knows a delivery is on
+its way asks, with ``wake(component, by=cycle)``, to tick no later
+than the cycle it chooses.  The ticks it slept through are owed, not
 lost: a component whose idle ticks have deterministic side effects
 (per-cycle stall counters) replays them via ``skip_cycles`` when it next
 ticks, or when ``run()`` returns or raises, so results stay
@@ -125,6 +127,9 @@ class Simulator:
         #: is in its books; ``None`` otherwise — everybody ticks
         self._wakes: Optional[Dict[Component, int]] = None
         self._synced: Dict[Component, int] = {}
+        #: the last cycle the current ``run()`` may step: no sleep need
+        #: last beyond it
+        self.horizon = WAKE_NEVER
         if self.profiler is not None:
             self.profiler.reset()
 
@@ -176,7 +181,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def wake(self, component: Optional[Component]) -> None:
+    def wake(self, component: Optional[Component],
+             by: Optional[int] = None) -> None:
         """Mark ``component`` due: something was just delivered to it.
 
         Whoever changes a component's state from outside its own tick
@@ -187,10 +193,17 @@ class Simulator:
         events before ticks and ticks in registration order, would first
         show it the change.  A no-op when it is awake anyway, or not
         one of the registered components.
+
+        With ``by``, a future cycle, the component asks instead to tick
+        no later than ``by``: something will be delivered to it then,
+        and it wants its own books settled first.
         """
         wakes = self._wakes
-        if wakes is not None and wakes.get(component, 0) > self.cycle:
-            wakes[component] = self.cycle
+        if wakes is not None:
+            if by is None:
+                by = self.cycle
+            if wakes.get(component, 0) > by:
+                wakes[component] = by
 
     def step(self) -> None:
         """Advance the simulation by exactly one cycle.
@@ -305,6 +318,7 @@ class Simulator:
         """
         fast = self.fast_forward
         prof = self.profiler
+        self.horizon = max_cycles
         if prof is not None:
             prof.note_registered(self._components)
         if fast:
@@ -335,6 +349,7 @@ class Simulator:
                         self._maybe_fast_forward(next_event, max_cycles)
                 self.step()
         finally:
+            self.horizon = WAKE_NEVER
             if fast:
                 self._replay_sleepers()
             # export even on DeadlockError — the profile is most useful

@@ -154,6 +154,18 @@ class StatsRegistry:
         self._counters = dict(counters)
         self._histograms = dict(histograms)
 
+    def __len__(self) -> int:
+        """How many statistics are registered."""
+        return len(self._counters) + len(self._histograms)
+
+    def under(self, *prefixes: str) -> Tuple[List[Counter], List[Histogram]]:
+        """The counters and the histograms named under any of
+        ``prefixes``, by name."""
+        return ([c for name, c in sorted(self._counters.items())
+                 if name.startswith(prefixes)],
+                [h for name, h in sorted(self._histograms.items())
+                 if name.startswith(prefixes)])
+
     def counters(self, prefix: str = "") -> Mapping[str, int]:
         return {
             name: c.value

@@ -18,10 +18,9 @@ from ..sim.kernel import Simulator
 from ..sim.trace import TraceRecorder
 
 
-def latency_by_kind(lat: LatencyConfig):
-    """Interconnect latency function keyed on message kind."""
-
-    table = {
+def latency_table(lat: LatencyConfig) -> Dict[MessageKind, int]:
+    """Each message kind's transit latency."""
+    return {
         MessageKind.READ: lat.request,
         MessageKind.READX: lat.request,
         MessageKind.UPGRADE: lat.request,
@@ -41,6 +40,11 @@ def latency_by_kind(lat: LatencyConfig):
         MessageKind.UNCACHED_OP: lat.request,
         MessageKind.UNCACHED_DONE: lat.response,
     }
+
+
+def latency_by_kind(lat: LatencyConfig):
+    """Interconnect latency function keyed on message kind."""
+    table = latency_table(lat)
 
     def fn(msg: Message) -> int:
         return table[msg.kind]
@@ -62,7 +66,9 @@ class MemoryFabric:
         self.sim = sim
         self.cache_config = cache_config or CacheConfig()
         self.latencies = latencies or LatencyConfig()
-        self.net = Interconnect(sim, latency_by_kind(self.latencies))
+        self.net = Interconnect(
+            sim, latency_by_kind(self.latencies),
+            floor=min(latency_table(self.latencies).values()))
         self.directory = DirectoryController(
             sim, self.net, self.latencies,
             line_size=self.cache_config.line_size, trace=trace,

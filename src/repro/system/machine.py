@@ -63,7 +63,12 @@ class RunResult:
     machine: "Multiprocessor"
 
     def counter(self, name: str) -> int:
-        return self.stats.counter(name).value
+        """A registered counter's value: reading one never registers it,
+        and a name no component registered raises a ``KeyError``."""
+        counters = self.stats.counters(name)
+        if name not in counters:
+            raise KeyError(f"no counter {name!r} is registered")
+        return counters[name]
 
     def breakdowns(self) -> List[CycleBreakdown]:
         """Per-CPU cycle-cause breakdowns (each sums to ``cycles``)."""

@@ -134,3 +134,46 @@ def test_breakdown_survives_registry_merge():
 def test_paper_causes_are_a_subset_in_order():
     assert set(PAPER_CAUSES) <= set(CAUSES)
     assert [c for c in CAUSES if c in PAPER_CAUSES] == list(PAPER_CAUSES)
+
+
+class TestReadingRegistersNothing:
+    """A counter is read, never created, by reading it: a misspelt or
+    absent name raises, and the registry's keys stay the run's own (so
+    ``--stats-json`` never lists a zero the run did not count)."""
+
+    def test_breakdown_of_a_missing_prefix_raises(self):
+        result = run_example("example2", get_model("SC"), False, False)
+        names = set(result.stats.snapshot())
+        with pytest.raises(KeyError, match="cell0/cpu0/cycles/busy"):
+            breakdown_from_stats(result.stats, cpu=0, prefix="cell0/")
+        with pytest.raises(KeyError, match="cpu1/cycles/"):
+            breakdown_from_stats(result.stats, cpu=1)
+        assert set(result.stats.snapshot()) == names
+
+    def test_run_result_counter(self):
+        result = run_example("example1", get_model("SC"), True, False)
+        names = set(result.stats.snapshot())
+        assert result.counter("cache0/port_accesses") > 0
+        with pytest.raises(KeyError, match="cache0/port_acesses"):
+            result.counter("cache0/port_acesses")
+        with pytest.raises(KeyError, match="cpu0/slb/inserted"):
+            result.counter("cpu0/slb/inserted")  # speculation is off
+        assert set(result.stats.snapshot()) == names
+
+    def test_traffic_table_leaves_each_registry_as_its_run_left_it(
+            self, monkeypatch):
+        from repro.analysis import experiments
+
+        runs = []
+        real = experiments.run_workload
+
+        def run(*args, **kw):
+            result = real(*args, **kw)
+            runs.append((result, set(result.stats.snapshot())))
+            return result
+
+        monkeypatch.setattr(experiments, "run_workload", run)
+        experiments.traffic_table()
+        assert len(runs) == len(TECHNIQUES)
+        for result, names in runs:
+            assert set(result.stats.snapshot()) == names

@@ -161,7 +161,9 @@ def _sha16(text):
 class TestWholeRegistryPins:
     """The ``guest_apps`` members at half size: cycles alone can stay
     put while a counter or an event moves, and ``test_determinism``
-    compares a commit only with itself."""
+    compares a commit only with itself.  A traced core never sleeps, so
+    each member runs untraced too — where the chain and spin sleeps
+    engage — and must leave the same cycles and registry."""
 
     @pytest.fixture(scope="class")
     def members(self):
@@ -195,6 +197,22 @@ class TestWholeRegistryPins:
             _sha16("\n".join(ev.describe() for ev in trace.events)),
         )
         assert observed == WHOLE_REGISTRY_PINS[(name, model, both)]
+
+    @pytest.mark.parametrize(
+        "name,model,both", list(WHOLE_REGISTRY_PINS),
+        ids=[f"{name}-{model}-{'on' if both else 'off'}"
+             for name, model, both in WHOLE_REGISTRY_PINS])
+    def test_untraced_cycles_and_registry(self, members, name, model, both):
+        wl = members[name]
+        result = run_workload(
+            wl.programs, model=get_model(model), prefetch=both,
+            speculation=both, miss_latency=MISS_LATENCY,
+            initial_memory=wl.initial_memory)
+        registry = {key: value
+                    for key, value in result.stats.snapshot().items()
+                    if not key.startswith("host/")}
+        observed = (result.cycles, _sha16(canonical_json(registry)))
+        assert observed == WHOLE_REGISTRY_PINS[(name, model, both)][:2]
 
     def test_every_member_is_pinned_under_every_setting(self, members):
         assert set(WHOLE_REGISTRY_PINS) == {

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.summary import CpuSummary
+from repro.obs.accounting import CycleAccountant
 from repro.obs.perfetto import (
     to_trace_events,
     validate_trace_events,
@@ -201,9 +202,17 @@ class TestPerfetto:
 # Effectiveness extraction
 # ----------------------------------------------------------------------
 
+def _cpu0_registry():
+    """A registry with what every core wires: its cycle-blame counters
+    (the summary's blame reads them, and reading registers nothing)."""
+    s = StatsRegistry()
+    CycleAccountant(s, "cpu0")
+    return s
+
+
 class TestEffectiveness:
     def test_prefetch_counters_roundtrip(self):
-        s = StatsRegistry()
+        s = _cpu0_registry()
         s.counter("cpu0/prefetcher/issued").inc(8)
         s.counter("cache0/prefetches_issued").inc(5)
         s.counter("cache0/prefetches_late").inc(2)
@@ -214,7 +223,7 @@ class TestEffectiveness:
         assert (pf.pf_late, pf.pf_hits, pf.pf_useless) == (2, 1, 1)
 
     def test_speculation_counters_roundtrip(self):
-        s = StatsRegistry()
+        s = _cpu0_registry()
         s.counter("cpu0/slb/inserted").inc(10)
         s.counter("cpu0/slb/retired").inc(8)
         s.counter("cpu0/slb/reissues").inc(1)

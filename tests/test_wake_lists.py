@@ -251,6 +251,23 @@ class TestCountGuards:
         short, long = ticks
         assert long == short <= 100
 
+    def test_a_barrier_spin_costs_few_ticks(self, monkeypatch):
+        # a poll of the barrier is a mispredict and a rollback every
+        # five cycles; a core in that steady spin sleeps through whole
+        # periods of it (spin sleep).  4 313 core ticks without it.
+        ticks = [0]
+        real_tick = Processor.tick
+
+        def tick(self, cycle):
+            ticks[0] += 1
+            return real_tick(self, cycle)
+
+        monkeypatch.setattr(Processor, "tick", tick)
+        wl = barrier_workload(4, phases=2)
+        run_workload(wl.programs, model=get_model("RC"),
+                     initial_memory=wl.initial_memory)
+        assert ticks[0] <= 0.4 * 4313
+
     def test_a_long_skew_builds_small(self):
         spec = _job([0, 400_000])
         tracemalloc.start()
