@@ -43,9 +43,16 @@ class DirState(enum.Enum):
 
 @dataclass
 class DirEntry:
-    state: DirState = DirState.UNOWNED
     sharers: Set[NodeId] = field(default_factory=set)
     owner: Optional[NodeId] = None
+
+    @property
+    def state(self) -> DirState:
+        """What the owner and the sharers say: an owned line is
+        exclusive, a shared one has no owner and a sharer."""
+        if self.owner is not None:
+            return DirState.EXCLUSIVE
+        return DirState.SHARED if self.sharers else DirState.UNOWNED
 
 
 @dataclass
@@ -238,8 +245,7 @@ class DirectoryController(Component):
     def _act_read(self, txn: Transaction) -> None:
         self.stat_reads.inc()
         ent = self.entry(txn.line_addr)
-        if ent.state in (DirState.UNOWNED, DirState.SHARED):
-            ent.state = DirState.SHARED
+        if ent.state is not DirState.EXCLUSIVE:
             ent.sharers.add(txn.requester)
             self._send_data(txn, exclusive=False)
             self._finish(txn)
@@ -347,7 +353,6 @@ class DirectoryController(Component):
         ent = self.entry(txn.line_addr)
         old_owner = ent.owner
         if txn.kind is MessageKind.READ:
-            ent.state = DirState.SHARED
             ent.owner = None
             ent.sharers = {txn.requester}
             if old_owner is not None:
@@ -373,7 +378,6 @@ class DirectoryController(Component):
             # behalf of ``txn``.  Use the writeback data; the data-less
             # RECALL_ACK may arrive before or after this message.
             self._write_line(msg.line_addr, msg.data or [])
-            ent.state = DirState.UNOWNED
             ent.owner = None
             ent.sharers = set()
             self._send(MessageKind.WB_ACK, msg.src, txn)
@@ -385,7 +389,6 @@ class DirectoryController(Component):
             return
         if ent.state is DirState.EXCLUSIVE and ent.owner == msg.src:
             self._write_line(msg.line_addr, msg.data or [])
-            ent.state = DirState.UNOWNED
             ent.owner = None
             ent.sharers = set()
         self.net.send(Message(kind=MessageKind.WB_ACK, src=DIRECTORY_NODE,
@@ -396,7 +399,6 @@ class DirectoryController(Component):
     # ------------------------------------------------------------------
     def _grant_exclusive(self, txn: Transaction, with_data: bool) -> None:
         ent = self.entry(txn.line_addr)
-        ent.state = DirState.EXCLUSIVE
         ent.owner = txn.requester
         ent.sharers = set()
         self.net.send(Message(

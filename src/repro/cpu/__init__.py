@@ -2,7 +2,7 @@
 
 from .branch import BranchPredictor
 from .config import ProcessorConfig
-from .lsu import LoadStoreUnit, MemOp, MemState
+from .lsu import LoadStoreUnit, MemOp
 from .processor import Processor
 from .rob import Operand, ReorderBuffer, RobEntry
 from .units import AluUnit, BranchUnit
@@ -13,7 +13,6 @@ __all__ = [
     "BranchUnit",
     "LoadStoreUnit",
     "MemOp",
-    "MemState",
     "Operand",
     "Processor",
     "ProcessorConfig",

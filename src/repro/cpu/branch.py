@@ -28,30 +28,20 @@ class BranchPredictor:
     def reset(self) -> None:
         """Forget every branch: a cold table."""
         self._counters: Dict[int, int] = {}  # pc -> 0..3 (>=2 predicts taken)
-        self.predictions = 0
-        self.mispredictions = 0
 
     def predict(self, pc: int, instr: Branch) -> bool:
         """Predicted direction for the branch at ``pc``."""
-        self.predictions += 1
         if instr.predict_taken is not None:
             return instr.predict_taken
         counter = self._counters.get(pc % TABLE_SIZE, 1)
         return counter >= 2
 
     def period_key(self) -> tuple:
-        """The counter table; the two totals move on by themselves
-        (:meth:`shift_period`)."""
+        """The counter table."""
         return tuple(sorted(self._counters.items()))
 
-    def shift_period(self, predictions: int, mispredictions: int) -> None:
-        """Count whole spin periods' predictions and mispredictions."""
-        self.predictions += predictions
-        self.mispredictions += mispredictions
-
-    def update(self, pc: int, instr: Branch, taken: bool, mispredicted: bool) -> None:
-        if mispredicted:
-            self.mispredictions += 1
+    def update(self, pc: int, instr: Branch, taken: bool) -> None:
+        """Train the counter of the branch at ``pc`` on its outcome."""
         if instr.predict_taken is not None:
             return
         key = pc % TABLE_SIZE

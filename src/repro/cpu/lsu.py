@@ -25,14 +25,12 @@ Loads bypass the store buffer with a word-granular dependence check
 
 from __future__ import annotations
 
-import enum
 import itertools
 from collections import OrderedDict, deque
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterator, List,
                     Optional, Set, Tuple)
 
-from ..consistency.access_class import PLAIN_LOAD, PLAIN_STORE, AccessClass
-from ..consistency.models import ConsistencyModel
+from ..consistency.access_class import PLAIN_LOAD, PLAIN_STORE
 from ..core.prefetch import HardwarePrefetcher
 from ..core.sc_detection import ScViolationDetector
 from ..core.speculation import (
@@ -43,83 +41,68 @@ from ..core.speculation import (
 )
 from ..memory.cache import LockupFreeCache
 from ..memory.types import AccessKind, AccessRequest, SnoopKind
-from ..sim.kernel import Component, Simulator
+from ..sim.kernel import Simulator
 from ..sim.stats import Counter
 from ..sim.trace import TraceRecorder
 from .config import ProcessorConfig
-from .decode import RMW, STORE, SW_PREFETCH
+from .decode import LOAD, RMW, STORE, SW_PREFETCH
 from .rob import Operand, ReorderBuffer, RobEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .processor import Processor
     from .spin import Numbering
 
 
-class MemState(enum.Enum):
-    IN_RS = "rs"
-    IN_ADDR = "addr"
-    READY = "ready"          # load waiting to issue to the cache
-    ISSUED = "issued"        # load in flight
-    IN_SB = "sb"             # store/rmw waiting in the store buffer
-    SB_ISSUED = "sb_issued"  # store/rmw in flight
-    PERFORMED = "performed"
-
-
 class MemOp:
-    """One memory instruction tracked by the LSU, decode to completion."""
+    """One memory instruction tracked by the LSU, decode to completion.
 
-    __slots__ = ("seq", "rob_entry", "klass", "base", "data", "offset",
-                 "state", "addr", "generation", "prefetch_issued",
-                 "signalled", "forwarded", "is_sw_prefetch", "tag",
-                 "is_load", "is_store", "is_rmw", "req")
+    What it is — access class, offset, tag, load, store, RMW or software
+    prefetch — is its reorder-buffer entry's decode row.  Where it is in
+    its life is which of the unit's buffers holds it (paper, Figure 4):
+    the reservation station, the address unit, the issue stage
+    (``ready_loads``) or the store buffer, and ``pending`` until it is
+    performed; ``issued`` says its current access is at the cache.
+    """
 
-    def __init__(self, seq: int, rob_entry: RobEntry, klass: AccessClass,
-                 base: Operand, data: Optional[Operand], offset: int,
-                 is_sw_prefetch: bool = False, tag: str = "") -> None:
-        self.seq = seq
+    __slots__ = ("seq", "rob_entry", "base", "data", "addr", "generation",
+                 "issued", "prefetch_issued", "forwarded", "req")
+
+    def __init__(self, rob_entry: RobEntry, base: Operand,
+                 data: Optional[Operand]) -> None:
+        #: its entry's number, kept here too: a retired store drains
+        #: after its entry has left the window, which is all a spin
+        #: sleep renumbers
+        self.seq = rob_entry.seq
         self.rob_entry = rob_entry
-        self.klass = klass
         self.base = base
         self.data = data              # store value / rmw operand
-        self.offset = offset
-        self.state = MemState.IN_RS
         self.addr: Optional[int] = None
         self.generation = 0
+        self.issued = False
         self.prefetch_issued = False
-        self.signalled = False
         self.forwarded = False
-        self.is_sw_prefetch = is_sw_prefetch
-        self.tag = tag
-        # exactly one of the three holds
-        self.is_load = klass.is_load and not klass.is_store
-        self.is_store = klass.is_store and not klass.is_load
-        self.is_rmw = klass.is_load and klass.is_store
         #: the id of the last request of it the cache accepted (0: none)
         self.req = 0
-
-    @property
-    def performed(self) -> bool:
-        return self.state is MemState.PERFORMED
 
     def period_key(self, num: "Numbering", live: Dict[int, RobEntry]) -> tuple:
         """This op numbered as ``num`` does (see
         :meth:`LoadStoreUnit.period_key`)."""
-        return (num(self.seq), live.get(self.seq) is self.rob_entry,
-                self.klass, self.base.period_key(num, live),
+        rob_entry = self.rob_entry
+        return (num(self.seq), live.get(self.seq) is rob_entry, rob_entry.row,
+                rob_entry.signalled, self.base.period_key(num, live),
                 None if self.data is None else self.data.period_key(num, live),
-                self.offset, self.state, self.addr, self.generation,
-                self.prefetch_issued, self.signalled, self.forwarded,
-                self.is_sw_prefetch, self.tag, self.is_load, self.is_store,
-                self.is_rmw, num.request(self.seq, self.req))
+                self.addr, self.generation, self.issued, self.prefetch_issued,
+                self.forwarded, num.request(self.seq, self.req))
 
 
 class LoadStoreUnit:
     #: what a run never changes, left out of :meth:`period_key`
     PERIOD_FIXED = frozenset({
-        "cpu_id", "sim", "cache", "rob", "trace", "name", "_has_uncached",
-        "owner", "request_squash", "_resume", "stat_loads", "stat_stores",
-        "stat_rmws", "stat_forwards", "stat_rs_stalls", "stat_sb_stalls",
-        "stat_load_latency", "stat_store_latency", "config", "model",
-        "prefetcher", "sc_detector", "_stores_retire_at_completion"})
+        "cpu_id", "sim", "cache", "rob", "core", "trace", "name", "_resume",
+        "stat_loads", "stat_stores", "stat_rmws", "stat_forwards",
+        "stat_rs_stalls", "stat_sb_stalls", "stat_load_latency",
+        "stat_store_latency", "config", "prefetcher", "sc_detector",
+        "_stores_retire_at_completion"})
 
     def __init__(
         self,
@@ -128,22 +111,18 @@ class LoadStoreUnit:
         cache: LockupFreeCache,
         rob: ReorderBuffer,
         config: ProcessorConfig,
+        core: "Processor",
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.cpu_id = cpu_id
         self.sim = sim
         self.cache = cache
         self.rob = rob
+        #: the processor whose tick runs this unit, and whose rollback a
+        #: violated speculative load asks for
+        self.core = core
         self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}/lsu"
-        #: whether any address is uncached at all; when none is (the
-        #: common machine) ``is_uncached`` is never asked
-        self._has_uncached = bool(cache.config.uncached_ranges)
-
-        #: set by the processor: the component whose tick runs this unit
-        self.owner: Optional[Component] = None
-        #: set by the processor: (seq, refetch_pc) -> None
-        self.request_squash: Callable[[int, int, str], None] = lambda s, pc, why: None
 
         cache.register_snoop_listener(self._waking(self._on_snoop))
         #: what an MSHR's release (or the port budget's reset) resumes:
@@ -165,7 +144,6 @@ class LoadStoreUnit:
         """Every buffer empty, and new technique units for the ones
         ``config`` turns on — their statistics exist only while they do."""
         self.config = config
-        self.model: ConsistencyModel = config.model
         self.rs: Deque[MemOp] = deque()
         self.addr_unit: Optional[Tuple[MemOp, int]] = None  # (op, ready cycle)
         self.ready_loads: List[MemOp] = []
@@ -180,7 +158,7 @@ class LoadStoreUnit:
         self.stalled: Tuple[Counter, ...] = ()
         #: a later load waits for a store (SC): the store at the ROB
         #: head is not retired until it completes
-        self._stores_retire_at_completion = self.model.load_waits_for_store(
+        self._stores_retire_at_completion = config.model.load_waits_for_store(
             PLAIN_STORE, PLAIN_LOAD)
 
         stats = self.sim.stats
@@ -214,7 +192,7 @@ class LoadStoreUnit:
         goes on not ticking.
         """
         def woken(*args) -> None:
-            self.sim.wake(self.owner)  # its state is about to change
+            self.sim.wake(self.core)  # its state is about to change
             entry(*args)
         return woken
 
@@ -226,12 +204,9 @@ class LoadStoreUnit:
         return len(self.rs) >= self.config.ls_rs_size
 
     def dispatch(self, entry: RobEntry, base: Operand, data: Optional[Operand]) -> None:
-        row = entry.row
-        sw_prefetch = row.kind == SW_PREFETCH
-        op = MemOp(entry.seq, entry, row.klass, base, data,
-                   row.instr.offset, is_sw_prefetch=sw_prefetch, tag=row.tag)
+        op = MemOp(entry, base, data)
         self.rs.append(op)
-        if not sw_prefetch:
+        if entry.row.kind != SW_PREFETCH:
             # a software prefetch is non-binding: it flows through the
             # address unit like any memory op but never participates in
             # consistency ordering
@@ -241,17 +216,24 @@ class LoadStoreUnit:
     # Consistency queries
     # ------------------------------------------------------------------
     def _earlier_unperformed(self, seq: int) -> List[MemOp]:
+        """The ops before ``seq`` not yet performed: ``pending`` holds
+        only those."""
         out = []
         for s, op in self.pending.items():
             if s >= seq:
                 break
-            if op.state is not MemState.PERFORMED:
-                out.append(op)
+            out.append(op)
         return out
 
     def _may_perform_now(self, op: MemOp) -> bool:
         earlier = self._earlier_unperformed(op.seq)
-        return self.model.may_perform([e.klass for e in earlier], op.klass)
+        return self.config.model.may_perform(
+            [e.rob_entry.row.klass for e in earlier], op.rob_entry.row.klass)
+
+    def _uncached(self, addr: int) -> bool:
+        config = self.cache.config
+        # the common machine has no uncached range: nothing to search
+        return bool(config.uncached_ranges) and config.is_uncached(addr)
 
     # ------------------------------------------------------------------
     # Per-cycle behaviour
@@ -301,26 +283,26 @@ class LoadStoreUnit:
         op, ready = self.addr_unit
         if cycle < ready:
             return
+        row = op.rob_entry.row
+        kind = row.kind
         base = op.base.resolve()
         assert base is not None
-        op.addr = base + op.offset
-        if self.sc_detector is not None and not op.is_sw_prefetch:
-            self.sc_detector.monitor(
-                op.seq, op.addr, self.cache.config.line_addr(op.addr),
-                is_store=op.klass.is_store, tag=op.tag)
-        if op.is_sw_prefetch:
+        op.addr = base + row.instr.offset
+        if kind == SW_PREFETCH:
             if not self.cache.can_accept():
                 return  # retry next cycle
             self.cache.prefetch(op.addr, exclusive=(
-                op.rob_entry.instr.exclusive
+                row.instr.exclusive
                 and self.cache.config.protocol == "invalidate"))
             self.rob.mark_done(op.seq, None)
-            op.state = MemState.PERFORMED
             self.addr_unit = None
             return
-        uncached = (self._has_uncached
-                    and self.cache.config.is_uncached(op.addr))
-        if op.is_load:
+        if self.sc_detector is not None:
+            self.sc_detector.monitor(
+                op.seq, op.addr, self.cache.config.line_addr(op.addr),
+                is_store=row.klass.is_store, tag=row.tag)
+        uncached = self._uncached(op.addr)
+        if kind == LOAD:
             # loads retired from the reservation station enter the
             # speculative-load buffer here, in program (FIFO) order —
             # except uncached loads, which cannot be monitored and are
@@ -328,7 +310,6 @@ class LoadStoreUnit:
             if (not uncached and self.slb is not None
                     and not self._enter_slb(op)):
                 return  # SLB full: stall the address unit
-            op.state = MemState.READY
             self.ready_loads.append(op)
             self.addr_unit = None
         else:
@@ -337,13 +318,12 @@ class LoadStoreUnit:
                 return  # stall until a slot frees
             # "there is no speculative load for non-cached
             # read-modify-write accesses" (Appendix A)
-            spec_read = op.is_rmw and self.slb is not None and not uncached
+            spec_read = kind == RMW and self.slb is not None and not uncached
             if spec_read and not self._enter_slb(op):
                 return  # SLB full: stall the address unit
-            op.state = MemState.IN_SB
             self.store_buffer.append(op)
             self.addr_unit = None
-            if op.is_store:
+            if kind == STORE:
                 # a store "completes" for ROB purposes at address
                 # translation; the value it writes is tracked here
                 self.rob.mark_done(op.seq, None)
@@ -360,31 +340,24 @@ class LoadStoreUnit:
         base = head.base.resolve()
         if base is None:
             return False  # effective address not computable yet (paper: stall)
-        uncached_load = (self._has_uncached and head.is_load
-                         and self.cache.config.is_uncached(base + head.offset))
-        if (head.is_load and not head.is_sw_prefetch
-                and (self.slb is None or uncached_load)
+        row = head.rob_entry.row
+        if (row.kind == LOAD
+                and (self.slb is None
+                     or self._uncached(base + row.instr.offset))
                 and not self._may_perform_now(head)):
             # conventional implementation: stall the reservation station
             self._stall(self.stat_rs_stalls)
             return False
         self.rs.popleft()
-        head.state = MemState.IN_ADDR
         self.addr_unit = (head, cycle + 1)
         return True
 
     # -- store buffer -----------------------------------------------------
-    def signal_store(self, seq: int) -> None:
-        """The reorder buffer signals that ``seq`` reached its head."""
-        op = self.pending.get(seq)
-        if op is not None:
-            op.signalled = True
-
     def _issue_stores(self, cycle: int) -> bool:
         for op in self.store_buffer:
-            if op.state is not MemState.IN_SB:
+            if op.issued:
                 continue
-            if not op.signalled:
+            if not op.rob_entry.signalled:
                 break  # FIFO: later stores cannot be signalled earlier
             value = op.data.resolve() if op.data is not None else 0
             if value is None:
@@ -399,14 +372,14 @@ class LoadStoreUnit:
         return False
 
     def _store_blocked(self, op: MemOp) -> bool:
-        """An earlier, unperformed store-buffer entry has a delay arc
-        to ``op``."""
-        delay_arc = self.model.delay_arc
+        """An earlier store-buffer entry has a delay arc to ``op`` (an
+        entry leaves the buffer when it is performed)."""
+        delay_arc = self.config.model.delay_arc
+        klass = op.rob_entry.row.klass
         for earlier in self.store_buffer:
             if earlier is op:
                 return False
-            if (earlier.state is not MemState.PERFORMED
-                    and delay_arc(earlier.klass, op.klass)):
+            if delay_arc(earlier.rob_entry.row.klass, klass):
                 return True
         return False
 
@@ -415,7 +388,7 @@ class LoadStoreUnit:
         """Present ``op``'s access to the cache, its port budget checked.
         Refused, it needed an MSHR and none is free: nothing here has
         changed, and the cache resumes this unit when one is released."""
-        fields.setdefault("tag", op.tag)
+        fields.setdefault("tag", op.rob_entry.row.tag)
         if not self.cache.access(AccessRequest(
                 req_id=self._next_req_id, kind=kind, addr=op.addr,
                 generation=gen, callback=self._waking(done), **fields)):
@@ -427,43 +400,46 @@ class LoadStoreUnit:
 
     def _send_store(self, op: MemOp, value: int, cycle: int) -> bool:
         gen = op.generation + 1  # invalidates any speculative RMW read in flight
+        row = op.rob_entry.row
+        is_rmw = row.kind == RMW
         if not self._access(
-                op, AccessKind.RMW if op.is_rmw else AccessKind.STORE, gen,
+                op, AccessKind.RMW if is_rmw else AccessKind.STORE, gen,
                 lambda r, v: self._store_completed(op, gen, v, cycle),
-                value=value,
-                rmw_op=op.rob_entry.instr.op if op.is_rmw else None):
+                value=value, rmw_op=row.instr.op if is_rmw else None):
             return False
-        op.state = MemState.SB_ISSUED
+        op.issued = True
         op.generation = gen
-        if op.is_rmw and self.slb is not None:
+        if is_rmw and self.slb is not None:
             self.slb.mark_rmw_issued(op.seq)
-        (self.stat_rmws if op.is_rmw else self.stat_stores).inc()
+        (self.stat_rmws if is_rmw else self.stat_stores).inc()
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "store_issue",
-                              tag=op.tag, seq=op.seq, addr=op.addr,
+                              tag=row.tag, seq=op.seq, addr=op.addr,
                               line=self.cache.config.line_addr(op.addr))
         return True
 
     def _store_completed(self, op: MemOp, gen: int, value: int, start: int) -> None:
-        if op.generation != gen or op.state is not MemState.SB_ISSUED:
+        if op.generation != gen:
             return
-        op.state = MemState.PERFORMED
+        # issued, an op has passed the reorder-buffer head: it is in the
+        # store buffer until now, and no squash reaches it
         self.stat_store_latency.add(self.sim.cycle - start)
-        if op in self.store_buffer:
-            self.store_buffer.remove(op)
-        self.pending.pop(op.seq, None)
+        self.store_buffer.remove(op)
+        del self.pending[op.seq]
         if self.sc_detector is not None:
             self.sc_detector.mark_performed(op.seq)
-        if op.is_rmw:
+        row = op.rob_entry.row
+        is_rmw = row.kind == RMW
+        if is_rmw:
             self.rob.mark_done(op.seq, value)
         if self.slb is not None:
             self.slb.store_performed(op.seq)
-            if op.is_rmw:
+            if is_rmw:
                 self.slb.mark_done(op.seq)
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "store_complete",
-                              tag=op.tag, seq=op.seq, addr=op.addr,
-                              value=value, rmw=op.is_rmw)
+                              tag=row.tag, seq=op.seq, addr=op.addr,
+                              value=value, rmw=is_rmw)
         if self._rmw_reads:
             self._send_rmw_reads()  # one may have waited for this store
 
@@ -491,7 +467,7 @@ class LoadStoreUnit:
                 match = sb  # youngest earlier store wins (keep scanning)
         if match is None:
             return False
-        if match.is_rmw:
+        if match.rob_entry.row.kind == RMW:
             # a load after an unperformed RMW to the same address must
             # wait for the RMW's result (uniprocessor data dependence);
             # RMWs do not forward
@@ -500,7 +476,7 @@ class LoadStoreUnit:
         if value is None:
             return None
         op.forwarded = True
-        op.state = MemState.ISSUED
+        op.issued = True
         op.generation += 1
         gen = op.generation
         self.stat_forwards.inc()
@@ -515,23 +491,26 @@ class LoadStoreUnit:
             return True  # reissue path: entry already present
         if self.slb.full:
             return False
-        tags = {
-            e.seq
-            for e in self._earlier_unperformed(op.seq)
-            if e.klass.is_store and self.model.load_waits_for_store(e.klass, op.klass)
-        }
+        model = self.config.model
+        row = op.rob_entry.row
+        klass = row.klass
+        tags = set()
+        for e in self._earlier_unperformed(op.seq):
+            earlier = e.rob_entry.row.klass
+            if earlier.is_store and model.load_waits_for_store(earlier, klass):
+                tags.add(e.seq)
         self.slb.insert(SlbEntry(
             seq=op.seq,
             addr=op.addr,
             line_addr=self.cache.config.line_addr(op.addr),
-            acq=self.model.load_blocks_later_accesses(op.klass),
+            acq=model.load_blocks_later_accesses(klass),
             store_tags=tags,
-            is_rmw=op.is_rmw,
-            tag=op.tag,
+            is_rmw=row.kind == RMW,
+            tag=row.tag,
         ))
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "slb_insert",
-                              seq=op.seq, tag=op.tag,
+                              seq=op.seq, tag=row.tag,
                               line=self.cache.config.line_addr(op.addr))
         return True
 
@@ -541,12 +520,12 @@ class LoadStoreUnit:
                 op, AccessKind.LOAD, gen,
                 lambda r, v: self._load_completed(op, gen, v, cycle)):
             return False
-        op.state = MemState.ISSUED
+        op.issued = True
         op.generation = gen
         self.stat_loads.inc()
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "load_issue",
-                              tag=op.tag, seq=op.seq, addr=op.addr,
+                              tag=op.rob_entry.row.tag, seq=op.seq, addr=op.addr,
                               speculative=self.slb is not None)
         return True
 
@@ -555,8 +534,7 @@ class LoadStoreUnit:
             return  # stale response from before a reissue/squash
         if op.seq not in self.pending:
             return  # squashed
-        op.state = MemState.PERFORMED
-        self.pending.pop(op.seq, None)
+        del self.pending[op.seq]
         self.stat_load_latency.add(self.sim.cycle - start)
         self.rob.mark_done(op.seq, value)
         if self.slb is not None:
@@ -565,7 +543,7 @@ class LoadStoreUnit:
             self.sc_detector.mark_performed(op.seq)
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "load_complete",
-                              tag=op.tag, seq=op.seq, addr=op.addr,
+                              tag=op.rob_entry.row.tag, seq=op.seq, addr=op.addr,
                               value=value)
 
     # -- speculative RMW (Appendix A) ---------------------------------------
@@ -585,9 +563,9 @@ class LoadStoreUnit:
         waiting = []
         port_busy = False
         for op in self._rmw_reads:
-            if op.state is not MemState.IN_SB:
+            if op.issued:
                 continue  # the real RMW has issued; its result is authoritative
-            if any(sb.seq < op.seq and sb.addr == op.addr and not sb.performed
+            if any(sb.seq < op.seq and sb.addr == op.addr
                    for sb in self.store_buffer):
                 waiting.append(op)
             elif not self.cache.can_accept():
@@ -604,7 +582,7 @@ class LoadStoreUnit:
         return self._access(
             op, AccessKind.LOAD, gen,
             lambda r, v: self._spec_rmw_read_done(op, gen, v),
-            exclusive_hint=True, tag=op.tag + " (spec read)")
+            exclusive_hint=True, tag=op.rob_entry.row.tag + " (spec read)")
 
     def _spec_rmw_read_done(self, op: MemOp, gen: int, value: int) -> None:
         if op.generation != gen or op.seq not in self.pending:
@@ -615,7 +593,7 @@ class LoadStoreUnit:
             self.slb.mark_done(op.seq)
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "rmw_spec_value",
-                              tag=op.tag, seq=op.seq, value=value)
+                              tag=op.rob_entry.row.tag, seq=op.seq, value=value)
 
     # ------------------------------------------------------------------
     # Detection & correction plumbing
@@ -637,14 +615,15 @@ class LoadStoreUnit:
             f"cpu{self.cpu_id}/slb/{bucket}_cause/{kind.value}").inc()
         op = self.pending.get(corr.seq)
         if corr.kind is CorrectionKind.REISSUE:
-            if op is None or op.is_rmw:
+            if op is None or op.rob_entry.row.kind == RMW:
                 return
             if self.trace.enabled:
                 self.trace.record(self.sim.cycle, self.name, "slb_reissue",
-                                  seq=corr.seq, tag=op.tag, snoop=kind.value)
+                                  seq=corr.seq, tag=op.rob_entry.row.tag,
+                                  snoop=kind.value)
             op.generation += 1
-            if op.state is MemState.ISSUED:
-                op.state = MemState.READY
+            if op.issued:
+                op.issued = False
                 op.forwarded = False
                 if op not in self.ready_loads:
                     self.ready_loads.append(op)
@@ -658,19 +637,21 @@ class LoadStoreUnit:
                 self.trace.record(self.sim.cycle, self.name, "slb_squash",
                                   seq=corr.seq, tag=entry.describe(),
                                   snoop=kind.value)
-            self.request_squash(corr.seq, entry.pc, "speculative load violated")
+            self.core.squash_from(corr.seq, entry.pc,
+                                  "speculative load violated")
         else:  # SQUASH_AFTER (issued RMW keeps its own result)
             if self.trace.enabled:
                 self.trace.record(self.sim.cycle, self.name, "slb_squash_after",
                                   seq=corr.seq, tag=entry.describe(),
                                   snoop=kind.value)
-            if op is not None and not op.performed:
+            if op is not None:  # not performed
                 # the previously-bound speculative value may be stale;
                 # re-decoded dependents must wait for the atomic's own
                 # return value (Appendix A)
                 entry.done = False
                 entry.value = None
-            self.request_squash(corr.seq + 1, entry.pc + 1, "computation after RMW violated")
+            self.core.squash_from(corr.seq + 1, entry.pc + 1,
+                                  "computation after RMW violated")
 
     # ------------------------------------------------------------------
     # Squash (called by the processor)
@@ -699,7 +680,7 @@ class LoadStoreUnit:
             rmw_reads.pop()
         sb = self.store_buffer
         while sb and sb[-1].seq >= first:
-            assert sb[-1].state is not MemState.SB_ISSUED, \
+            assert not sb[-1].issued, \
                 "an issued store can never be squashed (it passed the ROB head)"
             sb.pop()
         pending = self.pending
@@ -720,9 +701,8 @@ class LoadStoreUnit:
         ``(op, address, exclusive)``."""
         # store buffer entries not yet allowed to issue
         for op in self.store_buffer:
-            if (op.state is MemState.IN_SB and not op.prefetch_issued
-                    and not (self._has_uncached
-                             and self.cache.config.is_uncached(op.addr))):
+            if (not op.issued and not op.prefetch_issued
+                    and not self._uncached(op.addr)):
                 yield op, op.addr, True
         # delayed (not yet issued) loads at the issue stage
         for op in self.ready_loads:
@@ -732,11 +712,12 @@ class LoadStoreUnit:
         # are computable via instruction-stream lookahead
         in_addr_unit = (self.addr_unit[0],) if self.addr_unit is not None else ()
         for op in itertools.chain(in_addr_unit, self.rs):
-            if op.prefetch_issued or op.is_sw_prefetch:
+            row = op.rob_entry.row
+            if op.prefetch_issued or row.kind == SW_PREFETCH:
                 continue
             base = op.base.resolve()
             if base is not None:
-                yield op, base + op.offset, op.klass.is_store
+                yield op, base + row.instr.offset, row.klass.is_store
 
     def _offer_prefetches(self) -> bool:
         """Hand the delayed accesses to the prefetcher one by one, up to
@@ -769,10 +750,8 @@ class LoadStoreUnit:
         op = self.pending.get(entry.seq)
         if op is None:
             return True  # already performed
-        if op.state not in (MemState.IN_SB, MemState.SB_ISSUED):
+        if op not in self.store_buffer:
             return False  # address not translated yet
-        if not op.signalled:
-            return False
         return not self._stores_retire_at_completion
 
     # ------------------------------------------------------------------
@@ -837,8 +816,9 @@ class LoadStoreUnit:
     def snapshot(self) -> Dict[str, List[str]]:
         """Buffer contents for Figure 5-style traces."""
         out = {
-            "rs": [op.tag for op in self.rs],
-            "store_buffer": [op.tag for op in self.store_buffer],
+            "rs": [op.rob_entry.row.tag for op in self.rs],
+            "store_buffer": [op.rob_entry.row.tag
+                             for op in self.store_buffer],
         }
         if self.slb is not None:
             out["slb"] = [e.describe() for e in self.slb.entries()]

@@ -78,10 +78,8 @@ class Processor(Component):
                                 self._on_alu_complete)
         self.branch_unit = BranchUnit(config.alu_rs_size,
                                       self._on_branch_resolve)
-        self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, config,
+        self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, config, self,
                                  trace=self.trace)
-        self.lsu.owner = self
-        self.lsu.request_squash = self.squash_from
 
         s = sim.stats
         self.stat_retired = s.counter(f"{self.name}/instructions_retired")
@@ -259,7 +257,7 @@ class Processor(Component):
         """
         head = self.rob.head()
         assert head is not None and head.value is not None
-        instr = head.instr
+        instr = head.row.instr
         assert isinstance(instr, Alu) and instr.imm is not None
         imm = instr.imm
         # the last of the n retirements writes the head's value n-1 on
@@ -314,10 +312,8 @@ class Processor(Component):
                 spin.readings = None  # the period did not come round
             return
         spin.armed = False
-        predictor = self.predictor
         point = Point(cycle, self._next_seq, self.lsu.next_req_id,
-                      cache.lru_clock, predictor.predictions,
-                      predictor.mispredictions, cache.sent, cache.received,
+                      cache.lru_clock, cache.sent, cache.received,
                       cache.waiting())
         last = spin.at
         shape = (None if last is None
@@ -420,8 +416,6 @@ class Processor(Component):
         self.rob.renumber(first, seqs)
         lsu.renumber(first, seqs, cycles, periods * period.reqs)
         self._next_seq += seqs
-        self.predictor.shift_period(periods * period.predictions,
-                                    periods * period.mispredictions)
         cache = lsu.cache
         cache.shift_period(periods, period.ticks, period.stamps,
                            period.merged, period.cycles, spin.start)
@@ -444,8 +438,7 @@ class Processor(Component):
                 break
             row = head.row
             if row.signals_store and not head.signalled:
-                head.signalled = True
-                self.lsu.signal_store(head.seq)
+                head.signalled = True  # the store buffer may issue it
                 moved = True
             if row.is_memory:
                 if not self.lsu.may_retire(head):
@@ -456,7 +449,7 @@ class Processor(Component):
             moved = True
             self.stat_retired.inc()
             if self.trace.enabled:
-                instr = head.instr
+                instr = row.instr
                 acq = getattr(instr, "is_acquire", False)
                 rel = getattr(instr, "is_release", False)
                 sync = {(True, True): "full", (True, False): "acquire",
@@ -467,8 +460,8 @@ class Processor(Component):
                     seq=head.seq, pc=head.pc,
                     op=type(instr).__name__.lower(),
                     bound=head.value is not None, **extra)
-            if head.dst is not None and head.value is not None:
-                self.regfile.write(head.dst, head.value)
+            if row.dst is not None and head.value is not None:
+                self.regfile.write(row.dst, head.value)
             if row.is_halt:
                 self.finished = True
                 if self.trace.enabled:
@@ -524,7 +517,7 @@ class Processor(Component):
             operands = [self._operand(instr.src1)]
             if instr.src2 is not None:
                 operands.append(self._operand(instr.src2))
-            entry = RobEntry(seq, pc, instr, row.dst, row=row)
+            entry = RobEntry(seq, pc, row)
             self.rob.allocate(entry)
             self.alu_unit.dispatch(entry, operands)
             self._advance(seq, pc + 1)
@@ -535,7 +528,7 @@ class Processor(Component):
                 return False
             base = self._operand(instr.base)
             data = (self._operand(instr.src) if row.signals_store else None)
-            entry = RobEntry(seq, pc, instr, row.dst, row=row)
+            entry = RobEntry(seq, pc, row)
             self.rob.allocate(entry)
             self.lsu.dispatch(entry, base, data)
             self._advance(seq, pc + 1)
@@ -547,15 +540,15 @@ class Processor(Component):
             operand = self._operand(instr.cond)
             taken = self.predictor.predict(pc, instr)
             next_pc = row.target_pc if taken else pc + 1
-            entry = RobEntry(seq, pc, instr, None, predicted_taken=taken,
-                             predicted_next_pc=next_pc, row=row)
+            entry = RobEntry(seq, pc, row, predicted_taken=taken,
+                             predicted_next_pc=next_pc)
             self.rob.allocate(entry)
             self.branch_unit.dispatch(entry, [operand])
             self._advance(seq, next_pc)
             return True
 
         # jump, nop, halt: nothing to execute, done at decode
-        self.rob.allocate(RobEntry(seq, pc, instr, None, done=True, row=row))
+        self.rob.allocate(RobEntry(seq, pc, row, done=True))
         if kind == JUMP:
             self._advance(seq, row.target_pc)
             return True
@@ -580,9 +573,8 @@ class Processor(Component):
         actual_next = entry.row.target_pc if taken else entry.pc + 1
         entry.resolved_next_pc = actual_next
         self.rob.mark_done(entry.seq, None)
-        mispredicted = actual_next != entry.predicted_next_pc
-        self.predictor.update(entry.pc, entry.instr, taken, mispredicted)
-        if mispredicted:
+        self.predictor.update(entry.pc, entry.row.instr, taken)
+        if actual_next != entry.predicted_next_pc:
             self._arm_spin()
             self.stat_mispredicts.inc()
             if self.trace.enabled:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
-from ..isa.instructions import Instruction
 from ..sim.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,50 +67,42 @@ class Operand:
 
 
 class RobEntry:
-    __slots__ = ("seq", "pc", "instr", "dst", "value", "done", "signalled",
-                 "predicted_taken", "predicted_next_pc", "resolved_next_pc",
-                 "row", "waiters")
+    """One in-flight instruction: where it stands, not what it is —
+    that is its decode-table ``row``, shared by every execution of it."""
 
-    def __init__(self, seq: int, pc: int, instr: Instruction,
-                 dst: Optional[str], value: Optional[int] = None,
-                 done: bool = False, signalled: bool = False,
+    __slots__ = ("seq", "pc", "row", "value", "done", "signalled",
+                 "predicted_taken", "predicted_next_pc", "resolved_next_pc",
+                 "waiters")
+
+    def __init__(self, seq: int, pc: int, row: "Decoded", done: bool = False,
                  predicted_taken: Optional[bool] = None,
-                 predicted_next_pc: Optional[int] = None,
-                 resolved_next_pc: Optional[int] = None,
-                 row: Optional["Decoded"] = None) -> None:
+                 predicted_next_pc: Optional[int] = None) -> None:
         self.seq = seq
         self.pc = pc
-        self.instr = instr
-        self.dst = dst
-        self.value = value
+        self.row = row
+        self.value: Optional[int] = None
         self.done = done
         #: store/RMW: the reorder buffer has signalled the store buffer
-        self.signalled = signalled
+        self.signalled = False
         #: branches: prediction bookkeeping
         self.predicted_taken = predicted_taken
         self.predicted_next_pc = predicted_next_pc
-        self.resolved_next_pc = resolved_next_pc
-        #: the decode-table row of ``instr`` (None on a hand-built entry)
-        self.row = row
+        self.resolved_next_pc: Optional[int] = None
         #: station entries with an operand bound to this one, woken by
         #: :meth:`ReorderBuffer.mark_done`
         self.waiters: List["RsEntry"] = []
 
-    @property
-    def is_memory(self) -> bool:
-        return self.instr.is_memory
-
     def period_key(self, num: "Numbering") -> tuple:
         """This entry numbered as ``num`` does; a waiter squashed out of
         its station counts only as there."""
-        return (num(self.seq), self.pc, self.instr, self.row, self.dst,
-                self.value, self.done, self.signalled, self.predicted_taken,
-                self.predicted_next_pc, self.resolved_next_pc,
-                tuple(None if waiter.dead else num(waiter.seq)
+        return (num(self.seq), self.pc, self.row, self.value, self.done,
+                self.signalled, self.predicted_taken, self.predicted_next_pc,
+                self.resolved_next_pc,
+                tuple(None if waiter.dead else num(waiter.entry.seq)
                       for waiter in self.waiters))
 
     def describe(self) -> str:
-        return self.instr.describe() or f"pc={self.pc}"
+        return self.row.instr.describe() or f"pc={self.pc}"
 
 
 class ReorderBuffer:
@@ -166,8 +157,9 @@ class ReorderBuffer:
             raise SimulationError("reorder buffer overflow (caller must check .full)")
         self._fifo.append(entry)
         self._by_seq[entry.seq] = entry
-        if entry.dst is not None and entry.dst != "r0":
-            self._rename[entry.dst] = entry
+        dst = entry.row.dst
+        if dst is not None and dst != "r0":
+            self._rename[dst] = entry
 
     def producer_of(self, reg: str) -> Optional[RobEntry]:
         """The in-flight entry currently producing ``reg``, if any."""
@@ -201,8 +193,9 @@ class ReorderBuffer:
     def retire_head(self) -> RobEntry:
         entry = self._fifo.popleft()
         del self._by_seq[entry.seq]
-        if self._rename.get(entry.dst) is entry:
-            del self._rename[entry.dst]
+        dst = entry.row.dst
+        if self._rename.get(dst) is entry:
+            del self._rename[dst]
         return entry
 
     def holds_run(self, row: "Decoded", next_seq: int, next_pc: int) -> bool:
@@ -271,8 +264,9 @@ class ReorderBuffer:
         discarded.reverse()
         self._rename = {}
         for entry in fifo:
-            if entry.dst is not None and entry.dst != "r0":
-                self._rename[entry.dst] = entry
+            dst = entry.row.dst
+            if dst is not None and dst != "r0":
+                self._rename[dst] = entry
         return discarded
 
     def describe(self) -> str:

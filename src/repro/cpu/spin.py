@@ -104,8 +104,8 @@ class Period:
     the core's numbering and clocks on, and what each of its cycles
     adds to the books."""
 
-    __slots__ = ("cycles", "seqs", "reqs", "ticks", "predictions",
-                 "mispredictions", "stamps", "merged", "_phases")
+    __slots__ = ("cycles", "seqs", "reqs", "ticks", "stamps", "merged",
+                 "_phases")
 
     def __init__(self, books: Books, readings: List[Reading], start: Point,
                  end: Point, stamps: Dict[int, int],
@@ -113,13 +113,11 @@ class Period:
         #: its length; ``readings`` holds the books after each of its
         #: ticks, and before the first
         self.cycles = len(readings) - 1
-        #: instructions decoded, cache requests made, LRU stamps used,
-        #: branches predicted and mispredicted in one period
+        #: instructions decoded, cache requests made and LRU stamps used
+        #: in one period
         self.seqs = end.seq - start.seq
         self.reqs = end.req - start.req
         self.ticks = end.clock - start.clock
-        self.predictions = end.predictions - start.predictions
-        self.mispredictions = end.mispredictions - start.mispredictions
         #: the cache lines it touches, each with its last LRU stamp
         #: counted from the period's start
         self.stamps = stamps
@@ -137,9 +135,6 @@ class Period:
             seq=point.seq + periods * self.seqs,
             req=point.req + periods * self.reqs,
             clock=point.clock + periods * self.ticks,
-            predictions=point.predictions + periods * self.predictions,
-            mispredictions=(point.mispredictions
-                            + periods * self.mispredictions),
             waiting={line: waiting + periods * len(self.merged.get(line, ()))
                      for line, waiting in point.waiting.items()})
 
@@ -162,11 +157,9 @@ class Point(NamedTuple):
     cycle: int
     seq: int
     req: int
-    #: the LRU clock, the predictor's totals, the messages the cache
-    #: sent and received, and the requests waiting on each of its misses
+    #: the LRU clock, the messages the cache sent and received, and the
+    #: requests waiting on each of its misses
     clock: int
-    predictions: int
-    mispredictions: int
     sent: int
     received: int
     waiting: Dict[int, int]

@@ -25,14 +25,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class RsEntry:
-    __slots__ = ("seq", "entry", "operands", "pending", "ready", "dead")
+    """A reorder-buffer entry waiting in a station: its number is its
+    entry's."""
+
+    __slots__ = ("entry", "operands", "pending", "ready", "dead")
 
     #: what a run never changes, left out of :meth:`period_key`
     PERIOD_FIXED = frozenset({"ready"})
 
     def __init__(self, entry: RobEntry, operands: List[Operand],
                  ready: List["RsEntry"]) -> None:
-        self.seq = entry.seq
         self.entry = entry
         self.operands = operands
         #: the unit's ready list, which this entry joins when
@@ -52,7 +54,7 @@ class RsEntry:
     def period_key(self, num: "Numbering", live: Dict[int, RobEntry]) -> tuple:
         """This entry numbered as ``num`` does; ``ready`` is its unit's
         list, the same all run."""
-        return (num(self.seq), num(self.entry.seq),
+        return (num(self.entry.seq),
                 tuple(op.period_key(num, live) for op in self.operands),
                 self.pending, self.dead)
 
@@ -67,14 +69,14 @@ class RsEntry:
 def _enqueue(queue: List[RsEntry], item: RsEntry) -> None:
     """Put ``item`` into ``queue``, which is kept oldest-first: an
     append, unless something younger was queued before it."""
-    if queue and queue[-1].seq > item.seq:
+    if queue and queue[-1].entry.seq > item.entry.seq:
         insort(queue, item, key=_seq)
     else:
         queue.append(item)
 
 
 def _seq(item: RsEntry) -> int:
-    return item.seq
+    return item.entry.seq
 
 
 class _Station:
@@ -100,14 +102,14 @@ class _Station:
 
     def dispatch(self, entry: RobEntry, operands: List[Operand]) -> None:
         rs_entry = RsEntry(entry, operands, self.ready)
-        self.rs[rs_entry.seq] = rs_entry
+        self.rs[entry.seq] = rs_entry
         if not rs_entry.pending:
             _enqueue(self.ready, rs_entry)
 
     def _issue(self, rs_entry: RsEntry) -> List[int]:
         """Take the ready ``rs_entry`` out of the station; its operand
         values, read now (every producer is done: none is None)."""
-        del self.rs[rs_entry.seq]
+        del self.rs[rs_entry.entry.seq]
         return cast(List[int], [op.resolve() for op in rs_entry.operands])
 
     def period_key(self, num: "Numbering", live: Dict[int, RobEntry],
@@ -115,15 +117,14 @@ class _Station:
         """The station numbered as ``num`` does (see
         :meth:`Processor.next_wake`)."""
         return (tuple(r.period_key(num, live) for r in self.rs.values()),
-                tuple(num(r.seq) for r in self.ready))
+                tuple(num(r.entry.seq) for r in self.ready))
 
     def renumber(self, first: int, seqs: int, cycles: int) -> None:
         """Move the station's entries from ``first`` on ``seqs``
-        instructions and ``cycles`` cycles on (whole spin periods)."""
-        for rs_entry in self.rs.values():
-            if rs_entry.seq >= first:
-                rs_entry.seq += seqs
-        self.rs = {rs_entry.seq: rs_entry for rs_entry in self.rs.values()}
+        instructions and ``cycles`` cycles on (whole spin periods),
+        before the reorder buffer renumbers their entries."""
+        self.rs = {seq + seqs if seq >= first else seq: rs_entry
+                   for seq, rs_entry in self.rs.items()}
 
     def squash(self, seqs: Set[int]) -> None:
         rs = self.rs
@@ -171,7 +172,7 @@ class AluUnit(_Station):
         return moved
 
     def _finish(self, entry: RobEntry, values: List[int]) -> None:
-        instr = entry.instr
+        instr = entry.row.instr
         b = values[1] if len(values) > 1 else (instr.imm or 0)
         self.on_complete(entry, instr.compute(values[0], b))
 
@@ -187,7 +188,7 @@ class AluUnit(_Station):
         for rs_entry in issued:
             entry = rs_entry.entry
             self._executing.append(
-                (cycle + entry.instr.latency, entry, self._issue(rs_entry)))
+                (cycle + entry.row.instr.latency, entry, self._issue(rs_entry)))
         return True
 
     def shift(self, n: int, step: int) -> None:
@@ -196,11 +197,7 @@ class AluUnit(_Station):
         window: the waiting entries are renumbered, and the one in
         flight finishes ``n`` cycles later on an operand ``step``
         larger."""
-        rs = {}
-        for rs_entry in self.rs.values():
-            rs_entry.seq += n
-            rs[rs_entry.seq] = rs_entry
-        self.rs = rs
+        self.rs = {seq + n: rs_entry for seq, rs_entry in self.rs.items()}
         self._executing = [(finish + n, entry, [values[0] + step])
                            for finish, entry, values in self._executing]
 
@@ -260,7 +257,7 @@ class BranchUnit(_Station):
         rs_entry = self.ready.pop(0)
         (value,) = self._issue(rs_entry)
         entry = rs_entry.entry
-        self.on_resolve(entry, entry.instr.outcome(value))
+        self.on_resolve(entry, entry.row.instr.outcome(value))
         return True  # one resolution per cycle
 
     def is_empty(self) -> bool:

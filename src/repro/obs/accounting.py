@@ -150,9 +150,7 @@ class CycleAccountant:
             # empty window: the frontend is filling — after a squash
             # that refill time is the visible cost of the rollback
             return StallCause.ROLLBACK if self._refilling else StallCause.BUSY
-        row = head.row
-        blame = (row.head_blame if row is not None
-                 else self.head_blame(head.instr))
+        blame = head.row.head_blame
         if blame is not None:
             return blame
         if self._refilling:

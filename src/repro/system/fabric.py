@@ -127,11 +127,9 @@ class MemoryFabric:
         state = LineState.MODIFIED if exclusive else LineState.SHARED
         self.caches[cpu].warm_install(line_addr, state, data)
         if exclusive:
-            ent.state = DirState.EXCLUSIVE
             ent.owner = cpu
             ent.sharers = set()
         else:
-            ent.state = DirState.SHARED
             ent.sharers.add(cpu)
 
     def is_quiescent(self) -> bool:

@@ -3,15 +3,23 @@
 import pytest
 
 from repro.cpu.branch import BranchPredictor
+from repro.cpu.decode import decode_table
 from repro.cpu.rob import Operand, ReorderBuffer, RobEntry
 from repro.cpu.units import AluUnit, BranchUnit
 from repro.isa import Alu, Branch, Load, Nop
+from repro.isa.program import Program
 from repro.sim.errors import SimulationError
 
 
+def rob_entry(seq, instr):
+    """An entry for ``instr`` at ``pc == seq``, carrying the row the core
+    decodes it to (a branch's label ``t`` is the program's start)."""
+    row = decode_table(Program([instr], {"t": 0})).rows[0]
+    return RobEntry(seq, seq, row)
+
+
 def alu_entry(seq, dst="r1", op="add", imm=1):
-    return RobEntry(seq=seq, pc=seq, instr=Alu(op=op, dst=dst, src1="r0", imm=imm),
-                    dst=dst)
+    return rob_entry(seq, Alu(op=op, dst=dst, src1="r0", imm=imm))
 
 
 class TestReorderBuffer:
@@ -135,29 +143,23 @@ class TestBranchPredictor:
         b = self.branch()
         assert bp.predict(4, b) is False  # initial weakly-not-taken
         for _ in range(3):
-            bp.update(4, b, taken=True, mispredicted=True)
+            bp.update(4, b, taken=True)
         assert bp.predict(4, b) is True
 
     def test_counters_saturate_and_recover(self):
         bp = BranchPredictor()
         b = self.branch()
         for _ in range(10):
-            bp.update(4, b, taken=True, mispredicted=False)
-        bp.update(4, b, taken=False, mispredicted=True)
+            bp.update(4, b, taken=True)
+        bp.update(4, b, taken=False)
         assert bp.predict(4, b) is True  # one miss doesn't flip saturation
 
     def test_hinted_branches_do_not_pollute_table(self):
         bp = BranchPredictor()
         hinted = self.branch(predict=True)
         for _ in range(5):
-            bp.update(4, hinted, taken=False, mispredicted=True)
+            bp.update(4, hinted, taken=False)
         assert bp.predict(4, self.branch()) is False  # table untouched
-
-    def test_misprediction_counter(self):
-        bp = BranchPredictor()
-        bp.update(0, self.branch(), taken=True, mispredicted=True)
-        bp.update(0, self.branch(), taken=True, mispredicted=False)
-        assert bp.mispredictions == 1
 
 
 class TestAluUnit:
@@ -220,7 +222,7 @@ class TestAluUnit:
     def test_multi_cycle_latency(self):
         rob, unit, done = self.make()
         instr = Alu(op="mul", dst="r1", src1="r0", imm=3, latency=4)
-        e = RobEntry(seq=0, pc=0, instr=instr, dst="r1")
+        e = rob_entry(0, instr)
         rob.allocate(e)
         unit.dispatch(e, [Operand(value=2)])
         unit.tick(1)
@@ -261,7 +263,7 @@ class TestBranchUnit:
                           on_resolve=lambda e, taken: resolved.append((e.seq, taken)))
         for seq, val in ((0, 1), (1, 0)):
             instr = Branch(cond="r1", target="t", when_nonzero=True)
-            e = RobEntry(seq=seq, pc=seq, instr=instr, dst=None)
+            e = rob_entry(seq, instr)
             rob.allocate(e)
             unit.dispatch(e, [Operand(value=val)])
         unit.tick(1)

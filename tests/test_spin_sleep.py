@@ -303,8 +303,7 @@ def _coverage():
         (SlbEntry(seq=0, addr=0, line_addr=0, acq=False),
          (SlbEntry.period_key,)),
         (lsu.prefetcher, ()),
-        (core.predictor, (core.predictor.period_key,
-                          core.predictor.shift_period)),
+        (core.predictor, (core.predictor.period_key,)),
         (core.accountant, (core.accountant.period_key,)),
         (cache, cache_spin),
         (CacheLine(line_addr=0, state=LineState.SHARED, data=[]), cache_spin),

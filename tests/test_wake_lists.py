@@ -54,7 +54,7 @@ LEGS = [(model, prefetch, speculation, run_config)
 def scan(station):
     """The reference issue rule: every entry of the station whose
     operands all resolve now, oldest first."""
-    return [r for r in sorted(station.rs.values(), key=lambda r: r.seq)
+    return [r for r in sorted(station.rs.values(), key=lambda r: r.entry.seq)
             if all(op.resolve() is not None for op in r.operands)]
 
 
