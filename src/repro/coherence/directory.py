@@ -24,13 +24,14 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..isa.instructions import rmw_result
 from ..memory.interconnect import Interconnect
 from ..memory.types import LatencyConfig
 from ..sim.errors import ProtocolError
 from ..sim.kernel import Component, Simulator
+from ..sim.state import FIXED, Value, reset
 from ..sim.trace import TraceRecorder
 from .messages import DIRECTORY_NODE, Message, MessageKind, NodeId
 
@@ -75,6 +76,16 @@ class DirectoryController(Component):
 
     name = "directory"
 
+    #: a reset leaves every line unowned, memory all zero and no
+    #: transaction in flight or queued
+    STATE = dict(
+        sim=FIXED, net=FIXED, trace=FIXED, lat=FIXED, line_size=FIXED,
+        stat_reads=FIXED, stat_readx=FIXED, stat_upgrades=FIXED,
+        stat_invals=FIXED, stat_recalls=FIXED, stat_writebacks=FIXED,
+        stat_updates=FIXED, stat_queued=FIXED, _entries=Value(dict),
+        _memory=Value(dict), _busy=Value(dict), _queues=Value(dict),
+        _txn_ids=Value(lambda directory: itertools.count(1)))
+
     def __init__(
         self,
         sim: Simulator,
@@ -99,15 +110,7 @@ class DirectoryController(Component):
         self.stat_writebacks = s.counter("dir/writebacks")
         self.stat_updates = s.counter("dir/updates_sent")
         self.stat_queued = s.counter("dir/requests_queued")
-        self.reset()
-
-    def reset(self) -> None:
-        """Every line unowned, memory all zero, no transactions."""
-        self._entries: Dict[int, DirEntry] = {}
-        self._memory: Dict[int, int] = {}
-        self._busy: Dict[int, Transaction] = {}
-        self._queues: Dict[int, Deque[Message]] = {}
-        self._txn_ids = itertools.count(1)
+        reset(self)
 
     # ------------------------------------------------------------------
     # Backing store

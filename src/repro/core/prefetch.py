@@ -21,13 +21,14 @@ prefetcher, and the cache port check arbitrates.
 from __future__ import annotations
 
 from ..memory.cache import LockupFreeCache
+from ..sim.state import FIXED
 from ..sim.stats import StatsRegistry
 
 
 class HardwarePrefetcher:
-    #: it keeps no run state: nothing of it is in a spin's period key
-    PERIOD_FIXED = frozenset({"cache", "per_cycle", "allow_exclusive",
-                              "stat_issued", "stat_exclusive"})
+    #: it keeps no run state: the buffers it reads are the unit's
+    STATE = dict(cache=FIXED, per_cycle=FIXED, allow_exclusive=FIXED,
+                 stat_issued=FIXED, stat_exclusive=FIXED)
 
     def __init__(
         self,

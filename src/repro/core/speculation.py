@@ -33,10 +33,14 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set
 
 from ..memory.types import SnoopKind
+from ..sim.state import FIXED, SEQ, VALUE, Records
 from ..sim.stats import StatsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cpu.decode import Decoded
 
 
 class CorrectionKind(enum.Enum):
@@ -53,23 +57,22 @@ class Correction:
 
 @dataclass
 class SlbEntry:
-    """One speculative load (Figure 4's four fields, plus RMW state)."""
+    """One speculative load (Figure 4's four fields, plus RMW state).
+    What it is — a load or an RMW, and its trace tag — is its op's
+    decode ``row``."""
 
     seq: int
     addr: int
     line_addr: int
     acq: bool
+    row: "Decoded"
     store_tags: Set[int] = field(default_factory=set)
     done: bool = False
-    is_rmw: bool = False
     rmw_issued: bool = False
-    tag: str = ""
 
-    def period_key(self, num: Callable[[int], object]) -> tuple:
-        """This entry numbered as ``num`` does."""
-        return (num(self.seq), self.addr, self.line_addr, self.acq,
-                tuple(map(num, sorted(self.store_tags))),
-                self.done, self.is_rmw, self.rmw_issued, self.tag)
+    STATE = dict(seq=SEQ, addr=VALUE, line_addr=VALUE, acq=VALUE,
+                 row=VALUE, store_tags=Records(SEQ), done=VALUE,
+                 rmw_issued=VALUE)
 
     def retirable(self) -> bool:
         """Figure 4's retirement conditions."""
@@ -77,17 +80,18 @@ class SlbEntry:
 
     def describe(self) -> str:
         tags = ",".join(str(t) for t in sorted(self.store_tags)) or "null"
-        return (f"{self.tag or self.addr:}: acq={int(self.acq)} "
+        return (f"{self.row.tag or self.addr:}: acq={int(self.acq)} "
                 f"done={int(self.done)} st_tag={tags}")
 
 
 class SpeculativeLoadBuffer:
     """FIFO buffer of in-window speculative loads for one processor."""
 
-    #: what a run never changes, left out of :meth:`period_key`
-    PERIOD_FIXED = frozenset({"size", "stat_inserted", "stat_retired",
-                              "stat_squashes", "stat_reissues",
-                              "stat_matches"})
+    #: the entries by number, oldest first
+    STATE = dict(size=FIXED, _entries=Records(SlbEntry, OrderedDict,
+                                              by_seq=True),
+                 stat_inserted=FIXED, stat_retired=FIXED, stat_squashes=FIXED,
+                 stat_reissues=FIXED, stat_matches=FIXED)
 
     def __init__(self, size: int, stats: StatsRegistry, name: str = "slb") -> None:
         self.size = size
@@ -166,22 +170,6 @@ class SpeculativeLoadBuffer:
         for seq in seqs:
             self._entries.pop(seq, None)
 
-    def period_key(self, num: Callable[[int], object]) -> tuple:
-        """The buffer numbered as ``num`` does."""
-        return tuple(entry.period_key(num)
-                     for entry in self._entries.values())
-
-    def renumber(self, first: int, seqs: int) -> None:
-        """Move every entry, and every store tag, from ``first`` on
-        ``seqs`` on."""
-        for entry in self._entries.values():
-            if entry.seq >= first:
-                entry.seq += seqs
-            entry.store_tags = {tag + seqs if tag >= first else tag
-                                for tag in entry.store_tags}
-        self._entries = OrderedDict(
-            (entry.seq, entry) for entry in self._entries.values())
-
     # ------------------------------------------------------------------
     # Detection (Section 4.2)
     # ------------------------------------------------------------------
@@ -208,7 +196,7 @@ class SpeculativeLoadBuffer:
         squash_at: Optional[int] = None
         squash_kind = CorrectionKind.SQUASH_FROM
         for entry in matches:  # FIFO order (insertion-ordered dict)
-            if entry.is_rmw:
+            if entry.row.instr.is_rmw:
                 squash_at = entry.seq
                 squash_kind = (CorrectionKind.SQUASH_AFTER if entry.rmw_issued
                                else CorrectionKind.SQUASH_FROM)

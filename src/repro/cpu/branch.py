@@ -9,9 +9,8 @@ structure, per Lee & Smith).
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..isa.instructions import Branch
+from ..sim.state import Value, reset
 
 
 #: counter-table entries; PCs alias modulo this size
@@ -19,15 +18,11 @@ TABLE_SIZE = 256
 
 
 class BranchPredictor:
-    #: what a run never changes, left out of :meth:`period_key`
-    PERIOD_FIXED = frozenset()
+    #: pc -> 0..3 (>= 2 predicts taken); reset: a cold table
+    STATE = dict(_counters=Value(dict, copy=dict))
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every branch: a cold table."""
-        self._counters: Dict[int, int] = {}  # pc -> 0..3 (>=2 predicts taken)
+        reset(self)
 
     def predict(self, pc: int, instr: Branch) -> bool:
         """Predicted direction for the branch at ``pc``."""
@@ -35,10 +30,6 @@ class BranchPredictor:
             return instr.predict_taken
         counter = self._counters.get(pc % TABLE_SIZE, 1)
         return counter >= 2
-
-    def period_key(self) -> tuple:
-        """The counter table."""
-        return tuple(sorted(self._counters.items()))
 
     def update(self, pc: int, instr: Branch, taken: bool) -> None:
         """Train the counter of the branch at ``pc`` on its outcome."""

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict, deque
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, Iterator, List,
-                    Optional, Set, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from ..consistency.access_class import PLAIN_LOAD, PLAIN_STORE
 from ..core.prefetch import HardwarePrefetcher
@@ -42,15 +42,15 @@ from ..core.speculation import (
 from ..memory.cache import LockupFreeCache
 from ..memory.types import AccessKind, AccessRequest, SnoopKind
 from ..sim.kernel import Simulator
+from ..sim.state import (FIXED, SEQ, VALUE, Cycle, Fixed, Part, Records, Ref,
+                         Req, Value, in_window)
 from ..sim.stats import Counter
 from ..sim.trace import TraceRecorder
-from .config import ProcessorConfig
 from .decode import LOAD, RMW, STORE, SW_PREFETCH
 from .rob import Operand, ReorderBuffer, RobEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .processor import Processor
-    from .spin import Numbering
 
 
 class MemOp:
@@ -66,6 +66,14 @@ class MemOp:
 
     __slots__ = ("seq", "rob_entry", "base", "data", "addr", "generation",
                  "issued", "prefetch_issued", "forwarded", "req")
+
+    #: an entry that has left the window (a retired store, draining)
+    #: counts by what the op still reads of it
+    STATE = dict(seq=SEQ, rob_entry=Ref(live=in_window,
+                                        dead=("row", "signalled")),
+                 base=Part(), data=Part(), addr=VALUE, generation=VALUE,
+                 issued=VALUE, prefetch_issued=VALUE, forwarded=VALUE,
+                 req=Req(of="seq"))
 
     def __init__(self, rob_entry: RobEntry, base: Operand,
                  data: Optional[Operand]) -> None:
@@ -84,25 +92,61 @@ class MemOp:
         #: the id of the last request of it the cache accepted (0: none)
         self.req = 0
 
-    def period_key(self, num: "Numbering", live: Dict[int, RobEntry]) -> tuple:
-        """This op numbered as ``num`` does (see
-        :meth:`LoadStoreUnit.period_key`)."""
-        rob_entry = self.rob_entry
-        return (num(self.seq), live.get(self.seq) is rob_entry, rob_entry.row,
-                rob_entry.signalled, self.base.period_key(num, live),
-                None if self.data is None else self.data.period_key(num, live),
-                self.addr, self.generation, self.issued, self.prefetch_issued,
-                self.forwarded, num.request(self.seq, self.req))
+
+def _unit(enabled: str, make: Callable) -> Callable:
+    """A technique unit's factory: each reset makes it anew when the
+    core's config turns it on — its statistics exist only while it does."""
+    def unit(lsu: "LoadStoreUnit"):
+        if not getattr(lsu.config, enabled):
+            return None
+        with lsu.sim.stats.transient():
+            return make(lsu, lsu.sim.stats, f"cpu{lsu.cpu_id}/")
+    return unit
+
+
+def _sc_detector(lsu, stats, prefix) -> ScViolationDetector:
+    detector = ScViolationDetector(stats, name=prefix + "sc_detector")
+    detector.set_clock(lambda: lsu.sim.cycle)
+    return detector
 
 
 class LoadStoreUnit:
-    #: what a run never changes, left out of :meth:`period_key`
-    PERIOD_FIXED = frozenset({
-        "cpu_id", "sim", "cache", "rob", "core", "trace", "name", "_resume",
-        "stat_loads", "stat_stores", "stat_rmws", "stat_forwards",
-        "stat_rs_stalls", "stat_sb_stalls", "stat_load_latency",
-        "stat_store_latency", "config", "prefetcher", "sc_detector",
-        "_stores_retire_at_completion"})
+    """Every buffer of Figure 4, in program order: the reservation
+    station ``rs``, the address unit (its op, and the cycle its address
+    is ready), the issue stage ``ready_loads`` and the store buffer; and
+    ``pending``, every decoded memory op until it is performed.  A
+    reset empties them and runs as the core's config says."""
+
+    STATE = dict(
+        cpu_id=FIXED, sim=FIXED, cache=FIXED, rob=FIXED, core=FIXED,
+        trace=FIXED, _resume=FIXED, stat_loads=FIXED, stat_stores=FIXED,
+        stat_rmws=FIXED, stat_forwards=FIXED, stat_rs_stalls=FIXED,
+        stat_sb_stalls=FIXED, stat_load_latency=FIXED,
+        stat_store_latency=FIXED,
+        config=Fixed(lambda lsu: lsu.core.config),
+        rs=Records(MemOp, deque), addr_unit=Part(None),
+        addr_ready=Cycle(of="addr_unit"),
+        ready_loads=Records(Ref(), list), store_buffer=Records(Ref(), list),
+        pending=Records(MemOp, OrderedDict, by_seq=True),
+        #: RMWs whose speculative read waits (:meth:`_send_rmw_reads`)
+        _rmw_reads=Records(Ref(), list),
+        #: the id of the next request the cache accepts
+        next_req_id=Req(1),
+        #: stall counters the current tick bumped (see :meth:`tick`)
+        stalled=Value(()),
+        #: a later load waits for a store (SC): the store at the ROB
+        #: head is not retired until it completes
+        _stores_retire_at_completion=Fixed(
+            lambda lsu: lsu.config.model.load_waits_for_store(
+                PLAIN_STORE, PLAIN_LOAD)),
+        slb=Part(_unit("enable_speculation", lambda lsu, stats, prefix:
+                       SpeculativeLoadBuffer(lsu.config.slb_size, stats,
+                                             name=prefix + "slb"))),
+        prefetcher=Fixed(_unit("enable_prefetch", lambda lsu, stats, prefix:
+                               HardwarePrefetcher(
+                                   lsu.cache, lsu.config.prefetches_per_cycle,
+                                   stats, name=prefix + "prefetcher"))),
+        sc_detector=Fixed(_unit("enable_sc_detection", _sc_detector)))
 
     def __init__(
         self,
@@ -110,10 +154,10 @@ class LoadStoreUnit:
         sim: Simulator,
         cache: LockupFreeCache,
         rob: ReorderBuffer,
-        config: ProcessorConfig,
         core: "Processor",
         trace: Optional[TraceRecorder] = None,
     ) -> None:
+        """Wired to ``core``, whose reset resets this unit too."""
         self.cpu_id = cpu_id
         self.sim = sim
         self.cache = cache
@@ -122,7 +166,6 @@ class LoadStoreUnit:
         #: violated speculative load asks for
         self.core = core
         self.trace = trace or TraceRecorder(enabled=False)
-        self.name = f"cpu{cpu_id}/lsu"
 
         cache.register_snoop_listener(self._waking(self._on_snoop))
         #: what an MSHR's release (or the port budget's reset) resumes:
@@ -138,45 +181,10 @@ class LoadStoreUnit:
         self.stat_sb_stalls = s.counter(f"{self.name}/sb_consistency_stalls")
         self.stat_load_latency = s.histogram(f"{self.name}/load_latency")
         self.stat_store_latency = s.histogram(f"{self.name}/store_latency")
-        self.reset(config)
 
-    def reset(self, config: ProcessorConfig) -> None:
-        """Every buffer empty, and new technique units for the ones
-        ``config`` turns on — their statistics exist only while they do."""
-        self.config = config
-        self.rs: Deque[MemOp] = deque()
-        self.addr_unit: Optional[Tuple[MemOp, int]] = None  # (op, ready cycle)
-        self.ready_loads: List[MemOp] = []
-        self.store_buffer: List[MemOp] = []
-        #: every decoded memory op, program order, until performed
-        self.pending: "OrderedDict[int, MemOp]" = OrderedDict()
-        #: RMWs whose speculative read waits (:meth:`_send_rmw_reads`)
-        self._rmw_reads: List[MemOp] = []
-        #: the id of the next request the cache accepts
-        self._next_req_id = 1
-        #: stall counters the current tick bumped (see :meth:`tick`)
-        self.stalled: Tuple[Counter, ...] = ()
-        #: a later load waits for a store (SC): the store at the ROB
-        #: head is not retired until it completes
-        self._stores_retire_at_completion = config.model.load_waits_for_store(
-            PLAIN_STORE, PLAIN_LOAD)
-
-        stats = self.sim.stats
-        with stats.transient():
-            self.slb: Optional[SpeculativeLoadBuffer] = None
-            if config.enable_speculation:
-                self.slb = SpeculativeLoadBuffer(
-                    config.slb_size, stats, name=f"cpu{self.cpu_id}/slb")
-            self.prefetcher: Optional[HardwarePrefetcher] = None
-            if config.enable_prefetch:
-                self.prefetcher = HardwarePrefetcher(
-                    self.cache, config.prefetches_per_cycle, stats,
-                    name=f"cpu{self.cpu_id}/prefetcher")
-            self.sc_detector: Optional[ScViolationDetector] = None
-            if config.enable_sc_detection:
-                self.sc_detector = ScViolationDetector(
-                    stats, name=f"cpu{self.cpu_id}/sc_detector")
-                self.sc_detector.set_clock(lambda: self.sim.cycle)
+    @property
+    def name(self) -> str:
+        return f"cpu{self.cpu_id}/lsu"
 
     # ------------------------------------------------------------------
     # Wake (kernel sleep protocol)
@@ -280,8 +288,8 @@ class LoadStoreUnit:
 
     # -- address unit ---------------------------------------------------
     def _drain_addr_unit(self, cycle: int) -> None:
-        op, ready = self.addr_unit
-        if cycle < ready:
+        op = self.addr_unit
+        if cycle < self.addr_ready:
             return
         row = op.rob_entry.row
         kind = row.kind
@@ -349,7 +357,8 @@ class LoadStoreUnit:
             self._stall(self.stat_rs_stalls)
             return False
         self.rs.popleft()
-        self.addr_unit = (head, cycle + 1)
+        self.addr_unit = head
+        self.addr_ready = cycle + 1
         return True
 
     # -- store buffer -----------------------------------------------------
@@ -390,12 +399,12 @@ class LoadStoreUnit:
         changed, and the cache resumes this unit when one is released."""
         fields.setdefault("tag", op.rob_entry.row.tag)
         if not self.cache.access(AccessRequest(
-                req_id=self._next_req_id, kind=kind, addr=op.addr,
+                req_id=self.next_req_id, kind=kind, addr=op.addr,
                 generation=gen, callback=self._waking(done), **fields)):
             self.cache.await_mshr(self._resume)
             return False
-        op.req = self._next_req_id
-        self._next_req_id += 1
+        op.req = self.next_req_id
+        self.next_req_id += 1
         return True
 
     def _send_store(self, op: MemOp, value: int, cycle: int) -> bool:
@@ -504,9 +513,8 @@ class LoadStoreUnit:
             addr=op.addr,
             line_addr=self.cache.config.line_addr(op.addr),
             acq=model.load_blocks_later_accesses(klass),
+            row=row,
             store_tags=tags,
-            is_rmw=row.kind == RMW,
-            tag=row.tag,
         ))
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, self.name, "slb_insert",
@@ -670,7 +678,7 @@ class LoadStoreUnit:
         rs = self.rs
         while rs and rs[-1].seq >= first:
             rs.pop()
-        if self.addr_unit is not None and self.addr_unit[0].seq >= first:
+        if self.addr_unit is not None and self.addr_unit.seq >= first:
             self.addr_unit = None
         ready = self.ready_loads
         while ready and ready[-1].seq >= first:
@@ -710,7 +718,7 @@ class LoadStoreUnit:
                 yield op, op.addr, False
         # reservation-station (and address-unit) entries whose addresses
         # are computable via instruction-stream lookahead
-        in_addr_unit = (self.addr_unit[0],) if self.addr_unit is not None else ()
+        in_addr_unit = (self.addr_unit,) if self.addr_unit is not None else ()
         for op in itertools.chain(in_addr_unit, self.rs):
             row = op.rob_entry.row
             if op.prefetch_issued or row.kind == SW_PREFETCH:
@@ -754,59 +762,11 @@ class LoadStoreUnit:
             return False  # address not translated yet
         return not self._stores_retire_at_completion
 
-    # ------------------------------------------------------------------
-    # Spin sleep (see Processor.next_wake)
-    # ------------------------------------------------------------------
-    def period_key(self, num: "Numbering", cycle: int) -> tuple:
-        """Every buffer at the end of ``cycle``'s tick, numbered as
-        ``num`` does, with cycles relative to ``cycle``.  The next
-        request id moves on by itself: :meth:`renumber`."""
-        live = self.rob.live
-        addr_unit = self.addr_unit
-        return (
-            tuple(op.period_key(num, live) for op in self.rs),
-            None if addr_unit is None else (
-                addr_unit[0].period_key(num, live),
-                num.cycle(addr_unit[0].seq, addr_unit[1], cycle)),
-            tuple(num(op.seq) for op in self.ready_loads),
-            tuple(num(op.seq) for op in self.store_buffer),
-            tuple(op.period_key(num, live)
-                  for op in self.pending.values()),
-            tuple(num(op.seq) for op in self._rmw_reads),
-            self.stalled,
-            None if self.slb is None else self.slb.period_key(num),
-        )
-
-    def live_requests(self) -> Set[Tuple[int, int]]:
+    def live_requests(self) -> frozenset:
         """(id, generation) of every request whose completion would
         still act: its op's last one, while the op is pending."""
-        return {(op.req, op.generation) for op in self.pending.values()}
-
-    def renumber(self, first: int, seqs: int, cycles: int,
-                 reqs: int) -> None:
-        """Move every op from ``first`` on ``seqs`` instructions,
-        ``cycles`` cycles and, if it has one, ``reqs`` request ids on,
-        and the next request id too (whole spin periods)."""
-        ops = {id(op): op for op in self.pending.values()}
-        ops.update((id(op), op) for op in self.rs)
-        if self.addr_unit is not None:
-            op, ready = self.addr_unit
-            ops[id(op)] = op
-            if op.seq >= first:
-                self.addr_unit = (op, ready + cycles)
-        for op in ops.values():
-            if op.seq >= first:
-                op.seq += seqs
-                if op.req:
-                    op.req += reqs
-        self.pending = OrderedDict((op.seq, op) for op in self.pending.values())
-        self._next_req_id += reqs
-        if self.slb is not None:
-            self.slb.renumber(first, seqs)
-
-    @property
-    def next_req_id(self) -> int:
-        return self._next_req_id
+        return frozenset((op.req, op.generation)
+                         for op in self.pending.values())
 
     def is_empty(self) -> bool:
         return (not self.rs and self.addr_unit is None and not self.ready_loads

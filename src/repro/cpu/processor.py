@@ -22,14 +22,15 @@ from ..isa.registers import RegisterFile
 from ..memory.cache import LockupFreeCache
 from ..obs.accounting import CycleAccountant
 from ..sim.kernel import Component, Simulator
-from ..sim.stats import Counter
+from ..sim.state import (FIXED, Numbering, Part, Seq, Shift, Value, Watched,
+                         period_key, renumber, reset)
 from ..sim.trace import TraceRecorder
 from .branch import BranchPredictor
 from .config import ProcessorConfig
 from .decode import ALU, BRANCH, HALT, JUMP, TO_LSU, Decoded, decode_table
 from .lsu import LoadStoreUnit
 from .rob import Operand, ReorderBuffer, RobEntry
-from .spin import Books, Numbering, Period, Point, SpinWatch
+from .spin import Books, Period, Point, SpinWatch
 from .units import AluUnit, BranchUnit
 
 
@@ -41,13 +42,27 @@ def _reason_slug(reason: str) -> str:
 class Processor(Component):
     """One core executing one program against its coherent cache."""
 
-    #: what a run never changes (or only watches it), left out of
-    #: :meth:`_period_key`
-    PERIOD_FIXED = frozenset({
-        "cpu_id", "sim", "program", "_rows", "_runs", "_runs_end", "trace", "name", "rob", "predictor", "alu_unit",
-        "branch_unit", "lsu", "stat_retired", "stat_decoded",
-        "stat_squashed", "stat_squashes", "stat_mispredicts",
-        "stat_squash_depth", "accountant", "config", "_spin"})
+    #: a reset puts the core at the program's first instruction with
+    #: every buffer empty, running as its ``config`` says (which may
+    #: differ from the wired one only in the consistency model and the
+    #: technique flags: the buffers keep their sizes)
+    STATE = dict(
+        cpu_id=FIXED, sim=FIXED, program=FIXED, _runs=FIXED, _rows=FIXED,
+        _runs_end=FIXED, trace=FIXED, name=FIXED, stat_retired=FIXED,
+        stat_decoded=FIXED, stat_squashed=FIXED, stat_squashes=FIXED,
+        stat_mispredicts=FIXED, stat_squash_depth=FIXED, config=FIXED,
+        regfile=Value(RegisterFile, copy=RegisterFile.values),
+        rob=Part(), predictor=Part(), alu_unit=Part(), branch_unit=Part(),
+        lsu=Part(), accountant=Part(),
+        pc=Value(0), _next_seq=Seq(0),
+        #: a Halt has been fetched (maybe speculatively); it has retired
+        fetch_halted=Value(False), finished=Value(False),
+        #: what the last tick bumped if it moved nothing, else None
+        _idle_counters=Value(None),
+        #: squash_reason/<slug> counters, each created at its first squash
+        _stat_squash_reason=Value(dict, copy=tuple),
+        #: spin sleep (:meth:`next_wake`), from the first mispredict on
+        _spin=Watched(None))
 
     def __init__(
         self,
@@ -68,7 +83,7 @@ class Processor(Component):
         self._rows = table.rows
         #: no chain sleep from this pc on (0: the program has no run)
         self._runs_end = table.run_lasts[-1] if table.run_lasts else 0
-        config = config or ProcessorConfig()
+        self.config = config = config or ProcessorConfig()
         self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}"
 
@@ -78,7 +93,7 @@ class Processor(Component):
                                 self._on_alu_complete)
         self.branch_unit = BranchUnit(config.alu_rs_size,
                                       self._on_branch_resolve)
-        self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, config, self,
+        self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, self,
                                  trace=self.trace)
 
         s = sim.stats
@@ -89,31 +104,7 @@ class Processor(Component):
         self.stat_mispredicts = s.counter(f"{self.name}/branch_mispredicts")
         self.stat_squash_depth = s.histogram(f"{self.name}/squash_depth")
         self.accountant = CycleAccountant(s, self.name)
-        self.reset(config)
-
-    def reset(self, config: ProcessorConfig) -> None:
-        """Back to the state construction leaves, at the program's first
-        instruction with every buffer empty, running as ``config`` says.
-        ``config`` may differ from the wired one only in the consistency
-        model and the technique flags: the buffers keep their sizes."""
-        self.config = config
-        self.regfile = RegisterFile()
-        self.rob.reset()
-        self.predictor.reset()
-        self.alu_unit.reset()
-        self.branch_unit.reset()
-        self.lsu.reset(config)
-        self.accountant.reset()
-        self.pc = 0
-        self._next_seq = 0
-        self.fetch_halted = False   # a Halt has been fetched (maybe speculatively)
-        self.finished = False       # the Halt has retired: program truly done
-        #: what the last tick bumped if it moved nothing, else None
-        self._idle_counters: Optional[tuple] = None
-        #: squash_reason/<slug> counters, each created at its first squash
-        self._stat_squash_reason: Dict[str, Counter] = {}
-        #: spin sleep (:meth:`next_wake`), from the first mispredict on
-        self._spin: Optional[SpinWatch] = None
+        reset(self)
 
     # ------------------------------------------------------------------
     # Per-cycle pipeline (reverse dataflow order)
@@ -313,20 +304,26 @@ class Processor(Component):
             return
         spin.armed = False
         point = Point(cycle, self._next_seq, self.lsu.next_req_id,
-                      cache.lru_clock, cache.sent, cache.received,
-                      cache.waiting())
+                      cache.lru_clock, cache.messages, cache.waiting())
         last = spin.at
         shape = (None if last is None
                  else (self.pc, cycle - last.cycle, point.seq - last.seq,
                        point.req - last.req))
         key = None
         if shape is not None and shape == spin.shape and shape[2] > 0:
-            key = self._period_key(cycle, shape[2])
+            # the core's whole state with its cache's CPU side: two equal
+            # keys one period apart mean the periods after them are the
+            # same (:class:`~repro.sim.state.Numbering`)
+            lsu = self.lsu
+            num = Numbering(self._next_seq, lsu.next_req_id,
+                            self._next_seq - 2 * shape[2], cycle,
+                            self.rob.live, lsu.live_requests())
+            key = (period_key(self, num), period_key(cache, num))
         if key is None or key != spin.key:
             spin.period = None
         elif (readings is not None and len(readings) == shape[1] + 1
               and len(self.sim.stats) == spin.size
-              and (point.sent, point.received) == (last.sent, last.received)):
+              and point.messages == last.messages):
             spin.period = Period(books, readings, last, point,
                                  cache.stamps_since(last.clock),
                                  cache.merged_since(last.waiting))
@@ -336,25 +333,6 @@ class Processor(Component):
         if key is not None and spin.period is None:
             spin.readings = [readings[-1] if readings else books.read()]
             spin.size = len(self.sim.stats)
-
-    def _period_key(self, cycle: int, seqs: int) -> tuple:
-        """This core's whole state at the end of ``cycle``'s tick, with
-        its cache's CPU side, numbered as :class:`~repro.cpu.spin.Numbering`
-        does for periods that decode ``seqs`` instructions.  Two equal
-        keys one period apart mean the periods after them are the same."""
-        lsu = self.lsu
-        num = Numbering(self._next_seq, lsu.next_req_id,
-                        self._next_seq - 2 * seqs)
-        live = self.rob.live
-        return (self.pc, self.fetch_halted, self.finished,
-                self._idle_counters, tuple(self.regfile.snapshot().values()),
-                tuple(self._stat_squash_reason),
-                self.rob.period_key(num),
-                self.alu_unit.period_key(num, live, cycle),
-                self.branch_unit.period_key(num, live, cycle),
-                lsu.period_key(num, cycle),
-                self.predictor.period_key(), self.accountant.period_key(),
-                lsu.cache.period_key(cycle, lsu.live_requests()))
 
     def _spin_sleep(self, cycle: int) -> int:
         """Sleep through as many whole periods as end before the first
@@ -405,20 +383,19 @@ class Processor(Component):
         spin = self._spin
         period = spin.period
         periods, rest = divmod(skipped, period.cycles)
-        seqs = periods * period.seqs
-        cycles = periods * period.cycles
-        # what the last two periods decoded moves on, what is older stays
-        first = self._next_seq - 2 * period.seqs
-        lsu = self.lsu
-        # the stations first: the ALU tells its own by their entries' numbers
-        self.alu_unit.renumber(first, seqs, cycles)
-        self.branch_unit.renumber(first, seqs, cycles)
-        self.rob.renumber(first, seqs)
-        lsu.renumber(first, seqs, cycles, periods * period.reqs)
-        self._next_seq += seqs
-        cache = lsu.cache
-        cache.shift_period(periods, period.ticks, period.stamps,
-                           period.merged, period.cycles, spin.start)
+        cache = self.lsu.cache
+        if periods:
+            # what the last two periods decoded moves on, what is older
+            # stays; the lines a period touches go where the last one
+            # leaves them
+            ticks = periods * period.ticks
+            shift = Shift(self._next_seq - 2 * period.seqs,
+                          periods * period.seqs, periods * period.reqs,
+                          periods * period.cycles, ticks, period.stamps,
+                          cache.lru_clock + ticks - period.ticks, set())
+            renumber(self, shift)
+            renumber(cache, shift)
+            cache.add_merged(period.merged, periods)
         period.count(periods, rest)
         cache.net.watch(cache.node, None)
         spin.asleep = False

@@ -11,13 +11,14 @@ head — which is how consistency constraints on stores are enforced.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..sim.errors import SimulationError
+from ..sim.state import (FIXED, SEQ, VALUE, Keyed, Numbering, Records, Ref,
+                         in_window, reset)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .decode import Decoded
-    from .spin import Numbering
     from .units import RsEntry
 
 
@@ -34,6 +35,11 @@ class Operand:
     """
 
     __slots__ = ("value", "producer")
+
+    #: a producer that has left the window never changes again: it
+    #: counts by what it holds
+    STATE = dict(value=VALUE,
+                 producer=Ref(live=in_window, dead=("done", "value")))
 
     def __init__(self, value: Optional[int] = None,
                  producer: Optional["RobEntry"] = None) -> None:
@@ -54,16 +60,16 @@ class Operand:
             return str(self.value)
         return f"tag#{self.producer.seq}"
 
-    def period_key(self, num: "Numbering", live: Dict[int, "RobEntry"]) -> tuple:
-        """This operand with a producer in ``live`` (the reorder buffer
-        by number) numbered as ``num`` does; one that has left it never
-        changes again and counts by what it holds."""
-        producer = self.producer
-        if producer is None:
-            return (self.value,)
-        if live.get(producer.seq) is producer:
-            return (self.value, num(producer.seq))
-        return (self.value, None, producer.done, producer.value)
+
+def _waiting(waiter: "RsEntry", num: Numbering) -> bool:
+    return not waiter.dead
+
+
+def _renamed(rename: Dict[str, "RobEntry"], num: Numbering) -> tuple:
+    """The rename table numbered as ``num`` does, by register (its order
+    is how it was built, not state)."""
+    return tuple(sorted((reg, num(entry.seq))
+                        for reg, entry in rename.items()))
 
 
 class RobEntry:
@@ -73,6 +79,12 @@ class RobEntry:
     __slots__ = ("seq", "pc", "row", "value", "done", "signalled",
                  "predicted_taken", "predicted_next_pc", "resolved_next_pc",
                  "waiters")
+
+    #: a waiter squashed out of its station counts only as there
+    STATE = dict(seq=SEQ, pc=VALUE, row=VALUE, value=VALUE, done=VALUE,
+                 signalled=VALUE, predicted_taken=VALUE,
+                 predicted_next_pc=VALUE, resolved_next_pc=VALUE,
+                 waiters=Records(Ref("entry.seq", live=_waiting)))
 
     def __init__(self, seq: int, pc: int, row: "Decoded", done: bool = False,
                  predicted_taken: Optional[bool] = None,
@@ -92,15 +104,6 @@ class RobEntry:
         #: :meth:`ReorderBuffer.mark_done`
         self.waiters: List["RsEntry"] = []
 
-    def period_key(self, num: "Numbering") -> tuple:
-        """This entry numbered as ``num`` does; a waiter squashed out of
-        its station counts only as there."""
-        return (num(self.seq), self.pc, self.row, self.value, self.done,
-                self.signalled, self.predicted_taken, self.predicted_next_pc,
-                self.resolved_next_pc,
-                tuple(None if waiter.dead else num(waiter.entry.seq)
-                      for waiter in self.waiters))
-
     def describe(self) -> str:
         return self.row.instr.describe() or f"pc={self.pc}"
 
@@ -108,20 +111,15 @@ class RobEntry:
 class ReorderBuffer:
     """FIFO of in-flight instructions plus the rename table."""
 
-    #: what a run never changes, left out of :meth:`period_key`
-    PERIOD_FIXED = frozenset({"size"})
+    #: in flight: the entries in program order, and the same by number;
+    #: the rename table maps a register to the youngest one writing it
+    STATE = dict(size=FIXED, _fifo=Records(RobEntry, deque),
+                 _by_seq=Records(Ref(), dict, by_seq=True),
+                 _rename=Keyed(_renamed, dict))
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.reset()
-
-    def reset(self) -> None:
-        """Empty: nothing in flight, nothing renamed."""
-        #: in-flight entries in program order, and the same by number
-        self._fifo: Deque[RobEntry] = deque()
-        self._by_seq: Dict[int, RobEntry] = {}
-        #: register -> the youngest in-flight entry that writes it
-        self._rename: Dict[str, RobEntry] = {}
+        reset(self)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -225,22 +223,6 @@ class ReorderBuffer:
             by_seq[entry.seq] = entry
         self._by_seq = by_seq
 
-    def period_key(self, num: "Numbering") -> tuple:
-        """The window and rename table, numbered as ``num`` does
-        (``_by_seq`` is the window by number)."""
-        return (tuple(entry.period_key(num) for entry in self._fifo),
-                tuple(sorted((reg, num(entry.seq))
-                             for reg, entry in self._rename.items())))
-
-    def renumber(self, first: int, seqs: int) -> None:
-        """Move every entry from ``first`` on ``seqs`` instructions on
-        (whole spin periods, see :meth:`Processor.next_wake`); the
-        objects stay, so every binding to them holds."""
-        for entry in self._fifo:
-            if entry.seq >= first:
-                entry.seq += seqs
-        self._by_seq = {entry.seq: entry for entry in self._fifo}
-
     # ------------------------------------------------------------------
     # Rollback
     # ------------------------------------------------------------------
@@ -258,6 +240,9 @@ class ReorderBuffer:
             # an operand already bound to this entry must never read it
             entry.done = False
             entry.value = None
+            # its waiters will never be woken: let them go (and the
+            # entry -> station entry -> operand -> entry cycle with them)
+            entry.waiters = []
             discarded.append(entry.seq)
         if not discarded:
             return discarded

@@ -6,10 +6,11 @@ synchronization succeeds (``cpu/branch.py``) — and between two such
 rollbacks its ticks repeat exactly.  :meth:`Processor.next_wake
 <repro.cpu.processor.Processor.next_wake>` finds such a period and lets
 the core sleep through whole periods of it.  Here are what it watches
-with (:class:`SpinWatch`, :class:`Point`), how its period key numbers
-things (:class:`Numbering`), and what a period does to the core's
-numbers and statistics (:class:`Period`, read from :class:`Books`), so
-that the periods it slept through can be applied in one go.
+with (:class:`SpinWatch`, :class:`Point`), and what a period does to
+the core's numbers and statistics (:class:`Period`, read from
+:class:`Books`), so that the periods it slept through can be applied in
+one go.  Its period key numbers things as
+:class:`~repro.sim.state.Numbering` says.
 """
 
 from __future__ import annotations
@@ -66,37 +67,6 @@ def _delta(books: Books, start: Reading, end: Reading) -> Delta:
               for sample, weight in after.items()
               if weight != before.get(sample, 0)),
     )
-
-
-class Numbering:
-    """Sequence numbers and request ids as a period key holds them.
-
-    What the last two periods handed out — from ``first`` on — counts
-    back from the next number to be handed out, and its cycles from the
-    key's: the period after makes the same that much later, and what it
-    makes may outlive a period (the branch it resolves was decoded the
-    period before).  What is older lives through the period (a store
-    draining behind a spin), so it counts as it is."""
-
-    __slots__ = ("next_seq", "next_req", "first")
-
-    def __init__(self, next_seq: int, next_req: int, first: int) -> None:
-        self.next_seq = next_seq
-        self.next_req = next_req
-        self.first = first
-
-    def __call__(self, seq: int):
-        return seq - self.next_seq if seq >= self.first else (seq,)
-
-    def request(self, seq: int, req: int):
-        """The id of a request by the op ``seq`` (0: none)."""
-        if not req:
-            return None
-        return req - self.next_req if seq >= self.first else (req,)
-
-    def cycle(self, seq: int, due: int, cycle: int):
-        """The cycle ``due`` of what carries ``seq``, at ``cycle``."""
-        return due - cycle if seq >= self.first else (due,)
 
 
 class Period:
@@ -157,11 +127,10 @@ class Point(NamedTuple):
     cycle: int
     seq: int
     req: int
-    #: the LRU clock, the messages the cache sent and received, and the
-    #: requests waiting on each of its misses
+    #: the LRU clock, the messages the cache has sent and received, and
+    #: the requests waiting on each of its misses
     clock: int
-    sent: int
-    received: int
+    messages: int
     waiting: Dict[int, int]
 
 

@@ -15,13 +15,11 @@ list, oldest first — so issue is a pop from the front of that list.
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, Callable, Dict, List, Set, Tuple, cast
+from typing import Callable, List, Set, cast
 
 from ..sim.kernel import WAKE_NEVER
+from ..sim.state import FIXED, VALUE, Cycle, Records, Ref, Value, reset
 from .rob import Operand, RobEntry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .spin import Numbering
 
 
 class RsEntry:
@@ -30,8 +28,9 @@ class RsEntry:
 
     __slots__ = ("entry", "operands", "pending", "ready", "dead")
 
-    #: what a run never changes, left out of :meth:`period_key`
-    PERIOD_FIXED = frozenset({"ready"})
+    #: ``ready`` is its unit's list, the same all run
+    STATE = dict(entry=Ref(), operands=Records(Operand), pending=VALUE,
+                 ready=FIXED, dead=VALUE)
 
     def __init__(self, entry: RobEntry, operands: List[Operand],
                  ready: List["RsEntry"]) -> None:
@@ -50,13 +49,6 @@ class RsEntry:
                 producer.waiters.append(self)
         #: operands whose producer has not marked itself done
         self.pending = pending
-
-    def period_key(self, num: "Numbering", live: Dict[int, RobEntry]) -> tuple:
-        """This entry numbered as ``num`` does; ``ready`` is its unit's
-        list, the same all run."""
-        return (num(self.entry.seq),
-                tuple(op.period_key(num, live) for op in self.operands),
-                self.pending, self.dead)
 
     def producer_done(self) -> None:
         """A producer this entry waits on is done: join the ready list
@@ -79,22 +71,33 @@ def _seq(item: RsEntry) -> int:
     return item.entry.seq
 
 
+class Executing:
+    """An entry in flight in an ALU: when it finishes, and the operand
+    values it read at issue."""
+
+    __slots__ = ("finish", "entry", "values")
+
+    STATE = dict(finish=Cycle(of="entry"), entry=Ref(),
+                 values=Value(copy=tuple))
+
+    def __init__(self, finish: int, entry: RobEntry,
+                 values: List[int]) -> None:
+        self.finish = finish
+        self.entry = entry
+        self.values = values
+
+
 class _Station:
     """A reservation station: the entries not yet issued, by number,
-    and those of them whose operands are all produced, oldest first."""
+    and those of them whose operands are all produced, oldest first.
+    ``ready`` is aliased by every waiting entry, so within a run it is
+    mutated in place, never rebound."""
 
-    #: what a run never changes, left out of :meth:`period_key`
-    PERIOD_FIXED = frozenset({"rs_size"})
+    STATE = dict(rs_size=FIXED, rs=Records(RsEntry, dict, by_seq=True),
+                 ready=Records(Ref("entry.seq"), list))
 
     def __init__(self, rs_size: int) -> None:
         self.rs_size = rs_size
-
-    def reset(self) -> None:
-        """Empty."""
-        self.rs: Dict[int, RsEntry] = {}
-        #: aliased by every waiting entry, so within a run it is
-        #: mutated in place, never rebound
-        self.ready: List[RsEntry] = []
 
     @property
     def rs_full(self) -> bool:
@@ -112,20 +115,6 @@ class _Station:
         del self.rs[rs_entry.entry.seq]
         return cast(List[int], [op.resolve() for op in rs_entry.operands])
 
-    def period_key(self, num: "Numbering", live: Dict[int, RobEntry],
-                   cycle: int) -> tuple:
-        """The station numbered as ``num`` does (see
-        :meth:`Processor.next_wake`)."""
-        return (tuple(r.period_key(num, live) for r in self.rs.values()),
-                tuple(num(r.entry.seq) for r in self.ready))
-
-    def renumber(self, first: int, seqs: int, cycles: int) -> None:
-        """Move the station's entries from ``first`` on ``seqs``
-        instructions and ``cycles`` cycles on (whole spin periods),
-        before the reorder buffer renumbers their entries."""
-        self.rs = {seq + seqs if seq >= first else seq: rs_entry
-                   for seq, rs_entry in self.rs.items()}
-
     def squash(self, seqs: Set[int]) -> None:
         rs = self.rs
         for seq in seqs:
@@ -139,20 +128,15 @@ class _Station:
 class AluUnit(_Station):
     """``alu_count`` pipelined integer units sharing one reservation station."""
 
-    PERIOD_FIXED = _Station.PERIOD_FIXED | {"alu_count", "on_complete"}
+    STATE = dict(_Station.STATE, alu_count=FIXED, on_complete=FIXED,
+                 _executing=Records(Executing, list))
 
     def __init__(self, rs_size: int, alu_count: int,
                  on_complete: Callable[[RobEntry, int], None]) -> None:
         super().__init__(rs_size)
         self.alu_count = alu_count
         self.on_complete = on_complete
-        self.reset()
-
-    def reset(self) -> None:
-        """Empty station, nothing executing."""
-        super().reset()
-        #: in flight: (finish cycle, entry, operand values read at issue)
-        self._executing: List[Tuple[int, RobEntry, List[int]]] = []
+        reset(self)
 
     def tick(self, cycle: int) -> bool:
         """Complete and issue; True when either happened."""
@@ -163,8 +147,8 @@ class AluUnit(_Station):
         moved = False
         still_running = []
         for ex in self._executing:
-            if cycle >= ex[0]:
-                self._finish(ex[1], ex[2])
+            if cycle >= ex.finish:
+                self._finish(ex.entry, ex.values)
                 moved = True
             else:
                 still_running.append(ex)
@@ -187,8 +171,8 @@ class AluUnit(_Station):
         del ready[:free]
         for rs_entry in issued:
             entry = rs_entry.entry
-            self._executing.append(
-                (cycle + entry.row.instr.latency, entry, self._issue(rs_entry)))
+            self._executing.append(Executing(
+                cycle + entry.row.instr.latency, entry, self._issue(rs_entry)))
         return True
 
     def shift(self, n: int, step: int) -> None:
@@ -198,27 +182,14 @@ class AluUnit(_Station):
         flight finishes ``n`` cycles later on an operand ``step``
         larger."""
         self.rs = {seq + n: rs_entry for seq, rs_entry in self.rs.items()}
-        self._executing = [(finish + n, entry, [values[0] + step])
-                           for finish, entry, values in self._executing]
-
-    def period_key(self, num: "Numbering", live: Dict[int, RobEntry],
-                   cycle: int) -> tuple:
-        return (super().period_key(num, live, cycle),
-                tuple((num.cycle(entry.seq, finish, cycle), num(entry.seq),
-                       tuple(values))
-                      for finish, entry, values in self._executing))
-
-    def renumber(self, first: int, seqs: int, cycles: int) -> None:
-        # before the reorder buffer renumbers the entries in flight
-        super().renumber(first, seqs, cycles)
-        self._executing = [
-            (finish + cycles if entry.seq >= first else finish, entry, values)
-            for finish, entry, values in self._executing]
+        for ex in self._executing:
+            ex.finish += n
+            ex.values = [ex.values[0] + step]
 
     def squash(self, seqs: Set[int]) -> None:
         super().squash(seqs)
         self._executing = [ex for ex in self._executing
-                           if ex[1].seq not in seqs]
+                           if ex.entry.seq not in seqs]
 
     def is_empty(self) -> bool:
         return not self.rs and not self._executing
@@ -228,27 +199,27 @@ class AluUnit(_Station):
         is in flight, finishing at ``cycle + 1``: a run of dependent
         one-cycle work that issues one entry a cycle."""
         executing = self._executing
-        return (len(executing) == 1 and executing[0][0] == cycle + 1
+        return (len(executing) == 1 and executing[0].finish == cycle + 1
                 and not self.ready and len(self.rs) >= self.rs_size)
 
     def next_completion(self) -> int:
         """Cycle of the earliest in-flight completion: the one change
         to a stalled core that comes from the clock, not from an event."""
         if self._executing:
-            return min(ex[0] for ex in self._executing)
+            return min(ex.finish for ex in self._executing)
         return WAKE_NEVER
 
 
 class BranchUnit(_Station):
     """Resolves conditional branches one per cycle."""
 
-    PERIOD_FIXED = _Station.PERIOD_FIXED | {"on_resolve"}
+    STATE = dict(_Station.STATE, on_resolve=FIXED)
 
     def __init__(self, rs_size: int,
                  on_resolve: Callable[[RobEntry, bool], None]) -> None:
         super().__init__(rs_size)
         self.on_resolve = on_resolve
-        self.reset()
+        reset(self)
 
     def tick(self, cycle: int) -> bool:
         """Resolve the oldest ready branch; True when one resolved."""

@@ -8,7 +8,7 @@ results.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..sim.errors import IsaError
 
@@ -49,6 +49,10 @@ class RegisterFile:
 
     def snapshot(self) -> Dict[str, int]:
         return dict(self._values)
+
+    def values(self) -> Tuple[int, ...]:
+        """Every register's value, in register order."""
+        return tuple(self._values.values())
 
     def load_snapshot(self, values: Dict[str, int]) -> None:
         for name, value in values.items():

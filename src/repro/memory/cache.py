@@ -25,12 +25,14 @@ other.  Coherence protocol details live in ``repro.coherence``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..coherence.messages import DIRECTORY_NODE, Message, MessageKind, NodeId
 from ..isa.instructions import rmw_result
 from ..sim.errors import ProtocolError
 from ..sim.kernel import Component, Simulator
+from ..sim.state import (FIXED, VALUE, Keyed, Lru, Numbering, Records, Value,
+                         Watched, reset)
 from ..sim.trace import TraceRecorder
 from .interconnect import Interconnect
 from .types import (
@@ -49,6 +51,20 @@ class CacheLine:
     state: LineState
     data: List[int]
     lru: int = 0
+    #: brought in by a prefetch and not touched by a demand access
+    #: since — the basis of useful/late/useless accounting
+    prefetched: bool = False
+
+    STATE = dict(line_addr=VALUE, state=VALUE, data=Value(copy=tuple),
+                 lru=Lru(by="line_addr"), prefetched=VALUE)
+
+
+def _awaited(waiters: List[AccessRequest], num: Numbering) -> tuple:
+    """The requests merged into a miss whose answer the core still
+    awaits, where they stand; the rest, requests of squashed accesses,
+    only touch the line when it lands."""
+    return tuple((i, req.req_id) for i, req in enumerate(waiters)
+                 if (req.req_id, req.generation) in num.requests)
 
 
 @dataclass
@@ -68,22 +84,45 @@ class MshrEntry:
     upgrade_after_fill: bool = False
     issued_cycle: int = 0
 
+    STATE = dict(line_addr=VALUE, exclusive=VALUE, prefetch_only=VALUE,
+                 waiters=Keyed(_awaited), pending_exclusive=Value(copy=len),
+                 upgrade_after_fill=VALUE, issued_cycle=VALUE)
 
-def _lru(line: CacheLine) -> int:
-    return line.lru
+
+def _port_budget(port: Tuple[int, int], num: Numbering) -> Optional[int]:
+    """The port accesses made in the keyed cycle, if any were."""
+    cycle, used = port
+    return used if cycle == num.cycle else None
 
 
 class LockupFreeCache(Component):
     """A single processor's coherent, non-blocking cache."""
 
-    #: what a run never changes, left out of :meth:`period_key`
-    PERIOD_FIXED = frozenset({
-        "node", "name", "sim", "net", "config", "trace", "_snoop_listeners",
-        "_handlers", "stat_hits", "stat_misses", "stat_merges",
-        "stat_prefetches", "stat_prefetch_discarded", "stat_prefetch_useful",
-        "stat_prefetch_late", "stat_prefetch_useful_hit",
-        "stat_prefetch_wasted", "stat_invals", "stat_updates",
-        "stat_replacements", "stat_writebacks", "stat_port_accesses"})
+    #: A reset empties it: no lines, no transactions, the LRU clock and
+    #: the port back at their start.  ``_port`` is the cycle the port
+    #: was last used in and the accesses it took then; ``_writebacks``
+    #: the lines whose writeback is in flight (awaiting WB_ACK);
+    #: ``_txns`` the update-protocol writes and uncached operations in
+    #: flight (Appendix A), by txn id; ``_mshr_waits`` what is resumed,
+    #: in order, when a fill next releases an MSHR.  The messages it
+    #: sent and received, and the last cycle an event of this node's CPU
+    #: side is due at (see :meth:`schedule`), are the core's to compare
+    #: at its keyed points (:meth:`Processor._watch_spin`).
+    STATE = dict(
+        node=FIXED, sim=FIXED, net=FIXED, config=FIXED, trace=FIXED,
+        _snoop_listeners=FIXED, stat_hits=FIXED, stat_misses=FIXED,
+        stat_merges=FIXED, stat_prefetches=FIXED,
+        stat_prefetch_discarded=FIXED, stat_prefetch_useful=FIXED,
+        stat_prefetch_late=FIXED, stat_prefetch_useful_hit=FIXED,
+        stat_prefetch_wasted=FIXED, stat_invals=FIXED, stat_updates=FIXED,
+        stat_replacements=FIXED, stat_writebacks=FIXED,
+        stat_port_accesses=FIXED,
+        _sets=Records(Records(CacheLine), lambda cache: [
+            [] for _ in range(cache.config.num_sets)]),
+        mshrs=Records(MshrEntry, dict), lru_clock=Lru(0),
+        _port=Keyed(_port_budget, (-1, 0)), _writebacks=Value(dict, tuple),
+        _txns=Value(dict, tuple), _mshr_waits=Value(list, len),
+        messages=Watched(0), events_until=Watched(-1))
 
     def __init__(
         self,
@@ -94,27 +133,15 @@ class LockupFreeCache(Component):
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.node = node
-        self.name = f"cache{node}"
         self.sim = sim
         self.net = net
         self.config = config or CacheConfig()
         self.trace = trace or TraceRecorder(enabled=False)
         self._snoop_listeners: List[SnoopListener] = []
-        self._handlers = {
-            MessageKind.DATA: self._on_data,
-            MessageKind.DATA_EXCL: self._on_data_excl,
-            MessageKind.INVAL: self._on_inval,
-            MessageKind.RECALL: self._on_recall,
-            MessageKind.RECALL_INVAL: self._on_recall_inval,
-            MessageKind.UPDATE: self._on_update,
-            MessageKind.WB_ACK: self._on_wb_ack,
-            MessageKind.UPDATE_DONE: self._on_update_done,
-            MessageKind.UNCACHED_DONE: self._on_uncached_done,
-        }
         net.attach(node, self.receive)
 
         s = sim.stats
-        prefix = f"cache{node}"
+        prefix = self.name
         self.stat_hits = s.counter(f"{prefix}/hits")
         self.stat_misses = s.counter(f"{prefix}/misses")
         self.stat_merges = s.counter(f"{prefix}/mshr_merges")
@@ -133,33 +160,11 @@ class LockupFreeCache(Component):
         self.stat_replacements = s.counter(f"{prefix}/replacements")
         self.stat_writebacks = s.counter(f"{prefix}/writebacks")
         self.stat_port_accesses = s.counter(f"{prefix}/port_accesses")
-        self.reset()
+        reset(self)
 
-    def reset(self) -> None:
-        """Empty and idle: no lines, no transactions, LRU clock and port
-        back at their start."""
-        self._sets: List[List[CacheLine]] = [[] for _ in range(self.config.num_sets)]
-        self.mshrs: Dict[int, MshrEntry] = {}
-        self._lru_clock = 0
-        self._port_cycle = -1
-        self._port_used = 0
-        # lines whose writeback is in flight (awaiting WB_ACK)
-        self._writebacks: Dict[int, List[int]] = {}
-        # update-protocol write transactions in flight, keyed by txn id
-        self._update_txns: Dict[int, AccessRequest] = {}
-        # uncached operations in flight, keyed by txn id (Appendix A)
-        self._uncached_txns: Dict[int, AccessRequest] = {}
-        # lines brought in by a prefetch and not yet touched by any
-        # demand access — the basis of useful/late/useless accounting
-        self._prefetched_unused: set = set()
-        # resumed, in order, when a fill next releases an MSHR
-        self._mshr_waits: List[Callable[[], None]] = []
-        #: messages this cache sent and received
-        self.sent = 0
-        self.received = 0
-        #: the last cycle an event of this node's CPU side is due at
-        #: (see :meth:`schedule`)
-        self.events_until = -1
+    @property
+    def name(self) -> str:
+        return f"cache{self.node}"
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -183,23 +188,23 @@ class LockupFreeCache(Component):
         return line.data[self.config.word_index(addr)]
 
     def _touch(self, line: CacheLine) -> None:
-        self._lru_clock += 1
-        line.lru = self._lru_clock
+        self.lru_clock += 1
+        line.lru = self.lru_clock
 
     # ------------------------------------------------------------------
     # Port arbitration
     # ------------------------------------------------------------------
     def can_accept(self) -> bool:
         """True if a CPU-side access may start this cycle."""
-        if self._port_cycle != self.sim.cycle:
+        cycle, used = self._port
+        if cycle != self.sim.cycle:
             return self.config.ports > 0
-        return self._port_used < self.config.ports
+        return used < self.config.ports
 
     def _use_port(self) -> None:
-        if self._port_cycle != self.sim.cycle:
-            self._port_cycle = self.sim.cycle
-            self._port_used = 0
-        self._port_used += 1
+        now = self.sim.cycle
+        cycle, used = self._port
+        self._port = (now, used + 1 if cycle == now else 1)
         self.stat_port_accesses.inc()
 
     # ------------------------------------------------------------------
@@ -226,8 +231,8 @@ class LockupFreeCache(Component):
                                  or (line.state is LineState.SHARED and not needs_excl)):
             self._use_port()
             self.stat_hits.inc()
-            if line_addr in self._prefetched_unused:
-                self._prefetched_unused.discard(line_addr)
+            if line.prefetched:
+                line.prefetched = False
                 self.stat_prefetch_useful.inc()
                 self.stat_prefetch_useful_hit.inc()
             self._touch(line)
@@ -287,7 +292,7 @@ class LockupFreeCache(Component):
         the home node, never cached, never speculated or prefetched."""
         self._use_port()
         req.issued_cycle = self.sim.cycle
-        self._uncached_txns[req.req_id] = req
+        self._txns[req.req_id] = req
         self._send(MessageKind.UNCACHED_OP,
                    self.config.line_addr(req.addr),
                    txn=req.req_id,
@@ -298,7 +303,7 @@ class LockupFreeCache(Component):
         return True
 
     def _on_uncached_done(self, msg: Message) -> None:
-        req = self._uncached_txns.pop(msg.txn, None)
+        req = self._txns.pop(msg.txn, None)
         if req is None:
             raise ProtocolError(
                 f"cache{self.node}: UNCACHED_DONE for unknown txn {msg.txn}")
@@ -322,7 +327,7 @@ class LockupFreeCache(Component):
         self._use_port()
         req.issued_cycle = self.sim.cycle
         txn = req.req_id
-        self._update_txns[txn] = req
+        self._txns[txn] = req
         self._send(MessageKind.UPDATE_WRITE, line_addr, txn=txn,
                    addr=req.addr, value=req.value)
         return True
@@ -424,7 +429,7 @@ class LockupFreeCache(Component):
     # Message plumbing
     # ------------------------------------------------------------------
     def _send(self, kind: MessageKind, line_addr: int, **kw) -> None:
-        self.sent += 1
+        self.messages += 1
         self.net.send(Message(kind=kind, src=self.node, dst=DIRECTORY_NODE,
                               line_addr=line_addr, **kw))
 
@@ -436,11 +441,11 @@ class LockupFreeCache(Component):
             listener(kind, line_addr)
 
     def receive(self, msg: Message) -> None:
-        self.received += 1
-        handler = self._handlers.get(msg.kind)
+        self.messages += 1
+        handler = _HANDLERS.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"cache{self.node} cannot handle {msg.describe()}")
-        handler(msg)
+        handler(self, msg)
 
     # ------------------------------------------------------------------
     # Fills
@@ -489,24 +494,25 @@ class LockupFreeCache(Component):
             self.trace.record(self.sim.cycle, f"cache{self.node}", "fill",
                               line=line_addr, state=state.value)
 
-    def _mark_prefetch_fill(self, entry: MshrEntry) -> None:
-        """A fill landed for ``entry``; if it was still prefetch-only
-        (no demand access merged onto it), start tracking whether the
-        line is ever used before it leaves the cache."""
+    @staticmethod
+    def _mark_prefetch_fill(line: CacheLine, entry: MshrEntry) -> None:
+        """A fill for ``entry`` landed in ``line``; if it was still
+        prefetch-only (no demand access merged onto it), start tracking
+        whether the line is ever used before it leaves the cache."""
         if (entry.prefetch_only and not entry.waiters
                 and not entry.pending_exclusive):
-            self._prefetched_unused.add(entry.line_addr)
+            line.prefetched = True
 
-    def _note_prefetched_line_lost(self, line_addr: int) -> None:
+    def _note_prefetched_line_lost(self, line: CacheLine) -> None:
         """The line left the cache (invalidation or replacement)
         without any demand access touching it: the prefetch was wasted."""
-        if line_addr in self._prefetched_unused:
-            self._prefetched_unused.discard(line_addr)
+        if line.prefetched:
+            line.prefetched = False
             self.stat_prefetch_wasted.inc()
 
     def _evict(self, line: CacheLine) -> None:
         self.stat_replacements.inc()
-        self._note_prefetched_line_lost(line.line_addr)
+        self._note_prefetched_line_lost(line)
         # record before notifying: corrections the snoop listeners emit
         # must appear after their cause in the trace
         if self.trace.enabled:
@@ -532,7 +538,7 @@ class LockupFreeCache(Component):
             raise ProtocolError(f"cache{self.node}: DATA with no MSHR for line {msg.line_addr:#x}")
         line = self._install(msg.line_addr, LineState.SHARED, msg.data or [])
         del self.mshrs[msg.line_addr]
-        self._mark_prefetch_fill(entry)
+        self._mark_prefetch_fill(line, entry)
         waiters = entry.waiters
         pending_excl = entry.pending_exclusive
         for req in waiters:
@@ -559,9 +565,9 @@ class LockupFreeCache(Component):
                     f"cache{self.node}: upgrade ack for line {msg.line_addr:#x} not present"
                 )
             data = existing.data
-        self._install(msg.line_addr, LineState.MODIFIED, data)
+        line = self._install(msg.line_addr, LineState.MODIFIED, data)
         del self.mshrs[msg.line_addr]
-        self._mark_prefetch_fill(entry)
+        self._mark_prefetch_fill(line, entry)
         for req in entry.waiters + entry.pending_exclusive:
             self._complete_access(req, msg.line_addr)
         self._release_mshrs()
@@ -574,7 +580,7 @@ class LockupFreeCache(Component):
         line = self._find_line(msg.line_addr)
         if line is not None:
             line.state = LineState.INVALID
-            self._note_prefetched_line_lost(msg.line_addr)
+            self._note_prefetched_line_lost(line)
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, f"cache{self.node}", "inval", line=msg.line_addr)
         self._notify_snoop(SnoopKind.INVALIDATION, msg.line_addr)
@@ -600,7 +606,7 @@ class LockupFreeCache(Component):
             if line.state is LineState.MODIFIED:
                 data = list(line.data)
             line.state = LineState.INVALID
-            self._note_prefetched_line_lost(msg.line_addr)
+            self._note_prefetched_line_lost(line)
         if self.trace.enabled:
             self.trace.record(self.sim.cycle, f"cache{self.node}", "inval", line=msg.line_addr)
         self._notify_snoop(SnoopKind.INVALIDATION, msg.line_addr)
@@ -620,7 +626,7 @@ class LockupFreeCache(Component):
     def _on_update_done(self, msg: Message) -> None:
         # Update-protocol write transaction finished: the store that
         # initiated it completes now (globally performed).
-        req = self._update_txns.pop(msg.txn, None)
+        req = self._txns.pop(msg.txn, None)
         if req is None:
             raise ProtocolError(
                 f"cache{self.node}: UPDATE_DONE for unknown txn {msg.txn}"
@@ -634,32 +640,6 @@ class LockupFreeCache(Component):
     # ------------------------------------------------------------------
     # Spin sleep (see Processor.next_wake)
     # ------------------------------------------------------------------
-    def period_key(self, cycle: int, live: Set[Tuple[int, int]]) -> tuple:
-        """This cache's state at the end of ``cycle``'s ticks, up to
-        what a period of its core's spin moves on by itself: the LRU
-        clock (only the order of each set's lines counts), a port budget
-        spent at ``cycle`` (keyed relative to it), and the stale
-        requests merged into a miss — of an MSHR's waiters only the
-        ``live`` ones (id, generation) count, where they stand; the
-        rest, requests of squashed accesses, only touch the line when it
-        lands.  The message totals are the core's to compare
-        (:meth:`Processor._watch_spin`)."""
-        return (
-            tuple(tuple((line.line_addr, line.state, tuple(line.data))
-                        for line in sorted(cache_set, key=_lru))
-                  for cache_set in self._sets if cache_set),
-            tuple((line, entry.exclusive, entry.prefetch_only,
-                   tuple((i, req.req_id) for i, req in enumerate(entry.waiters)
-                         if (req.req_id, req.generation) in live),
-                   len(entry.pending_exclusive), entry.upgrade_after_fill,
-                   entry.issued_cycle)
-                  for line, entry in self.mshrs.items()),
-            self._port_used if self._port_cycle == cycle else None,
-            tuple(self._writebacks), tuple(self._update_txns),
-            tuple(self._uncached_txns), tuple(sorted(self._prefetched_unused)),
-            len(self._mshr_waits), self.events_until > cycle,
-        )
-
     def stamps_since(self, clock: int) -> Dict[int, int]:
         """The lines touched since the LRU clock read ``clock``, each
         with its last stamp counted from there."""
@@ -678,37 +658,15 @@ class LockupFreeCache(Component):
                 for line, entry in self.mshrs.items()
                 if len(entry.waiters) > waiting[line]}
 
-    def shift_period(self, periods: int, ticks: int, stamps: Dict[int, int],
-                     merged: Dict[int, list], cycles: int, cycle: int) -> None:
-        """Move the state :meth:`period_key` saw at ``cycle`` on by
-        ``periods`` periods of ``cycles`` cycles of a spin, each of which
-        uses ``ticks`` LRU stamps and merges ``merged`` into the misses:
-        the lines a period touches go where the last one leaves them
-        (``stamps``, as :meth:`stamps_since` counts them from a period's
-        start), the misses wait on that many more stale requests, and a
-        port budget spent at ``cycle`` is spent as many periods later."""
-        if not periods:
-            return
+    def add_merged(self, merged: Dict[int, list], periods: int) -> None:
+        """Merge into each miss what ``periods`` periods of a spin merge
+        into it (``merged``, as :meth:`merged_since` found it)."""
         for line, requests in merged.items():
             self.mshrs[line].waiters.extend(requests * periods)
-        self._lru_clock += periods * ticks
-        start = self._lru_clock - ticks
-        for cache_set in self._sets:
-            for line in cache_set:
-                stamp = stamps.get(line.line_addr)
-                if stamp is not None:
-                    line.lru = start + stamp
-        if self._port_cycle == cycle:
-            self._port_cycle += periods * cycles
-
-    @property
-    def lru_clock(self) -> int:
-        return self._lru_clock
 
     # ------------------------------------------------------------------
     def is_quiescent(self) -> bool:
-        return (not self.mshrs and not self._writebacks
-                and not self._update_txns and not self._uncached_txns)
+        return not self.mshrs and not self._writebacks and not self._txns
 
     def describe_wait(self) -> str:
         waits = [f"{what} {', '.join(f'{line:#x}' for line in lines)}"
@@ -738,3 +696,15 @@ class LockupFreeCache(Component):
                     out[line.line_addr] = (line.state.value, list(line.data))
         return out
 
+
+_HANDLERS = {
+    MessageKind.DATA: LockupFreeCache._on_data,
+    MessageKind.DATA_EXCL: LockupFreeCache._on_data_excl,
+    MessageKind.INVAL: LockupFreeCache._on_inval,
+    MessageKind.RECALL: LockupFreeCache._on_recall,
+    MessageKind.RECALL_INVAL: LockupFreeCache._on_recall_inval,
+    MessageKind.UPDATE: LockupFreeCache._on_update,
+    MessageKind.WB_ACK: LockupFreeCache._on_wb_ack,
+    MessageKind.UPDATE_DONE: LockupFreeCache._on_update_done,
+    MessageKind.UNCACHED_DONE: LockupFreeCache._on_uncached_done,
+}

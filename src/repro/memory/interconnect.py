@@ -9,11 +9,12 @@ the protocol relies on (e.g. INVAL ordered before a later DATA).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ..coherence.messages import Message, NodeId
 from ..sim.errors import ConfigurationError
 from ..sim.kernel import Component, Simulator
+from ..sim.state import FIXED, Value, reset
 
 #: maps a message to its transit latency in cycles
 LatencyFn = Callable[[Message], int]
@@ -25,7 +26,18 @@ class Interconnect(Component):
     Contention modelling is intentionally out of scope — the paper's
     analysis assumes a high-bandwidth pipelined memory system able to
     accept an access every cycle (Section 3.3).
+
+    A reset leaves nothing in flight and nobody watching.  Per channel,
+    ``_channels`` holds the arrival cycles of its messages in flight, in
+    order: the last is the FIFO watermark (a few at a time, so a list: a
+    machine has two channels a cache).  ``_watchers`` maps a node to
+    what is told the arrival cycle of each message sent to it.
     """
+
+    STATE = dict(sim=FIXED, latency_fn=FIXED, name=FIXED, floor=FIXED,
+                 _endpoints=FIXED, _stat_msgs=FIXED, _stat_hops=FIXED,
+                 _channels=Value(dict), _in_flight=Value(0),
+                 _watchers=Value(dict))
 
     def __init__(self, sim: Simulator, latency_fn: LatencyFn, name: str = "net",
                  floor: int = 0) -> None:
@@ -39,17 +51,7 @@ class Interconnect(Component):
         self._endpoints: Dict[NodeId, Callable[[Message], None]] = {}
         self._stat_msgs = sim.stats.counter(f"{name}/messages")
         self._stat_hops = sim.stats.counter(f"{name}/total_latency")
-        self.reset()
-
-    def reset(self) -> None:
-        """Nothing in flight, nobody watching."""
-        #: per channel, the arrival cycles of its messages in flight,
-        #: in order: the last is the FIFO watermark (a few at a time, so
-        #: a list: a machine has two channels a cache)
-        self._channels: Dict[Tuple[NodeId, NodeId], List[int]] = {}
-        self._in_flight = 0
-        #: node -> told the arrival cycle of each message sent to it
-        self._watchers: Dict[NodeId, Callable[[int], None]] = {}
+        reset(self)
 
     def attach(self, node: NodeId, receive: Callable[[Message], None]) -> None:
         if node in self._endpoints:

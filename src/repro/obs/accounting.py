@@ -44,6 +44,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..sim.state import FIXED, Value, reset
 from ..sim.stats import Counter, StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -74,8 +75,8 @@ PAPER_CAUSES = (StallCause.BUSY, StallCause.READ, StallCause.WRITE,
 class CycleAccountant:
     """Per-CPU cycle blame, fed once per tick by the processor."""
 
-    #: what a run never changes, left out of :meth:`period_key`
-    PERIOD_FIXED = frozenset({"name", "_counters"})
+    #: ``_refilling``: between a squash and the next retirement
+    STATE = dict(name=FIXED, _counters=FIXED, _refilling=Value(False))
 
     def __init__(self, stats: StatsRegistry, name: str) -> None:
         self.name = name
@@ -87,14 +88,7 @@ class CycleAccountant:
             cause.value: stats.counter(f"{name}/cycles/{cause.value}")
             for cause in CAUSES
         }
-        self.reset()
-
-    def reset(self) -> None:
-        """No squash pending."""
-        self._refilling = False  # between a squash and the next retirement
-
-    def period_key(self) -> tuple:
-        return (self._refilling,)
+        reset(self)
 
     # ------------------------------------------------------------------
     def note_squash(self) -> None:

@@ -15,6 +15,7 @@ from ..memory.cache import LockupFreeCache
 from ..memory.interconnect import Interconnect
 from ..memory.types import CacheConfig, LatencyConfig, LineState
 from ..sim.kernel import Simulator
+from ..sim.state import reset
 from ..sim.trace import TraceRecorder
 
 
@@ -83,10 +84,10 @@ class MemoryFabric:
 
     def reset(self) -> None:
         """Every cache empty, memory zero, nothing in flight."""
-        self.net.reset()
-        self.directory.reset()
+        reset(self.net)
+        reset(self.directory)
         for cache in self.caches:
-            cache.reset()
+            reset(cache)
 
     def init_memory(self, values: Dict[int, int]) -> None:
         self.directory.init_memory(values)

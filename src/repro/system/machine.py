@@ -29,6 +29,7 @@ from ..memory.types import CacheConfig, LatencyConfig
 from ..obs.accounting import CycleBreakdown, machine_breakdown, per_cpu_breakdowns
 from ..sim.errors import ConfigurationError
 from ..sim.kernel import Simulator
+from ..sim.state import reset
 from ..sim.profiler import HostProfiler
 from ..sim.stats import StatsRegistry
 from ..sim.trace import TraceRecorder
@@ -138,7 +139,8 @@ class Multiprocessor:
         self.fabric.reset()
         pconfig = self.config.processor_config()
         for proc in self.processors:
-            proc.reset(pconfig)
+            proc.config = pconfig
+            reset(proc)
         for agent in self.agents:
             agent.reset()
 

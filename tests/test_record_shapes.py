@@ -12,6 +12,7 @@ rollback, not when a spin sleep renumbers the window.
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -20,10 +21,11 @@ from repro.coherence.directory import DirEntry, DirState
 from repro.consistency.models import get_model
 from repro.cpu.decode import Decoded
 from repro.cpu.lsu import MemOp
-from repro.cpu.rob import RobEntry
+from repro.cpu.rob import Operand, RobEntry
 from repro.cpu.units import RsEntry
 from repro.isa.assembler import assemble
-from repro.system.machine import MachineConfig, Multiprocessor
+from repro.system.machine import MachineConfig, Multiprocessor, run_workload
+from repro.workloads import critical_section_workload
 
 
 @pytest.mark.parametrize("record", [RobEntry, RsEntry, MemOp])
@@ -43,7 +45,8 @@ def test_a_memory_op_is_the_buffer_that_holds_it():
     # the one number a memory op repeats is its entry's: a retired store
     # drains after its entry has left the reorder buffer's window, and a
     # spin sleep renumbers only the window, so from then on the op's
-    # number moves on (LoadStoreUnit.renumber) and the entry's does not
+    # number moves on (the spin sleep renumbers its seq field) and the
+    # entry's does not
     assert "seq" in MemOp.__slots__
 
 
@@ -66,3 +69,30 @@ def test_core_and_load_store_unit_share_their_dict_keys():
     core = machine.processors[0]
     assert len(vars(core)) <= 29
     assert len(vars(core.lsu)) <= 29
+    assert len(vars(core.lsu.cache)) <= 29
+
+
+def test_a_rollback_leaves_no_reference_cycle():
+    # a squashed entry lets go of the station entries waiting on it, so
+    # entry -> station entry -> operand -> entry is no cycle the
+    # collector has to find; the run's result keeps the machine alive
+    wl = critical_section_workload(4, iterations=10)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_workload(wl.programs, model=get_model("RC"),
+                              prefetch=True, speculation=True,
+                              initial_memory=wl.initial_memory)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = sorted({type(obj).__name__ for obj in gc.garbage
+                         if isinstance(obj, (RobEntry, RsEntry, Operand))})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert sum(result.stats.counters("cpu").get(f"cpu{cpu}/squash_events", 0)
+               for cpu in range(4)) > 0
+    assert not leaked

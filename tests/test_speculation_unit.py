@@ -8,8 +8,16 @@ from repro.core.speculation import (
     SlbEntry,
     SpeculativeLoadBuffer,
 )
+from repro.cpu.decode import decode_table
+from repro.isa.assembler import assemble
 from repro.memory.types import SnoopKind
 from repro.sim import StatsRegistry
+
+#: the decode rows of a load and of an RMW: what an entry is
+LOAD_ROW, RMW_ROW = decode_table(assemble("""
+    ld     r1, 0x4
+    rmw.ts r2, 0x8
+""")).rows
 
 
 def make_slb(size=8):
@@ -18,8 +26,8 @@ def make_slb(size=8):
 
 def entry(seq, line=1, acq=False, tags=(), done=False, is_rmw=False):
     return SlbEntry(seq=seq, addr=line * 4, line_addr=line, acq=acq,
-                    store_tags=set(tags), done=done, is_rmw=is_rmw,
-                    tag=f"ld{seq}")
+                    row=RMW_ROW if is_rmw else LOAD_ROW,
+                    store_tags=set(tags), done=done)
 
 
 class TestInsertionAndRetirement:

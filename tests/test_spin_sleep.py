@@ -17,23 +17,32 @@ and when another component raises inside one.
 from __future__ import annotations
 
 import dataclasses
-import inspect
-import re
 from pathlib import Path
 
 import pytest
 
+import repro.coherence.directory
+import repro.core.prefetch
+import repro.core.speculation
+import repro.cpu.branch
+import repro.cpu.lsu
+import repro.cpu.processor
+import repro.cpu.rob
+import repro.cpu.units
+import repro.memory.cache
+import repro.memory.interconnect
+import repro.obs.accounting
 from repro.coherence.messages import DIRECTORY_NODE, Message, MessageKind
 from repro.consistency.models import get_model
 from repro.core.speculation import SlbEntry
-from repro.cpu.lsu import MemOp
 from repro.cpu.processor import Processor
-from repro.cpu.rob import Operand, RobEntry
-from repro.cpu.units import AluUnit, RsEntry, _Station
+from repro.cpu.units import Executing, RsEntry, _Station
 from repro.isa.assembler import assemble
 from repro.memory.cache import CacheLine, MshrEntry
 from repro.memory.types import CacheConfig, LatencyConfig, LineState
 from repro.sim.errors import DeadlockError, SimulationError
+from repro.sim.state import (Fixed, Lru, Numbering, Part, Records, Watched,
+                             period_key)
 from repro.sim.sweep import derive_seed
 from repro.system.agent import ScriptedAgent
 from repro.system.jobs import BatchJob, run_rearmed
@@ -267,13 +276,10 @@ class TestSpinSleepMatchesNaive:
 # The period key covers every field
 # ----------------------------------------------------------------------
 
-def _source(*functions) -> str:
-    return "\n".join(inspect.getsource(function) for function in functions)
-
-
 def _coverage():
-    """Each class a spin's period key covers, a live instance of it,
-    and the code that keys it or moves it on by whole periods."""
+    """A live instance of each class whose run state is declared, from
+    a machine stopped with work in flight, and the numbering its core's
+    period key would count in there."""
     wl = MEMBERS["barrier-4x1"]
     machine = Multiprocessor(wl.programs, MachineConfig(
         model=get_model("RC"), enable_prefetch=True,
@@ -282,34 +288,27 @@ def _coverage():
         run_machine(machine, wl.initial_memory, (), 300)
     core = max(machine.processors, key=lambda core: len(core.lsu.pending))
     lsu, cache = core.lsu, core.lsu.cache
-    watch = core._watch_spin  # keeps the message totals and the events
     op = next(iter(lsu.pending.values()))
     entry = op.rob_entry
-    cache_spin = (cache.period_key, cache.shift_period, cache.stamps_since,
-                  cache.waiting, cache.merged_since, watch)
-    return [
-        (core, (core._period_key, core._skip_periods, watch)),
-        (core.rob, (core.rob.period_key, core.rob.renumber)),
-        (entry, (RobEntry.period_key,)),
-        (Operand(value=0), (Operand.period_key,)),
-        (next(iter(core.alu_unit.rs.values()), None)
-         or RsEntry(entry, [], []), (RsEntry.period_key,)),
-        (core.alu_unit, (AluUnit.period_key, AluUnit.renumber,
-                         _Station.period_key, _Station.renumber)),
-        (core.branch_unit, (_Station.period_key, _Station.renumber)),
-        (lsu, (lsu.period_key, lsu.renumber, lsu.live_requests)),
-        (op, (MemOp.period_key,)),
-        (lsu.slb, (lsu.slb.period_key, lsu.slb.renumber)),
-        (SlbEntry(seq=0, addr=0, line_addr=0, acq=False),
-         (SlbEntry.period_key,)),
-        (lsu.prefetcher, ()),
-        (core.predictor, (core.predictor.period_key,)),
-        (core.accountant, (core.accountant.period_key,)),
-        (cache, cache_spin),
-        (CacheLine(line_addr=0, state=LineState.SHARED, data=[]), cache_spin),
-        (MshrEntry(line_addr=0, exclusive=False, prefetch_only=False),
-         cache_spin),
+    num = Numbering(core._next_seq, lsu.next_req_id, core._next_seq - 10,
+                    machine.sim.cycle, core.rob.live, lsu.live_requests())
+    objects = [
+        core, core.rob, entry, op.base,
+        next(iter(core.alu_unit.rs.values()), None)
+        or RsEntry(entry, [], []),
+        next(iter(core.alu_unit._executing), None)
+        or Executing(machine.sim.cycle + 1, entry, [0]),
+        core.alu_unit, core.branch_unit, lsu, op, lsu.slb,
+        next(iter(lsu.slb.entries()), None)
+        or SlbEntry(seq=entry.seq, addr=0, line_addr=0, acq=False,
+                    row=entry.row),
+        lsu.prefetcher, core.predictor, core.accountant, cache,
+        CacheLine(line_addr=0, state=LineState.SHARED, data=[0]),
+        next(iter(cache.mshrs.values()), None)
+        or MshrEntry(line_addr=0, exclusive=False, prefetch_only=False),
+        machine.fabric.directory, machine.fabric.net,
     ]
+    return objects, num
 
 
 def _fields(obj):
@@ -320,24 +319,135 @@ def _fields(obj):
     return slots | set(getattr(obj, "__dict__", {}))
 
 
+class _Read(Exception):
+    """A period key touched a value it was handed."""
+
+
+class _Other:
+    """A value no field held: unequal to everything, an empty part,
+    and any other use of it raises :class:`_Read`."""
+
+    STATE: dict = {}
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    __hash__ = object.__hash__
+
+    def __getattr__(self, name):
+        raise _Read(name)
+
+    def _read(self, *args):
+        raise _Read()
+
+    __iter__ = __len__ = __bool__ = __index__ = _read
+    __lt__ = __le__ = __gt__ = __ge__ = _read
+    __add__ = __radd__ = __sub__ = __rsub__ = _read
+
+
+def _key_changes(obj, name, num) -> bool:
+    """The period key of ``obj`` changes when field ``name`` does (a key
+    that touches the new value in any way but comparing it reads it)."""
+    kind = type(obj).STATE[name]
+    before = period_key(obj, num)
+    old = getattr(obj, name)
+    setattr(obj, name,
+            None if isinstance(kind, Part) and old is not None else _Other())
+    try:
+        return period_key(obj, num) != before
+    except _Read:
+        return True
+    finally:
+        setattr(obj, name, old)
+
+
+#: the kinds a period key leaves out: wiring, what the spin watch
+#: compares itself, and LRU stamps (their set's order is keyed)
+UNKEYED = (Fixed, Watched, Lru)
+
+#: every module that declares run state
+DECLARING = (repro.cpu.processor, repro.cpu.rob, repro.cpu.units,
+             repro.cpu.lsu, repro.cpu.branch, repro.core.speculation,
+             repro.core.prefetch, repro.obs.accounting, repro.memory.cache,
+             repro.memory.interconnect, repro.coherence.directory)
+
+
+def _declared_objects(obj, into):
+    """``obj`` and every part and record it holds, by identity."""
+    if id(obj) in into or not hasattr(type(obj), "STATE"):
+        return into
+    into[id(obj)] = obj
+    for name, kind in type(obj).STATE.items():
+        value = getattr(obj, name)
+        if isinstance(kind, Part):
+            _declared_objects(value, into)
+        elif isinstance(kind, Records):
+            for held in value.values() if isinstance(value, dict) else value:
+                for inner in held if isinstance(held, list) else (held,):
+                    _declared_objects(inner, into)
+    return into
+
+
 class TestPeriodKeyCoverage:
     """Two states whose period keys are equal must be the same state up
-    to numbering and clocks, so every field of every class the key
-    covers is either read by the code that keys it (or moves it on by
-    whole periods), or declared fixed for the run in its class's
-    ``PERIOD_FIXED``.  A field added later fails here until it is one
-    or the other."""
+    to numbering and clocks.  So each class declares every field it has
+    (``STATE``), and the key reads every field of a keyed kind."""
 
-    @pytest.mark.parametrize("index", range(17))
+    @pytest.mark.parametrize("index", range(20))
     def test_every_field_is_keyed_or_fixed(self, index):
-        obj, code = _coverage()[index]
-        fixed = getattr(type(obj), "PERIOD_FIXED", frozenset())
-        read = set(re.findall(r"\.(\w+)", _source(*code))) if code else set()
-        fields = _fields(obj)
-        assert fixed <= fields, f"fixed but no field: {sorted(fixed - fields)}"
-        unkeyed = sorted(name for name in fields - fixed if name not in read)
-        assert not unkeyed, (
-            f"{type(obj).__name__}: neither keyed nor fixed: {unkeyed}")
+        # every field declared, with a kind that keys it or leaves it out
+        objects, _num = _coverage()
+        obj = objects[index]
+        assert _fields(obj) == set(type(obj).STATE), type(obj).__name__
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_the_key_changes_with_every_keyed_field(self, index):
+        objects, num = _coverage()
+        obj = objects[index]
+        dropped = sorted(
+            name for name, kind in type(obj).STATE.items()
+            if not isinstance(kind, UNKEYED)
+            and not _key_changes(obj, name, num))
+        assert not dropped, f"{type(obj).__name__}: not keyed: {dropped}"
+
+    def test_a_fixed_field_holds_all_run(self):
+        # a field declared fixed is left out of the key: it must be the
+        # same object for as long as its component or record exists —
+        # checked every cycle of a stretch with stores retiring
+        wl = MEMBERS["critical-section-private-2x5"]
+        machine = Multiprocessor(wl.programs, MachineConfig(
+            model=get_model("RC"), enable_prefetch=True,
+            enable_speculation=True))
+        first = {}
+        changed = set()
+        for max_cycles in range(50, 150):
+            with pytest.raises(DeadlockError):
+                if first:
+                    machine.run(max_cycles=max_cycles)
+                else:
+                    run_machine(machine, wl.initial_memory, (), max_cycles)
+            objects = {}
+            for root in (*machine.processors, machine.fabric.directory,
+                         machine.fabric.net):
+                _declared_objects(root, objects)
+            for key, obj in objects.items():
+                fixed = {name: getattr(obj, name) for name, kind
+                         in type(obj).STATE.items() if type(kind) is Fixed}
+                was, before = first.setdefault(key, (obj, fixed))
+                if was is obj:
+                    changed |= {f"{type(obj).__name__}.{name}"
+                                for name, value in fixed.items()
+                                if value is not before[name]}
+        assert len(first) > 100
+        assert not changed, sorted(changed)
 
     def test_the_list_is_complete(self):
-        assert len(_coverage()) == 17
+        objects, _num = _coverage()
+        declaring = {cls for module in DECLARING
+                     for cls in vars(module).values()
+                     if isinstance(cls, type) and "STATE" in vars(cls)}
+        # the stations' common part is declared once, for both
+        assert {type(obj) for obj in objects} == declaring - {_Station}
