@@ -28,10 +28,11 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ...consistency.litmus import LitmusTest
 from ...consistency.models import ALL_MODELS, ConsistencyModel
+from ...isa.program import Program
 from .diagnostics import AnalysisReport
 from .racecheck import analyze_programs
 
-#: start-time skews explored per (test, model)
+#: start cycles explored per (test, model), indexed modulo the thread count
 DEFAULT_DELAYS: Tuple[Tuple[int, ...], ...] = ((0, 0), (0, 40), (40, 0), (15, 3))
 
 
@@ -103,7 +104,8 @@ class CrossReport:
         return "\n".join(lines)
 
 
-def _dynamic_flags(test: LitmusTest, model: ConsistencyModel,
+def _dynamic_flags(test: LitmusTest, programs: Sequence[Program],
+                   model: ConsistencyModel,
                    delays: Sequence[Tuple[int, ...]],
                    line_size: int) -> Tuple[Set[Tuple[int, int]], List[str]]:
     """Run the detailed machine with the SC-violation monitor on and
@@ -121,12 +123,12 @@ def _dynamic_flags(test: LitmusTest, model: ConsistencyModel,
             for cpu in range(len(test.threads))
             for addr in test.addresses().values()]
     for skew in delays:
-        programs, _ = test.to_programs(delays=skew)
+        starts = tuple(skew[cpu % len(skew)] for cpu in range(len(programs)))
         result = run_workload(
             programs, model=model, prefetch=False, speculation=False,
             miss_latency=40, initial_memory=init, warm_lines=warm,
             processor=ProcessorConfig(enable_sc_detection=True),
-            max_cycles=1_000_000)
+            max_cycles=1_000_000, starts=starts)
         for cpu, proc in enumerate(result.machine.processors):
             det = proc.lsu.sc_detector
             if det is None:
@@ -159,7 +161,7 @@ def cross_validate(
                 else:
                     case.static_lines.add((cpu, addr // line_size))
             case.dynamic_lines, case.dynamic_detail = _dynamic_flags(
-                test, model, delays, line_size)
+                test, programs, model, delays, line_size)
             comparison = compare_with_enumerator(test, model)
             case.axiomatic_agree = comparison.agree
             case.axiomatic_outcomes = len(comparison.axiomatic)

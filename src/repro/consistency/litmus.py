@@ -298,11 +298,15 @@ class LitmusTest:
         register is stored to a private audit slot so the outcome can be
         read back from memory after a detailed-machine run.  Returns
         ``(programs, audit_map)`` where ``audit_map`` maps litmus
-        register names to their slot addresses.  ``delays`` skews the
-        threads' start times with dependent-ALU chains: a skew of ``d``
-        is one ``mov`` and one ``add`` object, the ``add`` at ``d``
-        addresses, so the core decodes it once and a long skew costs a
-        reference per cycle, not an instruction.
+        register names to their slot addresses.
+
+        ``delays`` prefixes thread ``t`` with ``delays[t]`` references
+        to one dependent ``add``, which the core executes one a cycle.
+        Product code skews a thread by its CPU's start cycle instead
+        (:func:`~repro.verify.harness.leg_jobs`).  What still calls this
+        feeds the lockstep engine, which runs no start cycle: the
+        benchmark's ``batch_legs`` workload and the engine's own tests.
+        It goes with the engine (ROADMAP item 1).
         """
         # local: isa must not import consistency
         from ..isa.instructions import Alu

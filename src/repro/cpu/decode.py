@@ -12,12 +12,7 @@ object of a :class:`~repro.isa.program.Program`, at however many
 addresses — into a table of one :class:`Decoded` row per ``pc``; the
 processor indexes the table by ``pc`` and every reorder-buffer entry
 carries its row, so the per-cycle path switches on a small integer
-instead of asking the instruction what it is.  A start skew of ``d``
-cycles is one ``add`` object at ``d`` addresses
-(:meth:`~repro.consistency.litmus.LitmusTest.to_programs`): one decode,
-one row, ``d`` references to it.  The table also records where such
-runs of one self-dependent ``add`` lie, once per run
-(:class:`DecodeTable`), for the core's chain sleep.
+instead of asking the instruction what it is.
 
 This is the one place the core's ``isinstance`` ladder over the
 instruction set is written.  The table is memoized by program identity
@@ -29,7 +24,7 @@ unchanged) and a table goes when its program does.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Optional
 
 from ..consistency.access_class import (
     PLAIN_LOAD,
@@ -124,60 +119,24 @@ def _decode(program: Program, instr: Instruction) -> Decoded:
     )
 
 
-def _self_add(instr: Optional[Instruction]) -> bool:
-    """``instr`` is ``add rX, rX, imm`` (rX not r0) of latency 1: each
-    execution of a run of it adds ``imm`` to what the previous left."""
-    return (isinstance(instr, Alu) and instr.op == "add"
-            and instr.src2 is None and instr.latency == 1
-            and instr.dst == instr.src1 != "r0")
-
-
-class DecodeTable(NamedTuple):
-    """A program's decode table and its runs of one self-dependent add."""
-
-    #: one row per instruction, indexed by ``pc``
-    rows: List[Decoded]
-    #: first and last ``pc`` of each run: three or more consecutive
-    #: addresses holding one self-dependent ``add`` object, ascending
-    run_firsts: List[int]
-    run_lasts: List[int]
-
-
-_tables: "weakref.WeakKeyDictionary[Program, DecodeTable]" = (
+_tables: "weakref.WeakKeyDictionary[Program, List[Decoded]]" = (
     weakref.WeakKeyDictionary())
 
 
-def decode_table(program: Program) -> DecodeTable:
-    """The decode table of ``program``: one :func:`_decode` per distinct
-    instruction object, and one entry per run; built on first use and
-    shared by every core that runs this program object."""
-    table = _tables.get(program)
-    if table is None:
+def decode_table(program: Program) -> List[Decoded]:
+    """The decode table of ``program``, one row per instruction indexed
+    by ``pc``: one :func:`_decode` per distinct instruction object;
+    built on first use and shared by every core that runs this program
+    object."""
+    rows = _tables.get(program)
+    if rows is None:
         # by identity: instructions are mutable dataclasses, so unhashable
         by_id: Dict[int, Decoded] = {}
-        rows: List[Decoded] = []
-        firsts: List[int] = []
-        lasts: List[int] = []
-        run_instr: Optional[Instruction] = None
-        first = 0   # where the run of ``run_instr`` began
-        for pc, instr in enumerate(program.instructions):
-            if instr is not run_instr:
-                _note_run(run_instr, first, pc, firsts, lasts)
-                run_instr, first = instr, pc
-                row = by_id.get(id(instr))
-                if row is None:
-                    row = by_id[id(instr)] = _decode(program, instr)
+        rows = []
+        for instr in program.instructions:
+            row = by_id.get(id(instr))
+            if row is None:
+                row = by_id[id(instr)] = _decode(program, instr)
             rows.append(row)
-        _note_run(run_instr, first, len(rows), firsts, lasts)
-        table = _tables[program] = DecodeTable(rows, firsts, lasts)
-    return table
-
-
-def _note_run(instr: Optional[Instruction], first: int, end: int,
-              firsts: List[int], lasts: List[int]) -> None:
-    """Record ``instr`` at addresses ``first`` to ``end``, exclusive, if
-    that is a run of three or more of one self-dependent add."""
-    if end - first >= 3 and _self_add(instr):
-        firsts.append(first)
-        lasts.append(end - 1)
-
+        _tables[program] = rows
+    return rows

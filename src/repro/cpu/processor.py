@@ -13,10 +13,8 @@ for speculative load accesses").
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Dict, Optional
 
-from ..isa.instructions import Alu
 from ..isa.program import Program
 from ..isa.registers import RegisterFile
 from ..memory.cache import LockupFreeCache
@@ -47,8 +45,8 @@ class Processor(Component):
     #: differ from the wired one only in the consistency model and the
     #: technique flags: the buffers keep their sizes)
     STATE = dict(
-        cpu_id=FIXED, sim=FIXED, program=FIXED, _runs=FIXED, _rows=FIXED,
-        _runs_end=FIXED, trace=FIXED, name=FIXED, stat_retired=FIXED,
+        cpu_id=FIXED, sim=FIXED, program=FIXED, _rows=FIXED, start=FIXED,
+        trace=FIXED, name=FIXED, stat_retired=FIXED,
         stat_decoded=FIXED, stat_squashed=FIXED, stat_squashes=FIXED,
         stat_mispredicts=FIXED, stat_squash_depth=FIXED, config=FIXED,
         regfile=Value(RegisterFile, copy=RegisterFile.values),
@@ -72,17 +70,15 @@ class Processor(Component):
         cache: LockupFreeCache,
         config: Optional[ProcessorConfig] = None,
         trace: Optional[TraceRecorder] = None,
+        start: int = 0,
     ) -> None:
         self.cpu_id = cpu_id
         self.sim = sim
         self.program = program
-        # the runs stay in their table: up to 29 attributes, CPython
-        # shares the keys of the instances' dicts, and a machine is built
-        # per run configuration
-        self._runs = table = decode_table(program)
-        self._rows = table.rows
-        #: no chain sleep from this pc on (0: the program has no run)
-        self._runs_end = table.run_lasts[-1] if table.run_lasts else 0
+        self._rows = decode_table(program)
+        #: the cycle the core begins at: it does nothing up to and
+        #: including this cycle, and charges each of them to ``idle``
+        self.start = start
         self.config = config = config or ProcessorConfig()
         self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}"
@@ -110,6 +106,9 @@ class Processor(Component):
     # Per-cycle pipeline (reverse dataflow order)
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
+        if cycle <= self.start:
+            self._idle_counters = (self.accountant.account_idle(),)
+            return
         # a unit with no work is not entered: an empty load/store unit's
         # tick would return False with nothing in ``stalled``, an empty
         # branch unit's False
@@ -154,28 +153,23 @@ class Processor(Component):
         """Earliest future cycle this core's tick would change state
         other than as :meth:`skip_cycles` does it.
 
-        Three kinds of sleep.  After a tick in which no stage moved
+        Two kinds of sleep.  After a tick in which no stage moved
         anything, observed, not predicted: the core is stalled on state
         only a delivery to this core can change — each of which wakes
         it, see :meth:`LoadStoreUnit._waking` — so the next tick would
         repeat it, bumping the same counters (:meth:`skip_cycles`
         replays them), until the one clock-driven change left, an
-        in-flight ALU completion.
+        in-flight ALU completion.  Before its start cycle that change
+        is the start itself: each tick up to it only charges ``idle``.
 
         After a tick that moved, keep ticking — unless the core is in a
-        run of one self-dependent ``add`` (a start skew), in the shape
-        :meth:`_chain_span` checks.  There each tick is predicted: it
-        slides the whole window one instruction down the run, which
-        :meth:`_shift` does for any number of ticks at once, so the
-        core sleeps until dispatch would reach the run's last row.
-
-        Or unless the core is in a steady spin: :meth:`_watch_spin`
-        saw its whole state come round to itself, up to numbering and
-        clocks, one period after the last time.  With no input, each
-        period then repeats the last, so the core sleeps through whole
-        periods (:meth:`_skip_periods` applies them in one go), until
-        the last period boundary before the first message to its cache
-        lands (:meth:`_spin_sleep`) — its only input.
+        steady spin: :meth:`_watch_spin` saw its whole state come round
+        to itself, up to numbering and clocks, one period after the last
+        time.  With no input, each period then repeats the last, so the
+        core sleeps through whole periods (:meth:`_skip_periods` applies
+        them in one go), until the last period boundary before the first
+        message to its cache lands (:meth:`_spin_sleep`) — its only
+        input.
         """
         if self._spin is not None:
             spin = self._spin
@@ -184,82 +178,17 @@ class Processor(Component):
             if spin.readings is not None:
                 return cycle + 1  # a period is being recorded, every tick
         if self._idle_counters is not None:
+            if cycle <= self.start:
+                return self.start + 1
             return self.alu_unit.next_completion()
-        if self.pc < self._runs_end:
-            return cycle + 1 + self._chain_span(cycle)
         return cycle + 1
 
     def skip_cycles(self, skipped: int) -> None:
         if self._spin is not None and self._spin.asleep:
             self._skip_periods(skipped)
             return
-        idle = self._idle_counters
-        if idle is None:
-            # a tick that moved is followed by a sleep only in a run
-            self._shift(skipped)
-            return
-        for counter in idle:
+        for counter in self._idle_counters:
             counter.inc(skipped)
-
-    # ------------------------------------------------------------------
-    # Chain sleep: a run of one self-dependent add
-    # ------------------------------------------------------------------
-    def _chain_span(self, cycle: int) -> int:
-        """Cycles from ``cycle`` on in which each tick would only slide
-        the window one instruction down a run of one self-dependent
-        ``add``; 0 unless the core is in the shape that guarantees it.
-
-        The shape: the next row to dispatch and the one before it lie
-        in one run (:attr:`DecodeTable.run_firsts`); the reorder buffer
-        holds only that row, in order, one entry done at its head, one
-        finishing next cycle and a full station of the rest, none
-        ready, with room left; nothing else is in flight (load/store
-        and branch units empty), nothing is traced.  Each tick then
-        retires the head, completes the next, issues the one after,
-        and dispatches one row — the second dispatch finds the station
-        full, so the span stops where that second row would leave the
-        run.
-        """
-        pc = self.pc
-        runs = self._runs
-        run = bisect_right(runs.run_firsts, pc - 1) - 1
-        if run < 0:
-            return 0
-        span = runs.run_lasts[run] - pc
-        if (span <= 0 or self.finished or self.fetch_halted
-                or self.trace.enabled
-                or not self.alu_unit.is_chained(cycle)):
-            return 0
-        rob = self.rob
-        if (len(rob) != self.alu_unit.rs_size + 2 or rob.full
-                or self.branch_unit.rs or not self.lsu.is_empty()
-                or not rob.holds_run(self._rows[pc], self._next_seq, pc)):
-            return 0
-        return span
-
-    def _shift(self, n: int) -> None:
-        """Apply ``n`` ticks of the shape :meth:`_chain_span` found.
-
-        Each tick is the same function of the state, and the state it
-        leaves differs from the one it found only by one instruction:
-        every number, address and counter one on, every value in the
-        run one ``imm`` on.  So ``n`` of them are that difference ``n``
-        times over, applied to each component's own state.
-        """
-        head = self.rob.head()
-        assert head is not None and head.value is not None
-        instr = head.row.instr
-        assert isinstance(instr, Alu) and instr.imm is not None
-        imm = instr.imm
-        # the last of the n retirements writes the head's value n-1 on
-        self.regfile.write(instr.dst, head.value + (n - 1) * imm)
-        self.rob.shift(n, n * imm)
-        self.alu_unit.shift(n, n * imm)
-        self.pc += n
-        self._next_seq += n
-        self.stat_retired.inc(n)
-        self.stat_decoded.inc(n)
-        self.accountant.account_retiring(n)
 
     # ------------------------------------------------------------------
     # Spin sleep: a period of ticks that comes round to itself

@@ -196,33 +196,6 @@ class ReorderBuffer:
             del self._rename[dst]
         return entry
 
-    def holds_run(self, row: "Decoded", next_seq: int, next_pc: int) -> bool:
-        """Every entry carries ``row``, numbered and addressed one after
-        another up to ``next_seq`` and ``next_pc``, exclusive."""
-        seq = next_seq - len(self._fifo)
-        pc = next_pc - len(self._fifo)
-        for entry in self._fifo:
-            if entry.row is not row or entry.seq != seq or entry.pc != pc:
-                return False
-            seq += 1
-            pc += 1
-        return True
-
-    def shift(self, n: int, step: int) -> None:
-        """Slide the window ``n`` instructions down a run of one
-        self-dependent add (see :meth:`Processor._shift`): every entry
-        is renumbered and moved ``n`` on, and a result it holds grows by
-        ``step``.  The entries stay the same objects, so every binding
-        to them — the rename table, tagged operands, waiters — holds."""
-        by_seq = {}
-        for entry in self._fifo:
-            entry.seq += n
-            entry.pc += n
-            if entry.value is not None:
-                entry.value += step
-            by_seq[entry.seq] = entry
-        self._by_seq = by_seq
-
     # ------------------------------------------------------------------
     # Rollback
     # ------------------------------------------------------------------

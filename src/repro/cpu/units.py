@@ -175,17 +175,6 @@ class AluUnit(_Station):
                 cycle + entry.row.instr.latency, entry, self._issue(rs_entry)))
         return True
 
-    def shift(self, n: int, step: int) -> None:
-        """Slide the unit ``n`` instructions down a run of one
-        self-dependent add, as :meth:`ReorderBuffer.shift` slides the
-        window: the waiting entries are renumbered, and the one in
-        flight finishes ``n`` cycles later on an operand ``step``
-        larger."""
-        self.rs = {seq + n: rs_entry for seq, rs_entry in self.rs.items()}
-        for ex in self._executing:
-            ex.finish += n
-            ex.values = [ex.values[0] + step]
-
     def squash(self, seqs: Set[int]) -> None:
         super().squash(seqs)
         self._executing = [ex for ex in self._executing
@@ -193,14 +182,6 @@ class AluUnit(_Station):
 
     def is_empty(self) -> bool:
         return not self.rs and not self._executing
-
-    def is_chained(self, cycle: int) -> bool:
-        """The station is full, none of it ready, and exactly one entry
-        is in flight, finishing at ``cycle + 1``: a run of dependent
-        one-cycle work that issues one entry a cycle."""
-        executing = self._executing
-        return (len(executing) == 1 and executing[0].finish == cycle + 1
-                and not self.ready and len(self.rs) >= self.rs_size)
 
     def next_completion(self) -> int:
         """Cycle of the earliest in-flight completion: the one change

@@ -21,9 +21,10 @@ blamed —
 * cycles spent refilling the pipeline after a squash (branch
   mispredict or speculative-load correction) are **rollback**;
 * everything else — frontend fill, in-flight ALU work — counts as
-  busy, and cycles after a finished program has fully drained are
-  **idle** (only visible on multiprocessor runs where another CPU is
-  still working, and in the few fabric-drain cycles at the end).
+  busy; the cycles before a CPU's start cycle (a start skew), and the
+  cycles after a finished program has fully drained, are **idle**
+  (only visible on multiprocessor runs where another CPU is still
+  working, and in the few fabric-drain cycles at the end).
 
 Because the classification is total and exclusive, the per-CPU cause
 counters sum *exactly* to the run's cycle count — the invariant the
@@ -105,11 +106,12 @@ class CycleAccountant:
         counter.inc()
         return counter
 
-    def account_retiring(self, cycles: int) -> None:
-        """Attribute ``cycles`` cycles in each of which an instruction
-        retired: all busy, and no squash is still refilling."""
-        self._refilling = False
-        self._counters[StallCause.BUSY._value_].inc(cycles)
+    def account_idle(self) -> Counter:
+        """Attribute a cycle before the CPU's start: idle.  Returns the
+        counter it charged."""
+        counter = self._counters[StallCause.IDLE._value_]
+        counter.inc()
+        return counter
 
     def account_drained(self, lsu_empty: bool) -> Counter:
         """Attribute a cycle after the program retired its Halt: the

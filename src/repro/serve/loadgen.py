@@ -46,9 +46,9 @@ MIX_TECHNIQUES = ((False, False), (True, False), (False, True), (True, True))
 #: sweep-style run config for every mix job: the second thread starts
 #: 200 cycles late, like the race-hunting sweeps that dominate real
 #: traffic.  The skew lengthens the simulated run, not the host's work:
-#: a core sleeps through the run of adds it compiles to (the chain
-#: sleep of ``Processor.next_wake``), so a miss costs building the
-#: programs and the machine plus the test's own few hundred cycles
+#: a core sleeps to its start cycle (``Processor.next_wake``), so a
+#: miss costs building the programs and the machine plus the test's own
+#: few hundred cycles
 MIX_RUN_CONFIG = {"skew": (0, 200)}
 
 

@@ -119,8 +119,8 @@ def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
         raise ProtocolError(
             f"run_config.max_cycles must be <= {MAX_JOB_CYCLES}")
     if max(skew) > max_cycles:
-        # a skew of d cycles compiles to d dependent instructions, so
-        # that thread cannot finish within max_cycles
+        # a skew is the cycle a thread's CPU starts at: one past the
+        # budget names a thread the run never starts
         raise ProtocolError("run_config.skew entries must be <= max_cycles")
     config: Dict[str, object] = {
         "miss_latency": miss_latency,
@@ -271,10 +271,9 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: what a longer frame is answered with, whoever measures it
 FRAME_TOO_LONG = f"frame exceeds {MAX_FRAME_BYTES} bytes"
 
-#: refuse jobs with a larger cycle budget: a skew may be as large as the
-#: budget and compiles to one program address per cycle, so without a
-#: bound a ~100-byte job could make the executor build a program of any
-#: length
+#: refuse jobs with a larger cycle budget: a guest that keeps its cores
+#: busy runs until its budget ends, so without a bound a ~100-byte job
+#: could hold an executor for as long as it asked
 MAX_JOB_CYCLES = 4_000_000
 
 

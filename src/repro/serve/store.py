@@ -30,8 +30,10 @@ from ..obs.ledger import digest_outcome
 #: bump when the entry layout changes incompatibly, or when the same
 #: request would now compute a different result (``/2``: litmus legs
 #: start from the test's initial memory, and the machine waits on
-#: events instead of polling) — an older entry then reads as a miss
-STORE_SCHEMA = "repro-serve-result/2"
+#: events instead of polling; ``/3``: a skew is the cycle a CPU starts
+#: at, not a chain of adds in front of its program) — an older entry
+#: then reads as a miss
+STORE_SCHEMA = "repro-serve-result/3"
 
 
 class ResultStore:

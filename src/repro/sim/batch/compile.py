@@ -335,7 +335,8 @@ def _with_masks(core: CompiledProgram, block: np.ndarray,
 
 
 def job_unsupported_reason(job, _memo: Optional[dict] = None) -> Optional[str]:
-    """Full-job supportability: techniques, cache config, programs.
+    """Full-job supportability: techniques, start cycles, cache config,
+    programs.
 
     The engine assumes the default :class:`ProcessorConfig` geometry
     (width 2, ROB 32, RS 16/16, store buffer 16, 2 ALUs) — exactly what
@@ -351,6 +352,8 @@ def job_unsupported_reason(job, _memo: Optional[dict] = None) -> Optional[str]:
         return "hardware prefetching enabled"
     if job.speculation:
         return "speculative loads enabled"
+    if any(job.starts):
+        return "a CPU starts after cycle 0"
     cache = job.cache_config()
     if cache.protocol != "invalidate":
         return f"cache protocol {cache.protocol!r}"

@@ -48,11 +48,14 @@ class BatchJob:
     warm_lines: Sequence[Tuple[int, int, bool]] = ()
     cache: Optional[CacheConfig] = None
     max_cycles: int = 1_000_000
+    #: the cycle each CPU starts at (``()``: all 0)
+    starts: Tuple[int, ...] = ()
     #: opaque caller cookie carried through to the result (job routing)
     key: object = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.programs = tuple(self.programs)
+        self.starts = tuple(self.starts)
 
     @property
     def ncpu(self) -> int:
@@ -186,6 +189,7 @@ def _build_and_run(job: BatchJob,
         cache=job.cache,
         max_cycles=job.max_cycles,
         trace=trace,
+        starts=job.starts,
     )
 
 

@@ -89,9 +89,13 @@ class Multiprocessor:
         extra_agents: int = 0,
         profile: Union[bool, HostProfiler] = False,
         fast_forward: bool = True,
+        starts: Sequence[int] = (),
     ) -> None:
         if not programs:
             raise ConfigurationError("need at least one program")
+        if starts and (len(starts) != len(programs) or min(starts) < 0):
+            raise ConfigurationError(
+                f"need one start cycle >= 0 per program, got {starts!r}")
         self.config = config or MachineConfig()
         self.trace = trace or TraceRecorder(enabled=False)
         self.sim = Simulator(profile=profile, fast_forward=fast_forward)
@@ -107,7 +111,8 @@ class Multiprocessor:
         for cpu_id, program in enumerate(programs):
             proc = Processor(cpu_id, self.sim, program,
                              self.fabric.caches[cpu_id], pconfig,
-                             trace=self.trace)
+                             trace=self.trace,
+                             start=starts[cpu_id] if starts else 0)
             self.sim.register(proc)
             self.processors.append(proc)
         self.agents: List[ScriptedAgent] = [
@@ -189,8 +194,13 @@ def run_workload(
     extra_agents: int = 0,
     profile: Union[bool, HostProfiler] = False,
     fast_forward: bool = True,
+    starts: Sequence[int] = (),
 ) -> RunResult:
     """Build a machine, warm it, run it, and return the result.
+
+    ``starts`` holds one start cycle per CPU (``()``: all 0): a CPU
+    does nothing up to and including its start cycle, which it charges
+    to ``idle``.
 
     ``profile`` enables the kernel's host-side self-profiler (pass
     ``True`` or a configured :class:`~repro.sim.profiler.HostProfiler`);
@@ -210,7 +220,7 @@ def run_workload(
     )
     machine = Multiprocessor(programs, config, trace=trace,
                              extra_agents=extra_agents, profile=profile,
-                             fast_forward=fast_forward)
+                             fast_forward=fast_forward, starts=starts)
     return run_machine(machine, initial_memory, warm_lines, max_cycles)
 
 

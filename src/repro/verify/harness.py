@@ -63,7 +63,7 @@ class RunConfig:
 
     name: str
     miss_latency: int = 40
-    #: per-thread start-time skews (indexed modulo thread count)
+    #: the cycle each thread's CPU starts at (indexed modulo thread count)
     skew: Tuple[int, ...] = (0,)
     #: pre-install every shared litmus line SHARED in every cache, so
     #: loads hit (and perform early) while stores still pay the
@@ -412,27 +412,21 @@ def leg_jobs(test: LitmusTest, legs: Sequence[Leg],
     """One :class:`~repro.system.jobs.BatchJob` — the arguments of
     ``run_workload`` — plus its audit map per leg.
 
-    This is the only place programs, start skew, warm lines, initial
-    memory and cache geometry are derived from a :class:`RunConfig`;
-    the fuzzer, the localizer and the job server's executors all run
-    what it returns.
+    This is the only place start cycles, warm lines, initial memory and
+    cache geometry are derived from a :class:`RunConfig`; the fuzzer,
+    the localizer and the job server's executors all run what it
+    returns.  A start skew is the cycle each thread's CPU starts at, not
+    a change to its program: every leg runs the same program objects.
     """
     addresses = test.addresses()
     nthreads = len(test.threads)
     initial_memory = {addr: test.initial.get(name, 0)
                       for name, addr in addresses.items()}
-    programs_by_skew: Dict[Tuple[int, ...], tuple] = {}
+    programs, audit_map = test.to_programs()
     jobs: List[BatchJob] = []
     audit_maps: List[Dict[str, int]] = []
     for model_name, prefetch, speculation, run_config in legs:
-        skew = tuple(run_config.skew[t % len(run_config.skew)]
-                     for t in range(nthreads))
-        cached = programs_by_skew.get(skew)
-        if cached is None:
-            # program objects are shared across models/techniques so the
-            # runner's per-program compile memoization can kick in
-            cached = programs_by_skew[skew] = test.to_programs(delays=skew)
-        programs, audit_map = cached
+        skew = run_config.skew
         warm: Tuple[Tuple[int, int, bool], ...] = ()
         if run_config.warm_shared:
             warm = tuple((cpu, addr, False)
@@ -448,6 +442,7 @@ def leg_jobs(test: LitmusTest, legs: Sequence[Leg],
             warm_lines=warm,
             cache=CacheConfig(line_size=run_config.line_size),
             max_cycles=run_config.max_cycles,
+            starts=tuple(skew[t % len(skew)] for t in range(nthreads)),
         ))
         audit_maps.append(audit_map)
     return jobs, audit_maps

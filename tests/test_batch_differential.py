@@ -29,6 +29,7 @@ from repro.consistency.litmus import STANDARD_TESTS
 from repro.memory.types import CacheConfig
 from repro.sim.batch import BatchJob, BatchRunner, job_unsupported_reason
 from repro.sim.sweep import derive_seed
+from repro.system.jobs import run_scalar
 from repro.system.machine import run_workload
 from repro.verify.generator import GeneratorConfig, generate_litmus
 from repro.verify.harness import (
@@ -82,9 +83,14 @@ def assert_jobs_bit_identical(jobs, audit_addrs_per_job):
 
 
 def litmus_jobs(test, model_name, prefetch, speculation, run_configs):
-    """The harness's simulator legs for one test, as batch jobs."""
+    """The harness's simulator legs for one test, as batch jobs the
+    engine can run: each start skew compiled into the programs as a
+    chain of adds (the engine runs no start cycle)."""
     jobs, audit_maps = leg_jobs(
         test, [(model_name, prefetch, speculation, rc) for rc in run_configs])
+    jobs = [dataclasses.replace(
+        job, programs=test.to_programs(delays=job.starts)[0], starts=())
+        for job in jobs]
     return jobs, [sorted(audit_map.values()) for audit_map in audit_maps]
 
 
@@ -104,6 +110,24 @@ class TestPaperExamples:
                        warm_lines=wl.warm_lines)
         assert job_unsupported_reason(job) is None
         assert_jobs_bit_identical([job], [PAPER_AUDIT])
+
+    def test_a_start_cycle_falls_back_to_scalar(self):
+        # the engine starts every CPU at cycle 0: a job that starts one
+        # later runs on the scalar kernel, start and all
+        test = STANDARD_TESTS["SB"]()
+        programs, audit_map = test.to_programs()
+        job = BatchJob(programs=programs, model_name="SC",
+                       initial_memory={a: 0 for a
+                                       in test.addresses().values()},
+                       starts=(0, 40))
+        assert job_unsupported_reason(job) == "a CPU starts after cycle 0"
+        (res,) = BatchRunner().run([job])
+        ref = run_scalar(job)
+        assert res.backend == "scalar"
+        assert res.unsupported_reason == job_unsupported_reason(job)
+        assert res.cycles == ref.cycles
+        assert res.stats.snapshot() == ref.stats.snapshot()
+        assert res.stats.snapshot()["cpu1/cycles/idle"] >= 40
 
     def test_example1_runs_batched(self):
         wl = example1_program()

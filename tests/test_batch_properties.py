@@ -33,9 +33,13 @@ from repro.consistency.models import get_model
 
 
 def make_job(seed: int, model_name: str, rc) -> BatchJob:
-    """One conventional harness leg for generated test ``seed``."""
-    (job,), (audit_map,) = leg_jobs(generate_litmus(seed),
-                                    [(model_name, False, False, rc)])
+    """One conventional harness leg for generated test ``seed``, its
+    start skew compiled into the programs as a chain of adds (the
+    engine runs no start cycle)."""
+    test = generate_litmus(seed)
+    (job,), (audit_map,) = leg_jobs(test, [(model_name, False, False, rc)])
+    job.programs = tuple(test.to_programs(delays=job.starts)[0])
+    job.starts = ()
     job.key = (seed, model_name, rc.name, sorted(audit_map.values()))
     return job
 

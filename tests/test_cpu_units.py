@@ -14,7 +14,7 @@ from repro.sim.errors import SimulationError
 def rob_entry(seq, instr):
     """An entry for ``instr`` at ``pc == seq``, carrying the row the core
     decodes it to (a branch's label ``t`` is the program's start)."""
-    row = decode_table(Program([instr], {"t": 0})).rows[0]
+    row = decode_table(Program([instr], {"t": 0}))[0]
     return RobEntry(seq, seq, row)
 
 

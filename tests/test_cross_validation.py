@@ -8,7 +8,7 @@ machine with both techniques enabled must never exhibit a non-SC
 outcome, which is the paper's entire correctness claim.
 
 To explore more than one interleaving we skew the processors' start
-times with per-CPU delay loops.
+cycles.
 """
 
 import pytest
@@ -30,12 +30,12 @@ def run_litmus_on_machine(test: LitmusTest, model, prefetch, speculation,
                           delays):
     """Compile via :meth:`LitmusTest.to_programs` and read the outcome
     back from the audit slots."""
-    programs, audit_map = test.to_programs(delays=delays)
+    programs, audit_map = test.to_programs()
     result = run_workload(programs, model=model, prefetch=prefetch,
                           speculation=speculation, miss_latency=40,
                           initial_memory={a: 0
                                           for a in test.addresses().values()},
-                          max_cycles=1_000_000)
+                          max_cycles=1_000_000, starts=delays)
     outcome = tuple(sorted(
         (reg, result.machine.read_word(slot))
         for reg, slot in audit_map.items()

@@ -14,7 +14,6 @@ from repro.consistency.models import SC
 from repro.cpu import decode
 from repro.cpu.decode import decode_table
 from repro.isa import Instruction, ProgramBuilder
-from repro.isa.instructions import Alu
 from repro.obs.accounting import StallCause
 from repro.system import run_workload
 from repro.workloads import critical_section_workload
@@ -39,7 +38,7 @@ def sample_program():
 class TestDecodeTable:
     def test_one_row_per_instruction_in_pc_order(self):
         program = sample_program()
-        rows = decode_table(program).rows
+        rows = decode_table(program)
         assert [row.instr for row in rows] == program.instructions
         assert [row.kind for row in rows] == [
             decode.RMW, decode.BRANCH, decode.LOAD, decode.ALU, decode.STORE,
@@ -47,7 +46,7 @@ class TestDecodeTable:
 
     def test_rows_hold_what_the_ladder_used_to_derive(self):
         rmw, branch, load, alu, store, swpf, jump, nop, halt = (
-            decode_table(sample_program()).rows)
+            decode_table(sample_program()))
         assert [r.dst for r in (rmw, branch, load, alu, store, swpf, halt)] \
             == ["r1", None, "r2", "r2", None, None, None]
         assert (branch.target_pc, jump.target_pc, load.target_pc) == (0, 8, None)
@@ -72,26 +71,6 @@ class TestDecodeTable:
         del program
         gc.collect()
         assert alive() is None   # the memo does not keep a program alive
-
-    def test_runs_of_one_self_dependent_add_are_recorded_once_each(self):
-        step = Alu(op="add", dst="r20", src1="r20", imm=1)
-        b = ProgramBuilder().mov_imm("r20", 0)
-        for instrs in ([step] * 5,
-                       [Alu(op="add", dst="r3", src1="r4", imm=1)] * 4,
-                       [Alu(op="add", dst="r0", src1="r0", imm=1)] * 4,
-                       [Alu(op="add", dst="r5", src1="r5", imm=1,
-                            latency=2)] * 4,
-                       [step] * 2,   # too short to sleep in
-                       [Alu(op="add", dst="r6", src1="r6", imm=2)] * 3,
-                       [step] * 4):
-            for instr in instrs:
-                b.emit(instr)
-        program = b.build()
-        table = decode_table(program)
-        # pcs 1-5, 20-22 and 23-26: a run is one object throughout
-        assert (table.run_firsts, table.run_lasts) == ([1, 20, 23],
-                                                       [5, 22, 26])
-        assert decode_table(sample_program()).run_firsts == []
 
     def test_nothing_is_attached_to_the_program(self):
         program = sample_program()

@@ -86,7 +86,7 @@ class TestOneLegBuilder:
             assert tuple(map(tuple, served["outcome"])) == local == forced
             assert served["cycles"] == res.cycles
 
-    def test_programs_built_once_per_skew(self, monkeypatch):
+    def test_programs_built_once_whatever_the_skew(self, monkeypatch):
         calls = []
         original = LitmusTest.to_programs
 
@@ -101,7 +101,9 @@ class TestOneLegBuilder:
                 for config in DEFAULT_RUN_CONFIGS]
         jobs, _audit_maps = leg_jobs(generate_litmus(self.FUZZ_SEED), legs)
         assert len(jobs) == 64
-        assert len(calls) == len(set(calls)) == len(DEFAULT_RUN_CONFIGS)
+        # a skew is a start cycle, not a program: one compile per test
+        assert calls == [None]
+        assert len({job.starts for job in jobs}) == len(DEFAULT_RUN_CONFIGS)
 
 
 class TestSweepDeterminism:

@@ -181,11 +181,9 @@ class TestSleepPromise:
     whole-run equality above only implies it.
 
     This holds the idle sleep to account: it probes each promise with
-    ``skip_cycles(1)`` and takes the replayed counters back, which
-    cannot undo a chain sleep's shift of the window.  None of these
-    inputs has a run of one self-dependent ``add`` (a start skew), so no
-    core here promises a chain sleep; ``tests/test_chain_sleep.py``
-    holds that one to the naive path.
+    ``skip_cycles(1)`` and takes the replayed counters back.  Every
+    core here starts at cycle 0, so none sleeps to a start cycle;
+    ``tests/test_start_cycle.py`` holds that sleep to the naive path.
     """
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)

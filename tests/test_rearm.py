@@ -71,7 +71,8 @@ def _fresh(job, audit_map):
                       miss_latency=job.miss_latency,
                       initial_memory=job.initial_memory,
                       warm_lines=job.warm_lines, cache=job.cache,
-                      max_cycles=job.max_cycles, trace=recorder)
+                      max_cycles=job.max_cycles, trace=recorder,
+                      starts=job.starts)
     return _observe(rr, recorder.events, audit_map)
 
 
@@ -88,7 +89,8 @@ def _rearmed(jobs, audit_maps, order):
                     if repr(jobs[k].machine_shape()) == shape][-1]
             recorder = TraceRecorder()
             machines[shape] = (Multiprocessor(
-                job.programs, _config(jobs[last]), trace=recorder), recorder)
+                job.programs, _config(jobs[last]), trace=recorder,
+                starts=job.starts), recorder)
         machine, recorder = machines[shape]
         machine.reset(get_model(job.model_name), job.prefetch,
                       job.speculation)

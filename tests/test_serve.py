@@ -243,12 +243,11 @@ class TestProtocol:
         "not an object",
         # the machine refuses a miss latency below 3 cycles
         {"test": {"name": "SB"}, "run_config": {"miss_latency": 2}},
-        # a skew of d cycles is d dependent instructions: past
-        # max_cycles the thread cannot finish
+        # a thread that starts past max_cycles never runs
         {"test": {"name": "SB"},
          "run_config": {"skew": [1000000], "max_cycles": 50}},
-        # and so a cycle budget is a program length: one past
-        # MAX_JOB_CYCLES is refused
+        # a cycle budget bounds a job's run: one past MAX_JOB_CYCLES
+        # is refused
         {"test": {"name": "SB"},
          "run_config": {"max_cycles": 4_000_001}},
     ] + [job for job, _field in MISTYPED_JOBS] + UNANSWERED_JOBS)
@@ -347,17 +346,17 @@ class TestResultStore:
         assert ResultStore.validate_entry("junk", "ab") != []
 
     def test_an_entry_of_the_previous_schema_is_a_miss(self, tmp_path):
-        # a /1 entry was computed by a machine that started litmus legs
-        # from zeroed memory and polled for busy resources: the same
-        # request may now compute another result, so it re-executes
+        # a /2 entry was computed by a machine that ran a skew as a
+        # chain of adds in front of the thread: the same request may now
+        # compute another result, so it re-executes
         store = ResultStore(str(tmp_path))
         sha = self._sha()
         result = {"outcome": [["r0", 1]], "cycles": 5}
         path = store.put(sha, {"r": 1}, result)
         entry = json.loads(open(path).read())
-        assert entry["schema"] == STORE_SCHEMA == "repro-serve-result/2"
+        assert entry["schema"] == STORE_SCHEMA == "repro-serve-result/3"
         with open(path, "w") as fh:
-            json.dump({**entry, "schema": "repro-serve-result/1"}, fh)
+            json.dump({**entry, "schema": "repro-serve-result/2"}, fh)
         assert store.get(sha) is None
         assert (store.hits, store.misses) == (0, 1)
 

@@ -17,7 +17,7 @@ from repro.sim import StatsRegistry
 LOAD_ROW, RMW_ROW = decode_table(assemble("""
     ld     r1, 0x4
     rmw.ts r2, 0x8
-""")).rows
+"""))
 
 
 def make_slb(size=8):

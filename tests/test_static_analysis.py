@@ -190,8 +190,10 @@ class TestLitmusFences:
 
 class TestCrossValidation:
     def test_static_covers_dynamic_on_core_suite(self):
+        # WRC and IRIW have more threads than a skew has entries
         tests = [STANDARD_TESTS["SB"](), STANDARD_TESTS["MP+sync"](),
-                 sb_with_sync()]
+                 sb_with_sync(), STANDARD_TESTS["WRC"](),
+                 STANDARD_TESTS["IRIW"]()]
         report = cross_validate(tests, models=[SC, WC, RC])
         assert report.ok, report.render()
 
