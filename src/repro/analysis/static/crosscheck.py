@@ -52,12 +52,6 @@ class CrossCase:
     dynamic_lines: Set[Tuple[int, int]] = field(default_factory=set)
     #: human-readable detail of each dynamic flag
     dynamic_detail: List[str] = field(default_factory=list)
-    #: third leg: does the axiomatic checker's outcome set equal the
-    #: interleaving enumerator's on this (test, model)?
-    axiomatic_agree: bool = True
-    #: sizes of the two static outcome sets, for the report line
-    axiomatic_outcomes: int = 0
-    enumerated_outcomes: int = 0
 
     @property
     def uncovered(self) -> Set[Tuple[int, int]]:
@@ -67,19 +61,15 @@ class CrossCase:
 
     @property
     def agrees(self) -> bool:
-        return not self.uncovered and self.axiomatic_agree
+        return not self.uncovered
 
     def describe(self) -> str:
         mark = "ok " if self.agrees else "FAIL"
         return (f"[{mark}] {self.test:>20} under {self.model:>5}: "
                 f"static predicts {len(self.static_lines)} flaggable "
-                f"line(s), dynamic flagged {len(self.dynamic_lines)}, "
-                f"axiomatic {self.axiomatic_outcomes}/"
-                f"{self.enumerated_outcomes} outcome(s)"
+                f"line(s), dynamic flagged {len(self.dynamic_lines)}"
                 + ("" if not self.uncovered
-                   else f", UNCOVERED: {sorted(self.uncovered)}")
-                + ("" if self.axiomatic_agree
-                   else ", AXIOMATIC-ENUMERATOR MISMATCH"))
+                   else f", UNCOVERED: {sorted(self.uncovered)}"))
 
 
 @dataclass
@@ -94,9 +84,8 @@ class CrossReport:
         return [c for c in self.cases if not c.agrees]
 
     def render(self) -> str:
-        lines = ["static vs dynamic vs axiomatic agreement "
-                 "(static-flaggable must cover dynamically-flagged; "
-                 "axiomatic and enumerated outcome sets must be equal):"]
+        lines = ["static vs dynamic agreement "
+                 "(static-flaggable must cover dynamically-flagged):"]
         lines += ["  " + c.describe() for c in self.cases]
         verdict = ("agreement holds on every case" if self.ok
                    else f"{len(self.failures())} case(s) DISAGREE")
@@ -146,8 +135,6 @@ def cross_validate(
     line_size: int = 4,
 ) -> CrossReport:
     """Compare static prediction and dynamic detection over a suite."""
-    from ..axiomatic import compare_with_enumerator
-
     report = CrossReport()
     for test in tests:
         programs, _ = test.to_programs()
@@ -162,9 +149,5 @@ def cross_validate(
                     case.static_lines.add((cpu, addr // line_size))
             case.dynamic_lines, case.dynamic_detail = _dynamic_flags(
                 test, programs, model, delays, line_size)
-            comparison = compare_with_enumerator(test, model)
-            case.axiomatic_agree = comparison.agree
-            case.axiomatic_outcomes = len(comparison.axiomatic)
-            case.enumerated_outcomes = len(comparison.enumerated)
             report.cases.append(case)
     return report

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..consistency.models import SC, ConsistencyModel
 from ..sim.errors import ConfigurationError
 
 
@@ -17,11 +16,11 @@ class ProcessorConfig:
     register renaming / precise interrupts, reservation stations per
     functional unit, and the load/store unit of Figure 4.
 
-    ``enable_prefetch`` and ``enable_speculation`` are the paper's two
-    techniques; both default off (the *conventional* implementation).
+    The consistency model and the paper's two techniques are the run's,
+    not the core's: :class:`~repro.system.machine.MachineConfig` holds
+    them, and a re-armed machine may change them.
     """
 
-    model: ConsistencyModel = SC
     width: int = 2                  # fetch/decode and retire width per cycle
     rob_size: int = 32
     alu_rs_size: int = 16
@@ -29,8 +28,6 @@ class ProcessorConfig:
     store_buffer_size: int = 16
     slb_size: int = 16              # speculative-load buffer entries
     alu_count: int = 2
-    enable_prefetch: bool = False
-    enable_speculation: bool = False
     #: run the Section 6 extension: monitor accesses that perform
     #: outside their SC window and report potential SC violations
     #: (detection only; no correction)

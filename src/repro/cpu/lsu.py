@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict, deque
+from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Tuple)
 
@@ -95,9 +96,12 @@ class MemOp:
 
 def _unit(enabled: str, make: Callable) -> Callable:
     """A technique unit's factory: each reset makes it anew when the
-    core's config turns it on — its statistics exist only while it does."""
+    machine's config turns it on — its statistics exist only while it
+    does."""
+    is_on = attrgetter(enabled)
+
     def unit(lsu: "LoadStoreUnit"):
-        if not getattr(lsu.config, enabled):
+        if not is_on(lsu.config):
             return None
         with lsu.sim.stats.transient():
             return make(lsu, lsu.sim.stats, f"cpu{lsu.cpu_id}/")
@@ -115,15 +119,14 @@ class LoadStoreUnit:
     station ``rs``, the address unit (its op, and the cycle its address
     is ready), the issue stage ``ready_loads`` and the store buffer; and
     ``pending``, every decoded memory op until it is performed.  A
-    reset empties them and runs as the core's config says."""
+    reset empties them and runs as the machine's config says now."""
 
     STATE = dict(
         cpu_id=FIXED, sim=FIXED, cache=FIXED, rob=FIXED, core=FIXED,
         trace=FIXED, _resume=FIXED, stat_loads=FIXED, stat_stores=FIXED,
         stat_rmws=FIXED, stat_forwards=FIXED, stat_rs_stalls=FIXED,
         stat_sb_stalls=FIXED, stat_load_latency=FIXED,
-        stat_store_latency=FIXED,
-        config=Fixed(lambda lsu: lsu.core.config),
+        stat_store_latency=FIXED, config=FIXED,
         rs=Records(MemOp, deque), addr_unit=Part(None),
         addr_ready=Cycle(of="addr_unit"),
         ready_loads=Records(Ref(), list), store_buffer=Records(Ref(), list),
@@ -140,13 +143,15 @@ class LoadStoreUnit:
             lambda lsu: lsu.config.model.load_waits_for_store(
                 PLAIN_STORE, PLAIN_LOAD)),
         slb=Part(_unit("enable_speculation", lambda lsu, stats, prefix:
-                       SpeculativeLoadBuffer(lsu.config.slb_size, stats,
-                                             name=prefix + "slb"))),
+                       SpeculativeLoadBuffer(lsu.config.processor.slb_size,
+                                             stats, name=prefix + "slb"))),
         prefetcher=Fixed(_unit("enable_prefetch", lambda lsu, stats, prefix:
                                HardwarePrefetcher(
-                                   lsu.cache, lsu.config.prefetches_per_cycle,
+                                   lsu.cache,
+                                   lsu.config.processor.prefetches_per_cycle,
                                    stats, name=prefix + "prefetcher"))),
-        sc_detector=Fixed(_unit("enable_sc_detection", _sc_detector)))
+        sc_detector=Fixed(_unit("processor.enable_sc_detection",
+                                _sc_detector)))
 
     def __init__(
         self,
@@ -165,6 +170,8 @@ class LoadStoreUnit:
         #: the processor whose tick runs this unit, and whose rollback a
         #: violated speculative load asks for
         self.core = core
+        #: the machine's config, as the core reads it
+        self.config = core.config
         self.trace = trace or TraceRecorder(enabled=False)
 
         cache.register_snoop_listener(self._waking(self._on_snoop))
@@ -209,7 +216,7 @@ class LoadStoreUnit:
     # ------------------------------------------------------------------
     @property
     def rs_full(self) -> bool:
-        return len(self.rs) >= self.config.ls_rs_size
+        return len(self.rs) >= self.config.processor.ls_rs_size
 
     def dispatch(self, entry: RobEntry, base: Operand, data: Optional[Operand]) -> None:
         op = MemOp(entry, base, data)
@@ -322,7 +329,7 @@ class LoadStoreUnit:
             self.addr_unit = None
         else:
             # store or RMW heads for the store buffer
-            if len(self.store_buffer) >= self.config.store_buffer_size:
+            if len(self.store_buffer) >= self.config.processor.store_buffer_size:
                 return  # stall until a slot frees
             # "there is no speculative load for non-cached
             # read-modify-write accesses" (Appendix A)

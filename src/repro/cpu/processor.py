@@ -13,7 +13,7 @@ for speculative load accesses").
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..isa.program import Program
 from ..isa.registers import RegisterFile
@@ -24,12 +24,14 @@ from ..sim.state import (FIXED, Numbering, Part, Seq, Shift, Value, Watched,
                          period_key, renumber, reset)
 from ..sim.trace import TraceRecorder
 from .branch import BranchPredictor
-from .config import ProcessorConfig
 from .decode import ALU, BRANCH, HALT, JUMP, TO_LSU, Decoded, decode_table
 from .lsu import LoadStoreUnit
 from .rob import Operand, ReorderBuffer, RobEntry
 from .spin import Books, Period, Point, SpinWatch
 from .units import AluUnit, BranchUnit
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..system.machine import MachineConfig
 
 
 def _reason_slug(reason: str) -> str:
@@ -41,9 +43,9 @@ class Processor(Component):
     """One core executing one program against its coherent cache."""
 
     #: a reset puts the core at the program's first instruction with
-    #: every buffer empty, running as its ``config`` says (which may
-    #: differ from the wired one only in the consistency model and the
-    #: technique flags: the buffers keep their sizes)
+    #: every buffer empty, running as its machine's ``config`` says now
+    #: (a re-arm may have changed the consistency model and the
+    #: technique flags; the buffers keep their sizes)
     STATE = dict(
         cpu_id=FIXED, sim=FIXED, program=FIXED, _rows=FIXED, start=FIXED,
         trace=FIXED, name=FIXED, stat_retired=FIXED,
@@ -68,7 +70,7 @@ class Processor(Component):
         sim: Simulator,
         program: Program,
         cache: LockupFreeCache,
-        config: Optional[ProcessorConfig] = None,
+        config: "MachineConfig",
         trace: Optional[TraceRecorder] = None,
         start: int = 0,
     ) -> None:
@@ -79,15 +81,18 @@ class Processor(Component):
         #: the cycle the core begins at: it does nothing up to and
         #: including this cycle, and charges each of them to ``idle``
         self.start = start
-        self.config = config = config or ProcessorConfig()
+        #: the machine's config, shared by every core: the run's model
+        #: and technique flags, and in ``processor`` the core's sizes
+        self.config = config
         self.trace = trace or TraceRecorder(enabled=False)
         self.name = f"cpu{cpu_id}"
 
-        self.rob = ReorderBuffer(config.rob_size)
+        sizes = config.processor
+        self.rob = ReorderBuffer(sizes.rob_size)
         self.predictor = BranchPredictor()
-        self.alu_unit = AluUnit(config.alu_rs_size, config.alu_count,
+        self.alu_unit = AluUnit(sizes.alu_rs_size, sizes.alu_count,
                                 self._on_alu_complete)
-        self.branch_unit = BranchUnit(config.alu_rs_size,
+        self.branch_unit = BranchUnit(sizes.alu_rs_size,
                                       self._on_branch_resolve)
         self.lsu = LoadStoreUnit(cpu_id, sim, cache, self.rob, self,
                                  trace=self.trace)
@@ -338,7 +343,7 @@ class Processor(Component):
         a store head was signalled (which happens exactly once)."""
         moved = False
         rob = self.rob
-        for _ in range(self.config.width):
+        for _ in range(self.config.processor.width):
             head = rob.head()
             if head is None:
                 break
@@ -401,7 +406,7 @@ class Processor(Component):
         # only a dispatch fills the window or halts fetch in here, and a
         # dispatch that halts fetch ends the loop
         room = self.rob.size - len(self.rob)
-        for _ in range(min(self.config.width, room)):
+        for _ in range(min(self.config.processor.width, room)):
             if not 0 <= self.pc < len(rows):
                 self.fetch_halted = True
                 return True

@@ -20,12 +20,7 @@ import multiprocessing
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, Mapping
 
-from .protocol import (
-    ProtocolError,
-    normalize_job,
-    resolve_test,
-    run_config_from_spec,
-)
+from .protocol import ProtocolError, normalize_job, resolve_test
 
 #: executor kinds the server and CLI know
 EXECUTOR_KINDS = ("serial", "pool")
@@ -39,14 +34,14 @@ def execute_job(spec: Mapping[str, object]) -> Dict[str, object]:
     result equals a local one.
     """
     from ..system.jobs import run_scalar
-    from ..verify.harness import job_outcome, leg_jobs
+    from ..verify.harness import RunConfig, job_outcome, leg_jobs
 
     spec = normalize_job(spec)
     (job,), (audit_map,) = leg_jobs(
         resolve_test(spec["test"]),  # type: ignore[arg-type]
         [(str(spec["model"]), bool(spec["prefetch"]),
           bool(spec["speculation"]),
-          run_config_from_spec(spec["run_config"]))])  # type: ignore[arg-type]
+          RunConfig.from_spec(spec["run_config"]))])  # type: ignore[arg-type]
     res = run_scalar(job)
     return {"outcome": [[reg, val]
                         for reg, val in job_outcome(res, audit_map)],

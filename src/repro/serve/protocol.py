@@ -9,9 +9,9 @@ a socket, land in a ledger, and key a content-addressed cache:
   litmus dict (``{"litmus": {...}}`` in the corpus serialization);
 * a **model** (``"SC"``/``"PC"``/``"WC"``/``"RC"``) and the two
   technique flags (``prefetch``, ``speculation``);
-* a **run_config**: the machine/environment knobs of
-  :class:`repro.verify.harness.RunConfig` (miss latency, per-thread
-  skews, warm-shared lines, line size, cycle budget).
+* a **run_config**: the wire form of
+  :class:`repro.verify.harness.RunConfig`, whose fields declare its
+  keys, defaults and JSON types.
 
 :func:`normalize_job` fills every default and validates, producing the
 **canonical job**: a fully-determined plain dict whose
@@ -64,19 +64,14 @@ class ProtocolError(ValueError):
 
 _JOB_KEYS = frozenset({"schema", "test", "model", "prefetch", "speculation",
                        "run_config"})
-_RUN_CONFIG_KEYS = frozenset({"miss_latency", "skew", "warm_shared",
-                              "line_size", "max_cycles", "name"})
-_RUN_CONFIG_DEFAULTS = RunConfig(name="serve")
 
 
-def _flag(raw: Mapping[str, object], key: str, default: bool,
-          where: str = "") -> bool:
+def _flag(raw: Mapping[str, object], key: str, default: bool) -> bool:
     """``raw[key]`` (or ``default``), which must be a JSON boolean: a
     string or a number is a typo, not a flag."""
     value = raw.get(key, default)
     if not isinstance(value, bool):
-        raise ProtocolError(f"{where}{key} must be true or false, "
-                            f"got {value!r}")
+        raise ProtocolError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -89,49 +84,24 @@ def _integer(value: object, name: str) -> int:
 
 
 def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
-    defaults = _RUN_CONFIG_DEFAULTS
-    unknown = set(raw) - _RUN_CONFIG_KEYS
-    if unknown:
-        raise ProtocolError(f"unknown run_config key(s): {sorted(unknown)}")
-    skew_raw = raw.get("skew", defaults.skew)
-    if not isinstance(skew_raw, (list, tuple)):
-        raise ProtocolError(f"run_config.skew must be a list of integers, "
-                            f"got {skew_raw!r}")
-    skew = [_integer(s, f"run_config.skew[{i}]")
-            for i, s in enumerate(skew_raw)]
-
-    def integer(key: str) -> int:
-        return _integer(raw.get(key, getattr(defaults, key)),
-                        f"run_config.{key}")
-
-    miss_latency = integer("miss_latency")
-    line_size = integer("line_size")
-    max_cycles = integer("max_cycles")
-    warm_shared = _flag(raw, "warm_shared", defaults.warm_shared,
-                        "run_config.")
+    """``raw`` as :class:`RunConfig`'s wire form, which declares its
+    keys, defaults and types; the bounds here are the server's own."""
     try:
-        RunConfig(name="serve", miss_latency=miss_latency,
-                  skew=tuple(skew), warm_shared=warm_shared,
-                  line_size=line_size, max_cycles=max_cycles)
+        config = RunConfig.from_spec(raw)
+    except TypeError as exc:
+        raise ProtocolError(str(exc)) from None
     except ConfigurationError as exc:
         raise ProtocolError(f"bad run_config: {exc}") from None
-    if max_cycles > MAX_JOB_CYCLES:
+    if config.max_cycles > MAX_JOB_CYCLES:
         raise ProtocolError(
             f"run_config.max_cycles must be <= {MAX_JOB_CYCLES}")
-    if max(skew) > max_cycles:
+    if max(config.skew) > config.max_cycles:
         # a skew is the cycle a thread's CPU starts at: one past the
         # budget names a thread the run never starts
         raise ProtocolError("run_config.skew entries must be <= max_cycles")
-    config: Dict[str, object] = {
-        "miss_latency": miss_latency,
-        "skew": skew,
-        "warm_shared": warm_shared,
-        "line_size": line_size,
-        "max_cycles": max_cycles,
-    }
-    # "name" is a display label, not result-determining: excluded from
-    # the canonical form so it can never split the cache
-    return config
+    # the display-only name is no part of the wire form, so it can
+    # never split the cache
+    return config.spec()
 
 
 def _canonical_test(raw: Mapping[str, object]) -> Dict[str, object]:
@@ -227,13 +197,6 @@ def resolve_test(spec: Mapping[str, object]):
     return litmus_from_dict(dict(spec["litmus"]))  # type: ignore[arg-type]
 
 
-def run_config_from_spec(spec: Mapping[str, object]):
-    """The canonical run_config dict as a harness :class:`RunConfig`."""
-    # the canonical dict holds every field but the display-only name
-    return RunConfig(**{**spec, "name": "serve",
-                        "skew": tuple(spec["skew"])})  # type: ignore[arg-type]
-
-
 def make_job(test: Mapping[str, object],
              model: str = "SC",
              prefetch: bool = False,
@@ -317,5 +280,4 @@ __all__ = [
     "normalize_job",
     "outcome_pairs",
     "resolve_test",
-    "run_config_from_spec",
 ]

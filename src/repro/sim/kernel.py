@@ -21,8 +21,9 @@ lost: a component whose idle ticks have deterministic side effects
 ticks, or when ``run()`` returns or raises, so results stay
 bit-identical to the naive path.  When every component sleeps and the
 next event is also in the future, the clock jumps straight to the
-earliest of those.  The per-cycle deadlock scan collapses into the same
-check: a frozen span cannot un-deadlock itself.
+earliest of those.  A run that wedges raises :class:`DeadlockError` at
+its cycle budget, whether it slept there or ticked, with what each busy
+component still waits on.
 
 Determinism: no wall-clock time, no unordered dict/set iteration in any
 decision path, and the event queue breaks ties by scheduling order.
@@ -58,9 +59,7 @@ class Component:
     def is_quiescent(self) -> bool:
         """True when the component has no pending work.
 
-        Used by the kernel's deadlock detector: if *every* component is
-        quiescent and the event queue is empty but the simulation has not
-        reached its termination condition, we are deadlocked.
+        A deadlock's diagnostic names the components that are not.
         """
         return True
 
@@ -102,11 +101,10 @@ class Component:
 class Simulator:
     """Owns the clock, the event queue, the components, and statistics."""
 
-    def __init__(self, stats: Optional[StatsRegistry] = None,
-                 profile: Union[bool, HostProfiler] = False,
+    def __init__(self, profile: Union[bool, HostProfiler] = False,
                  fast_forward: bool = True) -> None:
         self.events = EventQueue()
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = StatsRegistry()
         self.fast_forward = fast_forward
         self._components: List[Component] = []
         self._watched: List[Component] = []
@@ -302,13 +300,10 @@ class Simulator:
         self,
         until: Callable[[], bool],
         max_cycles: int = 1_000_000,
-        deadlock_check: bool = True,
     ) -> int:
         """Step until ``until()`` is true; return the final cycle.
 
-        Raises :class:`DeadlockError` if ``max_cycles`` elapse first, or
-        earlier if every component is quiescent with an empty event queue
-        while ``until()`` remains false.
+        Raises :class:`DeadlockError` if ``max_cycles`` elapse first.
 
         ``until`` must be a function of simulation *state* (finished
         flags, queue emptiness), not of ``self.cycle`` or of per-cycle
@@ -330,13 +325,6 @@ class Simulator:
                 if self.cycle >= max_cycles:
                     raise DeadlockError(self.cycle, self._diagnose())
                 next_event = self.events.next_cycle()
-                if (
-                    deadlock_check
-                    and next_event is None
-                    and all(c.is_quiescent() for c in self._components)
-                ):
-                    raise DeadlockError(
-                        self.cycle, "all components quiescent; " + self._diagnose())
                 if fast and (next_event is None or next_event > self.cycle + 1):
                     if prof is not None:
                         t0 = time.perf_counter_ns()

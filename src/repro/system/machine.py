@@ -39,7 +39,10 @@ from .fabric import MemoryFabric
 
 @dataclass
 class MachineConfig:
-    """Everything needed to build a multiprocessor."""
+    """Everything needed to build a multiprocessor.  The first three
+    fields are a run's, read by every core and assigned by
+    :meth:`Multiprocessor.reset`; both techniques default off (the
+    *conventional* implementation)."""
 
     model: ConsistencyModel = SC
     enable_prefetch: bool = False
@@ -47,14 +50,6 @@ class MachineConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     latencies: LatencyConfig = field(default_factory=lambda: LatencyConfig.from_miss_latency(100))
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
-
-    def processor_config(self) -> ProcessorConfig:
-        return replace(
-            self.processor,
-            model=self.model,
-            enable_prefetch=self.enable_prefetch,
-            enable_speculation=self.enable_speculation,
-        )
 
 
 @dataclass
@@ -96,7 +91,8 @@ class Multiprocessor:
         if starts and (len(starts) != len(programs) or min(starts) < 0):
             raise ConfigurationError(
                 f"need one start cycle >= 0 per program, got {starts!r}")
-        self.config = config or MachineConfig()
+        # the machine's own copy: a reset assigns its run fields
+        self.config = replace(config) if config is not None else MachineConfig()
         self.trace = trace or TraceRecorder(enabled=False)
         self.sim = Simulator(profile=profile, fast_forward=fast_forward)
         self.fabric = MemoryFabric(
@@ -106,11 +102,10 @@ class Multiprocessor:
             latencies=self.config.latencies,
             trace=self.trace,
         )
-        pconfig = self.config.processor_config()
         self.processors: List[Processor] = []
         for cpu_id, program in enumerate(programs):
             proc = Processor(cpu_id, self.sim, program,
-                             self.fabric.caches[cpu_id], pconfig,
+                             self.fabric.caches[cpu_id], self.config,
                              trace=self.trace,
                              start=starts[cpu_id] if starts else 0)
             self.sim.register(proc)
@@ -134,17 +129,17 @@ class Multiprocessor:
         the directory empty, memory zero, every wired statistic zero and
         every other one gone (so the technique units and their counters
         follow the flags).  The trace recorder and the profiler stay
-        attached; the profiler counts from zero again.
+        attached; the profiler counts from zero again.  The three fields
+        are assigned on the machine's config, which every core reads.
         """
-        self.config = replace(self.config, model=model,
-                              enable_prefetch=prefetch,
-                              enable_speculation=speculation)
+        config = self.config
+        config.model = model
+        config.enable_prefetch = prefetch
+        config.enable_speculation = speculation
         self.sim.reset()
         self.sim.stats.reset()
         self.fabric.reset()
-        pconfig = self.config.processor_config()
         for proc in self.processors:
-            proc.config = pconfig
             reset(proc)
         for agent in self.agents:
             agent.reset()
@@ -175,8 +170,7 @@ class Multiprocessor:
 
     def run(self, max_cycles: int = 1_000_000) -> int:
         """Run until every program finishes and all memory traffic drains."""
-        return self.sim.run(until=self.done, max_cycles=max_cycles,
-                            deadlock_check=False)
+        return self.sim.run(until=self.done, max_cycles=max_cycles)
 
 
 def run_workload(

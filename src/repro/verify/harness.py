@@ -31,9 +31,9 @@ the fuzzer finding those mutations proves the harness has teeth.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence, Tuple, get_type_hints)
 
 from ..consistency.litmus import LitmusTest, Outcome
 from ..consistency.models import get_model
@@ -57,9 +57,40 @@ TECHNIQUE_COMBOS: Tuple[Tuple[bool, bool], ...] = (
 )
 
 
+def _integer(value: object, where: str) -> int:
+    """A JSON integer: not a boolean, a float or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value: object, where: str) -> bool:
+    """A JSON boolean: a string or a number is a typo, not a flag."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _integers(value: object, where: str) -> Tuple[int, ...]:
+    """A JSON list of integers, each checked by its index."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{where} must be a list of integers, got {value!r}")
+    for i, v in enumerate(value):
+        if type(v) is not int:  # only a suspect entry's name is formatted
+            _integer(v, f"{where}[{i}]")
+    return tuple(value)
+
+
+#: the JSON check of each field type a :class:`RunConfig` declares
+_WIRE_TYPES: Dict[object, Callable[[object, str], object]] = {
+    int: _integer, bool: _boolean, Tuple[int, ...]: _integers}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One machine/environment configuration for a litmus run."""
+    """One machine/environment configuration for a litmus run.  Its
+    fields, but the display-only ``name``, are its wire form too: the
+    ``run_config`` of a served job (:meth:`spec`, :meth:`from_spec`)."""
 
     name: str
     miss_latency: int = 40
@@ -83,10 +114,41 @@ class RunConfig:
         if self.max_cycles < 1:
             raise ConfigurationError("RunConfig.max_cycles must be >= 1")
 
+    def spec(self) -> Dict[str, object]:
+        """The wire form, as JSON (a tuple is a list)."""
+        values = vars(self)
+        return {key: list(values[key]) if check is _integers else values[key]
+                for key, _, check, _ in _WIRE}
+
+    @classmethod
+    def from_spec(cls, raw: Mapping[str, object],
+                  name: str = "serve") -> "RunConfig":
+        """The config a wire form asks for, missing fields defaulted (a
+        ``name`` in ``raw`` is a label, ignored).  ``TypeError`` names
+        an unknown key or a value of the wrong JSON type."""
+        if not _WIRE_KEYS.issuperset(raw):
+            raise TypeError(f"unknown run_config key(s): "
+                            f"{sorted(set(raw) - _WIRE_KEYS)}")
+        # positionally, in field order: the fields after the name
+        return cls(name, *[check(raw[key], where) if key in raw else default
+                           for key, default, check, where in _WIRE])
+
+
+#: each field of a RunConfig's wire form, in field order: its key,
+#: default, JSON check and the name a refusal calls it by
+_WIRE = tuple((f.name, f.default,
+               _WIRE_TYPES[get_type_hints(RunConfig)[f.name]],
+               f"run_config.{f.name}")
+              for f in fields(RunConfig) if f.name != "name")
+_WIRE_KEYS = frozenset({"name", *(wire[0] for wire in _WIRE)})
+
 
 #: default configuration axis: contention windows of different shapes,
 #: plus a false-sharing geometry (footnote 2: litmus locations x/y/data
-#: share one 32-word line, so conservative line-granular detection fires)
+#: share one 32-word line, so conservative line-granular detection fires).
+#: Of these, only warm-tight and false-sharing catch the ``slb-deaf``
+#: self-test fault (``--budget 100 --seed 0`` fails in 16 legs, 8 each);
+#: warm-skewed and cold-skewed catch none of it.
 DEFAULT_RUN_CONFIGS: Tuple[RunConfig, ...] = (
     RunConfig(name="warm-tight", miss_latency=40, skew=(0, 0), warm_shared=True),
     RunConfig(name="warm-skewed", miss_latency=40, skew=(0, 40, 7, 23),
@@ -473,10 +535,7 @@ def _server_outcomes(test: LitmusTest, legs: Sequence[Leg],
         "model": model_name,
         "prefetch": prefetch,
         "speculation": speculation,
-        # every field but the display-only name
-        "run_config": {key: value
-                       for key, value in asdict(run_config).items()
-                       if key != "name"},
+        "run_config": run_config.spec(),
     } for model_name, prefetch, speculation, run_config in legs]
     outcomes: List[Outcome] = []
     for result in client.submit_many(jobs):

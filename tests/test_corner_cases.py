@@ -108,8 +108,7 @@ class TestWritebackRace:
         # CPU0 dirties line 0
         fabric.caches[0].access(AccessRequest(
             req_id=1, kind=AccessKind.STORE, addr=0x0, value=111, callback=cb))
-        sim.run(until=lambda: 1 in done, max_cycles=10_000,
-                deadlock_check=False)
+        sim.run(until=lambda: 1 in done, max_cycles=10_000)
         # CPU0 evicts it (conflicting fill) while CPU1 requests it
         fabric.caches[0].access(AccessRequest(
             req_id=2, kind=AccessKind.LOAD, addr=0x10, callback=cb))
@@ -117,11 +116,9 @@ class TestWritebackRace:
             sim.step()
         fabric.caches[1].access(AccessRequest(
             req_id=3, kind=AccessKind.LOAD, addr=0x0, callback=cb))
-        sim.run(until=lambda: 2 in done and 3 in done, max_cycles=50_000,
-                deadlock_check=False)
+        sim.run(until=lambda: 2 in done and 3 in done, max_cycles=50_000)
         assert done[3] == 111  # the dirty data must never be lost
-        sim.run(until=fabric.is_quiescent, max_cycles=50_000,
-                deadlock_check=False)
+        sim.run(until=fabric.is_quiescent, max_cycles=50_000)
         assert fabric.directory.read_word(0x0) == 111
 
 

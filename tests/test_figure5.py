@@ -40,8 +40,7 @@ class TestScriptedAgent:
         req = AccessRequest(req_id=1, kind=AccessKind.LOAD, addr=0x40,
                             callback=lambda r, v: done.setdefault("v", v))
         assert fabric.caches[0].access(req)
-        sim.run(until=lambda: "v" in done, max_cycles=10_000,
-                deadlock_check=False)
+        sim.run(until=lambda: "v" in done, max_cycles=10_000)
         assert done["v"] == 77
 
     def test_agent_read_downgrades_owner(self):

@@ -107,10 +107,10 @@ class TestProfilingOn:
         sim = Simulator(profile=True)
         spinner = Spinner(10)
         sim.register(spinner)
-        sim.run(until=spinner.done, deadlock_check=False)
+        sim.run(until=spinner.done)
         first = sim.stats.counter(HOST_PREFIX + "cycles").value
         spinner.limit = 20
-        sim.run(until=spinner.done, deadlock_check=False)
+        sim.run(until=spinner.done)
         assert first == 10
         assert sim.stats.counter(HOST_PREFIX + "cycles").value == 20
 
@@ -144,7 +144,7 @@ class TestHeartbeat:
         sim = Simulator(profile=profiler)
         spinner = Spinner(35)
         sim.register(spinner)
-        sim.run(until=spinner.done, deadlock_check=False)
+        sim.run(until=spinner.done)
         assert [hb.cycle for hb in beats] == [10, 20, 30]
         for hb in beats:
             assert hb.wall_seconds >= 0.0
@@ -175,7 +175,7 @@ class TestHeartbeat:
                                              heartbeat_cycles=10))
         fired = []
         sim.schedule(35, lambda: fired.append(sim.cycle))
-        sim.run(until=lambda: bool(fired), deadlock_check=False)
+        sim.run(until=lambda: bool(fired))
         assert [hb.cycle for hb in beats] == [35]
 
     def test_bad_heartbeat_interval_rejected(self):

@@ -88,8 +88,7 @@ class TestDirectoryInternals:
         req = AccessRequest(req_id=rid[0], kind=kind, addr=addr, value=value,
                             callback=lambda r, v: done.setdefault("v", v))
         assert fabric.caches[cpu].access(req)
-        sim.run(until=lambda: "v" in done, max_cycles=20_000,
-                deadlock_check=False)
+        sim.run(until=lambda: "v" in done, max_cycles=20_000)
         return done["v"]
 
     def test_requests_queue_while_line_busy(self):
@@ -101,11 +100,9 @@ class TestDirectoryInternals:
                                 addr=0x40, value=cpu + 1,
                                 callback=lambda r, v: done.setdefault(r.req_id, v))
             assert fabric.caches[cpu].access(req)
-        sim.run(until=lambda: len(done) == 2, max_cycles=50_000,
-                deadlock_check=False)
+        sim.run(until=lambda: len(done) == 2, max_cycles=50_000)
         assert fabric.directory.stat_queued.value >= 1
-        sim.run(until=fabric.is_quiescent, max_cycles=50_000,
-                deadlock_check=False)
+        sim.run(until=fabric.is_quiescent, max_cycles=50_000)
         # exactly one final owner
         owners = [c for c in fabric.caches
                   if c.line_state(0x40) is LineState.MODIFIED]
@@ -169,8 +166,7 @@ class TestCacheDetails:
             req = AccessRequest(req_id=rid, kind=AccessKind.LOAD, addr=addr,
                                 callback=lambda r, v: done.add(r.req_id))
             assert cache.access(req)
-            sim.run(until=lambda: rid in done, max_cycles=10_000,
-                    deadlock_check=False)
+            sim.run(until=lambda: rid in done, max_cycles=10_000)
 
         go(1, 0x00)
         go(2, 0x10)
@@ -210,10 +206,26 @@ class TestSystemAssembly:
         with pytest.raises(ConfigurationError):
             Multiprocessor([])
 
-    def test_machine_config_propagates_techniques(self):
-        config = MachineConfig(enable_prefetch=True, enable_speculation=True)
-        pconfig = config.processor_config()
-        assert pconfig.enable_prefetch and pconfig.enable_speculation
+    def test_both_techniques_reach_every_core_built_or_rearmed(self):
+        from repro.consistency.models import RC, SC
+        from repro.isa import ProgramBuilder
+
+        programs = [ProgramBuilder().mov_imm("r1", 1).build()] * 2
+
+        def units(machine):
+            return [(proc.lsu.slb is not None,
+                     proc.lsu.prefetcher is not None)
+                    for proc in machine.processors]
+
+        built = Multiprocessor(programs, MachineConfig(
+            model=RC, enable_prefetch=True, enable_speculation=True))
+        assert units(built) == [(True, True)] * 2
+        rearmed = Multiprocessor(programs)
+        assert units(rearmed) == [(False, False)] * 2
+        rearmed.reset(RC, True, True)
+        assert units(rearmed) == [(True, True)] * 2
+        rearmed.reset(SC, False, False)
+        assert units(rearmed) == [(False, False)] * 2
 
     def test_run_result_counter_access(self):
         from repro.isa import ProgramBuilder

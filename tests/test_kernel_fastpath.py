@@ -350,8 +350,7 @@ class TestKernelJumpMechanics:
         sim.register(sleeper)
         fired = []
         sim.schedule(100, lambda: fired.append(sim.cycle))
-        sim.run(until=lambda: bool(fired), max_cycles=1000,
-                deadlock_check=False)
+        sim.run(until=lambda: bool(fired), max_cycles=1000)
         assert fired == [100]
         assert sim.cycle == 100
         # cycles 1..99 were elided and cycle 100 was stepped, but the
@@ -363,8 +362,7 @@ class TestKernelJumpMechanics:
         sim = Simulator()
         waker = _TimedWaker(wake_at=50)
         sim.register(waker)
-        sim.run(until=lambda: len(waker.ticked_at) >= 2, max_cycles=1000,
-                deadlock_check=False)
+        sim.run(until=lambda: len(waker.ticked_at) >= 2, max_cycles=1000)
         assert waker.ticked_at == [50, 51]
 
     def test_wake_in_event_phase_ticks_same_cycle(self):
@@ -372,8 +370,7 @@ class TestKernelJumpMechanics:
         sleeper = _Sleeper()
         sim.register(sleeper)
         sim.schedule(30, lambda: sim.wake(sleeper))
-        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000,
-                deadlock_check=False)
+        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000)
         assert sim.cycle == 30
         assert sleeper.ticked_at == [30]
         assert sleeper.skipped == 29    # replayed before that tick
@@ -386,8 +383,7 @@ class TestKernelJumpMechanics:
         waker.on_tick = lambda cycle: cycle == 20 and sim.wake(sleeper)
         sim.register(sleeper)   # ticks before the one that wakes it
         sim.register(waker)
-        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000,
-                deadlock_check=False)
+        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000)
         # cycle 20 had passed the sleeper by when the wake came
         assert sleeper.ticked_at == [21]
         assert sleeper.skipped == 20
@@ -400,8 +396,7 @@ class TestKernelJumpMechanics:
         waker.on_tick = lambda cycle: cycle == 20 and sim.wake(sleeper)
         sim.register(waker)
         sim.register(sleeper)
-        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000,
-                deadlock_check=False)
+        sim.run(until=lambda: sleeper.ticks > 0, max_cycles=1000)
         assert sleeper.ticked_at == [20]
         assert sleeper.skipped == 19
 
@@ -411,7 +406,7 @@ class TestKernelJumpMechanics:
         sim.register(sleeper)
         sim.schedule(5, lambda: None)
         sim.run(until=lambda: sim.events.next_cycle() is None,
-                max_cycles=100, deadlock_check=False)
+                max_cycles=100)
         assert (sleeper.ticks, sleeper.skipped) == (0, 5)
         sim.step()
         sim.step()
@@ -424,7 +419,7 @@ class TestKernelJumpMechanics:
         sim.register(sleeper)
         sim.schedule(40, lambda: None)
         sim.run(until=lambda: sim.events.next_cycle() is None,
-                max_cycles=100, deadlock_check=False)
+                max_cycles=100)
         assert sleeper.ticks == 40
         assert sleeper.skipped == 0
 
@@ -434,8 +429,7 @@ class TestKernelJumpMechanics:
             sim = Simulator(fast_forward=ff)
             sim.register(_Sleeper())
             with pytest.raises(DeadlockError) as exc:
-                sim.run(until=lambda: False, max_cycles=500,
-                        deadlock_check=False)
+                sim.run(until=lambda: False, max_cycles=500)
             cycles.append(exc.value.cycle)
         assert cycles[0] == cycles[1] == 500
 
@@ -522,8 +516,7 @@ class TestRaisingRunParity:
             for component in (first, bomb, last):
                 sim.register(component)
             with pytest.raises(ZeroDivisionError):
-                sim.run(until=lambda: False, max_cycles=100,
-                        deadlock_check=False)
+                sim.run(until=lambda: False, max_cycles=100)
             books.append((sim.cycle, first.ticks + first.skipped,
                           last.ticks + last.skipped))
         # the naive path ticked `first` at cycle 10 and never got to `last`

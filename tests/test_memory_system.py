@@ -59,20 +59,19 @@ class Harness:
 
     def wait(self, req, max_cycles=10_000):
         self.sim.run(until=lambda: req.req_id in self.completions,
-                     max_cycles=max_cycles, deadlock_check=False)
+                     max_cycles=max_cycles)
         return self.completions[req.req_id]
 
     def wait_all(self, reqs, max_cycles=20_000):
         self.sim.run(
             until=lambda: all(r.req_id in self.completions for r in reqs),
-            max_cycles=max_cycles, deadlock_check=False,
+            max_cycles=max_cycles,
         )
         return [self.completions[r.req_id] for r in reqs]
 
     def settle(self, max_cycles=20_000):
         """Run until the fabric is fully quiescent."""
-        self.sim.run(until=self.fabric.is_quiescent, max_cycles=max_cycles,
-                     deadlock_check=False)
+        self.sim.run(until=self.fabric.is_quiescent, max_cycles=max_cycles)
 
 
 class TestBasicAccesses:

@@ -371,8 +371,7 @@ class TestMemorySystemProperties:
                 req = AccessRequest(req_id=rid, kind=AccessKind.LOAD,
                                     addr=addr, callback=cb)
             assert fabric.caches[0].access(req)
-            sim.run(until=lambda: "value" in done, max_cycles=5000,
-                    deadlock_check=False)
+            sim.run(until=lambda: "value" in done, max_cycles=5000)
             if not is_store:
                 assert done["value"] == reference.get(addr, 0)
 
@@ -402,8 +401,7 @@ class TestMemorySystemProperties:
                 reference[cpu][addr] = value
             for _ in range(rng.randrange(1, 5)):
                 sim.step()
-        sim.run(until=fabric.is_quiescent, max_cycles=100_000,
-                deadlock_check=False)
+        sim.run(until=fabric.is_quiescent, max_cycles=100_000)
         for cpu in (0, 1):
             for addr, value in reference[cpu].items():
                 assert fabric.read_word(addr) == value

@@ -50,6 +50,15 @@ def test_a_memory_op_is_the_buffer_that_holds_it():
     assert "seq" in MemOp.__slots__
 
 
+def test_the_run_triple_lives_in_the_machine_config_alone():
+    # a core's config is its sizes; the model and the two technique
+    # flags are the run's, read from the machine's config
+    core = {f.name for f in dataclasses.fields(repro.cpu.ProcessorConfig)}
+    assert not core & {"model", "enable_prefetch", "enable_speculation"}
+    machine = Multiprocessor([assemble("halt")])
+    assert machine.processors[0].config is machine.config
+
+
 def test_a_directory_entry_state_is_its_owner_and_sharers():
     assert "state" not in {f.name for f in dataclasses.fields(DirEntry)}
     assert DirEntry().state is DirState.UNOWNED

@@ -118,12 +118,15 @@ class TestSimulator:
         with pytest.raises(DeadlockError):
             sim.run(until=lambda: False, max_cycles=50)
 
-    def test_run_detects_quiescent_deadlock_early(self):
+    def test_a_quiescent_wedge_raises_at_max_cycles(self):
+        # no early scan: a run whose components have nothing left to do
+        # wedges at its budget, like any other, and says so
         sim = Simulator()
         sim.register(TickCounter(busy_until=0))  # immediately quiescent
         with pytest.raises(DeadlockError) as exc:
-            sim.run(until=lambda: False, max_cycles=10**6)
-        assert exc.value.cycle < 10
+            sim.run(until=lambda: False, max_cycles=50)
+        assert exc.value.cycle == 50
+        assert exc.value.diagnostic == "no pending work anywhere"
 
     def test_schedule_relative_delay(self):
         sim = Simulator()
@@ -157,7 +160,7 @@ class TestSimulator:
         sim.register(observer)
         sim.schedule(10, lambda: None)
         sim.run(until=lambda: sim.events.next_cycle() is None,
-                max_cycles=100, deadlock_check=False)
+                max_cycles=100)
         assert observer.cycles == list(range(1, 11))
         assert sleeper.ticks < 10
 
@@ -183,8 +186,7 @@ class TestSimulator:
             for component in (first, bomb, last):
                 sim.register(component)
             with pytest.raises(ZeroDivisionError):
-                sim.run(until=lambda: False, max_cycles=100,
-                        deadlock_check=False)
+                sim.run(until=lambda: False, max_cycles=100)
             books.append((sim.cycle, first.ticks + first.skipped,
                           last.ticks + last.skipped))
         # `first` was ticked at cycle 10, nobody got to `last`

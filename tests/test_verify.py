@@ -1,6 +1,8 @@
 """Tests for the differential conformance fuzzer (``repro.verify``)."""
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from repro.consistency.litmus import (
 from repro.sim.errors import ConfigurationError
 from repro.sim.sweep import derive_seed, run_sweep
 from repro.verify import (
+    DEFAULT_RUN_CONFIGS,
     Corpus,
     CorpusEntry,
     GeneratorConfig,
@@ -192,6 +195,35 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(name="bad", **fields)
 
+    @pytest.mark.parametrize("key", [field.name for field in
+                                     dataclasses.fields(RunConfig)
+                                     if field.name != "name"])
+    def test_the_wire_form_names_a_mistyped_field(self, key):
+        # every JSON type but the field's own: no coercion, and the
+        # refusal names the field
+        def kind(value):
+            return list if isinstance(value, (list, tuple)) else type(value)
+
+        default = getattr(RunConfig("x"), key)
+        wrong = [value for value in (json.dumps(default), 2.5, True, 7, [7],
+                                     None, {"7": 7})
+                 if kind(value) is not kind(default)]
+        assert len(wrong) == 6
+        for value in wrong:
+            with pytest.raises(TypeError, match=re.escape(f"run_config.{key}")):
+                RunConfig.from_spec({key: value})
+
+    @pytest.mark.parametrize("config", DEFAULT_RUN_CONFIGS,
+                             ids=lambda config: config.name)
+    def test_the_wire_form_round_trips(self, config):
+        # the form a served job carries: JSON, and every field but the
+        # display-only name
+        spec = config.spec()
+        assert json.loads(json.dumps(spec)) == spec
+        assert RunConfig.from_spec(spec, name=config.name) == config
+        assert RunConfig.from_spec({**spec, "name": "label"},
+                                   name=config.name) == config
+
 
 # ----------------------------------------------------------------------
 # Minimizer
@@ -297,6 +329,11 @@ class TestCli:
         assert "FAIL" in proc.stdout
         corpus = Corpus.load(corpus_path)
         assert corpus.entries
+        # the run configurations that catch the fault here (see
+        # DEFAULT_RUN_CONFIGS: warm-skewed and cold-skewed do not)
+        assert {div["config_name"] for entry in corpus.entries
+                for div in entry.divergences} == {"warm-tight",
+                                                   "false-sharing"}
         entry = corpus.entries[0]
         assert entry.fault == "slb-deaf"
         # the localizer must have pinned the injected fault to its

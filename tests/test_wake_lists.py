@@ -23,14 +23,13 @@ from repro.cpu.decode import RMW
 from repro.cpu.processor import Processor
 from repro.cpu.units import AluUnit, BranchUnit
 from repro.serve.executors import execute_job
-from repro.serve.protocol import (MAX_JOB_CYCLES, normalize_job,
-                                  resolve_test, run_config_from_spec)
+from repro.serve.protocol import MAX_JOB_CYCLES, normalize_job, resolve_test
 from repro.system import jobs
 from repro.system.jobs import run_scalar
 from repro.system.machine import MachineConfig, Multiprocessor, run_workload
 from repro.verify.generator import GeneratorConfig, generate_litmus
 from repro.verify.harness import (DEFAULT_RUN_CONFIGS, MODEL_NAMES,
-                                  TECHNIQUE_COMBOS, leg_jobs)
+                                  TECHNIQUE_COMBOS, RunConfig, leg_jobs)
 from repro.workloads import (barrier_workload, critical_section_workload,
                              false_sharing_workload, grid_relaxation_workload,
                              work_queue_workload)
@@ -281,7 +280,7 @@ class TestCountGuards:
                 (job,), _audit = leg_jobs(
                     resolve_test(spec["test"]),
                     [("SC", False, False,
-                      run_config_from_spec(spec["run_config"]))])
+                      RunConfig.from_spec(spec["run_config"]))])
                 machine = Multiprocessor(job.programs,
                                          MachineConfig(model=get_model("SC")),
                                          starts=job.starts)
