@@ -32,7 +32,7 @@ both directions.  Client ops: ``submit``, ``stats``, ``metrics``,
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..consistency.litmus import STANDARD_TESTS, LitmusTest
 from ..consistency.models import get_model
@@ -40,7 +40,7 @@ from ..obs.ledger import request_hash
 from ..sim.errors import ConfigurationError
 from ..verify.corpus import litmus_from_dict, litmus_to_dict
 from ..verify.generator import GeneratorConfig, generate_litmus
-from ..verify.harness import RunConfig
+from ..verify.harness import RunConfig, json_boolean, json_integer
 
 #: bump when the canonical job layout changes incompatibly (the schema
 #: string is hashed with the job, so old cache entries can never alias
@@ -66,21 +66,14 @@ _JOB_KEYS = frozenset({"schema", "test", "model", "prefetch", "speculation",
                        "run_config"})
 
 
-def _flag(raw: Mapping[str, object], key: str, default: bool) -> bool:
-    """``raw[key]`` (or ``default``), which must be a JSON boolean: a
-    string or a number is a typo, not a flag."""
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ProtocolError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _integer(value: object, name: str) -> int:
-    """``value``, which must be a JSON integer (not a boolean, a float
-    or a numeric string) and is then called ``name`` in the error."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"{name} must be an integer, got {value!r}")
-    return value
+def _json(check: Callable[[object, str], object], value: object,
+          where: str):
+    """``value`` as :mod:`~repro.verify.harness`'s JSON ``check`` takes
+    it, a refusal being the client's: a ``ProtocolError`` naming ``where``."""
+    try:
+        return check(value, where)
+    except TypeError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def _canonical_run_config(raw: Mapping[str, object]) -> Dict[str, object]:
@@ -117,7 +110,7 @@ def _canonical_test(raw: Mapping[str, object]) -> Dict[str, object]:
                                 f"{sorted(STANDARD_TESTS)}")
         return {"name": name}
     if "seed" in keys:
-        seed = _integer(raw["seed"], "test.seed")
+        seed = _json(json_integer, raw["seed"], "test.seed")
         try:
             gen = GeneratorConfig.from_dict(
                 dict(raw.get("generator", {})))  # type: ignore[arg-type]
@@ -175,8 +168,10 @@ def normalize_job(job: Mapping[str, object]) -> Dict[str, object]:
         "schema": JOB_SCHEMA,
         "test": _canonical_test(test_raw),
         "model": model,
-        "prefetch": _flag(job, "prefetch", False),
-        "speculation": _flag(job, "speculation", False),
+        "prefetch": _json(json_boolean, job.get("prefetch", False),
+                          "prefetch"),
+        "speculation": _json(json_boolean, job.get("speculation", False),
+                             "speculation"),
         "run_config": _canonical_run_config(run_config_raw),
     }
 

@@ -57,14 +57,15 @@ TECHNIQUE_COMBOS: Tuple[Tuple[bool, bool], ...] = (
 )
 
 
-def _integer(value: object, where: str) -> int:
-    """A JSON integer: not a boolean, a float or a numeric string."""
+def json_integer(value: object, where: str) -> int:
+    """A JSON integer: not a boolean, a float or a numeric string.
+    ``TypeError`` calls a refused value ``where``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{where} must be an integer, got {value!r}")
     return value
 
 
-def _boolean(value: object, where: str) -> bool:
+def json_boolean(value: object, where: str) -> bool:
     """A JSON boolean: a string or a number is a typo, not a flag."""
     if not isinstance(value, bool):
         raise TypeError(f"{where} must be true or false, got {value!r}")
@@ -77,13 +78,13 @@ def _integers(value: object, where: str) -> Tuple[int, ...]:
         raise TypeError(f"{where} must be a list of integers, got {value!r}")
     for i, v in enumerate(value):
         if type(v) is not int:  # only a suspect entry's name is formatted
-            _integer(v, f"{where}[{i}]")
+            json_integer(v, f"{where}[{i}]")
     return tuple(value)
 
 
 #: the JSON check of each field type a :class:`RunConfig` declares
 _WIRE_TYPES: Dict[object, Callable[[object, str], object]] = {
-    int: _integer, bool: _boolean, Tuple[int, ...]: _integers}
+    int: json_integer, bool: json_boolean, Tuple[int, ...]: _integers}
 
 
 @dataclass(frozen=True)
@@ -121,17 +122,18 @@ class RunConfig:
                 for key, _, check, _ in _WIRE}
 
     @classmethod
-    def from_spec(cls, raw: Mapping[str, object],
-                  name: str = "serve") -> "RunConfig":
-        """The config a wire form asks for, missing fields defaulted (a
-        ``name`` in ``raw`` is a label, ignored).  ``TypeError`` names
-        an unknown key or a value of the wrong JSON type."""
+    def from_spec(cls, raw: Mapping[str, object]) -> "RunConfig":
+        """The config a wire form asks for, named ``serve``, missing
+        fields defaulted (a ``name`` in ``raw`` is a label, ignored).
+        ``TypeError`` names an unknown key or a value of the wrong JSON
+        type."""
         if not _WIRE_KEYS.issuperset(raw):
             raise TypeError(f"unknown run_config key(s): "
                             f"{sorted(set(raw) - _WIRE_KEYS)}")
         # positionally, in field order: the fields after the name
-        return cls(name, *[check(raw[key], where) if key in raw else default
-                           for key, default, check, where in _WIRE])
+        return cls("serve", *[check(raw[key], where) if key in raw
+                              else default
+                              for key, default, check, where in _WIRE])
 
 
 #: each field of a RunConfig's wire form, in field order: its key,

@@ -54,6 +54,7 @@ from repro.serve.protocol import (
 from repro.serve.store import STORE_SCHEMA
 from repro.verify.harness import RunConfig, observed_outcome
 from tests.conftest import child_env
+from tests.test_verify import mistyped_values
 
 
 @pytest.fixture
@@ -267,6 +268,19 @@ class TestProtocol:
     def test_a_mistyped_field_is_named(self, bad, field):
         with pytest.raises(ProtocolError, match=re.escape(field)):
             normalize_job(bad)
+
+    @pytest.mark.parametrize("field", [field for field in
+                                       dataclasses.fields(RunConfig)
+                                       if field.name != "name"],
+                             ids=lambda field: field.name)
+    def test_every_wrong_json_type_of_a_run_config_field_is_named(self, field):
+        # past the table's one quoted value per field: a boolean for an
+        # integer, a float, null, a list, an object
+        for value in mistyped_values(field.default):
+            with pytest.raises(ProtocolError,
+                               match=re.escape(f"run_config.{field.name}")):
+                normalize_job({"test": {"name": "SB"},
+                               "run_config": {field.name: value}})
 
     def test_valid_inline_jobs_hash_as_before(self):
         # the typed fields refuse nothing a valid job holds: the hash of

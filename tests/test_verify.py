@@ -180,6 +180,17 @@ class TestHarness:
         assert all(r.ok for r in sweep.results)
 
 
+def mistyped_values(default):
+    """A value of every JSON type but ``default``'s own (a tuple is a
+    list): each one a wire form must refuse for that field."""
+    def kind(value):
+        return list if isinstance(value, (list, tuple)) else type(value)
+
+    return [value for value in (json.dumps(default), 2.5, True, 7, [7], None,
+                                {"7": 7})
+            if kind(value) is not kind(default)]
+
+
 class TestRunConfig:
     """A run configuration refuses, in-process, what no machine runs
     (the job server maps the same refusals to protocol errors)."""
@@ -199,15 +210,8 @@ class TestRunConfig:
                                      dataclasses.fields(RunConfig)
                                      if field.name != "name"])
     def test_the_wire_form_names_a_mistyped_field(self, key):
-        # every JSON type but the field's own: no coercion, and the
-        # refusal names the field
-        def kind(value):
-            return list if isinstance(value, (list, tuple)) else type(value)
-
-        default = getattr(RunConfig("x"), key)
-        wrong = [value for value in (json.dumps(default), 2.5, True, 7, [7],
-                                     None, {"7": 7})
-                 if kind(value) is not kind(default)]
+        # no coercion, and the refusal names the field
+        wrong = mistyped_values(getattr(RunConfig("x"), key))
         assert len(wrong) == 6
         for value in wrong:
             with pytest.raises(TypeError, match=re.escape(f"run_config.{key}")):
@@ -220,9 +224,9 @@ class TestRunConfig:
         # display-only name
         spec = config.spec()
         assert json.loads(json.dumps(spec)) == spec
-        assert RunConfig.from_spec(spec, name=config.name) == config
-        assert RunConfig.from_spec({**spec, "name": "label"},
-                                   name=config.name) == config
+        served = dataclasses.replace(config, name="serve")
+        assert RunConfig.from_spec(spec) == served
+        assert RunConfig.from_spec({**spec, "name": "label"}) == served
 
 
 # ----------------------------------------------------------------------
